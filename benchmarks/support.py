@@ -151,11 +151,13 @@ def trajectory_point(
     ``samples_s`` are per-iteration wall times in seconds for processing
     ``records`` records / ``payload_bytes`` bytes.  Rates use the median
     sample so a single descheduled iteration cannot flatter or sandbag
-    the trajectory.
+    the trajectory.  ``p99_s`` is ``None`` below 100 samples: with fewer
+    there is no sample beyond the 99th percentile, and reporting the
+    maximum (or, with one sample, the median) would invent a tail.
     """
     ordered = sorted(samples_s)
     p50 = statistics.median(ordered)
-    p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
+    p99 = ordered[int(len(ordered) * 0.99)] if len(ordered) >= 100 else None
     point = {
         "records": records,
         "payload_bytes": payload_bytes,

@@ -63,6 +63,8 @@ class NativeCodec:
                 self._ops.append(("nparray", f, dtype))
             else:
                 self._ops.append(("array", f, struct.Struct(f.struct_fmt(endian))))
+        # decode_field is RecordView's per-access path: find the op by name
+        self._op_by_name = {op[1].name: op for op in self._ops}
 
     # -- encoding ---------------------------------------------------------
 
@@ -151,29 +153,26 @@ class NativeCodec:
 
     def decode_field(self, data: bytes | bytearray | memoryview, name: str, offset: int = 0) -> Any:
         """Decode a single field without touching the rest of the record."""
-        for op in self._ops:
-            if op[1].name == name:
-                f = op[1]
-                pos = offset + f.offset
-                mode = op[0]
-                if mode == "vaxfloat":
-                    from .floats import vax_d_to_ieee, vax_f_to_ieee
+        op = self._op_by_name[name]  # KeyError for an unknown field
+        mode, f = op[0], op[1]
+        pos = offset + f.offset
+        if mode == "vaxfloat":
+            from .floats import vax_d_to_ieee, vax_f_to_ieee
 
-                    raw = bytes(data[pos : pos + f.total_size])
-                    arr = vax_f_to_ieee(raw) if op[2] == 4 else vax_d_to_ieee(raw)
-                    return float(arr[0]) if f.count == 1 else tuple(float(v) for v in arr)
-                if mode == "scalar":
-                    value = op[2].unpack_from(data, pos)[0]
-                    return bool(value) if f.kind is PrimKind.BOOLEAN else value
-                if mode == "chars":
-                    return op[2].unpack_from(data, pos)[0]
-                if mode == "nparray":
-                    return np.frombuffer(bytes(data[pos : pos + f.total_size]), dtype=op[2])
-                if mode == "array":
-                    return op[2].unpack_from(data, pos)
-                ptr = self._ptr_struct.unpack_from(data, pos)[0]
-                return None if ptr == 0 else _read_cstring(data, offset + ptr)
-        raise KeyError(name)
+            raw = bytes(data[pos : pos + f.total_size])
+            arr = vax_f_to_ieee(raw) if op[2] == 4 else vax_d_to_ieee(raw)
+            return float(arr[0]) if f.count == 1 else tuple(float(v) for v in arr)
+        if mode == "scalar":
+            value = op[2].unpack_from(data, pos)[0]
+            return bool(value) if f.kind is PrimKind.BOOLEAN else value
+        if mode == "chars":
+            return op[2].unpack_from(data, pos)[0]
+        if mode == "nparray":
+            return np.frombuffer(bytes(data[pos : pos + f.total_size]), dtype=op[2])
+        if mode == "array":
+            return op[2].unpack_from(data, pos)
+        ptr = self._ptr_struct.unpack_from(data, pos)[0]
+        return None if ptr == 0 else _read_cstring(data, offset + ptr)
 
 
 def _parse_path(name: str) -> tuple:

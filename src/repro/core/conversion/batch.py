@@ -1,35 +1,52 @@
-"""Columnar batch conversion: N same-format records in one pass.
+"""Compiled record kernel: N same-format records in one field-wise cast.
 
-The scalar DCG converter already amortizes per-*field* dispatch into
-per-*run* operations; a stream of same-format records still pays one
-Python call, one destination allocation and one op-loop per record.
-:class:`BatchConverter` lifts the whole plan one axis higher: the N
-concatenated payloads are viewed as a ``(n, src_size)`` uint8 matrix,
-and every plan op becomes a strided *column* operation — a 2-D slice
-copy for COPY/CHARS, a ``view(dtype).astype(dtype)`` for element runs —
-so the per-record cost is pure C loop, whatever N is.
+The paper's receiver-side result is that a conversion routine *compiled
+once* for a wire/native pair beats one that interprets the field list per
+message.  The scalar DCG converter compiles to Python source; this module
+compiles the same plan one level lower, to a pair of numpy structured
+dtypes, so that converting ``n`` records is a single C-level assignment
+
+    dst = zeros(n, native_dtype);  dst[...] = frombuffer(src, wire_dtype)
+
+whatever ``n`` is — no per-op Python, no per-record Python.
+
+**What a field is.**  Each plan op becomes one field, at the op's wire
+offset in the source dtype and its native offset in the destination
+dtype; numpy pairs structured fields *by position*, so field ``i`` of one
+is cast to field ``i`` of the other.  ``COPY``/``CHARS`` are ``u1``
+sub-arrays of the moved length (CHARS moves ``min(src, dst)`` bytes:
+truncation, or NUL padding from the zeroed destination); ``SWAP`` and
+``CVT_*`` are typed scalars, or sub-arrays for element runs, whose
+byte-order/size/kind change *is* the cast.  Both dtypes carry the full
+record size as ``itemsize``.
+
+**Why padding is zero.**  ``ZERO`` ops, alignment padding, array tails
+the wire did not carry and string pointers are simply bytes no field
+covers: the cast never writes them and the destination starts zeroed —
+exactly the scalar converter's fresh ``bytearray``.
 
 Byte-identity with the scalar converter is load-bearing (the batch
 decode path must be indistinguishable from a per-message loop), so the
-lifting is deliberately conservative:
+lowering is deliberately conservative:
 
-* ``STRING`` plans (variable-size output) and VAX float plans are not
-  expressible as fixed-stride columns — :func:`build_batch_converter`
-  returns ``None`` and callers loop the scalar converter;
+* ``STRING`` ops have variable-size output — :func:`build_batch_converter`
+  returns ``None`` and :class:`VarBatchConverter` handles them with
+  offset-table passes around the same kernel; VAX float plans have no
+  numpy dtype and always loop the scalar converter;
 * ``CVT_FLOAT_INT`` is excluded even though numpy could express it: the
   scalar short-run lowering is ``int(v) & mask`` (raises on NaN/inf,
   truncates toward zero), while ``astype`` semantics for out-of-range
   floats are platform-defined — close enough to be tempting, different
   enough to break byte-identity on hostile input;
 * everything else (COPY, CHARS, ZERO, SWAP, CVT_INT, CVT_FLOAT,
-  CVT_INT_FLOAT) has provably identical struct/numpy semantics —
-  ``test_shape_both_lowerings_agree`` in the threshold ablation and the
-  batch property suite pin this down.
+  CVT_INT_FLOAT) has provably identical struct/numpy semantics — the
+  kernel equivalence suite in ``tests/core/test_batch.py`` pins this
+  down against the interpreted converter.
 
-Column views are legal because a ``(n, src_size)`` slice ``[:, a:b]``
-keeps the last axis contiguous (stride 1), which is all
-``ndarray.view(dtype)`` requires; ``astype`` then handles the
-byte-order/size/kind change for all rows at once.
+The kernel returns a buffer over its destination array rather than a
+copy.  Callers may hand out slices of it (lend-mode views alias the
+kernel output): the array is private to one call, so a slice keeps it
+alive and nothing else ever writes it.
 """
 
 from __future__ import annotations
@@ -58,23 +75,9 @@ _LOOP_GATHER_MIN = 256
 #: break-even ~1.5 KB, 0.87x at 2 KB heads).
 _VAR_BATCH_MAX_HEAD = 1024
 
-#: Op kinds the columnar lifting expresses (see module docstring for
-#: why CVT_FLOAT_INT and STRING are deliberately absent).
-_LIFTABLE = frozenset(
-    {
-        OpKind.COPY,
-        OpKind.CHARS,
-        OpKind.ZERO,
-        OpKind.SWAP,
-        OpKind.CVT_INT,
-        OpKind.CVT_FLOAT,
-        OpKind.CVT_INT_FLOAT,
-    }
-)
-
 
 class BatchConverter:
-    """Converts N concatenated same-format payloads with strided numpy ops.
+    """One plan compiled to a structured-dtype cast.
 
     Build via :func:`build_batch_converter` (which vets the plan); call
     :meth:`convert` with the concatenated source payloads.  The result
@@ -82,40 +85,39 @@ class BatchConverter:
     running the scalar converter N times and joining the outputs.
     """
 
-    __slots__ = ("src_size", "dst_size", "_copies", "_elems")
+    __slots__ = ("src_size", "dst_size", "src_dtype", "dst_dtype", "_fp")
 
-    def __init__(self, plan: ConversionPlan, copies, elems):
-        self.src_size = plan.wire.record_size
-        self.dst_size = plan.native.record_size
-        #: byte-column moves: (dst_lo, dst_hi, src_lo, src_hi)
-        self._copies = copies
-        #: element-column converts: (dst_lo, dst_hi, src_lo, src_hi, sdt, ddt)
-        self._elems = elems
+    def __init__(self, src_dtype: np.dtype, dst_dtype: np.dtype, fp: bool):
+        self.src_size = src_dtype.itemsize
+        self.dst_size = dst_dtype.itemsize
+        self.src_dtype = src_dtype
+        self.dst_dtype = dst_dtype
+        #: the plan casts to a float type: overflow-to-inf and NaN
+        #: quieting would warn outside ``np.errstate``
+        self._fp = fp
 
-    def convert(self, concat, n: int) -> bytes:
-        """Convert ``n`` records packed back to back in ``concat``.
+    def cast(self, records: np.ndarray) -> np.ndarray:
+        """Cast an array of wire records (``src_dtype``) to a fresh flat
+        uint8 array of native records: the one C-level pass."""
+        out = np.zeros(len(records) * self.dst_size, _U8)
+        # frombuffer, not out.view(): a view to or from a structured
+        # dtype runs a Python-level safety check on every call
+        dst = np.frombuffer(out, self.dst_dtype)
+        if self._fp:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dst[...] = records
+        else:
+            dst[...] = records
+        return out
 
-        ``concat`` must be exactly ``n * src_size`` bytes (callers
-        validate frame lengths before concatenating).
+    def convert(self, concat) -> memoryview:
+        """Convert the records packed back to back in ``concat``.
+
+        ``concat`` must be a whole number of ``src_size`` strides
+        (callers validate frame lengths before concatenating).  Returns
+        a byte view of the freshly converted records.
         """
-        if n == 0:
-            return b""
-        src = np.frombuffer(concat, _U8).reshape(n, self.src_size)
-        dst = np.zeros((n, self.dst_size), _U8)
-        for d0, d1, s0, s1 in self._copies:
-            dst[:, d0:d1] = src[:, s0:s1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for d0, d1, s0, s1, sdt, ddt in self._elems:
-                dst[:, d0:d1] = (
-                    src[:, s0:s1].view(sdt).astype(ddt).view(_U8)
-                )
-        return dst.tobytes()
-
-    def convert_many(self, payloads) -> list[bytes]:
-        """Convenience: convert a list of payloads, one output per input."""
-        blob = self.convert(b"".join(bytes(p) for p in payloads), len(payloads))
-        d = self.dst_size
-        return [blob[i * d : (i + 1) * d] for i in range(len(payloads))]
+        return self.cast(np.frombuffer(concat, self.src_dtype)).data
 
 
 class VarBatchConverter:
@@ -127,7 +129,7 @@ class VarBatchConverter:
     passes over the concatenation of N payloads:
 
     1. gather the fixed regions into an ``(n, src_size)`` matrix and run
-       the usual column ops;
+       the record kernel over it (string pointers are uncovered bytes);
     2. one pass builds the length/offset tables — pointers are read as
        unsigned columns, every NUL terminator is found with a single
        ``searchsorted`` against the sorted zero positions of the search
@@ -153,13 +155,13 @@ class VarBatchConverter:
     the hostile frame per-record.
     """
 
-    __slots__ = ("src_size", "dst_size", "_copies", "_elems", "_strings")
+    __slots__ = ("src_size", "dst_size", "_head", "_strings")
 
-    def __init__(self, plan: ConversionPlan, copies, elems, strings):
-        self.src_size = plan.wire.record_size
-        self.dst_size = plan.native.record_size
-        self._copies = copies
-        self._elems = elems
+    def __init__(self, head: BatchConverter, strings):
+        self.src_size = head.src_size
+        self.dst_size = head.dst_size
+        #: the record kernel for every non-string op of the fixed region
+        self._head = head
         #: string ops in plan order: (dst_off, src_off, src ptr dtype,
         #: dst ptr dtype) — plan order is the scalar tail-append order.
         self._strings = strings
@@ -211,12 +213,8 @@ class VarBatchConverter:
             src = buf[seg_base[:, None] + np.arange(ssz)]
             ptr_floor = 0
 
-        dst = np.zeros((n, dsz), _U8)
-        for d0, d1, s0, s1 in self._copies:
-            dst[:, d0:d1] = src[:, s0:s1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for d0, d1, s0, s1, sdt, ddt in self._elems:
-                dst[:, d0:d1] = src[:, s0:s1].view(sdt).astype(ddt).view(_U8)
+        head = self._head
+        dst = head.cast(np.frombuffer(src, head.src_dtype)).reshape(n, dsz)
 
         # -- pass 1: length/offset tables ------------------------------
         k = len(self._strings)
@@ -332,113 +330,92 @@ class VarBatchConverter:
         return [blob[s : s + l] for s, l in zip(starts_list, out_lens.tolist())]
 
 
-def _op_dtypes(op, plan: ConversionPlan):
-    """(src dtype, dst dtype) for one liftable element op, or None."""
-    se, de = plan.src_endian, plan.dst_endian
+def _elem_dtypes(op, plan: ConversionPlan):
+    """(src dtype, dst dtype) of one element of a liftable op; either may
+    be ``None`` (no numpy spelling), and a non-liftable kind gives
+    ``(None, None)``."""
     k = op.kind
-    if k is OpKind.SWAP:
+    int_kind = PrimKind.INTEGER if op.signed else PrimKind.UNSIGNED
+    if k is OpKind.SWAP or k is OpKind.STRING:
         # The scalar lowering swaps through unsigned codes whatever the
-        # element kind — raw byte reversal, bit-pattern preserving.
-        return (
-            np_dtype(se, PrimKind.UNSIGNED, op.src_size),
-            np_dtype(de, PrimKind.UNSIGNED, op.dst_size),
-        )
-    if k is OpKind.CVT_INT:
-        kind = PrimKind.INTEGER if op.signed else PrimKind.UNSIGNED
-        return (np_dtype(se, kind, op.src_size), np_dtype(de, kind, op.dst_size))
-    if k is OpKind.CVT_FLOAT:
-        return (
-            np_dtype(se, PrimKind.FLOAT, op.src_size),
-            np_dtype(de, PrimKind.FLOAT, op.dst_size),
-        )
-    if k is OpKind.CVT_INT_FLOAT:
-        kind = PrimKind.INTEGER if op.signed else PrimKind.UNSIGNED
-        return (
-            np_dtype(se, kind, op.src_size),
-            np_dtype(de, PrimKind.FLOAT, op.dst_size),
-        )
-    return None
+        # element kind — raw byte reversal, bit-pattern preserving;
+        # string pointers are unsigned offsets.
+        kinds = (PrimKind.UNSIGNED, PrimKind.UNSIGNED)
+    elif k is OpKind.CVT_INT:
+        kinds = (int_kind, int_kind)
+    elif k is OpKind.CVT_FLOAT:
+        kinds = (PrimKind.FLOAT, PrimKind.FLOAT)
+    elif k is OpKind.CVT_INT_FLOAT:
+        kinds = (int_kind, PrimKind.FLOAT)
+    else:
+        return None, None
+    return (
+        np_dtype(plan.src_endian, kinds[0], op.src_size),
+        np_dtype(plan.dst_endian, kinds[1], op.dst_size),
+    )
+
+
+def _record_dtype(fields: list[tuple], size: int) -> np.dtype:
+    """Structured dtype of ``size`` bytes with one field per (offset,
+    format); a format is a dtype or a ``(dtype, shape)`` sub-array."""
+    return np.dtype(
+        {
+            "names": [f"f{i}" for i in range(len(fields))],
+            "formats": [fmt for _, fmt in fields],
+            "offsets": [off for off, _ in fields],
+            "itemsize": size,
+        }
+    )
+
+
+def _lower(plan: ConversionPlan) -> tuple[BatchConverter, tuple] | None:
+    """Compile ``plan`` to ``(record kernel, string ops)``, or ``None``
+    if some op is not liftable (see the module docstring)."""
+    if plan.has_vax_floats:
+        return None
+    src_fields: list[tuple] = []  # (offset, format) per op
+    dst_fields: list[tuple] = []
+    strings: list[tuple] = []
+    fp = False
+    for op in plan.ops:
+        if op.kind is OpKind.ZERO:
+            continue  # uncovered bytes of a zeroed destination
+        if op.kind in (OpKind.COPY, OpKind.CHARS):
+            # COPY sizes are equal; CHARS truncates or leaves NUL padding
+            sdt = ddt = (_U8, (min(op.src_size, op.dst_size),))
+        else:
+            sdt, ddt = _elem_dtypes(op, plan)
+            if sdt is None or ddt is None:
+                return None
+            if op.kind is OpKind.STRING:
+                strings.append((op.dst_off, op.src_off, sdt, ddt))
+                continue
+            fp = fp or ddt.kind == "f"
+            if op.count > 1:
+                sdt, ddt = (sdt, (op.count,)), (ddt, (op.count,))
+        src_fields.append((op.src_off, sdt))
+        dst_fields.append((op.dst_off, ddt))
+    kernel = BatchConverter(
+        _record_dtype(src_fields, plan.wire.record_size),
+        _record_dtype(dst_fields, plan.native.record_size),
+        fp,
+    )
+    return kernel, tuple(strings)
 
 
 def build_batch_converter(plan: ConversionPlan) -> BatchConverter | None:
     """A :class:`BatchConverter` for ``plan``, or ``None`` if the plan is
-    not expressible as fixed-stride column operations (strings, VAX
-    floats, float->int casts) — callers then loop the scalar converter."""
-    if plan.has_strings or plan.has_vax_floats:
-        return None
-    copies: list[tuple[int, int, int, int]] = []
-    elems: list[tuple] = []
-    for op in plan.ops:
-        if op.kind not in _LIFTABLE:
-            return None
-        if op.kind is OpKind.ZERO:
-            continue  # destination matrix is freshly zeroed
-        if op.kind is OpKind.COPY:
-            copies.append((op.dst_off, op.dst_off + op.dst_size, op.src_off, op.src_off + op.src_size))
-            continue
-        if op.kind is OpKind.CHARS:
-            m = min(op.src_size, op.dst_size)
-            copies.append((op.dst_off, op.dst_off + m, op.src_off, op.src_off + m))
-            continue
-        dtypes = _op_dtypes(op, plan)
-        if dtypes is None or dtypes[0] is None or dtypes[1] is None:
-            return None
-        sdt, ddt = dtypes
-        elems.append(
-            (
-                op.dst_off,
-                op.dst_off + op.dst_size * op.count,
-                op.src_off,
-                op.src_off + op.src_size * op.count,
-                sdt,
-                ddt,
-            )
-        )
-    return BatchConverter(plan, tuple(copies), tuple(elems))
+    not expressible as a fixed-size record cast (strings, VAX floats,
+    float->int casts) — callers then loop the scalar converter."""
+    lowered = None if plan.has_strings else _lower(plan)
+    return None if lowered is None else lowered[0]
 
 
 def build_var_batch_converter(plan: ConversionPlan) -> VarBatchConverter | None:
     """A :class:`VarBatchConverter` for a string-bearing ``plan``, or
     ``None`` when some *other* op in the plan is not liftable (VAX
     floats, float->int casts) — callers then loop the scalar converter."""
-    if not plan.has_strings or plan.has_vax_floats:
+    if not plan.has_strings or plan.wire.record_size > _VAR_BATCH_MAX_HEAD:
         return None
-    if plan.wire.record_size > _VAR_BATCH_MAX_HEAD:
-        return None
-    copies: list[tuple[int, int, int, int]] = []
-    elems: list[tuple] = []
-    strings: list[tuple] = []
-    for op in plan.ops:
-        if op.kind is OpKind.STRING:
-            sdt = np_dtype(plan.src_endian, PrimKind.UNSIGNED, op.src_size)
-            ddt = np_dtype(plan.dst_endian, PrimKind.UNSIGNED, op.dst_size)
-            if sdt is None or ddt is None:
-                return None
-            strings.append((op.dst_off, op.src_off, sdt, ddt))
-            continue
-        if op.kind not in _LIFTABLE:
-            return None
-        if op.kind is OpKind.ZERO:
-            continue
-        if op.kind is OpKind.COPY:
-            copies.append((op.dst_off, op.dst_off + op.dst_size, op.src_off, op.src_off + op.src_size))
-            continue
-        if op.kind is OpKind.CHARS:
-            m = min(op.src_size, op.dst_size)
-            copies.append((op.dst_off, op.dst_off + m, op.src_off, op.src_off + m))
-            continue
-        dtypes = _op_dtypes(op, plan)
-        if dtypes is None or dtypes[0] is None or dtypes[1] is None:
-            return None
-        sdt, ddt = dtypes
-        elems.append(
-            (
-                op.dst_off,
-                op.dst_off + op.dst_size * op.count,
-                op.src_off,
-                op.src_off + op.src_size * op.count,
-                sdt,
-                ddt,
-            )
-        )
-    return VarBatchConverter(plan, tuple(copies), tuple(elems), tuple(strings))
+    lowered = _lower(plan)
+    return None if lowered is None else VarBatchConverter(*lowered)

@@ -60,11 +60,11 @@ class CacheEntry:
     native_size: int
     supports_dst: bool  # fixed-size plans can convert into a pooled buffer
     generation_time_s: float = 0.0
-    #: Columnar N-records-at-once converter
+    #: The plan compiled to a structured-dtype cast
     #: (:class:`~repro.core.conversion.BatchConverter`), cached alongside
-    #: the scalar one; ``None`` when the plan is not liftable (strings,
-    #: VAX floats, float->int) or the mode is not DCG — batch decodes
-    #: then loop :attr:`converter`.
+    #: the scalar converter; ``None`` when the plan is not liftable
+    #: (strings, VAX floats, float->int) or the mode is not DCG — batch
+    #: decodes then loop :attr:`converter`.
     batch: object | None = None
     #: Columnar converter for *string-bearing* plans
     #: (:class:`~repro.core.conversion.VarBatchConverter`): offset-table

@@ -55,7 +55,7 @@ Counter names used by the runtime:
 ``decode.batch.calls``    ``decode_batch`` invocations
 ``decode.batch.messages``  frames handed to ``decode_batch`` (all types)
 ``decode.batch.groups``   consecutive same-format data runs dispatched
-``decode.batch.converted``  records converted by the columnar batch converter
+``decode.batch.converted``  records converted by the compiled record kernel
 ``decode.batch.fallback``  records that looped the scalar converter instead
                           (strings, VAX floats, non-DCG modes)
 ``decode.batch.rejected``  frames rejected inside a batch (each also counts

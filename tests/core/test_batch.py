@@ -7,11 +7,24 @@ pin that down over random schemas, mixed-format interleavings, fault-
 injected streams and DecodeLimits rejections.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.abi import MACHINES, SPARC_V8, X86, RecordSchema, records_equal
+from repro.abi import (
+    MACHINES,
+    SPARC_V8,
+    VAX,
+    X86,
+    FieldDecl,
+    PrimKind,
+    RecordSchema,
+    codec_for,
+    layout_record,
+    records_equal,
+)
 from repro.core import IOContext, PbioError
 from repro.core.conversion import build_batch_converter, build_plan
 from repro.core.safety import DecodeLimits
@@ -127,6 +140,165 @@ def test_decode_batch_matches_sequential_under_chaos(seed, chaos_seed):
     assert_same_decodes(batched, reference)
 
 
+# -- the compiled record kernel vs the interpreted converter -----------------
+#
+# One (wire type, native type) pair per plan-op flavour the kernel lowers;
+# the machine pair decides whether "same type" is a COPY or a SWAP and
+# how wide a ``long`` is.
+SCALAR_PAIRS = [
+    ("int", "int"),
+    ("double", "double"),
+    ("unsigned short", "short"),
+    ("bool", "int"),
+    ("signed char", "long long"),  # widening, sign-extended
+    ("unsigned char", "unsigned long"),
+    ("short", "long"),
+    ("long long", "short"),  # narrowing: out-of-range values truncate
+    ("unsigned long long", "unsigned char"),
+    ("long", "signed char"),
+    ("float", "double"),
+    ("double", "float"),  # overflow -> inf, NaN stays NaN
+    ("int", "double"),
+    ("long long", "float"),
+    ("unsigned int", "float"),
+]
+FLOAT_SPECIALS = [float("nan"), float("inf"), float("-inf"), 1e300, -1e300, -0.0, 1e-310]
+
+
+@st.composite
+def field_pairs(draw, nested_ok=True):
+    """One field as ``(wire decl or None, native decl or None)`` builders."""
+    flavours = ["scalar", "array", "chars", "missing", "extension"]
+    flavour = draw(st.sampled_from(flavours + ["nested"] * nested_ok))
+    if flavour == "nested":
+        inner = draw(st.lists(field_pairs(nested_ok=False), min_size=1, max_size=3))
+        count = draw(st.integers(1, 3))
+        return ("nested", inner, count)
+    if flavour == "chars":
+        # equal lengths copy; longer wire truncates; shorter wire NUL-pads
+        return (f"char[{draw(st.integers(1, 12))}]", f"char[{draw(st.integers(1, 12))}]")
+    wire, native = draw(st.sampled_from(SCALAR_PAIRS))
+    if flavour == "missing":
+        return (None, native)
+    if flavour == "extension":
+        return (wire, None)
+    if flavour == "array":
+        wire_n = draw(st.integers(2, 40))
+        cross_kind = ("float" in wire or "double" in wire) != ("float" in native or "double" in native)
+        # array lengths may differ within a kind (extra elements zero or
+        # dropped); a cross-kind length mismatch is a plan error
+        native_n = wire_n if cross_kind else draw(st.integers(2, 40))
+        return (f"{wire}[{wire_n}]", f"{native}[{native_n}]")
+    return (wire, native)
+
+
+def schema_pair(pairs, name="rec"):
+    """(wire schema, native schema) from :func:`field_pairs` draws; a
+    leading ``tag`` keeps both sides non-empty."""
+    sides = ([FieldDecl.parse("tag", "int")], [FieldDecl.parse("tag", "int")])
+    for i, pair in enumerate(pairs):
+        fname = f"f{i}"
+        if pair[0] == "nested":
+            inner = schema_pair(pair[1], name=f"{name}_{fname}")
+            decls = [FieldDecl.nested(fname, sub, pair[2]) for sub in inner]
+        else:
+            decls = [spec and FieldDecl.parse(fname, spec) for spec in pair]
+        for side, decl in zip(sides, decls):
+            if decl is not None:
+                side.append(decl)
+    return RecordSchema(name, sides[0]), RecordSchema(name, sides[1])
+
+
+def hostile_natives(schema, machine, seed, count):
+    """``count`` records of random bytes in ``machine``'s layout of
+    ``schema`` — every integer range, padding garbage — with a few float
+    specials planted per record so NaN/inf/overflow/denormal casts occur."""
+    rng = np.random.default_rng(seed)
+    layout = layout_record(schema, machine)
+    spots = [  # (offset, size) of every float element
+        (f.offset + k * f.elem_size, f.elem_size)
+        for f in layout.fields
+        if f.kind is PrimKind.FLOAT
+        for k in range(f.count)
+    ]
+    out = []
+    for _ in range(count):
+        raw = bytearray(rng.bytes(layout.size))
+        if machine.float_format == "vax":
+            # random bits include VAX reserved operands, which are not
+            # the kernel's business (VAX plans never lift): use 0.0
+            for pos, size in spots:
+                raw[pos : pos + size] = bytes(size)
+        elif spots:
+            for j in rng.integers(len(spots), size=4):
+                pos, size = spots[j]
+                value = FLOAT_SPECIALS[int(rng.integers(len(FLOAT_SPECIALS)))]
+                if size == 4 and 1e38 < abs(value) < float("inf"):
+                    value = 3e38 if value > 0 else -3e38  # still finite as a float32
+                struct.pack_into(machine.struct_endian + "fd"[size == 8], raw, pos, value)
+        out.append(bytes(raw))
+    return out
+
+
+def decode_or_none(decode, frame):
+    try:
+        return decode(frame)
+    except PbioError:
+        return None
+
+
+@pytest.mark.parametrize("dst", MACHINE_NAMES)
+@pytest.mark.parametrize("src", MACHINE_NAMES)
+@settings(max_examples=3, deadline=None)
+@given(pairs=st.lists(field_pairs(), min_size=1, max_size=8), seed=seeds)
+def test_kernel_matches_interpreted_converter(src, dst, pairs, seed):
+    """Every group size x every output shape is byte-identical to the
+    interpreted converter run one frame at a time (a frame it rejects —
+    a value with no VAX representation — is ``None`` on both sides)."""
+    wire_schema, native_schema = schema_pair(pairs)
+    sender = IOContext(MACHINES[src])
+    handle = sender.register_format(wire_schema)
+    announce = sender.announce(handle)
+    frames = [
+        sender.encode_native(handle, native)
+        for native in hostile_natives(wire_schema, MACHINES[src], seed, 32)
+    ]
+    reference = fresh_receiver(dst, [native_schema], conversion="interpreted")
+    reference.pipeline.ingest(announce)
+    want = [decode_or_none(reference.pipeline.decode_native, frame) for frame in frames]
+    codec = codec_for(layout_record(native_schema, MACHINES[dst]))
+    want_dicts = [None if record is None else codec.decode(record) for record in want]
+
+    pipeline = fresh_receiver(dst, [native_schema]).pipeline
+    pipeline.ingest(announce)
+    for n in (1, 2, 3, 32):
+        group, expect = frames[:n], want[:n]
+        assert pipeline.decode_batch_native(group, on_error="skip") == expect
+        lent = pipeline.decode_batch_native(group, on_error="skip", lend=True)
+        assert [m and bytes(m) for m in lent] == expect
+        views = pipeline.decode_batch(group, on_error="skip", lend=True)
+        assert [v and bytes(v.buffer) for v in views] == expect
+        np.testing.assert_equal(pipeline.decode_batch(group, on_error="skip"), want_dicts[:n])
+
+
+def test_zero_only_plan_is_a_kernel_with_no_fields():
+    """No wire field matches: every native byte is an uncovered byte."""
+    wire = RecordSchema.from_pairs("rec", [("gone", "int"), ("also_gone", "double")])
+    native = RecordSchema.from_pairs("rec", [("fresh", "double[3]"), ("new", "short")])
+    sender = IOContext(SPARC_V8)
+    handle = sender.register_format(wire)
+    receiver = fresh_receiver(X86, [native])
+    plan = build_plan(handle.iofmt, receiver.expect(native))
+    kernel = build_batch_converter(plan)
+    assert kernel is not None and kernel.dst_dtype.names == ()
+    frames = [sender.announce(handle)] + [
+        sender.encode(handle, {"gone": k, "also_gone": 0.5}) for k in range(3)
+    ]
+    out = receiver.pipeline.decode_batch_native(frames)
+    assert out[1:] == [bytes(plan.native.record_size)] * 3
+    assert receiver.metrics.value("decode.batch.converted") == 3
+
+
 def linked(sch, src=SPARC_V8, dst=X86, **kwargs):
     sender = IOContext(src)
     receiver = IOContext(dst, **kwargs)
@@ -156,6 +328,29 @@ class TestBatchRejectionIsolation:
         ]
         assert receiver.metrics.value("decode.batch.rejected") == 1
         assert receiver.metrics.value("decode.rejected") == 1
+
+    @pytest.mark.parametrize("lend", [False, True])
+    @pytest.mark.parametrize("native_out", [False, True])
+    def test_length_mismatch_inside_a_group_matches_the_sequential_loop(
+        self, native_out, lend
+    ):
+        """A frame longer than its header says, mid-group: only it is
+        rejected and every counter agrees with a frame-at-a-time loop."""
+        sender, receiver, handle = linked(self.SCHEMA)
+        frames = self.frames(sender, handle)
+        frames[5] = frames[5] + b"\x00" * 8
+        decode = (
+            receiver.pipeline.decode_batch_native if native_out else receiver.pipeline.decode_batch
+        )
+        out = decode(frames, on_error="skip", lend=lend)
+        assert [o is None for o in out] == [True] + [False] * 4 + [True] + [False] * 3
+        _, looped, _ = linked(self.SCHEMA)
+        looped.pipeline.ingest(sender.announce(handle))
+        sequential_ingest(looped, frames[1:])
+        for counter in ("decode.rejected", "converted_decodes", "zero_copy_decodes"):
+            assert receiver.metrics.value(counter) == looped.metrics.value(counter), counter
+        assert receiver.metrics.value("decode.batch.rejected") == 1
+        assert receiver.metrics.value("decode.batch.converted") == 7
 
     def test_oversized_frame_rejected_by_limits(self):
         limits = DecodeLimits(max_message_size=256)
@@ -225,3 +420,18 @@ class TestBatchConverterDispatch:
         native = IOContext(X86).expect(RecordSchema.from_pairs("r", [("x", "int")]))
         plan = build_plan(wire, native)
         assert build_batch_converter(plan) is None
+
+
+@pytest.mark.parametrize(
+    "src, ctype",
+    [
+        (SPARC_V8, "string"),  # variable-size output: VarBatchConverter's business
+        (VAX, "float"),  # no numpy dtype reads a VAX F float
+    ],
+    ids=["strings", "vax_floats"],
+)
+def test_string_and_vax_plans_are_not_lifted_either(src, ctype):
+    """With float->int above: the three plan kinds the kernel refuses."""
+    schema = RecordSchema.from_pairs("r", [("x", ctype)])
+    plan = build_plan(IOContext(src).expect(schema), IOContext(X86).expect(schema))
+    assert build_batch_converter(plan) is None
