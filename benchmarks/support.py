@@ -118,6 +118,34 @@ def default_repeats() -> int:
     return 7
 
 
+def overhead_vs_floor(base_fn, loaded_fn, floor_fn, *, inner: int) -> tuple:
+    """Time three loops in interleaved rounds; gate an *absolute* overhead.
+
+    Returns ``(base_s, loaded_s, floor_s, multiple, legacy_pct)``:
+    per-side minima, the overhead ``loaded - base`` as a multiple of
+    ``floor`` (the irreducible work the loaded side adds, timed alone),
+    and the ratio ``loaded / base - 1`` in percent that the durability
+    gate used to be.  A ratio budget tightens by itself whenever
+    ``base`` gets faster; the multiple does not.  Both figures are the
+    lower of the median per-round value and the value from per-side
+    minima, and the order flips every round, so neither scheduler noise
+    nor a slow phase of the host produces a false regression.
+    """
+    base = loaded = floor = float("inf")
+    ratios, multiples = [], []
+    order = [base_fn, loaded_fn, floor_fn]
+    for _ in range(3 * default_repeats()):
+        timed = {fn: best_of(fn, repeats=1, inner=inner) for fn in order}
+        order.reverse()
+        b, m, f = timed[base_fn], timed[loaded_fn], timed[floor_fn]
+        base, loaded, floor = min(base, b), min(loaded, m), min(floor, f)
+        ratios.append(m / b)
+        multiples.append((m - b) / f)
+    multiple = min(statistics.median(multiples), (loaded - base) / floor)
+    legacy_pct = (min(statistics.median(ratios), loaded / base) - 1.0) * 100.0
+    return base, loaded, floor, multiple, legacy_pct
+
+
 #: Where ``append_trajectory`` writes its machine-readable result files.
 #: ``results/`` is gitignored; CI jobs upload it as an artifact instead.
 TRAJECTORY_DIR = Path(__file__).resolve().parent.parent / "results"

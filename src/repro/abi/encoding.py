@@ -65,6 +65,9 @@ class NativeCodec:
                 self._ops.append(("array", f, struct.Struct(f.struct_fmt(endian))))
         # decode_field is RecordView's per-access path: find the op by name
         self._op_by_name = {op[1].name: op for op in self._ops}
+        # decode's compiled reader (or the op loop where none applies),
+        # built on first use: most codecs only ever encode
+        self._reader = None
 
     # -- encoding ---------------------------------------------------------
 
@@ -119,7 +122,66 @@ class NativeCodec:
         """Rebuild the canonical value dict from native bytes.
 
         Nested fields come back as nested dicts (and lists for arrays of
-        embedded records), mirroring what :meth:`encode` accepts."""
+        embedded records), mirroring what :meth:`encode` accepts.
+
+        Layouts of fixed scalar / array / char fields are read by a
+        routine generated once per codec (:meth:`_compile_reader`);
+        everything else — and the tests, as the reference — runs the
+        per-field loop :meth:`_decode_ops`.  Both copy what they return:
+        ``data`` may be reused as soon as this returns."""
+        reader = self._reader
+        if reader is None:
+            reader = self._reader = self._compile_reader() or self._decode_ops
+        return reader(data, offset)
+
+    def _compile_reader(self):
+        """Lower the op list to one ``Struct.unpack_from`` over the fixed part.
+
+        The conversion counterpart of :func:`repro.core.filters.compile_predicate`:
+        the layout is known, so per-field dispatch can be done once, here.
+        Pad bytes become ``x``, a numpy-path array an ``s`` run (the same
+        private copy of exactly the field's bytes the loop makes, taken
+        inside the one C call) wrapped by ``np.frombuffer``, and the dict
+        is built by a literal.  Returns ``None`` for layouts the loop must
+        keep: strings, VAX floats, nested (dotted) paths, or fields that
+        are not laid out in ascending, non-overlapping order.
+        """
+        fmt = [self.layout.machine.struct_endian]
+        namespace: dict[str, Any] = {"_frombuffer": np.frombuffer}
+        items = []
+        pos = index = 0
+        for op in self._ops:
+            mode, f = op[0], op[1]
+            if mode in ("string", "vaxfloat") or len(self._paths[f.name]) != 1 or f.offset < pos:
+                return None
+            if f.offset > pos:
+                fmt.append(f"{f.offset - pos}x")
+            pos = f.end
+            if mode == "nparray":
+                fmt.append(f"{f.total_size}s")
+                namespace[f"_dt{index}"] = op[2]
+                value = f"_frombuffer(t[{index}], _dt{index})"
+                index += 1
+            elif mode == "array":
+                fmt.append(op[2].format[1:])
+                value = f"t[{index}:{index + f.count}]"
+                index += f.count
+            else:  # scalar, chars
+                fmt.append(op[2].format[1:])
+                value = f"bool(t[{index}])" if f.kind is PrimKind.BOOLEAN else f"t[{index}]"
+                index += 1
+            items.append(f"{f.name!r}: {value}")
+        namespace["_unpack"] = struct.Struct("".join(fmt)).unpack_from
+        source = (
+            "def read(data, offset=0):\n"
+            "    t = _unpack(data, offset)\n"
+            "    return {" + ", ".join(items) + "}\n"
+        )
+        exec(compile(source, f"<pbio-reader:{self.layout.schema.name}>", "exec"), namespace)
+        return namespace["read"]
+
+    def _decode_ops(self, data: bytes | bytearray | memoryview, offset: int = 0) -> dict[str, Any]:
+        """The per-field interpreter: every layout, one dispatch per field."""
         out: dict[str, Any] = {}
         for op in self._ops:
             mode, f = op[0], op[1]

@@ -27,7 +27,9 @@ Message types:
 * ``MSG_DATA_SEQ``       — a data message whose payload is prefixed by a
   per-``(context, format)`` monotonic u64 sequence number (starting at
   1); the durable delivery plane (docs/robustness.md §11) journals these
-  before sending and retransmits them until acknowledged.
+  before sending and retransmits them until acknowledged.  Receivers
+  decode the record where it lies, 8 bytes further into the frame
+  (:data:`SEQ_RECORD_OFFSET`); nothing is ever re-headered.
 * ``MSG_ACK``            — a receiver's cumulative delivery cursor for
   one ``(context, format)`` stream, plus an optional selective-nack
   bitmap naming sequences in ``(cursor, cursor+64]`` it is still
@@ -68,8 +70,8 @@ _HEADER = struct.Struct(">BBBxIII")
 HEADER_SIZE = _HEADER.size
 
 #: Public handles for callers that inline the header scan on hot paths
-#: (batch decode); semantics stay defined by :func:`unpack_header`.
-HEADER_STRUCT = _HEADER
+#: (batch decode: this and :data:`HEADER_SEQ_STRUCT`); semantics stay
+#: defined by :func:`unpack_header`.
 MESSAGE_TYPES = frozenset(_MSG_TYPES)
 
 FINGERPRINT_SIZE = 20  # sha1 digest length (matches IOFormat.fingerprint)
@@ -277,6 +279,16 @@ def parse_pong(message) -> tuple[int, int]:
 
 _SEQ_PREFIX = struct.Struct(">Q")  # per-(context, format) sequence number
 SEQ_PREFIX_SIZE = _SEQ_PREFIX.size
+#: Where the record starts in a ``MSG_DATA_SEQ`` frame (a ``MSG_DATA``
+#: record starts at :data:`HEADER_SIZE`): the one offset a receiver needs
+#: to decode a sequenced frame where it lies.
+SEQ_RECORD_OFFSET = HEADER_SIZE + SEQ_PREFIX_SIZE
+#: Header and sequence prefix in one unpack, for the batch decode scan:
+#: on any frame of at least its size the first six values are the
+#: header, and the seventh is the sequence number *if* the type turns
+#: out to be ``MSG_DATA_SEQ``.  :func:`unpack_header` and
+#: :func:`read_seq` stay the definition of the checks.
+HEADER_SEQ_STRUCT = struct.Struct(_HEADER.format + "Q")
 
 
 def encode_data_seq(context_id: int, format_id: int, seq: int, native) -> bytes:
@@ -298,39 +310,37 @@ def encode_data_seq(context_id: int, format_id: int, seq: int, native) -> bytes:
     )
 
 
+def read_seq(message, payload_len: int) -> int:
+    """The validated sequence number of a type-7 frame.
+
+    For callers that already parsed the header (``payload_len`` is its
+    last element): every hop sniffs a frame's 16 bytes once and checks
+    the prefix here.  Strict: a frame too short to carry the sequence
+    number is protocol damage, a declared payload length that disagrees
+    with the actual bytes is a torn frame, and sequence 0 never travels.
+    """
+    if payload_len != len(message) - HEADER_SIZE or payload_len < SEQ_PREFIX_SIZE:
+        raise MessageError(
+            f"sequenced payload must be >= {SEQ_PREFIX_SIZE} bytes and match "
+            f"the header (header says {payload_len}, got {len(message) - HEADER_SIZE})"
+        )
+    (seq,) = _SEQ_PREFIX.unpack_from(message, HEADER_SIZE)
+    if seq < 1:
+        raise MessageError("sequenced data frame carries reserved sequence 0")
+    return seq
+
+
 def parse_data_seq(message) -> tuple[int, int, int, memoryview]:
     """Returns ``(context_id, format_id, seq, record_bytes)``.
 
-    Strict about the prefix: a type-7 frame too short to carry the
-    sequence number is protocol damage, and a declared payload length
-    that disagrees with the actual bytes is a torn frame.
+    The record is a view into ``message`` at :data:`SEQ_RECORD_OFFSET` —
+    no re-framing; see :func:`read_seq` for the checks.
     """
     msg_type, context_id, format_id, payload_len = unpack_header(message)
     if msg_type != MSG_DATA_SEQ:
         raise MessageError(f"expected a sequenced data message, got type {msg_type}")
-    payload = memoryview(message)[HEADER_SIZE:]
-    if payload_len != len(payload) or payload_len < SEQ_PREFIX_SIZE:
-        raise MessageError(
-            f"sequenced payload must be >= {SEQ_PREFIX_SIZE} bytes and match "
-            f"the header (header says {payload_len}, got {len(payload)})"
-        )
-    (seq,) = _SEQ_PREFIX.unpack(payload[:SEQ_PREFIX_SIZE])
-    if seq < 1:
-        raise MessageError("sequenced data frame carries reserved sequence 0")
-    return context_id, format_id, seq, payload[SEQ_PREFIX_SIZE:]
-
-
-def seq_to_data(message) -> tuple[int, bytes]:
-    """Strip the sequence prefix: ``(seq, equivalent MSG_DATA message)``.
-
-    The bridge between the durable plane and every existing decode path:
-    once deduplicated/ordered, a sequenced frame is re-headered as the
-    plain data message it carries and decodes through the unchanged
-    pipeline (one small copy — the price of keeping the hot path
-    oblivious to sequencing).
-    """
-    context_id, format_id, seq, record = parse_data_seq(message)
-    return seq, pack_header(MSG_DATA, context_id, format_id, len(record)) + bytes(record)
+    seq = read_seq(message, payload_len)
+    return context_id, format_id, seq, memoryview(message)[SEQ_RECORD_OFFSET:]
 
 
 _ACK_PAYLOAD = struct.Struct(">QQQ")  # cursor, nack base, nack bitmap

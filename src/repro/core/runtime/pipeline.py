@@ -145,6 +145,12 @@ class DecodePipeline:
         ``(msg_type, context_id, format_id, payload_len)`` tuple when an
         upstream stage (negotiation, :meth:`ingest`) validated the header
         — steady-state data frames then parse exactly once.
+
+        A ``MSG_DATA_SEQ`` frame is a data message whose record starts 8
+        bytes later: its prefix is validated (:func:`enc.read_seq`) and
+        the record is decoded where it lies.  Dedup and ordering, when
+        wanted, live in ``DurableSubscription``, above this layer — here
+        the sequence is just framing.
         """
         try:
             if self._max_msg is not None and len(message) > self._max_msg:
@@ -155,13 +161,20 @@ class DecodePipeline:
             msg_type, context_id, format_id, payload_len = (
                 enc.unpack_header(message) if header is None else header
             )
-            if msg_type != enc.MSG_DATA:
+            if msg_type == enc.MSG_DATA:
+                start = enc.HEADER_SIZE
+                if len(message) - start != payload_len:
+                    raise MessageError(
+                        f"payload length mismatch: header says {payload_len}, "
+                        f"got {len(message) - start}"
+                    )
+            elif msg_type == enc.MSG_DATA_SEQ:
+                enc.read_seq(message, payload_len)
+                start = enc.SEQ_RECORD_OFFSET
+                payload_len -= enc.SEQ_PREFIX_SIZE
+            else:
                 raise MessageError("expected a data message")
-            payload = memoryview(message)[enc.HEADER_SIZE :]
-            if len(payload) != payload_len:
-                raise MessageError(
-                    f"payload length mismatch: header says {payload_len}, got {len(payload)}"
-                )
+            payload = memoryview(message)[start:]
             wire_fmt = self.registry.remote_format(context_id, format_id)
             if payload_len != wire_fmt.record_size and (
                 payload_len < wire_fmt.record_size or not wire_fmt.has_strings
@@ -433,21 +446,10 @@ class DecodePipeline:
             self.metrics.inc("decode.rejected")
             raise
         msg_type, context_id, format_id, _ = header
-        if msg_type == enc.MSG_DATA:
+        if msg_type == enc.MSG_DATA or msg_type == enc.MSG_DATA_SEQ:
             # Thread the parsed header through: steady-state data frames
             # validate the 16 bytes exactly once end to end.
             return self.decode(message, header=header)
-        if msg_type == enc.MSG_DATA_SEQ:
-            # A durable frame reaching a plain decode path: strip the
-            # sequence prefix and decode the record it carries.  Dedup
-            # and ordering (when wanted) live in DurableSubscription,
-            # above this layer — here the sequence is just framing.
-            try:
-                _seq, data = enc.seq_to_data(message)
-            except PbioError:
-                self.metrics.inc("decode.rejected")
-                raise
-            return self.decode(data)
         if msg_type == enc.MSG_FORMAT:
             self.absorb(message, context_id, format_id)
             return None
@@ -518,25 +520,30 @@ class DecodePipeline:
         self.metrics.inc("decode.batch.calls")
         self.metrics.inc("decode.batch.messages", len(messages))
         strict = on_error == "raise"
-        group: list[tuple[int, int]] = []  # (frame index, declared payload len)
+        # (frame index, declared record length, record start offset): a
+        # sequenced frame's record starts 8 bytes later, nothing else differs
+        group: list[tuple[int, int, int]] = []
         gkey: tuple[int, int] | None = None
 
         def flush() -> None:
             nonlocal group, gkey
             if group:
-                self._decode_group(msgs, group, gkey, out, strict, native_out, lend, lease)
+                self._decode_group(messages, group, gkey, out, strict, native_out, lend, lease)
                 group = []
             gkey = None
 
         max_msg = self._max_msg
-        msgs = messages  # swapped for a mutable copy only if seq frames appear
         # Header scan, inlined: one Struct.unpack_from per message on the
-        # fast path; anything anomalous re-parses through unpack_header
-        # so rejects keep its exact error messages.
-        unpack_from = enc.HEADER_STRUCT.unpack_from
+        # fast path — header and, should the frame be sequenced, its
+        # prefix; anything anomalous re-parses through unpack_header /
+        # read_seq so rejects keep their exact error messages.
+        unpack_from = enc.HEADER_SEQ_STRUCT.unpack_from
+        scan_size = enc.HEADER_SEQ_STRUCT.size
         magic_want, version_want = enc.MAGIC, enc.VERSION
         msg_types = enc.MESSAGE_TYPES
         header_size = enc.HEADER_SIZE
+        msg_data, msg_data_seq = enc.MSG_DATA, enc.MSG_DATA_SEQ
+        seq_size, seq_start = enc.SEQ_PREFIX_SIZE, enc.SEQ_RECORD_OFFSET
         for i, message in enumerate(messages):
             try:
                 if max_msg is not None and len(message) > max_msg:
@@ -544,8 +551,8 @@ class DecodePipeline:
                         f"message of {len(message)} bytes exceeds max_message_size "
                         f"({max_msg})"
                     )
-                if len(message) >= header_size:
-                    magic, version, msg_type, context_id, format_id, payload_len = (
+                if len(message) >= scan_size:
+                    magic, version, msg_type, context_id, format_id, payload_len, seq = (
                         unpack_from(message, 0)
                     )
                     if (
@@ -556,36 +563,30 @@ class DecodePipeline:
                         msg_type, context_id, format_id, payload_len = (
                             enc.unpack_header(message)
                         )
-                else:
+                else:  # too short to carry a sequence number
                     msg_type, context_id, format_id, payload_len = enc.unpack_header(
                         message
                     )
+                    seq = 0
+                if msg_type == msg_data:
+                    start = header_size
+                elif msg_type == msg_data_seq:
+                    if not seq or payload_len != len(message) - header_size:
+                        enc.read_seq(message, payload_len)  # raises
+                    start = seq_start
+                    payload_len -= seq_size
+                else:
+                    start = 0  # a control frame
             except PbioError as exc:
                 flush()
                 self._reject(exc, strict)
                 continue
-            if msg_type == enc.MSG_DATA_SEQ:
-                # Re-header as the plain data frame it carries so the run
-                # grouping and batch converter below stay oblivious to
-                # sequencing.  The copy is lazy: purely non-durable
-                # batches never pay for it.
-                try:
-                    _seq, stripped = enc.seq_to_data(message)
-                except PbioError as exc:
-                    flush()
-                    self._reject(exc, strict)
-                    continue
-                if msgs is messages:
-                    msgs = list(messages)
-                msgs[i] = stripped
-                msg_type = enc.MSG_DATA
-                payload_len -= enc.SEQ_PREFIX_SIZE
-            if msg_type == enc.MSG_DATA:
+            if start:
                 key = (context_id, format_id)
                 if key != gkey:
                     flush()
                     gkey = key
-                group.append((i, payload_len))
+                group.append((i, payload_len, start))
                 continue
             # Control frames break the run and are absorbed in order, so
             # a format (re-)announcement takes effect before the data
@@ -646,8 +647,8 @@ class DecodePipeline:
         has_strings = wire_fmt.has_strings
         slots: list[int] = []
         payloads: list[memoryview] = []
-        for i, declared in group:
-            payload = memoryview(messages[i])[enc.HEADER_SIZE :]
+        for i, declared, start in group:
+            payload = memoryview(messages[i])[start:]
             if len(payload) != declared:
                 self._reject(
                     MessageError(

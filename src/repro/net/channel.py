@@ -87,17 +87,6 @@ class Subscription:
         except PbioError:  # short frame / bad magic: damage, not delivery
             self.metrics.inc("decode_errors")
             raise
-        if msg_type == enc.MSG_DATA_SEQ:
-            # A plain subscriber on a durable stream: the sequence prefix
-            # is transport bookkeeping it never asked for — strip it and
-            # deliver the record (durable subscribers dedup upstream of
-            # this method instead).
-            try:
-                _seq, message = enc.seq_to_data(message)
-            except PbioError:
-                self.metrics.inc("decode_errors")
-                raise
-            msg_type = enc.MSG_DATA
         if msg_type == enc.MSG_FORMAT:
             self.ctx.receive(message)
             return
@@ -121,9 +110,19 @@ class Subscription:
             if fmt.name != self.format_name:
                 self.metrics.inc("wrong_type")
                 return
-        if self._filter is not None and not self._filter.matches(message):
-            self.metrics.inc("filtered_out")
-            return
+        # MSG_DATA, or MSG_DATA_SEQ on a plain subscriber: the sequence
+        # prefix is transport bookkeeping it never asked for, and the
+        # pipeline decodes the record where it lies (durable subscribers
+        # dedup upstream of this method instead).
+        if self._filter is not None:
+            try:
+                matched = self._filter.matches(message)
+            except PbioError:  # torn sequence prefix / record shorter than its format
+                self.metrics.inc("decode_errors")
+                raise
+            if not matched:
+                self.metrics.inc("filtered_out")
+                return
         self.metrics.inc("delivered")
         try:
             if self.deliver == "view":
@@ -152,7 +151,9 @@ class Subscription:
         run: list[tuple[bytes, int, int]] = []  # (message, cid, fid)
         for message in messages:
             header = enc.try_unpack_header(message)
-            if header is not None and header[0] == enc.MSG_DATA:
+            if header is not None and (
+                header[0] == enc.MSG_DATA or header[0] == enc.MSG_DATA_SEQ
+            ):
                 run.append((message, header[1], header[2]))
                 continue
             if run:
@@ -183,9 +184,17 @@ class Subscription:
                 if fmt.name != self.format_name:
                     self.metrics.inc("wrong_type")
                     continue
-            if self._filter is not None and not self._filter.matches(message):
-                self.metrics.inc("filtered_out")
-                continue
+            if self._filter is not None:
+                try:
+                    matched = self._filter.matches(message)
+                except PbioError:  # counted exactly as the scalar loop does
+                    self.metrics.inc("decode_errors")
+                    if suppress:
+                        continue
+                    raise
+                if not matched:
+                    self.metrics.inc("filtered_out")
+                    continue
             self.metrics.inc("delivered")
             deliverable.append(message)
         if not deliverable:

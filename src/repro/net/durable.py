@@ -30,7 +30,16 @@ module closes that gap with three cooperating pieces (docs/robustness.md
   which the at-least-once machinery makes inevitable — is observed
   exactly once, in order.  Everything is opt-in: plain channels, plain
   subscribers and the sync API are untouched, and a plain subscriber on
-  a durable stream simply sees the records with the sequencing stripped.
+  a durable stream simply sees the records — to every decode path a
+  sequenced frame is a data frame whose record starts 8 bytes later.
+
+  The frame-at-a-time path (``_offer``/``_drain``: window, deliver,
+  commit after the handler) is the reference.  Bursts under
+  ``on_error="suppress"`` take the run-granular path instead
+  (:meth:`DurableSubscription._offer_batch`): each frame is parsed
+  once, and frames arriving as ``cursor+1, cursor+2, …`` with nothing
+  pending are never copied or buffered — the cursor moves once and the
+  run is decoded where it lies; anything else falls back to the window.
 
 A relay forwards sequenced frames verbatim, aggregates its downstreams'
 ack cursors (min-cursor) upstream, and replays from a bounded in-memory
@@ -559,7 +568,9 @@ class SequenceWindow:
         self._pending: dict[tuple[int, int], dict[int, Any]] = {}
 
     def seed(self, key: tuple[int, int], cursor: int) -> None:
-        """Adopt a persisted cursor (resume after restart)."""
+        """Move the cursor forward without consuming anything: a persisted
+        cursor adopted on restart, or an in-order run the caller delivers
+        unbuffered (only sound while nothing of ``key`` is pending)."""
         if cursor > self._cursors.get(key, 0):
             self._cursors[key] = cursor
 
@@ -831,11 +842,11 @@ class DurableSubscription(Subscription):
             super()._offer(message)
             return
         try:
-            cid, fid, seq, _record = enc.parse_data_seq(message)
+            seq = enc.read_seq(message, header[3])
         except PbioError:
             self.metrics.inc("decode_errors")
             raise
-        key = (cid, fid)
+        key = (header[1], header[2])
         outcome = self.window.offer(key, seq, bytes(message))
         if outcome == "refused":
             # Re-ack so a publisher retransmitting into the void converges.
@@ -859,9 +870,8 @@ class DurableSubscription(Subscription):
                 if ready is None:
                     break
                 seq, message = ready
-                _seq, data = enc.seq_to_data(message)
                 try:
-                    super()._offer(data)
+                    super()._offer(message)
                 except Exception:
                     if self.error_policy == "raise":
                         # Not committed: the frame stays pending and the
@@ -880,63 +890,101 @@ class DurableSubscription(Subscription):
             self._send_ack(key)
 
     def _offer_batch(self, messages: list[bytes], suppress: bool, lease=None) -> None:
-        """Burst delivery: window the sequenced frames, drain per stream.
+        """Burst delivery (``"suppress"``): each frame is parsed once and
+        a stream's in-order run is decoded where it lies.
 
-        Under the ``"raise"`` policy the scalar loop runs instead — a
-        failed batch decode cannot identify its delivered prefix, and
-        strict accounting (commit only after the handler returns) is the
-        point of that policy.  Otherwise every sequenced frame is offered
-        to the window first, non-sequenced traffic takes the base batch
-        path, and each touched stream drains its ready run through one
-        batch decode, one cursor persist and one ack.  Sequenced frames
-        are copied into the replay window regardless, so a borrowed
-        ``lease`` only follows the passthrough traffic.
+        ``"raise"`` and ``"detach"`` run the scalar reference loop
+        instead: both stop at the first failure, and only
+        commit-after-handler accounting knows which prefix was delivered
+        — committing a whole run up front would ack the records behind a
+        failure that are then never offered.
+
+        Under ``"suppress"`` frames are taken in arrival order.  While a
+        stream has nothing pending and its frames arrive as ``cursor+1,
+        cursor+2, …`` they form an *in-order run*: borrowed, not copied,
+        never inserted into the window — the cursor moves once to the
+        run's last sequence (commit-before-deliver: this policy consumes
+        a failed record anyway) and the run goes through the ordinary
+        screening and one batch decode.  A duplicate, gap or beyond-window
+        frame ends the run and takes the window path (:meth:`_drain_ready`),
+        copied because it may outlive this call; so does non-sequenced
+        traffic, via the base batch path.  Each touched stream gets one
+        cursor persist and one ack, after delivery.
         """
-        if self.error_policy == "raise":
+        if not suppress:
             for message in messages:
                 self._offer(message)
             return
+        window = self.window
         touched: dict[tuple[int, int], None] = {}
-        passthrough: list[bytes] = []
-        for message in messages:
-            header = enc.try_unpack_header(message)
-            if header is None or header[0] != enc.MSG_DATA_SEQ:
-                passthrough.append(message)
-                continue
-            try:
-                cid, fid, seq, _record = enc.parse_data_seq(message)
-            except PbioError:
-                self.metrics.inc("decode_errors")
-                continue
-            key = (cid, fid)
-            self.window.offer(key, seq, bytes(message))
-            touched[key] = None
-        if passthrough:
-            super()._offer_batch(passthrough, suppress, lease)
-        for key in touched:
-            self._drain_batch(key, suppress)
+        plain: list[bytes] = []  # non-sequenced frames since the last flush
+        run: list[tuple[bytes, int, int]] = []  # the in-order run of `key`
+        key = None
+        last = 0  # `key`'s cursor once `run` is committed
+        clean = False  # nothing of `key` is pending in the window
 
-    def _drain_batch(self, key: tuple[int, int], suppress: bool) -> None:
-        """Deliver the whole ready run as one batch (suppress/detach).
-
-        Records are committed *before* delivery here: these policies
-        consume a failed record anyway, so the strict commit-after-
-        handler ordering of :meth:`_drain` buys nothing, and committing
-        up front lets the run decode in one pipeline batch."""
-        try:
-            run: list[bytes] = []
-            while True:
-                ready = self.window.next_ready(key)
-                if ready is None:
-                    break
-                seq, message = ready
-                run.append(enc.seq_to_data(message)[1])
-                self.window.commit(key, seq)
+        def end_run() -> None:
             if run:
-                super()._offer_batch(run, suppress)
+                window.seed(key, last)  # commit, then deliver
+                self._flush_run(run, True, lease)
+                del run[:]
+
+        try:
+            for message in messages:
+                header = enc.try_unpack_header(message)
+                if header is None or header[0] != enc.MSG_DATA_SEQ:
+                    end_run()
+                    plain.append(message)
+                    continue
+                if plain:
+                    super()._offer_batch(plain, True, lease)
+                    plain = []
+                try:
+                    seq = enc.read_seq(message, header[3])
+                except PbioError:
+                    self.metrics.inc("decode_errors")
+                    continue
+                if key is None or header[1] != key[0] or header[2] != key[1]:
+                    end_run()
+                    key = (header[1], header[2])
+                    touched[key] = None
+                    last = window.cursor(key)
+                    clean = not window.pending_count(key)
+                if clean and seq == last + 1:
+                    run.append((message, header[1], header[2]))
+                    last = seq
+                    continue
+                end_run()
+                if window.offer(key, seq, bytes(message)) != "refused":
+                    self._drain_ready(key)
+                    last = window.cursor(key)
+                    clean = not window.pending_count(key)
+            end_run()
+            if plain:
+                super()._offer_batch(plain, True, lease)
         finally:
-            self.cursors.advance(key, self.window.cursor(key))
-            self._send_ack(key)
+            for stream in touched:
+                self.cursors.advance(stream, window.cursor(stream))
+                self._send_ack(stream)
+
+    def _drain_ready(self, key: tuple[int, int]) -> None:
+        """Deliver the window's whole ready run as one batch.
+
+        Records are committed *before* delivery: ``"suppress"`` consumes
+        a failed record anyway, so the strict commit-after-handler
+        ordering of :meth:`_drain` buys nothing, and committing up front
+        lets the run decode in one pipeline batch."""
+        window = self.window
+        run: list[tuple[bytes, int, int]] = []
+        while True:
+            ready = window.next_ready(key)
+            if ready is None:
+                break
+            seq, message = ready
+            run.append((message, key[0], key[1]))
+            window.commit(key, seq)
+        if run:
+            self._flush_run(run, True)
 
     def _send_ack(self, key: tuple[int, int]) -> None:
         cid, fid = key

@@ -288,7 +288,7 @@ class Relay:
                     continue
                 if downstream.filter is not None:
                     try:
-                        if not downstream.filter.matches(enc.seq_to_data(message)[1]):
+                        if not downstream.filter.matches(message):
                             downstream.metrics.inc("filtered_out")
                             continue
                     except PbioError:
@@ -464,40 +464,10 @@ class Relay:
             self.metrics.inc("relay.acks_dropped")
             return
         if kind == enc.MSG_DATA_SEQ:
-            # Durable passthrough: the sequence forwards *verbatim* (the
-            # subscriber's dedup window needs the publisher's numbering,
-            # not ours) and the frame is remembered in the bounded
-            # replay window for downstream reactivation.
-            try:
-                cid, fid, _seq, _record = enc.parse_data_seq(message)
-            except PbioError:
-                self.metrics.inc("relay.rejected")
+            message = self._remember_sequenced(message, header)
+            if message is None:
                 return
-            self.messages_seen += 1
-            key = (cid, fid)
-            window = self._replay.get(key)
-            if window is None:
-                window = self._replay[key] = deque(maxlen=self.replay_window)
-            data = bytes(message)
-            window.append((_seq, data))
-            stripped = None  # filters read the plain data form, built lazily
-            for downstream in self._downstreams:
-                if downstream.quarantined:
-                    continue
-                if downstream.filter is not None:
-                    if stripped is None:
-                        stripped = enc.seq_to_data(data)[1]
-                    try:
-                        matched = downstream.filter.matches(stripped)
-                    except PbioError:
-                        downstream.metrics.inc("filter_errors")
-                        continue
-                    if not matched:
-                        downstream.metrics.inc("filtered_out")
-                        continue
-                self._send(downstream, data, "forwarded")
-            return
-        if header[3] != len(message) - enc.HEADER_SIZE:
+        elif header[3] != len(message) - enc.HEADER_SIZE:
             self.metrics.inc("relay.rejected")  # torn/padded data frame
             return
         self.messages_seen += 1
@@ -506,7 +476,7 @@ class Relay:
                 continue
             if downstream.filter is not None:
                 try:
-                    matched = downstream.filter.matches(message)
+                    matched = downstream.filter.matches(message, header=header)
                 except PbioError:
                     # e.g. the announcement this record needs never made it
                     # here: this downstream cannot evaluate its predicate,
@@ -518,12 +488,35 @@ class Relay:
                     continue
             self._send(downstream, message, "forwarded")  # verbatim: zero re-encoding
 
+    def _remember_sequenced(self, message, header) -> bytes | None:
+        """Durable passthrough for one ``MSG_DATA_SEQ`` frame whose header
+        is already sniffed: check its prefix, remember a private copy in
+        the bounded replay window (for downstream reactivation) and
+        return that copy to fan out — *verbatim*: the subscriber's dedup
+        window needs the publisher's numbering, not ours, and filters
+        read the record where it lies.  ``None`` (``relay.rejected``)
+        for a torn frame or sequence 0.
+        """
+        try:
+            seq = enc.read_seq(message, header[3])
+        except PbioError:
+            self.metrics.inc("relay.rejected")
+            return None
+        key = (header[1], header[2])
+        window = self._replay.get(key)
+        if window is None:
+            window = self._replay[key] = deque(maxlen=self.replay_window)
+        message = bytes(message)
+        window.append((seq, message))
+        return message
+
     def forward_batch(self, messages, headers=None) -> None:
         """Forward a burst of upstream messages, vectoring where possible.
 
-        Runs of valid data frames are fanned out with one
-        ``send_many`` per downstream (one vectored syscall on a socket
-        link) instead of one ``send`` per message.  Control frames and
+        Runs of valid data frames — plain or sequenced, the latter
+        remembered in the replay window frame by frame — are fanned out
+        with one ``send_many`` per downstream (one vectored syscall on a
+        socket link) instead of one ``send`` per message.  Control frames and
         rejects take the scalar :meth:`forward` path in arrival order,
         so announcement-before-data ordering is preserved exactly.
 
@@ -552,6 +545,17 @@ class Relay:
                     continue
                 self.messages_seen += 1
                 run.append((message, header))
+                continue
+            if header is not None and header[0] == enc.MSG_DATA_SEQ:
+                # its own branch: the plain-data test above is the hot
+                # path of every non-durable fan-out and stays one compare
+                if self.limits is not None and len(message) > self.limits.max_message_size:
+                    self.metrics.inc("relay.rejected")
+                    continue
+                message = self._remember_sequenced(message, header)
+                if message is not None:
+                    self.messages_seen += 1
+                    run.append((message, header))
                 continue
             if run:
                 self._flush_data_run(run)

@@ -26,6 +26,7 @@ from repro.abi import (
     records_equal,
 )
 from repro.core import IOContext, PbioError
+from repro.core import encoder as enc
 from repro.core.conversion import build_batch_converter, build_plan
 from repro.core.safety import DecodeLimits
 from repro.net.faults import FaultInjectingTransport, FaultPlan
@@ -70,7 +71,9 @@ def sequential_ingest(receiver, frames):
 
 
 def build_stream(seed, src):
-    """Two random formats, their announcements, and interleaved data."""
+    """Two random formats, their announcements, and interleaved data —
+    plain and sequenced frames mixed: to a decode path the sequence
+    prefix is framing, and a group may hold both."""
     rng = np.random.default_rng(seed)
     schema_a = random_schema(rng, name="fmt_a", allow_strings=True, allow_nested=True)
     schema_b = random_schema(rng, name="fmt_b", allow_strings=True, allow_nested=True)
@@ -80,7 +83,12 @@ def build_stream(seed, src):
     frames = [sender.announce(ha), sender.announce(hb)]
     for _ in range(int(rng.integers(3, 20))):
         handle, schema = (ha, schema_a) if rng.random() < 0.6 else (hb, schema_b)
-        frames.append(sender.encode(handle, random_record(schema, rng)))
+        frame = sender.encode(handle, random_record(schema, rng))
+        if rng.random() < 0.3:  # the same record, travelling as a sequenced frame
+            seq = int(rng.integers(1, 1 << 40))
+            record = frame[enc.HEADER_SIZE :]
+            frame = enc.encode_data_seq(sender.context_id, handle.format_id, seq, record)
+        frames.append(frame)
     return (schema_a, schema_b), frames
 
 

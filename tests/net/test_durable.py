@@ -58,14 +58,32 @@ class TestWireTypes:
         with pytest.raises(PbioError):
             enc.parse_data_seq(bytes(msg[: enc.HEADER_SIZE + 4]))
 
-    def test_seq_to_data_strips_prefix(self):
-        msg = enc.encode_data_seq(7, 3, 42, b"payload")
-        seq, data = enc.seq_to_data(msg)
-        assert seq == 42
-        header = enc.unpack_header(data)
-        assert header[0] == enc.MSG_DATA
-        assert (header[1], header[2]) == (7, 3)
-        assert data[enc.HEADER_SIZE :] == b"payload"
+    def test_open_data_reads_seq_frame_in_place(self):
+        """A sequenced frame is a data frame whose record starts 8 bytes
+        later: same format, a payload viewing the frame itself (nothing
+        re-headered), and the strict prefix checks still in force."""
+        tx = IOContext(X86, context_id=7)
+        handle = tx.register_format(POINT)
+        rx = sub_context()
+        rx.receive(tx.announce(handle))
+        native = handle.codec.encode({"x": 5, "y": 2.5})
+        frame = bytearray(enc.encode_data_seq(7, handle.format_id, 42, native))
+        for header in (None, enc.try_unpack_header(frame)):
+            fmt, payload = rx.pipeline.open_data(frame, header=header)
+            assert fmt.name == "point"
+            assert payload.obj is frame and bytes(payload) == native
+        assert rx.decode(frame) == rx.decode(tx.encode_native(handle, native))
+        assert enc.read_seq(frame, len(frame) - enc.HEADER_SIZE) == 42
+        rejected = rx.pipeline.metrics.value("decode.rejected")
+        torn = frame[:-1]
+        zero = bytearray(frame)
+        zero[enc.HEADER_SIZE : enc.SEQ_RECORD_OFFSET] = bytes(enc.SEQ_PREFIX_SIZE)
+        short = enc.pack_header(enc.MSG_DATA_SEQ, 7, handle.format_id, 4) + b"abcd"
+        for bad in (torn, zero, short):
+            with pytest.raises(PbioError):
+                rx.pipeline.open_data(bad)
+            assert rx.pipeline.decode_batch([bad], on_error="skip") == [None]
+        assert rx.pipeline.metrics.value("decode.rejected") == rejected + 6
 
     def test_ack_round_trip(self):
         msg = enc.encode_ack(7, 3, 100, nack_base=101, nack_bits=0b101)
@@ -289,6 +307,32 @@ class TestDurableRoundTrip:
         assert got == [7]  # sequencing stripped, no durability semantics
         pub.close()
 
+    @pytest.mark.parametrize("filter_expr", [None, "x >= 0"])
+    def test_plain_subscriber_counts_damaged_sequenced_frame(self, filter_expr):
+        """A zero-sequence frame is damage whichever stage meets it
+        first — the filter or the decode — on both ingest paths."""
+        tx = IOContext(X86, context_id=PUB_CONTEXT_ID)
+        handle = tx.register_format(POINT)
+        native = handle.codec.encode({"x": 1, "y": 0.0})
+        good = enc.encode_data_seq(PUB_CONTEXT_ID, handle.format_id, 1, native)
+        zero = bytearray(good)
+        zero[enc.HEADER_SIZE : enc.SEQ_RECORD_OFFSET] = bytes(enc.SEQ_PREFIX_SIZE)
+        channel = EventChannel()
+        got = []
+        sub = channel.subscribe(
+            sub_context(),
+            lambda r: got.append(r["x"]),
+            format_name="point" if filter_expr else None,
+            filter_expr=filter_expr,
+            on_error="suppress",
+        )
+        channel.ingest(tx.announce(handle))
+        channel.ingest(bytes(zero))
+        assert sub.metrics.value("decode_errors") == 1
+        channel.ingest_many([good, bytes(zero), good])
+        assert sub.metrics.value("decode_errors") == 2
+        assert got == [1, 1]
+
     def test_subscriber_restart_resumes_from_cursor(self, tmp_path):
         channel = EventChannel()
         pub, handle = make_publisher(channel, str(tmp_path / "wal"))
@@ -454,12 +498,216 @@ class TestBatchPath:
         pub.close()
         sub.close()
 
+    def test_detach_mid_burst_acks_only_the_delivered_prefix(self, tmp_path):
+        """Regression: the batch drain committed and acked the whole ready
+        run before delivering it, so a handler failing on record k left
+        k+1..n acked and never delivered once the subscriber detached."""
+        cursors = str(tmp_path / "cursors")
+        channel = EventChannel()
+        pub, handle = make_publisher(channel, str(tmp_path / "wal"))
+        got = []
+
+        def handler(record):
+            if record["x"] == 2:
+                raise RuntimeError("poison")
+            got.append(record["x"])
+
+        sub = channel.subscribe_durable(
+            sub_context(), handler, cursor_path=cursors, on_error="detach"
+        )
+        key = (PUB_CONTEXT_ID, handle.format_id)
+        pub.publish_batch(handle, [{"x": i, "y": 0.0} for i in range(6)])
+        assert got == [0, 1]
+        assert channel.subscriber_count == 0 and sub.stats.detached == 1
+        # the failing record is consumed; the three behind it stay unacked
+        assert sub.ack_cursor(key) == 3
+        assert pub.unacked_count == 3
+        sub.cursors.close()
+        with AckCursorStore(cursors) as store:
+            assert store.cursor(key) == 3  # persisted what was acked, no more
+        # a replacement subscriber resumes exactly behind the poison record
+        sub2 = channel.subscribe_durable(
+            sub_context(), got.append, cursor_path=cursors, on_error="suppress"
+        )
+        assert pub.resend_unacked() == 3
+        assert [r["x"] for r in got[2:]] == [3, 4, 5]
+        assert pub.unacked_count == 0
+        pub.close()
+        sub2.close()
+
     def test_append_batch_rejects_gap(self, tmp_path):
         with PublisherWAL(str(tmp_path / "wal")) as wal:
             good = enc.encode_data_seq(1, 1, 1, b"a")
             skipped = enc.encode_data_seq(1, 1, 3, b"b")
             with pytest.raises(PbioError):
                 wal.append_batch([good, skipped])
+
+
+PAIR = RecordSchema("pair", [FieldDecl("x", CType.INT), FieldDecl("y", CType.DOUBLE)])
+WINDOW = 8
+
+ARRIVALS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["next", "next", "run", "run", "dup", "swap", "skip", "fill", "far",
+             "torn", "short", "plain", "announce", "cut"]
+        ),  # fmt: skip
+        st.integers(0, 1),  # which stream
+        st.integers(2, 12),  # run length
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+class _Receiver:
+    """One durable subscriber plus everything the equivalence compares."""
+
+    def __init__(self, root, name, screen):
+        self.records, self.acks = [], []
+        self.cursor_path = os.path.join(root, name + ".cursors")
+        ctx = IOContext(X86)
+        ctx.expect(POINT)
+        ctx.expect(PAIR)
+        self.sub = DurableSubscription(
+            EventChannel(),
+            ctx,
+            self._handle,
+            cursor_path=self.cursor_path,
+            on_error="suppress",
+            window=WINDOW,
+            ack_sink=self.acks.append,
+            **screen,
+        )
+
+    def _handle(self, record):
+        if record["x"] % 7 == 5:
+            raise RuntimeError("a handler failure: consumed under suppress")
+        self.records.append(record)
+
+    def last_acks(self):
+        """The burst's acks, collapsed to the last per stream — acks are
+        cumulative, so the scalar path's ack-per-frame and the batch
+        path's ack-per-burst must agree on exactly these."""
+        last = {}
+        for ack in self.acks:
+            last[enc.parse_ack(ack)[:2]] = bytes(ack)
+        del self.acks[:]
+        return last
+
+    def state(self, keys):
+        window = self.sub.window
+        return {
+            "cursor": {k: window.cursor(k) for k in keys},
+            "pending": {k: window.pending_count(k) for k in keys},
+            "missing": {k: window.missing(k) for k in keys},
+            "stored": self.sub.cursors.cursors(),
+        }
+
+    def counters(self):
+        counters = self.sub.metrics.counters()
+        # per drain on the scalar path, per burst on the batch path
+        sent = [counters.pop(name, 0) for name in ("durable.acks_sent", "durable.nacks_sent")]
+        return counters, sent
+
+
+def _leased(frames):
+    """``frames`` laid out in one receive buffer, as borrowed views."""
+    buffer = bytearray(b"".join(frames))
+    view, views, pos = memoryview(buffer), [], 0
+    for frame in frames:
+        views.append(view[pos : pos + len(frame)])
+        pos += len(frame)
+    return buffer, views
+
+
+class TestBatchEquivalence:
+    """Satellite of the run-granular window: whatever arrives, however it
+    is cut into bursts, the batch path observes what the scalar
+    reference loop observes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        arrivals=ARRIVALS,
+        screen=st.sampled_from(
+            [{}, {"format_name": "point"}, {"format_name": "point", "filter_expr": "x % 3 != 0"}]
+        ),
+    )
+    def test_batch_path_matches_the_scalar_offer_loop(self, arrivals, screen):
+        import tempfile
+
+        tx = IOContext(X86, context_id=PUB_CONTEXT_ID)
+        handles = [tx.register_format(POINT), tx.register_format(PAIR)]
+        keys = [(PUB_CONTEXT_ID, h.format_id) for h in handles]
+        counter = iter(range(1, 10_000))
+
+        def seq_frame(stream, seq, keep=None):
+            native = handles[stream].codec.encode({"x": next(counter), "y": seq + 0.5})
+            fid = handles[stream].format_id
+            return enc.encode_data_seq(PUB_CONTEXT_ID, fid, seq, native[:keep])
+
+        # -- the arrival sequence, cut into bursts ----------------------------
+        nxt, skipped = [1, 1], [[], []]
+        bursts, burst = [], [tx.announce(handles[0])]  # stream 1 announces itself late, or never
+        for op, stream, length in arrivals:
+            n = nxt[stream]
+            if op == "next" or op == "run":
+                count = length if op == "run" else 1
+                burst += [seq_frame(stream, n + i) for i in range(count)]
+                nxt[stream] = n + count
+            elif op == "dup" and n > 1:
+                burst.append(seq_frame(stream, 1 + length % (n - 1)))
+            elif op == "swap":
+                burst += [seq_frame(stream, n + 1), seq_frame(stream, n)]
+                nxt[stream] = n + 2
+            elif op == "skip":  # a gap ...
+                skipped[stream].append(n)
+                nxt[stream] = n + 1
+            elif op == "fill" and skipped[stream]:  # ... closed later
+                burst.append(seq_frame(stream, skipped[stream].pop(0)))
+            elif op == "far":  # beyond the reorder horizon
+                burst.append(seq_frame(stream, n + WINDOW + length))
+            elif op == "torn":
+                burst.append(seq_frame(stream, n)[: -1 - length % 20])
+            elif op == "short":  # well framed and in order, but not a whole record
+                burst.append(seq_frame(stream, n, keep=-length))
+                nxt[stream] = n + 1
+            elif op == "plain":
+                native = handles[stream].codec.encode({"x": next(counter), "y": 0.25})
+                burst.append(tx.encode_native(handles[stream], native))
+            elif op == "announce":
+                burst.append(tx.announce(handles[stream]))
+            elif op == "cut" and burst:
+                bursts.append(burst)
+                burst = []
+        if burst:
+            bursts.append(burst)
+
+        with tempfile.TemporaryDirectory() as root:
+            scalar = _Receiver(root, "scalar", screen)
+            batch = _Receiver(root, "batch", screen)
+            for burst in bursts:
+                buffer, views = _leased(burst)
+                for frame in views:
+                    try:
+                        scalar.sub._offer(frame)
+                    except Exception:  # what EventChannel._deliver does under "suppress"
+                        pass
+                buffer[:] = b"\xee" * len(buffer)  # the lease is over
+                buffer, views = _leased(burst)
+                batch.sub._offer_batch(views, True, lease=object())
+                buffer[:] = b"\xee" * len(buffer)
+
+                assert batch.records == scalar.records
+                assert batch.state(keys) == scalar.state(keys)
+                assert batch.last_acks() == scalar.last_acks()
+                (b_counters, b_sent), (s_counters, s_sent) = batch.counters(), scalar.counters()
+                assert b_counters == s_counters
+                assert all(b <= s for b, s in zip(b_sent, s_sent))
+            for receiver in (scalar, batch):
+                receiver.sub.close()
+            with AckCursorStore(scalar.cursor_path) as a, AckCursorStore(batch.cursor_path) as b:
+                assert a.cursors() == b.cursors() == scalar.state(keys)["stored"]
 
 
 OPS = st.lists(

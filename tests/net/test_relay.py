@@ -118,3 +118,81 @@ class TestLateAttach:
         relay.pump(up.b, count=2)
         assert relay.messages_seen == 1
         assert down.b.pending() == 2
+
+
+class _Recording(InMemoryPipe):
+    """A pipe whose sending end counts vectored and scalar sends."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {"send": 0, "send_many": 0}
+        for name in self.calls:
+            self._count(name)
+
+    def _count(self, name):
+        inner = getattr(self.a, name)
+
+        def counted(arg):
+            self.calls[name] += 1
+            return inner(arg)
+
+        setattr(self.a, name, counted)
+
+
+class TestSequencedBatch:
+    """forward_batch treats a run of sequenced frames like a data run."""
+
+    def _stream(self):
+        from repro.core import encoder as enc
+
+        sender = IOContext(SPARC_V8, context_id=0xA11CE)
+        h = sender.register_format(TELEMETRY)
+        cid, fid = sender.context_id, h.format_id
+
+        def seq_frame(seq, unit, temperature):
+            native = h.codec.encode({"unit": unit, "temperature": temperature})
+            return enc.encode_data_seq(cid, fid, seq, native)
+
+        good = [seq_frame(s, s, 100.0 * s) for s in range(1, 9)]
+        torn = good[2][:-3]
+        zero = bytearray(good[3])
+        zero[enc.HEADER_SIZE : enc.SEQ_RECORD_OFFSET] = bytes(enc.SEQ_PREFIX_SIZE)
+        other = enc.encode_data_seq(cid, fid + 1, 1, b"opaque to the relay")
+        plain = sender.encode(h, {"unit": 99, "temperature": 999.0})
+        return [
+            sender.announce(h), *good[:4], torn, plain, bytes(zero), other,
+            memoryview(good[4]), *good[5:], good[0],  # a leased view, a duplicate
+        ]  # fmt: skip
+
+    def _relay(self):
+        relay = Relay(replay_window=4)
+        pipes = [_Recording(), _Recording()]
+        relay.attach(pipes[0].a)
+        relay.attach(pipes[1].a, format_name="telemetry", filter_expr="temperature > 350.0")
+        return relay, pipes
+
+    def test_matches_the_scalar_loop_and_vectors_the_sends(self):
+        frames = self._stream()
+        scalar, scalar_pipes = self._relay()
+        for frame in frames:
+            scalar.forward(frame)
+        batch, batch_pipes = self._relay()
+        batch.forward_batch(frames)
+
+        def received(pipe):
+            return [pipe.b.recv() for _ in range(pipe.b.pending())]
+
+        for a, b in zip(scalar_pipes, batch_pipes):
+            assert received(a) == received(b)
+        assert batch._replay == scalar._replay
+        assert all(len(w) <= 4 for w in batch._replay.values())
+        assert batch.messages_seen == scalar.messages_seen == 11
+        assert batch.metrics.counters() == scalar.metrics.counters()
+        assert batch.metrics.value("relay.rejected") == 2  # the torn frame, sequence 0
+        for a, b in zip(scalar._downstreams, batch._downstreams):
+            assert a.metrics.counters() == b.metrics.counters()
+        assert batch._downstreams[1].stats.filtered_out > 0
+        # the announcement goes out alone; everything behind it — rejects
+        # do not break a run — is one send_many instead of a send per frame
+        assert scalar_pipes[0].calls == {"send": 12, "send_many": 0}
+        assert batch_pipes[0].calls == {"send": 1, "send_many": 1}
