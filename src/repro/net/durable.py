@@ -691,15 +691,16 @@ class DurablePublisher:
         sequence number."""
         return self.publish_native(handle, handle.codec.encode(record))
 
+    def _ensure_announced(self, handle: FormatHandle) -> None:
+        # The channel announcement ladder runs as usual; the WAL
+        # additionally journals the *inline* meta form so recovered
+        # backlogs are decodable with no format service in sight.
+        if self._inner._ensure_announced(handle):
+            self.wal.announce(self.ctx.announce(handle))
+
     def publish_native(self, handle: FormatHandle, native) -> int:
         key = (self.ctx.context_id, handle.format_id)
-        if handle.format_id not in self._inner._announced:
-            # The channel announcement ladder runs as usual; the WAL
-            # additionally journals the *inline* meta form so recovered
-            # backlogs are decodable with no format service in sight.
-            self._inner._announce(handle)
-            self._inner._announced.add(handle.format_id)
-            self.wal.announce(self.ctx.announce(handle))
+        self._ensure_announced(handle)
         seq = self.wal.next_seq(key)
         message = enc.encode_data_seq(key[0], key[1], seq, native)
         self.wal.append(message)  # journal-before-send
@@ -720,10 +721,7 @@ class DurablePublisher:
         if not natives:
             return []
         key = (self.ctx.context_id, handle.format_id)
-        if handle.format_id not in self._inner._announced:
-            self._inner._announce(handle)
-            self._inner._announced.add(handle.format_id)
-            self.wal.announce(self.ctx.announce(handle))
+        self._ensure_announced(handle)
         base = self.wal.next_seq(key)
         messages = [
             enc.encode_data_seq(key[0], key[1], base + i, native)

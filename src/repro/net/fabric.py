@@ -20,7 +20,8 @@ touching nothing but the 16-byte header:
   sniffing only the channel key from its header — data, sequenced and
   token frames are forwarded *verbatim*, never decoded (announcements
   are remembered as opaque bytes for replay, validation happens at the
-  owning worker's relay);
+  owning worker's relay; the size limit is checked before a frame is
+  classified, at the front and at each worker);
 * filters push down to the edge: ``subscribe(..., filter_expr=...)``
   places a :class:`~repro.core.filters.RecordFilter` on the subscriber's
   *leaf* attachment, compiled per arriving wire format against the
@@ -29,9 +30,11 @@ touching nothing but the 16-byte header:
   subscribers with one predicate compile it once.
 
 The existing planes are integrated, not reimplemented.  Worker death
-is detected the way the health plane detects peer death — ingest
-failures count toward quarantine, a :class:`~repro.net.health.ProbePolicy`
-schedules probes and the eviction deadline — and quarantine triggers a
+is detected the way the health plane detects peer death — the
+per-worker slot is the :class:`~repro.net.health.QuarantineRecord` a
+relay downstream is: ingest failures count toward quarantine, a
+:class:`~repro.net.health.ProbePolicy` schedules probes and the
+eviction deadline — and quarantine triggers a
 ring rebalance: surviving workers take over the lost channels, their
 subscribers are re-attached (with the announcement replay
 :meth:`Relay.attach` already performs), and the publisher WAL's
@@ -58,8 +61,14 @@ from repro.core import encoder as enc
 from repro.core.errors import PbioError
 from repro.core.runtime import ConverterCache, Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
-from repro.net.health import ProbePolicy
-from repro.net.relay import ACTIVE, EVICTED, QUARANTINED, Downstream, Relay
+from repro.net.health import (
+    ACTIVE,
+    EVICTED,
+    AnnouncementBacklog,
+    ProbePolicy,
+    QuarantineRecord,
+)
+from repro.net.relay import ANNOUNCEMENT_KINDS, DATA_KINDS, DROPPED, Downstream, Relay
 from repro.net.transport import PeerUnresponsive, Transport, TransportError
 
 #: Virtual nodes per worker.  512 keeps every worker's owned share of
@@ -411,8 +420,7 @@ class RelayWorker:
         self.alive = True
         self.metrics = Metrics()
         self._fanouts: dict[tuple[int, int], _ChannelFanout] = {}
-        self._announcements: list[bytes] = []
-        self._seen_announcements: set[bytes] = set()
+        self._announcements = AnnouncementBacklog()
         self.taps: list[EdgeSubscription] = []
 
     def _new_relay(self, *, ack_upstream: Callable[[bytes], None] | None) -> Relay:
@@ -442,55 +450,47 @@ class RelayWorker:
     # -- the dispatcher-facing ingest path -----------------------------------
 
     def ingest(self, message: bytes, header=None) -> None:
-        """Route one frame into the owning channel's tree.
+        """Route one frame into the owning channel's tree: a one-frame
+        :meth:`ingest_batch`.
 
         ``header`` is the dispatcher's already-parsed header (single
         parse per frame across the whole fabric).
         """
-        self._check_alive()
-        if header is None:
-            header = enc.try_unpack_header(message)
-        if header is None:
-            self.metrics.inc("worker.rejected")
-            return
-        kind = header[0]
-        if kind in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
-            self._absorb_announcement(message)
-            return
-        if kind in (enc.MSG_DATA, enc.MSG_DATA_SEQ):
-            key = (header[1], header[2])
-            self._fanout(key).root.forward(message, header=header)
-            self.metrics.inc("worker.routed")
-            return
-        # Pings, pongs, requests and forward-path acks have no business
-        # inside a shard; the dispatcher normally drops them first.
-        self.metrics.inc("worker.dropped")
+        self.ingest_batch(((message, header),))
 
-    def ingest_batch(self, frames: list[tuple[bytes, tuple]]) -> None:
+    def ingest_batch(self, frames) -> None:
         """Route one dispatcher run — ``(message, header)`` pairs already
-        sniffed upstream — grouping per channel so each tree gets one
-        vectored ``forward_batch``.  Cross-channel order inside a run is
-        not meaningful; per-channel arrival order is preserved."""
+        sniffed upstream (a ``None`` header is parsed here) — grouping
+        per channel so each tree gets one vectored ``forward_batch``.
+        Cross-channel order inside a run is not meaningful; per-channel
+        arrival order is preserved.  Non-PBIO and oversize frames are
+        dropped before classification (``worker.rejected``), as a relay
+        drops them: nothing oversize is ever remembered for replay."""
         self._check_alive()
+        limit = self.limits.max_message_size if self.limits is not None else None
         by_key: dict[tuple[int, int], tuple[list[bytes], list[tuple]]] = {}
         for message, header in frames:
-            kind = header[0]
-            if kind in (enc.MSG_DATA, enc.MSG_DATA_SEQ):
+            if header is None:
+                header = enc.try_unpack_header(message)
+            if header is None or (limit is not None and len(message) > limit):
+                self.metrics.inc("worker.rejected")
+            elif header[0] in DATA_KINDS:
                 messages, headers = by_key.setdefault((header[1], header[2]), ([], []))
                 messages.append(message)
                 headers.append(header)
+            elif header[0] in ANNOUNCEMENT_KINDS:
+                self._absorb_announcement(message)
             else:
-                self.ingest(message, header)
+                # Pings, pongs, requests and forward-path acks have no business
+                # inside a shard; the dispatcher normally drops them first.
+                self.metrics.inc("worker.dropped")
         for key, (messages, headers) in by_key.items():
             self._fanout(key).root.forward_batch(messages, headers=headers)
             self.metrics.inc("worker.routed", len(messages))
 
     def _absorb_announcement(self, message: bytes) -> None:
         data = bytes(message)
-        fresh = data not in self._seen_announcements
-        if fresh:
-            self._seen_announcements.add(data)
-            self._announcements.append(data)
+        if self._announcements.add(data):
             self.metrics.inc("worker.announcements")
         # Existing trees hear it either way (their relays dedup); the
         # backlog replay covers trees created later.
@@ -569,8 +569,7 @@ class RelayWorker:
         """
         self.alive = False
         self._fanouts.clear()
-        self._announcements.clear()
-        self._seen_announcements.clear()
+        self._announcements = AnnouncementBacklog()
         self.taps.clear()
         self.metrics.inc("worker.killed")
 
@@ -608,17 +607,13 @@ class RelayWorker:
         }
 
 
-class _WorkerSlot:
+class _WorkerSlot(QuarantineRecord):
     """The dispatcher's per-worker health record (the same state machine
     a relay keeps per downstream, lifted one level up)."""
 
     def __init__(self, worker: RelayWorker):
+        super().__init__()
         self.worker = worker
-        self.state = ACTIVE
-        self.consecutive_errors = 0
-        self.quarantined_at: float | None = None
-        self.probe_attempts = 0
-        self.next_probe_at: float | None = None
 
 
 class FabricDispatcher:
@@ -687,8 +682,7 @@ class FabricDispatcher:
         self._taps: list[EdgeSubscription] = []
         self._keys: set[tuple[int, int]] = set()
         self._owner_of: dict[tuple[int, int], str | None] = {}
-        self._announcements: list[bytes] = []
-        self._seen_announcements: set[bytes] = set()
+        self._announcements = AnnouncementBacklog()
         self._acked: dict[tuple[int, int], int] = {}
         if isinstance(workers, int):
             if workers < 1:
@@ -762,47 +756,29 @@ class FabricDispatcher:
     # -- the forward path -----------------------------------------------------
 
     def forward(self, message: bytes, *, header=None) -> None:
-        """Route one inbound frame (header sniffed at most once)."""
-        if header is None:
-            header = enc.try_unpack_header(message)
-        if header is None:
-            self.metrics.inc("fabric.rejected")
-            return
-        kind = header[0]
-        if kind in (enc.MSG_DATA, enc.MSG_DATA_SEQ):
-            if self.limits is not None and len(message) > self.limits.max_message_size:
-                self.metrics.inc("fabric.rejected")
-                return
-            if kind == enc.MSG_DATA and header[3] != len(message) - enc.HEADER_SIZE:
-                self.metrics.inc("fabric.rejected")
-                return
-            self._route_data(message, header)
-            return
-        if kind in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
-            self._broadcast_announcement(message)
-            return
-        if kind in (enc.MSG_PING, enc.MSG_PONG):
-            self.metrics.inc("fabric.heartbeats_dropped")
-            return
-        if kind == enc.MSG_ACK:
-            self.metrics.inc("fabric.acks_dropped")
-            return
-        self.metrics.inc("fabric.requests_dropped")
+        """Route one inbound frame (header sniffed at most once): a
+        one-frame :meth:`forward_batch`."""
+        self.forward_batch((message,), (header,))
 
     def forward_batch(self, messages, headers=None) -> None:
         """Route a burst, grouping data runs per owning worker so each
         worker sees one vectored batch per run (control frames flush
-        pending runs first: announcement-before-data order holds)."""
+        pending runs first: announcement-before-data order holds).
+        Non-PBIO and oversize frames are dropped before classification
+        (``fabric.rejected``), as is a data frame whose header
+        contradicts its length."""
         pairs = zip(messages, headers) if headers is not None else ((m, None) for m in messages)
+        limit = self.limits.max_message_size if self.limits is not None else None
         runs: dict[str, list[tuple[bytes, tuple]]] = {}
         for message, header in pairs:
             if header is None:
                 header = enc.try_unpack_header(message)
-            if header is not None and header[0] in (enc.MSG_DATA, enc.MSG_DATA_SEQ):
-                if self.limits is not None and len(message) > self.limits.max_message_size:
-                    self.metrics.inc("fabric.rejected")
-                    continue
-                if header[0] == enc.MSG_DATA and header[3] != len(message) - enc.HEADER_SIZE:
+            if header is None or (limit is not None and len(message) > limit):
+                self.metrics.inc("fabric.rejected")
+                continue
+            kind = header[0]
+            if kind in DATA_KINDS:
+                if kind == enc.MSG_DATA and header[3] != len(message) - enc.HEADER_SIZE:
                     self.metrics.inc("fabric.rejected")
                     continue
                 name = self._owner_for((header[1], header[2]))
@@ -814,7 +790,10 @@ class FabricDispatcher:
             for name, run in runs.items():
                 self._deliver_run(name, run)
             runs.clear()
-            self.forward(message, header=header)
+            if kind in ANNOUNCEMENT_KINDS:
+                self._broadcast_announcement(message, header)
+            else:
+                self.metrics.inc("fabric." + DROPPED[kind])
         for name, run in runs.items():
             self._deliver_run(name, run)
 
@@ -824,21 +803,6 @@ class FabricDispatcher:
         name = self.ring.owner(key)
         self._owner_of[key] = name
         return name
-
-    def _route_data(self, message: bytes, header) -> None:
-        name = self._owner_for((header[1], header[2]))
-        if name is None:
-            self.metrics.inc("fabric.dropped_no_worker")
-            return
-        slot = self._slots[name]
-        try:
-            slot.worker.ingest(message, header)
-        except TransportError:
-            self._count_worker_failure(slot)
-            self.metrics.inc("fabric.dropped_worker_error")
-        else:
-            slot.consecutive_errors = 0
-            self.metrics.inc("fabric.routed")
 
     def _deliver_run(self, name: str, run: list[tuple[bytes, tuple]]) -> None:
         slot = self._slots.get(name)
@@ -854,19 +818,17 @@ class FabricDispatcher:
             slot.consecutive_errors = 0
             self.metrics.inc("fabric.routed", len(run))
 
-    def _broadcast_announcement(self, message: bytes) -> None:
+    def _broadcast_announcement(self, message: bytes, header) -> None:
         """Remember (verbatim bytes, never decoded) and fan to every
         active worker; each worker's relays validate and dedup."""
         data = bytes(message)
-        if data not in self._seen_announcements:
-            self._seen_announcements.add(data)
-            self._announcements.append(data)
+        if self._announcements.add(data):
             self.metrics.inc("fabric.announcements")
         for slot in self._slots.values():
             if slot.state != ACTIVE:
                 continue
             try:
-                slot.worker.ingest(data)
+                slot.worker.ingest(data, header)
             except TransportError:
                 self._count_worker_failure(slot)
 
@@ -933,30 +895,20 @@ class FabricDispatcher:
     # -- health / rebalance ---------------------------------------------------
 
     def _count_worker_failure(self, slot: _WorkerSlot) -> None:
-        slot.consecutive_errors += 1
+        errors = slot.fail()
         self.metrics.inc("fabric.worker_errors")
-        if slot.state == ACTIVE and slot.consecutive_errors >= self.quarantine_after:
+        if slot.state == ACTIVE and errors >= self.quarantine_after:
             self._quarantine(slot)
 
     def _quarantine(self, slot: _WorkerSlot) -> None:
-        now = self._clock()
-        slot.state = QUARANTINED
-        slot.quarantined_at = now
-        slot.probe_attempts = 0
-        slot.next_probe_at = (
-            now + self.probe_policy.delay(0) if self.probe_policy is not None else None
-        )
+        slot.quarantine(self._clock(), self.probe_policy)
         if slot.worker.name in self.ring:
             self.ring.remove(slot.worker.name)
         self.metrics.inc("fabric.workers_quarantined")
         self._rebalance()
 
     def _reactivate(self, slot: _WorkerSlot) -> None:
-        slot.state = ACTIVE
-        slot.consecutive_errors = 0
-        slot.quarantined_at = None
-        slot.probe_attempts = 0
-        slot.next_probe_at = None
+        slot.reset()
         # A returned worker may be a restarted process with empty state:
         # replay the backlog (dedup absorbs it if it never died), restore
         # fabric-wide taps, then take traffic again.
@@ -979,7 +931,7 @@ class FabricDispatcher:
         slot = self._slots.get(name)
         if slot is None:
             raise FabricError(f"no worker named {name!r}")
-        if slot.state in (QUARANTINED, EVICTED) and slot.worker.alive:
+        if slot.state != ACTIVE and slot.worker.alive:
             self._reactivate(slot)
 
     def heal(self, now: float | None = None) -> None:
@@ -996,15 +948,12 @@ class FabricDispatcher:
                     continue
                 slot.worker.heal(now)
                 continue
-            if slot.state != QUARANTINED or policy is None:
+            if policy is None or slot.state == EVICTED:
                 continue
-            entered = slot.quarantined_at
-            if entered is not None and now - entered >= policy.eviction_deadline_s:
+            if slot.expired(now, policy):
                 self._evict(slot)
-                continue
-            if slot.next_probe_at is not None and now >= slot.next_probe_at:
-                slot.probe_attempts += 1
-                slot.next_probe_at = now + policy.delay(slot.probe_attempts)
+            elif slot.probe_due(now):
+                slot.probed(now, policy)
                 self.metrics.inc("fabric.probes_sent")
                 # The in-process probe: is the worker taking traffic
                 # again?  (A socket fabric would ping here instead.)

@@ -8,9 +8,17 @@ operator in the loop (docs/robustness.md §9):
   and exchanges the strict-size ``MSG_PING``/``MSG_PONG`` control frames
   (wire types 5/6).  Misses accumulate only when the link is otherwise
   silent; ``miss_threshold`` unanswered probes → :class:`PeerUnresponsive`.
-* :class:`ProbePolicy` — the exponential-backoff schedule a
-  :class:`~repro.net.relay.Relay` uses to probe quarantined downstreams,
-  plus the eviction deadline after which a silent peer is dropped for good.
+* :class:`ProbePolicy` — the exponential-backoff schedule for probing a
+  quarantined peer, plus the eviction deadline after which a silent peer
+  is dropped for good.
+* :class:`QuarantineRecord` — the per-peer state machine ``active ⇄
+  quarantined → probing → active | evicted`` that the policy drives.  A
+  relay's :class:`~repro.net.relay.Downstream` and the fabric
+  dispatcher's per-worker slot both *are* one, so the two ``heal()``
+  loops differ only in how a probe is sent and what reactivation replays.
+* :class:`AnnouncementBacklog` — "remember each announcement once, replay
+  it in order to late joiners", the one copy behind the relay, the fabric
+  worker and dispatcher, and :class:`~repro.net.channel.EventChannel`.
 * :class:`BoundedSendQueue` — a per-peer overflow buffer with the four
   policies the ROADMAP's relay-fabric item calls for
   (``block | drop_new | drop_old | coalesce``), shared between the sync
@@ -37,11 +45,11 @@ from .transport import PeerUnresponsive, Transport, TransportError
 #: The overflow policies a bounded send queue supports.
 OVERFLOW_POLICIES = ("block", "drop_new", "drop_old", "coalesce")
 
-
-def _queue_depth_of(transport) -> int:
-    """The transport's write-queue occupancy, if it exposes one (aio does)."""
-    depth = getattr(transport, "write_queue_depth", 0)
-    return depth if isinstance(depth, int) else 0
+#: Peer lifecycle states (the quarantine state machine).
+ACTIVE = "active"
+QUARANTINED = "quarantined"
+PROBING = "probing"
+EVICTED = "evicted"
 
 
 class HeartbeatMonitor:
@@ -132,7 +140,7 @@ class HeartbeatMonitor:
             else:
                 try:
                     self.transport.send(
-                        enc.encode_pong(nonce, _queue_depth_of(self.transport))
+                        enc.encode_pong(nonce, self.transport.write_queue_depth)
                     )
                 except TransportError:
                     pass  # the tick's own ping will discover a dead link
@@ -179,23 +187,20 @@ class HeartbeatMonitor:
         self._last_ping_at = now
         self._alive_since_ping = False
         try:
-            self.transport.send(enc.encode_ping(self._nonce, _queue_depth_of(self.transport)))
+            self.transport.send(enc.encode_ping(self._nonce, self.transport.write_queue_depth))
             self.pings_sent += 1
         except TransportError:
             pass  # an unsendable ping is an unanswerable ping: counts as a miss
 
     def goodbye(self) -> None:
         """Emit the drain goodbye (nonce 0); best-effort, never raises."""
-        try:
-            self.transport.send(enc.encode_ping(enc.GOODBYE_NONCE, _queue_depth_of(self.transport)))
-        except TransportError:
-            pass
+        send_goodbye(self.transport)
 
 
 def send_goodbye(transport) -> bool:
     """Best-effort goodbye ping on a bare transport; True if it went out."""
     try:
-        transport.send(enc.encode_ping(enc.GOODBYE_NONCE, _queue_depth_of(transport)))
+        transport.send(enc.encode_ping(enc.GOODBYE_NONCE, transport.write_queue_depth))
         return True
     except TransportError:
         return False
@@ -230,6 +235,90 @@ class ProbePolicy:
     def delay(self, attempt: int) -> float:
         """Seconds to wait before probe ``attempt`` (0-based)."""
         return min(self.base_delay_s * (self.multiplier**attempt), self.max_delay_s)
+
+
+class QuarantineRecord:
+    """One peer's place in the quarantine state machine.
+
+    The owner (a relay per downstream, the fabric dispatcher per worker)
+    counts failures with :meth:`fail`, picks the threshold and calls
+    :meth:`quarantine`, which starts the :class:`ProbePolicy` clock — no
+    policy, nothing is ever due and recovery is manual.  Its ``heal()``
+    then asks :meth:`probe_due` / :meth:`expired`, books each probe with
+    :meth:`probed`, and brings the peer back with :meth:`reset`.
+    Eviction is the owner's act: it sets :attr:`state` to ``EVICTED``.
+    """
+
+    def __init__(self) -> None:
+        self.reset()
+
+    @property
+    def quarantined(self) -> bool:
+        """True while the peer is out of service (quarantined or
+        probing).  Read-only — state changes go through the owner."""
+        return self.state in (QUARANTINED, PROBING)
+
+    def fail(self) -> int:
+        """Count one more consecutive failure; returns the new count."""
+        self.consecutive_errors += 1
+        return self.consecutive_errors
+
+    def quarantine(self, now: float, policy: ProbePolicy | None) -> None:
+        self.state = QUARANTINED
+        self.quarantined_at = now
+        self.probe_attempts = 0
+        self.next_probe_at = now + policy.delay(0) if policy is not None else None
+
+    def probe_due(self, now: float) -> bool:
+        return self.next_probe_at is not None and now >= self.next_probe_at
+
+    def probed(self, now: float, policy: ProbePolicy) -> None:
+        """Book one probe sent at ``now`` and back off the next one."""
+        self.state = PROBING
+        self.probe_attempts += 1
+        self.next_probe_at = now + policy.delay(self.probe_attempts)
+
+    def expired(self, now: float, policy: ProbePolicy) -> bool:
+        """Silent past the policy's eviction deadline?"""
+        entered = self.quarantined_at
+        return entered is not None and now - entered >= policy.eviction_deadline_s
+
+    def reset(self) -> None:
+        self.state = ACTIVE
+        self.consecutive_errors = 0
+        self.quarantined_at: float | None = None
+        self.probe_attempts = 0
+        self.next_probe_at: float | None = None
+
+
+class AnnouncementBacklog:
+    """Format announcements remembered for late joiners: exact-bytes
+    dedup (durable publishers re-announce on every backlog resend, and
+    the replay must not grow for meta already held), replayed in arrival
+    order by iterating.  Frames are opaque here — whoever adds one has
+    already decided it is worth remembering."""
+
+    __slots__ = ("_frames",)
+
+    def __init__(self) -> None:
+        self._frames: dict[bytes, None] = {}  # insertion-ordered set
+
+    def add(self, frame: bytes) -> bool:
+        """Remember ``frame``; False if these exact bytes are held already."""
+        if frame in self._frames:
+            return False
+        self._frames[frame] = None
+        return True
+
+    def remove(self, frame: bytes) -> None:
+        """Withdraw ``frame`` (a publisher's token→inline fallback)."""
+        self._frames.pop(frame, None)
+
+    def __iter__(self):
+        return iter(self._frames)
+
+    def __len__(self) -> int:
+        return len(self._frames)
 
 
 class BoundedSendQueue:

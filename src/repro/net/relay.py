@@ -29,7 +29,16 @@ the full announcement replay, so no format state is ever lost) and a
 peer silent past the eviction deadline is removed for good
 (``relay.reactivated`` / ``relay.evicted`` in :attr:`Relay.metrics`).
 Without a policy, recovery stays manual via :meth:`Relay.reactivate`,
-which also still works as an operator override.
+which also still works as an operator override.  The per-peer record
+(:class:`~repro.net.health.QuarantineRecord`) and the announcement
+backlog (:class:`~repro.net.health.AnnouncementBacklog`) are the health
+plane's; the fabric dispatcher keeps the same record per worker.
+
+:meth:`Relay.forward` and :meth:`Relay.forward_batch` are two short
+drivers over one set of parts — ``_admit_data``, ``_control``,
+``_flush_data_run`` (the one filter screen) and ``_send_many`` (the one
+place a transport is written and a failure accounted) — so a burst
+behaves exactly like its frames forwarded one by one.
 
 Each downstream may also carry a bounded overflow queue
 (:class:`~repro.net.health.BoundedSendQueue`) selected by the relay's
@@ -46,7 +55,7 @@ blocks on one peer, and a queue at capacity raises
 :class:`~repro.net.transport.WriteQueueFull` — a ``TransportError`` —
 so the *same* consecutive-failure quarantine that handles broken links
 doubles as slow-consumer eviction (the paper's co-processor must shed,
-not stall).  :attr:`_Downstream.write_queue_depth` exposes the live
+not stall).  :attr:`Downstream.write_queue_depth` exposes the live
 queue depth for monitoring.
 """
 
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from itertools import repeat
 from typing import Callable
 
 from repro.abi import X86_64
@@ -63,17 +73,38 @@ from repro.core.errors import PbioError, TokenResolutionError
 from repro.core.filters import RecordFilter
 from repro.core.runtime import ConverterCache, DownstreamStats, Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
-from repro.net.health import OVERFLOW_POLICIES, BoundedSendQueue, ProbePolicy, send_goodbye
+from repro.net.health import (
+    ACTIVE,
+    EVICTED,
+    OVERFLOW_POLICIES,
+    AnnouncementBacklog,
+    BoundedSendQueue,
+    ProbePolicy,
+    QuarantineRecord,
+    send_goodbye,
+)
 from repro.net.transport import Transport, TransportError, WriteQueueFull
 
-#: Downstream lifecycle states (the quarantine state machine).
-ACTIVE = "active"
-QUARANTINED = "quarantined"
-PROBING = "probing"
-EVICTED = "evicted"
+DATA_KINDS = (enc.MSG_DATA, enc.MSG_DATA_SEQ)
+ANNOUNCEMENT_KINDS = (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN)
+
+#: Control a one-way fan-out hub (relay, fabric front) drops, by counter
+#: suffix.  Pings and pongs are link-level liveness, point-to-point: the
+#: hub neither answers nor propagates them (its own probing runs in
+#: heal(), on the back-channel).  Meta requests flow toward a *sender*;
+#: with no route back the requester recovers by other means or times out
+#: holding.  Acks flow *against* the stream: they are harvested off
+#: downstream back-channels in heal(), where they can be attributed to a
+#: peer; one arriving on the forward path has no owner.
+DROPPED = {
+    enc.MSG_PING: "heartbeats_dropped",
+    enc.MSG_PONG: "heartbeats_dropped",
+    enc.MSG_FORMAT_REQUEST: "requests_dropped",
+    enc.MSG_ACK: "acks_dropped",
+}
 
 
-class Downstream:
+class Downstream(QuarantineRecord):
     """The opaque handle :meth:`Relay.attach` returns.
 
     Callers read :attr:`stats` / :attr:`state` / :attr:`quarantined` and
@@ -87,38 +118,24 @@ class Downstream:
         flt: RecordFilter | None,
         queue: BoundedSendQueue | None = None,
     ):
+        super().__init__()
         self.transport = transport
         self.filter = flt
         self.metrics = Metrics()
         self.stats = DownstreamStats(self.metrics)
-        self.consecutive_errors = 0
-        self.state = ACTIVE
         self.send_queue = queue
-        self.quarantined_at: float | None = None
-        self.probe_attempts = 0
-        self.next_probe_at: float | None = None
         #: Per-stream cumulative ack cursors harvested off this peer's
         #: back-channel (durable delivery, docs/robustness.md §11).
         self.ack_cursors: dict[tuple[int, int], int] = {}
 
     @property
-    def quarantined(self) -> bool:
-        """True while the downstream is out of the fan-out (quarantined
-        or probing).  Read-only — state changes go through the relay."""
-        return self.state in (QUARANTINED, PROBING)
-
-    @property
     def write_queue_depth(self) -> int:
         """Bytes queued toward this downstream: the transport's own
         queue (async transports) plus the relay-side overflow queue."""
-        depth = getattr(self.transport, "write_queue_depth", 0)
+        depth = self.transport.write_queue_depth
         if self.send_queue is not None:
             depth += self.send_queue.queued_bytes
         return depth
-
-
-#: Back-compat alias: pre-PR 7 code (and its tests) knew the private name.
-_Downstream = Downstream
 
 
 class Relay:
@@ -201,19 +218,10 @@ class Relay:
         self._clock = clock
         self.metrics = Metrics()
         self._downstreams: list[Downstream] = []
-        self._announcements: list[bytes] = []
-        #: exact-bytes dedup for the list above: durable publishers
-        #: re-announce on every backlog resend, and the replay list must
-        #: not grow (nor downstreams be spammed) for meta already known
-        self._seen_announcements: set[bytes] = set()
+        self._announcements = AnnouncementBacklog()
         self.messages_seen = 0
         self._ping_nonce = 0
         self._stopped = False
-        #: Durable passthrough (docs/robustness.md §11): sequenced frames
-        #: are remembered in a bounded per-stream window for replay on
-        #: downstream reactivation, downstream ack cursors are harvested
-        #: in heal(), and their min-cursor aggregate flows to
-        #: ``ack_upstream`` (a frame sink toward the publisher).
         self.ack_upstream = ack_upstream
         if replay_window < 1:
             raise ValueError("replay_window must be >= 1")
@@ -243,8 +251,7 @@ class Relay:
             queue = BoundedSendQueue(self.max_queue_bytes, self.overflow)
         downstream = Downstream(transport, flt, queue)
         self._downstreams.append(downstream)
-        for announcement in self._announcements:
-            self._send(downstream, announcement, "announcements")
+        self._replay_announcements(downstream)
         return downstream
 
     def detach(self, downstream: Downstream) -> None:
@@ -257,21 +264,18 @@ class Relay:
         the announcements the downstream missed while detached.
 
         This is the manual override; with a ``probe_policy`` configured,
-        :meth:`heal` calls the same transition automatically on a pong.
+        :meth:`heal` makes the same transition automatically on a pong.
         """
-        self._reactivate(downstream)
-
-    def _reactivate(self, downstream: Downstream) -> None:
-        downstream.state = ACTIVE
-        downstream.consecutive_errors = 0
-        downstream.quarantined_at = None
-        downstream.probe_attempts = 0
-        downstream.next_probe_at = None
+        downstream.reset()
         downstream.metrics.inc("reactivated")
         self.metrics.inc("relay.reactivated")
-        for announcement in self._announcements:
-            self._send(downstream, announcement, "announcements")
+        self._replay_announcements(downstream)
         self._replay_sequenced(downstream)
+
+    def _replay_announcements(self, downstream: Downstream) -> None:
+        # one by one: a link that fails mid-replay counts every failure
+        for announcement in self._announcements:
+            self._send_many(downstream, (announcement,), "announcements")
 
     def _replay_sequenced(self, downstream: Downstream) -> None:
         """Re-send windowed sequenced frames the peer has not acked.
@@ -283,41 +287,26 @@ class Relay:
         """
         for key, window in self._replay.items():
             cursor = downstream.ack_cursors.get(key, 0)
-            for seq, message in window:
-                if seq <= cursor:
-                    continue
-                if downstream.filter is not None:
-                    try:
-                        if not downstream.filter.matches(message):
-                            downstream.metrics.inc("filtered_out")
-                            continue
-                    except PbioError:
-                        downstream.metrics.inc("filter_errors")
-                        continue
-                self._send(downstream, message, "replayed")
-                self.metrics.inc("durable.replayed")
+            batch = [message for seq, message in window if seq > cursor]
+            if downstream.filter is not None:
+                batch = self._screen(downstream, batch, repeat(None))
+            if batch:
+                self._send_many(downstream, batch, "replayed")
+                self.metrics.inc("durable.replayed", len(batch))
 
     @property
     def active_downstreams(self) -> list[Downstream]:
         return [d for d in self._downstreams if d.state == ACTIVE]
 
-    def _quarantine(self, downstream: Downstream) -> None:
-        downstream.state = QUARANTINED
-        downstream.metrics.inc("detached")
-        now = self._clock()
-        downstream.quarantined_at = now
-        downstream.probe_attempts = 0
-        if self.probe_policy is not None:
-            downstream.next_probe_at = now + self.probe_policy.delay(0)
-        self.metrics.inc("relay.quarantined")
-
     def _count_failure(self, downstream: Downstream, exc: TransportError) -> None:
         downstream.metrics.inc("send_errors")
-        downstream.consecutive_errors += 1
+        errors = downstream.fail()
         if self.on_error is not None:
             self.on_error(downstream, exc)
-        if downstream.consecutive_errors >= self.quarantine_after:
-            self._quarantine(downstream)
+        if errors >= self.quarantine_after:
+            downstream.quarantine(self._clock(), self.probe_policy)
+            downstream.metrics.inc("detached")
+            self.metrics.inc("relay.quarantined")
 
     def _spill(self, downstream: Downstream, message: bytes, counter: str) -> None:
         """Queue a frame the transport would not take right now."""
@@ -348,37 +337,49 @@ class Relay:
             downstream.metrics.inc("overflow_flushed", flushed)
             downstream.consecutive_errors = 0
 
-    def _send(self, downstream: Downstream, message: bytes, counter: str) -> None:
-        """Send to one downstream, absorbing transport failures.
+    def _send_many(self, downstream: Downstream, batch, counter: str) -> None:
+        """Send a run of frames to one downstream, absorbing transport
+        failures: one frame is one ``send``, several are one vectored
+        ``send_many``.
 
         One dead peer must never abort the fan-out loop: the error is
         counted, reported to ``on_error``, and — after ``quarantine_after``
         consecutive failures — the downstream is quarantined.  With a
         non-``block`` overflow policy, :class:`WriteQueueFull` spills the
-        frame into the downstream's bounded queue instead (flushed as the
+        frames into the downstream's bounded queue instead (flushed as the
         peer drains); only genuine link failures count toward quarantine.
         """
         if downstream.state != ACTIVE:
             return
         queue = downstream.send_queue
-        if queue is not None and len(queue):
+        while queue is not None and len(queue):
             # A backlog exists: preserve order by queueing behind it,
-            # then try to move the whole backlog forward.
-            self._spill(downstream, message, counter)
+            # then try to move the whole backlog forward — frame by
+            # frame, since the flush may empty the queue mid-run.
+            self._spill(downstream, batch[0], counter)
             self._try_flush(downstream)
-            return
+            batch = batch[1:]
+            if not batch or downstream.state != ACTIVE:
+                return
+        count = len(batch)
         try:
-            downstream.transport.send(message)
+            if count == 1:
+                downstream.transport.send(batch[0])
+            else:
+                downstream.transport.send_many(batch)
         except WriteQueueFull as exc:
             if queue is not None:
-                self._spill(downstream, message, counter)
+                # The async queue admits bursts all-or-nothing, so the
+                # whole batch is still ours to spill, frame by frame.
+                for message in batch:
+                    self._spill(downstream, message, counter)
             else:
                 self._count_failure(downstream, exc)
         except TransportError as exc:
             self._count_failure(downstream, exc)
         else:
             downstream.consecutive_errors = 0
-            downstream.metrics.inc(counter)
+            downstream.metrics.inc(counter, count)
 
     def forward(self, message: bytes, *, header=None) -> None:
         """Process one upstream message.
@@ -398,116 +399,78 @@ class Relay:
             return
         if header is None:
             header = enc.try_unpack_header(message)
-        if header is None:
-            self.metrics.inc("relay.rejected")
+        if header is None or header[0] not in DATA_KINDS:
+            self._control(message, header)
             return
-        kind = header[0]
-        if self.limits is not None and len(message) > self.limits.max_message_size:
-            self.metrics.inc("relay.rejected")
-            return
-        if kind in (enc.MSG_PING, enc.MSG_PONG):
-            # Link-level liveness frames are point-to-point: a one-way
-            # fan-out hub neither answers nor propagates them (its own
-            # downstream probing runs in heal(), on the back-channel).
-            self.metrics.inc("relay.heartbeats_dropped")
-            return
-        if kind == enc.MSG_FORMAT:
-            try:
-                self.ctx.receive(message)  # absorb for filter compilation
-            except PbioError:  # malformed meta: don't propagate it downstream
-                self.metrics.inc("relay.rejected")
-                return
-            data = bytes(message)
-            if data in self._seen_announcements:
-                # Anyone attached since the first copy got it at attach
-                # time; anyone attached before got the original forward.
-                self.metrics.inc("relay.announcements_deduped")
-                return
-            self._seen_announcements.add(data)
-            self._announcements.append(data)
-            for downstream in self._downstreams:
-                self._send(downstream, message, "announcements")
-            return
-        if kind == enc.MSG_FORMAT_TOKEN:
-            # The relay's key property: tokens forward *verbatim* — meta
-            # is never re-expanded in the middle of the network.  The
-            # relay absorbs the token for its own registry if it can
-            # (filters need it); an unresolvable token only degrades
-            # filtering on that format, never forwarding.
-            try:
-                self.ctx.receive(message)
-            except TokenResolutionError:
-                self.metrics.inc("relay.unresolved_tokens")
-            except PbioError:  # malformed/quota-busting token frame
-                self.metrics.inc("relay.rejected")
-                return
-            data = bytes(message)
-            if data in self._seen_announcements:
-                self.metrics.inc("relay.announcements_deduped")
-                return
-            self._seen_announcements.add(data)
-            self._announcements.append(data)
-            for downstream in self._downstreams:
-                self._send(downstream, message, "announcements")
-            return
-        if kind == enc.MSG_FORMAT_REQUEST:
-            # Meta requests flow toward a *sender*; a one-way fan-out hub
-            # has no route back, so the request is dropped (the requester
-            # recovers by other means or times out holding).
-            self.metrics.inc("relay.requests_dropped")
-            return
-        if kind == enc.MSG_ACK:
-            # Acks are point-to-point control flowing *against* the
-            # stream.  The relay harvests them off downstream
-            # back-channels in heal(), where they can be attributed to a
-            # peer; one arriving on the forward path has no owner.
-            self.metrics.inc("relay.acks_dropped")
-            return
-        if kind == enc.MSG_DATA_SEQ:
-            message = self._remember_sequenced(message, header)
-            if message is None:
-                return
-        elif header[3] != len(message) - enc.HEADER_SIZE:
-            self.metrics.inc("relay.rejected")  # torn/padded data frame
-            return
-        self.messages_seen += 1
-        for downstream in self._downstreams:
-            if downstream.quarantined:
-                continue
-            if downstream.filter is not None:
-                try:
-                    matched = downstream.filter.matches(message, header=header)
-                except PbioError:
-                    # e.g. the announcement this record needs never made it
-                    # here: this downstream cannot evaluate its predicate,
-                    # so the record is withheld from it, not from siblings.
-                    downstream.metrics.inc("filter_errors")
-                    continue
-                if not matched:
-                    downstream.metrics.inc("filtered_out")
-                    continue
-            self._send(downstream, message, "forwarded")  # verbatim: zero re-encoding
+        message = self._admit_data(message, header)
+        if message is not None:
+            self._flush_data_run((message,), (header,))
 
-    def _remember_sequenced(self, message, header) -> bytes | None:
-        """Durable passthrough for one ``MSG_DATA_SEQ`` frame whose header
-        is already sniffed: check its prefix, remember a private copy in
-        the bounded replay window (for downstream reactivation) and
-        return that copy to fan out — *verbatim*: the subscriber's dedup
-        window needs the publisher's numbering, not ours, and filters
-        read the record where it lies.  ``None`` (``relay.rejected``)
-        for a torn frame or sequence 0.
-        """
+    def _control(self, message, header) -> None:
+        """Everything that is not a data frame: rejects (not PBIO, over
+        the size limit, malformed meta), announcements, and the
+        point-to-point control a fan-out hub drops."""
+        if header is None or (
+            self.limits is not None and len(message) > self.limits.max_message_size
+        ):
+            self.metrics.inc("relay.rejected")
+            return
+        if header[0] not in ANNOUNCEMENT_KINDS:
+            self.metrics.inc("relay." + DROPPED[header[0]])
+            return
+        # Absorb for filter compilation.  The relay's key property:
+        # tokens forward *verbatim* — meta is never re-expanded in the
+        # middle of the network — and an unresolvable one only degrades
+        # filtering on that format, never forwarding.
         try:
-            seq = enc.read_seq(message, header[3])
-        except PbioError:
+            self.ctx.receive(message)
+        except TokenResolutionError:
+            self.metrics.inc("relay.unresolved_tokens")
+        except PbioError:  # malformed/quota-busting meta: don't propagate it downstream
+            self.metrics.inc("relay.rejected")
+            return
+        data = bytes(message)
+        if not self._announcements.add(data):
+            # Anyone attached since the first copy got it at attach
+            # time; anyone attached before got the original forward.
+            self.metrics.inc("relay.announcements_deduped")
+            return
+        for downstream in self._downstreams:
+            self._send_many(downstream, (data,), "announcements")
+
+    def _admit_data(self, message, header) -> bytes | None:
+        """Is this ``MSG_DATA`` / ``MSG_DATA_SEQ`` frame (header already
+        sniffed) fit to fan out?  Returns the frame to send, or ``None``
+        (``relay.rejected``) for an oversize, torn or padded frame or
+        sequence 0.
+
+        A sequenced frame is durable passthrough: its prefix is checked
+        and a private copy remembered in the bounded replay window (for
+        downstream reactivation); that copy goes out *verbatim* — the
+        subscriber's dedup window needs the publisher's numbering, not
+        ours, and filters read the record where it lies.
+        """
+        limits = self.limits
+        if limits is not None and len(message) > limits.max_message_size:
             self.metrics.inc("relay.rejected")
             return None
-        key = (header[1], header[2])
-        window = self._replay.get(key)
-        if window is None:
-            window = self._replay[key] = deque(maxlen=self.replay_window)
-        message = bytes(message)
-        window.append((seq, message))
+        if header[0] == enc.MSG_DATA:
+            if header[3] != len(message) - enc.HEADER_SIZE:
+                self.metrics.inc("relay.rejected")  # torn/padded data frame
+                return None
+        else:
+            try:
+                seq = enc.read_seq(message, header[3])
+            except PbioError:
+                self.metrics.inc("relay.rejected")
+                return None
+            key = (header[1], header[2])
+            window = self._replay.get(key)
+            if window is None:
+                window = self._replay[key] = deque(maxlen=self.replay_window)
+            message = bytes(message)
+            window.append((seq, message))
+        self.messages_seen += 1
         return message
 
     def forward_batch(self, messages, headers=None) -> None:
@@ -516,9 +479,9 @@ class Relay:
         Runs of valid data frames — plain or sequenced, the latter
         remembered in the replay window frame by frame — are fanned out
         with one ``send_many`` per downstream (one vectored syscall on a
-        socket link) instead of one ``send`` per message.  Control frames and
-        rejects take the scalar :meth:`forward` path in arrival order,
-        so announcement-before-data ordering is preserved exactly.
+        socket link) instead of one ``send`` per message.  Control frames
+        are handled in arrival order between the runs, so
+        announcement-before-data ordering is preserved exactly.
 
         ``headers`` optionally carries the parsed header tuple for each
         message (parallel to ``messages``, ``None`` entries allowed).
@@ -532,90 +495,51 @@ class Relay:
             return
         # messages may be any iterable; pair lazily when unsniffed
         pairs = zip(messages, headers) if headers is not None else ((m, None) for m in messages)
-        run: list[tuple[bytes, tuple]] = []
+        run: list[bytes] = []  # admitted data frames since the last control frame
+        run_headers: list[tuple] = []
         for message, header in pairs:
             if header is None:
                 header = enc.try_unpack_header(message)
-            if header is not None and header[0] == enc.MSG_DATA:
-                if (
-                    self.limits is not None
-                    and len(message) > self.limits.max_message_size
-                ) or header[3] != len(message) - enc.HEADER_SIZE:
-                    self.metrics.inc("relay.rejected")
-                    continue
-                self.messages_seen += 1
-                run.append((message, header))
-                continue
-            if header is not None and header[0] == enc.MSG_DATA_SEQ:
-                # its own branch: the plain-data test above is the hot
-                # path of every non-durable fan-out and stays one compare
-                if self.limits is not None and len(message) > self.limits.max_message_size:
-                    self.metrics.inc("relay.rejected")
-                    continue
-                message = self._remember_sequenced(message, header)
-                if message is not None:
-                    self.messages_seen += 1
-                    run.append((message, header))
+            if header is not None and header[0] in DATA_KINDS:
+                message = self._admit_data(message, header)
+                if message is not None:  # rejects do not break a run
+                    run.append(message)
+                    run_headers.append(header)
                 continue
             if run:
-                self._flush_data_run(run)
-                run = []
-            self.forward(message, header=header)
+                self._flush_data_run(run, run_headers)
+                run, run_headers = [], []
+            self._control(message, header)
         if run:
-            self._flush_data_run(run)
+            self._flush_data_run(run, run_headers)
 
-    def _flush_data_run(self, run: list[tuple[bytes, tuple]]) -> None:
-        """Fan one run of validated data frames to every live downstream."""
+    def _flush_data_run(self, run, headers) -> None:
+        """Fan one run of admitted data frames (and their parsed headers)
+        to every live downstream, verbatim: zero re-encoding."""
         for downstream in self._downstreams:
-            if downstream.quarantined:
-                continue
-            if downstream.filter is not None:
-                batch = []
-                for message, header in run:
-                    try:
-                        matched = downstream.filter.matches(message, header=header)
-                    except PbioError:
-                        downstream.metrics.inc("filter_errors")
-                        continue
-                    if not matched:
-                        downstream.metrics.inc("filtered_out")
-                        continue
-                    batch.append(message)
-            else:
-                batch = [message for message, _header in run]
-            if batch:
-                self._send_many(downstream, batch, "forwarded")
+            if downstream.state == ACTIVE:
+                # unfiltered downstreams share the run itself: nobody mutates it
+                batch = run if downstream.filter is None else self._screen(downstream, run, headers)
+                if batch:
+                    self._send_many(downstream, batch, "forwarded")
 
-    def _send_many(self, downstream: Downstream, batch: list[bytes], counter: str) -> None:
-        """:meth:`_send` for a whole run: one vectored transport call,
-        same failure counting and quarantine policy."""
-        if downstream.state != ACTIVE:
-            return
-        queue = downstream.send_queue
-        if queue is not None and len(queue):
-            for message in batch:  # backlog: keep order through the queue
-                self._send(downstream, message, counter)
-            return
-        send_many = getattr(downstream.transport, "send_many", None)
-        try:
-            if send_many is not None:
-                send_many(batch)
-            else:  # duck-typed link predating the batch API
-                for message in batch:
-                    downstream.transport.send(message)
-        except WriteQueueFull as exc:
-            if queue is not None:
-                # The async queue admits bursts all-or-nothing, so the
-                # whole batch is still ours to spill, frame by frame.
-                for message in batch:
-                    self._spill(downstream, message, counter)
+    def _screen(self, downstream: Downstream, run, headers) -> list[bytes]:
+        """The frames of ``run`` that pass this downstream's filter."""
+        batch = []
+        for message, header in zip(run, headers):
+            try:
+                matched = downstream.filter.matches(message, header=header)
+            except PbioError:
+                # e.g. the announcement this record needs never made it
+                # here: this downstream cannot evaluate its predicate,
+                # so the record is withheld from it, not from siblings.
+                downstream.metrics.inc("filter_errors")
+                continue
+            if matched:
+                batch.append(message)
             else:
-                self._count_failure(downstream, exc)
-        except TransportError as exc:
-            self._count_failure(downstream, exc)
-        else:
-            downstream.consecutive_errors = 0
-            downstream.metrics.inc(counter, len(batch))
+                downstream.metrics.inc("filtered_out")
+        return batch
 
     def pump(self, upstream: Transport, count: int) -> None:
         """Forward ``count`` messages from an upstream transport."""
@@ -625,8 +549,7 @@ class Relay:
     def pump_batch(self, upstream: Transport, max_frames: int = 0) -> int:
         """Drain one burst from ``upstream`` (``recv_many``) and forward
         it as a batch; returns the number of frames moved."""
-        recv_many = getattr(upstream, "recv_many", None)
-        frames = recv_many(max_frames) if recv_many is not None else [upstream.recv()]
+        frames = upstream.recv_many(max_frames)
         self.forward_batch(frames)
         return len(frames)
 
@@ -656,14 +579,11 @@ class Relay:
             if policy is None or downstream.state == EVICTED:
                 continue
             if self._harvest_pong(downstream):
-                self._reactivate(downstream)
+                self.reactivate(downstream)
                 self._try_flush(downstream)
-                continue
-            entered = downstream.quarantined_at
-            if entered is not None and now - entered >= policy.eviction_deadline_s:
+            elif downstream.expired(now, policy):
                 self._evict(downstream)
-                continue
-            if downstream.next_probe_at is not None and now >= downstream.next_probe_at:
+            elif downstream.probe_due(now):
                 self._probe(downstream, now)
         self._aggregate_acks()
 
@@ -734,19 +654,16 @@ class Relay:
 
     def _probe(self, downstream: Downstream, now: float) -> None:
         self._ping_nonce += 1
-        downstream.state = PROBING
         try:
             downstream.transport.send(enc.encode_ping(self._ping_nonce))
         except TransportError:
             pass  # an unsendable probe is an unanswered probe
         downstream.metrics.inc("probes_sent")
         self.metrics.inc("relay.probes_sent")
-        downstream.probe_attempts += 1
-        downstream.next_probe_at = now + self.probe_policy.delay(downstream.probe_attempts)
+        downstream.probed(now, self.probe_policy)
 
     def _evict(self, downstream: Downstream) -> None:
-        downstream.state = EVICTED
-        self._downstreams.remove(downstream)
+        self.detach(downstream)
         downstream.metrics.inc("evicted")
         self.metrics.inc("relay.evicted")
 

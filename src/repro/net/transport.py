@@ -115,6 +115,11 @@ class Transport(ABC):
     def __exit__(self, *exc):
         self.close()
 
+    #: Bytes accepted by :meth:`send` but not yet handed to the peer.
+    #: Queueing transports (aio, shm) override this with a live gauge;
+    #: one that sends synchronously never holds anything.
+    write_queue_depth = 0
+
     # Scatter-gather send: NDR senders hand the transport a header and the
     # application's own buffer, avoiding the copy a contiguous wire format
     # would force (the zero-copy claim of Section 1).

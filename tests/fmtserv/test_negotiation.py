@@ -267,7 +267,7 @@ class TestChannelTokens:
         assert got == [pytest.approx(RECORDS[0])]
         # the replayed announcement is the token, and late joiners resolve
         # it from the shared channel service
-        assert enc.message_kind(channel._announcements[0]) == enc.MSG_FORMAT_TOKEN
+        assert [enc.message_kind(a) for a in channel._announcements] == [enc.MSG_FORMAT_TOKEN]
         late = []
         late_ctx = IOContext(X86)
         late_ctx.expect(TELEMETRY)

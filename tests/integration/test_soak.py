@@ -27,8 +27,8 @@ from repro.abi import SPARC_V8, X86, RecordSchema, layout_record
 from repro.core import IOContext, IOFormat
 from repro.core import encoder as enc
 from repro.fmtserv import FormatCache, FormatServer, FormatService
-from repro.net import InMemoryPipe, ProbePolicy, Relay, TransportError
-from repro.net.relay import ACTIVE
+from repro.net import InMemoryPipe, ProbePolicy, Relay, Transport, TransportError
+from repro.net.health import ACTIVE
 
 from ..fmtserv.helpers import SyncServerLink
 
@@ -39,7 +39,7 @@ N_SUBSCRIBERS = 8
 TELEMETRY = RecordSchema.from_pairs("telemetry", [("seq", "int"), ("value", "double")])
 
 
-class FlakyLink:
+class FlakyLink(Transport):
     """A pipe end whose send path can be broken and healed at will.
 
     The receive path stays up even while broken — probes that cannot be

@@ -298,6 +298,44 @@ class TestDurableRoundTrip:
         pub.close()
         sub.close()
 
+    def test_resends_do_not_grow_the_announcement_replay(self, tmp_path):
+        channel = EventChannel()
+        pub, handle = make_publisher(channel, str(tmp_path / "wal"))
+        pub.publish(handle, {"x": 0, "y": 0.0})  # nobody listening: stays unacked
+        for _ in range(5):
+            pub.resend_unacked()  # each one republishes the WAL's announcement first
+        wired = []
+        channel.attach_wire(wired.append)
+        assert [enc.message_kind(m) for m in wired] == [enc.MSG_FORMAT]
+        late = sub_context()
+        seen = []
+        receive = late.receive
+        late.receive = lambda m: (seen.append(enc.message_kind(m)), receive(m))[1]
+        got = []
+        channel.subscribe(late, lambda r: got.append(r["x"]))
+        assert seen == [enc.MSG_FORMAT]  # one replayed announcement per late joiner
+        pub.resend_unacked()
+        assert got == [0]  # and it was enough to decode the retransmission
+        pub.close()
+
+    def test_token_fallback_still_withdraws_the_token(self, tmp_path):
+        from repro.fmtserv import FormatServer
+
+        from ..fmtserv.test_negotiation import make_service
+
+        channel = EventChannel(format_service=make_service(FormatServer()))
+        # a subscriber on its own cold, offline service cannot resolve tokens
+        stubborn = IOContext(X86, format_service=make_service())
+        stubborn.expect(POINT)
+        got = []
+        channel.subscribe(stubborn, lambda r: got.append(r["x"]))
+        pub, handle = make_publisher(channel, str(tmp_path / "wal"))
+        pub.publish(handle, {"x": 1, "y": 0.0})
+        pub.resend_unacked()
+        assert got == [1, 1]  # a plain subscriber has no dedup window
+        assert [enc.message_kind(a) for a in channel._announcements] == [enc.MSG_FORMAT]
+        pub.close()
+
     def test_plain_subscriber_sees_sequenced_stream(self, tmp_path):
         channel = EventChannel()
         pub, handle = make_publisher(channel, str(tmp_path / "wal"))

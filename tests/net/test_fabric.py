@@ -37,7 +37,7 @@ from repro.net import (
     SocketTransport,
     fabric_handler,
 )
-from repro.net.relay import ACTIVE, EVICTED, QUARANTINED
+from repro.net.health import ACTIVE, QUARANTINED
 
 CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 
@@ -243,12 +243,25 @@ class TestFabricRouting:
     def test_oversized_data_rejected_at_the_front(self):
         from repro.core.safety import DecodeLimits
 
-        disp = FabricDispatcher(2, limits=DecodeLimits(max_message_size=64))
         _, _, frames = upstream([{"unit": 1, "temperature": 1.0}])
+        limit = max(len(f) for f in frames)
+        disp = FabricDispatcher(2, limits=DecodeLimits(max_message_size=limit))
         disp.forward(frames[0])
-        big = frames[1] + b"x" * 128
-        disp.forward(big[: enc.HEADER_SIZE] + b"y" * 200)
+        disp.forward(frames[1][: enc.HEADER_SIZE] + b"y" * (limit + 1))
         assert disp.metrics.value("fabric.rejected") == 1
+        # an oversize announcement, inline or token, is dropped the same
+        # way — never remembered for replay, at the front or on a worker
+        for kind in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
+            oversize = enc.pack_header(kind, 1, 2, 5000) + b"z" * 5000
+            disp.forward(oversize)
+            disp.forward_batch([oversize, frames[1]])
+            disp.workers[0].ingest(oversize)
+        assert disp.metrics.value("fabric.rejected") == 5
+        assert disp.metrics.value("fabric.routed") == 2
+        assert list(disp._announcements) == [bytes(frames[0])]
+        for worker in disp.workers:
+            assert list(worker._announcements) == [bytes(frames[0])]
+        assert disp.workers[0].metrics.value("worker.rejected") == 2
 
     def test_subscribe_with_no_workers_raises(self):
         disp = FabricDispatcher(1)
@@ -422,26 +435,6 @@ class TestWorkerFailure:
         disp.forward(frames[1])
         # The reactivated worker got the announcement backlog replayed.
         assert [r["unit"] for r in receiver(pipe.b)()] == [5]
-
-    def test_eviction_past_deadline(self):
-        now = [0.0]
-        disp = FabricDispatcher(
-            2,
-            quarantine_after=1,
-            probe_policy=ProbePolicy(
-                base_delay_s=0.01,
-                multiplier=2.0,
-                max_delay_s=0.05,
-                eviction_deadline_s=1.0,
-            ),
-            clock=lambda: now[0],
-        )
-        disp.worker("w0").kill()
-        disp.heal()
-        assert disp.worker_states()["w0"] == QUARANTINED
-        now[0] += 2.0
-        disp.heal()
-        assert disp.worker_states()["w0"] == EVICTED
 
     def test_scale_out_migrates_minimally(self):
         disp = FabricDispatcher(2)

@@ -21,6 +21,7 @@ from repro.core.errors import MessageError
 from repro.net import (
     BoundedSendQueue,
     CircuitBreaker,
+    FabricDispatcher,
     FaultInjectingTransport,
     FaultPlan,
     HeartbeatMonitor,
@@ -28,12 +29,13 @@ from repro.net import (
     PeerUnresponsive,
     ProbePolicy,
     Relay,
+    Transport,
     TransportError,
     VirtualClock,
     WriteQueueFull,
     send_goodbye,
 )
-from repro.net.relay import ACTIVE, EVICTED, PROBING, QUARANTINED
+from repro.net.health import ACTIVE, EVICTED, PROBING, QUARANTINED
 
 CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 
@@ -60,7 +62,7 @@ def drain_frames(pipe_end) -> list[bytes]:
     return frames
 
 
-class FlakyLink:
+class FlakyLink(Transport):
     """A pipe end whose send path can be switched dead and alive."""
 
     def __init__(self, inner):
@@ -82,7 +84,7 @@ class FlakyLink:
         self.inner.close()
 
 
-class ChokedLink:
+class ChokedLink(Transport):
     """A pipe end that signals a full write queue while ``full`` is set."""
 
     def __init__(self, inner):
@@ -428,28 +430,6 @@ class TestRelayHealing:
         decoded = [receiver.receive(f) for f in drain_frames(pipe.b)]
         assert {"unit": 2, "temperature": 2.0} in decoded
 
-    def test_probe_backoff_schedule(self):
-        clock = VirtualClock()
-        relay = healing_relay(clock)
-        pipe = InMemoryPipe()
-        link = FlakyLink(pipe.a)
-        down = relay.attach(link)
-        announcement, record = telemetry_stream([{"unit": 1, "temperature": 1.0}])
-        relay.forward(announcement)
-        link.broken = True
-        relay.forward(record)
-        link.broken = False
-        probe_times = []
-        while down.state != EVICTED:
-            before = down.stats.probes_sent
-            relay.heal()
-            if down.stats.probes_sent > before:
-                probe_times.append(clock.now())
-            clock.advance(0.5)
-        # quarantined at t=0: probes at 1, then +2, +4, +4 (capped)…
-        assert probe_times[:4] == [1.0, 3.0, 7.0, 11.0]
-        assert clock.now() >= 20.0  # evicted no earlier than the deadline
-
     def test_silent_peer_evicted_at_deadline(self):
         clock = VirtualClock()
         relay = healing_relay(clock)
@@ -715,6 +695,138 @@ class TestClassifiedFaultPlans:
         with pytest.raises(ValueError):
             FaultPlan(drop_payload=-0.1)
         assert FaultPlan(drop_heartbeats=0.1).active
+
+
+# -- the quarantine record, whoever owns it ------------------------------------
+
+LIFECYCLE_POLICY = ProbePolicy(
+    base_delay_s=1.0, multiplier=2.0, max_delay_s=4.0, eviction_deadline_s=20.0
+)
+
+
+class _RelayPeer:
+    """A relay downstream behind a link the test can break."""
+
+    COUNTERS = "relay.quarantined", "relay.probes_sent", "relay.reactivated", "relay.evicted"
+
+    def __init__(self, clock):
+        self.owner = Relay(quarantine_after=2, probe_policy=LIFECYCLE_POLICY, clock=clock)
+        self.pipe = InMemoryPipe()
+        self.link = FlakyLink(self.pipe.a)
+        self.record = self.owner.attach(self.link)
+
+    def state(self):
+        return self.record.state
+
+    def offer(self, ok):
+        """One unit of traffic toward the peer, which succeeds or fails."""
+        self.link.broken = not ok
+        self.owner.forward(data_frame(1, 1, b"payload"))
+
+    def die(self):
+        self.offer(ok=False)
+        self.offer(ok=False)
+
+    def revive(self):
+        self.link.broken = False
+
+    def answer_probes(self):
+        for frame in drain_frames(self.pipe.b):
+            if enc.unpack_header(frame)[0] == enc.MSG_PING:
+                self.pipe.b.send(enc.encode_pong(enc.parse_ping(frame)[0]))
+
+
+class _WorkerPeer:
+    """A fabric worker the test can take down."""
+
+    COUNTERS = (
+        "fabric.workers_quarantined",
+        "fabric.probes_sent",
+        "fabric.workers_reactivated",
+        "fabric.workers_evicted",
+    )
+
+    def __init__(self, clock):
+        self.owner = FabricDispatcher(
+            2, quarantine_after=2, probe_policy=LIFECYCLE_POLICY, clock=clock
+        )
+        self.name = self.owner.ring.owner((1, 1))
+        self.worker = self.owner.worker(self.name)
+        self.record = self.owner._slots[self.name]
+
+    def state(self):
+        return self.owner.worker_states()[self.name]
+
+    def offer(self, ok):
+        self.worker.alive = ok
+        self.owner.forward(data_frame(1, 1, b"payload"))
+
+    def die(self):
+        self.worker.kill()
+        self.owner.heal()  # the liveness sweep finds it
+
+    def revive(self):
+        self.worker.revive()
+
+    def answer_probes(self):
+        pass  # the in-process probe asks the worker directly
+
+
+@pytest.mark.parametrize("make_peer", [_RelayPeer, _WorkerPeer])
+def test_quarantine_record_lifecycle(make_peer):
+    """Errors → quarantine → backoff schedule → reactivate, and → evict
+    at the deadline: one record, the same walk under a relay (per
+    downstream) and under the fabric dispatcher (per worker)."""
+    clock = VirtualClock()
+    peer = make_peer(clock)
+    record = peer.record
+    quarantined, probes_sent, reactivated, evicted = peer.COUNTERS
+    count = peer.owner.metrics.value
+
+    peer.offer(ok=False)
+    assert (peer.state(), record.consecutive_errors) == (ACTIVE, 1)  # below the threshold
+    peer.offer(ok=True)
+    assert record.consecutive_errors == 0  # any success resets the count
+    peer.offer(ok=False)
+    peer.offer(ok=False)
+    assert peer.state() == QUARANTINED and record.quarantined
+    assert (record.quarantined_at, record.probe_attempts, record.next_probe_at) == (0.0, 0, 1.0)
+    assert count(quarantined) == 1
+
+    # a silent peer is probed at 1, then +2, +4, +4 (capped) …
+    probe_times = []
+    while clock.now() < 12.0:
+        before = count(probes_sent)
+        peer.owner.heal()
+        if count(probes_sent) > before:
+            probe_times.append(clock.now())
+            assert peer.state() == PROBING and record.quarantined
+            assert record.probe_attempts == len(probe_times)
+        clock.advance(0.5)
+    assert probe_times == [1.0, 3.0, 7.0, 11.0]
+    assert record.next_probe_at == 15.0
+
+    # … until it answers one: active again, with a clean record
+    peer.revive()
+    while peer.state() != ACTIVE:
+        assert clock.now() <= 15.5  # the probe at 15.0, plus a round trip
+        peer.owner.heal()
+        peer.answer_probes()
+        clock.advance(0.5)
+    assert clock.now() > 15.0 and count(reactivated) == 1
+    assert (record.consecutive_errors, record.probe_attempts) == (0, 0)
+    assert (record.quarantined_at, record.next_probe_at) == (None, None)
+
+    # a peer that never answers is evicted at the deadline, no earlier
+    gone_at = clock.now()
+    peer.die()
+    assert peer.state() == QUARANTINED and record.quarantined_at == gone_at
+    while peer.state() != EVICTED:
+        assert clock.now() - gone_at <= LIFECYCLE_POLICY.eviction_deadline_s
+        clock.advance(0.5)
+        peer.owner.heal()
+    assert clock.now() - gone_at == LIFECYCLE_POLICY.eviction_deadline_s
+    assert not record.quarantined and count(evicted) == 1
 
 
 # -- the healing property ------------------------------------------------------

@@ -1,11 +1,21 @@
 """Tests for the PBIO message relay."""
 
+import os
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.abi import SPARC_V8, X86, RecordSchema
 from repro.core import IOContext, PbioConnection
-from repro.net import InMemoryPipe
+from repro.core import encoder as enc
+from repro.core.safety import DecodeLimits
+from repro.net import FabricDispatcher, InMemoryPipe
 from repro.net.relay import Relay
+
+from .test_health import ChokedLink, FlakyLink
+
+CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 
 TELEMETRY = RecordSchema.from_pairs(
     "telemetry", [("unit", "int"), ("temperature", "double")]
@@ -143,8 +153,6 @@ class TestSequencedBatch:
     """forward_batch treats a run of sequenced frames like a data run."""
 
     def _stream(self):
-        from repro.core import encoder as enc
-
         sender = IOContext(SPARC_V8, context_id=0xA11CE)
         h = sender.register_format(TELEMETRY)
         cid, fid = sender.context_id, h.format_id
@@ -196,3 +204,142 @@ class TestSequencedBatch:
         # do not break a run — is one send_many instead of a send per frame
         assert scalar_pipes[0].calls == {"send": 12, "send_many": 0}
         assert batch_pipes[0].calls == {"send": 1, "send_many": 1}
+
+
+# -- a burst equals its frames -------------------------------------------------
+
+LIMIT = 256  # DecodeLimits.max_message_size for the hubs below
+
+
+def _frame_pool():
+    """Everything an upstream can throw at a hub, over two streams."""
+    frames = []
+    streams = []
+    for cid in (0xA11CE, 0xB0B0):  # the ring puts these on different workers
+        sender = IOContext(SPARC_V8, context_id=cid)
+        h = sender.register_format(TELEMETRY)
+        streams.append((cid, h.format_id))
+        native = [
+            h.codec.encode({"unit": u, "temperature": t})
+            for u, t in enumerate((100.0, 400.0, 900.0))
+        ]
+        frames.append(sender.announce(h))
+        frames.append(enc.encode_token_message(cid, h.format_id + 7, b"f" * 20, 77))
+        frames += [enc.encode_data_message(cid, h.format_id, n) for n in native]
+        frames += [
+            enc.encode_data_seq(cid, h.format_id, seq, native[seq % 3]) for seq in range(1, 7)
+        ]
+    (cid, fid), plain, sequenced = streams[0], frames[2], frames[5]
+    zero = bytearray(sequenced)
+    zero[enc.HEADER_SIZE : enc.SEQ_RECORD_OFFSET] = bytes(enc.SEQ_PREFIX_SIZE)
+    frames += [
+        bytes(zero),  # sequence 0
+        plain[:-3],  # torn
+        plain + b"pad",  # header contradicts length
+        sequenced[: enc.HEADER_SIZE + 5],  # torn inside the sequence prefix
+        enc.encode_data_message(cid, fid, b"x" * LIMIT),  # oversize data
+        enc.encode_data_seq(cid, fid, 9, b"x" * LIMIT),
+        enc.pack_header(enc.MSG_FORMAT, cid, fid + 9, LIMIT) + b"m" * LIMIT,  # … meta
+        enc.pack_header(enc.MSG_FORMAT, cid, fid + 9, 8) + b"not meta",  # malformed meta
+        enc.encode_data_message(cid, fid + 1, b"a stream nobody announced"),
+        enc.encode_ping(3),
+        enc.encode_pong(3),
+        enc.encode_ack(cid, fid, 2),
+        enc.encode_format_request(cid, b"f" * 20),
+        b"not a pbio frame at all",
+        b"",
+        memoryview(frames[3]),  # a leased view
+    ]
+    return streams, frames
+
+
+STREAMS, FRAME_POOL = _frame_pool()
+SETUP = enc.encode_token_message(1, 1, b"s" * 20, 1)  # trips the flaky link
+
+
+class _Hub:
+    """A relay or a two-worker fabric behind one face: the same four
+    downstreams (plain, filtered, quarantined, choked behind a tiny
+    ``drop_old`` queue), and one snapshot of everything observable."""
+
+    OPTIONS = dict(
+        limits=DecodeLimits(max_message_size=LIMIT),
+        quarantine_after=1,
+        overflow="drop_old",
+        max_queue_bytes=600,
+        replay_window=4,
+    )
+
+    def __init__(self, kind):
+        self.pipes = [InMemoryPipe() for _ in range(4)]
+        plain, filtered, quarantined, choked = (pipe.a for pipe in self.pipes)
+        self.flaky, self.choked = FlakyLink(quarantined), ChokedLink(choked)
+        links = [
+            (STREAMS[0], plain, {}),
+            (STREAMS[0], filtered, dict(format_name="telemetry", filter_expr="temperature > 350.0")),
+            (STREAMS[0], self.flaky, {}),
+            (STREAMS[1], self.choked, {}),
+        ]  # fmt: skip
+        if kind == "relay":
+            self.hub = Relay(**self.OPTIONS)
+            self.fronts = []
+            handles = [self.hub.attach(link, **how) for _key, link, how in links]
+        else:
+            self.hub = FabricDispatcher(2, **self.OPTIONS)
+            self.fronts = [self.hub, *self.hub.workers]
+            subs = [self.hub.subscribe(key, link, **how) for key, link, how in links]
+        self.flaky.broken = True
+        self.hub.forward(SETUP)
+        self.flaky.broken = False
+        self.choked.full = True
+        if kind == "fabric":  # handles change on every tree rebuild: read them last
+            handles = [sub.downstream for sub in subs]
+        self.downstreams = handles
+        assert [d.quarantined for d in handles] == [False, False, True, False]
+
+    def relays(self):
+        if not self.fronts:
+            return [self.hub]
+        return [
+            relay
+            for worker in self.hub.workers
+            for _key, fanout in sorted(worker._fanouts.items())
+            for relay in fanout.relays
+        ]
+
+    def snapshot(self):
+        queued = [list(d.send_queue._frames) for d in self.downstreams]
+        self.choked.full = False
+        self.hub.heal()  # flushes the overflow queue down the un-choked link
+        return {
+            "received": [[p.b.recv() for _ in range(p.b.pending())] for p in self.pipes],
+            "queued": queued,
+            "downstream counters": [d.metrics.counters() for d in self.downstreams],
+            "fronts": [(f.metrics.counters(), list(f._announcements)) for f in self.fronts],
+            "relays": [
+                (r.messages_seen, r.metrics.counters(), r._replay, list(r._announcements))
+                for r in self.relays()
+            ],
+        }
+
+
+@pytest.mark.parametrize("kind", ["relay", "fabric"])
+@seed(CHAOS_SEED)
+@settings(max_examples=60, deadline=None)
+@given(frames=st.lists(st.sampled_from(FRAME_POOL), max_size=48), recover_at=st.integers(0, 48))
+def test_a_burst_equals_its_frames(kind, frames, recover_at):
+    """``forward_batch(frames)`` and ``for f in frames: forward(f)`` are
+    indistinguishable from outside: per-downstream byte streams in
+    order, overflow queues, replay windows, announcement backlogs,
+    ``messages_seen`` and every counter at every level.  The choked
+    link recovers after ``recover_at`` frames, so the burst may start
+    behind a queued backlog that drains part-way through it."""
+    scalar, batch = _Hub(kind), _Hub(kind)
+    for hub in (scalar, batch):
+        for frame in frames[:recover_at]:
+            hub.hub.forward(frame)
+        hub.choked.full = False
+    for frame in frames[recover_at:]:
+        scalar.hub.forward(frame)
+    batch.hub.forward_batch(frames[recover_at:])
+    assert batch.snapshot() == scalar.snapshot()
