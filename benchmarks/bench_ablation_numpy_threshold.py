@@ -2,7 +2,8 @@
 numpy lowering?
 
 The DCG backend lowers element runs of >= NUMPY_THRESHOLD onto numpy
-(frombuffer/astype/tobytes); below that it emits batched struct calls.
+(one frombuffer-to-frombuffer cast into the destination); below that it
+emits batched struct calls.
 This ablation sweeps array lengths across the boundary and verifies the
 configured threshold is sane: struct wins for tiny runs (numpy has fixed
 per-call overhead), numpy wins decisively for long runs.

@@ -21,12 +21,10 @@ from .layout import StructLayout
 class RecordView:
     """Lazy, read-only view of one record inside a byte buffer."""
 
-    # __weakref__ lets the conversion runtime's buffer pool tie a pooled
-    # destination buffer's release to this view's lifetime.  ``_data`` is
-    # declared before ``_lease`` so the buffer slice is dropped before the
-    # lease during deallocation (the lease's finalizer may recycle — or,
-    # for mmap-backed readers, unmap — the underlying storage).
-    __slots__ = ("_codec", "_data", "_offset", "_lease", "__weakref__")
+    # ``_data`` is declared before ``_lease`` so the buffer slice is
+    # dropped before the lease during deallocation (the lease's finalizer
+    # may recycle — or, for mmap-backed readers, unmap — the storage).
+    __slots__ = ("_codec", "_data", "_offset", "_lease")
 
     def __init__(
         self,

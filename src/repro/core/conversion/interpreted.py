@@ -79,7 +79,7 @@ class InterpretedConverter:
     def convert(self, src, dst=None) -> bytes:
         """Convert one wire record to native form.
 
-        ``dst``, when supplied (buffer pooling), must be a zeroed
+        ``dst``, when supplied (a view decode), must be a zeroed
         bytearray of the native record size; it is filled in place and
         returned.  Plans with out-of-line strings produce variable-size
         output and always build a fresh buffer.

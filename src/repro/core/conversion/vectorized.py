@@ -1,21 +1,21 @@
 """NumPy helpers for bulk element conversion.
 
-The DCG backend lowers long homogeneous element runs onto numpy: a single
-``frombuffer -> byteswap/astype -> tobytes`` pipeline runs at C speed,
-which is the Python-world equivalent of the tight native loops Vcode's
-generated code achieves in the paper.
+The DCG backend lowers long homogeneous element runs onto numpy: one
+``frombuffer(dst)[:] = frombuffer(src)`` cast, straight into the
+destination, runs at C speed — the Python-world equivalent of the tight
+native loops Vcode's generated code achieves in the paper.
 
 The struct/numpy crossover was measured on CI-class x86-64 hardware with
 ``benchmarks/bench_ablation_numpy_threshold.py`` (best-of-7, 2000 inner
-iterations per point): for a ``double[n]`` byte-order swap the batched
-struct pack/unpack wins up to n ~ 22 (n=16: struct 0.94 us vs numpy
-1.11 us) and numpy wins from n ~ 24 on, staying flat (~1.1 us) out to
-8192 elements while struct grows linearly; for an int32 -> int64
-widening run struct's advantage stretches further, to n ~ 48 (n=32:
-struct 0.94 us vs numpy 1.14 us), because numpy pays an extra temporary
-for the cross-dtype astype.  The threshold below sits between the two
-measured crossovers, so neither lowering is ever more than ~20% off its
-op-specific optimum.
+iterations per point), after the cast went in place: for a ``double[n]``
+byte-order swap the batched struct pack/unpack wins up to n ~ 22 (n=16:
+struct 0.91 us vs numpy 1.20 us), the two tie at n = 24 (1.14 us) and
+numpy stays there out to 64 elements (1.5 us at 1024, 6.6 us at 8192)
+while struct grows linearly; for an int32 -> int64 widening run the
+crossover is n ~ 36 (n=32: struct 1.29 us vs numpy 1.36 us; n=40:
+1.47 vs 1.38).  The threshold below sits between the two, and at 32
+either lowering is within ~6% of the other (limit: 20% off the
+op-specific optimum), so it stays.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from repro.abi.types import NUMPY_CODES, PrimKind
 
 #: Element counts at or above this use numpy in generated converters.
-#: Measured crossover band: ~22 (8-byte swaps) to ~48 (widening int
-#: converts); 32 splits it — see the module docstring for the numbers.
+#: Measured crossover band: ~24 (8-byte swaps) to ~36 (widening int
+#: converts); 32 sits inside it — see the module docstring for the numbers.
 NUMPY_THRESHOLD = 32
 
 
@@ -39,25 +39,19 @@ def np_dtype(endian: str, kind: PrimKind, size: int) -> np.dtype | None:
     return np.dtype(prefix + code)
 
 
-def swap_run(src, src_off: int, count: int, dtype: np.dtype, out_dtype: np.dtype) -> bytes:
-    """Byte-order conversion of a homogeneous run, vectorized."""
-    arr = np.frombuffer(src, dtype=dtype, count=count, offset=src_off)
-    return arr.astype(out_dtype).tobytes()
-
-
 def convert_run(
     src,
     src_off: int,
     count: int,
     src_dtype: np.dtype,
+    dst,
+    dst_off: int,
     dst_dtype: np.dtype,
-) -> bytes:
-    """General size/kind conversion of a homogeneous run, vectorized.
-
-    ``astype`` reproduces C conversion semantics: truncation on integer
-    narrowing, sign extension on widening, saturation-free wraparound,
-    inf on float narrowing overflow.
-    """
-    arr = np.frombuffer(src, dtype=src_dtype, count=count, offset=src_off)
+) -> None:
+    """Float size conversion of a homogeneous run, cast straight into
+    ``dst`` with C semantics: inf on narrowing overflow, NaN stays NaN,
+    no warning for either."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return arr.astype(dst_dtype).tobytes()
+        np.frombuffer(dst, dst_dtype, count, dst_off)[:] = np.frombuffer(
+            src, src_dtype, count, src_off
+        )

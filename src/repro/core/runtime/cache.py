@@ -58,7 +58,6 @@ class CacheEntry:
     wire_name: str
     native_name: str
     native_size: int
-    supports_dst: bool  # fixed-size plans can convert into a pooled buffer
     generation_time_s: float = 0.0
     #: The plan compiled to a structured-dtype cast
     #: (:class:`~repro.core.conversion.BatchConverter`), cached alongside
@@ -71,6 +70,9 @@ class CacheEntry:
     #: passes over the var-length tails.  ``None`` when the plan has no
     #: strings, is otherwise unliftable, or the mode is not DCG.
     var_batch: object | None = None
+    #: The smallest group :attr:`batch` converts, fixed from the plan when
+    #: the entry is built; a smaller one runs :attr:`converter` per record.
+    kernel_min_group: int = 0
 
 
 class ConverterCache:

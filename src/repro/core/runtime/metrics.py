@@ -28,6 +28,8 @@ Counter names used by the runtime:
                           (malformed, inconsistent, or over a DecodeLimits
                           bound) — incremented exactly once per rejection
 ``cache.evictions``       converter-cache entries dropped at ``max_entries``
+``buffers_allocated`` / ``_reused`` / ``_returned`` / ``_dropped``  receive-buffer
+                          pool traffic (conversion destinations are not pooled)
 ``relay.rejected``        non-PBIO / oversized / inconsistent frames a relay
                           dropped instead of forwarding
 ``file.corrupt_records``  CRC-mismatched (or undecodable) file frames
@@ -55,9 +57,12 @@ Counter names used by the runtime:
 ``decode.batch.calls``    ``decode_batch`` invocations
 ``decode.batch.messages``  frames handed to ``decode_batch`` (all types)
 ``decode.batch.groups``   consecutive same-format data runs dispatched
-``decode.batch.converted``  records converted by the compiled record kernel
+``decode.batch.converted``  records of a kernel-backed plan converted as a group:
+                          by the record kernel or, below the entry's
+                          ``kernel_min_group``, by the generated converter
 ``decode.batch.fallback``  records that looped the scalar converter instead
-                          (strings, VAX floats, non-DCG modes)
+                          (strings, VAX floats, float->int, records past
+                          32 KiB, non-DCG modes)
 ``decode.batch.rejected``  frames rejected inside a batch (each also counts
                           ``decode.rejected`` as usual)
 ``durable.journaled``     records appended to a publisher WAL before send

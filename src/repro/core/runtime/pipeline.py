@@ -17,12 +17,12 @@ Stages
    the receiver's expected native format by record name;
 3. **dispatch** — consult the converter cache: zero-copy pairs return
    the payload (or a view over it) untouched; mismatched pairs run the
-   cached converter, writing into a pooled destination buffer when the
-   caller asked for a view.
+   cached converter, writing into a fresh destination the view then
+   owns when the caller asked for a view.
 
 Per-stage wall-clock timings are recorded when the pipeline's metrics
 registry has ``timing_enabled`` set (off by default: the hot path pays
-nothing for observability nobody reads).
+one flag test per stage for observability nobody reads).
 """
 
 from __future__ import annotations
@@ -57,7 +57,13 @@ from ..registry import FormatRegistry
 from ..safety import DEFAULT_LIMITS, DecodeLimits
 from .cache import CacheEntry, ConverterCache
 from .metrics import Metrics
-from .pool import BufferPool
+
+#: The record kernel's fixed cost per call, in generated scalar statements,
+#: and the record size past which the scalar loop wins at any group size
+#: (``benchmarks/bench_ablation_kernel_crossover.py``): they fix, per cache
+#: entry, the smallest group the kernel converts.
+KERNEL_CALL_STATEMENTS = 8
+KERNEL_MAX_RECORD = 32 * 1024
 
 #: Stdlib/numpy exceptions a converter or code generator may leak when
 #: fed structurally valid but content-hostile input; decode paths wrap
@@ -82,7 +88,6 @@ class DecodePipeline:
         "conversion",
         "cache",
         "metrics",
-        "pool",
         "limits",
         "resolver",
         "_max_msg",
@@ -99,7 +104,6 @@ class DecodePipeline:
         conversion: str = "dcg",
         cache: ConverterCache | None = None,
         metrics: Metrics | None = None,
-        pool: BufferPool | None = None,
         limits: DecodeLimits | None = DEFAULT_LIMITS,
     ) -> None:
         self.registry = registry
@@ -116,7 +120,6 @@ class DecodePipeline:
             )
         self.cache = cache
         self.metrics = metrics if metrics is not None else Metrics()
-        self.pool = pool if pool is not None else BufferPool()
         #: Fingerprint resolver for token-only announcements — typically
         #: a :meth:`repro.fmtserv.FormatService.resolve` bound method.
         #: ``None`` means this pipeline cannot absorb tokens by itself.
@@ -330,11 +333,11 @@ class DecodePipeline:
                 wire_name=wire_fmt.name,
                 native_name=native.name,
                 native_size=native.record_size,
-                supports_dst=False,
             )
         plan = build_plan(wire_fmt, native, match)
         batch = None
         var_batch = None
+        kernel_min_group = 0
         if self.conversion == "interpreted":
             converter = InterpretedConverter(plan)
             source = plan.describe()
@@ -352,7 +355,9 @@ class DecodePipeline:
                 # interpreter and vcode modes exist to measure *their*
                 # per-record mechanism, so batch decodes loop their
                 # scalar converters instead.
-                batch = build_batch_converter(plan)
+                if native.record_size <= KERNEL_MAX_RECORD:
+                    batch = build_batch_converter(plan)
+                    kernel_min_group = -(-KERNEL_CALL_STATEMENTS // max(generated.statements, 1))
                 var_batch = build_var_batch_converter(plan)
         return CacheEntry(
             zero_copy=False,
@@ -361,62 +366,71 @@ class DecodePipeline:
             wire_name=wire_fmt.name,
             native_name=native.name,
             native_size=native.record_size,
-            supports_dst=not plan.has_strings,
             generation_time_s=generation_time_s,
             batch=batch,
             var_batch=var_batch,
+            kernel_min_group=kernel_min_group,
         )
 
     # -- public decode entry points -----------------------------------------
 
     def decode_native(self, message, *, header=None) -> bytes:
         """Decode to record bytes in the pipeline's native layout."""
-        if self.metrics.timing_enabled:
-            return self._decode_native_timed(message)
+        timed = self.metrics.timing_enabled
+        t0 = perf_counter() if timed else 0.0
         wire_fmt, payload = self.open_data(message, header=header)
         try:
+            t1 = perf_counter() if timed else 0.0
             entry = self.entry_for(wire_fmt, self.native_for(wire_fmt))
+            t2 = perf_counter() if timed else 0.0
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
-                return bytes(payload)
-            self.metrics.inc("converted_decodes")
-            return self._run_converter(entry, wire_fmt, payload)
+                out = bytes(payload)
+            else:
+                self.metrics.inc("converted_decodes")
+                out = self._run_converter(entry, wire_fmt, payload)
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
+        if timed:
+            self._observe_stages(t0, t1, t2)
+        return out
 
     def decode_view(self, message, *, header=None, lease=None) -> RecordView:
         """Decode to a :class:`RecordView`.
 
         Zero-copy pairs view the *message buffer itself*; converted pairs
-        write into a pooled destination buffer that is recycled only once
-        the view (the sole owner callers see) is garbage collected.
+        view a fresh destination the converter filled in place, which the
+        view alone owns — the source frame may be overwritten at once.
 
         ``lease`` (a :class:`~repro.core.runtime.pool.Lease`) is attached
         to zero-copy views when the message aliases borrowed storage (a
         lent receive buffer, an mmap'd file): the storage outlives every
         view because each view holds the lease alive.
         """
-        if self.metrics.timing_enabled:
-            return self._decode_view_timed(message)
+        timed = self.metrics.timing_enabled
+        t0 = perf_counter() if timed else 0.0
         wire_fmt, payload = self.open_data(message, header=header)
         try:
+            t1 = perf_counter() if timed else 0.0
             native = self.native_for(wire_fmt)
             entry = self.entry_for(wire_fmt, native)
             layout = self._layout_of(native)
+            t2 = perf_counter() if timed else 0.0
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
-                return RecordView(layout, payload, lease=lease)
-            self.metrics.inc("converted_decodes")
-            if entry.supports_dst:
-                buf = self.pool.acquire(entry.native_size)
-                view = RecordView(layout, self._run_converter(entry, wire_fmt, payload, buf))
-                self.pool.attach(view, buf)
-                return view
-            return RecordView(layout, self._run_converter(entry, wire_fmt, payload))
+                view = RecordView(layout, payload, lease=lease)
+            else:
+                self.metrics.inc("converted_decodes")
+                # a string plan's output is variable-size: it builds its own
+                dst = None if wire_fmt.has_strings else bytearray(entry.native_size)
+                view = RecordView(layout, self._run_converter(entry, wire_fmt, payload, dst))
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
+        if timed:
+            self._observe_stages(t0, t1, t2)
+        return view
 
     def decode(self, message, *, header=None) -> dict[str, Any]:
         """Decode to a fully materialized value dict."""
@@ -693,7 +707,13 @@ class DecodePipeline:
                 # Fixed-size frames only (declared == rec_size was
                 # enforced above), so the records are exactly n strides
                 # of the kernel's output; a run of one is cast in place.
-                if n == 1:
+                if n < entry.kernel_min_group:
+                    # too few records to repay the kernel's fixed cost per call
+                    convert, d = entry.converter, entry.native_size
+                    converted = [convert(payload, bytearray(d)) for payload in payloads]
+                    if lend and native_out:
+                        converted = [memoryview(record) for record in converted]
+                elif n == 1:
                     converted = [entry.batch.convert(payloads[0])]
                 else:
                     blob = entry.batch.convert(self._gather(payloads, rec_size))
@@ -704,20 +724,23 @@ class DecodePipeline:
         if converted is not None:
             metrics.inc("converted_decodes", n)
             metrics.inc("decode.batch.converted", n)
-            # Slices of the kernel's private output array: safe to lend
-            # without a copy or a lease.
+            # Private converted bytes (slices of the kernel's output
+            # array or fresh destinations): safe to lend without a copy
+            # or a lease.
             self._emit(out, slots, converted, codec, lend, None, strict)
             return
 
         # Fallback ladder: plans numpy cannot express (string runs below
         # NUMPY_THRESHOLD or with hostile frames, VAX floats, float->int),
-        # non-DCG modes, or a batch call that blew up — loop the scalar
-        # converter, isolating failures per frame.
+        # records past KERNEL_MAX_RECORD, non-DCG modes, or a batch call
+        # that blew up — loop the scalar converter, isolating failures
+        # per frame.
         metrics.inc("decode.batch.fallback", n)
         for i, payload in zip(slots, payloads):
             metrics.inc("converted_decodes")
             try:
-                data = self._run_converter(entry, wire_fmt, payload)
+                dst = None if has_strings else bytearray(entry.native_size)
+                data = self._run_converter(entry, wire_fmt, payload, dst)
             except PbioError as exc:
                 self._reject(exc, strict)
                 continue
@@ -775,9 +798,7 @@ class DecodePipeline:
         (short string regions, missing NUL terminators, numpy buffer
         mismatches) into :class:`ConversionError`."""
         try:
-            if dst is not None:
-                return entry.converter(payload, dst)
-            return entry.converter(payload)
+            return entry.converter(payload, dst)
         except _LEAKY_ERRORS as exc:
             raise ConversionError(
                 f"malformed {wire_fmt.name!r} payload broke conversion: {exc}"
@@ -785,58 +806,12 @@ class DecodePipeline:
 
     # -- internals ----------------------------------------------------------
 
-    def _decode_native_timed(self, message) -> bytes:
-        """decode_native with per-stage timings (metrics.timing_enabled)."""
-        t0 = perf_counter()
-        wire_fmt, payload = self.open_data(message)
-        try:
-            t1 = perf_counter()
-            entry = self.entry_for(wire_fmt, self.native_for(wire_fmt))
-            t2 = perf_counter()
-            if entry.zero_copy:
-                self.metrics.inc("zero_copy_decodes")
-                out = bytes(payload)
-            else:
-                self.metrics.inc("converted_decodes")
-                out = self._run_converter(entry, wire_fmt, payload)
-        except PbioError:
-            self.metrics.inc("decode.rejected")
-            raise
+    def _observe_stages(self, t0: float, t1: float, t2: float) -> None:
+        """Record one decode's stage timings (``metrics.timing_enabled``)."""
         t3 = perf_counter()
         self.metrics.observe("decode.parse", t1 - t0)
         self.metrics.observe("decode.resolve", t2 - t1)
         self.metrics.observe("decode.convert", t3 - t2)
-        return out
-
-    def _decode_view_timed(self, message) -> RecordView:
-        """decode_view with per-stage timings (metrics.timing_enabled)."""
-        t0 = perf_counter()
-        wire_fmt, payload = self.open_data(message)
-        try:
-            t1 = perf_counter()
-            native = self.native_for(wire_fmt)
-            entry = self.entry_for(wire_fmt, native)
-            layout = self._layout_of(native)
-            t2 = perf_counter()
-            if entry.zero_copy:
-                self.metrics.inc("zero_copy_decodes")
-                view = RecordView(layout, payload)
-            else:
-                self.metrics.inc("converted_decodes")
-                if entry.supports_dst:
-                    buf = self.pool.acquire(entry.native_size)
-                    view = RecordView(layout, self._run_converter(entry, wire_fmt, payload, buf))
-                    self.pool.attach(view, buf)
-                else:
-                    view = RecordView(layout, self._run_converter(entry, wire_fmt, payload))
-        except PbioError:
-            self.metrics.inc("decode.rejected")
-            raise
-        t3 = perf_counter()
-        self.metrics.observe("decode.parse", t1 - t0)
-        self.metrics.observe("decode.resolve", t2 - t1)
-        self.metrics.observe("decode.convert", t3 - t2)
-        return view
 
     @staticmethod
     def _layout_of(native: IOFormat) -> StructLayout:

@@ -1,26 +1,21 @@
-"""Destination-buffer pooling and buffer leases for the conversion runtime.
+"""Receive-buffer pooling and buffer leases for the conversion runtime.
 
-Every converted decode needs a zeroed destination buffer of the native
-record size (zeroed because ``ZERO`` ops — fields absent from the wire —
-rely on it).  Steady-state receivers decode the same handful of record
-sizes millions of times, so the allocator churn is pure waste.  The pool
-recycles those buffers:
+Steady-state receivers fill the same few buffer sizes millions of times;
+the pool recycles them, and a lease says when a lent one may go back:
 
-* :meth:`acquire` returns a ``bytearray`` of the requested size,
-  reusing a released one when available (re-zeroed by a single
-  ``memcpy`` from a cached zeros template — cheaper than allocator
-  round-trips for large records; pass ``zero=False`` for receive
-  buffers that will be overwritten anyway);
-* :meth:`attach` ties a buffer's release to the lifetime of the object
-  that exposes it (a :class:`~repro.abi.views.RecordView`): the buffer
-  returns to the pool only when the view is garbage collected, so a
-  pooled buffer is never re-issued while a live view still references
-  it;
+* :meth:`acquire` returns a ``bytearray`` of the requested size, reusing
+  a released one when available (pass ``zero=False`` for a receive
+  buffer that will be overwritten anyway; the default re-zeroes it with
+  one ``memcpy`` from a cached zeros template);
 * :meth:`lease` wraps a buffer in a refcounted :class:`Lease` so *many*
   views can share one borrowed buffer (the lend-mode decode path slices
   a whole receive buffer into per-record views; the buffer returns when
   the last view dies, via a single ``weakref.finalize`` on the lease
   rather than one per view).
+
+Conversion destinations are *not* pooled: a converted view owns a fresh
+``bytearray`` (allocating one costs less than a finaliser round trip at
+every record size, 100 KB included — EXPERIMENTS.md "PR 16").
 
 Debugging aid: set ``PBIO_POOL_GUARD=1`` and every buffer returned to
 the pool is poisoned with ``0xA5`` bytes, so use-after-return bugs show
@@ -112,7 +107,7 @@ class Lease:
 
 
 class BufferPool:
-    """A bounded free-list of conversion/receive buffers."""
+    """A bounded free-list of receive buffers."""
 
     def __init__(self, max_per_size: int = 8) -> None:
         self._free: dict[int, list[bytearray]] = {}
@@ -125,10 +120,9 @@ class BufferPool:
     def acquire(self, size: int, *, zero: bool = True) -> bytearray:
         """A buffer of ``size`` bytes (recycled when possible).
 
-        ``zero=True`` (the default) hands back an all-zeros buffer, as
-        conversion destinations require.  ``zero=False`` skips the
-        re-zeroing memcpy for buffers that will be fully overwritten
-        (receive buffers).
+        ``zero=True`` (the default) hands back an all-zeros buffer;
+        ``zero=False`` skips the re-zeroing memcpy for buffers that will
+        be fully overwritten (receive buffers).
         """
         with self._lock:
             stack = self._free.get(size)
@@ -155,15 +149,6 @@ class BufferPool:
                 self.metrics.inc("buffers_returned")
             else:
                 self.metrics.inc("buffers_dropped")
-
-    def attach(self, owner, buf: bytearray) -> None:
-        """Release ``buf`` when ``owner`` is garbage collected.
-
-        The finalizer holds the only extra reference to ``buf``, so the
-        buffer cannot be recycled while ``owner`` (and anything reading
-        through it) is alive.
-        """
-        weakref.finalize(owner, self.release, buf)
 
     def lease(self, buf: bytearray) -> Lease:
         """A refcounted lease that returns ``buf`` to this pool on death."""

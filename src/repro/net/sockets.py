@@ -62,16 +62,19 @@ class SocketTransport(Transport):
     # -- vectored send ------------------------------------------------------
 
     def _sendv(self, bufs: list) -> None:
-        """sendall for an iovec list: one ``sendmsg`` per <=512 buffers,
-        resuming mid-buffer on partial sends."""
-        # Zero-length buffers (empty frames/segments) never advance the
-        # resume cursor — sendmsg reports 0 bytes for them — so drop them
-        # up front or the resume loop spins forever.
-        bufs = [b for b in bufs if len(b)]
-        idx = 0
+        """sendall for an iovec list: one ``sendmsg`` when the kernel
+        takes the whole burst, else one per <=512 buffers, resuming
+        mid-buffer on partial sends."""
         try:
-            while idx < len(bufs):
-                sent = self._sock.sendmsg(bufs[idx : idx + _IOV_MAX])
+            sent = self._sock.sendmsg(bufs[:_IOV_MAX])
+            if sent == sum(map(len, bufs)):
+                return
+            # Zero-length buffers (empty frames/segments) never advance
+            # the resume cursor — sendmsg reports 0 bytes for them — so
+            # drop them or the resume loop spins forever.
+            bufs = [b for b in bufs if len(b)]
+            idx = 0
+            while True:
                 while sent:
                     buf = bufs[idx]
                     if sent >= len(buf):
@@ -80,6 +83,9 @@ class SocketTransport(Transport):
                     else:
                         bufs[idx] = memoryview(buf)[sent:]
                         sent = 0
+                if idx >= len(bufs):
+                    return
+                sent = self._sock.sendmsg(bufs[idx : idx + _IOV_MAX])
         except TimeoutError as exc:
             raise TransportTimeout(f"send timed out: {exc}") from exc
         except OSError as exc:

@@ -2,10 +2,14 @@
 
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.abi import (
     ALPHA,
+    MACHINES,
+    PrimKind,
     SPARC_V8,
     SPARC_V9_64,
     X86,
@@ -22,7 +26,11 @@ from repro.core.conversion import (
     generate_python_converter,
     generate_vcode_converter,
 )
+from repro.core.conversion.vectorized import NUMPY_THRESHOLD
 from repro.core.errors import ConversionError
+from repro.workloads import mechanical
+
+from .test_batch import MACHINE_NAMES, field_pairs, hostile_natives, linked, schema_pair, seeds
 
 
 def make_pair(src_machine, dst_machine, src_pairs, dst_pairs=None, name="t"):
@@ -264,3 +272,177 @@ class TestCSemantics:
         native = codec_for(src_layout).encode({"x": -2.9})
         out = converter_for(plan, backend)(native)
         assert codec_for(dst_layout).decode(out)["x"] == -2
+
+
+# -- fused runs vs the per-field reference -----------------------------------
+
+#: Field pairs (wire decl, native decl) that pad, split or end a fused
+#: run, mixed into ``test_batch.field_pairs`` draws.
+RUN_SHAPERS = [
+    (None, "int"),  # missing on the wire: a ZERO inside a run stays zero
+    ("long long", None),  # unexpected on the wire: a gap on the source side
+    ("char[12]", "char[5]"),  # CHARS longer than the target ...
+    ("char[5]", "char[12]"),  # ... and shorter
+    (f"int[{NUMPY_THRESHOLD - 1}]", f"int[{NUMPY_THRESHOLD - 1}]"),  # the longest struct run
+    (f"int[{NUMPY_THRESHOLD}]", f"int[{NUMPY_THRESHOLD}]"),  # the shortest numpy run
+    (f"short[{NUMPY_THRESHOLD}]", f"double[{NUMPY_THRESHOLD}]"),
+    ("long long", "short"),  # narrowing int: masks every value
+    ("double", "float"),  # narrowing float: numpy, for C overflow
+    ("double", "int"),  # float -> int: truncates, raises on NaN/inf
+    ("float", "long long"),
+    ("char[64]", "char[64]"),  # the largest move that joins a run
+    ("char[65]", "char[65]"),  # one byte more: a slice assignment
+]
+shaped_fields = st.lists(st.one_of(field_pairs(), st.sampled_from(RUN_SHAPERS)), min_size=1, max_size=8)
+
+
+def planted_records(schema, machine, seed, count):
+    """``hostile_natives`` plus what random bytes hardly ever hit: a
+    signalling NaN in some float element, INT_MIN in some integer."""
+    rng = np.random.default_rng(seed)
+    layout = layout_record(schema, machine)
+    elements = [
+        (f.kind, f.offset + k * f.elem_size, f.elem_size)
+        for f in layout.fields
+        if f.kind in (PrimKind.FLOAT, PrimKind.INTEGER) and f.elem_size in (4, 8)
+        for k in range(f.count)
+    ]
+    out = []
+    for raw in hostile_natives(schema, machine, seed, count):
+        raw = bytearray(raw)
+        for j in rng.integers(len(elements), size=2) if elements else ():
+            kind, pos, size = elements[j]
+            if kind is PrimKind.INTEGER:
+                bits = 1 << (8 * size - 1)
+            elif machine.float_format == "vax":
+                continue  # hostile_natives keeps VAX floats at 0.0
+            else:
+                bits = 0x7FA00001 if size == 4 else 0x7FF4000000000001
+            raw[pos : pos + size] = bits.to_bytes(size, machine.byte_order)
+        out.append(bytes(raw))
+    return out
+
+
+def outcome(convert, *args):
+    """The converted bytes, or the family of error a hostile value
+    (NaN to an integer, a float VAX cannot hold) raises."""
+    try:
+        return bytes(convert(*args))
+    except (struct.error, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("dst", MACHINE_NAMES)
+@pytest.mark.parametrize("src", MACHINE_NAMES)
+@settings(max_examples=3, deadline=None)
+@given(pairs=shaped_fields, order=st.randoms(use_true_random=False), seed=seeds)
+def test_generated_converter_matches_interpreted(src, dst, pairs, order, seed):
+    """Fused or not, in place or not, the generated converter writes the
+    bytes the per-field interpreter writes — for any buffer type, with
+    the destination passed or owned."""
+    wire_schema, native_schema = schema_pair(pairs)
+    fields = list(wire_schema.fields)
+    order.shuffle(fields)  # reordered on the wire: source offsets may descend
+    wire_layout = layout_record(RecordSchema(wire_schema.name, fields), MACHINES[src])
+    native_layout = layout_record(native_schema, MACHINES[dst])
+    try:
+        plan = build_plan(IOFormat.from_layout(wire_layout), IOFormat.from_layout(native_layout))
+    except ConversionError:
+        return  # an int <-> VAX float pair: no plan, nothing to compare
+    reference = InterpretedConverter(plan)
+    generated = generate_python_converter(plan).convert
+    size = native_layout.size
+    for record in planted_records(wire_layout.schema, MACHINES[src], seed, 6):
+        want = outcome(reference, record)
+        shifted = memoryview(b"\xa5" * 3 + record)[3:]
+        for source in (record, bytearray(record), shifted):
+            assert outcome(generated, source) == want
+            dst_buf = bytearray(size)
+            got = outcome(generated, source, dst_buf)
+            assert got == want
+            if isinstance(want, bytes):
+                assert dst_buf == want  # filled in place, not replaced
+
+
+def statements(source):
+    """The conversion statements of a generated fixed-size converter."""
+    return source.splitlines()[3:-1]
+
+
+def mech_plan(size):
+    """The paper's mechanical record, SPARC wire to x86 native."""
+    schema = mechanical.schema_for_size(size)
+    return build_plan(
+        IOFormat.from_layout(layout_record(schema, SPARC_V8)),
+        IOFormat.from_layout(layout_record(schema, X86)),
+    )
+
+
+class TestFusedRuns:
+    def test_mech_100b_is_one_pack_into_line(self):
+        gen = generate_python_converter(mech_plan("100b"))
+        (line,) = statements(gen.source)
+        assert "pack_into(dst, 0, *" in line and "unpack_from(src, 0)" in line
+        assert gen.statements == 1
+
+    def test_mech_1kb_is_four_statements_without_a_copy(self):
+        gen = generate_python_converter(mech_plan("1kb"))
+        assert len(statements(gen.source)) == gen.statements == 4
+        assert "tobytes" not in gen.source and ".astype(" not in gen.source
+
+    def test_what_pads_and_what_splits_a_run(self):
+        wire = [
+            ("a", "int"), ("gone", "double"), ("b", "short"),  # "gone": a source gap
+            ("tag", "char[9]"), ("c", "double"),  # CHARS truncated to 4
+            ("wide", "long long"),  # narrowing: alone
+            ("d", "int"), ("e", "int[31]"),
+            ("big", "int[32]"),  # numpy: alone
+            ("blob", "char[65]"),  # too long for an s item: alone
+            ("f", "float"),
+        ]
+        native = [
+            ("a", "int"), ("fresh", "int"), ("b", "short"),  # "fresh": ZERO inside the run
+            ("tag", "char[4]"), ("c", "double"),
+            ("wide", "short"),
+            ("d", "int"), ("e", "int[31]"),
+            ("big", "int[32]"),
+            ("blob", "char[65]"),
+            ("f", "double"),
+        ]
+        _, dst_layout, plan = make_pair(SPARC_V8, X86, wire, native)
+        gen = generate_python_converter(plan)
+        kinds = ["pack_into" if "pack_into" in l else "cast" if "np." in l else "slice" for l in statements(gen.source)]
+        # a..c | wide | d,e | big | blob | f
+        assert kinds == ["pack_into", "pack_into", "pack_into", "cast", "slice", "pack_into"]
+        assert "& 65535" in statements(gen.source)[1]
+        src_layout = layout_record(RecordSchema.from_pairs("t", wire), SPARC_V8)
+        record = codec_for(src_layout).encode(
+            {"a": 1, "gone": 2.0, "b": 3, "tag": "abcdefgh", "c": 4.0, "wide": -2, "d": 5,
+             "e": list(range(31)), "big": list(range(32)), "blob": "x" * 64, "f": 0.5}
+        )
+        out = gen.convert(record)
+        assert out == InterpretedConverter(plan)(record)
+        decoded = codec_for(dst_layout).decode(out)
+        assert decoded["fresh"] == 0 and decoded["wide"] == -2 and decoded["tag"] == b"abcd"
+
+    def test_reordered_fields_end_the_run(self):
+        _, _, plan = make_pair(
+            SPARC_V8, X86, [("b", "int"), ("a", "int"), ("c", "int")], [("a", "int"), ("b", "int"), ("c", "int")]
+        )
+        # a reads src 4, b reads src 0: backwards, so b starts a new run, which c joins
+        assert len(statements(generate_python_converter(plan).source)) == 2
+
+    def test_short_buffer_surfaces_as_conversion_error(self):
+        """struct.error (fused run) and ValueError (in-place cast) still
+        leave the pipeline as ConversionError."""
+        for spec, value, keep in (("int", 2, 10), (f"double[{NUMPY_THRESHOLD}]", [0.0] * NUMPY_THRESHOLD, 100)):
+            schema = RecordSchema.from_pairs("rec", [("i", "int"), ("v", spec), ("j", "int")])
+            sender, receiver, handle = linked(schema)
+            pipeline = receiver.pipeline
+            pipeline.ingest(sender.announce(handle))
+            wire_fmt, payload = pipeline.open_data(sender.encode(handle, {"i": 1, "v": value, "j": 3}))
+            entry = pipeline.entry_for(wire_fmt, pipeline.native_for(wire_fmt))
+            with pytest.raises(ConversionError):
+                pipeline._run_converter(entry, wire_fmt, payload[:keep])
+            with pytest.raises(ConversionError):
+                pipeline._run_converter(entry, wire_fmt, payload[:keep], bytearray(entry.native_size))

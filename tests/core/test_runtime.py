@@ -2,6 +2,7 @@
 decode pipeline, buffer pool, and the unified metrics registry."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core import (
     shared_cache,
 )
 from repro.core import encoder as enc
+from repro.core.runtime import Lease
 from repro.net import EventChannel
 
 TELEMETRY = RecordSchema.from_pairs(
@@ -119,8 +121,8 @@ class TestSharedCache:
 
 class TestBufferPool:
     def test_live_views_never_alias(self):
-        """Two live RecordViews from the same pipeline hold distinct
-        buffers even though both decodes went through the pool."""
+        """Two live converted RecordViews of one format pair each own
+        their bytes: no shared buffer, no lease."""
         sender = IOContext(X86)
         receiver = IOContext(SPARC_V8)
         handle = sender.register_format(TELEMETRY)
@@ -132,27 +134,33 @@ class TestBufferPool:
         v2 = receiver.decode_view(m2)
         assert v1["unit"] == 1 and v1["temperature"] == 100.0
         assert v2["unit"] == 2 and v2["temperature"] == 200.0
+        assert v1.buffer is not v2.buffer and v1.lease is None and v2.lease is None
+        v1.buffer[:] = bytes(len(v1.buffer))  # scribbling on one leaves the other
+        assert v2["unit"] == 2 and v2["temperature"] == 200.0
 
-    def test_buffer_reused_after_view_collected(self):
+    def test_source_frame_may_be_overwritten_after_decode_view(self):
         _, receiver, message = make_pair(X86, SPARC_V8)
-        pool = receiver.pipeline.pool
-        view = receiver.decode_view(message)
-        assert pool.metrics.value("buffers_allocated") == 1
-        assert pool.free_count() == 0  # buffer owned by the live view
-        del view
+        frame = bytearray(message)
+        view = receiver.decode_view(frame)
+        frame[:] = b"\xa5" * len(frame)
+        assert view.to_dict() == {"unit": 3, "temperature": 451.0}
+
+    def test_views_register_no_finalizer(self):
+        _, receiver, message = make_pair(X86, SPARC_V8)
+        registered = len(weakref.finalize._registry)
+        views = [receiver.decode_view(message) for _ in range(10_000)]
+        assert len(weakref.finalize._registry) == registered
+        del views
         gc.collect()
-        assert pool.free_count() == 1  # finalizer returned it
-        again = receiver.decode_view(message)
-        assert pool.metrics.value("buffers_reused") == 1
-        assert again.to_dict() == {"unit": 3, "temperature": 451.0}
+        assert len(weakref.finalize._registry) == registered
 
-    def test_decode_native_bytes_unaffected_by_pooling(self):
+    def test_pipeline_has_no_pool(self):
         _, receiver, message = make_pair(X86, SPARC_V8)
+        assert not hasattr(receiver.pipeline, "pool")
         out1 = receiver.decode_native(message)
         out2 = receiver.decode_native(message)
         assert isinstance(out1, bytes)
-        assert out1 == out2
-        assert receiver.pipeline.pool.metrics.value("buffers_allocated") == 0
+        assert out1 == out2 == bytes(receiver.decode_view(message).buffer)
 
 
 class TestMetrics:
@@ -165,6 +173,25 @@ class TestMetrics:
         timings = receiver.metrics.timings()
         assert set(timings) == {"decode.parse", "decode.resolve", "decode.convert"}
         assert all(t.count == 1 for t in timings.values())
+
+    def test_timed_decode_view_keeps_header_and_lease(self, monkeypatch):
+        """Timing on or off, a zero-copy view over lent storage carries
+        its lease, a parsed header is not parsed again, and the stages
+        are observed once per call or never."""
+        _, receiver, message = make_pair(X86, X86)
+        pipeline, lease = receiver.pipeline, Lease(lambda: None)
+        assert pipeline.decode_view(message, lease=lease).lease is lease
+        assert receiver.metrics.timings() == {}
+        receiver.metrics.timing_enabled = True
+        assert pipeline.decode_view(message, lease=lease).lease is lease
+        header = enc.unpack_header(message)
+        monkeypatch.setattr(enc, "unpack_header", None)  # calling it raises
+        view = pipeline.decode_view(message, header=header)
+        assert view.to_dict() == {"unit": 3, "temperature": 451.0}
+        assert pipeline.decode_native(message, header=header) == bytes(view.buffer)
+        timings = receiver.metrics.timings()
+        assert set(timings) == {"decode.parse", "decode.resolve", "decode.convert"}
+        assert all(t.count == 3 for t in timings.values())
 
     def test_snapshot_and_merge(self):
         a, b = Metrics(timing_enabled=True), Metrics(timing_enabled=True)
