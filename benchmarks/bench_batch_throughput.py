@@ -35,7 +35,13 @@ Gates (run in CI bench-smoke):
   batch call costs over one scalar call on a homogeneous frame of the
   same size, where neither side converts anything.  Without that term
   the budget shrinks whenever the scalar decode gets faster.
-  ``PBIO_BENCH_INNER`` / ``PBIO_BENCH_REPEATS`` tune its loop counts.
+  ``PBIO_BENCH_INNER`` / ``PBIO_BENCH_REPEATS`` tune its loop counts;
+* the same guidelines one layer up, on 100 B homogeneous frames to one
+  ``deliver="view"`` channel subscriber: the channel adds no per-frame
+  cost over the pipeline — ``ingest_many`` of 32 frames costs at most
+  1.4 x (``decode_batch(lend=True)`` + the handler loop over its result)
+  — and a burst is no dearer than its frames — ``ingest_many(n)`` <=
+  1.1 x ``n`` x ``ingest`` for n in {2, 8, 32}; n = 1 is printed.
 """
 
 import os
@@ -200,4 +206,84 @@ def test_guideline_batch_costs_at_most_n_scalar_decodes(size, n):
         f"{size} x {n}: batch {t_batch * 1e6:.1f} us vs scalar {t_scalar * 1e6:.1f} us x {n} "
         f"+ scaffolding {t_scaffold * 1e6:.1f} us "
         f"(ratio {t_batch / (n * t_scalar + t_scaffold):.2f}, gate 1.25)"
+    )
+
+
+def _channel_with_view_subscriber(n: int):
+    """``n`` homogeneous 100 B frames, a channel with one ``deliver="view"``
+    subscriber that has their announcement, the subscriber's pipeline and
+    its handler (two field reads, as the reference benchmark's)."""
+    from repro.net import EventChannel
+
+    schema = mechanical.schema_for_size("100b")
+    codec = codec_for(layout_record(schema, support.I86))
+    sender, receiver = IOContext(support.I86), IOContext(support.I86)
+    handle = sender.register_format(schema)
+    receiver.expect(schema)
+    frames = [
+        sender.encode_native(handle, codec.encode(r))
+        for r in record_stream(schema, count=n, seed=9)
+    ]
+    seen = []
+
+    def handler(view):
+        seen.append(view["node_id"] + view["timestep"])
+        del seen[:]
+
+    channel = EventChannel()
+    channel.subscribe(receiver, handler, deliver="view")
+    channel.ingest(sender.announce(handle))
+    return frames, channel, receiver.pipeline, handler
+
+
+def _alternating_best(loops, inner: int) -> list[float]:
+    for loop in loops:
+        loop()  # warm
+    best = [float("inf")] * len(loops)
+    for _ in range(_repeats()):
+        best = [min(t, best_of(loop, repeats=1, inner=inner)) for t, loop in zip(best, loops)]
+    return best
+
+
+def test_guideline_channel_adds_no_per_frame_cost():
+    """channel <= 1.4 x pipeline: ``ingest_many`` of 32 x 100 B homogeneous
+    frames to one view subscriber costs at most 1.4 x what the subscriber
+    cannot avoid — ``decode_batch(lend=True)`` on the same frames plus the
+    handler loop over its result.  The channel's own part is one header
+    scan and the run scaffolding; 1.6 when it, the subscriber and the
+    pipeline each parsed every header, ~1.25 since the scan is shared.
+    Best-of figures in alternating rounds; the margin is the 1.4."""
+    frames, channel, pipeline, handler = _channel_with_view_subscriber(32)
+
+    def floor():
+        for view in pipeline.decode_batch(frames, lend=True):
+            handler(view)
+
+    t_channel, t_floor = _alternating_best(
+        [lambda: channel.ingest_many(frames), floor], _guideline_inner()
+    )
+    ratio = t_channel / t_floor
+    print(f"ingest_many {t_channel * 1e6:.1f} us, decode + handlers {t_floor * 1e6:.1f} us: {ratio:.2f}")
+    assert ratio <= 1.4, (
+        f"ingest_many of 32 frames {t_channel * 1e6:.1f} us vs decode_batch + handler loop "
+        f"{t_floor * 1e6:.1f} us (ratio {ratio:.2f}, gate 1.4)"
+    )
+
+
+@pytest.mark.parametrize("n", (1, 2, 8, 32))
+def test_guideline_a_burst_is_no_dearer_than_its_frames(n):
+    """batch <= scalar x n on the channel: ``ingest_many(n frames)`` <=
+    1.1 x ``n`` x ``ingest(frame)``, n in {2, 8, 32}.  n = 1 is printed,
+    not gated: a burst of one still pays the run scaffolding (two lists,
+    the batch decode's per-call part) on top of the one scan — a finding
+    for the layer budget, not a reason for a second path."""
+    frames, channel, _, _ = _channel_with_view_subscriber(n)
+    t_burst, t_frame = _alternating_best(
+        [lambda: channel.ingest_many(frames), lambda: channel.ingest(frames[0])], _guideline_inner()
+    )
+    ratio = t_burst / (n * t_frame)
+    print(f"ingest_many({n}) {t_burst * 1e6:.1f} us, ingest {t_frame * 1e6:.1f} us x {n}: {ratio:.2f}")
+    assert n == 1 or ratio <= 1.1, (
+        f"ingest_many of {n} frames {t_burst * 1e6:.1f} us vs {n} x ingest "
+        f"{t_frame * 1e6:.1f} us (ratio {ratio:.2f}, gate 1.1)"
     )

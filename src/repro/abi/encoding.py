@@ -27,6 +27,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .floats import ieee_to_vax_d, ieee_to_vax_f, vax_d_to_ieee, vax_f_to_ieee
 from .layout import LaidOutField, StructLayout
 from .types import NUMPY_CODES, PrimKind, struct_code
 
@@ -63,8 +64,11 @@ class NativeCodec:
                 self._ops.append(("nparray", f, dtype))
             else:
                 self._ops.append(("array", f, struct.Struct(f.struct_fmt(endian))))
-        # decode_field is RecordView's per-access path: find the op by name
-        self._op_by_name = {op[1].name: op for op in self._ops}
+        #: ``getters[name](data, offset)`` reads one field: what
+        #: :meth:`decode_field`, a :class:`~repro.abi.views.RecordView`
+        #: access and the :meth:`_decode_ops` loop all call.  The op's
+        #: mode is dispatched once, here — not on every access.
+        self.getters = {op[1].name: self._compile_getter(op) for op in self._ops}
         # decode's compiled reader (or the op loop where none applies),
         # built on first use: most codecs only ever encode
         self._reader = None
@@ -92,8 +96,6 @@ class NativeCodec:
             elif value is None:
                 continue  # leave zeroed
             elif mode == "vaxfloat":
-                from .floats import ieee_to_vax_d, ieee_to_vax_f
-
                 values = [value] if f.count == 1 else list(value)
                 raw = ieee_to_vax_f(values) if op[2] == 4 else ieee_to_vax_d(values)
                 buf[f.offset : f.offset + f.total_size] = raw
@@ -181,60 +183,48 @@ class NativeCodec:
         return namespace["read"]
 
     def _decode_ops(self, data: bytes | bytearray | memoryview, offset: int = 0) -> dict[str, Any]:
-        """The per-field interpreter: every layout, one dispatch per field."""
+        """The per-field loop: every layout, one getter call per field."""
         out: dict[str, Any] = {}
-        for op in self._ops:
-            mode, f = op[0], op[1]
-            pos = offset + f.offset
-            if mode == "vaxfloat":
-                from .floats import vax_d_to_ieee, vax_f_to_ieee
-
-                raw = bytes(data[pos : pos + f.total_size])
-                arr = vax_f_to_ieee(raw) if op[2] == 4 else vax_d_to_ieee(raw)
-                value = float(arr[0]) if f.count == 1 else tuple(float(v) for v in arr)
-            elif mode == "scalar":
-                value = op[2].unpack_from(data, pos)[0]
-                if f.kind is PrimKind.BOOLEAN:
-                    value = bool(value)
-            elif mode == "chars":
-                value = op[2].unpack_from(data, pos)[0]
-            elif mode == "nparray":
-                raw = bytes(data[pos : pos + f.total_size])
-                value = np.frombuffer(raw, dtype=op[2])
-            elif mode == "array":
-                value = op[2].unpack_from(data, pos)
-            else:  # string
-                ptr = self._ptr_struct.unpack_from(data, pos)[0]
-                value = None if ptr == 0 else _read_cstring(data, offset + ptr)
-            path = self._paths[f.name]
+        for name, getter in self.getters.items():
+            path = self._paths[name]
             if len(path) == 1:
-                out[f.name] = value
+                out[name] = getter(data, offset)
             else:
-                _set_path(out, path, value)
+                _set_path(out, path, getter(data, offset))
         return out
 
     def decode_field(self, data: bytes | bytearray | memoryview, name: str, offset: int = 0) -> Any:
         """Decode a single field without touching the rest of the record."""
-        op = self._op_by_name[name]  # KeyError for an unknown field
-        mode, f = op[0], op[1]
-        pos = offset + f.offset
-        if mode == "vaxfloat":
-            from .floats import vax_d_to_ieee, vax_f_to_ieee
+        return self.getters[name](data, offset)  # KeyError for an unknown field
 
-            raw = bytes(data[pos : pos + f.total_size])
-            arr = vax_f_to_ieee(raw) if op[2] == 4 else vax_d_to_ieee(raw)
-            return float(arr[0]) if f.count == 1 else tuple(float(v) for v in arr)
-        if mode == "scalar":
-            value = op[2].unpack_from(data, pos)[0]
-            return bool(value) if f.kind is PrimKind.BOOLEAN else value
-        if mode == "chars":
-            return op[2].unpack_from(data, pos)[0]
+    def _compile_getter(self, op: tuple):
+        """One field's reader, closed over everything its op decides."""
+        mode, f = op[0], op[1]
+        at, end = f.offset, f.end
+        if mode == "vaxfloat":
+            to_ieee = vax_f_to_ieee if op[2] == 4 else vax_d_to_ieee
+            if f.count == 1:
+                return lambda data, offset: float(to_ieee(bytes(data[offset + at : offset + end]))[0])
+            return lambda data, offset: tuple(
+                float(v) for v in to_ieee(bytes(data[offset + at : offset + end]))
+            )
         if mode == "nparray":
-            return np.frombuffer(bytes(data[pos : pos + f.total_size]), dtype=op[2])
+            dtype = op[2]  # a private copy of exactly the field's bytes
+            return lambda data, offset: np.frombuffer(bytes(data[offset + at : offset + end]), dtype)
+        if mode == "string":
+            read_ptr = self._ptr_struct.unpack_from
+
+            def read_string(data, offset):
+                ptr = read_ptr(data, offset + at)[0]
+                return None if ptr == 0 else _read_cstring(data, offset + ptr)
+
+            return read_string
+        unpack = op[2].unpack_from
         if mode == "array":
-            return op[2].unpack_from(data, pos)
-        ptr = self._ptr_struct.unpack_from(data, pos)[0]
-        return None if ptr == 0 else _read_cstring(data, offset + ptr)
+            return lambda data, offset: unpack(data, offset + at)
+        if f.kind is PrimKind.BOOLEAN:
+            return lambda data, offset: bool(unpack(data, offset + at)[0])
+        return lambda data, offset: unpack(data, offset + at)[0]  # scalar, chars
 
 
 def _parse_path(name: str) -> tuple:

@@ -4,8 +4,9 @@ When a PBIO receiver's native format matches the incoming wire format
 (the homogeneous case), the paper's key win is that "received data [can]
 be used directly from the message buffer" — no unpack, no copy.  A
 :class:`RecordView` is that capability: field access reads straight out of
-the receive buffer through precompiled accessors; nothing is copied until
-the caller asks for a materialized dict.
+the receive buffer through the codec's per-field getters (compiled once
+per layout: an access is a dict lookup and one ``unpack_from``); nothing
+is copied until the caller asks for a materialized dict.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from .layout import StructLayout
 
 
 class RecordView:
-    """Lazy, read-only view of one record inside a byte buffer."""
+    """Lazy, read-only view of one record inside a byte buffer.
+
+    Read-only to everyone but ``__init__``, which fills the slots through
+    their own descriptors (``__setattr__`` refuses every name)."""
 
     # ``_data`` is declared before ``_lease`` so the buffer slice is
     # dropped before the lease during deallocation (the lease's finalizer
@@ -34,14 +38,12 @@ class RecordView:
         *,
         lease=None,
     ):
-        if isinstance(layout_or_codec, NativeCodec):
-            codec = layout_or_codec
-        else:
-            codec = codec_for(layout_or_codec)
-        object.__setattr__(self, "_codec", codec)
-        object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_offset", offset)
-        object.__setattr__(self, "_lease", lease)
+        if not isinstance(layout_or_codec, NativeCodec):
+            layout_or_codec = codec_for(layout_or_codec)
+        _set_codec(self, layout_or_codec)
+        _set_data(self, data)
+        _set_offset(self, offset)
+        _set_lease(self, lease)
 
     @property
     def layout(self) -> StructLayout:
@@ -68,11 +70,11 @@ class RecordView:
         return RecordView(self._codec, bytes(self._data), self._offset)
 
     def __getitem__(self, name: str) -> Any:
-        return self._codec.decode_field(self._data, name, self._offset)
+        return self._codec.getters[name](self._data, self._offset)
 
     def __getattr__(self, name: str) -> Any:
         try:
-            return self._codec.decode_field(self._data, name, self._offset)
+            return self._codec.getters[name](self._data, self._offset)
         except KeyError:
             raise AttributeError(name) from None
 
@@ -102,6 +104,12 @@ class RecordView:
             f"RecordView({self.layout.schema.name!r} on {self.layout.machine.name}, "
             f"offset={self._offset})"
         )
+
+
+_set_codec = RecordView._codec.__set__
+_set_data = RecordView._data.__set__
+_set_offset = RecordView._offset.__set__
+_set_lease = RecordView._lease.__set__
 
 
 class RecordArrayView:

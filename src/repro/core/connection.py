@@ -136,6 +136,7 @@ class PbioConnection:
         depends on the fast path.
         """
         messages: list = []
+        headers: list = []  # what this loop sniffed; None for a frame the negotiator held
 
         def drain_ready() -> None:
             while max_frames <= 0 or len(messages) < max_frames:
@@ -143,6 +144,7 @@ class PbioConnection:
                 if m is None:
                     return
                 messages.append(m)
+                headers.append(None)
 
         drain_ready()
         lease = None
@@ -162,6 +164,7 @@ class PbioConnection:
                         # frames, held-format data) is copied and takes
                         # the ordinary path.
                         messages.append(frame)
+                        headers.append(header)
                     else:
                         self._negotiator.offer(bytes(frame), header=header)
             else:
@@ -169,7 +172,7 @@ class PbioConnection:
                     self._negotiator.offer(frame)
             drain_ready()
         return self.ctx.pipeline.decode_batch(
-            messages, on_error=on_error, lend=lend, lease=lease
+            messages, on_error=on_error, lend=lend, lease=lease, headers=headers
         )
 
     def poll(self) -> None:

@@ -132,14 +132,15 @@ def try_unpack_header(message) -> tuple[int, int, int, int] | None:
 
     The non-raising twin of :func:`unpack_header`, for paths that sniff
     *and* need the ids: parsing once here and threading the tuple through
-    (``DecodePipeline.open_data(header=...)``) means a steady-state data
-    frame validates its 16 bytes exactly once end to end.
+    (``DecodePipeline.open_data(header=...)``, ``decode_batch(headers=...)``)
+    means a steady-state data frame validates its 16 bytes once per hop.
     """
     if len(message) < HEADER_SIZE:
         return None
-    if message[0] != MAGIC or message[1] != VERSION or message[2] not in _MSG_TYPES:
+    magic, version, msg_type, context_id, format_id, payload_len = _HEADER.unpack_from(message, 0)
+    if magic != MAGIC or version != VERSION or msg_type not in MESSAGE_TYPES:
         return None
-    return _HEADER.unpack_from(message, 0)[2:]
+    return msg_type, context_id, format_id, payload_len
 
 
 def encode_format_message(context_id: int, format_id: int, fmt: IOFormat) -> bytes:

@@ -482,7 +482,7 @@ class DecodePipeline:
     # -- batch decode ---------------------------------------------------------
 
     def decode_batch(
-        self, messages, *, on_error: str = "raise", lend: bool = False, lease=None
+        self, messages, *, on_error: str = "raise", lend: bool = False, lease=None, headers=None
     ) -> list:
         """Decode a list of frames in one pass; one result slot per frame.
 
@@ -494,9 +494,20 @@ class DecodePipeline:
         :meth:`ingest`/:meth:`decode` loop would produce, under the same
         :class:`DecodeLimits`.
 
+        ``headers`` may carry, parallel to ``messages``, the header
+        tuples a stage upstream already parsed
+        (:func:`enc.try_unpack_header`; a ``None`` entry is parsed here):
+        such a frame's 16 bytes are not read again.  Everything else is
+        still checked against the frame itself — the size limit, the
+        payload length the header declares, the sequence prefix, the
+        wire format's record size — so a header that lies is rejected
+        like a frame that lies.
+
         ``on_error`` selects the failure granularity: ``"raise"``
         (default) propagates the first rejection, exactly like the
-        sequential loop; ``"skip"`` confines each rejection to its own
+        sequential loop — the frames ahead of it are decoded and counted,
+        and the exception carries the result list so far as
+        ``exc.partial``; ``"skip"`` confines each rejection to its own
         frame — the bad frame's slot stays ``None``, it is counted in
         ``decode.rejected``/``decode.batch.rejected``, and every other
         frame still decodes.
@@ -510,10 +521,10 @@ class DecodePipeline:
         Call :meth:`~repro.abi.views.RecordView.detach` on a lent view
         before storing it beyond the receive loop.
         """
-        return self._decode_batch(messages, on_error, native_out=False, lend=lend, lease=lease)
+        return self._decode_batch(messages, on_error, False, lend, lease, headers)
 
     def decode_batch_native(
-        self, messages, *, on_error: str = "raise", lend: bool = False, lease=None
+        self, messages, *, on_error: str = "raise", lend: bool = False, lease=None, headers=None
     ) -> list:
         """:meth:`decode_batch` returning native record bytes per frame
         (the batch analogue of :meth:`decode_native`).
@@ -523,28 +534,39 @@ class DecodePipeline:
         ``lease`` is held), converted frames are views of a private
         conversion blob (no lease needed, but mutating them is on you).
         """
-        return self._decode_batch(messages, on_error, native_out=True, lend=lend, lease=lease)
+        return self._decode_batch(messages, on_error, True, lend, lease, headers)
 
     def _decode_batch(
-        self, messages, on_error: str, native_out: bool, lend: bool = False, lease=None
+        self, messages, on_error: str, native_out: bool, lend: bool, lease, headers
     ) -> list:
         if on_error not in ("raise", "skip"):
             raise ValueError(f'on_error must be "raise" or "skip", not {on_error!r}')
         out: list = [None] * len(messages)
-        self.metrics.inc("decode.batch.calls")
-        self.metrics.inc("decode.batch.messages", len(messages))
+        metrics = self.metrics
+        metrics.inc("decode.batch.calls")
+        metrics.inc("decode.batch.messages", len(messages))
         strict = on_error == "raise"
-        # (frame index, declared record length, record start offset): a
-        # sequenced frame's record starts 8 bytes later, nothing else differs
-        group: list[tuple[int, int, int]] = []
+        # The open group — consecutive data frames of one (context id,
+        # format id): its format resolved at the first frame (`unresolved`
+        # is the PbioError that rejects every frame when it cannot be),
+        # its validated frames in `slots`/`payloads`.  A zero-copy lend
+        # group has nothing to convert: its views go straight into `out`
+        # and only their number, `lent`, waits for the flush.
         gkey: tuple[int, int] | None = None
+        lent = 0
+        slots: list[int] = []
+        payloads: list[memoryview] = []
 
         def flush() -> None:
-            nonlocal group, gkey
-            if group:
-                self._decode_group(messages, group, gkey, out, strict, native_out, lend, lease)
-                group = []
+            nonlocal gkey, lent
             gkey = None
+            if lent:
+                metrics.inc("zero_copy_decodes", lent)
+                metrics.inc("decode.batch.lent", lent)
+                lent = 0
+            if slots:
+                self._decode_group(wire_fmt, entry, codec, slots, payloads, out, strict, lend)
+                del slots[:], payloads[:]
 
         max_msg = self._max_msg
         # Header scan, inlined: one Struct.unpack_from per message on the
@@ -558,141 +580,125 @@ class DecodePipeline:
         header_size = enc.HEADER_SIZE
         msg_data, msg_data_seq = enc.MSG_DATA, enc.MSG_DATA_SEQ
         seq_size, seq_start = enc.SEQ_PREFIX_SIZE, enc.SEQ_RECORD_OFFSET
-        for i, message in enumerate(messages):
-            try:
-                if max_msg is not None and len(message) > max_msg:
-                    raise LimitError(
-                        f"message of {len(message)} bytes exceeds max_message_size "
-                        f"({max_msg})"
-                    )
-                if len(message) >= scan_size:
-                    magic, version, msg_type, context_id, format_id, payload_len, seq = (
-                        unpack_from(message, 0)
-                    )
-                    if (
-                        magic != magic_want
-                        or version != version_want
-                        or msg_type not in msg_types
-                    ):
-                        msg_type, context_id, format_id, payload_len = (
-                            enc.unpack_header(message)
+        try:
+            for i, message in enumerate(messages):
+                try:
+                    if max_msg is not None and len(message) > max_msg:
+                        raise LimitError(
+                            f"message of {len(message)} bytes exceeds max_message_size ({max_msg})"
                         )
-                else:  # too short to carry a sequence number
-                    msg_type, context_id, format_id, payload_len = enc.unpack_header(
-                        message
-                    )
-                    seq = 0
-                if msg_type == msg_data:
-                    start = header_size
-                elif msg_type == msg_data_seq:
-                    if not seq or payload_len != len(message) - header_size:
-                        enc.read_seq(message, payload_len)  # raises
-                    start = seq_start
-                    payload_len -= seq_size
-                else:
-                    start = 0  # a control frame
-            except PbioError as exc:
-                flush()
-                self._reject(exc, strict)
-                continue
-            if start:
-                key = (context_id, format_id)
-                if key != gkey:
+                    header = None if headers is None else headers[i]
+                    if header is not None:  # parsed upstream: the sequence prefix is still to check
+                        msg_type, context_id, format_id, payload_len = header
+                        seq = 0
+                    elif len(message) >= scan_size:
+                        magic, version, msg_type, context_id, format_id, payload_len, seq = (
+                            unpack_from(message, 0)
+                        )
+                        if magic != magic_want or version != version_want or msg_type not in msg_types:
+                            msg_type, context_id, format_id, payload_len = enc.unpack_header(message)
+                    else:  # too short to carry a sequence number
+                        msg_type, context_id, format_id, payload_len = enc.unpack_header(message)
+                        seq = 0
+                    if msg_type == msg_data:
+                        start = header_size
+                    elif msg_type == msg_data_seq:
+                        if not seq or payload_len != len(message) - header_size:
+                            enc.read_seq(message, payload_len)  # raises, unless the header came parsed
+                        start = seq_start
+                        payload_len -= seq_size
+                    else:
+                        start = 0  # a control frame
+                except PbioError as exc:
                     flush()
-                    gkey = key
-                group.append((i, payload_len, start))
-                continue
-            # Control frames break the run and are absorbed in order, so
-            # a format (re-)announcement takes effect before the data
-            # frames behind it — same semantics as the sequential loop.
+                    self._reject(exc, strict)
+                    continue
+                if start:
+                    if (context_id, format_id) != gkey:
+                        flush()
+                        gkey = (context_id, format_id)
+                        metrics.inc("decode.batch.groups")
+                        try:
+                            wire_fmt = self.registry.remote_format(context_id, format_id)
+                            native = self.native_for(wire_fmt)
+                            entry = self.entry_for(wire_fmt, native)
+                            codec = None if native_out else codec_for(self._layout_of(native))
+                            unresolved = None
+                        except PbioError as exc:
+                            unresolved = exc
+                        else:
+                            rec_size, has_strings = wire_fmt.record_size, wire_fmt.has_strings
+                            as_views = lend and entry.zero_copy and codec is not None
+                    payload = memoryview(message)[start:]
+                    if len(payload) != payload_len:
+                        exc = MessageError(
+                            f"payload length mismatch: header says {payload_len}, got {len(payload)}"
+                        )
+                    elif unresolved is not None:
+                        exc = unresolved
+                    elif payload_len != rec_size and (payload_len < rec_size or not has_strings):
+                        exc = MessageError(
+                            f"payload of {payload_len} bytes does not cover a {rec_size}-byte "
+                            f"{wire_fmt.name!r} record"
+                        )
+                    elif as_views:
+                        if lease is None:  # positionally: the keyword costs a fifth of the call
+                            out[i] = RecordView(codec, payload)
+                        else:
+                            out[i] = RecordView(codec, payload, lease=lease)
+                        lent += 1
+                        continue
+                    else:
+                        slots.append(i)
+                        payloads.append(payload)
+                        continue
+                    if strict:  # a sequential loop decoded everything ahead of the failure
+                        flush()
+                    self._reject(exc, strict)
+                    continue
+                # Control frames break the run and are absorbed in order, so
+                # a format (re-)announcement takes effect before the data
+                # frames behind it — same semantics as the sequential loop.
+                flush()
+                if msg_type == enc.MSG_FORMAT:
+                    try:
+                        self.absorb(message, context_id, format_id)
+                    except PbioError:  # absorb counted decode.rejected already
+                        metrics.inc("decode.batch.rejected")
+                        if strict:
+                            raise
+                elif msg_type == enc.MSG_FORMAT_TOKEN:
+                    try:
+                        self.absorb_token(message)
+                    except TokenResolutionError:
+                        if strict:
+                            raise
+                    except PbioError:
+                        metrics.inc("decode.batch.rejected")
+                        if strict:
+                            raise
+                else:  # request/ping/pong/ack: mis-delivery, as in ingest()
+                    exc = MessageError(f"link control message (type {msg_type}) outside a negotiated stream")
+                    self._reject(exc, strict)
             flush()
-            if msg_type == enc.MSG_FORMAT:
-                try:
-                    self.absorb(message, context_id, format_id)
-                except PbioError:  # absorb counted decode.rejected already
-                    self.metrics.inc("decode.batch.rejected")
-                    if strict:
-                        raise
-            elif msg_type == enc.MSG_FORMAT_TOKEN:
-                try:
-                    self.absorb_token(message)
-                except TokenResolutionError:
-                    if strict:
-                        raise
-                except PbioError:
-                    self.metrics.inc("decode.batch.rejected")
-                    if strict:
-                        raise
-            else:  # request/ping/pong/ack: mis-delivery, as in ingest()
-                self._reject(
-                    MessageError(
-                        f"link control message (type {msg_type}) outside a negotiated stream"
-                    ),
-                    strict,
-                )
-        flush()
+        except PbioError as exc:  # strict only
+            exc.partial = out
+            raise
         return out
 
-    def _decode_group(
-        self,
-        messages,
-        group,
-        key,
-        out,
-        strict: bool,
-        native_out: bool,
-        lend: bool = False,
-        lease=None,
-    ) -> None:
-        """Decode one run of same-format data frames into ``out`` slots."""
+    def _decode_group(self, wire_fmt, entry, codec, slots, payloads, out, strict: bool, lend: bool) -> None:
+        """Convert one group's validated payloads into their ``out`` slots
+        (a zero-copy lend group's views never get here: the scan built them)."""
         metrics = self.metrics
-        metrics.inc("decode.batch.groups")
-        try:
-            wire_fmt = self.registry.remote_format(*key)
-            native = self.native_for(wire_fmt)
-            entry = self.entry_for(wire_fmt, native)
-            codec = None if native_out else codec_for(self._layout_of(native))
-        except PbioError as exc:
-            # unresolvable format rejects every frame of the run
-            self._reject(exc, strict, len(group))
-            return
-
-        rec_size = wire_fmt.record_size
-        has_strings = wire_fmt.has_strings
-        slots: list[int] = []
-        payloads: list[memoryview] = []
-        for i, declared, start in group:
-            payload = memoryview(messages[i])[start:]
-            if len(payload) != declared:
-                self._reject(
-                    MessageError(
-                        f"payload length mismatch: header says {declared}, "
-                        f"got {len(payload)}"
-                    ),
-                    strict,
-                )
-            elif declared != rec_size and (declared < rec_size or not has_strings):
-                self._reject(
-                    MessageError(
-                        f"payload of {declared} bytes does not cover a "
-                        f"{rec_size}-byte {wire_fmt.name!r} record"
-                    ),
-                    strict,
-                )
-            else:
-                slots.append(i)
-                payloads.append(payload)
         n = len(slots)
-        if not n:
-            return
-
+        has_strings = wire_fmt.has_strings
         if entry.zero_copy:
             metrics.inc("zero_copy_decodes", n)
             if lend:
                 metrics.inc("decode.batch.lent", n)
-            # Borrowed payloads alias the caller's buffer: views carry
-            # the lease so the buffer outlives them.
-            self._emit(out, slots, payloads, codec, lend, lease, strict)
+            # Lent payloads alias the caller's buffer, which its lease
+            # must outlive; owned results copy out of it.
+            self._emit(out, slots, payloads, codec, lend, strict)
             return
 
         converted = None
@@ -704,19 +710,19 @@ class DecodePipeline:
                 if entry.var_batch is not None and n >= NUMPY_THRESHOLD:
                     converted = entry.var_batch.convert_var(payloads)
             elif entry.batch is not None:
-                # Fixed-size frames only (declared == rec_size was
-                # enforced above), so the records are exactly n strides
+                # Fixed-size frames only (the scan enforced payload ==
+                # record size), so the records are exactly n strides
                 # of the kernel's output; a run of one is cast in place.
                 if n < entry.kernel_min_group:
                     # too few records to repay the kernel's fixed cost per call
                     convert, d = entry.converter, entry.native_size
                     converted = [convert(payload, bytearray(d)) for payload in payloads]
-                    if lend and native_out:
+                    if lend and codec is None:
                         converted = [memoryview(record) for record in converted]
                 elif n == 1:
                     converted = [entry.batch.convert(payloads[0])]
                 else:
-                    blob = entry.batch.convert(self._gather(payloads, rec_size))
+                    blob = entry.batch.convert(self._gather(payloads, wire_fmt.record_size))
                     d = entry.native_size
                     converted = [blob[o : o + d] for o in range(0, n * d, d)]
         except _LEAKY_ERRORS:
@@ -727,7 +733,7 @@ class DecodePipeline:
             # Private converted bytes (slices of the kernel's output
             # array or fresh destinations): safe to lend without a copy
             # or a lease.
-            self._emit(out, slots, converted, codec, lend, None, strict)
+            self._emit(out, slots, converted, codec, lend, strict)
             return
 
         # Fallback ladder: plans numpy cannot express (string runs below
@@ -744,7 +750,7 @@ class DecodePipeline:
             except PbioError as exc:
                 self._reject(exc, strict)
                 continue
-            self._emit(out, (i,), (data,), codec, lend, None, strict)
+            self._emit(out, (i,), (data,), codec, lend, strict)
 
     def _gather(self, payloads, size: int) -> memoryview:
         """Pack ``size``-byte payloads back to back for the kernel.
@@ -766,16 +772,16 @@ class DecodePipeline:
             pos += size
         return staging[:total]
 
-    def _emit(self, out, slots, records, codec, lend: bool, lease, strict: bool) -> None:
+    def _emit(self, out, slots, records, codec, lend: bool, strict: bool) -> None:
         """Store ``records`` (native record buffers) in their ``out``
         slots in the requested shape: native bytes (``codec`` is None)
         or records, owned or — with ``lend`` — viewing the buffer."""
         if codec is None:
             for i, record in zip(slots, records):
                 out[i] = record if lend else bytes(record)
-        elif lend:
+        elif lend:  # converted records only: private bytes, no lease to carry
             for i, record in zip(slots, records):
-                out[i] = RecordView(codec, record, lease=lease)
+                out[i] = RecordView(codec, record)
         else:
             for i, record in zip(slots, records):
                 try:
@@ -783,13 +789,11 @@ class DecodePipeline:
                 except _LEAKY_ERRORS as exc:
                     self._reject(ConversionError(f"malformed record content: {exc}"), strict)
 
-    def _reject(self, exc: PbioError, strict: bool, count: int = 1) -> None:
-        """Count ``count`` rejected frames of a batch; the first one
-        raises under ``on_error="raise"``."""
-        if strict:
-            count = 1
-        self.metrics.inc("decode.rejected", count)
-        self.metrics.inc("decode.batch.rejected", count)
+    def _reject(self, exc: PbioError, strict: bool) -> None:
+        """Count one rejected frame of a batch; under ``on_error="raise"``
+        it raises."""
+        self.metrics.inc("decode.rejected")
+        self.metrics.inc("decode.batch.rejected")
         if strict:
             raise exc
 

@@ -20,7 +20,9 @@ DataExchange/ECho played in the original system's ecosystem):
 * each subscriber decodes through its context's decode pipeline: a
   zero-copy view for homogeneous publishers, generated conversion
   otherwise; filtered messages are rejected from the 16-byte header +
-  referenced fields alone, without decoding the record;
+  referenced fields alone, without decoding the record; a wire burst
+  (:meth:`EventChannel.ingest_many`) is scanned once, and its parsed
+  headers serve every subscriber's screens and batch decode;
 * delivery is failure-isolated per subscriber: each subscription has an
   error policy (``"raise"``, ``"suppress"`` or ``"detach"``) governing
   what a throwing handler or an undecodable stream does — under
@@ -39,6 +41,7 @@ from repro.core.runtime import ConverterCache, Metrics, SubscriberStats
 from repro.core import encoder as enc
 
 from .health import AnnouncementBacklog
+from .relay import ANNOUNCEMENT_KINDS, DATA_KINDS
 from .transport import TransportError
 
 #: Per-subscriber error policies: propagate (pre-existing behaviour),
@@ -84,11 +87,11 @@ class Subscription:
 
     def _offer(self, message: bytes) -> None:
         try:
-            msg_type, context_id, format_id, _ = enc.unpack_header(message)
+            header = enc.unpack_header(message)
         except PbioError:  # short frame / bad magic: damage, not delivery
             self.metrics.inc("decode_errors")
             raise
-        if msg_type in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
+        if header[0] in ANNOUNCEMENT_KINDS:
             try:
                 self.ctx.receive(message)
             except TokenResolutionError:
@@ -97,19 +100,20 @@ class Subscription:
                 self.metrics.inc("unresolved_tokens")
                 raise
             return
-        if msg_type in (enc.MSG_FORMAT_REQUEST, enc.MSG_PING, enc.MSG_PONG, enc.MSG_ACK):
+        if header[0] not in DATA_KINDS:
             return  # point-to-point recovery/liveness/ack traffic; not record delivery
         # MSG_DATA, or MSG_DATA_SEQ on a plain subscriber: the sequence
         # prefix is transport bookkeeping it never asked for, and the
         # pipeline decodes the record where it lies (durable subscribers
         # dedup upstream of this method instead).
-        if not self._screen(message, context_id, format_id, False):
-            return
+        pipeline = self.ctx.pipeline
         try:
-            if self.deliver == "view":
-                decoded = self.ctx.decode_view(message)
-            else:
-                decoded = self.ctx.decode(message)
+            outcome = self._screen(message, header)
+            self.metrics.inc(outcome)
+            if outcome != "delivered":
+                return
+            decode = pipeline.decode_view if self.deliver == "view" else pipeline.decode
+            decoded = decode(message, header=header)
         except PbioError:
             self.metrics.inc("decode_errors")
             raise
@@ -119,39 +123,28 @@ class Subscription:
             self.metrics.inc("handler_errors")
             raise
 
-    def _screen(self, message, context_id: int, format_id: int, suppress: bool) -> bool:
-        """Does this subscriber want one data frame?  The ``format_name``
-        and filter screens, with their counters (``delivered`` for a
-        frame that passes).  A screen that cannot be evaluated counts
-        ``decode_errors`` and raises — or, under ``suppress``, just
-        withholds the frame."""
+    def _screen(self, message, header) -> str:
+        """The counter one data frame lands in: ``delivered`` when this
+        subscriber wants it, else ``wrong_type`` or ``filtered_out``.
+        Counts nothing itself, and raises when it cannot tell: the format
+        was never announced here (a lossy link), the sequence prefix is
+        torn, the record is shorter than its format."""
         if self.format_name is not None:
-            try:
-                fmt = self.ctx.registry.remote_format(context_id, format_id)
-            except PbioError:  # announced format never arrived (lossy link)
-                self.metrics.inc("decode_errors")
-                if suppress:
-                    return False
-                raise
+            fmt = self.ctx.registry.remote_format(header[1], header[2])
             if fmt.name != self.format_name:
-                self.metrics.inc("wrong_type")
-                return False
-        if self._filter is not None:
-            try:
-                matched = self._filter.matches(message)
-            except PbioError:  # torn sequence prefix / record shorter than its format
-                self.metrics.inc("decode_errors")
-                if suppress:
-                    return False
-                raise
-            if not matched:
-                self.metrics.inc("filtered_out")
-                return False
-        self.metrics.inc("delivered")
-        return True
+                return "wrong_type"
+        if self._filter is not None and not self._filter.matches(message, header=header):
+            return "filtered_out"
+        return "delivered"
 
-    def _offer_batch(self, messages: list[bytes], suppress: bool, lease=None) -> None:
+    def _offer_batch(self, messages, suppress: bool, lease=None, headers=None) -> None:
         """Offer a burst of messages, batching consecutive data frames.
+
+        ``headers`` is the burst's parsed headers, parallel to
+        ``messages`` — :meth:`EventChannel.ingest_many` is the one
+        scanner; a burst that comes without is parsed here.  Each run of
+        data frames is one :meth:`_flush_run`; a control frame, or a
+        frame with no header, takes :meth:`_offer`.
 
         Mirrors a sequential :meth:`_offer` loop message for message —
         same screening order, same counters.  With ``suppress`` each
@@ -160,60 +153,84 @@ class Subscription:
         raise/detach policy), leaving later messages unoffered exactly
         like the scalar loop.
         """
-        run: list[tuple[bytes, int, int]] = []  # (message, cid, fid)
-        for message in messages:
-            header = enc.try_unpack_header(message)
-            if header is not None and (
-                header[0] == enc.MSG_DATA or header[0] == enc.MSG_DATA_SEQ
-            ):
-                run.append((message, header[1], header[2]))
+        if headers is None:
+            headers = [enc.try_unpack_header(message) for message in messages]
+        start = 0
+        for i, header in enumerate(headers):
+            if header is not None and header[0] in DATA_KINDS:
                 continue
-            if run:
-                self._flush_run(run, suppress, lease)
-                run = []
+            if start < i:
+                self._flush_run(messages[start:i], suppress, lease, headers[start:i])
+            start = i + 1
             try:
-                self._offer(message)  # control / malformed: scalar path
+                self._offer(messages[i])  # control / malformed: scalar path
             except Exception:
                 if not suppress:
                     raise
-        if run:
-            self._flush_run(run, suppress, lease)
+        if start < len(headers):
+            self._flush_run(messages[start:], suppress, lease, headers[start:])
 
-    def _flush_run(
-        self, run: list[tuple[bytes, int, int]], suppress: bool, lease=None
-    ) -> None:
-        """Screen one run of data frames, then decode it in one batch."""
+    def _flush_run(self, run, suppress: bool, lease=None, headers=None) -> None:
+        """Screen one run of data frames, decode it in one batch, deliver.
+
+        What the scalar loop would do, in its order: under ``suppress``
+        every failure is counted and the run goes on; otherwise the
+        handler gets the records ahead of the first failure — a screen
+        that cannot tell, a rejected frame, the handler itself — which
+        then raises, and nothing behind it is counted.
+        """
+        if headers is None:
+            headers = [enc.unpack_header(message) for message in run]
+        failure = None
         if self.format_name is None and self._filter is None:
-            deliverable = [message for message, _cid, _fid in run]
-            self.metrics.inc("delivered", len(run))
+            outcomes, wanted = None, range(len(run))
         else:
-            deliverable = [
-                message
-                for message, context_id, format_id in run
-                if self._screen(message, context_id, format_id, suppress)
-            ]
-        if not deliverable:
-            return
+            outcomes = []
+            for message, header in zip(run, headers):
+                try:
+                    outcomes.append(self._screen(message, header))
+                except PbioError as exc:
+                    outcomes.append("decode_errors")
+                    if not suppress:  # raised once what precedes it is delivered
+                        failure = exc
+                        break
+            wanted = [k for k, outcome in enumerate(outcomes) if outcome == "delivered"]
+            run, headers = [run[k] for k in wanted], [headers[k] for k in wanted]
+        decoded = ()
         try:
-            decoded = self.ctx.pipeline.decode_batch(
-                deliverable,
-                on_error="skip" if suppress else "raise",
-                lend=self.deliver == "view",
-                lease=lease,
-            )
-        except PbioError:
-            self.metrics.inc("decode_errors")
-            raise
-        for value in decoded:
-            if value is None:  # rejected under "skip": counted here too
-                self.metrics.inc("decode_errors")
-                continue
-            try:
-                self.handler(value)
-            except Exception:
-                self.metrics.inc("handler_errors")
-                if not suppress:
-                    raise
+            if run:
+                decoded = self.ctx.pipeline.decode_batch(
+                    run,
+                    on_error="skip" if suppress else "raise",
+                    lend=self.deliver == "view",
+                    lease=lease,
+                    headers=headers,
+                )
+        except PbioError as exc:  # comes before a screen's failure: screening stopped at that
+            failure, decoded = exc, exc.partial
+        seen = -1  # the last frame of the run the scalar loop would have got to
+        try:
+            for seen, value in zip(wanted, decoded):
+                if value is None:  # rejected: under "skip" counted here too
+                    self.metrics.inc("decode_errors")
+                    if not suppress:
+                        raise failure
+                    continue
+                try:
+                    self.handler(value)
+                except Exception:
+                    self.metrics.inc("handler_errors")
+                    if not suppress:
+                        raise
+            seen = len(wanted if outcomes is None else outcomes) - 1
+        finally:
+            if outcomes is None:
+                self.metrics.inc("delivered", seen + 1)
+            else:
+                for outcome in outcomes[: seen + 1]:
+                    self.metrics.inc(outcome)
+        if failure is not None:
+            raise failure
 
 
 class WireTap:
@@ -432,7 +449,10 @@ class EventChannel:
 
         The batch analogue of :meth:`ingest`: same screening, but
         consecutive data frames fan out through :meth:`_publish_batch`
-        (one columnar decode per subscriber per run).  ``lease`` is the
+        (one columnar decode per subscriber per run).  This is the
+        burst's one header scan: each run travels with its parsed
+        headers, through every subscriber's screens down into
+        ``decode_batch(headers=...)``.  ``lease`` is the
         receive-buffer lease when the frames are borrowed views from
         ``recv_many_leased`` — it is threaded through to ``deliver="view"``
         subscribers, whose views then keep the buffer alive; everything
@@ -441,31 +461,31 @@ class EventChannel:
         this returns.
         """
         run: list = []
+        headers: list[tuple] = []
         for message in messages:
             header = enc.try_unpack_header(message)
             if header is None:
                 self.metrics.inc("channel.frames_rejected")
                 continue
             kind = header[0]
-            if kind == enc.MSG_ACK:
-                if run:
-                    self._publish_batch(run, exclude=exclude, lease=lease)
-                    run = []
-                self.route_ack(bytes(message))
+            if kind in DATA_KINDS:
+                run.append(message)
+                headers.append(header)
                 continue
             if kind in (enc.MSG_FORMAT_REQUEST, enc.MSG_PING, enc.MSG_PONG):
                 continue
-            if kind in (enc.MSG_DATA, enc.MSG_DATA_SEQ):
-                run.append(message)
-                continue
-            # Announcements: flush the run first so ordering holds, then
-            # take the scalar path (replay list wants private bytes).
+            # An ack or an announcement: flush the run first so ordering
+            # holds, then take the scalar path (the replay list wants
+            # private bytes).
             if run:
-                self._publish_batch(run, exclude=exclude, lease=lease)
-                run = []
-            self._publish_message(bytes(message), exclude=exclude)
+                self._publish_batch(run, exclude=exclude, lease=lease, headers=headers)
+                run, headers = [], []
+            if kind == enc.MSG_ACK:
+                self.route_ack(bytes(message))
+            else:
+                self._publish_message(bytes(message), exclude=exclude)
         if run:
-            self._publish_batch(run, exclude=exclude, lease=lease)
+            self._publish_batch(run, exclude=exclude, lease=lease, headers=headers)
 
     def _fan_to_wire(self, message: bytes, exclude: WireTap | None) -> None:
         if not self._taps:
@@ -492,7 +512,7 @@ class EventChannel:
         return ChannelPublisher(self, ctx)
 
     def _publish_message(self, message: bytes, *, exclude: WireTap | None = None) -> None:
-        if enc.message_kind(message) in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
+        if enc.message_kind(message) in ANNOUNCEMENT_KINDS:
             # Remembered once; a repeat (a durable resend re-announces)
             # still reaches everyone attached, who may have lost it.
             self._announcements.add(message)
@@ -515,16 +535,18 @@ class EventChannel:
                     self._subscribers.remove(sub)
 
     def _publish_batch(
-        self, batch: list[bytes], *, exclude: WireTap | None = None, lease=None
+        self, batch: list[bytes], *, exclude: WireTap | None = None, lease=None, headers=None
     ) -> None:
-        """Fan a burst of data messages to every subscriber, one batch
-        decode per subscriber per run instead of one per message."""
+        """Fan a burst of data messages (and, when the caller parsed
+        them, their headers) to every subscriber, one batch decode per
+        subscriber per run instead of one per message."""
         self.messages_published += len(batch)
         for sub in list(self._subscribers):
             # detach: same first-failure semantics as the scalar loop
-            self._deliver(sub, sub._offer_batch, batch, sub.error_policy == "suppress", lease)
-        for message in batch:
-            self._fan_to_wire(message, exclude)
+            self._deliver(sub, sub._offer_batch, batch, sub.error_policy == "suppress", lease, headers)
+        if self._taps:
+            for message in batch:
+                self._fan_to_wire(message, exclude)
 
     @property
     def subscriber_count(self) -> int:

@@ -887,9 +887,10 @@ class DurableSubscription(Subscription):
             self.cursors.advance(key, self.window.cursor(key))
             self._send_ack(key)
 
-    def _offer_batch(self, messages: list[bytes], suppress: bool, lease=None) -> None:
-        """Burst delivery (``"suppress"``): each frame is parsed once and
-        a stream's in-order run is decoded where it lies.
+    def _offer_batch(self, messages, suppress: bool, lease=None, headers=None) -> None:
+        """Burst delivery (``"suppress"``): each frame is parsed once —
+        by whoever scanned the burst, when ``headers`` comes with it —
+        and a stream's in-order run is decoded where it lies.
 
         ``"raise"`` and ``"detach"`` run the scalar reference loop
         instead: both stop at the first failure, and only
@@ -913,10 +914,14 @@ class DurableSubscription(Subscription):
             for message in messages:
                 self._offer(message)
             return
+        if headers is None:
+            headers = [enc.try_unpack_header(message) for message in messages]
         window = self.window
         touched: dict[tuple[int, int], None] = {}
         plain: list[bytes] = []  # non-sequenced frames since the last flush
-        run: list[tuple[bytes, int, int]] = []  # the in-order run of `key`
+        run: list[bytes] = []  # the in-order run of `key`
+        plain_headers: list = []  # parallel to `plain` and `run`
+        run_headers: list[tuple] = []
         key = None
         last = 0  # `key`'s cursor once `run` is committed
         clean = False  # nothing of `key` is pending in the window
@@ -924,19 +929,19 @@ class DurableSubscription(Subscription):
         def end_run() -> None:
             if run:
                 window.seed(key, last)  # commit, then deliver
-                self._flush_run(run, True, lease)
-                del run[:]
+                self._flush_run(run, True, lease, run_headers)
+                del run[:], run_headers[:]
 
         try:
-            for message in messages:
-                header = enc.try_unpack_header(message)
+            for message, header in zip(messages, headers):
                 if header is None or header[0] != enc.MSG_DATA_SEQ:
                     end_run()
                     plain.append(message)
+                    plain_headers.append(header)
                     continue
                 if plain:
-                    super()._offer_batch(plain, True, lease)
-                    plain = []
+                    super()._offer_batch(plain, True, lease, plain_headers)
+                    plain, plain_headers = [], []
                 try:
                     seq = enc.read_seq(message, header[3])
                 except PbioError:
@@ -949,7 +954,8 @@ class DurableSubscription(Subscription):
                     last = window.cursor(key)
                     clean = not window.pending_count(key)
                 if clean and seq == last + 1:
-                    run.append((message, header[1], header[2]))
+                    run.append(message)
+                    run_headers.append(header)
                     last = seq
                     continue
                 end_run()
@@ -959,7 +965,7 @@ class DurableSubscription(Subscription):
                     clean = not window.pending_count(key)
             end_run()
             if plain:
-                super()._offer_batch(plain, True, lease)
+                super()._offer_batch(plain, True, lease, plain_headers)
         finally:
             for stream in touched:
                 self.cursors.advance(stream, window.cursor(stream))
@@ -973,13 +979,13 @@ class DurableSubscription(Subscription):
         ordering of :meth:`_drain` buys nothing, and committing up front
         lets the run decode in one pipeline batch."""
         window = self.window
-        run: list[tuple[bytes, int, int]] = []
+        run: list[bytes] = []
         while True:
             ready = window.next_ready(key)
             if ready is None:
                 break
             seq, message = ready
-            run.append((message, key[0], key[1]))
+            run.append(message)
             window.commit(key, seq)
         if run:
             self._flush_run(run, True)

@@ -680,7 +680,8 @@ class FabricDispatcher:
         self._slots: dict[str, _WorkerSlot] = {}
         self._subs: dict[tuple[int, int], list[EdgeSubscription]] = {}
         self._taps: list[EdgeSubscription] = []
-        self._keys: set[tuple[int, int]] = set()
+        #: every channel seen so far and the worker the ring gives it:
+        #: the routing table :meth:`_rebalance` keeps equal to the ring
         self._owner_of: dict[tuple[int, int], str | None] = {}
         self._announcements = AnnouncementBacklog()
         self._acked: dict[tuple[int, int], int] = {}
@@ -770,6 +771,7 @@ class FabricDispatcher:
         pairs = zip(messages, headers) if headers is not None else ((m, None) for m in messages)
         limit = self.limits.max_message_size if self.limits is not None else None
         runs: dict[str, list[tuple[bytes, tuple]]] = {}
+        last_key = last_run = None  # a frame of the previous frame's channel joins its run
         for message, header in pairs:
             if header is None:
                 header = enc.try_unpack_header(message)
@@ -781,15 +783,19 @@ class FabricDispatcher:
                 if kind == enc.MSG_DATA and header[3] != len(message) - enc.HEADER_SIZE:
                     self.metrics.inc("fabric.rejected")
                     continue
-                name = self._owner_for((header[1], header[2]))
-                if name is None:
-                    self.metrics.inc("fabric.dropped_no_worker")
-                    continue
-                runs.setdefault(name, []).append((message, header))
+                key = (header[1], header[2])
+                if key != last_key:
+                    name = self._owner_for(key)
+                    if name is None:
+                        self.metrics.inc("fabric.dropped_no_worker")
+                        continue
+                    last_key, last_run = key, runs.setdefault(name, [])
+                last_run.append((message, header))
                 continue
             for name, run in runs.items():
                 self._deliver_run(name, run)
             runs.clear()
+            last_key = None
             if kind in ANNOUNCEMENT_KINDS:
                 self._broadcast_announcement(message, header)
             else:
@@ -798,11 +804,14 @@ class FabricDispatcher:
             self._deliver_run(name, run)
 
     def _owner_for(self, key: tuple[int, int]) -> str | None:
-        if key not in self._keys:
-            self._keys.add(key)
-        name = self.ring.owner(key)
-        self._owner_of[key] = name
-        return name
+        """The worker that owns ``key``: remembered, and hashed onto the
+        ring only the first time a key is seen — every ring mutation is
+        followed by :meth:`_rebalance`, which re-owns every known key."""
+        try:
+            return self._owner_of[key]
+        except KeyError:
+            name = self._owner_of[key] = self.ring.owner(key)
+            return name
 
     def _deliver_run(self, name: str, run: list[tuple[bytes, tuple]]) -> None:
         slot = self._slots.get(name)
@@ -969,9 +978,8 @@ class FabricDispatcher:
         every leaf."""
         self.metrics.inc("fabric.rebalances")
         moved = 0
-        for key in sorted(self._keys):
+        for key, old_name in sorted(self._owner_of.items()):
             new_name = self.ring.owner(key)
-            old_name = self._owner_of.get(key)
             if new_name == old_name:
                 continue
             self._owner_of[key] = new_name
@@ -1018,7 +1026,7 @@ class FabricDispatcher:
 
     def ownership(self) -> dict[str, list[tuple[int, int]]]:
         """``{worker: [channel keys]}`` for every channel seen so far."""
-        return self.ring.assignment(self._keys)
+        return self.ring.assignment(self._owner_of)
 
     def drain_and_stop(self, deadline_s: float = 5.0) -> None:
         for slot in self._slots.values():

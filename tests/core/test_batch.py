@@ -383,6 +383,88 @@ class TestBatchRejectionIsolation:
             receiver.pipeline.decode_batch([], on_error="ignore")
 
 
+class TestParsedHeaders:
+    """``decode_batch(headers=...)``: a frame whose header a stage upstream
+    parsed is not parsed again — and is checked against itself all the
+    same, so a header that lies is rejected like a frame that lies."""
+
+    SCHEMA = TestBatchRejectionIsolation.SCHEMA
+    WIDER = RecordSchema.from_pairs("wider", [("i", "int"), ("d", "double[9]")])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds, src=machines, dst=machines, lend=st.booleans(), share=st.floats(0, 1))
+    def test_same_results_and_counters_with_any_share_of_headers(self, seed, src, dst, lend, share):
+        schemas, frames = build_stream(seed, src)
+        frames.insert(len(frames) // 2, frames[-1][:-2])  # and a torn one
+        rng = np.random.default_rng(seed)
+        headers = [enc.try_unpack_header(f) if rng.random() < share else None for f in frames]
+        plain, threaded = fresh_receiver(dst, schemas), fresh_receiver(dst, schemas)
+        want = plain.pipeline.decode_batch(frames, on_error="skip", lend=lend)
+        got = threaded.pipeline.decode_batch(frames, on_error="skip", lend=lend, headers=headers)
+        if lend:
+            want, got = ([v and v.to_dict() for v in out] for out in (want, got))
+        assert_same_decodes(got, want)
+        assert threaded.metrics.counters().keys() == plain.metrics.counters().keys()
+        for name, value in plain.metrics.counters().items():
+            if name != "generation_time_s":
+                assert threaded.metrics.value(name) == value, name
+
+    @pytest.mark.parametrize("src", [SPARC_V8, X86], ids=["converting", "zero-copy"])
+    def test_a_lying_header_is_rejected_like_a_lying_frame(self, src):
+        sender, receiver, handle = linked(self.SCHEMA, src=src, limits=DecodeLimits(max_message_size=256))
+        wider = sender.register_format(self.WIDER)
+        receiver.expect(self.WIDER)
+        receiver.pipeline.decode_batch([sender.announce(handle), sender.announce(wider)])
+        good = sender.encode(handle, {"i": 7, "d": [0.5] * 4})
+        cid, fid, size = sender.context_id, handle.format_id, len(good) - enc.HEADER_SIZE
+        sequenced = enc.encode_data_seq(cid, fid, 3, good[enc.HEADER_SIZE :])
+        zero = bytearray(sequenced)
+        zero[enc.HEADER_SIZE : enc.SEQ_RECORD_OFFSET] = bytes(enc.SEQ_PREFIX_SIZE)
+        lies = [
+            (good, (enc.MSG_DATA, cid, fid, size + 8)),  # more payload than there is
+            (good, (enc.MSG_DATA, cid, fid, size - 8)),  # less
+            (good, (enc.MSG_DATA, cid, wider.format_id, size)),  # a format with a longer record
+            (good, (enc.MSG_DATA_SEQ, cid, fid, size + 8)),  # a sequence prefix it has not got
+            (good, (enc.MSG_DATA, cid, fid + 9, size)),  # a format nobody announced
+            (good[: enc.HEADER_SIZE], (enc.MSG_DATA, cid, fid, size)),  # a record that is not there
+            (bytes(zero), (enc.MSG_DATA_SEQ, cid, fid, size + 8)),  # true header, sequence 0
+            (good + bytes(300), (enc.MSG_DATA, cid, fid, size)),  # over the size limit
+        ]
+        decode = receiver.pipeline.decode_batch
+        for lend in (False, True):
+            for frame, header in lies:
+                assert decode([frame], on_error="skip", lend=lend, headers=[header]) == [None]
+                with pytest.raises(PbioError):
+                    decode([good, frame], lend=lend, headers=[None, header])
+        assert receiver.metrics.value("decode.rejected") == 4 * len(lies)
+        # a true header — and a sequenced frame's — decodes, and the view is over the payload
+        frames, headers = [good, sequenced], [enc.try_unpack_header(good), enc.try_unpack_header(sequenced)]
+        assert decode(frames, headers=headers) == [{"i": 7, "d": (0.5,) * 4}] * 2
+        if src is X86:
+            views = decode(frames, lend=True, headers=headers)
+            assert [bytes(v.buffer) for v in views] == [good[enc.HEADER_SIZE :]] * 2
+
+    @pytest.mark.parametrize("lend", [False, True])
+    @pytest.mark.parametrize("src", [SPARC_V8, X86], ids=["converting", "zero-copy"])
+    def test_a_strict_failure_carries_what_a_loop_would_have_decoded(self, src, lend):
+        """``on_error="raise"`` stops where a sequential loop stops: the
+        frames ahead of the failure are decoded and counted, the result
+        list so far travels on the exception as ``partial``."""
+        sender, receiver, handle = linked(self.SCHEMA, src=src)
+        frames = TestBatchRejectionIsolation.frames(self, sender, handle, n=12)
+        frames[10] = frames[10][:-3]  # mid-group: frames 1..9 precede it
+        with pytest.raises(PbioError, match="payload length mismatch") as caught:
+            receiver.pipeline.decode_batch(frames, lend=lend)
+        partial = caught.value.partial
+        assert len(partial) == len(frames) and partial[0] is None and partial[10:] == [None] * 3
+        got = [v.to_dict() if lend else v for v in partial[1:10]]
+        assert got == [{"i": k, "d": (k * 0.5,) * 4} for k in range(9)]
+        _, looped, _ = linked(self.SCHEMA, src=src)
+        sequential_ingest(looped, frames[:11])
+        for counter in ("decode.rejected", "converted_decodes", "zero_copy_decodes"):
+            assert receiver.metrics.value(counter) == looped.metrics.value(counter), counter
+
+
 class TestBatchConverterDispatch:
     def test_liftable_schema_uses_columnar_converter(self):
         sch = RecordSchema.from_pairs("rec", [("i", "int"), ("d", "double[4]")])

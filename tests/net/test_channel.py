@@ -1,10 +1,19 @@
 """Tests for the event channel (publish/subscribe over PBIO)."""
 
+import os
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.abi import ALPHA, SPARC_V8, X86, CType, FieldDecl, RecordSchema
 from repro.core import IOContext
+from repro.core import encoder as enc
+from repro.core.errors import MessageError
+from repro.core.safety import DecodeLimits
 from repro.net import EventChannel
+
+CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 
 TELEMETRY = RecordSchema.from_pairs(
     "telemetry", [("unit", "int"), ("temperature", "double")]
@@ -152,3 +161,245 @@ class TestTypedSubscriptions:
         pub.publish(h, {"unit": 1, "temperature": 0.0})
         pub.publish(h, {"unit": 2, "temperature": 0.0})
         assert channel.messages_published == 2  # announcements not counted
+
+
+# -- a burst equals its frames -------------------------------------------------
+
+LIMIT = 256  # the subscribers' DecodeLimits.max_message_size
+POLICIES = ("raise", "suppress", "detach")
+KINDS = ("view", "dict", "scoped", "filtered", "durable")
+#: pipeline counters only the batch entry points keep, and the converter
+#: cache's: it is consulted per group there, at the group's first frame
+#: (valid or not), and per valid record on the scalar path
+BATCH_ONLY = ("decode.batch.", "converter", "generation_time_s")
+
+
+def _frame_pool():
+    """Everything a wire can throw at a channel, over two streams: a
+    converting one (sparc -> x86 telemetry) and a zero-copy one (x86 status)."""
+    frames, streams = [], []
+    telemetry = [{"unit": u, "temperature": t} for u, t in enumerate((100.0, 400.0, 900.0))]
+    status = [{"job": j, "done": j % 2 == 0} for j in range(3)]
+    for machine, cid, schema, records in (
+        (SPARC_V8, 0xA11CE, TELEMETRY, telemetry),
+        (X86, 0xB0B0, STATUS, status),
+    ):
+        sender = IOContext(machine, context_id=cid)
+        h = sender.register_format(schema)
+        streams.append((cid, h.format_id))
+        natives = [h.codec.encode(r) for r in records]
+        frames += [sender.announce(h), sender.announce(h)]  # and its repeat
+        frames += [enc.encode_data_message(cid, h.format_id, n) for n in natives]
+        frames += [enc.encode_data_seq(cid, h.format_id, s, natives[s % 3]) for s in range(1, 6)]
+    (cid, fid), plain, sequenced = streams[0], frames[2], frames[5]
+    zero = bytearray(sequenced)
+    zero[enc.HEADER_SIZE : enc.SEQ_RECORD_OFFSET] = bytes(enc.SEQ_PREFIX_SIZE)
+    frames += [
+        bytes(zero),  # sequence 0
+        plain[:-3],  # torn
+        plain + b"pad",  # header contradicts length
+        sequenced[: enc.HEADER_SIZE + 5],  # torn inside the sequence prefix
+        enc.encode_data_message(cid, fid, b"x" * LIMIT),  # oversize
+        enc.encode_data_message(cid, fid + 1, b"a stream nobody announced"),
+        enc.encode_token_message(cid, fid + 7, b"f" * 20, 77),  # no service resolves it
+        enc.encode_ack(cid, fid, 2),
+        enc.encode_ping(3),
+        enc.encode_format_request(cid, b"f" * 20),
+        b"not a pbio frame at all",
+        memoryview(frames[3]),  # a borrowed view
+    ]
+    return frames
+
+
+FRAME_POOL = _frame_pool()
+
+
+class _Burst:
+    """One channel, the subscriber under test (failing on its ``fail_at``-th
+    record), a bystander behind it, a wire tap and an ack listener — and
+    everything the equivalence compares."""
+
+    def __init__(self, kind, policy, fail_at):
+        self.channel = EventChannel()
+        self.delivered, self.calls, self.fail_at = [], 0, fail_at
+        self.acks, self.wire, self.routed, self.behind = [], [], [], []
+        self.ctx = IOContext(X86, limits=DecodeLimits(max_message_size=LIMIT))
+        self.ctx.expect(TELEMETRY)
+        self.ctx.expect(STATUS)
+        screen = {}
+        if kind in ("scoped", "filtered"):
+            screen["format_name"] = "telemetry"
+        if kind == "filtered":
+            screen["filter_expr"] = "temperature > 350.0"
+        if kind == "durable":
+            self.sub = self.channel.subscribe_durable(
+                self.ctx, self._handle, on_error=policy, window=4, ack_sink=self.acks.append
+            )
+        else:
+            deliver = "view" if kind == "view" else "dict"
+            self.sub = self.channel.subscribe(
+                self.ctx, self._handle, on_error=policy, deliver=deliver, **screen
+            )
+        bystander = IOContext(X86)
+        bystander.expect(TELEMETRY)
+        bystander.expect(STATUS)
+        self.channel.subscribe(bystander, self.behind.append, on_error="suppress")
+        self.channel.attach_wire(lambda frame: self.wire.append(bytes(frame)))
+        self.channel.add_ack_listener(self.routed.append)
+
+    def _handle(self, record):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("the handler's own failure")
+        self.delivered.append(dict(record.to_dict() if hasattr(record, "to_dict") else record))
+
+    def run(self, ingest):
+        try:
+            ingest(self.channel)
+        except Exception as exc:
+            return type(exc)
+        return None
+
+    def subscriber_side(self):
+        counters = self.sub.metrics.counters()
+        # acks are cumulative: one per frame on the scalar path, one per burst here
+        sent = {name: counters.pop(name, 0) for name in ("durable.acks_sent", "durable.nacks_sent")}
+        last_acks = {enc.parse_ack(ack)[:2]: ack for ack in self.acks}
+        attached = self.sub in self.channel._subscribers
+        return self.delivered, counters, last_acks, attached, sent
+
+    def pipeline_counters(self):
+        return {
+            name: value
+            for name, value in self.ctx.metrics.counters().items()
+            if not name.startswith(BATCH_ONLY)
+        }
+
+    def channel_side(self):
+        channel = self.channel
+        return (
+            channel.messages_published,
+            channel.metrics.counters(),
+            list(channel._announcements),
+            self.routed,
+            self.wire,
+            self.behind,
+        )
+
+
+@pytest.mark.parametrize(
+    "kind,policy",
+    # a durable subscriber's other two policies *are* the scalar loop
+    [(k, p) for k in KINDS for p in POLICIES if k != "durable" or p == "suppress"],
+)
+@seed(CHAOS_SEED)
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=st.lists(st.sampled_from(FRAME_POOL), max_size=40),
+    cut=st.integers(0, 40),
+    fail_at=st.integers(0, 12),
+)
+def test_a_burst_equals_its_frames(kind, policy, frames, cut, fail_at):
+    """``ingest_many(frames)`` and ``for f in frames: ingest(f)`` are
+    indistinguishable to a subscriber: the records its handler gets and
+    their order, the exception that escapes, every counter it keeps,
+    whether it is still attached, its last ack per stream.  So are the
+    channel's own side (``messages_published``, its counters, the
+    announcement backlog, routed acks, the wire taps, a bystander
+    subscribed behind) and the subscriber's pipeline counters — unless
+    a failure cut the burst short (an exception escaped, or the
+    subscriber was detached): the batch path works run by run, so by
+    then it has published, fanned out and looked at frames behind the
+    failure that the scalar loop never reached, and those compare
+    ``>=``, never ``<``."""
+    scalar, batch = _Burst(kind, policy, fail_at), _Burst(kind, policy, fail_at)
+    for burst in (scalar, batch):  # a first part both take frame by frame
+        burst.run(lambda ch: [ch.ingest(f) for f in frames[:cut]])
+    rest = frames[cut:]
+    escaped = scalar.run(lambda ch: [ch.ingest(f) for f in rest])
+    assert batch.run(lambda ch: ch.ingest_many(rest)) == escaped
+    s_side, b_side = scalar.subscriber_side(), batch.subscriber_side()
+    assert b_side[:4] == s_side[:4]
+    assert all(b_side[4][name] <= s_side[4][name] for name in s_side[4])
+    cut_short = escaped is not None or not s_side[3]
+    s_pipe, b_pipe = scalar.pipeline_counters(), batch.pipeline_counters()
+    if not cut_short:
+        assert b_pipe == s_pipe
+        assert batch.channel_side() == scalar.channel_side()
+    else:
+        assert all(b_pipe.get(name, 0) >= value for name, value in s_pipe.items())
+        assert batch.channel.messages_published >= scalar.channel.messages_published
+
+
+@pytest.mark.parametrize("deliver", ["view", "dict"])
+@pytest.mark.parametrize("policy", ["raise", "detach"])
+def test_a_torn_frame_mid_burst_stops_where_the_scalar_loop_stops(policy, deliver):
+    """``[r1, r2, torn r3, r4]``: the handler gets ``r1, r2``, then the
+    torn frame raises (or detaches) — not *nothing*, which is what a
+    batch decode that raises before any handler runs delivers."""
+    sender = IOContext(X86)
+    h = sender.register_format(TELEMETRY)
+    records = [sender.encode(h, {"unit": u, "temperature": 1.0}) for u in range(1, 5)]
+    records[2] = records[2][:-3]
+    outcomes = []
+    for ingest in (lambda ch: [ch.ingest(f) for f in records], lambda ch: ch.ingest_many(records)):
+        channel, got = EventChannel(), []
+        ctx = IOContext(X86)
+        ctx.expect(TELEMETRY)
+        sub = channel.subscribe(
+            ctx, lambda r, got=got: got.append(r["unit"]), on_error=policy, deliver=deliver
+        )
+        channel.ingest(sender.announce(h))
+        if policy == "raise":
+            with pytest.raises(MessageError, match="payload length mismatch"):
+                ingest(channel)
+        else:
+            ingest(channel)
+        assert got == [1, 2]
+        outcomes.append((sub.metrics.counters(), channel.subscriber_count))
+    assert outcomes[0] == outcomes[1]
+    counters, attached = outcomes[1]
+    assert counters["delivered"] == 3 and counters["decode_errors"] == 1  # r4 never offered
+    assert (counters.get("detached", 0), attached) == ((1, 0) if policy == "detach" else (0, 1))
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_a_burst_is_scanned_once(monkeypatch, durable):
+    """One 32-frame burst through ``ingest_many`` to one subscriber parses
+    32 headers — the channel's scan — not 96 (channel, subscriber and
+    pipeline each)."""
+    sender = IOContext(X86, context_id=0xC0DE)
+    h = sender.register_format(TELEMETRY)
+    natives = [h.codec.encode({"unit": u, "temperature": 2.0}) for u in range(32)]
+    if durable:
+        frames = [enc.encode_data_seq(0xC0DE, h.format_id, u + 1, n) for u, n in enumerate(natives)]
+    else:
+        frames = [sender.encode_native(h, n) for n in natives]
+    channel, got = EventChannel(), []
+    ctx = IOContext(X86)
+    ctx.expect(TELEMETRY)
+    if durable:
+        channel.subscribe_durable(ctx, lambda r: got.append(r["unit"]), on_error="suppress")
+    else:
+        channel.subscribe(ctx, lambda r: got.append(r["unit"]), deliver="view")
+    channel.ingest(sender.announce(h))
+
+    parses = []
+
+    def counting(parse):
+        def counted(message, *args):
+            parses.append(parse.__name__)
+            return parse(message, *args)
+
+        return counted
+
+    class CountingStruct:
+        size = enc.HEADER_SEQ_STRUCT.size
+        unpack_from = staticmethod(counting(enc.HEADER_SEQ_STRUCT.unpack_from))
+
+    monkeypatch.setattr(enc, "try_unpack_header", counting(enc.try_unpack_header))
+    monkeypatch.setattr(enc, "unpack_header", counting(enc.unpack_header))
+    monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingStruct)
+    channel.ingest_many(frames)
+    assert got == list(range(32))
+    assert parses == ["try_unpack_header"] * 32

@@ -468,6 +468,76 @@ class TestWorkerFailure:
         assert [r["unit"] for r in receiver(pipe.b)()] == [3]
 
 
+class TestRememberedOwner:
+    """Routing is a dict lookup: ``_owner_for`` answers from what
+    ``_rebalance`` keeps equal to the ring, and hashes a key once."""
+
+    @staticmethod
+    def channels(n=8):
+        out = []
+        for c in range(n):
+            sender = IOContext(X86, context_id=0x7000 + c)
+            handle = sender.register_format(TELEMETRY)
+            frames = [sender.encode(handle, {"unit": u, "temperature": 1.0}) for u in range(4)]
+            out.append(((sender.context_id, handle.format_id), sender.announce(handle), frames))
+        return out
+
+    def test_the_memo_follows_the_ring_through_every_mutation(self):
+        now = [0.0]
+        disp = chaos_dispatcher(3, clock=lambda: now[0])
+        channels = self.channels(24)
+        pipes = {key: InMemoryPipe() for key, _a, _f in channels[::3]}
+        subs = {key: disp.subscribe(key, pipe.a) for key, pipe in pipes.items()}
+        disp.forward_batch([f for _key, announce, frames in channels for f in (announce, frames[0])])
+
+        def check(moved_from=None):
+            assert sorted(disp._owner_of) == sorted(key for key, _a, _f in channels)
+            for key, _a, _f in channels:
+                assert disp._owner_for(key) == disp.ring.owner(key) != moved_from
+            assert all(sub.worker_name == disp.ring.owner(key) for key, sub in subs.items())
+
+        check()
+        disp.add_worker(RelayWorker("w3", cache=disp.cache))
+        check()
+        assert "w3" in disp._owner_of.values()
+        disp.remove_worker("w0")
+        check(moved_from="w0")
+        disp.worker("w1").kill()
+        now[0] += 0.1
+        disp.heal()  # -> quarantine
+        assert disp.worker_states()["w1"] == QUARANTINED
+        check(moved_from="w1")
+        disp.worker("w1").revive()
+        disp.reactivate_worker("w1")
+        check()
+        assert "w1" in disp._owner_of.values()
+        # and what was remembered is where frames go
+        for key, _announce, frames in channels:
+            before = disp.worker(disp.ring.owner(key)).metrics.value("worker.routed")
+            disp.forward(frames[1])
+            assert disp.worker(disp.ring.owner(key)).metrics.value("worker.routed") == before + 1
+
+    def test_known_channels_never_touch_the_ring(self, monkeypatch):
+        disp = FabricDispatcher(4)
+        channels = self.channels(8)
+        lookups = []
+        ring_owner = HashRing.owner
+        monkeypatch.setattr(
+            HashRing, "owner", lambda ring, key: lookups.append(key) or ring_owner(ring, key)
+        )
+        for _key, announce, _frames in channels:
+            disp.forward(announce)
+        burst = [frames[k % 4] for k in range(125) for _key, _a, frames in channels]
+        disp.forward_batch(burst[:8])
+        assert sorted(lookups) == sorted(key for key, _a, _f in channels)  # from cold: once each
+        del lookups[:]
+        disp.forward_batch(burst)  # 1000 frames, the channel changing at every one
+        for frame in burst[:16]:
+            disp.forward(frame)
+        assert lookups == []
+        assert disp.metrics.value("fabric.routed") == 8 + 1000 + 16
+
+
 # -- durable integration -------------------------------------------------------
 
 
