@@ -8,9 +8,10 @@ frame crosses the kernel twice in each direction, through the buffered
 framer one way and the bounded-queue vectored writer the other.
 
 The baseline is the *replaced* design, faithfully: one thread per
-connection running the same per-frame ``recv``/``send`` serve loop as
-:class:`repro.net.sockets.EchoServer` (and every pre-async serve loop in
-the repo — ``RpcServer.serve_one``, ``FormatServer.serve``).  The async
+connection running the per-frame ``recv``/``send`` serve loop of the
+thread-per-connection ``EchoServer`` this repo once shipped (and of
+every pre-async serve loop in it — ``RpcServer.serve_one``,
+``FormatServer.serve``).  The async
 side serves bursts with ``recv_many``/``send_many`` because batched
 serving *is* part of the new design.  Both sides are driven by the same
 client pump, which keeps a bounded window of connections in flight so
@@ -75,8 +76,8 @@ def _ratio_floor() -> float:
 
 class ThreadedEchoServer:
     """The design being replaced: one accept loop, one thread per
-    connection, each blocking on its own socket in the same per-frame
-    ``recv``/``send`` loop as :class:`repro.net.sockets.EchoServer`."""
+    connection, each blocking on its own socket in a per-frame
+    ``recv``/``send`` loop."""
 
     def __init__(self) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -100,7 +101,7 @@ class ThreadedEchoServer:
         transport = SocketTransport(conn)
         try:
             while True:
-                transport.send(transport.recv())  # EchoServer._serve verbatim
+                transport.send(transport.recv())  # one frame in, one frame out
         except TransportError:
             pass
         finally:

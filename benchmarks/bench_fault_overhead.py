@@ -11,11 +11,30 @@ decode → reply → recv) over an :class:`InMemoryPipe`:
 * ``wrapped``   — both endpoints behind an inactive fault injector;
 * ``reconnect`` — the client endpoint behind a ReconnectingTransport.
 
-Acceptance: the inactive-wrapper penalty is <= ``PBIO_BENCH_OVERHEAD_MAX``
-percent (default 5) of the bare round-trip.  The bare and wrapped loops
-are timed in *interleaved* rounds and the gate is the median per-round
-ratio, so neither scheduler noise nor slow clock-frequency drift across
-the run can produce a false regression (or hide a real one).
+Acceptance, inactive injector: the penalty is <= ``PBIO_BENCH_OVERHEAD_MAX``
+percent (default 5) of the bare round-trip — the injector aliases the
+inner link's bound methods, so the true figure is 0 and the gate holds
+the aliasing in place.  The bare and wrapped loops are timed in
+*interleaved* rounds and the gate is the median per-round ratio, so
+neither scheduler noise nor slow clock-frequency drift across the run
+can produce a false regression (or hide a real one).
+
+Acceptance, reconnecting wrapper: the absolute penalty ``reconnect -
+bare`` is at most ``PBIO_BENCH_OVERHEAD_MAX`` times (default 4) a
+``floor`` — the wrapper's own ``send`` + ``recv`` over an inner link
+that does nothing, i.e. the announcement sniff and two delegations
+timed alone (0.29 us).  Until PR 19 this too was 5 % of the bare round
+trip, a budget that tightened by itself as the round trip got faster
+(11 us when the gate was written, 8.1 us after PRs 16/18) while the
+wrapper's cost did not change: it read +5.1 to +7.0 % with nothing
+regressed.  The percentage is still printed.  Sixty attempts
+(EXPERIMENTS.md, PR 19) read -1.7 to 2.50 x the floor, median 0.97 —
+between two decodes the same calls run colder than in the floor's
+tight loop, and the worst readings straddle one of the host's slow
+phases — so the budget is 4 x: above every one of them, and what
+routing the happy path through ``RetryPolicy.run`` would exceed.
+The measurement is ``support.overhead_vs_floor``, as for the heartbeat
+gate.
 """
 
 import os
@@ -30,6 +49,7 @@ from repro.net import (
     InMemoryPipe,
     ReconnectingTransport,
     RetryPolicy,
+    Transport,
     best_of,
 )
 
@@ -42,14 +62,17 @@ RECORD = {"seq": 7, "values": tuple(float(i) for i in range(16)), "tag": b"round
 
 def _inner() -> int:
     override = os.environ.get("PBIO_BENCH_INNER")
-    # ~10 ms per timing round at the ~11 us round-trip: long enough to
+    # ~8 ms per timing round at the ~8 us round-trip: long enough to
     # average out scheduler noise within a round.
     return max(1, int(override)) if override else 1000
 
 
-def _overhead_budget_pct() -> float:
+def _overhead_budget(default: float) -> float:
+    """``PBIO_BENCH_OVERHEAD_MAX``, else ``default``: percent of the bare
+    round trip for the injector, multiples of the floor for the
+    reconnecting wrapper."""
     override = os.environ.get("PBIO_BENCH_OVERHEAD_MAX")
-    return float(override) if override else 5.0
+    return float(override) if override else default
 
 
 def _build_loop(client, server):
@@ -132,6 +155,36 @@ def reconnecting_endpoints():
     return link, pipe.b
 
 
+class _NoopLink(Transport):
+    """An inner link that does nothing, so a wrapper timed over it is
+    timed alone."""
+
+    def send(self, payload) -> None:
+        pass
+
+    def recv(self) -> bytes:
+        return b""
+
+    def close(self) -> None:
+        pass
+
+
+def _build_reconnect_floor():
+    """What one round trip adds on the wrapped client end: one ``send``
+    of a data frame (the announcement sniff falls through) and one
+    ``recv``, each delegated to the current link."""
+    link = ReconnectingTransport(_NoopLink, policy=RetryPolicy(max_attempts=2))
+    ctx = IOContext(support.SPARC)
+    wire = ctx.encode(ctx.register_format(SCHEMA), RECORD)
+
+    def floor():
+        link.send(wire)
+        link.recv()
+
+    floor()
+    return floor
+
+
 def _gate(label: str, make_wrapped) -> None:
     """Measure up to three times; pass on the first within-budget result.
 
@@ -141,7 +194,7 @@ def _gate(label: str, make_wrapped) -> None:
     in every measurement, so re-measuring before failing converts noise
     flakes into passes without weakening the gate.
     """
-    budget = _overhead_budget_pct()
+    budget = _overhead_budget(5.0)
     worst = -float("inf")
     for _ in range(3):
         bare, wrapped, overhead_pct = _compare(make_wrapped)
@@ -162,7 +215,22 @@ def test_inactive_wrapper_overhead_within_budget():
 
 
 def test_reconnecting_wrapper_overhead_within_budget():
-    _gate("reconnecting", reconnecting_endpoints)
+    budget = _overhead_budget(4.0)
+    bare, wrapped, floor, multiple, legacy_pct = support.overhead_vs_floor(
+        _build_loop(*bare_endpoints()),
+        _build_loop(*reconnecting_endpoints()),
+        _build_reconnect_floor(),
+        inner=_inner(),
+    )
+    print(
+        f"\nbare {bare * 1e6:.2f} us | reconnecting {wrapped * 1e6:.2f} us "
+        f"| wrapper floor {floor * 1e6:.2f} us -> overhead "
+        f"{(wrapped - bare) * 1e6:+.2f} us = {multiple:.2f}x floor (budget {budget:g}x; "
+        f"legacy ratio {legacy_pct:+.2f}%)"
+    )
+    assert multiple <= budget, (
+        f"reconnecting wrapper costs {multiple:.2f}x its own send + recv (> {budget:g}x budget)"
+    )
 
 
 if __name__ == "__main__":

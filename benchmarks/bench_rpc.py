@@ -13,6 +13,8 @@ Both measured as synchronous call round-trips over in-memory pipes (no
 network term, isolating the marshalling cost the paper discusses).
 """
 
+import statistics
+
 import pytest
 
 import support
@@ -88,9 +90,35 @@ def test_rpc_call(benchmark, case):
 
 
 def test_shape_pbio_rpc_cheaper():
-    times = {name: best_of(CASES[name](), repeats=5, inner=5) for name in CASES}
-    # PBIO beats the ORB in both configurations (no per-element stubs)...
-    assert times["PBIO homogeneous"] < times["CORBA homogeneous"]
-    assert times["PBIO heterogeneous"] < times["CORBA heterogeneous"]
+    """The four stacks are timed in interleaved rounds, the order
+    reversing every round, and each claim is the median of per-round
+    ratios: a slow phase of the host lands on both sides of a ratio, and
+    no stack is always the one timed first.  (Timed one after another,
+    best of 5 each, the heterogeneous claim — a 3-5 % margin: PBIO
+    67.8-71.2 us vs CORBA 71.4-75.5 us — failed 2 runs in 20 with
+    nothing regressed; attempts on both sides are in EXPERIMENTS.md,
+    PR 19.)"""
+    calls = {name: build() for name, build in CASES.items()}
+    order = list(calls)
+    rounds = []
+    for _ in range(3 * support.default_repeats()):
+        rounds.append({name: best_of(calls[name], repeats=1, inner=20) for name in order})
+        order.reverse()
+
+    def ratio(a, b):
+        return statistics.median(r[a] / r[b] for r in rounds)
+
+    homogeneous = ratio("PBIO homogeneous", "CORBA homogeneous")
+    heterogeneous = ratio("PBIO heterogeneous", "CORBA heterogeneous")
+    corba = ratio("CORBA homogeneous", "CORBA heterogeneous")
+    print(
+        f"\nPBIO / CORBA homogeneous {homogeneous:.3f} | heterogeneous {heterogeneous:.3f} "
+        f"| CORBA homogeneous / heterogeneous {corba:.3f} (medians of {len(rounds)} rounds)"
+    )
+    # PBIO beats the ORB in both configurations (no per-element stubs):
+    # the homogeneous call marshals nothing, the heterogeneous one pays a
+    # DCG conversion each way and still comes in under the stubs...
+    assert homogeneous < 1.0
+    assert heterogeneous < 1.0
     # ...while CORBA pays marshalling even between identical machines.
-    assert times["CORBA homogeneous"] > 0.5 * times["CORBA heterogeneous"]
+    assert corba > 0.5

@@ -301,8 +301,5 @@ class DownstreamStats(_MetricsView):
         "reactivated",
         "evicted",
         "probes_sent",
-        "overflow_queued",
-        "overflow_dropped",
-        "overflow_flushed",
         "goodbyes_sent",
     )

@@ -16,8 +16,6 @@ from .transport import (
     transport_token,
 )
 from .health import (
-    OVERFLOW_POLICIES,
-    BoundedSendQueue,
     CircuitBreaker,
     HeartbeatMonitor,
     ProbePolicy,
@@ -53,7 +51,7 @@ from .shm import (
     create_endpoint,
     shm_pair,
 )
-from .sockets import EchoServer, SocketTransport, loopback_pair
+from .sockets import SocketTransport, loopback_pair
 from .timing import LegCost, RoundTripCost, TimingTable, VirtualClock, best_of, calibrated_inner
 from .channel import ChannelPublisher, EventChannel, SubscriberStats, Subscription, WireTap
 from .relay import Downstream, Relay
@@ -82,9 +80,7 @@ __all__ = [
     "WriteQueueFull",
     "HeartbeatMonitor",
     "ProbePolicy",
-    "BoundedSendQueue",
     "CircuitBreaker",
-    "OVERFLOW_POLICIES",
     "send_goodbye",
     "FrameBuffer",
     "InMemoryPipe",
@@ -110,7 +106,6 @@ __all__ = [
     "paper_network_times_ms",
     "SocketTransport",
     "loopback_pair",
-    "EchoServer",
     "ShmRingTransport",
     "shm_pair",
     "auto_connect",

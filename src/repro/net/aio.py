@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import inspect
 import socket
 import threading
 from collections import deque
@@ -55,7 +56,7 @@ from typing import Awaitable, Callable
 from repro.core.errors import PbioError
 from repro.core.runtime import Metrics
 
-from .health import BoundedSendQueue, send_goodbye
+from .health import send_goodbye
 from .sockets import _IOV_MAX
 from .transport import (
     MAX_FRAME,
@@ -115,7 +116,6 @@ class AsyncSocketTransport:
         *,
         max_write_queue: int = DEFAULT_MAX_WRITE_QUEUE,
         max_read_buffer: int = DEFAULT_MAX_READ_BUFFER,
-        overflow: str = "block",
         metrics: Metrics | None = None,
     ):
         self._sock = sock
@@ -127,13 +127,6 @@ class AsyncSocketTransport:
         self._loop = asyncio.get_running_loop()
         self.max_write_queue = max_write_queue
         self.max_read_buffer = max_read_buffer
-        if overflow != "block":
-            # A full write queue spills frames into a BoundedSendQueue
-            # under the chosen policy instead of raising WriteQueueFull;
-            # spilled frames are promoted back as the kernel drains.
-            self._wover = BoundedSendQueue(max_write_queue, overflow)
-        else:
-            self._wover = None
         self.metrics = metrics if metrics is not None else Metrics()
         self._framer = FrameBuffer()
         self._frames: deque[bytes] = deque()  # parsed, not yet delivered
@@ -156,40 +149,24 @@ class AsyncSocketTransport:
 
     @property
     def write_queue_depth(self) -> int:
-        """Bytes enqueued but not yet accepted by the kernel (including
-        frames spilled to the overflow queue, when one is configured)."""
-        depth = self._wbytes
-        if self._wover is not None:
-            depth += self._wover.queued_bytes
-        return depth
+        """Bytes enqueued but not yet accepted by the kernel."""
+        return self._wbytes
 
-    def _enqueue(self, bufs: list, nbytes: int, frames: list[bytes] | None = None) -> None:
-        """Queue ``bufs`` (totalling ``nbytes``); ``frames`` lists the raw
-        message payloads they carry, for overflow-policy accounting."""
+    def _enqueue(self, bufs: list, nbytes: int) -> None:
+        """Queue ``bufs`` (totalling ``nbytes``), or raise
+        :class:`WriteQueueFull` when the peer is not draining."""
         if self._closing:
             raise TransportError("send on closed transport")
         if self._werror is not None:
             raise TransportError(
                 f"send failed: {self._werror}"
             ) from self._werror
-        over = self._wover
         with self._wlock:
-            if over is not None and len(over) and frames is not None:
-                # A spill backlog exists: everything routes behind it so
-                # frame order survives the overflow episode.
-                full = False
-                for payload in frames:
-                    self._spill_locked(payload)
             # A single burst larger than the bound is allowed on an *empty*
             # queue (it could never be sent otherwise); anything else over
             # the bound is a slow consumer and must surface, not accumulate.
-            elif self._wbytes and self._wbytes + nbytes > self.max_write_queue:
-                if over is not None and frames is not None:
-                    full = False
-                    for payload in frames:
-                        self._spill_locked(payload)
-                else:
-                    full = True
+            if self._wbytes and self._wbytes + nbytes > self.max_write_queue:
+                full = True
             else:
                 full = False
                 self._wbufs.extend(bufs)
@@ -249,31 +226,6 @@ class AsyncSocketTransport:
                 return
             self._consume(sent, window)
 
-    def _spill_locked(self, payload: bytes) -> None:
-        """Push one frame into the overflow queue (``_wlock`` held)."""
-        if self._wover.push(payload):
-            self.metrics.inc("aio.overflow_queued")
-        else:
-            self.metrics.inc("aio.overflow_dropped")
-
-    def _promote_locked(self) -> None:
-        """Move spilled frames back into the live queue (``_wlock`` held)
-        once the kernel has drained it to half capacity."""
-        over = self._wover
-        if over is None or not len(over):
-            return
-        low_water = self.max_write_queue // 2
-        if self._wbytes > low_water:
-            return
-        while self._wbytes <= low_water:
-            payload = over.pop()
-            if payload is None:
-                break
-            self._wbufs.append(_LEN.pack(len(payload)))
-            self._wbufs.append(payload)
-            self._wbytes += 4 + len(payload)
-            self.metrics.inc("aio.overflow_promoted")
-
     def _consume(self, sent: int, window: list) -> None:
         """Account ``sent`` bytes against the queue head (partial-send
         resume via memoryview re-slicing, as in ``SocketTransport``)."""
@@ -292,37 +244,27 @@ class AsyncSocketTransport:
                     self._wbufs[idx] = memoryview(buf)[sent:]
                     sent = 0
             del self._wbufs[:idx]
-            if self._wover is not None:
-                self._promote_locked()
 
     def send(self, payload) -> None:
         """Queue one framed message (synchronous, never blocks)."""
         n = len(payload)
         if n > MAX_FRAME:
             raise TransportError(f"frame too large: {n}")
-        pinned = _pin(payload)
-        self._enqueue(
-            [_LEN.pack(n), pinned],
-            4 + n,
-            [pinned] if self._wover is not None else None,
-        )
+        self._enqueue([_LEN.pack(n), _pin(payload)], 4 + n)
 
     def send_many(self, frames) -> None:
         """Queue many framed messages as one all-or-nothing burst."""
         bufs: list[bytes] = []
-        pinned: list[bytes] = []
         total = 0
         for payload in frames:
             n = len(payload)
             if n > MAX_FRAME:
                 raise TransportError(f"frame too large: {n}")
-            data = _pin(payload)
             bufs.append(_LEN.pack(n))
-            bufs.append(data)
-            pinned.append(data)
+            bufs.append(_pin(payload))
             total += 4 + n
         if bufs:
-            self._enqueue(bufs, total, pinned if self._wover is not None else None)
+            self._enqueue(bufs, total)
 
     def send_segments(self, segments) -> None:
         """Queue one logical message from many buffers, zero-copy: the
@@ -331,22 +273,12 @@ class AsyncSocketTransport:
         total = sum(len(s) for s in bufs)
         if total > MAX_FRAME:
             raise TransportError(f"frame too large: {total}")
-        # The overflow queue needs whole frames to apply its policy, so
-        # spilling joins the segments; the zero-copy fast path is intact.
-        self._enqueue(
-            [_LEN.pack(total), *bufs],
-            4 + total,
-            [b"".join(bytes(s) for s in bufs)] if self._wover is not None else None,
-        )
+        self._enqueue([_LEN.pack(total), *bufs], 4 + total)
 
     async def drain(self) -> None:
         """Wait until the write queue is empty (explicit backpressure:
         a handler awaiting this has paused its reads)."""
-        while (
-            (self._wbytes or (self._wover is not None and len(self._wover)))
-            and self._werror is None
-            and not self._closing
-        ):
+        while self._wbytes and self._werror is None and not self._closing:
             await self._wdrained.wait()
         if self._werror is not None:
             raise TransportError(f"send failed: {self._werror}") from self._werror
@@ -390,8 +322,6 @@ class AsyncSocketTransport:
         with self._wlock:
             self._wbufs.clear()
             self._wbytes = 0
-            if self._wover is not None:
-                self._wover.clear()
         self._wdrained.set()  # wake drainers so they observe the error
 
     # -- persistent reader pump ---------------------------------------------
@@ -579,12 +509,15 @@ def _writable(loop: asyncio.AbstractEventLoop, sock: socket.socket):
 
 
 async def drain(transport) -> None:
-    """``await transport.drain()`` for any transport: a no-op on
-    transports without a write queue (sync sockets, pipes, wrappers that
-    do not delegate)."""
+    """``transport.drain()`` for any transport, awaited when it is a
+    coroutine (:class:`AsyncSocketTransport`) and simply called when it
+    is synchronous (the shm ring, whose drain blocks as its sends do);
+    a no-op on transports without a write queue (sync sockets, pipes)."""
     drain_fn = getattr(transport, "drain", None)
     if drain_fn is not None:
-        await drain_fn()
+        pending = drain_fn()
+        if inspect.isawaitable(pending):
+            await pending
 
 
 class AsyncServer:
@@ -619,7 +552,6 @@ class AsyncServer:
         backlog: int = 128,
         max_clients: int | None = None,
         max_write_queue: int = DEFAULT_MAX_WRITE_QUEUE,
-        overflow: str = "block",
         once: bool = False,
         metrics: Metrics | None = None,
     ):
@@ -631,7 +563,6 @@ class AsyncServer:
         self._backlog = backlog
         self.max_clients = max_clients
         self.max_write_queue = max_write_queue
-        self.overflow = overflow
         self._once = once
         self.metrics = metrics if metrics is not None else Metrics()
         self._listener: socket.socket | None = None
@@ -742,10 +673,7 @@ class AsyncServer:
             conn.close()
             return None
         transport = AsyncSocketTransport(
-            conn,
-            max_write_queue=self.max_write_queue,
-            overflow=self.overflow,
-            metrics=self.metrics,
+            conn, max_write_queue=self.max_write_queue, metrics=self.metrics
         )
         task = self._loop.create_task(self._run_handler(transport))
         self._conn_tasks.add(task)
@@ -903,7 +831,8 @@ def channel_handler(channel) -> ConnectionHandler:
 
 def echo_handler(fn: Callable[[bytes], bytes] | None = None) -> ConnectionHandler:
     """Apply ``fn`` (default: identity) to each burst and send it back —
-    the async analogue of :class:`~repro.net.sockets.EchoServer`."""
+    the peer side of the paper's round-trip experiments (receive,
+    transform, reply), served under :class:`AsyncServer`."""
 
     async def handle(transport: AsyncSocketTransport) -> None:
         if fn is None:  # pure echo: no per-record call, no copy

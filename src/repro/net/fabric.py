@@ -1,4 +1,4 @@
-"""Sharded relay fabric: consistent-hash routing, fan-out trees, edge filters.
+"""Sharded relay fabric: consistent-hash routing, one relay per channel, edge filters.
 
 One :class:`~repro.net.relay.Relay` is one event loop: aggregate
 throughput is capped by a single process however many downstreams it
@@ -12,10 +12,14 @@ touching nothing but the 16-byte header:
   changes move only the channels adjacent to the joined/left worker's
   points (the classic minimal-movement property);
 * each :class:`RelayWorker` owns the channels the ring assigns it, one
-  per-channel fan-out tree of :class:`Relay` nodes: above a configurable
-  ``branching_factor`` the leaves are chunked under interior relays
-  (workers chain as interior nodes), so a 10 000-subscriber channel
-  costs each node at most ``branching_factor`` sends per record;
+  :class:`Relay` per channel, built on first use and kept: a subscriber
+  joining or leaving is one ``attach`` / ``detach`` on that relay, so
+  nobody else's :class:`~repro.net.relay.Downstream` handle, ack cursor,
+  quarantine record or replay window is touched.  Fan-out inside one
+  process is one loop (all of a worker's relays share a thread, so more
+  levels would only be more sends); where one process is not enough, a
+  relay or a whole fabric attaches as another's downstream over a real
+  transport (``relay_handler`` / :func:`fabric_handler`);
 * the :class:`FabricDispatcher` front routes every inbound frame by
   sniffing only the channel key from its header — data, sequenced and
   token frames are forwarded *verbatim*, never decoded (announcements
@@ -24,10 +28,10 @@ touching nothing but the 16-byte header:
   classified, at the front and at each worker);
 * filters push down to the edge: ``subscribe(..., filter_expr=...)``
   places a :class:`~repro.core.filters.RecordFilter` on the subscriber's
-  *leaf* attachment, compiled per arriving wire format against the
-  packed bytes (interior hops forward verbatim) and shared through the
-  fabric-wide :class:`~repro.core.runtime.ConverterCache`, so N
-  subscribers with one predicate compile it once.
+  attachment, compiled per arriving wire format against the packed
+  bytes and shared through the fabric-wide
+  :class:`~repro.core.runtime.ConverterCache`, so N subscribers with one
+  predicate compile it once.
 
 The existing planes are integrated, not reimplemented.  Worker death
 is detected the way the health plane detects peer death — the
@@ -40,10 +44,10 @@ subscribers are re-attached (with the announcement replay
 :meth:`Relay.attach` already performs), and the publisher WAL's
 retransmission covers the frames that died in the worker's queues.
 Durable streams keep PR 8 semantics per shard: ``MSG_DATA_SEQ`` frames
-pass through unmodified, subscriber acks are harvested up each fan-out
-tree (interior relays aggregate their leaves' min-cursor exactly as a
-standalone relay does), and the dispatcher forwards each shard's
-min-cursor upstream, never-regressing per channel across rebalances.
+pass through unmodified, each channel's relay harvests its subscribers'
+acks and emits their min-cursor exactly as a standalone relay does, and
+the dispatcher forwards each shard's min-cursor upstream,
+never-regressing per channel across rebalances.
 
 See docs/fabric.md for the full design.
 """
@@ -54,7 +58,6 @@ import bisect
 import hashlib
 import struct
 import time
-from collections import deque
 from typing import Callable, Iterable
 
 from repro.core import encoder as enc
@@ -78,11 +81,6 @@ from repro.net.transport import PeerUnresponsive, Transport, TransportError
 #: points, and the rebuild a membership change pays is a ~30 ms sort at
 #: 8 workers — rare (scale events, failures) and off the record path.
 DEFAULT_VNODES = 512
-
-#: Fan-out tree branching factor: a relay node (root or interior) sends
-#: each record to at most this many children before another tree level
-#: is introduced.
-DEFAULT_BRANCHING = 8
 
 
 class FabricError(RuntimeError):
@@ -190,9 +188,12 @@ class HashRing:
 
 class EdgeSubscription:
     """One subscriber placed on a worker: the transport, the channel key
-    and the (optional) pushed-down filter.  ``downstream`` is the live
-    :class:`~repro.net.relay.Downstream` handle inside whichever tree
-    relay currently owns the leaf — it changes on every tree rebuild."""
+    and the (optional) pushed-down filter.  ``downstream`` is its
+    :class:`~repro.net.relay.Downstream` handle inside the channel's
+    relay — the same object from placement until the channel moves to
+    another worker.  A tap (``key`` is ``None``) is attached to every
+    channel relay of its worker and keeps one handle per channel in
+    ``tap_downstreams``."""
 
     def __init__(
         self,
@@ -207,174 +208,16 @@ class EdgeSubscription:
         self.filter_expr = filter_expr
         self.worker_name: str | None = None
         self.downstream: Downstream | None = None
+        self.tap_downstreams: dict[tuple[int, int], Downstream] = {}
 
 
-class _InteriorLink(Transport):
-    """The in-process edge between a tree relay and its interior child.
-
-    ``send``/``send_many`` feed the child relay's forward path directly
-    (no copies, no queues); the child's upstream acks are queued here as
-    a back-channel the parent harvests with ``poll_recv`` in ``heal()``,
-    exactly as it would off a socket.  Probe pings are answered
-    immediately — an in-process child is alive iff we are.
-    """
-
-    def __init__(self) -> None:
-        self.relay: Relay | None = None
-        self._backchannel: deque[bytes] = deque()
-
-    def enqueue_ack(self, frame: bytes) -> None:
-        """The child relay's ``ack_upstream`` sink."""
-        self._backchannel.append(frame)
-
-    def send(self, message) -> None:
-        if len(message) >= enc.HEADER_SIZE and message[0] == enc.MAGIC \
-                and message[2] == enc.MSG_PING:
-            try:
-                nonce, _depth = enc.parse_ping(bytes(message))
-            except PbioError:
-                return
-            if nonce != enc.GOODBYE_NONCE:
-                self._backchannel.append(enc.encode_pong(nonce, 0))
-            return
-        # Data frames pass through uncopied (the relay forwards MSG_DATA
-        # verbatim and copies only what it retains — announcements and
-        # replay windows); borrowed views are materialized once here so
-        # nothing downstream can outlive a receive-buffer lease.
-        self.relay.forward(message if isinstance(message, bytes) else bytes(message))
-
-    def send_many(self, messages) -> None:
-        self.relay.forward_batch(
-            [m if isinstance(m, bytes) else bytes(m) for m in messages]
-        )
-
-    def recv(self) -> bytes:
-        if self._backchannel:
-            return self._backchannel.popleft()
-        raise TransportError("interior link has no pending back-channel frame")
-
-    def poll_recv(self) -> bytes | None:
-        return self._backchannel.popleft() if self._backchannel else None
-
-    def close(self) -> None:
-        self._backchannel.clear()
-
-
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-class _ChannelFanout:
-    """One channel's fan-out tree on one worker.
-
-    ``root`` ingests the channel's frames; when the leaf count exceeds
-    the worker's branching factor, leaves are chunked bottom-up under
-    interior relays until one level fits under the root.  Leaves carry
-    the pushed-down filters; interior hops forward verbatim.  The tree
-    is rebuilt from scratch on membership changes — cheap (subscribe
-    events are rare next to records) and correct: the worker replays its
-    announcement backlog through the fresh root, which cascades it down
-    the new tree, so every leaf can decode what arrives next.
-    """
-
-    def __init__(self, worker: "RelayWorker", key: tuple[int, int]):
-        self.worker = worker
-        self.key = key
-        self.leaves: list[EdgeSubscription] = []
-        self.root: Relay | None = None
-        self._interiors: list[Relay] = []
-        self._rebuild()
-
-    @property
-    def relays(self) -> list[Relay]:
-        return [*self._interiors, self.root]
-
-    @property
-    def depth(self) -> int:
-        """Tree depth in relay levels (1 = flat fan-out)."""
-        n = max(1, len(self.leaves) + len(self.worker.taps))
-        levels = 1
-        while n > self.worker.branching_factor:
-            n = -(-n // self.worker.branching_factor)
-            levels += 1
-        return levels
-
-    @property
-    def queue_depth(self) -> int:
-        return sum(
-            d.write_queue_depth for relay in self.relays for d in relay.active_downstreams
-        )
-
-    def add(self, sub: EdgeSubscription) -> None:
-        self.leaves.append(sub)
-        self._rebuild()
-
-    def remove(self, sub: EdgeSubscription) -> None:
-        self.leaves.remove(sub)
-        self._rebuild()
-
-    def _attach(self, relay: Relay, children: list) -> None:
-        for kind, child in children:
-            if kind == "leaf":
-                child.downstream = relay.attach(
-                    child.transport,
-                    format_name=child.format_name,
-                    filter_expr=child.filter_expr,
-                )
-            else:  # an interior link: verbatim hop, no filter
-                relay.attach(child)
-
-    def _rebuild(self) -> None:
-        worker = self.worker
-        # Taps (worker-wide wildcard subscribers, e.g. pbio-fabric peers)
-        # get a fresh leaf record per tree so their Downstream handles
-        # never collide across channels.
-        tap_leaves = [
-            EdgeSubscription(self.key, tap.transport, tap.format_name, tap.filter_expr)
-            for tap in worker.taps
-        ]
-        level: list[tuple[str, object]] = [
-            ("leaf", sub) for sub in (*self.leaves, *tap_leaves)
-        ]
-        interiors: list[Relay] = []
-        while len(level) > worker.branching_factor:
-            next_level: list[tuple[str, object]] = []
-            for chunk in _chunks(level, worker.branching_factor):
-                link = _InteriorLink()
-                interior = worker._new_relay(ack_upstream=link.enqueue_ack)
-                link.relay = interior
-                interiors.append(interior)
-                self._attach(interior, chunk)
-                next_level.append(("link", link))
-            level = next_level
-        root = worker._new_relay(ack_upstream=worker._emit_ack)
-        self._attach(root, level)
-        # Replay the worker's announcement backlog through the new root;
-        # forward() stores, dedups and cascades it down every level, so
-        # the whole tree (and every leaf) regains the format state.
-        for frame in worker._announcements:
-            root.forward(frame)
-        self.root = root
-        self._interiors = interiors
-
-    def heal(self, now: float | None = None) -> None:
-        # Deepest level first (interiors were appended bottom-up): a
-        # leaf's ack harvested at its interior this pass is aggregated
-        # and queued on the link, where the next level up harvests it —
-        # one pass moves cursors one level, repeated passes converge.
-        for relay in self._interiors:
-            relay.heal(now)
-        self.root.heal(now)
-
-    def drain_and_stop(self, deadline_s: float = 5.0) -> None:
-        self.root.drain_and_stop(deadline_s)
-        for relay in self._interiors:
-            relay.drain_and_stop(deadline_s)
+def _queue_depth(relay: Relay) -> int:
+    return sum(d.write_queue_depth for d in relay.active_downstreams)
 
 
 class RelayWorker:
     """One shard of the fabric: the relays for the channels a ring
-    assigns to this worker, one fan-out tree per channel.
+    assigns to this worker, one :class:`Relay` per channel.
 
     The worker is addressed through :meth:`ingest` /
     :meth:`ingest_batch` (the dispatcher's route targets); a dead worker
@@ -388,57 +231,35 @@ class RelayWorker:
         self,
         name: str,
         *,
-        branching_factor: int = DEFAULT_BRANCHING,
         cache: ConverterCache | None = None,
         limits: DecodeLimits | None = DEFAULT_LIMITS,
         quarantine_after: int = 3,
         probe_policy: ProbePolicy | None = None,
-        overflow: str = "block",
-        max_queue_bytes: int = 1 << 20,
         clock: Callable[[], float] = time.monotonic,
         replay_window: int = 256,
         ack_upstream: Callable[[bytes], None] | None = None,
         format_service=None,
     ):
-        if branching_factor < 2:
-            raise ValueError("branching_factor must be >= 2")
         self.name = name
-        self.branching_factor = branching_factor
-        #: Shared across every relay in every tree on this worker (and,
-        #: when the dispatcher hands one in, across the whole fabric):
-        #: converters and compiled filters are built once per fabric.
+        #: Shared across every relay on this worker (and, when the
+        #: dispatcher hands one in, across the whole fabric): converters
+        #: and compiled filters are built once per fabric.
         self.cache = cache if cache is not None else ConverterCache()
         self.limits = limits
         self.quarantine_after = quarantine_after
         self.probe_policy = probe_policy
-        self.overflow = overflow
-        self.max_queue_bytes = max_queue_bytes
         self.clock = clock
         self.replay_window = replay_window
         self.ack_upstream = ack_upstream
         self.format_service = format_service
         self.alive = True
         self.metrics = Metrics()
-        self._fanouts: dict[tuple[int, int], _ChannelFanout] = {}
+        self._relays: dict[tuple[int, int], Relay] = {}
         self._announcements = AnnouncementBacklog()
         self.taps: list[EdgeSubscription] = []
 
-    def _new_relay(self, *, ack_upstream: Callable[[bytes], None] | None) -> Relay:
-        return Relay(
-            cache=self.cache,
-            quarantine_after=self.quarantine_after,
-            limits=self.limits,
-            format_service=self.format_service,
-            probe_policy=self.probe_policy,
-            overflow=self.overflow,
-            max_queue_bytes=self.max_queue_bytes,
-            clock=self.clock,
-            ack_upstream=ack_upstream,
-            replay_window=self.replay_window,
-        )
-
     def _emit_ack(self, frame: bytes) -> None:
-        """Root relays' ``ack_upstream`` sink: one shard's min-cursor."""
+        """The channel relays' ``ack_upstream`` sink: one shard's min-cursor."""
         self.metrics.inc("worker.acks_up")
         if self.ack_upstream is not None:
             self.ack_upstream(frame)
@@ -450,7 +271,7 @@ class RelayWorker:
     # -- the dispatcher-facing ingest path -----------------------------------
 
     def ingest(self, message: bytes, header=None) -> None:
-        """Route one frame into the owning channel's tree: a one-frame
+        """Route one frame into the owning channel's relay: a one-frame
         :meth:`ingest_batch`.
 
         ``header`` is the dispatcher's already-parsed header (single
@@ -461,7 +282,7 @@ class RelayWorker:
     def ingest_batch(self, frames) -> None:
         """Route one dispatcher run — ``(message, header)`` pairs already
         sniffed upstream (a ``None`` header is parsed here) — grouping
-        per channel so each tree gets one vectored ``forward_batch``.
+        per channel so each relay gets one vectored ``forward_batch``.
         Cross-channel order inside a run is not meaningful; per-channel
         arrival order is preserved.  Non-PBIO and oversize frames are
         dropped before classification (``worker.rejected``), as a relay
@@ -485,23 +306,39 @@ class RelayWorker:
                 # inside a shard; the dispatcher normally drops them first.
                 self.metrics.inc("worker.dropped")
         for key, (messages, headers) in by_key.items():
-            self._fanout(key).root.forward_batch(messages, headers=headers)
+            self._relay(key).forward_batch(messages, headers=headers)
             self.metrics.inc("worker.routed", len(messages))
 
     def _absorb_announcement(self, message: bytes) -> None:
         data = bytes(message)
         if self._announcements.add(data):
             self.metrics.inc("worker.announcements")
-        # Existing trees hear it either way (their relays dedup); the
-        # backlog replay covers trees created later.
-        for fanout in self._fanouts.values():
-            fanout.root.forward(data)
+        # Existing relays hear it either way (they dedup); the backlog
+        # replay covers relays created later.
+        for relay in self._relays.values():
+            relay.forward(data)
 
-    def _fanout(self, key: tuple[int, int]) -> _ChannelFanout:
-        fanout = self._fanouts.get(key)
-        if fanout is None:
-            fanout = self._fanouts[key] = _ChannelFanout(self, key)
-        return fanout
+    def _relay(self, key: tuple[int, int]) -> Relay:
+        """The channel's relay, built on first use: it hears the
+        worker's announcement backlog (so every later ``attach`` replays
+        it), then every worker-wide tap attaches."""
+        relay = self._relays.get(key)
+        if relay is None:
+            relay = self._relays[key] = Relay(
+                cache=self.cache,
+                quarantine_after=self.quarantine_after,
+                limits=self.limits,
+                format_service=self.format_service,
+                probe_policy=self.probe_policy,
+                clock=self.clock,
+                ack_upstream=self._emit_ack,
+                replay_window=self.replay_window,
+            )
+            for frame in self._announcements:
+                relay.forward(frame)
+            for tap in self.taps:
+                tap.tap_downstreams[key] = relay.attach(tap.transport)
+        return relay
 
     # -- subscriptions --------------------------------------------------------
 
@@ -513,8 +350,8 @@ class RelayWorker:
         format_name: str | None = None,
         filter_expr: str | None = None,
     ) -> EdgeSubscription:
-        """Attach a subscriber leaf for one channel (filter pushed down
-        to the leaf attachment; announcements replayed by the tree)."""
+        """Attach a subscriber for one channel (filter pushed down to
+        its attachment; announcements replayed by the channel's relay)."""
         sub = EdgeSubscription(tuple(key), transport, format_name, filter_expr)
         self.adopt(sub)
         return sub
@@ -526,13 +363,18 @@ class RelayWorker:
         one object that represents the subscription."""
         self._check_alive()
         sub.worker_name = self.name
-        self._fanout(sub.key).add(sub)
+        sub.downstream = self._relay(sub.key).attach(
+            sub.transport, format_name=sub.format_name, filter_expr=sub.filter_expr
+        )
         self.metrics.inc("worker.subscribed")
 
     def unsubscribe(self, sub: EdgeSubscription) -> None:
-        fanout = self._fanouts.get(sub.key)
-        if fanout is not None and sub in fanout.leaves:
-            fanout.remove(sub)
+        """Detach ``sub`` from its channel's relay; a handle this worker
+        does not hold (evicted, or placed before a :meth:`kill`) is a
+        no-op."""
+        relay = self._relays.get(sub.key)
+        if relay is not None and sub.downstream in relay.downstreams:
+            relay.detach(sub.downstream)
             self.metrics.inc("worker.unsubscribed")
 
     def subscribe_tap(self, transport: Transport) -> EdgeSubscription:
@@ -542,33 +384,35 @@ class RelayWorker:
         tap = EdgeSubscription(None, transport, None, None)
         tap.worker_name = self.name
         self.taps.append(tap)
-        for fanout in self._fanouts.values():
-            fanout._rebuild()
+        for key, relay in self._relays.items():
+            tap.tap_downstreams[key] = relay.attach(transport)
         return tap
 
     def unsubscribe_tap(self, tap: EdgeSubscription) -> None:
         if tap in self.taps:
             self.taps.remove(tap)
-            for fanout in self._fanouts.values():
-                fanout._rebuild()
+            for key, downstream in tap.tap_downstreams.items():
+                if downstream.state != EVICTED:  # only heal() can have removed a listed tap's handle
+                    self._relays[key].detach(downstream)
+            tap.tap_downstreams.clear()
 
     # -- lifecycle / health ---------------------------------------------------
 
     def heal(self, now: float | None = None) -> None:
-        """Drive every tree's quarantine/ack machinery one step."""
+        """Drive every relay's quarantine/ack machinery one step."""
         if not self.alive:
             return
-        for fanout in self._fanouts.values():
-            fanout.heal(now)
+        for relay in self._relays.values():
+            relay.heal(now)
 
     def kill(self) -> None:
         """Die abruptly, state and all — the in-process ``kill -9``.
 
-        Every tree, announcement and subscription is gone; the next
+        Every relay, announcement and subscription is gone; the next
         :meth:`ingest` raises, which is how the dispatcher finds out.
         """
         self.alive = False
-        self._fanouts.clear()
+        self._relays.clear()
         self._announcements = AnnouncementBacklog()
         self.taps.clear()
         self.metrics.inc("worker.killed")
@@ -579,9 +423,9 @@ class RelayWorker:
         self.alive = True
 
     def drain_and_stop(self, deadline_s: float = 5.0) -> None:
-        """Graceful exit: flush every tree, goodbye every leaf, go down."""
-        for fanout in self._fanouts.values():
-            fanout.drain_and_stop(deadline_s)
+        """Graceful exit: stop every relay, goodbye every subscriber, go down."""
+        for relay in self._relays.values():
+            relay.drain_and_stop(deadline_s)
         self.alive = False
         self.metrics.inc("worker.drained")
 
@@ -589,21 +433,21 @@ class RelayWorker:
 
     @property
     def queue_depth(self) -> int:
-        return sum(f.queue_depth for f in self._fanouts.values())
+        return sum(_queue_depth(relay) for relay in self._relays.values())
 
     @property
     def channel_keys(self) -> list[tuple[int, int]]:
-        return sorted(self._fanouts)
+        return sorted(self._relays)
 
     def channels(self) -> dict[tuple[int, int], dict]:
-        """Per-channel ``{"subscribers", "queue_depth", "depth"}``."""
+        """Per-channel ``{"subscribers", "queue_depth"}`` (taps and
+        quarantined subscribers count; evicted ones are gone)."""
         return {
             key: {
-                "subscribers": len(fanout.leaves) + len(self.taps),
-                "queue_depth": fanout.queue_depth,
-                "depth": fanout.depth,
+                "subscribers": len(relay.downstreams),
+                "queue_depth": _queue_depth(relay),
             }
-            for key, fanout in sorted(self._fanouts.items())
+            for key, relay in sorted(self._relays.items())
         }
 
 
@@ -626,7 +470,8 @@ class FabricDispatcher:
 
     * data and sequenced frames route to ``ring.owner((cid, fid))``
       verbatim — the dispatcher parses the header once and threads it
-      through the worker into the tree (no re-sniffing anywhere);
+      through the worker into the channel's relay (no re-sniffing
+      anywhere);
     * format and token announcements are remembered as opaque bytes and
       broadcast to every active worker (and replayed into workers that
       join or return later), so any worker can own any channel after a
@@ -645,7 +490,7 @@ class FabricDispatcher:
     periodically — once per pump burst is enough.
 
     Durable delivery aggregates per shard: each worker forwards its
-    root relays' min-cursor acks into the dispatcher, which never
+    channel relays' min-cursor acks into the dispatcher, which never
     regresses a channel's cursor (a freshly-placed worker starts at 0;
     the publisher must not see time run backward) and emits the result
     to ``ack_upstream`` — the same sink contract a relay takes.
@@ -656,14 +501,11 @@ class FabricDispatcher:
         workers: int | Iterable[RelayWorker],
         *,
         vnodes: int = DEFAULT_VNODES,
-        branching_factor: int = DEFAULT_BRANCHING,
         cache: ConverterCache | None = None,
         limits: DecodeLimits | None = DEFAULT_LIMITS,
         quarantine_after: int = 3,
         probe_policy: ProbePolicy | None = None,
         worker_probe_policy: ProbePolicy | None = None,
-        overflow: str = "block",
-        max_queue_bytes: int = 1 << 20,
         clock: Callable[[], float] = time.monotonic,
         replay_window: int = 256,
         ack_upstream: Callable[[bytes], None] | None = None,
@@ -691,13 +533,10 @@ class FabricDispatcher:
             workers = [
                 RelayWorker(
                     f"w{i}",
-                    branching_factor=branching_factor,
                     cache=self.cache,
                     limits=limits,
                     quarantine_after=quarantine_after,
                     probe_policy=worker_probe_policy,
-                    overflow=overflow,
-                    max_queue_bytes=max_queue_bytes,
                     clock=clock,
                     replay_window=replay_window,
                     format_service=format_service,
@@ -859,7 +698,7 @@ class FabricDispatcher:
         filter_expr: str | None = None,
     ) -> EdgeSubscription:
         """Place a subscriber on the channel's owning worker (the filter
-        expression pushes down to the leaf there; on rebalance the
+        expression pushes down to its attachment there; on rebalance the
         subscription follows the channel to its new owner)."""
         key = (int(key[0]), int(key[1]))
         name = self._owner_for(key)
@@ -946,7 +785,7 @@ class FabricDispatcher:
     def heal(self, now: float | None = None) -> None:
         """One step of the fabric state machine: detect dead workers,
         probe and reactivate/evict quarantined ones, drive every live
-        worker's own tree healing (which is what moves acks upstream)."""
+        worker's own relay healing (which is what moves acks upstream)."""
         if now is None:
             now = self._clock()
         policy = self.probe_policy
@@ -974,8 +813,7 @@ class FabricDispatcher:
         the subscriptions of channels whose owner changed.  Announcement
         state needs no special motion: every active worker holds the
         backlog (broadcast on arrival, replayed on join/return), and
-        :meth:`RelayWorker.subscribe` builds trees that replay it to
-        every leaf."""
+        :meth:`RelayWorker.adopt` attaches to a relay that replays it."""
         self.metrics.inc("fabric.rebalances")
         moved = 0
         for key, old_name in sorted(self._owner_of.items()):
@@ -999,7 +837,7 @@ class FabricDispatcher:
             self.metrics.inc("fabric.migrated_channels", moved)
 
     def _on_shard_ack(self, frame: bytes) -> None:
-        """A worker root relay's min-cursor ack for one channel: never
+        """A worker channel relay's min-cursor ack for one channel: never
         regress (a re-placed shard restarts at cursor 0), then forward
         toward the publisher."""
         try:

@@ -40,6 +40,7 @@ import numpy as np
 from repro.core import encoder as enc
 from repro.core.runtime import Metrics
 
+from .aio import drain
 from .transport import PeerClosedError, Transport, TransportError, TransportTimeout
 
 #: Fixed draw order; index into the per-message uniform vector.
@@ -169,19 +170,11 @@ class FaultInjectingTransport(Transport):
         self._broken = False
         if not self._active:
             # Zero-cost happy path: bypass the wrapper methods entirely.
-            # (getattr: duck-typed links predating the batch API still work
-            # — the base-class loops over the aliased send/recv cover them.)
             self.send = inner.send  # type: ignore[method-assign]
             self.recv = inner.recv  # type: ignore[method-assign]
-            inner_send_many = getattr(inner, "send_many", None)
-            if inner_send_many is not None:
-                self.send_many = inner_send_many  # type: ignore[method-assign]
-            inner_recv_many = getattr(inner, "recv_many", None)
-            if inner_recv_many is not None:
-                self.recv_many = inner_recv_many  # type: ignore[method-assign]
-            inner_poll_recv = getattr(inner, "poll_recv", None)
-            if inner_poll_recv is not None:
-                self.poll_recv = inner_poll_recv  # type: ignore[method-assign]
+            self.send_many = inner.send_many  # type: ignore[method-assign]
+            self.recv_many = inner.recv_many  # type: ignore[method-assign]
+            self.poll_recv = inner.poll_recv  # type: ignore[method-assign]
 
     @property
     def inner(self) -> Transport:
@@ -314,20 +307,14 @@ class FaultInjectingTransport(Transport):
     def recv_many(self, max_frames: int = 0) -> list[bytes]:
         if self._broken:
             raise TransportError("recv on disconnected transport (injected)")
-        inner_recv_many = getattr(self._inner, "recv_many", None)
-        if inner_recv_many is None:
-            return [self._inner.recv()]
-        return inner_recv_many(max_frames)
+        return self._inner.recv_many(max_frames)
 
     def poll_recv(self) -> bytes | None:
         """Delegate the health plane's non-blocking probe to the inner
         link (faults here are send-side; the receive path is honest)."""
         if self._broken:
             raise TransportError("recv on disconnected transport (injected)")
-        inner_poll_recv = getattr(self._inner, "poll_recv", None)
-        if inner_poll_recv is None:
-            return None
-        return inner_poll_recv()
+        return self._inner.poll_recv()
 
     def set_timeout(self, timeout_s: float | None) -> None:
         self._inner.set_timeout(timeout_s)
@@ -335,13 +322,12 @@ class FaultInjectingTransport(Transport):
     @property
     def write_queue_depth(self) -> int:
         """Bytes queued in the inner transport (0 for unqueued inners)."""
-        return getattr(self._inner, "write_queue_depth", 0)
+        return self._inner.write_queue_depth
 
     async def drain(self) -> None:
-        """Await the inner transport's write queue (no-op for sync inners)."""
-        inner_drain = getattr(self._inner, "drain", None)
-        if inner_drain is not None:
-            await inner_drain()
+        """Drain the inner transport's write queue (:func:`repro.net.aio.drain`:
+        a no-op for inners without one)."""
+        await drain(self._inner)
 
     def close(self) -> None:
         if not self._broken:
@@ -500,7 +486,8 @@ class ReconnectingTransport(Transport):
     #
     # The happy path is a single inline try — no closure allocation, no
     # payload copy — so a stable link pays only the announcement sniff
-    # (three byte compares); bench_fault_overhead.py holds this to <=5%.
+    # (three byte compares); bench_fault_overhead.py holds the round-trip
+    # penalty to 4x this send + recv timed alone.
 
     def send(self, payload) -> None:
         # Ordered so the common case (a data message) falls through after
@@ -543,20 +530,14 @@ class ReconnectingTransport(Transport):
     # must pass the announcement sniff above so replay stays complete.
 
     def recv_many(self, max_frames: int = 0) -> list[bytes]:
-        def recv_many_once():
-            inner = getattr(self._transport, "recv_many", None)
-            if inner is None:
-                return [self._transport.recv()]
-            return inner(max_frames)
-
         try:
-            return recv_many_once()
+            return self._transport.recv_many(max_frames)
         except TransportError:
             pass
 
         def redial_and_recv_many():
             self._reconnect()
-            return recv_many_once()
+            return self._transport.recv_many(max_frames)
 
         return self.policy.run(redial_and_recv_many, sleep=self._sleep)
 

@@ -16,13 +16,12 @@ operator in the loop (docs/robustness.md §9):
   relay's :class:`~repro.net.relay.Downstream` and the fabric
   dispatcher's per-worker slot both *are* one, so the two ``heal()``
   loops differ only in how a probe is sent and what reactivation replays.
+  A slow consumer is not a separate case: a full write queue raises
+  :class:`~repro.net.transport.WriteQueueFull`, a ``TransportError``,
+  and is counted like any other failed send.
 * :class:`AnnouncementBacklog` — "remember each announcement once, replay
   it in order to late joiners", the one copy behind the relay, the fabric
   worker and dispatcher, and :class:`~repro.net.channel.EventChannel`.
-* :class:`BoundedSendQueue` — a per-peer overflow buffer with the four
-  policies the ROADMAP's relay-fabric item calls for
-  (``block | drop_new | drop_old | coalesce``), shared between the sync
-  relay send path and the async writer queue.
 * :class:`CircuitBreaker` — the open/half-open/closed generalisation of
   :class:`~repro.fmtserv.client.FormatService`'s flat server-down holdoff,
   one per replica so the client can fail over down an ordered server list.
@@ -41,9 +40,6 @@ from typing import Callable
 
 from ..core import encoder as enc
 from .transport import PeerUnresponsive, Transport, TransportError
-
-#: The overflow policies a bounded send queue supports.
-OVERFLOW_POLICIES = ("block", "drop_new", "drop_old", "coalesce")
 
 #: Peer lifecycle states (the quarantine state machine).
 ACTIVE = "active"
@@ -319,153 +315,6 @@ class AnnouncementBacklog:
 
     def __len__(self) -> int:
         return len(self._frames)
-
-
-class BoundedSendQueue:
-    """A byte-bounded per-peer frame queue with an overflow policy.
-
-    Shared by the sync relay (one per downstream, absorbing frames the
-    transport would block on) and the async writer queue.  Policies:
-
-    * ``block``    — admit nothing over budget; the caller sees the
-      rejection (:class:`WriteQueueFull` semantics) and applies its own
-      backpressure.  The seed behaviour.
-    * ``drop_new`` — reject the incoming frame, keep the queue.
-    * ``drop_old`` — evict oldest queued *data* frames until the new one
-      fits (freshness beats completeness — telemetry-style streams).
-    * ``coalesce`` — like ``drop_old``, but first try to replace a queued
-      data frame of the same ``(context, format)`` stream, so each stream
-      keeps exactly its newest record.
-
-    Control frames (announcements, tokens, heartbeats — anything that is
-    not ``MSG_DATA``) are never dropped or coalesced and are admitted even
-    over budget: losing an announcement would corrupt the peer's format
-    state forever, while losing a data record only loses that record.
-    """
-
-    __slots__ = (
-        "policy",
-        "max_bytes",
-        "_frames",
-        "_bytes",
-        "dropped_new",
-        "dropped_old",
-        "coalesced",
-    )
-
-    def __init__(self, max_bytes: int, policy: str = "block"):
-        if policy not in OVERFLOW_POLICIES:
-            raise ValueError(f"unknown overflow policy {policy!r}; pick one of {OVERFLOW_POLICIES}")
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        self.policy = policy
-        self.max_bytes = max_bytes
-        self._frames: deque[tuple[bytes, tuple | None]] = deque()
-        self._bytes = 0
-        self.dropped_new = 0
-        self.dropped_old = 0
-        self.coalesced = 0
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    @property
-    def queued_bytes(self) -> int:
-        return self._bytes
-
-    @staticmethod
-    def _stream_key(frame) -> tuple | None:
-        """Droppability key: None marks control frames (never dropped).
-
-        Plain data frames key by ``(context, format)`` so ``coalesce``
-        can keep each stream's newest record.  Sequenced frames
-        (``MSG_DATA_SEQ``) are droppable — the publisher WAL retransmits
-        them — but carry their sequence in the key, so no queued frame
-        ever matches and ``coalesce`` can never *replace* one: silently
-        swallowing a specific sequence would turn every drop into a nack
-        round-trip.  ``MSG_ACK`` is control: losing the latest cursor
-        stalls compaction upstream for no queue-space gain.
-        """
-        header = enc.try_unpack_header(frame)
-        if header is None:
-            return None
-        if header[0] == enc.MSG_DATA:
-            return header[1], header[2]
-        if (
-            header[0] == enc.MSG_DATA_SEQ
-            and len(frame) >= enc.HEADER_SIZE + enc.SEQ_PREFIX_SIZE
-        ):
-            seq = int.from_bytes(
-                bytes(frame[enc.HEADER_SIZE : enc.HEADER_SIZE + enc.SEQ_PREFIX_SIZE]),
-                "big",
-            )
-            return header[1], header[2], seq
-        return None
-
-    def push(self, frame) -> bool:
-        """Queue one frame; False if the policy rejected it."""
-        data = bytes(frame)
-        key = self._stream_key(data)
-        n = len(data)
-        if key is None or self._bytes + n <= self.max_bytes:
-            self._frames.append((data, key))
-            self._bytes += n
-            return True
-        if self.policy == "coalesce":
-            for i, (queued, queued_key) in enumerate(self._frames):
-                if queued_key == key:
-                    self._bytes += n - len(queued)
-                    self._frames[i] = (data, key)
-                    self.coalesced += 1
-                    return True
-            # no same-stream frame to replace: fall through to drop_old
-        if self.policy in ("coalesce", "drop_old"):
-            kept: list[tuple[bytes, tuple | None]] = []
-            while self._frames and self._bytes + n > self.max_bytes:
-                old, old_key = self._frames.popleft()
-                if old_key is None:
-                    kept.append((old, old_key))  # control frames survive
-                else:
-                    self._bytes -= len(old)
-                    self.dropped_old += 1
-            for item in reversed(kept):
-                self._frames.appendleft(item)
-            if self._bytes + n <= self.max_bytes:
-                self._frames.append((data, key))
-                self._bytes += n
-                return True
-        # block and drop_new reject the newcomer (and coalesce/drop_old
-        # when even an emptied queue cannot fit it)
-        if self.policy != "block":
-            self.dropped_new += 1
-        return False
-
-    def pop(self) -> bytes | None:
-        if not self._frames:
-            return None
-        data, _key = self._frames.popleft()
-        self._bytes -= len(data)
-        return data
-
-    def flush(self, transport, *, max_frames: int = 0) -> int:
-        """Send queued frames in order; stops at the first send failure.
-
-        Returns the number of frames delivered.  A failure leaves the
-        unsent frames queued (the frame that failed is re-queued at the
-        front) and re-raises, so callers can retry after the link heals.
-        """
-        sent = 0
-        while self._frames and (max_frames <= 0 or sent < max_frames):
-            data, _key = self._frames[0]
-            transport.send(data)  # TransportError propagates; frame stays queued
-            self._frames.popleft()
-            self._bytes -= len(data)
-            sent += 1
-        return sent
-
-    def clear(self) -> None:
-        self._frames.clear()
-        self._bytes = 0
 
 
 class CircuitBreaker:

@@ -40,22 +40,17 @@ drivers over one set of parts — ``_admit_data``, ``_control``,
 place a transport is written and a failure accounted) — so a burst
 behaves exactly like its frames forwarded one by one.
 
-Each downstream may also carry a bounded overflow queue
-(:class:`~repro.net.health.BoundedSendQueue`) selected by the relay's
-``overflow`` policy — ``block`` (the seed behaviour: a full peer queue
-counts toward quarantine), ``drop_new``, ``drop_old`` or ``coalesce``
-(keep the newest record per ``(context, format)`` stream) — so a slow
-consumer degrades the way the operator chose instead of only the one
-way the transport knows.
-
-Async downstreams compose directly: an
+A slow consumer meets the same machine a broken link does — the relay
+keeps no queue of its own.  Async downstreams compose directly: an
 :class:`~repro.net.aio.AsyncSocketTransport`'s ``send``/``send_many``
 are synchronous bounded-queue enqueues, so the fan-out loop never
 blocks on one peer, and a queue at capacity raises
 :class:`~repro.net.transport.WriteQueueFull` — a ``TransportError`` —
 so the *same* consecutive-failure quarantine that handles broken links
 doubles as slow-consumer eviction (the paper's co-processor must shed,
-not stall).  :attr:`Downstream.write_queue_depth` exposes the live
+not stall); reactivation replays the announcements and the sequenced
+window the peer missed, and the publisher WAL retransmits what aged
+out of it.  :attr:`Downstream.write_queue_depth` exposes the live
 queue depth for monitoring.
 """
 
@@ -76,14 +71,12 @@ from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
 from repro.net.health import (
     ACTIVE,
     EVICTED,
-    OVERFLOW_POLICIES,
     AnnouncementBacklog,
-    BoundedSendQueue,
     ProbePolicy,
     QuarantineRecord,
     send_goodbye,
 )
-from repro.net.transport import Transport, TransportError, WriteQueueFull
+from repro.net.transport import Transport, TransportError
 
 DATA_KINDS = (enc.MSG_DATA, enc.MSG_DATA_SEQ)
 ANNOUNCEMENT_KINDS = (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN)
@@ -112,18 +105,12 @@ class Downstream(QuarantineRecord):
     the mutable machinery inside is the relay's business.
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        flt: RecordFilter | None,
-        queue: BoundedSendQueue | None = None,
-    ):
+    def __init__(self, transport: Transport, flt: RecordFilter | None):
         super().__init__()
         self.transport = transport
         self.filter = flt
         self.metrics = Metrics()
         self.stats = DownstreamStats(self.metrics)
-        self.send_queue = queue
         #: Per-stream cumulative ack cursors harvested off this peer's
         #: back-channel (durable delivery, docs/robustness.md §11).
         self.ack_cursors: dict[tuple[int, int], int] = {}
@@ -131,11 +118,8 @@ class Downstream(QuarantineRecord):
     @property
     def write_queue_depth(self) -> int:
         """Bytes queued toward this downstream: the transport's own
-        queue (async transports) plus the relay-side overflow queue."""
-        depth = self.transport.write_queue_depth
-        if self.send_queue is not None:
-            depth += self.send_queue.queued_bytes
-        return depth
+        write queue (async transports; 0 elsewhere)."""
+        return self.transport.write_queue_depth
 
 
 class Relay:
@@ -160,13 +144,8 @@ class Relay:
     :meth:`heal` periodically (e.g. once per pump iteration) and
     quarantined downstreams are probed, reactivated on a pong with the
     announcements they missed, or evicted at the policy's deadline.
-    ``overflow`` selects the slow-consumer policy (one of
-    ``block | drop_new | drop_old | coalesce``); anything but ``block``
-    gives each downstream a :class:`BoundedSendQueue` of
-    ``max_queue_bytes`` that absorbs :class:`WriteQueueFull` rejections
-    instead of counting them toward quarantine.  ``clock`` is injectable
-    (:class:`repro.net.timing.VirtualClock`) so the whole state machine
-    can run in virtual time.
+    ``clock`` is injectable (:class:`repro.net.timing.VirtualClock`) so
+    the whole state machine can run in virtual time.
 
     Durable streams (docs/robustness.md §11) pass through untouched:
     ``MSG_DATA_SEQ`` frames forward verbatim and are remembered in a
@@ -188,18 +167,12 @@ class Relay:
         limits: DecodeLimits | None = DEFAULT_LIMITS,
         format_service=None,
         probe_policy: ProbePolicy | None = None,
-        overflow: str = "block",
-        max_queue_bytes: int = 1 << 20,
         clock: Callable[[], float] = time.monotonic,
         ack_upstream: Callable[[bytes], None] | None = None,
         replay_window: int = 256,
     ) -> None:
         if quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
-        if overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"unknown overflow policy {overflow!r}; pick one of {OVERFLOW_POLICIES}"
-            )
         # The relay's context exists only to hold the format registry for
         # filter compilation; records are never decoded to its layouts.
         # A shared cache is accepted anyway so filter-free relays embedded
@@ -213,8 +186,6 @@ class Relay:
         self.quarantine_after = quarantine_after
         self.on_error = on_error
         self.probe_policy = probe_policy
-        self.overflow = overflow
-        self.max_queue_bytes = max_queue_bytes
         self._clock = clock
         self.metrics = Metrics()
         self._downstreams: list[Downstream] = []
@@ -246,10 +217,7 @@ class Relay:
             if format_name is None:
                 raise ValueError("a filter requires format_name")
             flt = RecordFilter(self.ctx, format_name, filter_expr)
-        queue = None
-        if self.overflow != "block":
-            queue = BoundedSendQueue(self.max_queue_bytes, self.overflow)
-        downstream = Downstream(transport, flt, queue)
+        downstream = Downstream(transport, flt)
         self._downstreams.append(downstream)
         self._replay_announcements(downstream)
         return downstream
@@ -295,6 +263,12 @@ class Relay:
                 self.metrics.inc("durable.replayed", len(batch))
 
     @property
+    def downstreams(self) -> list[Downstream]:
+        """Every attached downstream, quarantined ones included (a
+        detached or evicted one is gone)."""
+        return list(self._downstreams)
+
+    @property
     def active_downstreams(self) -> list[Downstream]:
         return [d for d in self._downstreams if d.state == ACTIVE]
 
@@ -308,35 +282,6 @@ class Relay:
             downstream.metrics.inc("detached")
             self.metrics.inc("relay.quarantined")
 
-    def _spill(self, downstream: Downstream, message: bytes, counter: str) -> None:
-        """Queue a frame the transport would not take right now."""
-        queue = downstream.send_queue
-        if queue.push(message):
-            downstream.metrics.inc("overflow_queued")
-            downstream.metrics.inc(counter)
-        else:
-            downstream.metrics.inc("overflow_dropped")
-            self.metrics.inc("relay.overflow_dropped")
-        # The policy absorbed the pressure: a full-but-draining peer is a
-        # slow consumer being managed, not a broken link.
-        downstream.consecutive_errors = 0
-
-    def _try_flush(self, downstream: Downstream) -> None:
-        """Move queued overflow frames to the transport, best-effort."""
-        queue = downstream.send_queue
-        if queue is None or not len(queue):
-            return
-        try:
-            flushed = queue.flush(downstream.transport)
-        except WriteQueueFull:
-            return  # peer still slow; frames stay queued
-        except TransportError as exc:
-            self._count_failure(downstream, exc)
-            return
-        if flushed:
-            downstream.metrics.inc("overflow_flushed", flushed)
-            downstream.consecutive_errors = 0
-
     def _send_many(self, downstream: Downstream, batch, counter: str) -> None:
         """Send a run of frames to one downstream, absorbing transport
         failures: one frame is one ``send``, several are one vectored
@@ -344,37 +289,18 @@ class Relay:
 
         One dead peer must never abort the fan-out loop: the error is
         counted, reported to ``on_error``, and — after ``quarantine_after``
-        consecutive failures — the downstream is quarantined.  With a
-        non-``block`` overflow policy, :class:`WriteQueueFull` spills the
-        frames into the downstream's bounded queue instead (flushed as the
-        peer drains); only genuine link failures count toward quarantine.
+        consecutive failures — the downstream is quarantined.  A peer's
+        full write queue (:class:`~repro.net.transport.WriteQueueFull`)
+        is such a failure: a slow consumer is shed, not waited for.
         """
         if downstream.state != ACTIVE:
             return
-        queue = downstream.send_queue
-        while queue is not None and len(queue):
-            # A backlog exists: preserve order by queueing behind it,
-            # then try to move the whole backlog forward — frame by
-            # frame, since the flush may empty the queue mid-run.
-            self._spill(downstream, batch[0], counter)
-            self._try_flush(downstream)
-            batch = batch[1:]
-            if not batch or downstream.state != ACTIVE:
-                return
         count = len(batch)
         try:
             if count == 1:
                 downstream.transport.send(batch[0])
             else:
                 downstream.transport.send_many(batch)
-        except WriteQueueFull as exc:
-            if queue is not None:
-                # The async queue admits bursts all-or-nothing, so the
-                # whole batch is still ours to spill, frame by frame.
-                for message in batch:
-                    self._spill(downstream, message, counter)
-            else:
-                self._count_failure(downstream, exc)
         except TransportError as exc:
             self._count_failure(downstream, exc)
         else:
@@ -558,8 +484,8 @@ class Relay:
     def heal(self, now: float | None = None) -> None:
         """Drive the quarantine-recovery state machine one step.
 
-        Cheap enough to call once per pump iteration: flushes overflow
-        backlogs on active downstreams, then — when a ``probe_policy``
+        Cheap enough to call once per pump iteration: harvests acks off
+        active downstreams' back-channels, then — when a ``probe_policy``
         is armed — harvests probe answers from quarantined downstreams
         (a ``MSG_PONG`` reactivates, with the full announcement replay),
         sends the next backoff-scheduled probe where due, and evicts
@@ -574,13 +500,11 @@ class Relay:
                 # uses: harvesting here is what keeps downstream cursors
                 # (and the upstream min-cursor aggregate) current.
                 self._harvest_pong(downstream)
-                self._try_flush(downstream)
                 continue
             if policy is None or downstream.state == EVICTED:
                 continue
             if self._harvest_pong(downstream):
                 self.reactivate(downstream)
-                self._try_flush(downstream)
             elif downstream.expired(now, policy):
                 self._evict(downstream)
             elif downstream.probe_due(now):
@@ -669,38 +593,20 @@ class Relay:
 
     # -- graceful drain -------------------------------------------------------
 
-    def drain_and_stop(self, deadline_s: float = 5.0) -> bool:
-        """Stop forwarding, flush overflow backlogs, say goodbye.
+    def drain_and_stop(self, deadline_s: float = 5.0) -> None:
+        """Stop forwarding and say goodbye.
 
         New upstream messages are dropped (counted as
-        ``relay.dropped_after_stop``) from the moment this is called.
-        Overflow queues are flushed until empty or ``deadline_s`` of
-        virtual/wall time passes; every still-attached downstream then
-        gets a goodbye ping (nonce 0) so peers re-dial promptly instead
-        of timing out.  Returns True when every queue flushed fully.
+        ``relay.dropped_after_stop``) from the moment this is called;
+        every still-attached downstream then gets a goodbye ping
+        (nonce 0) so peers re-dial promptly instead of timing out.  The
+        relay queues nothing, so there is nothing to flush:
+        ``deadline_s`` exists for signature parity with the async
+        servers (where :meth:`repro.net.aio.AsyncServer.drain_and_stop`
+        owns the queue flush).
         """
         self._stopped = True
-        deadline = self._clock() + deadline_s
-        flushed_all = False
-        while self._clock() <= deadline:
-            progress = 0
-            remaining = 0
-            for downstream in self._downstreams:
-                queue = downstream.send_queue
-                if downstream.state != ACTIVE or queue is None:
-                    continue
-                before = len(queue)
-                self._try_flush(downstream)
-                progress += before - len(queue)
-                if downstream.state == ACTIVE:
-                    remaining += len(queue)
-            if remaining == 0:
-                flushed_all = True
-                break
-            if progress == 0:
-                break  # nothing is draining; waiting longer cannot help
         for downstream in self._downstreams:
             if downstream.state != EVICTED and send_goodbye(downstream.transport):
                 downstream.metrics.inc("goodbyes_sent")
         self.metrics.inc("relay.drained")
-        return flushed_all

@@ -16,8 +16,6 @@ crossings (:meth:`recv_many`).
 from __future__ import annotations
 
 import socket
-import threading
-from typing import Callable
 
 from .transport import (
     MAX_FRAME,
@@ -222,70 +220,3 @@ def loopback_pair(timeout_s: float = 10.0) -> tuple[SocketTransport, SocketTrans
     server.settimeout(timeout_s)
     listener.close()
     return SocketTransport(client), SocketTransport(server)
-
-
-class EchoServer:
-    """Background thread applying a handler to each frame and replying.
-
-    Models the peer side of the paper's round-trip experiments: receive,
-    decode, re-encode, send back.  The default handler echoes bytes.
-
-    A handler exception does not silently kill the serving thread (which
-    would leave the client blocked until its socket timeout): the server
-    records the exception, closes its socket deliberately — the client's
-    pending ``recv`` fails fast with a :class:`TransportError` — and
-    re-raises the original exception from :meth:`close`.
-
-    ``timeout_s`` bounds every blocking operation on both ends (default
-    10 s, the historical constant); slow-CI chaos runs pass a larger
-    budget instead of editing the source.
-    """
-
-    def __init__(
-        self,
-        handler: Callable[[bytes], bytes] | None = None,
-        *,
-        timeout_s: float = 10.0,
-    ):
-        self._handler = handler or (lambda data: data)
-        self._local, remote = loopback_pair(timeout_s)
-        self._remote = remote
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._stopping = False
-        self.handler_error: BaseException | None = None
-        self._thread.start()
-
-    @property
-    def client(self) -> SocketTransport:
-        """The transport the test/benchmark should talk through."""
-        return self._local
-
-    def _serve(self) -> None:
-        try:
-            while not self._stopping:
-                data = self._remote.recv()
-                try:
-                    reply = self._handler(data)
-                except Exception as exc:
-                    self.handler_error = exc
-                    self._remote.close()  # deliberate: unblock the client now
-                    return
-                self._remote.send(reply)
-        except TransportError:
-            pass  # peer closed
-
-    def close(self) -> None:
-        self._stopping = True
-        self._local.close()
-        self._remote.close()
-        self._thread.join(timeout=5)
-        if self.handler_error is not None:
-            raise TransportError(
-                f"echo handler failed: {self.handler_error!r}"
-            ) from self.handler_error
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -40,7 +40,7 @@ import sys
 from repro.core import encoder as enc
 from repro.core.errors import PbioError
 from repro.net.aio import AsyncServer
-from repro.net.fabric import DEFAULT_BRANCHING, DEFAULT_VNODES, FabricDispatcher, HashRing
+from repro.net.fabric import DEFAULT_VNODES, FabricDispatcher, HashRing
 from repro.net.health import ProbePolicy
 from repro.net.sockets import SocketTransport
 from repro.net.transport import TransportError
@@ -72,7 +72,6 @@ def _serve(args) -> int:
     dispatcher = FabricDispatcher(
         args.workers,
         vnodes=args.vnodes,
-        branching_factor=args.branching,
         quarantine_after=args.quarantine_after,
         probe_policy=ProbePolicy(),
     )
@@ -88,11 +87,7 @@ def _serve(args) -> int:
     except OSError as exc:
         print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
-    print(
-        f"fabric: {args.workers} worker(s), vnodes={args.vnodes}, "
-        f"branching={args.branching}",
-        flush=True,
-    )
+    print(f"fabric: {args.workers} worker(s), vnodes={args.vnodes}", flush=True)
     print(f"listening on {host}:{port}", flush=True)
     try:
         server.run()
@@ -186,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7799, help="0 = kernel-assigned")
     serve.add_argument("--workers", type=int, default=4, help="relay shards")
     serve.add_argument("--vnodes", type=int, default=DEFAULT_VNODES)
-    serve.add_argument("--branching", type=int, default=DEFAULT_BRANCHING)
     serve.add_argument("--quarantine-after", type=int, default=3)
     serve.add_argument(
         "--once", action="store_true", help="serve one connection, then exit"

@@ -11,10 +11,10 @@ leaves the reply pipe empty, so ``recv`` raises
 """
 
 from repro.core import PbioError
-from repro.net import InMemoryPipe
+from repro.net import InMemoryPipe, Transport
 
 
-class SyncServerLink:
+class SyncServerLink(Transport):
     """Client transport that serves a FormatServer synchronously."""
 
     def __init__(self, server):

@@ -37,10 +37,12 @@ from repro.net import (
     TransportTimeout,
     WriteQueueFull,
     channel_handler,
+    drain,
     echo_handler,
     fmtserv_handler,
     relay_handler,
     rpc_handler,
+    shm_pair,
 )
 
 CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
@@ -585,47 +587,34 @@ class TestGracefulDrain:
             fut.result(timeout=5)
         assert server.metrics.value("aio.drained") == 1
 
-    def test_overflow_policy_spills_and_promotes(self):
+    def test_drain_is_for_any_transport(self, tmp_path):
+        """``aio.drain`` and ``FaultInjectingTransport.drain`` await only
+        an awaitable: the async write queue's drain is a coroutine, the
+        shm ring's is synchronous (returns ``None``), a pipe end has
+        none at all."""
+
         async def scenario():
-            reader, writer = tcp_pair()
-            for sock in (reader, writer):
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            t = AsyncSocketTransport(writer, max_write_queue=8192, overflow="drop_old")
-            message = enc.pack_header(enc.MSG_DATA, 1, 1, 1024) + b"\0" * 1024
-            # The peer is not reading yet: the kernel buffer jams, and the
-            # overflow policy spills data frames instead of raising
-            # WriteQueueFull the way overflow="block" would.
-            for _ in range(64):
-                t.send(message)
-                await asyncio.sleep(0)  # let the writer task try the kernel
-            assert t.metrics.value("aio.overflow_queued") > 0
-            assert t._wover.dropped_old > 0  # drop_old evicted stale frames
-            stop = threading.Event()
-
-            def pump():
-                reader.settimeout(0.2)
-                while not stop.is_set():
-                    try:
-                        if not reader.recv(65536):
-                            return
-                    except socket.timeout:
-                        continue
-                    except OSError:
-                        return
-
-            thread = threading.Thread(target=pump, daemon=True)
-            thread.start()
+            client, server = tcp_pair()
+            server.settimeout(5)
+            shm_a, shm_b = shm_pair(directory=str(tmp_path))
+            pipe = InMemoryPipe()
+            links = [
+                (AsyncSocketTransport(client), SocketTransport(server)),
+                (shm_a, shm_b),
+                (pipe.a, pipe.b),
+            ]
             try:
-                # Once the peer drains the kernel buffer, spilled frames are
-                # promoted back into the live queue and everything flushes.
-                await asyncio.wait_for(t.drain(), timeout=10)
+                for link, peer in links:
+                    wrapped = FaultInjectingTransport(link, FaultPlan(), seed=CHAOS_SEED)
+                    for transport in (link, wrapped):
+                        transport.send(b"frame")
+                        assert peer.recv() == b"frame"
+                        await drain(transport)
+                        assert transport.write_queue_depth == 0
+                    await wrapped.drain()
             finally:
-                stop.set()
-            assert t.metrics.value("aio.overflow_promoted") > 0
-            assert t.write_queue_depth == 0
-            t.close()
-            thread.join(timeout=5)
-            reader.close()
+                for link, peer in links:
+                    link.close()
+                    peer.close()
 
         asyncio.run(scenario())

@@ -4,10 +4,12 @@ The hash ring's contract is property-tested (seeded hypothesis, like the
 rest of the chaos suite): arc-mass balance within 20% of fair and the
 minimal-movement law — membership changes move only the channels that
 the joined/left worker's points own.  The fabric tests then cover
-header-only routing, announcement broadcast/replay, fan-out tree
-construction, edge filter push-down with fabric-wide compile sharing,
-worker kill -> quarantine -> rebalance -> reactivation, durable ack
-aggregation, and the async ``fabric_handler`` surface.
+header-only routing, announcement broadcast/replay, one-relay-per-channel
+fan-out (a membership change touches nobody else's handle, cursors,
+quarantine or replay window, and costs one announcement replay), edge
+filter push-down with fabric-wide compile sharing, worker kill ->
+quarantine -> rebalance -> reactivation, durable ack aggregation, and
+the async ``fabric_handler`` surface.
 """
 
 import math
@@ -38,6 +40,8 @@ from repro.net import (
     fabric_handler,
 )
 from repro.net.health import ACTIVE, QUARANTINED
+
+from .test_health import FlakyLink
 
 CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 
@@ -183,7 +187,7 @@ class TestHashRing:
         assert sorted(k for ks in assignment.values() for k in ks) == sorted(keys)
 
 
-# -- routing and fan-out trees -------------------------------------------------
+# -- routing and fan-out -------------------------------------------------------
 
 
 class TestFabricRouting:
@@ -271,8 +275,11 @@ class TestFabricRouting:
 
 
 class TestFanoutTree:
+    """Named for the in-process tree these once built; what they pin is
+    delivery to every subscriber of one channel, few or many."""
+
     def test_flat_below_branching_factor(self):
-        disp = FabricDispatcher(1, branching_factor=8)
+        disp = FabricDispatcher(1)
         _, handle, frames = upstream([{"unit": 1, "temperature": 2.0}], context_id=3)
         key = (3, handle.format_id)
         pipes = [InMemoryPipe() for _ in range(6)]
@@ -280,13 +287,11 @@ class TestFanoutTree:
             disp.subscribe(key, pipe.a, format_name="telemetry")
         for frame in frames:
             disp.forward(frame)
-        worker = disp.worker(disp.ring.owner(key))
-        assert worker.channels()[key]["depth"] == 1
         for pipe in pipes:
             assert [r["unit"] for r in receiver(pipe.b)()] == [1]
 
     def test_interior_levels_above_branching_factor(self):
-        disp = FabricDispatcher(1, branching_factor=4)
+        disp = FabricDispatcher(1)
         _, handle, frames = upstream(
             [{"unit": 7, "temperature": 1.5}], context_id=3
         )
@@ -297,14 +302,12 @@ class TestFanoutTree:
         for frame in frames:
             disp.forward(frame)
         worker = disp.worker(disp.ring.owner(key))
-        info = worker.channels()[key]
-        assert info["subscribers"] == 22
-        assert info["depth"] == 3  # 22 leaves -> 6 interiors -> 2 under the root
+        assert worker.channels()[key]["subscribers"] == 22
         for pipe in pipes:
             assert [r["unit"] for r in receiver(pipe.b)()] == [7]
 
     def test_late_subscriber_gets_announcement_replay(self):
-        disp = FabricDispatcher(2, branching_factor=4)
+        disp = FabricDispatcher(2)
         _, handle, frames = upstream(
             [{"unit": 1, "temperature": 8.0}] * 2, context_id=4
         )
@@ -315,6 +318,89 @@ class TestFanoutTree:
         disp.subscribe(key, pipe.a, format_name="telemetry")
         disp.forward(frames[1])
         assert [r["unit"] for r in receiver(pipe.b)()] == [1]
+
+
+class TestMembershipTouchesNobodyElse:
+    """A channel has one relay, built once: a subscriber or tap coming or
+    going is one attach/detach on it.  (Each of these failed while every
+    membership change rebuilt the channel's relays from scratch.)"""
+
+    KEY = (41, 7)
+
+    @staticmethod
+    def sequenced(first, last):
+        return [enc.encode_data_seq(41, 7, seq, b"r" * 12) for seq in range(first, last + 1)]
+
+    @pytest.mark.parametrize("change", ["subscribe", "tap_untap", "unsubscribe"])
+    def test_upstream_ack_never_passes_a_subscriber(self, change):
+        acks = []
+        disp = FabricDispatcher(1, ack_upstream=acks.append)
+        a, b, other = InMemoryPipe(), InMemoryPipe(), InMemoryPipe()
+        disp.subscribe(self.KEY, a.a)
+        sub_b = disp.subscribe(self.KEY, b.a)
+        third = disp.subscribe(self.KEY, other.a) if change == "unsubscribe" else None
+        handle_b = sub_b.downstream
+        disp.forward_batch(self.sequenced(1, 5))
+        a.b.send(enc.encode_ack(*self.KEY, 5))
+        b.b.send(enc.encode_ack(*self.KEY, 3))
+        disp.heal()
+        assert [enc.parse_ack(frame)[2] for frame in acks] == [3]
+        if change == "subscribe":
+            disp.subscribe(self.KEY, other.a)
+        elif change == "unsubscribe":
+            disp.unsubscribe(third)
+        else:  # what one ``pbio-fabric status`` probe does
+            disp.untap(disp.tap(other.a))
+        disp.forward_batch(self.sequenced(6, 8))
+        a.b.send(enc.encode_ack(*self.KEY, 8))
+        disp.heal()
+        # B has confirmed 3: the publisher WAL must keep 4..8
+        assert [enc.parse_ack(frame)[2] for frame in acks] == [3]
+        assert sub_b.downstream is handle_b
+        assert handle_b.ack_cursors == {self.KEY: 3}
+
+    def test_quarantine_and_replay_window_survive_a_join_and_a_leave(self):
+        now = [5.0]
+        disp = FabricDispatcher(1, clock=lambda: now[0])
+        pipe = InMemoryPipe()
+        link = FlakyLink(pipe.a)
+        sub = disp.subscribe(self.KEY, link)
+        handle = sub.downstream
+        link.broken = True
+        for frame in self.sequenced(1, 3):
+            disp.forward(frame)
+        assert handle.state == QUARANTINED
+        now[0] = 9.0
+        joiner = disp.subscribe(self.KEY, InMemoryPipe().a)
+        disp.unsubscribe(joiner)
+        assert sub.downstream is handle
+        assert handle.state == QUARANTINED  # no amnesty
+        assert (handle.consecutive_errors, handle.stats.send_errors) == (3, 3)
+        assert handle.quarantined_at == 5.0  # the eviction clock kept running
+        (relay,) = disp.workers[0]._relays.values()
+        assert [seq for seq, _frame in relay._replay[self.KEY]] == [1, 2, 3]
+
+    def test_n_subscribers_cost_n_announcements(self):
+        disp = FabricDispatcher(1)
+        _, handle, frames = upstream([{"unit": 1, "temperature": 2.0}], context_id=3)
+        key = (3, handle.format_id)
+        disp.forward(frames[0])
+        pipes = [InMemoryPipe() for _ in range(64)]
+        for pipe in pipes:
+            disp.subscribe(key, pipe.a)
+        assert sum(pipe.b.pending() for pipe in pipes) == 64  # 2 080 with a rebuild per join
+        assert disp.workers[0].channels()[key]["subscribers"] == 64
+
+    def test_taps_hear_each_announcement_once(self):
+        disp = FabricDispatcher(1)
+        _, _, frames = upstream([{"unit": u, "temperature": 2.0} for u in (1, 2)], context_id=3)
+        early, late = InMemoryPipe(), InMemoryPipe()
+        disp.tap(early.a)  # before the channel's first frame
+        disp.forward_batch(frames[:2])
+        disp.tap(late.a)  # after it
+        disp.forward(frames[2])
+        assert [early.b.recv() for _ in range(early.b.pending())] == frames
+        assert [late.b.recv() for _ in range(late.b.pending())] == [frames[0], frames[2]]
 
 
 class TestFilterPushdown:

@@ -24,7 +24,6 @@ from repro.core import (
     RpcTimeout,
 )
 from repro.net import (
-    EchoServer,
     EventChannel,
     FaultInjectingTransport,
     FaultPlan,
@@ -735,20 +734,3 @@ class TestTransportToken:
             token = transport_token(t)
             assert token not in seen
             seen.add(token)
-
-
-class TestEchoServerHardening:
-    def test_handler_exception_fails_fast_and_surfaces(self):
-        server = EchoServer(handler=lambda data: data[1_000_000])  # IndexError
-        server.client.set_timeout(5.0)
-        server.client.send(b"boom")
-        with pytest.raises(TransportError):  # deliberate close, no hang
-            server.client.recv()
-        with pytest.raises(TransportError, match="echo handler failed"):
-            server.close()
-        assert isinstance(server.handler_error, IndexError)
-
-    def test_healthy_close_raises_nothing(self):
-        with EchoServer() as server:
-            server.client.send(b"ping")
-            assert server.client.recv() == b"ping"

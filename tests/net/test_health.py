@@ -1,8 +1,7 @@
 """Tests for the self-healing service plane (:mod:`repro.net.health`).
 
 Heartbeat wire records, the tick-driven :class:`HeartbeatMonitor`, probe
-backoff schedules, all four bounded-queue overflow policies, the
-circuit breaker, the relay's quarantine-recovery state machine, and
+backoff schedules, the circuit breaker, the relay's quarantine-recovery state machine, and
 graceful drain on every server surface.  Everything runs in virtual
 time (:class:`~repro.net.timing.VirtualClock`); the hypothesis property
 test is seeded from ``PBIO_CHAOS_SEED`` like the rest of the chaos
@@ -19,7 +18,6 @@ from repro.core import IOContext
 from repro.core import encoder as enc
 from repro.core.errors import MessageError
 from repro.net import (
-    BoundedSendQueue,
     CircuitBreaker,
     FabricDispatcher,
     FaultInjectingTransport,
@@ -260,94 +258,6 @@ class TestProbePolicy:
             ProbePolicy(eviction_deadline_s=0.0)
 
 
-# -- bounded send queue --------------------------------------------------------
-
-
-class TestBoundedSendQueue:
-    def frames(self, n, cid=1, fid=1, size=16):
-        return [data_frame(cid, fid, bytes([i]) * size) for i in range(n)]
-
-    def test_block_rejects_over_budget(self):
-        a, b = self.frames(2)
-        queue = BoundedSendQueue(len(a), "block")
-        assert queue.push(a)
-        assert not queue.push(b)  # over budget: caller applies backpressure
-        assert queue.dropped_new == 0  # block never *counts* drops: it rejects
-        assert len(queue) == 1 and queue.pop() == a
-
-    def test_drop_new_keeps_queue(self):
-        a, b = self.frames(2)
-        queue = BoundedSendQueue(len(a), "drop_new")
-        assert queue.push(a)
-        assert not queue.push(b)
-        assert queue.dropped_new == 1
-        assert queue.pop() == a and queue.pop() is None
-
-    def test_drop_old_keeps_newest(self):
-        a, b, c = self.frames(3)
-        queue = BoundedSendQueue(2 * len(a), "drop_old")
-        assert queue.push(a) and queue.push(b)
-        assert queue.push(c)  # evicts a
-        assert queue.dropped_old == 1
-        assert [queue.pop(), queue.pop()] == [b, c]
-
-    def test_coalesce_keeps_newest_per_stream(self):
-        old = data_frame(1, 7, b"old-value-several-bytes")
-        new = data_frame(1, 7, b"new-value-several-byteZ")
-        other = data_frame(2, 7, b"other-stream-untouched!")
-        queue = BoundedSendQueue(len(old) + len(other), "coalesce")
-        assert queue.push(old) and queue.push(other)
-        assert queue.push(new)  # replaces `old` in place: same (cid, fid)
-        assert queue.coalesced == 1 and queue.dropped_old == 0
-        assert [queue.pop(), queue.pop()] == [new, other]
-
-    def test_coalesce_falls_back_to_drop_old(self):
-        a = data_frame(1, 1, b"a" * 16)
-        b = data_frame(2, 2, b"b" * 16)
-        c = data_frame(3, 3, b"c" * 16)
-        queue = BoundedSendQueue(2 * len(a), "coalesce")
-        assert queue.push(a) and queue.push(b)
-        assert queue.push(c)  # no same-stream frame: evicts oldest instead
-        assert queue.coalesced == 0 and queue.dropped_old == 1
-        assert [queue.pop(), queue.pop()] == [b, c]
-
-    def test_control_frames_never_dropped(self):
-        announcement = enc.pack_header(enc.MSG_FORMAT, 1, 1, 4) + b"meta"
-        queue = BoundedSendQueue(70, "drop_old")
-        big = data_frame(1, 1, b"x" * 30)
-        assert queue.push(announcement)
-        assert queue.push(big)
-        newer = data_frame(1, 1, b"y" * 30)
-        assert queue.push(newer)  # evicts `big`, not the announcement
-        assert queue.pop() == announcement
-        assert queue.pop() == newer
-        # and control frames are admitted even over budget
-        full = BoundedSendQueue(8, "drop_new")
-        assert full.push(announcement)
-        assert full.queued_bytes > full.max_bytes
-
-    def test_flush_stops_at_first_failure(self):
-        pipe = InMemoryPipe()
-        link = FlakyLink(pipe.a)
-        queue = BoundedSendQueue(1 << 16, "drop_new")
-        frames = self.frames(3)
-        for f in frames:
-            queue.push(f)
-        link.broken = True
-        with pytest.raises(TransportError):
-            queue.flush(link)
-        assert len(queue) == 3  # nothing lost
-        link.broken = False
-        assert queue.flush(link) == 3
-        assert drain_frames(pipe.b) == frames  # order preserved
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundedSendQueue(0, "block")
-        with pytest.raises(ValueError):
-            BoundedSendQueue(100, "bogus")
-
-
 # -- circuit breaker -----------------------------------------------------------
 
 
@@ -489,133 +399,25 @@ class TestRelayHealing:
         assert down.state == ACTIVE
 
 
-class TestRelayOverflow:
-    def setup_choked(self, policy, max_queue_bytes=1 << 20):
-        clock = VirtualClock()
-        relay = Relay(
-            quarantine_after=2,
-            overflow=policy,
-            max_queue_bytes=max_queue_bytes,
-            clock=clock,
-        )
-        pipe = InMemoryPipe()
-        link = ChokedLink(pipe.a)
-        down = relay.attach(link)
-        return relay, pipe, link, down
-
-    def test_writequeuefull_spills_instead_of_quarantining(self):
-        relay, pipe, link, down = self.setup_choked("drop_new")
-        frames = telemetry_stream(
-            [{"unit": i, "temperature": float(i)} for i in range(5)]
-        )
-        relay.forward(frames[0])
-        link.full = True
-        for frame in frames[1:]:
-            relay.forward(frame)
-        assert down.state == ACTIVE  # a slow peer is not a broken link
-        assert down.stats.overflow_queued == 5
-        link.full = False
-        relay.heal()
-        assert down.stats.overflow_flushed == 5
-        receiver = IOContext(X86)
-        receiver.expect(TELEMETRY)
-        decoded = [receiver.receive(f) for f in drain_frames(pipe.b)]
-        records = [d for d in decoded if d is not None]
-        assert records == [{"unit": i, "temperature": float(i)} for i in range(5)]
-
-    def test_coalesce_keeps_newest_record_per_stream(self):
-        frames = telemetry_stream(
-            [{"unit": i, "temperature": float(i)} for i in range(6)]
-        )
-        record_size = len(frames[1])
-        # Budget for one queued record: every newer same-stream record
-        # must *replace* it, so the peer sees exactly the newest.
-        relay, pipe, link, down = self.setup_choked(
-            "coalesce", max_queue_bytes=record_size
-        )
-        relay.forward(frames[0])
-        link.full = True
-        for frame in frames[1:]:
-            relay.forward(frame)
-        queue = down.send_queue
-        assert len(queue) == 1
-        assert queue.coalesced == 5  # each newer record replaced the queued one
-        link.full = False
-        relay.heal()
-        receiver = IOContext(X86)
-        receiver.expect(TELEMETRY)
-        decoded = [receiver.receive(f) for f in drain_frames(pipe.b)]
-        records = [d for d in decoded if d is not None]
-        assert records == [{"unit": 5, "temperature": 5.0}]  # newest only
-
-    def test_drop_old_prefers_fresh_records(self):
-        frames = telemetry_stream(
-            [{"unit": i, "temperature": float(i)} for i in range(6)]
-        )
-        record_size = len(frames[1])
-        relay, pipe, link, down = self.setup_choked(
-            "drop_old", max_queue_bytes=2 * record_size
-        )
-        relay.forward(frames[0])
-        link.full = True
-        for frame in frames[1:]:
-            relay.forward(frame)
-        link.full = False
-        relay.heal()
-        receiver = IOContext(X86)
-        receiver.expect(TELEMETRY)
-        decoded = [receiver.receive(f) for f in drain_frames(pipe.b)]
-        records = [d for d in decoded if d is not None]
-        assert records == [
-            {"unit": 4, "temperature": 4.0},
-            {"unit": 5, "temperature": 5.0},
-        ]
-        assert down.send_queue.dropped_old == 4
-
-    def test_announcements_survive_any_overflow(self):
-        # An announcement must reach the peer even through a choked queue
-        # sized below the announcement itself: format state is forever.
-        frames = telemetry_stream([{"unit": 1, "temperature": 1.0}])
-        relay, pipe, link, down = self.setup_choked("drop_new", max_queue_bytes=8)
-        link.full = True
-        relay.forward(frames[0])  # announcement: admitted over budget
-        relay.forward(frames[1])  # data: rejected by the tiny budget
-        assert down.stats.overflow_dropped == 1
-        link.full = False
-        relay.heal()
-        received = drain_frames(pipe.b)
-        assert [enc.unpack_header(f)[0] for f in received] == [enc.MSG_FORMAT]
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Relay(overflow="bogus")
-
-
 class TestRelayDrain:
     def test_drain_flushes_and_says_goodbye(self):
-        relay, pipe, link, down = TestRelayOverflow().setup_choked("drop_new")
+        relay = Relay(clock=VirtualClock())
+        pipe = InMemoryPipe()
+        down = relay.attach(pipe.a)
         frames = telemetry_stream([{"unit": 1, "temperature": 1.0}])
         relay.forward(frames[0])
-        link.full = True
-        relay.forward(frames[1])  # spilled
-        link.full = False
-        assert relay.drain_and_stop(deadline_s=5.0)
+        relay.forward(frames[1])
+        relay.drain_and_stop(deadline_s=5.0)
         relay.forward(frames[1])  # after stop: dropped
-        assert relay.metrics.value("relay.dropped_after_stop") == 1
+        relay.forward_batch(frames)
+        assert relay.metrics.value("relay.dropped_after_stop") == 3
+        assert relay.metrics.value("relay.drained") == 1
         received = drain_frames(pipe.b)
         kinds = [enc.unpack_header(f)[0] for f in received]
         assert kinds == [enc.MSG_FORMAT, enc.MSG_DATA, enc.MSG_PING]
         nonce, _depth = enc.parse_ping(received[-1])
         assert nonce == enc.GOODBYE_NONCE
         assert down.stats.goodbyes_sent == 1
-
-    def test_drain_reports_stuck_queues(self):
-        relay, pipe, link, down = TestRelayOverflow().setup_choked("drop_new")
-        frames = telemetry_stream([{"unit": 1, "temperature": 1.0}])
-        relay.forward(frames[0])
-        link.full = True
-        relay.forward(frames[1])
-        assert not relay.drain_and_stop(deadline_s=1.0)  # peer never drained
 
 
 # -- heartbeat-aware fault plans ----------------------------------------------

@@ -259,14 +259,13 @@ SETUP = enc.encode_token_message(1, 1, b"s" * 20, 1)  # trips the flaky link
 
 class _Hub:
     """A relay or a two-worker fabric behind one face: the same four
-    downstreams (plain, filtered, quarantined, choked behind a tiny
-    ``drop_old`` queue), and one snapshot of everything observable."""
+    downstreams (plain, filtered, quarantined, choked — its write queue
+    full from the first frame on), and one snapshot of everything
+    observable."""
 
     OPTIONS = dict(
         limits=DecodeLimits(max_message_size=LIMIT),
         quarantine_after=1,
-        overflow="drop_old",
-        max_queue_bytes=600,
         replay_window=4,
     )
 
@@ -287,13 +286,13 @@ class _Hub:
         else:
             self.hub = FabricDispatcher(2, **self.OPTIONS)
             self.fronts = [self.hub, *self.hub.workers]
-            subs = [self.hub.subscribe(key, link, **how) for key, link, how in links]
+            handles = [
+                self.hub.subscribe(key, link, **how).downstream for key, link, how in links
+            ]
         self.flaky.broken = True
         self.hub.forward(SETUP)
         self.flaky.broken = False
         self.choked.full = True
-        if kind == "fabric":  # handles change on every tree rebuild: read them last
-            handles = [sub.downstream for sub in subs]
         self.downstreams = handles
         assert [d.quarantined for d in handles] == [False, False, True, False]
 
@@ -301,19 +300,13 @@ class _Hub:
         if not self.fronts:
             return [self.hub]
         return [
-            relay
-            for worker in self.hub.workers
-            for _key, fanout in sorted(worker._fanouts.items())
-            for relay in fanout.relays
+            relay for worker in self.hub.workers for _key, relay in sorted(worker._relays.items())
         ]
 
     def snapshot(self):
-        queued = [list(d.send_queue._frames) for d in self.downstreams]
-        self.choked.full = False
-        self.hub.heal()  # flushes the overflow queue down the un-choked link
         return {
             "received": [[p.b.recv() for _ in range(p.b.pending())] for p in self.pipes],
-            "queued": queued,
+            "states": [(d.state, d.consecutive_errors) for d in self.downstreams],
             "downstream counters": [d.metrics.counters() for d in self.downstreams],
             "fronts": [(f.metrics.counters(), list(f._announcements)) for f in self.fronts],
             "relays": [
@@ -326,20 +319,19 @@ class _Hub:
 @pytest.mark.parametrize("kind", ["relay", "fabric"])
 @seed(CHAOS_SEED)
 @settings(max_examples=60, deadline=None)
-@given(frames=st.lists(st.sampled_from(FRAME_POOL), max_size=48), recover_at=st.integers(0, 48))
-def test_a_burst_equals_its_frames(kind, frames, recover_at):
+@given(frames=st.lists(st.sampled_from(FRAME_POOL), max_size=48), burst_at=st.integers(0, 48))
+def test_a_burst_equals_its_frames(kind, frames, burst_at):
     """``forward_batch(frames)`` and ``for f in frames: forward(f)`` are
     indistinguishable from outside: per-downstream byte streams in
-    order, overflow queues, replay windows, announcement backlogs,
+    order, quarantine states, replay windows, announcement backlogs,
     ``messages_seen`` and every counter at every level.  The choked
-    link recovers after ``recover_at`` frames, so the burst may start
-    behind a queued backlog that drains part-way through it."""
+    link's first send — before the burst or inside it — raises
+    ``WriteQueueFull``, which quarantines it in both spellings alike."""
     scalar, batch = _Hub(kind), _Hub(kind)
     for hub in (scalar, batch):
-        for frame in frames[:recover_at]:
+        for frame in frames[:burst_at]:
             hub.hub.forward(frame)
-        hub.choked.full = False
-    for frame in frames[recover_at:]:
+    for frame in frames[burst_at:]:
         scalar.hub.forward(frame)
-    batch.hub.forward_batch(frames[recover_at:])
+    batch.hub.forward_batch(frames[burst_at:])
     assert batch.snapshot() == scalar.snapshot()

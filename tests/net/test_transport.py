@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import (
-    EchoServer,
     InMemoryPipe,
     NetworkModel,
     SimulatedLink,
@@ -151,16 +150,6 @@ class TestSockets:
             c.close()
             s.close()
 
-    def test_echo_server(self):
-        with EchoServer() as server:
-            server.client.send(b"echo me")
-            assert server.client.recv() == b"echo me"
-
-    def test_echo_server_with_handler(self):
-        with EchoServer(handler=lambda d: d[::-1]) as server:
-            server.client.send(b"abc")
-            assert server.client.recv() == b"cba"
-
 
 class TestTiming:
     def test_best_of_returns_positive(self):
@@ -303,13 +292,6 @@ class TestSmallKernelBuffers:
         finally:
             c.close()
             s.close()
-
-    def test_echo_server_timeout_parameter(self):
-        from repro.net import TransportTimeout
-
-        with EchoServer(timeout_s=0.1) as server:
-            with pytest.raises(TransportTimeout):
-                server.client.recv()  # nothing inbound: bounded wait
 
     def test_loopback_pair_timeout_parameter(self):
         from repro.net import TransportTimeout
