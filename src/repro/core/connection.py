@@ -75,11 +75,6 @@ class PbioConnection:
         frames.extend(enc.encode_data_message(cid, fid, n) for n in natives)
         self.transport.send_many(frames)
 
-    def send_batch(self, handle: FormatHandle, records) -> None:
-        """Send many value dicts as one vectored transport burst."""
-        codec = handle.codec
-        self.send_batch_native(handle, [codec.encode(r) for r in records])
-
     # -- receiving ------------------------------------------------------------
 
     def recv_message(self) -> bytes:

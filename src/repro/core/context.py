@@ -201,20 +201,6 @@ class IOContext:
         in-memory struct) and wrap it in a data message."""
         return self.encode_native(handle, handle.codec.encode(record))
 
-    def write_batch(self, handle: FormatHandle, records) -> list[bytes]:
-        """Encode many value dicts into data messages in one call.
-
-        The encoded frames are what a ``send_many``-capable transport
-        coalesces into one vectored syscall, and what a receiver's
-        :meth:`read_batch` decodes with one batch-converter pass.
-        """
-        cid, fid = self.context_id, handle.format_id
-        codec = handle.codec
-        return [
-            enc.encode_data_message(cid, fid, codec.encode(record))
-            for record in records
-        ]
-
     # -- reader side ----------------------------------------------------------
 
     def expect(self, schema: RecordSchema) -> IOFormat:

@@ -51,8 +51,6 @@ from __future__ import annotations
 import io
 import mmap
 import os
-import struct
-import zlib
 from typing import Any, BinaryIO, Iterator
 
 from repro.abi import RecordSchema
@@ -62,17 +60,17 @@ from .context import FormatHandle, IOContext
 from .errors import MessageError, PbioError
 from .runtime.pool import Lease
 
-# The frame discipline itself lives in repro.core.framing (shared with
-# the fmtserv cache file and the durable-delivery WAL); the historical
-# names are re-exported here because tooling imports them from this
-# module.
-from .framing import MSG_LEN as _MSG_LEN  # noqa: F401  (re-export)
-from .framing import V2_TRAILER as _V2_TRAILER  # noqa: F401  (re-export)
-from .framing import iter_frames, pack_frame  # noqa: F401  (re-export)
+# The header and frame discipline live in repro.core.framing (shared
+# with the fmtserv cache file and the durable-delivery WAL).
+from .framing import FILE_HEADER, check_header, heal, pack_frame, read_frame
 
 FILE_MAGIC = b"PBIOFILE"
 FILE_VERSION = 2
-_FILE_HEADER = struct.Struct(">8sHxx")  # magic, version, pad
+#: What ``check_header`` needs to know a record file by: its magic, the
+#: versions in use (a record file's version is its frame version) and its
+#: name in error messages.
+RECORD_FILE = (FILE_MAGIC, (1, 2), "PBIO file")
+_DAMAGE_COUNTER = {"torn": "file.torn_tails", "corrupt": "file.corrupt_records"}
 
 #: Reader damage policies (see module docstring).
 RECOVER_POLICIES = ("raise", "skip", "stop")
@@ -95,7 +93,7 @@ class PbioFileWriter:
         version: int = FILE_VERSION,
         _header_written: bool = False,
     ):
-        if version not in (1, 2):
+        if version not in RECORD_FILE[1]:
             raise ValueError(f"unsupported PBIO file version {version}")
         self.ctx = ctx
         self.version = version
@@ -103,7 +101,7 @@ class PbioFileWriter:
         self._announced: set[int] = set()
         self._records_written = 0
         if not _header_written:
-            stream.write(_FILE_HEADER.pack(FILE_MAGIC, version))
+            stream.write(FILE_HEADER.pack(FILE_MAGIC, version))
 
     @classmethod
     def open(cls, ctx: IOContext, path: str, *, version: int = FILE_VERSION) -> "PbioFileWriter":
@@ -114,21 +112,17 @@ class PbioFileWriter:
         """Reopen an existing file for appending (at its recorded version).
 
         Formats are re-announced before their first appended record —
-        harmless to readers, which absorb repeated announcements.  The
-        file is assumed to end at a frame boundary; run
-        ``pbio-fsck --truncate`` first if a crash may have left a torn
-        tail."""
+        harmless to readers, which absorb repeated announcements.  A
+        torn tail left by a crash is truncated first (counted as
+        ``file.torn_tails`` on ``ctx``), so the appended records start
+        at a clean frame boundary.  Nothing else is ever cut: damage that
+        may have intact records behind it raises :class:`MessageError` and
+        leaves the file to ``pbio-fsck`` (:func:`.framing.heal`, ``tail_only``)."""
         stream = open(path, "r+b")
         try:
-            header = stream.read(_FILE_HEADER.size)
-            if len(header) != _FILE_HEADER.size:
-                raise MessageError("not a PBIO file: truncated header")
-            magic, version = _FILE_HEADER.unpack(header)
-            if magic != FILE_MAGIC:
-                raise MessageError(f"not a PBIO file: bad magic {magic!r}")
-            if version not in (1, 2):
-                raise MessageError(f"unsupported PBIO file version {version}")
-            stream.seek(0, io.SEEK_END)
+            version = check_header(stream.read(FILE_HEADER.size), *RECORD_FILE)
+            count = lambda what: ctx.metrics.inc(_DAMAGE_COUNTER[what])
+            heal(stream, version, on_damage=count, tail_only=True)
             return cls(ctx, stream, version=version, _header_written=True)
         except Exception:
             stream.close()
@@ -272,15 +266,7 @@ class PbioFileReader:
         self._lease: Lease | None = None
         if _map is not None:
             self._lease = Lease(lambda: _close_map(_map), metrics=ctx.metrics)
-        header = self._read(_FILE_HEADER.size)
-        if len(header) != _FILE_HEADER.size:
-            raise MessageError("not a PBIO file: truncated header")
-        magic, version = _FILE_HEADER.unpack(header)
-        if magic != FILE_MAGIC:
-            raise MessageError(f"not a PBIO file: bad magic {magic!r}")
-        if version not in (1, 2):
-            raise MessageError(f"unsupported PBIO file version {version}")
-        self.version = version
+        self.version = check_header(self._read(FILE_HEADER.size), *RECORD_FILE)
 
     @classmethod
     def open(
@@ -325,12 +311,6 @@ class PbioFileReader:
 
     # -- framing -------------------------------------------------------------
 
-    def _torn(self, what: str) -> None:
-        if self._recover == "raise":
-            raise MessageError(f"truncated PBIO file ({what})")
-        self._damaged = True
-        self.ctx.metrics.inc("file.torn_tails")
-
     def _next_frame(self):
         """The next complete, CRC-valid frame payload; ``None`` at end.
 
@@ -342,46 +322,23 @@ class PbioFileReader:
         under ``skip``/``stop``.
         """
         limits = self.ctx.limits
+        max_size = limits.max_message_size if limits is not None else None
         while True:
-            raw_len = self._read(_MSG_LEN.size)
-            if not raw_len:
+            verdict, payload = read_frame(self._read, self.version, max_size)
+            if verdict == "ok":
+                return payload
+            if verdict == "eof":
                 return None  # clean EOF at a frame boundary
-            if len(raw_len) != _MSG_LEN.size:
-                self._torn("length prefix")
-                return None
-            (n,) = _MSG_LEN.unpack(raw_len)
-            if limits is not None and n > limits.max_message_size:
-                # A frame this size is either hostile or a corrupted
-                # prefix; either way the scan cannot safely continue.
-                if self._recover == "raise":
-                    limits.check_message_size(n)  # raises LimitError
-                self._damaged = True
-                self.ctx.metrics.inc("file.corrupt_records")
-                return None
-            message = self._read(n)
-            if len(message) != n:
-                self._torn("message body")
-                return None
-            if self.version < 2:
-                return message
-            trailer = self._read(_V2_TRAILER.size)
-            if len(trailer) != _V2_TRAILER.size:
-                self._torn("record trailer")
-                return None
-            crc, echo = _V2_TRAILER.unpack(trailer)
-            if zlib.crc32(message) == crc:
-                # An echo mismatch with a matching CRC means only the
-                # redundant echo bytes were damaged: the record is fine.
-                return message
             if self._recover == "raise":
-                raise MessageError(
-                    f"corrupt PBIO file: record CRC mismatch "
-                    f"(stored {crc:#010x}, computed {zlib.crc32(message):#010x})"
-                )
+                if verdict == "torn":
+                    raise MessageError("truncated PBIO file (the last frame is torn)")
+                if verdict == "oversize":
+                    limits.check_message_size(payload)  # raises LimitError
+                raise MessageError("corrupt PBIO file: record CRC mismatch")
             self._damaged = True
-            self.ctx.metrics.inc("file.corrupt_records")
-            if self._recover == "stop" or echo != n:
-                # echo != n: the length prefix itself is suspect, so the
+            self.ctx.metrics.inc(_DAMAGE_COUNTER["torn" if verdict == "torn" else "corrupt"])
+            if verdict != "corrupt" or self._recover == "stop":
+                # torn; or the length prefix is oversize or suspect, so the
                 # next "boundary" would be a guess — stop, don't misparse.
                 return None
             # skip: framing is still aligned; scan on to the next frame.

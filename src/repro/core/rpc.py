@@ -46,7 +46,6 @@ from repro.abi import MachineDescription, RecordSchema
 from repro.net.transport import (
     Transport,
     TransportError,
-    TransportTimeout,
     transport_token,
 )
 
@@ -357,13 +356,13 @@ class RpcServer:
     # -- shutdown ------------------------------------------------------------
 
     def stop(self) -> None:
-        """Ask every :meth:`serve` loop (and the async handler adapters)
-        to exit after the in-flight call instead of serving forever.
-        Thread-safe; sticky until :meth:`restart`."""
+        """Ask the serving loops (:func:`repro.net.aio.rpc_handler`, one
+        per connection) to exit after the in-flight call instead of
+        serving forever.  Thread-safe; sticky until :meth:`restart`."""
         self._stop.set()
 
     def restart(self) -> None:
-        """Clear a previous :meth:`stop` so new serve loops run again."""
+        """Clear a previous :meth:`stop` so new connections are served again."""
         self._stop.clear()
 
     @property
@@ -428,29 +427,6 @@ class RpcServer:
                 gen.send(transport.recv())
         except StopIteration:
             return
-
-    def serve(self, transport: Transport, *, poll_s: float | None = None) -> None:
-        """Serve calls on one connection until the peer goes away or
-        :meth:`stop` is called.
-
-        Without ``poll_s`` a blocked ``recv`` only notices a stop once
-        the next frame (or a transport error) arrives; with ``poll_s``
-        the transport timeout is set so the loop re-checks the stop flag
-        at least that often — prompt shutdown for threaded servers.
-        (The poll assumes quiescent gaps *between* calls, which
-        request/reply traffic guarantees.)  Protocol damage
-        (:class:`~repro.core.errors.PbioError`) propagates to the
-        caller; a broken link returns quietly.
-        """
-        if poll_s is not None:
-            transport.set_timeout(poll_s)
-        while not self._stop.is_set():
-            try:
-                self.serve_one(transport)
-            except TransportTimeout:
-                continue  # poll tick: re-check the stop flag
-            except TransportError:  # includes PeerClosedError
-                return
 
     def serve_steps(self, transport: Transport):
         """The sans-io core of :meth:`serve_one`: a generator that yields

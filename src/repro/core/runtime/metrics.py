@@ -23,6 +23,8 @@ Counter names used by the runtime:
 ``faults.*``              injected faults (:mod:`repro.net.faults`)
 ``reconnects`` / ``announcements_replayed`` / ``dial_failures``  reconnect layer
 ``requests_served`` / ``dedup_hits`` / ``servant_errors``        RPC server
+``protocol_errors`` / ``connections_dropped``   RPC serving loop: malformed
+                          calls survived; connections dropped at 64 in a row
 ``calls`` / ``retries`` / ``transport_errors`` / ``stale_replies``  RPC client
 ``decode.rejected``       messages refused by the validated decode frontend
                           (malformed, inconsistent, or over a DecodeLimits
@@ -33,7 +35,8 @@ Counter names used by the runtime:
 ``relay.rejected``        non-PBIO / oversized / inconsistent frames a relay
                           dropped instead of forwarding
 ``file.corrupt_records``  CRC-mismatched (or undecodable) file frames
-``file.torn_tails``       incomplete trailing frames (crash mid-append)
+``file.torn_tails``       incomplete trailing frames (crash mid-append): met
+                          by a reader, or truncated by ``PbioFileWriter.append``
 ``file.recovered_records``  records delivered *after* file damage was seen
                           (what ``recover="skip"`` salvaged over ``"stop"``)
 ``fmtserv.*``             format-service counters (:mod:`repro.fmtserv`):

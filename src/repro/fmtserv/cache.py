@@ -6,8 +6,8 @@ exists to bound how long a *token* binding is trusted across server
 restarts, and negative entries keep a dead server from being asked the
 same unanswerable question on every message.
 
-The on-disk layer is an append-only log of v2 frames (the crash-safe
-framing from :mod:`repro.core.files`): ``u32 len | payload | u32 crc |
+The on-disk layer is an append-only log of v2 frames (a
+:class:`repro.core.framing.FramedLog`): ``u32 len | payload | u32 crc |
 u32 len-echo``, one ``write`` per entry.  A process killed mid-append
 tears at most the entry in flight; the loader stops cleanly at a torn
 tail and truncates it, so the file is self-healing across restarts.
@@ -23,21 +23,19 @@ entries are immutable once their frame is complete.
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterator
+from typing import Callable, Iterator
 
-from repro.core.errors import FormatError, MessageError
-from repro.core.framing import iter_frames, pack_frame
+from repro.core.errors import FormatError
+from repro.core.framing import FramedLog
 from repro.core.formats import IOFormat
 from repro.core.runtime import Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
 
 CACHE_MAGIC = b"PBIOFMTC"
 CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct(">8sHxx")  # magic, version, pad
 _ENTRY_FIXED = struct.Struct(">B20sQdI")  # kind, fingerprint, token, stored_at, meta_len
 _KIND_ENTRY = 1
 
@@ -50,6 +48,15 @@ class CachedFormat:
     meta: bytes
     token: int | None
     stored_at: float
+
+
+def _entry_payload(entry: CachedFormat) -> bytes:
+    return (
+        _ENTRY_FIXED.pack(
+            _KIND_ENTRY, entry.fingerprint, entry.token or 0, entry.stored_at, len(entry.meta)
+        )
+        + entry.meta
+    )
 
 
 class FormatCache:
@@ -88,48 +95,16 @@ class FormatCache:
         self._entries: dict[bytes, CachedFormat] = {}
         self._formats: dict[bytes, IOFormat] = {}  # lazy parse memo
         self._negative: dict[bytes, float] = {}  # fingerprint -> expiry
-        self._stream: BinaryIO | None = None
+        self._log: FramedLog | None = None
         if path is not None:
-            self._open(path)
+            self._log = FramedLog(
+                path, CACHE_MAGIC, CACHE_VERSION, "format cache file",
+                max_size=limits.max_meta_size + 256 if limits is not None else None,
+                load=self._load_entry,
+                on_damage=lambda what: self.metrics.inc(f"fmtserv.cache_{what}"),
+            )
 
     # -- disk layer ----------------------------------------------------------
-
-    def _open(self, path: str) -> None:
-        if not os.path.exists(path):
-            stream = open(path, "w+b")
-            stream.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION))
-            stream.flush()
-            self._stream = stream
-            return
-        stream = open(path, "r+b")
-        try:
-            header = stream.read(_CACHE_HEADER.size)
-            if len(header) != _CACHE_HEADER.size:
-                raise MessageError("not a format cache file: truncated header")
-            magic, version = _CACHE_HEADER.unpack(header)
-            if magic != CACHE_MAGIC:
-                raise MessageError(f"not a format cache file: bad magic {magic!r}")
-            if version != CACHE_VERSION:
-                raise MessageError(f"unsupported format cache version {version}")
-            pos = stream.tell()
-
-            def damaged(what: str) -> None:
-                self.metrics.inc(
-                    "fmtserv.cache_torn" if what == "torn" else "fmtserv.cache_corrupt"
-                )
-
-            max_size = self.limits.max_meta_size + 256 if self.limits is not None else None
-            for payload in iter_frames(stream, max_size=max_size, on_damage=damaged):
-                self._load_entry(payload)
-                pos = stream.tell()
-            # Heal: drop any torn tail so future appends start at a clean
-            # frame boundary (damage before `pos` was already skipped).
-            stream.truncate(pos)
-            stream.seek(pos)
-        except Exception:
-            stream.close()
-            raise
-        self._stream = stream
 
     def _load_entry(self, payload: bytes) -> None:
         if len(payload) < _ENTRY_FIXED.size:
@@ -150,21 +125,9 @@ class FormatCache:
         self.metrics.inc("fmtserv.cache_loaded")
 
     def _persist(self, entry: CachedFormat) -> None:
-        if self._stream is None:
+        if self._log is None:
             return
-        payload = (
-            _ENTRY_FIXED.pack(
-                _KIND_ENTRY,
-                entry.fingerprint,
-                entry.token or 0,
-                entry.stored_at,
-                len(entry.meta),
-            )
-            + entry.meta
-        )
-        # Single write + flush: the torn-tail guarantee of the v2 framing.
-        self._stream.write(pack_frame(payload))
-        self._stream.flush()
+        self._log.append(_entry_payload(entry))
         self.metrics.inc("fmtserv.cache_persisted")
 
     # -- positive entries ----------------------------------------------------
@@ -276,34 +239,11 @@ class FormatCache:
             removed = 1 if self._entries.pop(fingerprint, None) is not None else 0
             self._formats.pop(fingerprint, None)
         self._negative.clear()
-        if self.path is not None and removed:
-            self._rewrite()
+        if self._log is not None and removed:
+            # fsynced before the replace, so not even an OS crash can
+            # leave the cache's name on a file whose data never landed.
+            self._log.rewrite(map(_entry_payload, self._entries.values()), fsync=True)
         return removed
-
-    def _rewrite(self) -> None:
-        assert self.path is not None
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "wb") as tmp:
-            tmp.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION))
-            for entry in self._entries.values():
-                payload = (
-                    _ENTRY_FIXED.pack(
-                        _KIND_ENTRY,
-                        entry.fingerprint,
-                        entry.token or 0,
-                        entry.stored_at,
-                        len(entry.meta),
-                    )
-                    + entry.meta
-                )
-                tmp.write(pack_frame(payload))
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        if self._stream is not None:
-            self._stream.close()
-        os.replace(tmp_path, self.path)
-        self._stream = open(self.path, "r+b")
-        self._stream.seek(0, os.SEEK_END)
 
     def formats(self) -> Iterator[IOFormat]:
         """Parse and yield every live cached format (warm-start sweep)."""
@@ -313,9 +253,9 @@ class FormatCache:
                 yield fmt
 
     def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "FormatCache":
         return self

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from repro.abi import MachineDescription
 from repro.abi.machines import X86_64
-from repro.core.errors import FormatError, PbioError
+from repro.core.errors import FormatError
 from repro.core.formats import IOFormat
 from repro.core.rpc import RpcServer
 from repro.core.runtime import Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits, LimitError
-from repro.net.transport import Transport, TransportError, TransportTimeout
+from repro.net.transport import Transport
 
 from .cache import FormatCache
 from .protocol import (
@@ -37,11 +37,6 @@ from .protocol import (
     STATUS_QUOTA,
 )
 
-#: Consecutive protocol errors on one connection before the server
-#: stops humouring it (a peer speaking garbage forever is an attack,
-#: not a client).
-_MAX_CONSECUTIVE_PROTOCOL_ERRORS = 64
-
 
 class FormatServer:
     """A format server servicing register/lookup/list/purge calls.
@@ -49,9 +44,9 @@ class FormatServer:
     ``store`` is a :class:`FormatCache`; give it a path and the server's
     population (formats *and* token bindings) survives restarts — tokens
     are re-minted above the highest persisted one, so bindings cached by
-    clients stay valid.  In-process use calls :meth:`serve_one` /
-    :meth:`serve` directly on a transport; the ``pbio-fmtserv`` tool
-    wraps :meth:`serve` around accepted sockets.
+    clients stay valid.  In-process use calls :meth:`serve_one`
+    directly on a transport; the ``pbio-fmtserv`` tool serves accepted
+    sockets through :func:`repro.net.aio.fmtserv_handler`.
     """
 
     def __init__(
@@ -195,15 +190,13 @@ class FormatServer:
         self._rpc.serve_one(transport)
 
     def stop(self) -> None:
-        """Ask every :meth:`serve` loop to exit (sticky; thread-safe).
-
-        Loops blocked in ``recv`` notice once their transport next
-        delivers a frame, errors, or — with ``poll_s`` — times out.
-        """
+        """Ask every connection's serving loop
+        (:func:`repro.net.aio.fmtserv_handler`) to exit after its
+        in-flight call (sticky; thread-safe)."""
         self._rpc.stop()
 
     def restart(self) -> None:
-        """Clear a previous :meth:`stop` so new serve loops run."""
+        """Clear a previous :meth:`stop` so new connections are served."""
         self._rpc.restart()
 
     @property
@@ -219,33 +212,3 @@ class FormatServer:
         the drain wants to trigger promptly.
         """
         self._rpc.drain_and_stop(deadline_s)
-
-    def serve(self, transport: Transport, *, poll_s: float | None = None) -> None:
-        """Serve calls on one connection until the peer goes away or
-        :meth:`stop` is called.
-
-        Link failure ends the connection quietly (clients fall back to
-        inline announcements; a format server outage is never fatal to
-        the data plane).  Protocol damage is counted and survived, up to
-        a cap of consecutive errors, after which the connection is
-        dropped rather than parsed forever.  ``poll_s`` sets the
-        transport timeout so a quiet connection re-checks the stop flag
-        at least that often.
-        """
-        if poll_s is not None:
-            transport.set_timeout(poll_s)
-        consecutive_errors = 0
-        while not self._rpc.stopped:
-            try:
-                self._rpc.serve_one(transport)
-                consecutive_errors = 0
-            except TransportTimeout:
-                continue  # poll tick: re-check the stop flag
-            except TransportError:  # includes PeerClosedError
-                return
-            except PbioError:
-                self.metrics.inc("fmtserv.protocol_errors")
-                consecutive_errors += 1
-                if consecutive_errors >= _MAX_CONSECUTIVE_PROTOCOL_ERRORS:
-                    self.metrics.inc("fmtserv.connections_dropped")
-                    return

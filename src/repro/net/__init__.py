@@ -11,8 +11,6 @@ from .transport import (
     TransportError,
     TransportTimeout,
     WriteQueueFull,
-    frame,
-    read_frame,
     transport_token,
 )
 from .health import (
@@ -84,8 +82,6 @@ __all__ = [
     "send_goodbye",
     "FrameBuffer",
     "InMemoryPipe",
-    "frame",
-    "read_frame",
     "transport_token",
     "AsyncServer",
     "AsyncSocketTransport",

@@ -38,7 +38,7 @@ Design rules (docs/async.md):
   (``max_read_buffer``); past the bound the pump unregisters and TCP
   flow control pushes back on the peer.
 * **The synchronous API is untouched.**  ``SocketTransport``, the
-  blocking ``serve`` loops and every existing test and bench keep
+  blocking ``serve_one`` drivers and every existing test and bench keep
   working; :meth:`AsyncServer.run` is a plain blocking call (it *is* the
   event loop), so a sync ``main`` drives the async core with one line.
 """
@@ -81,7 +81,8 @@ DEFAULT_MAX_WRITE_QUEUE = 1 << 20
 DEFAULT_MAX_READ_BUFFER = 1 << 20
 
 #: Consecutive protocol errors on one connection before a handler stops
-#: humouring it (mirrors ``repro.fmtserv.server``'s serving policy).
+#: humouring it (a peer speaking garbage forever is an attack, not a
+#: client).
 MAX_CONSECUTIVE_PROTOCOL_ERRORS = 64
 
 #: The per-connection handler contract: a coroutine taking the accepted
@@ -739,11 +740,7 @@ async def serve_rpc_call(rpc, transport) -> None:
         return
 
 
-def rpc_handler(rpc) -> ConnectionHandler:
-    """Serve an :class:`~repro.core.rpc.RpcServer` per connection until
-    the peer leaves, the server is stopped, or protocol damage exceeds
-    the consecutive-error cap."""
-
+def _rpc_handler(rpc, metrics, prefix: str) -> ConnectionHandler:
     async def handle(transport: AsyncSocketTransport) -> None:
         consecutive = 0
         while not rpc.stopped:
@@ -751,37 +748,37 @@ def rpc_handler(rpc) -> ConnectionHandler:
                 await serve_rpc_call(rpc, transport)
                 consecutive = 0
             except PbioError:
-                rpc.metrics.inc("protocol_errors")
+                metrics.inc(prefix + "protocol_errors")
                 consecutive += 1
                 if consecutive >= MAX_CONSECUTIVE_PROTOCOL_ERRORS:
+                    metrics.inc(prefix + "connections_dropped")
                     return
                 continue
             await transport.drain()
 
     return handle
+
+
+def rpc_handler(rpc) -> ConnectionHandler:
+    """Serve an :class:`~repro.core.rpc.RpcServer` per connection until
+    the peer leaves, the server is stopped, or protocol damage exceeds
+    the consecutive-error cap.
+
+    Link failure ends the connection quietly.  Protocol damage is
+    counted (``protocol_errors``) and survived, up to a cap of
+    consecutive errors, after which the connection is dropped
+    (``connections_dropped``) rather than parsed forever.
+    """
+    return _rpc_handler(rpc, rpc.metrics, "")
 
 
 def fmtserv_handler(server) -> ConnectionHandler:
-    """Serve a :class:`~repro.fmtserv.FormatServer` per connection — the
-    async analogue of its blocking :meth:`~repro.fmtserv.FormatServer.serve`,
-    with the same protocol-error accounting and drop cap."""
-
-    async def handle(transport: AsyncSocketTransport) -> None:
-        consecutive = 0
-        while not server.stopped:
-            try:
-                await serve_rpc_call(server._rpc, transport)
-                consecutive = 0
-            except PbioError:
-                server.metrics.inc("fmtserv.protocol_errors")
-                consecutive += 1
-                if consecutive >= MAX_CONSECUTIVE_PROTOCOL_ERRORS:
-                    server.metrics.inc("fmtserv.connections_dropped")
-                    return
-                continue
-            await transport.drain()
-
-    return handle
+    """Serve a :class:`~repro.fmtserv.FormatServer` per connection:
+    :func:`rpc_handler`'s loop over its RPC engine, counting
+    ``fmtserv.protocol_errors`` / ``fmtserv.connections_dropped`` on the
+    format server's metrics.  (A format server outage is never fatal to
+    the data plane: clients fall back to inline announcements.)"""
+    return _rpc_handler(server._rpc, server.metrics, "fmtserv.")
 
 
 def relay_handler(relay, *, max_frames: int = 0) -> ConnectionHandler:

@@ -57,63 +57,51 @@ from __future__ import annotations
 import os
 import struct
 from collections import OrderedDict
-from typing import Any, BinaryIO, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core import encoder as enc
 from repro.core.context import FormatHandle, IOContext
 from repro.core.errors import MessageError, PbioError
-from repro.core.framing import iter_frames, pack_frame
+from repro.core.framing import FramedLog
 from repro.core.runtime import DurableStats, Metrics
 
 from .channel import ChannelPublisher, EventChannel, Subscription
 
-_FILE_HEADER = struct.Struct(">8sHxx")  # magic, version, pad
 WAL_MAGIC = b"PBIOWALS"
 CURSOR_MAGIC = b"PBIOCURS"
 WAL_VERSION = 1
 _CURSOR_ENTRY = struct.Struct(">IIQ")  # context id, format id, cursor
 
 
-def _open_framed(
-    path: str, magic: bytes, *, metrics: Metrics, label: str
-) -> tuple[BinaryIO, list[bytes]]:
+def _open_log(path: str, magic: bytes, metrics: Metrics) -> tuple[FramedLog, list[bytes]]:
     """Open (or create) one crash-safe framed file; return its payloads.
 
-    New files get the 12-byte header; existing ones are validated, their
-    intact frames loaded, and any torn tail truncated in place so the
-    next append starts at a clean frame boundary.  Damage is counted as
-    ``durable.<label>_torn`` / ``durable.<label>_corrupt``.
+    Damage is counted as ``durable.wal_torn`` / ``durable.wal_corrupt``.
     """
-    if not os.path.exists(path):
-        stream = open(path, "w+b")
-        stream.write(_FILE_HEADER.pack(magic, WAL_VERSION))
-        stream.flush()
-        return stream, []
-    stream = open(path, "r+b")
-    try:
-        header = stream.read(_FILE_HEADER.size)
-        if len(header) != _FILE_HEADER.size:
-            raise MessageError(f"not a {label} file: truncated header")
-        found, version = _FILE_HEADER.unpack(header)
-        if found != magic:
-            raise MessageError(f"not a {label} file: bad magic {found!r}")
-        if version != WAL_VERSION:
-            raise MessageError(f"unsupported {label} version {version}")
+    payloads: list[bytes] = []
+    log = FramedLog(
+        path, magic, WAL_VERSION, "wal file",
+        load=payloads.append,
+        on_damage=lambda what: metrics.inc(f"durable.wal_{what}"),
+    )
+    return log, payloads
 
-        def damaged(what: str) -> None:
-            metrics.inc(f"durable.{label}_torn" if what == "torn" else f"durable.{label}_corrupt")
 
-        payloads: list[bytes] = []
-        pos = stream.tell()
-        for payload in iter_frames(stream, on_damage=damaged):
-            payloads.append(payload)
-            pos = stream.tell()
-        stream.truncate(pos)
-        stream.seek(pos)
-    except Exception:
-        stream.close()
-        raise
-    return stream, payloads
+def fold_cursors(payloads: Iterable[bytes]) -> tuple[dict[tuple[int, int], int], int]:
+    """The effective cursors of a cursor store's payloads, and how many
+    of the payloads are not cursor entries (damage)."""
+    cursors: dict[tuple[int, int], int] = {}
+    damaged = 0
+    for payload in payloads:
+        if len(payload) != _CURSOR_ENTRY.size:
+            damaged += 1
+            continue
+        cid, fid, cursor = _CURSOR_ENTRY.unpack(payload)
+        # Append-wins, but never regress: a stale late entry
+        # (from an interleaved old writer) cannot move us back.
+        if cursor > cursors.get((cid, fid), 0):
+            cursors[(cid, fid)] = cursor
+    return cursors, damaged
 
 
 class AckCursorStore:
@@ -131,29 +119,13 @@ class AckCursorStore:
         self.path = path
         self.metrics = metrics if metrics is not None else Metrics()
         self._cursors: dict[tuple[int, int], int] = {}
-        self._stream: BinaryIO | None = None
+        self._log: FramedLog | None = None
         self._appended = 0
         if path is not None:
-            stream, payloads = _open_framed(
-                path, CURSOR_MAGIC, metrics=self.metrics, label="wal"
-            )
-            # Reopen unbuffered: every advance is one tiny framed append,
-            # and a raw write is both cheaper than write+flush through a
-            # buffer and durable against process crash the instant it
-            # returns.
-            stream.close()
-            self._stream = open(path, "r+b", buffering=0)
-            self._stream.seek(0, os.SEEK_END)
-            for payload in payloads:
-                if len(payload) != _CURSOR_ENTRY.size:
-                    self.metrics.inc("durable.wal_corrupt")
-                    continue
-                cid, fid, cursor = _CURSOR_ENTRY.unpack(payload)
-                # Append-wins, but never regress: a stale late entry
-                # (from an interleaved old writer) cannot move us back.
-                key = (cid, fid)
-                if cursor > self._cursors.get(key, 0):
-                    self._cursors[key] = cursor
+            self._log, payloads = _open_log(path, CURSOR_MAGIC, self.metrics)
+            self._cursors, damaged = fold_cursors(payloads)
+            if damaged:
+                self.metrics.inc("durable.wal_corrupt", damaged)
             self._appended = len(payloads)
 
     def cursor(self, key: tuple[int, int]) -> int:
@@ -168,39 +140,28 @@ class AckCursorStore:
         if cursor <= self._cursors.get(key, 0):
             return False
         self._cursors[key] = cursor
-        if self._stream is not None:
-            self._stream.write(
-                pack_frame(_CURSOR_ENTRY.pack(key[0], key[1], cursor))
-            )
+        if self._log is not None:
+            self._log.append(_CURSOR_ENTRY.pack(key[0], key[1], cursor))
             self._appended += 1
             if self._appended > 8 * len(self._cursors) + 128:
-                self._rewrite()
+                # Atomic swap, same durability contract as the WAL
+                # segments: surviving *process* crash (the write reaches
+                # the OS before the replace is visible).  No fsync — an OS
+                # crash can at worst regress cursors, degrading
+                # exactly-once-observed to at-least-once for the records
+                # in between, exactly like the flush-not-fsync segments;
+                # fsyncing here would dominate steady-state cost.
+                self._log.rewrite(
+                    _CURSOR_ENTRY.pack(cid, fid, top)
+                    for (cid, fid), top in self._cursors.items()
+                )
+                self._appended = len(self._cursors)
         return True
 
-    def _rewrite(self) -> None:
-        # Atomic swap, same durability contract as the WAL segments:
-        # surviving *process* crash (the write reaches the OS before the
-        # replace is visible).  No fsync — an OS crash can at worst
-        # regress cursors, degrading exactly-once-observed to
-        # at-least-once for the records in between, exactly like the
-        # flush-not-fsync segments; fsyncing here would dominate
-        # steady-state cost.
-        assert self.path is not None and self._stream is not None
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "wb") as tmp:
-            tmp.write(_FILE_HEADER.pack(CURSOR_MAGIC, WAL_VERSION))
-            for (cid, fid), cursor in self._cursors.items():
-                tmp.write(pack_frame(_CURSOR_ENTRY.pack(cid, fid, cursor)))
-        self._stream.close()
-        os.replace(tmp_path, self.path)
-        self._stream = open(self.path, "r+b", buffering=0)
-        self._stream.seek(0, os.SEEK_END)
-        self._appended = len(self._cursors)
-
     def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "AckCursorStore":
         return self
@@ -233,6 +194,41 @@ def split_wal_frame(payload: bytes) -> list[bytes]:
         messages.append(bytes(view[offset:end]))
         offset = end
     return messages
+
+
+def wal_entries(payloads: Iterable[bytes]) -> Iterator[tuple[tuple[int, int], int, bytes] | None]:
+    """Walk a segment's frame payloads message by message.
+
+    Yields ``(stream key, sequence, message)`` per journaled message —
+    sequence 0 marks an announcement, which no data frame can carry —
+    and ``None`` per frame or message that is intact on disk but not a
+    WAL-legal message (``MSG_DATA_SEQ``, ``MSG_FORMAT``,
+    ``MSG_FORMAT_TOKEN``).
+    """
+    for payload in payloads:
+        try:
+            messages = split_wal_frame(payload)
+        except MessageError:
+            yield None
+            continue
+        for message in messages:
+            try:
+                kind, cid, fid, _plen = enc.unpack_header(message)
+                announcement = kind in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN)
+                seq = 0 if announcement else enc.parse_data_seq(message)[2]
+            except PbioError:
+                yield None
+                continue
+            yield (cid, fid), seq, message
+
+
+def wal_segments(directory: str) -> list[str]:
+    """Paths of the ``wal-<n>.seg`` files in ``directory``, oldest first."""
+    return sorted(
+        os.path.join(directory, name)
+        for name in os.listdir(directory)
+        if name.startswith("wal-") and name.endswith(".seg")
+    )
 
 
 class PublisherWAL:
@@ -280,8 +276,10 @@ class PublisherWAL:
         #: monotonic), which makes the fully-acked check in
         #: :meth:`compact` O(streams) instead of O(entries)
         self._segments: list[tuple[str, dict[tuple[int, int], int]]] = []
-        self._stream: BinaryIO | None = None
-        self._stream_bytes = 0
+        #: the newest segment, open for appending (unbuffered: every
+        #: append is already one coalesced write, and skipping the
+        #: userspace buffer makes it durable-to-the-OS as it returns)
+        self._log: FramedLog | None = None
         self._segment_index = 0
         if directory is None:
             self.acked = AckCursorStore(None, metrics=self.metrics)
@@ -290,80 +288,48 @@ class PublisherWAL:
         self.acked = AckCursorStore(
             os.path.join(directory, "acked.cursors"), metrics=self.metrics
         )
-        names = sorted(n for n in os.listdir(directory) if n.startswith("wal-"))
-        for name in names:
-            self._load_segment(os.path.join(directory, name))
+        for path in wal_segments(directory):
+            self._load_segment(path)
         if self._segments:
-            # Reopen the newest segment for appending (unbuffered: every
-            # append is already one coalesced write, and skipping the
-            # userspace buffer makes it durable-to-the-OS as it returns).
-            last_path = self._segments[-1][0]
             self._segment_index = int(
-                os.path.basename(last_path).split("-")[1].split(".")[0]
+                os.path.basename(self._segments[-1][0]).split("-")[1].split(".")[0]
             )
-            self._stream = open(last_path, "r+b", buffering=0)
-            self._stream.seek(0, os.SEEK_END)
-            self._stream_bytes = self._stream.tell()
         else:
             self._open_segment()
 
     # -- disk layer ----------------------------------------------------------
 
     def _load_segment(self, path: str) -> None:
-        stream, payloads = _open_framed(path, WAL_MAGIC, metrics=self.metrics, label="wal")
-        stream.close()
+        if self._log is not None:
+            self._log.close()  # only the newest segment stays open
+        self._log, payloads = _open_log(path, WAL_MAGIC, self.metrics)
         digest: dict[tuple[int, int], int] = {}
-        for payload in payloads:
-            try:
-                messages = split_wal_frame(payload)
-            except MessageError:
+        for entry in wal_entries(payloads):
+            if entry is None:
                 self.metrics.inc("durable.wal_corrupt")
                 continue
-            for message in messages:
-                header = enc.try_unpack_header(message)
-                if header is None:
-                    self.metrics.inc("durable.wal_corrupt")
-                    continue
-                if header[0] in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
-                    key = (header[1], header[2])
-                    self._announcements[key] = message
-                    continue
-                try:
-                    cid, fid, seq, _record = enc.parse_data_seq(message)
-                except PbioError:
-                    self.metrics.inc("durable.wal_corrupt")
-                    continue
-                key = (cid, fid)
-                digest[key] = max(seq, digest.get(key, 0))
-                if seq >= self._next_seq.get(key, 1):
-                    self._next_seq[key] = seq + 1
-                if seq > self.acked.cursor(key):
-                    self._unacked.setdefault(key, OrderedDict())[seq] = message
+            key, seq, message = entry
+            if not seq:
+                self._announcements[key] = message
+                continue
+            digest[key] = max(seq, digest.get(key, 0))
+            if seq >= self._next_seq.get(key, 1):
+                self._next_seq[key] = seq + 1
+            if seq > self.acked.cursor(key):
+                self._unacked.setdefault(key, OrderedDict())[seq] = message
         self._segments.append((path, digest))
 
     def _open_segment(self) -> None:
         assert self.directory is not None
         self._segment_index += 1
         path = os.path.join(self.directory, f"wal-{self._segment_index:08d}.seg")
-        stream = open(path, "w+b", buffering=0)
-        stream.write(_FILE_HEADER.pack(WAL_MAGIC, WAL_VERSION))
-        self._stream = stream
-        self._stream_bytes = _FILE_HEADER.size
+        self._log, _ = _open_log(path, WAL_MAGIC, self.metrics)
         self._segments.append((path, {}))
         # Self-contained segments: the live announcements travel into the
         # new file, so a compaction of older segments never strands the
         # format meta a recovered backlog needs to decode.
-        for key, message in self._announcements.items():
-            self._journal(message, key, 0)
-
-    def _journal(self, message: bytes, key: tuple[int, int], seq: int) -> None:
-        if self._stream is None:
-            return
-        frame = pack_frame(message)
-        self._stream.write(frame)
-        self._stream_bytes += len(frame)
-        if seq:  # announcements (seq 0) never pin a segment
-            self._segments[-1][1][key] = seq
+        for message in self._announcements.values():
+            self._log.append(message)
 
     # -- write path ----------------------------------------------------------
 
@@ -384,7 +350,8 @@ class PublisherWAL:
         if self._announcements.get(key) == bytes(message):
             return
         self._announcements[key] = bytes(message)
-        self._journal(self._announcements[key], key, 0)
+        if self._log is not None:  # announcements never pin a segment
+            self._log.append(self._announcements[key])
 
     def append(self, message: bytes) -> int:
         """Journal one ``MSG_DATA_SEQ`` message; returns its sequence.
@@ -426,16 +393,14 @@ class PublisherWAL:
         """Trusted append: the caller vouches the ``(key, seq, message)``
         triples are contiguous (:class:`DurablePublisher` builds them
         straight off :meth:`next_seq`, so re-parsing would be waste)."""
-        if self._stream is not None:
-            if self._stream_bytes >= self.segment_bytes:
-                self._stream.close()
+        if self._log is not None:
+            if self._log.size >= self.segment_bytes:
+                self._log.close()
                 self._open_segment()
                 self.metrics.inc("durable.segments_rotated")
             # One frame for the whole burst (see split_wal_frame): one
             # CRC, one length check, one write.
-            frame = pack_frame(b"".join(m for _, _, m in parsed))
-            self._stream.write(frame)
-            self._stream_bytes += len(frame)
+            self._log.append(b"".join(m for _, _, m in parsed))
             digest = self._segments[-1][1]
         else:
             digest = None
@@ -533,9 +498,9 @@ class PublisherWAL:
         return len(self._segments)
 
     def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
         self.acked.close()
 
     def __enter__(self) -> "PublisherWAL":

@@ -170,22 +170,6 @@ class Transport(ABC):
         return self.recv_many(max_frames), None
 
 
-def frame(payload: bytes | bytearray | memoryview) -> bytes:
-    n = len(payload)
-    if n > MAX_FRAME:
-        raise TransportError(f"frame too large: {n}")
-    return _LEN.pack(n) + bytes(payload)
-
-
-def read_frame(read_exact) -> bytes:
-    """Read one frame using ``read_exact(n) -> bytes``."""
-    header = read_exact(4)
-    (n,) = _LEN.unpack(header)
-    if n > MAX_FRAME:
-        raise TransportError(f"frame too large: {n}")
-    return read_exact(n)
-
-
 #: Initial receive-buffer capacity.  Grows (doubling) when a single frame
 #: exceeds it; typical PBIO records never force a grow.
 RECV_BUF = 64 * 1024

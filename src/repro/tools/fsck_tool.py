@@ -17,10 +17,11 @@ makes three verdicts decidable per frame:
 * ``corrupt`` — complete frame, CRC mismatch (bit rot / torn overwrite);
 * ``torn``    — the file ends inside the frame (crash mid-append).
 
-When a frame's length prefix and echo disagree *and* the CRC fails, the
-framing itself is untrustworthy; the scanner then resynchronizes by
+When a frame's length prefix and echo disagree *and* the CRC fails — or
+the prefix points past the end while an intact frame lies behind it —
+the framing is untrustworthy; the scanner then resynchronizes by
 searching forward for the next offset that parses as a valid frame
-(length sane, CRC matches, echo agrees) and reports the gap as
+(length sane and not zero, CRC matches) and reports the gap as
 ``framing`` damage.  v1 files (no trailer) are scanned for framing
 consistency and torn tails only — content damage is undetectable there,
 which is the argument for v2.
@@ -31,10 +32,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import zlib
-from typing import BinaryIO
 
-from repro.core.files import _FILE_HEADER, _MSG_LEN, _V2_TRAILER, FILE_MAGIC
+from repro.core.errors import MessageError
+from repro.core.files import RECORD_FILE
+from repro.core.framing import FILE_HEADER, Cursor, check_header, read_frame, resync
 
 #: Scanning resync never considers candidate frames larger than this —
 #: a corrupted length prefix must not make the scanner "validate" an
@@ -47,8 +48,10 @@ class FrameReport:
     """One scanned frame (or damaged region)."""
 
     offset: int  # file offset of the length prefix (or damage start)
-    length: int  # payload length (or damaged span for framing/torn)
+    length: int  # bytes the frame (or the damaged span) occupies
     verdict: str  # "ok" | "corrupt" | "torn" | "framing"
+    #: the payload the classifier returned (``ok`` frames only)
+    payload: memoryview | None = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def end(self) -> int:
@@ -77,57 +80,12 @@ class FsckReport:
     def intact_prefix_end(self) -> int:
         """File offset up to which every frame is intact — the truncation
         point that drops a torn tail without losing good records."""
-        end = _FILE_HEADER.size
+        end = FILE_HEADER.size
         for frame in self.frames:
             if frame.verdict != "ok":
                 break
             end = frame.end
         return end
-
-
-class NotPbioFile(ValueError):
-    pass
-
-
-def _frame_at(data: bytes, pos: int, version: int) -> tuple[str, int, int] | None:
-    """Try to parse one frame at ``pos``.
-
-    Returns ``(verdict, payload_start, frame_end)`` for a structurally
-    complete frame (verdict ``ok`` or ``corrupt``), ``("torn", pos,
-    len(data))`` when the file ends inside the frame, or ``None`` when
-    the bytes at ``pos`` cannot be framing at all (length/echo disagree
-    with a failing CRC — resync territory)."""
-    if pos + _MSG_LEN.size > len(data):
-        return ("torn", pos, len(data))
-    (n,) = _MSG_LEN.unpack_from(data, pos)
-    if n > MAX_SCAN_FRAME:
-        return None
-    body_start = pos + _MSG_LEN.size
-    if version < 2:
-        end = body_start + n
-        if end > len(data):
-            return ("torn", pos, len(data))
-        return ("ok", body_start, end)
-    end = body_start + n + _V2_TRAILER.size
-    if end > len(data):
-        # Could be a torn tail — or a corrupted length pointing past EOF.
-        # Trust it as torn only if nothing after it could resync anyway.
-        return ("torn", pos, len(data))
-    crc, echo = _V2_TRAILER.unpack_from(data, body_start + n)
-    if zlib.crc32(data[body_start : body_start + n]) == crc:
-        return ("ok", body_start, end)
-    if echo == n:
-        return ("corrupt", body_start, end)
-    return None  # length and echo disagree AND the CRC fails: not framing
-
-
-def _resync(data: bytes, pos: int, version: int) -> int:
-    """The next offset >= pos+1 where a valid frame parses (or EOF)."""
-    for candidate in range(pos + 1, len(data)):
-        parsed = _frame_at(data, candidate, version)
-        if parsed is not None and parsed[0] == "ok":
-            return candidate
-    return len(data)
 
 
 def scan_region(data: bytes, start: int = 0, version: int = 2) -> list[FrameReport]:
@@ -137,45 +95,45 @@ def scan_region(data: bytes, start: int = 0, version: int = 2) -> list[FrameRepo
     file format built on :mod:`repro.core.framing` — PBIO record files,
     publisher WAL segments, ack cursor stores — shares one damage
     taxonomy (``ok`` / ``corrupt`` / ``torn`` / ``framing``) and one
-    resynchronization strategy.
+    resynchronization strategy: where :func:`~repro.core.framing.read_frame`
+    cannot trust the framing (``framing``, a length beyond
+    :data:`MAX_SCAN_FRAME`, or a v2 ``torn`` that is not the tail), the
+    damage runs to the next ``ok`` frame :func:`~repro.core.framing.resync` finds.
     """
     frames: list[FrameReport] = []
-    pos = start
-    while pos < len(data):
-        parsed = _frame_at(data, pos, version)
-        if parsed is None:
-            resync_at = _resync(data, pos, version)
-            frames.append(FrameReport(pos, resync_at - pos, "framing"))
-            pos = resync_at
-            continue
-        verdict, _body_start, end = parsed
-        frames.append(FrameReport(pos, end - pos, verdict))
-        pos = end
-    return frames
+    cursor = Cursor(data, start)
+    while True:
+        pos = cursor.pos
+        verdict, payload = read_frame(cursor.read, version, MAX_SCAN_FRAME)
+        if verdict == "eof":
+            return frames
+        if verdict in ("framing", "oversize") or (verdict == "torn" and version >= 2):
+            # A damaged length that points past the end reads as torn too: it is the
+            # tail only if nothing behind it resyncs (v1 has no trailer to resync by).
+            cursor.pos = pos
+            if resync(cursor, version, MAX_SCAN_FRAME) or verdict != "torn":
+                verdict = "framing"
+        frames.append(FrameReport(pos, cursor.pos - pos, verdict, payload if verdict == "ok" else None))
+
+
+def tally(frames: list[FrameReport]) -> str:
+    """``N ok, N corrupt, N torn, N framing`` — a scan's summary line."""
+    verdicts = [frame.verdict for frame in frames]
+    return ", ".join(f"{verdicts.count(v)} {v}" for v in ("ok", "corrupt", "torn", "framing"))
 
 
 def scan_bytes(data: bytes) -> FsckReport:
     """Scan an in-memory PBIO file image."""
-    if len(data) < _FILE_HEADER.size:
-        raise NotPbioFile("truncated file header")
-    magic, version = _FILE_HEADER.unpack_from(data, 0)
-    if magic != FILE_MAGIC:
-        raise NotPbioFile(f"bad magic {magic!r}")
-    if version not in (1, 2):
-        raise NotPbioFile(f"unsupported PBIO file version {version}")
-    frames = scan_region(data, _FILE_HEADER.size, version)
+    version = check_header(data[: FILE_HEADER.size], *RECORD_FILE)
+    frames = scan_region(data, FILE_HEADER.size, version)
     return FsckReport(version=version, frames=frames, file_size=len(data))
-
-
-def scan(stream: BinaryIO) -> FsckReport:
-    return scan_bytes(stream.read())
 
 
 def repair_bytes(data: bytes, report: FsckReport | None = None) -> bytes:
     """A new file image containing only the intact frames of ``data``."""
     if report is None:
         report = scan_bytes(data)
-    out = bytearray(data[: _FILE_HEADER.size])
+    out = bytearray(data[: FILE_HEADER.size])
     for frame in report.ok:
         out += data[frame.offset : frame.end]
     return bytes(out)
@@ -210,20 +168,13 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"no such file: {args.path}", file=sys.stderr)
         return 2
-    except NotPbioFile as exc:
-        print(f"not a PBIO file: {exc}", file=sys.stderr)
+    except MessageError as exc:  # "not a PBIO file: …", or its version is unknown
+        print(exc, file=sys.stderr)
         return 2
     if not args.quiet:
         for frame in report.frames:
             print(f"{frame.offset:#010x}  {frame.length:8d}  {frame.verdict}")
-    counts = {"ok": 0, "corrupt": 0, "torn": 0, "framing": 0}
-    for frame in report.frames:
-        counts[frame.verdict] += 1
-    print(
-        f"{args.path}: v{report.version}, {report.file_size} bytes, "
-        f"{counts['ok']} ok, {counts['corrupt']} corrupt, "
-        f"{counts['torn']} torn, {counts['framing']} framing"
-    )
+    print(f"{args.path}: v{report.version}, {report.file_size} bytes, {tally(report.frames)}")
     if report.clean:
         return 0
     if args.repair:

@@ -30,27 +30,21 @@ import dataclasses
 import os
 import sys
 
-from repro.core import encoder as enc
-from repro.core.errors import PbioError
-from repro.core.framing import MSG_LEN, V2_TRAILER
 from repro.core.errors import MessageError
+from repro.core.framing import FILE_HEADER, check_header
 from repro.net.durable import (
-    _CURSOR_ENTRY,
-    _FILE_HEADER,
     CURSOR_MAGIC,
     WAL_MAGIC,
     WAL_VERSION,
     PublisherWAL,
-    split_wal_frame,
+    fold_cursors,
+    wal_entries,
+    wal_segments,
 )
 
-from .fsck_tool import FrameReport, scan_region
+from .fsck_tool import FrameReport, scan_region, tally
 
 CURSOR_FILE = "acked.cursors"
-
-
-class NotWalFile(ValueError):
-    pass
 
 
 @dataclasses.dataclass
@@ -60,10 +54,13 @@ class FileScan:
     path: str
     file_size: int
     frames: list[FrameReport]
-    #: (frame, payload bytes) for every structurally intact frame
-    payloads: list[tuple[FrameReport, bytes]]
     #: intact frames whose payload is not a WAL-legal message
     payload_damage: int = 0
+
+    @property
+    def payloads(self) -> list[memoryview]:
+        """The payload of every structurally intact frame."""
+        return [f.payload for f in self.frames if f.verdict == "ok"]
 
     @property
     def damaged(self) -> int:
@@ -74,28 +71,8 @@ def scan_wal_file(path: str, magic: bytes) -> FileScan:
     """Scan one WAL segment or cursor file with the fsck frame walker."""
     with open(path, "rb") as stream:
         data = stream.read()
-    if len(data) < _FILE_HEADER.size:
-        raise NotWalFile(f"{path}: truncated file header")
-    found, version = _FILE_HEADER.unpack_from(data, 0)
-    if found != magic:
-        raise NotWalFile(f"{path}: bad magic {found!r}")
-    if version != WAL_VERSION:
-        raise NotWalFile(f"{path}: unsupported WAL version {version}")
-    frames = scan_region(data, _FILE_HEADER.size, 2)
-    payloads = [
-        (f, data[f.offset + MSG_LEN.size : f.end - V2_TRAILER.size])
-        for f in frames
-        if f.verdict == "ok"
-    ]
-    return FileScan(path=path, file_size=len(data), frames=frames, payloads=payloads)
-
-
-def segment_paths(directory: str) -> list[str]:
-    return sorted(
-        os.path.join(directory, name)
-        for name in os.listdir(directory)
-        if name.startswith("wal-") and name.endswith(".seg")
-    )
+    check_header(data[: FILE_HEADER.size], magic, (WAL_VERSION,), f"WAL file ({path})")
+    return FileScan(path, len(data), scan_region(data, FILE_HEADER.size, 2))
 
 
 def scan_segment(path: str) -> tuple[FileScan, dict]:
@@ -103,37 +80,19 @@ def scan_segment(path: str) -> tuple[FileScan, dict]:
     ``{key: {"count", "lo", "hi", "announced"}}``."""
     scan = scan_wal_file(path, WAL_MAGIC)
     streams: dict[tuple[int, int], dict] = {}
-    for _frame, payload in scan.payloads:
-        # One frame carries one message or a whole journaled burst;
-        # the embedded headers self-delimit (split_wal_frame).
-        try:
-            messages = split_wal_frame(payload)
-        except MessageError:
+    # The same walk PublisherWAL recovers its backlog with.
+    for entry in wal_entries(scan.payloads):
+        if entry is None:
             scan.payload_damage += 1
             continue
-        for message in messages:
-            header = enc.try_unpack_header(message)
-            if header is None:
-                scan.payload_damage += 1
-                continue
-            if header[0] in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
-                key = (header[1], header[2])
-                streams.setdefault(
-                    key, {"count": 0, "lo": 0, "hi": 0, "announced": False}
-                )
-                streams[key]["announced"] = True
-                continue
-            try:
-                cid, fid, seq, _record = enc.parse_data_seq(message)
-            except PbioError:
-                scan.payload_damage += 1
-                continue
-            digest = streams.setdefault(
-                (cid, fid), {"count": 0, "lo": 0, "hi": 0, "announced": False}
-            )
-            digest["count"] += 1
-            digest["lo"] = seq if not digest["lo"] else min(digest["lo"], seq)
-            digest["hi"] = max(digest["hi"], seq)
+        key, seq, _message = entry
+        digest = streams.setdefault(key, {"count": 0, "lo": 0, "hi": 0, "announced": False})
+        if not seq:
+            digest["announced"] = True
+            continue
+        digest["count"] += 1
+        digest["lo"] = seq if not digest["lo"] else min(digest["lo"], seq)
+        digest["hi"] = max(digest["hi"], seq)
     return scan, streams
 
 
@@ -142,14 +101,7 @@ def scan_cursors(path: str) -> tuple[FileScan, dict[tuple[int, int], int]]:
     (append-wins, never-regress — the same read :class:`AckCursorStore`
     performs)."""
     scan = scan_wal_file(path, CURSOR_MAGIC)
-    cursors: dict[tuple[int, int], int] = {}
-    for _frame, payload in scan.payloads:
-        if len(payload) != _CURSOR_ENTRY.size:
-            scan.payload_damage += 1
-            continue
-        cid, fid, cursor = _CURSOR_ENTRY.unpack(payload)
-        if cursor > cursors.get((cid, fid), 0):
-            cursors[(cid, fid)] = cursor
+    cursors, scan.payload_damage = fold_cursors(scan.payloads)
     return scan, cursors
 
 
@@ -165,7 +117,7 @@ def cmd_ls(directory: str, quiet: bool) -> int:
         scan, cursors = scan_cursors(cursor_path)
         damage += scan.damaged
     totals: dict[tuple[int, int], dict] = {}
-    for path in segment_paths(directory):
+    for path in wal_segments(directory):
         scan, streams = scan_segment(path)
         damage += scan.damaged
         if not quiet:
@@ -194,29 +146,18 @@ def cmd_ls(directory: str, quiet: bool) -> int:
 
 def cmd_verify(directory: str, quiet: bool) -> int:
     damage = 0
-    paths = []
+    paths = [(path, scan_segment) for path in wal_segments(directory)]
     cursor_path = os.path.join(directory, CURSOR_FILE)
     if os.path.exists(cursor_path):
-        paths.append((cursor_path, CURSOR_MAGIC))
-    paths.extend((p, WAL_MAGIC) for p in segment_paths(directory))
+        paths.insert(0, (cursor_path, scan_cursors))
     if not paths:
         print(f"{directory}: no WAL files", file=sys.stderr)
         return 2
-    for path, magic in paths:
-        if magic is CURSOR_MAGIC:
-            scan, _cursors = scan_cursors(path)
-        else:
-            scan, _streams = scan_segment(path)
-        counts = {"ok": 0, "corrupt": 0, "torn": 0, "framing": 0}
-        for frame in scan.frames:
-            counts[frame.verdict] += 1
+    for path, scan_file in paths:
+        scan = scan_file(path)[0]
         damage += scan.damaged
         if not quiet or scan.damaged:
-            print(
-                f"{path}: {scan.file_size} bytes, {counts['ok']} ok, "
-                f"{counts['corrupt']} corrupt, {counts['torn']} torn, "
-                f"{counts['framing']} framing, {scan.payload_damage} payload"
-            )
+            print(f"{path}: {scan.file_size} bytes, {tally(scan.frames)}, {scan.payload_damage} payload")
     print(f"{directory}: {'DAMAGED' if damage else 'clean'}")
     return 1 if damage else 0
 
@@ -262,8 +203,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.directory, args.quiet)
         return cmd_compact(args.directory, args.quiet)
-    except NotWalFile as exc:
-        print(f"not a WAL file: {exc}", file=sys.stderr)
+    except MessageError as exc:  # "not a WAL file (PATH): …"
+        print(exc, file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -205,6 +205,58 @@ class TestCrashSafety:
         out = read_records(IOContext(SPARC_V8), path, SIMPLE)
         assert [r["i"] for r in out] == [0, 1]
 
+    @pytest.mark.parametrize("recover", ["raise", "skip", "stop"])
+    def test_append_after_a_torn_tail_buries_nothing(self, tmp_path, recover):
+        """A crash tore the last frame; ``append`` truncates it (counted)
+        instead of writing behind it, so every policy reads all six
+        intact records — the torn one never happened."""
+        path = str(tmp_path / "torn.pbio")
+        write_records(IOContext(X86), path, SIMPLE, self.RECORDS[:3])
+        with open(path, "r+b") as stream:
+            stream.truncate(stream.seek(0, io.SEEK_END) - 5)
+        ctx = IOContext(X86)
+        with PbioFileWriter.append(ctx, path) as writer:
+            assert ctx.metrics.value("file.torn_tails") == 1
+            handle = ctx.register_format(SIMPLE)
+            for k in range(10, 14):
+                writer.write(handle, {"i": k, "d": 0.0, "name": b"new"})
+        out = read_records(IOContext(X86), path, SIMPLE, recover=recover)
+        assert [r["i"] for r in out] == [0, 1, 10, 11, 12, 13]
+
+    @pytest.mark.parametrize("byte, bit", [(3, 0x40), (1, 0x10)], ids=["framing", "looks-torn"])
+    def test_append_refuses_to_cut_damage_that_is_not_the_tail(self, tmp_path, byte, bit):
+        """One flipped bit in a mid-file length prefix — record 1 claims
+        64 more bytes, or a megabyte more, which points past the end and
+        reads as torn.  Records 2 and 3 lie intact behind it, so
+        ``append`` must not truncate there: it raises, leaves the bytes
+        alone, and ``pbio-fsck --repair`` salvages what it would have cut."""
+        from repro.tools import fsck_tool
+
+        path, repaired = str(tmp_path / "rot.pbio"), str(tmp_path / "repaired.pbio")
+        blob = bytearray(file_to_buffer(IOContext(X86), SIMPLE, self.RECORDS))
+        blob[self.frame_boundaries(blob)[2] + byte] ^= bit
+        with open(path, "wb") as stream:
+            stream.write(blob)
+        with pytest.raises(MessageError, match="pbio-fsck --repair"):
+            PbioFileWriter.append(IOContext(X86), path)
+        with open(path, "rb") as stream:
+            assert stream.read() == blob
+        assert fsck_tool.main(["--quiet", "--repair", repaired, path]) == 1
+        ctx = IOContext(X86)
+        with PbioFileWriter.append(ctx, repaired) as writer:
+            writer.write(ctx.register_format(SIMPLE), {"i": 10, "d": 0.0, "name": b"new"})
+        assert [r["i"] for r in read_records(IOContext(X86), repaired, SIMPLE)] == [0, 2, 3, 10]
+
+    def test_append_cut_does_not_depend_on_the_appenders_limits(self, tmp_path):
+        from repro.core.safety import DecodeLimits
+
+        path = str(tmp_path / "big.pbio")
+        write_records(IOContext(X86), path, SIMPLE, self.RECORDS)
+        ctx = IOContext(X86, limits=DecodeLimits(max_message_size=8))  # every frame is larger
+        with PbioFileWriter.append(ctx, path) as writer:
+            writer.write(ctx.register_format(SIMPLE), {"i": 10, "d": 0.0, "name": b"new"})
+        assert [r["i"] for r in read_records(IOContext(X86), path, SIMPLE)] == [0, 1, 2, 3, 10]
+
     def test_append_preserves_v1_framing(self, tmp_path):
         path = str(tmp_path / "old.pbio")
         ctx = IOContext(X86)

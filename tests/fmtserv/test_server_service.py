@@ -1,5 +1,10 @@
 """FormatServer and FormatService: registration, resolution, degradation."""
 
+import socket
+import threading
+
+import pytest
+
 from repro.abi import SPARC_V8, X86_64, RecordSchema, layout_record
 from repro.core import DecodeLimits, IOContext, IOFormat
 from repro.fmtserv import (
@@ -9,7 +14,7 @@ from repro.fmtserv import (
     FormatServer,
     FormatService,
 )
-from repro.net import RetryPolicy
+from repro.net import AsyncServer, RetryPolicy, SocketTransport, TransportError, fmtserv_handler
 
 from .helpers import FakeClock, SyncServerLink, no_sleep
 
@@ -344,21 +349,37 @@ class TestDrain:
 
 
 class TestServeLoop:
-    def test_protocol_garbage_counted_then_connection_dropped(self):
-        from repro.net import InMemoryPipe
+    """The per-connection serving loop (``fmtserv_handler``) over TCP."""
 
+    def serve(self, server, drive):
+        front = AsyncServer(fmtserv_handler(server), once=True)
+        host, port = front.bind()
+        thread = threading.Thread(target=front.run, daemon=True)
+        thread.start()
+        peer = SocketTransport(socket.create_connection((host, port), timeout=10))
+        try:
+            drive(peer)
+            thread.join(timeout=10)  # `once`: the loop ends with the connection
+            assert not thread.is_alive(), "serving loop wedged"
+        finally:
+            peer.close()
+            front.stop()
+
+    def test_protocol_garbage_counted_then_connection_dropped(self):
         server = FormatServer()
-        pipe = InMemoryPipe()
-        for _ in range(70):  # past _MAX_CONSECUTIVE_PROTOCOL_ERRORS
-            pipe.a.send(b"\xde\xad\xbe\xef")
-        server.serve(pipe.b)  # returns: dropped, not wedged
-        assert server.metrics.value("fmtserv.protocol_errors") >= 64
+
+        def drive(peer):
+            with pytest.raises(TransportError):  # dropped, not wedged
+                for _ in range(70):  # past MAX_CONSECUTIVE_PROTOCOL_ERRORS
+                    peer.send(b"\xde\xad\xbe\xef")
+                peer.recv()
+
+        self.serve(server, drive)
+        assert server.metrics.value("fmtserv.protocol_errors") == 64
         assert server.metrics.value("fmtserv.connections_dropped") == 1
 
     def test_peer_disconnect_ends_quietly(self):
-        from repro.net import InMemoryPipe
-
         server = FormatServer()
-        pipe = InMemoryPipe()
-        pipe.a.close()
-        server.serve(pipe.b)  # TransportError/PeerClosedError → clean return
+        self.serve(server, lambda peer: peer.close())  # link failure → clean return
+        assert server.metrics.value("fmtserv.protocol_errors") == 0
+        assert server.metrics.value("fmtserv.connections_dropped") == 0

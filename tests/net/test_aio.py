@@ -510,48 +510,45 @@ class TestChaosOverAsync:
         peer.close()
 
 
-# -- prompt shutdown of the blocking serve loops (satellite) -------------------
+# -- stop()/restart() as the per-connection serving loops observe them ---------
 
 
 class TestPromptShutdown:
     def test_rpc_serve_exits_on_stop(self):
-        from repro.net import loopback_pair
-
         rpc = RpcServer(SPARC_V8, CALC)
         rpc.register(b"calc", {"add": lambda req: {"total": req["a"] + req["b"]}})
-        client_end, server_end = loopback_pair()
-        thread = threading.Thread(
-            target=rpc.serve, args=(server_end,), kwargs={"poll_s": 0.05}, daemon=True
-        )
-        thread.start()
+        server = AsyncServer(rpc_handler(rpc))
         client = RpcClient(X86, CALC)
-        assert client.invoke(client_end, b"calc", "add", {"a": 1.0, "b": 2.0})
-        rpc.stop()
-        thread.join(timeout=5)
-        assert not thread.is_alive(), "serve loop ignored stop()"
-        client_end.close()
-        server_end.close()
-        rpc.restart()
-        assert not rpc.stopped
+        with serving(server) as (host, port):
+            with connect(host, port) as t:
+                assert client.invoke(t, b"calc", "add", {"a": 1.0, "b": 2.0})
+            rpc.stop()
+            with connect(host, port) as t:
+                with pytest.raises(TransportError):
+                    t.recv()  # turned away with an orderly close, not a hang
+            rpc.restart()
+            assert not rpc.stopped
+            with connect(host, port) as t:
+                assert client.invoke(t, b"calc", "add", {"a": 2.0, "b": 3.0})
 
     def test_format_server_serve_exits_on_stop(self):
-        from repro.net import loopback_pair
+        from repro.abi import X86_64, layout_record
+        from repro.core import IOFormat
 
         fserver = FormatServer()
-        client_end, server_end = loopback_pair()
-        thread = threading.Thread(
-            target=fserver.serve,
-            args=(server_end,),
-            kwargs={"poll_s": 0.05},
-            daemon=True,
-        )
-        thread.start()
-        assert thread.is_alive()
-        fserver.stop()
-        thread.join(timeout=5)
-        assert not thread.is_alive(), "serve loop ignored stop()"
-        client_end.close()
-        server_end.close()
+        server = AsyncServer(fmtserv_handler(fserver))
+        with serving(server) as (host, port):
+            fserver.stop()
+            with connect(host, port) as t:
+                with pytest.raises(TransportError):
+                    t.recv()  # turned away with an orderly close, not a hang
+            fserver.restart()
+            service = FormatService(lambda: connect(host, port))
+            try:
+                fmt = IOFormat.from_layout(layout_record(TELEMETRY, X86_64))
+                assert service.publish(fmt) == 1
+            finally:
+                service.close()
 
 
 # -- graceful drain (tentpole: self-healing service plane) ---------------------

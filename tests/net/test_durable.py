@@ -220,6 +220,45 @@ class TestPublisherWAL:
             assert wal.next_seq((1, 1)) == 3  # the torn record never happened
             assert wal.append(self._msg(3)) == 3
 
+    @pytest.mark.parametrize("leftover", [0, 5, 12, 40])
+    def test_kill_while_creating_a_segment_keeps_the_backlog(
+        self, tmp_path, monkeypatch, leftover
+    ):
+        """A segment appears only by atomic replace, header included: a
+        publisher killed mid-rotation leaves at most a ``.seg.tmp`` (of
+        any length), which is not a segment, and the directory reopens
+        with its full backlog."""
+        wal_dir = str(tmp_path / "wal")
+        wal = PublisherWAL(wal_dir, segment_bytes=4096)
+        for seq in (1, 2):
+            wal.append(self._msg(seq, b"x" * 2048))  # the next append rotates
+
+        def killed(src, dst):
+            with open(src, "r+b") as stream:
+                stream.truncate(leftover)
+            raise OSError("kill -9 before the replace")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError):
+            wal.append(self._msg(3))  # dies creating wal-00000002.seg
+        monkeypatch.undo()
+        assert sorted(os.listdir(wal_dir)) == [
+            "acked.cursors", "wal-00000001.seg", "wal-00000002.seg.tmp"
+        ]
+        with PublisherWAL(wal_dir, segment_bytes=4096) as wal:
+            assert wal.segment_count == 1
+            assert [enc.parse_data_seq(m)[2] for m in wal.unacked()] == [1, 2]
+            assert wal.append(self._msg(3)) == 3  # rotation now succeeds,
+        assert "wal-00000002.seg" in os.listdir(wal_dir)  # over the leftover
+
+    def test_short_header_on_an_existing_segment_still_raises(self, tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        with PublisherWAL(wal_dir) as wal:
+            wal.append(self._msg(1))
+        open(os.path.join(wal_dir, "wal-00000002.seg"), "wb").close()
+        with pytest.raises(PbioError, match="truncated header"):
+            PublisherWAL(wal_dir)
+
     def test_memory_only_mode(self):
         with PublisherWAL(None) as wal:
             wal.append(self._msg(1))

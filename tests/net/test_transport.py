@@ -1,39 +1,52 @@
 """Tests for transports, the network model, and loopback sockets."""
 
+import struct
+
 import pytest
 
 from repro.net import (
+    FrameBuffer,
     InMemoryPipe,
     NetworkModel,
     SimulatedLink,
     TransportError,
-    frame,
     loopback_pair,
     paper_network_times_ms,
-    read_frame,
 )
 
 
 class TestFraming:
+    """``u32 length | payload`` on the wire, as the socket transports'
+    shared :class:`FrameBuffer` parses it."""
+
+    def feed(self, framer, data):
+        framer.writable(len(data))[: len(data)] = data
+        framer.advance(len(data))
+
     def test_frame_round_trip(self):
-        data = frame(b"hello")
-        pos = [0]
-
-        def read_exact(n):
-            chunk = data[pos[0] : pos[0] + n]
-            pos[0] += n
-            return chunk
-
-        assert read_frame(read_exact) == b"hello"
+        framer = FrameBuffer()
+        wire = struct.pack(">I", 5) + b"hello" + struct.pack(">I", 2) + b"hi"
+        self.feed(framer, wire[:6])  # a frame arrives in pieces
+        assert framer.next_frame() is None and framer.needed() == 3
+        self.feed(framer, wire[6:])
+        assert framer.next_frame() == b"hello"
+        assert bytes(framer.next_frame_view()) == b"hi"
+        assert framer.next_frame() is None and framer.pending == 0
 
     def test_empty_frame(self):
-        data = frame(b"")
-        assert len(data) == 4
+        framer = FrameBuffer()
+        self.feed(framer, struct.pack(">I", 0))
+        assert framer.next_frame() == b""
 
     def test_oversized_frame_rejected(self):
-        with pytest.raises(TransportError):
-            frame(bytearray(1) * 0)  # zero fine
-            raise TransportError("sentinel")  # pragma: no cover
+        from repro.net.transport import MAX_FRAME
+
+        framer = FrameBuffer()
+        self.feed(framer, struct.pack(">I", MAX_FRAME + 1))
+        with pytest.raises(TransportError, match="too large"):
+            framer.next_frame()
+        with pytest.raises(TransportError, match="too large"):
+            framer.next_frame_view()
 
 
 class TestInMemoryPipe:
