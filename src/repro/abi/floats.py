@@ -109,10 +109,12 @@ def ieee_to_vax_d(values) -> bytes:
     # IEEE bias 1023 -> VAX D bias 128 with 0.1f normalization: e - 1023
     # + 128 + 1 = e - 894.  Range check: must fit in 8 bits.
     vax_exp = np.where(nonzero, exponent.astype(np.int64) - 894, 0)
-    if np.any((vax_exp < 0) & nonzero):
+    if np.any((vax_exp <= 0) & nonzero):
         # underflow: flush to zero, as VAX hardware conversion would trap;
-        # we choose flush-to-zero for usability (documented).
-        flush = (vax_exp < 0) & nonzero
+        # we choose flush-to-zero for usability (documented).  Exponent 0
+        # is underflow too: it reads back as zero, or with the sign set as
+        # a reserved operand.
+        flush = (vax_exp <= 0) & nonzero
         nonzero = nonzero & ~flush
         vax_exp = np.where(flush, 0, vax_exp)
     if np.any(vax_exp > 0xFF):

@@ -292,23 +292,31 @@ SEQ_RECORD_OFFSET = HEADER_SIZE + SEQ_PREFIX_SIZE
 HEADER_SEQ_STRUCT = struct.Struct(_HEADER.format + "Q")
 
 
-def encode_data_seq(context_id: int, format_id: int, seq: int, native) -> bytes:
-    """A sequenced data message: ``u64 seq | record bytes``.
+def encode_data_seq_run(context_id: int, format_id: int, base: int, natives) -> list[bytes]:
+    """Sequenced data messages (``u64 seq | record bytes``) for a run of
+    records numbered ``base``, ``base + 1``, …: one pack and one concat
+    per record.
 
     The header's payload length covers the sequence prefix, so the frame
     stays self-consistent under the same length checks as ``MSG_DATA``.
-    ``seq`` is the per-``(context, format)`` monotonic counter, starting
-    at 1 — 0 never travels, so cumulative ack cursors can use it as the
-    "nothing delivered yet" origin.
+    The sequence is the per-``(context, format)`` monotonic counter,
+    starting at 1 — 0 never travels, so cumulative ack cursors can use
+    it as the "nothing delivered yet" origin.
     """
-    if seq < 1:
-        raise MessageError(f"sequence numbers start at 1, got {seq}")
-    payload_len = SEQ_PREFIX_SIZE + len(native)
-    return (
-        pack_header(MSG_DATA_SEQ, context_id, format_id, payload_len)
-        + _SEQ_PREFIX.pack(seq)
-        + bytes(native)
-    )
+    if base < 1:
+        raise MessageError(f"sequence numbers start at 1, got {base}")
+    pack = HEADER_SEQ_STRUCT.pack
+    flat = (bytes, bytearray, memoryview)  # concatenate as they are; any other buffer (an ndarray) is coerced
+    return [
+        pack(MAGIC, VERSION, MSG_DATA_SEQ, context_id, format_id, SEQ_PREFIX_SIZE + len(native), seq)
+        + (native if isinstance(native, flat) else bytes(native))
+        for seq, native in enumerate(natives, base)
+    ]
+
+
+def encode_data_seq(context_id: int, format_id: int, seq: int, native) -> bytes:
+    """One sequenced data message: :func:`encode_data_seq_run` of one."""
+    return encode_data_seq_run(context_id, format_id, seq, (native,))[0]
 
 
 def read_seq(message, payload_len: int) -> int:

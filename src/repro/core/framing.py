@@ -8,11 +8,11 @@ u16 version | pad``, :data:`FILE_HEADER`) followed by frames::
 
     u32 length | payload | u32 crc32(payload) | u32 length-echo
 
-emitted with a *single* ``write`` call, so a process killed mid-append
-tears at most the frame in flight.  The CRC detects in-place corruption;
-the trailing length echo is an independent second copy of the framing, so
-a scanner can distinguish "payload damaged" (echo agrees, CRC fails)
-from "framing untrustworthy" (echo disagrees too) and resync safely.
+emitted with a *single* ``write`` (``writev``) call, so a process killed
+mid-append tears at most the frame in flight.  The CRC detects in-place
+corruption; the trailing length echo is an independent second copy of the
+framing, so a scanner can distinguish "payload damaged" (echo agrees, CRC
+fails) from "framing untrustworthy" (echo disagrees too) and resync safely.
 :func:`read_frame` is the one place those cases are told apart; readers,
 :func:`heal` and ``pbio-fsck`` are policies over its verdict.  :func:`heal`
 is what every opener-for-append runs, so a torn tail never buries what is
@@ -214,11 +214,13 @@ class FramedLog:
     (``max_size``, ``load`` and ``on_damage`` are its), so the next append
     starts at a clean frame boundary.  A missing file is created.
 
-    :meth:`append` is one unbuffered ``write`` per frame: cheaper than
-    write+flush through a buffer, and durable against process crash the
-    instant it returns.  :meth:`rewrite` replaces the whole file
-    atomically (temporary file, then ``os.replace``), which is also how a
-    file is created: a crash leaves the old file, the new file, or no
+    :meth:`append` is one ``writev`` per frame on the unbuffered file:
+    cheaper than write+flush through a buffer, durable against process
+    crash the instant it returns, and all-or-nothing — a write the OS
+    cuts short is undone, so the file is only ever torn at its tail and
+    :attr:`size` is always its length.  :meth:`rewrite` replaces the whole
+    file atomically (temporary file, then ``os.replace``), which is also
+    how a file is created: a crash leaves the old file, the new file, or no
     file — never a hybrid, and never a file without its header.
     """
 
@@ -243,11 +245,22 @@ class FramedLog:
         self.stream.seek(end)
         self.size = end
 
-    def append(self, payload: bytes) -> None:
-        """Frame ``payload`` and write it with a single ``write`` call."""
-        frame = pack_frame(payload)
-        self.stream.write(frame)
-        self.size += len(frame)
+    def append(self, payload) -> None:
+        """Frame ``payload`` (any bytes-like, uncopied) and write it with a
+        single ``writev``: the whole frame, or :class:`OSError` with the
+        file cut back to what it held before."""
+        n = len(payload)
+        fd = self.stream.fileno()
+        want = MSG_LEN.size + n + V2_TRAILER.size
+        try:
+            written = os.writev(fd, [MSG_LEN.pack(n), payload, V2_TRAILER.pack(crc32(payload), n)])
+            if written != want:
+                raise OSError(f"short write to {self.path}: {written} of {want} bytes")
+        except OSError:
+            os.ftruncate(fd, self.size)
+            os.lseek(fd, self.size, os.SEEK_SET)
+            raise
+        self.size += want
 
     def rewrite(self, payloads: Iterable[bytes], *, fsync: bool = False) -> None:
         """Atomically replace the file with the header plus ``payloads``.

@@ -808,7 +808,7 @@ def channel_handler(channel) -> ConnectionHandler:
     Durable-delivery ack frames need no special handling here: a remote
     subscriber writes its ``MSG_ACK`` frames onto the same connection it
     receives data on (the back-channel), they arrive through
-    ``recv_many`` like any ingress frame, and :meth:`EventChannel.ingest`
+    ``recv_many`` like any ingress frame, and :meth:`EventChannel.ingest_many`
     routes them to the channel's registered ack listeners (each
     :class:`~repro.net.durable.DurablePublisher`) instead of the
     subscribers."""
@@ -817,8 +817,7 @@ def channel_handler(channel) -> ConnectionHandler:
         tap = channel.attach_wire(transport.send)
         try:
             while True:
-                for message in await transport.recv_many():
-                    channel.ingest(message, exclude=tap)
+                channel.ingest_many(await transport.recv_many(), exclude=tap)
                 await transport.drain()
         finally:
             channel.detach_wire(tap)

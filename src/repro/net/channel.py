@@ -239,14 +239,25 @@ class WireTap:
     ``send`` is the peer's frame sink — typically
     ``AsyncSocketTransport.send``, a synchronous bounded-queue enqueue,
     so fanning a message to hundreds of taps never blocks the
-    publisher.  Per-tap counters: ``forwarded``, ``send_errors``,
-    ``detached``.
+    publisher.  ``send_run`` is the sink's entry for a whole run of
+    frames, resolved once from ``send``: the ``send_many`` of the
+    transport, or the ``forward_batch`` of the relay or fabric
+    dispatcher, whose bound ``send`` / ``forward`` it is — ``None`` for
+    an opaque callable, which can only be called frame by frame.
+    Per-tap counters: ``forwarded``, ``send_errors``, ``detached``.
     """
 
-    __slots__ = ("send", "metrics")
+    __slots__ = ("send", "send_run", "metrics")
 
     def __init__(self, send: Callable[[bytes], None]):
         self.send = send
+        self.send_run = None
+        owner = getattr(send, "__self__", None)
+        for name, run_name in (("send", "send_many"), ("forward", "forward_batch")):
+            # by equality with the owner's bound method, not by __name__:
+            # a class-patched method (a tracer's wrapper) is still the one
+            if getattr(owner, name, None) == send:
+                self.send_run = getattr(owner, run_name, None)
         self.metrics = Metrics()
 
 
@@ -487,24 +498,32 @@ class EventChannel:
         if run:
             self._publish_batch(run, exclude=exclude, lease=lease, headers=headers)
 
-    def _fan_to_wire(self, message: bytes, exclude: WireTap | None) -> None:
+    def _fan_to_wire(self, run, exclude: WireTap | None) -> None:
+        """Offer every tap but ``exclude`` one run of frames: one call
+        of its run entry when it has one, else frame by frame."""
         if not self._taps:
             return
-        if not isinstance(message, bytes):
-            # Taps may enqueue (async transports): never hand them a
-            # borrowed view whose lease can expire before the send.
-            message = bytes(message)
+        # Taps may enqueue (async transports): never hand them a
+        # borrowed view whose lease can expire before the send.
+        run = [m if isinstance(m, bytes) else bytes(m) for m in run]
         for tap in list(self._taps):
             if tap is exclude:
                 continue
+            sent = 0
             try:
-                tap.send(message)
+                if tap.send_run is not None and len(run) > 1:
+                    tap.send_run(run)
+                    sent = len(run)
+                else:
+                    for message in run:
+                        tap.send(message)
+                        sent += 1
             except TransportError:  # includes WriteQueueFull: slow consumer
                 tap.metrics.inc("send_errors")
                 tap.metrics.inc("detached")
                 self.detach_wire(tap)
-            else:
-                tap.metrics.inc("forwarded")
+            if sent:
+                tap.metrics.inc("forwarded", sent)
 
     # -- publishing ------------------------------------------------------------
 
@@ -520,7 +539,7 @@ class EventChannel:
             self.messages_published += 1
         for sub in list(self._subscribers):
             self._deliver(sub, sub._offer, message)
-        self._fan_to_wire(message, exclude)
+        self._fan_to_wire((message,), exclude)
 
     def _deliver(self, sub: Subscription, offer, *args) -> None:
         """Run one of ``sub``'s offer methods under its error policy."""
@@ -544,9 +563,7 @@ class EventChannel:
         for sub in list(self._subscribers):
             # detach: same first-failure semantics as the scalar loop
             self._deliver(sub, sub._offer_batch, batch, sub.error_policy == "suppress", lease, headers)
-        if self._taps:
-            for message in batch:
-                self._fan_to_wire(message, exclude)
+        self._fan_to_wire(batch, exclude)
 
     @property
     def subscriber_count(self) -> int:

@@ -365,8 +365,8 @@ class PublisherWAL:
         """Journal a run of ``MSG_DATA_SEQ`` messages with one write.
 
         Each stream's sequences must be contiguous from its
-        :meth:`next_seq`; the whole run lands in a single buffered
-        write+flush, which is what makes burst durability cheap.
+        :meth:`next_seq`; the whole run lands in a single unbuffered
+        ``writev``, which is what makes burst durability cheap.
         Returns the sequences in message order.
         """
         if not messages:
@@ -399,7 +399,7 @@ class PublisherWAL:
                 self._open_segment()
                 self.metrics.inc("durable.segments_rotated")
             # One frame for the whole burst (see split_wal_frame): one
-            # CRC, one length check, one write.
+            # CRC, one length check, one writev.
             self._log.append(b"".join(m for _, _, m in parsed))
             digest = self._segments[-1][1]
         else:
@@ -688,14 +688,9 @@ class DurablePublisher:
         key = (self.ctx.context_id, handle.format_id)
         self._ensure_announced(handle)
         base = self.wal.next_seq(key)
-        messages = [
-            enc.encode_data_seq(key[0], key[1], base + i, native)
-            for i, native in enumerate(natives)
-        ]
+        messages = enc.encode_data_seq_run(key[0], key[1], base, natives)
         # journal-before-send; trusted path — seqs contiguous by construction
-        self.wal._append_parsed(
-            [(key, base + i, m) for i, m in enumerate(messages)]
-        )
+        self.wal._append_parsed([(key, seq, m) for seq, m in enumerate(messages, base)])
         self.channel._publish_batch(messages)
         self.metrics.inc("durable.sent", len(messages))
         return list(range(base, base + len(messages)))

@@ -421,21 +421,9 @@ class ShmRingTransport(Transport):
             finally:
                 ring.set_wwait(0)
 
-    def _put_frame(self, tail: int, segments) -> int:
-        """Write one length-prefixed frame at ``tail``; return new tail
-        (not yet published)."""
-        ring = self._send_ring
-        n = sum(len(s) for s in segments)
-        if n > MAX_FRAME:
-            raise TransportError(f"frame too large: {n}")
-        ring.write_at(tail, _U32.pack(n))
-        pos = tail + 4
-        for seg in segments:
-            ring.write_at(pos, seg)
-            pos += len(seg)
-        return pos
-
     def send(self, payload) -> None:
+        # Not ``send_many([payload])``: the run's list, walk and fitting-prefix
+        # scan cost the ack path ~0.2 µs a frame (EXPERIMENTS.md "PR 21").
         n = len(payload)
         if n > MAX_FRAME:
             raise TransportError(f"frame too large: {n}")
@@ -460,14 +448,20 @@ class ShmRingTransport(Transport):
     def send_segments(self, segments) -> None:
         """One logical message from many buffers — written directly into
         the ring, published with a single tail store."""
-        total = 4 + sum(len(s) for s in segments)
+        n = sum(len(s) for s in segments)
+        if n > MAX_FRAME:
+            raise TransportError(f"frame too large: {n}")
         ring = self._send_ring
-        tail = self._reserve(total, self._deadline())
-        new_tail = self._put_frame(tail, segments)
-        ring.tail = new_tail  # publish: bytes are in place
+        tail = self._reserve(4 + n, self._deadline())
+        ring.write_at(tail, _U32.pack(n))
+        pos = tail + 4
+        for seg in segments:
+            ring.write_at(pos, seg)
+            pos += len(seg)
+        ring.tail = pos  # publish: bytes are in place
         if ring.rwait:
             ring.ring_data_bell()
-        self._inflight.append(new_tail)
+        self._inflight.append(pos)
 
     def send_many(self, frames) -> None:
         """Many frames in one burst.  Contiguous runs that fit the free
@@ -475,22 +469,34 @@ class ShmRingTransport(Transport):
         run so far is published and the writer waits for the reader."""
         deadline = self._deadline()
         ring = self._send_ring
-        i = 0
-        while i < len(frames):
-            total = 4 + len(frames[i])
-            tail = self._reserve(total, deadline)
-            free = ring.capacity - (tail - ring.head)
-            new_tail = tail
+        view = ring.view
+        cap = ring.capacity
+        i, count = 0, len(frames)
+        while i < count:
+            n = len(frames[i])
+            if n > MAX_FRAME:
+                raise TransportError(f"frame too large: {n}")
+            tail = self._reserve(4 + n, deadline)
+            limit = ring.head + cap  # where the free space ends
             marks = []
-            while i < len(frames):
-                need = 4 + len(frames[i])
-                if new_tail - tail + need > free:
+            while i < count:
+                payload = frames[i]
+                n = len(payload)
+                end = tail + 4 + n
+                if end > limit or n > MAX_FRAME:
                     break
-                new_tail = self._put_frame(new_tail, [frames[i]])
-                marks.append(new_tail)
+                pos = tail % cap
+                if pos + 4 + n <= cap:
+                    _U32.pack_into(view, _DATA + pos, n)
+                    view[_DATA + pos + 4 : _DATA + pos + 4 + n] = payload
+                else:
+                    ring.write_at(tail, _U32.pack(n))
+                    ring.write_at(tail + 4, payload)
+                marks.append(end)
+                tail = end
                 i += 1
-            ring.tail = new_tail  # one publish for the whole run
-            if ring.rwait:
+            _U64.pack_into(view, _OFF_TAIL, tail)  # one publish for the whole run
+            if _U32.unpack_from(view, _OFF_RWAIT)[0]:
                 ring.ring_data_bell()
             self._inflight.extend(marks)
 
@@ -500,45 +506,57 @@ class ShmRingTransport(Transport):
         ring = self._recv_ring
         return ring.tail - ring.head
 
-    def _take_frame(self) -> bytes | None:
-        """Pop one complete frame if available, publishing head."""
+    def _take_frames(self, limit: int = 0) -> list[bytes]:
+        """Pop every complete frame in the ring now (at most ``limit``
+        when positive) under one head publish."""
         ring = self._recv_ring
         view = ring.view
         cap = ring.capacity
         (head,) = _U64.unpack_from(view, _OFF_HEAD)
         (tail,) = _U64.unpack_from(view, _OFF_TAIL)
-        avail = tail - head
-        if avail < 4:
-            return None
-        pos = head % cap
-        if pos + 4 <= cap:
-            (n,) = _U32.unpack_from(view, _DATA + pos)
-        else:
-            (n,) = _U32.unpack(ring.read_at(head, 4))
-        if n > MAX_FRAME:
-            raise TransportError(f"corrupt shm ring: frame length {n}")
-        if avail < 4 + n:
-            return None  # writer mid-publish cannot happen; defensive
-        start = (head + 4) % cap
-        if start + n <= cap:
-            data = bytes(view[_DATA + start : _DATA + start + n])
-        else:
-            data = ring.read_at(head + 4, n)
-        _U64.pack_into(view, _OFF_HEAD, head + 4 + n)  # publish
-        if _U32.unpack_from(view, _OFF_WWAIT)[0]:
-            ring.ring_space_bell()
-        return data
+        out: list[bytes] = []
+        while tail - head >= 4:
+            pos = head % cap
+            if pos + 4 <= cap:
+                (n,) = _U32.unpack_from(view, _DATA + pos)
+            else:
+                (n,) = _U32.unpack(ring.read_at(head, 4))
+            if n > MAX_FRAME:
+                if out:
+                    break  # hand over what precedes it; the next call raises
+                raise TransportError(f"corrupt shm ring: frame length {n}")
+            if tail - head < 4 + n:
+                break  # writer mid-publish cannot happen; defensive
+            start = (head + 4) % cap
+            if start + n <= cap:
+                out.append(bytes(view[_DATA + start : _DATA + start + n]))
+            else:
+                out.append(ring.read_at(head + 4, n))
+            head += 4 + n
+            if len(out) == limit:
+                break
+        if out:
+            _U64.pack_into(view, _OFF_HEAD, head)  # publish
+            if _U32.unpack_from(view, _OFF_WWAIT)[0]:
+                ring.ring_space_bell()
+        return out
 
     def recv(self) -> bytes:
+        return self.recv_many(1)[0]
+
+    def recv_many(self, max_frames: int = 0) -> list[bytes]:
+        """Block for one frame and take it plus every further complete
+        frame already in the ring — the same burst semantics as the
+        socket framer."""
         deadline = self._deadline()
         ring = self._recv_ring
         spins = 0
         while True:
             if self._closed:
                 raise TransportError("transport is closed")
-            data = self._take_frame()
-            if data is not None:
-                return data
+            frames = self._take_frames(max_frames)
+            if frames:
+                return frames
             if ring.wclosed and self._pending() == 0:
                 raise PeerClosedError("recv failed: peer closed, ring drained")
             spins += 1
@@ -554,24 +572,13 @@ class ShmRingTransport(Transport):
             finally:
                 ring.set_rwait(0)
 
-    def recv_many(self, max_frames: int = 0) -> list[bytes]:
-        """One blocking frame plus every further complete frame already
-        in the ring — the same burst semantics as the socket framer."""
-        out = [self.recv()]
-        while max_frames <= 0 or len(out) < max_frames:
-            data = self._take_frame()
-            if data is None:
-                break
-            out.append(data)
-        return out
-
     def poll_recv(self) -> bytes | None:
         """A complete frame if one is in the ring *now*, else None."""
         if self._closed:
             raise TransportError("transport is closed")
-        data = self._take_frame()
-        if data is not None:
-            return data
+        frames = self._take_frames(1)
+        if frames:
+            return frames[0]
         if self._recv_ring.wclosed and self._pending() == 0:
             raise PeerClosedError("recv failed: peer closed, ring drained")
         return None

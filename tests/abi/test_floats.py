@@ -74,6 +74,14 @@ class TestVaxD:
     def test_underflow_flushes(self):
         assert vax_d_to_ieee(ieee_to_vax_d([1e-300]))[0] == 0.0
 
+    def test_exponent_zero_is_underflow_not_a_reserved_operand(self):
+        """±1.x · 2⁻¹²⁹ maps to VAX exponent 0: it was stored with its sign
+        and fraction, which reads back as a reserved operand when negative
+        (found by ``test_kernel_matches_interpreted_converter``)."""
+        edge = 2.0**-129 * 1.25
+        assert ieee_to_vax_d([edge, -edge]) == bytes(16)
+        np.testing.assert_array_equal(vax_d_to_ieee(ieee_to_vax_d([-edge, -2 * edge])), [0.0, -2 * edge])
+
 
 class TestConvertFloatBytes:
     def test_ieee_to_vax_run(self):

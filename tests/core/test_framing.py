@@ -9,6 +9,7 @@
   recovers exactly the intact prefix, says so, and appends cleanly.
 """
 
+import errno
 import io
 import os
 import random
@@ -415,3 +416,58 @@ class TestFramedLog:
                 stream.write(image)
             with pytest.raises(PbioError, match=match):
                 self.open(path)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize("size", [0, 1, 70_000])
+    def test_append_is_one_writev_of_the_parents_bytes(self, tmp_path, monkeypatch, kind, size):
+        """``append`` leaves ``pack_frame(payload)`` on disk — the parent's
+        bytes — for any bytes-like payload, in one three-buffer ``writev``."""
+        payload = bytes(k % 251 for k in range(size))
+        calls = []
+        writev = os.writev
+        monkeypatch.setattr(os, "writev", lambda fd, bufs: calls.append(len(bufs)) or writev(fd, bufs))
+        path = str(tmp_path / "log")
+        log = self.open(path)
+        log.append(kind(payload))
+        log.append(b"behind")
+        log.close()
+        assert calls == [3, 3]
+        with open(path, "rb") as stream:
+            blob = stream.read()
+        assert blob[FILE_HEADER.size :] == pack_frame(payload) + pack_frame(b"behind")
+        assert log.size == len(blob)
+
+    def test_a_write_cut_short_is_undone(self, tmp_path, monkeypatch):
+        """Defect at the parent: ``append`` never read ``write``'s return
+        value, so a write the OS cut short (disk full, ``RLIMIT_FSIZE``)
+        returned normally, the next append landed behind the torn frame,
+        and the next open healed both away.  Now the failed append raises
+        with the file at its old length; the next append and the next open
+        see every record."""
+        path = str(tmp_path / "log")
+        log = self.open(path)
+        log.append(b"one")
+        intact = log.size
+        writev = os.writev
+
+        def short(fd, bufs):
+            monkeypatch.setattr(os, "writev", full)
+            return writev(fd, [b"".join(bufs)[:7]])
+
+        def full(fd, bufs):
+            monkeypatch.setattr(os, "writev", writev)
+            writev(fd, bufs[:1])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "writev", short)
+        for match in ("short write", "No space left"):
+            with pytest.raises(OSError, match=match):
+                log.append(b"two and a half")
+            assert log.size == os.path.getsize(path) == intact
+        log.append(b"three")
+        assert log.size == os.path.getsize(path)
+        log.close()
+        seen: list[bytes] = []
+        damage: list[str] = []
+        self.open(path, load=seen.append, on_damage=damage.append).close()
+        assert seen == [b"one", b"three"] and damage == []

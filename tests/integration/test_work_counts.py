@@ -1,0 +1,181 @@
+"""Work counts per burst, per hop — the perf gate that cannot flake.
+
+Each row of :data:`TABLE` is one topology of the reference benchmark
+(``benchmarks/e2e/rigs.py``), rebuilt here from public parts, and what
+one burst of ``n`` records may cost on it in calls, publishes and
+syscalls.  Counting wrappers, no clock: an extra pass, copy or syscall on
+a hop fails here on any host in any speed state.
+"""
+
+import os
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.abi import SPARC_V8, X86, codec_for, layout_record
+from repro.core import IOContext
+from repro.net import DurablePublisher, DurableSubscription, EventChannel, Relay, ShmRingTransport, shm, shm_pair
+from repro.workloads import mechanical, random_record
+
+
+def counted(counts, name, fn):
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counting
+
+
+class CountingU64:
+    """``shm._U64`` with each store of a watched ``(view, offset)`` counted:
+    a ring's tail and head publishes."""
+
+    def __init__(self, counts, watched):
+        self.counts, self.watched = counts, watched
+        self.unpack_from = shm._U64.unpack_from
+        self._pack_into = shm._U64.pack_into
+
+    def pack_into(self, view, offset, value):
+        name = self.watched.get((id(view), offset))
+        if name is not None:
+            self.counts[name] += 1
+        self._pack_into(view, offset, value)
+
+
+class DurableBurst:
+    """``durable_burst``: publisher + WAL -> wire tap -> relay -> shm ring
+    -> durable subscription, acks back over the ring and up to the WAL."""
+
+    def __init__(self, root, monkeypatch):
+        self.counts = counts = Counter()
+        schema = mechanical.schema_for_size("1kb")
+        rng = np.random.default_rng(21)
+        self.codec = codec_for(layout_record(schema, SPARC_V8))
+        self.records = [random_record(schema, rng) for _ in range(4)]
+        tx = IOContext(SPARC_V8, context_id=0xD0B0)
+        self.format = tx.register_format(schema)
+        rx = IOContext(X86)
+        rx.expect(schema)
+        source, self.sink = EventChannel(), EventChannel()
+        for name in ("forward", "forward_batch"):
+            monkeypatch.setattr(Relay, name, counted(counts, "relay." + name, Relay.__dict__[name]))
+        for name in ("send", "send_many"):
+            monkeypatch.setattr(
+                ShmRingTransport, name, self._per_ring("." + name, ShmRingTransport.__dict__[name])
+            )
+        self.relay = Relay(ack_upstream=source.route_ack)
+        self.ring_out, self.ring_in = shm_pair(capacity=1 << 17, directory=root)
+        self.rings = {id(self.ring_out): "ring", id(self.ring_in): "ack_ring"}
+        monkeypatch.setattr(
+            shm,
+            "_U64",
+            CountingU64(
+                counts,
+                {
+                    (id(self.ring_out._send_ring.view), shm._OFF_TAIL): "ring.tail_publishes",
+                    (id(self.ring_in._recv_ring.view), shm._OFF_HEAD): "ring.head_publishes",
+                    (id(self.ring_in._send_ring.view), shm._OFF_TAIL): "ack_ring.tail_publishes",
+                    (id(self.ring_out._recv_ring.view), shm._OFF_HEAD): "ack_ring.head_publishes",
+                },
+            ),
+        )
+        self.relay.attach(self.ring_out)
+        tap = source.attach_wire(self.relay.forward)
+        tap.send = counted(counts, "tap.frame_calls", tap.send)
+        tap.send_run = counted(counts, "tap.run_calls", tap.send_run)
+        self.publisher = DurablePublisher(source, tx, wal_dir=os.path.join(root, "wal"))
+        self.got = []
+        self.subscription = DurableSubscription(
+            self.sink,
+            rx,
+            self.got.append,
+            cursor_path=os.path.join(root, "sub.cursors"),
+            ack_sink=self.ring_in.send,
+            on_error="suppress",
+        )
+        writev = os.writev
+
+        def counting_writev(fd, buffers):
+            written = writev(fd, buffers)
+            if fd == self.publisher.wal._log.stream.fileno():
+                counts["wal.writev"] += 1
+                counts["wal.segment_bytes"] += written
+            counts["log_bytes"] += written  # what the benchmark's wchar reading sees
+            return written
+
+        monkeypatch.setattr(os, "writev", counting_writev)
+
+    def _per_ring(self, suffix, fn):
+        def counting(ring, *args):
+            self.counts[self.rings[id(ring)] + suffix] += 1
+            return fn(ring, *args)
+
+        return counting
+
+    def burst(self, n):
+        """One burst of ``n`` records end to end; the bytes of its natives."""
+        natives = [self.codec.encode(dict(self.records[k % 4], node_id=k)) for k in range(n)]
+        sent, acked = self.subscription.metrics.value("durable.acks_sent"), self.publisher.stats.acks_received
+        del self.got[:]
+        self.publisher.publish_native_batch(self.format, natives)
+        while len(self.got) < n:
+            self.sink.ingest_many(self.ring_in.recv_many())
+        self.relay.heal()
+        assert self.publisher.unacked_count == 0
+        self.counts["acks"] += self.subscription.metrics.value("durable.acks_sent") - sent
+        self.counts["acks_received"] += self.publisher.stats.acks_received - acked
+        return sum(map(len, natives))
+
+    def close(self):
+        self.subscription.close()
+        self.publisher.close()
+        self.ring_out.close()
+        self.ring_in.close()
+
+
+#: topology -> (builder, what one burst of n records carrying `payload`
+#: native bytes costs).  A WAL frame is 12 bytes around the burst's
+#: messages (16-byte header + 8-byte sequence each); the two cursor
+#: stores append one 28-byte frame each per burst — together the
+#: ``durable.wal_bytes_per_payload_byte`` of the benchmark.
+TABLE = {
+    "durable_burst": (
+        DurableBurst,
+        lambda n, payload: {
+            "tap.run_calls": 1,
+            "tap.frame_calls": 0,
+            "relay.forward_batch": 1,
+            "relay.forward": 0,
+            "ring.send_many": 1,
+            "ring.send": 0,
+            "ring.tail_publishes": 1,
+            "ring.head_publishes": 1,
+            "wal.writev": 1,
+            "wal.segment_bytes": 12 + 24 * n + payload,
+            "log_bytes": 12 + 24 * n + payload + 2 * 28,
+            "acks": 1,
+            "acks_received": 1,
+            "ack_ring.send": 1,
+            "ack_ring.send_many": 0,
+            "ack_ring.tail_publishes": 1,
+            "ack_ring.head_publishes": 1,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("topology", sorted(TABLE))
+def test_a_burst_costs_what_the_table_says(topology, n, tmp_path, monkeypatch):
+    build, row = TABLE[topology]
+    rig = build(str(tmp_path), monkeypatch)
+    try:
+        rig.burst(n)  # announcements, converter generation, first-use paths
+        for _ in range(3):
+            rig.counts.clear()
+            payload = rig.burst(n)
+            expected = row(n, payload)
+            assert {name: rig.counts[name] for name in expected} == expected
+    finally:
+        rig.close()

@@ -11,7 +11,16 @@ from repro.core import IOContext
 from repro.core import encoder as enc
 from repro.core.errors import MessageError
 from repro.core.safety import DecodeLimits
-from repro.net import EventChannel
+from repro.net import (
+    EventChannel,
+    FabricDispatcher,
+    InMemoryPipe,
+    Relay,
+    Transport,
+    TransportError,
+    WriteQueueFull,
+    shm_pair,
+)
 
 CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 
@@ -403,3 +412,164 @@ def test_a_burst_is_scanned_once(monkeypatch, durable):
     channel.ingest_many(frames)
     assert got == list(range(32))
     assert parses == ["try_unpack_header"] * 32
+
+
+# -- a tap offered a run equals the tap offered its frames ----------------------
+
+SINKS = ("lambda", "pipe", "shm", "relay", "fabric", "patched relay")
+STREAMS = sorted(
+    {h[1:3] for h in map(enc.try_unpack_header, FRAME_POOL) if h and h[0] in (enc.MSG_DATA, enc.MSG_DATA_SEQ)}
+)
+#: a wire's traffic: bursts (``ingest_many``) and single frames (``ingest``)
+OPS = st.lists(
+    st.one_of(st.sampled_from(FRAME_POOL), st.lists(st.sampled_from(FRAME_POOL), max_size=12)),
+    max_size=12,
+)
+
+
+def _drain(end):
+    frames = []
+    while (frame := end.poll_recv()) is not None:
+        frames.append(frame)
+    return frames
+
+
+def _offer(channel, ops):
+    for op in ops:
+        if isinstance(op, list):
+            channel.ingest_many(op)
+        else:
+            channel.ingest(op)
+
+
+class _Tapped:
+    """One channel whose only tap is a sink of the given kind, attached by
+    its bound method (``direct``: the tap is offered runs) or behind a
+    lambda (the per-frame loop: the only path an opaque callable has)."""
+
+    def __init__(self, kind, direct, directory):
+        self.channel = EventChannel()
+        self.ends, self.hub, self.closing = [], None, []
+        if kind == "lambda":
+            got = self.got = []
+            sink = lambda frame: got.append(frame)
+        elif kind == "pipe":
+            pipe = InMemoryPipe()
+            sink, self.ends = pipe.a.send, [pipe.b]
+        elif kind == "shm":
+            self.closing = a, b = shm_pair(capacity=1 << 16, directory=directory)
+            sink, self.ends = a.send, [b]
+        elif kind == "fabric":
+            self.hub = FabricDispatcher(2)
+            for key in STREAMS:
+                pipe = InMemoryPipe()
+                self.hub.subscribe(key, pipe.a)
+                self.ends.append(pipe.b)
+            sink = self.hub.forward
+        else:
+            self.hub = Relay()
+            pipe = InMemoryPipe()
+            self.hub.attach(pipe.a)
+            sink, self.ends = self.hub.forward, [pipe.b]
+        self.sink = sink
+        self.tap = self.channel.attach_wire(sink if direct else lambda frame: sink(frame))
+
+    def seen(self):
+        far = [_drain(end) for end in self.ends] if self.ends else self.got
+        hub = self.hub.metrics.counters() if self.hub is not None else None
+        return far, hub, self.tap.metrics.counters(), self.tap in self.channel._taps
+
+    def close(self):
+        for end in self.closing:
+            end.close()
+
+
+@pytest.mark.parametrize("kind", SINKS)
+@seed(CHAOS_SEED)
+@settings(max_examples=40, deadline=None)
+@given(ops=OPS)
+def test_a_tap_offered_a_run_equals_the_tap_offered_its_frames(kind, ops, tmp_path_factory):
+    """A tap given the bound ``send`` of a transport, or the bound
+    ``forward`` of a relay or dispatcher — also while a tracer has
+    class-patched it — is offered each burst as one ``send_many`` /
+    ``forward_batch``; its far end sees the frames, and the tap and its
+    hub keep the counters, of the per-frame loop behind a lambda."""
+    directory = str(tmp_path_factory.mktemp("taps"))
+    original = Relay.__dict__["forward"]
+    if kind == "patched relay":  # the way benchmarks/e2e/spans.py Tracer.patch does it
+
+        def traced(self, message, *, header=None):
+            return original(self, message, header=header)
+
+        Relay.forward = traced
+    try:
+        direct, loop = _Tapped(kind, True, directory), _Tapped(kind, False, directory)
+    finally:
+        Relay.forward = original
+    try:
+        assert loop.tap.send_run is None
+        owner = getattr(direct.sink, "__self__", None)
+        entry = {"lambda": None, "pipe": "send_many", "shm": "send_many"}.get(kind, "forward_batch")
+        assert direct.tap.send_run == (entry and getattr(owner, entry))
+        for tapped in (direct, loop):
+            _offer(tapped.channel, ops)
+        assert direct.seen() == loop.seen()
+    finally:
+        direct.close()
+        loop.close()
+
+
+class _FailsAt(Transport):
+    """Takes ``k - 1`` frames, then fails: frame by frame (a broken link),
+    or — ``whole_runs`` — refusing the run that would reach ``k`` outright
+    (an async transport's bounded write queue)."""
+
+    def __init__(self, k, whole_runs):
+        self.k, self.whole_runs, self.got = k, whole_runs, []
+
+    def send(self, payload):
+        if len(self.got) + 1 >= self.k:
+            raise TransportError(f"no frame {self.k}")
+        self.got.append(bytes(payload))
+
+    def send_many(self, frames):
+        if self.whole_runs and len(self.got) + len(frames) >= self.k:
+            raise WriteQueueFull(f"no room for {len(frames)} frames")
+        super().send_many(frames)
+
+    def recv(self):
+        raise TransportError("one-way")
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("whole_runs", [False, True])
+@seed(CHAOS_SEED)
+@settings(max_examples=40, deadline=None)
+@given(ops=OPS, k=st.integers(1, 30))
+def test_a_tap_that_fails_mid_run_is_detached_with_a_prefix(whole_runs, ops, k):
+    """A sink failing at its ``k``-th frame is detached, counted once,
+    whether it was offered runs or frames, and what it got is a prefix of
+    the wire: the loop's own when its ``send_many`` is the loop, shorter
+    by the shed run when ``send_many`` is all-or-nothing."""
+    wire = []
+    whole = EventChannel()
+    whole.attach_wire(lambda frame: wire.append(frame))
+    _offer(whole, ops)
+    sinks = _FailsAt(k, whole_runs), _FailsAt(k, whole_runs)
+    taps = []
+    for sink, direct in zip(sinks, (True, False)):
+        channel = EventChannel()
+        taps.append(channel.attach_wire(sink.send if direct else lambda frame, sink=sink: sink.send(frame)))
+        _offer(channel, ops)
+        assert (taps[-1] in channel._taps) == (len(wire) < k)
+    run, loop = (tap.metrics.counters() for tap in taps)
+    assert sinks[1].got == wire[: k - 1] and loop.get("forwarded", 0) == len(sinks[1].got)
+    assert sinks[0].got == wire[: len(sinks[0].got)]
+    failed = {"send_errors": 1, "detached": 1} if len(wire) >= k else {}
+    for counters in (run, loop):
+        assert {name: n for name, n in counters.items() if name != "forwarded"} == failed
+    if not whole_runs:
+        assert sinks[0].got == sinks[1].got
+    assert run.get("forwarded", 0) <= len(sinks[0].got) <= len(sinks[1].got)

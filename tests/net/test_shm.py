@@ -14,6 +14,8 @@ import os
 import threading
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.abi import SPARC_V8, X86, RecordSchema
 from repro.core import IOContext, PbioConnection
@@ -32,6 +34,7 @@ from repro.net import (
     loopback_pair,
     shm_pair,
 )
+from repro.net import shm
 
 CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 
@@ -139,6 +142,92 @@ class TestFraming:
         finally:
             a.close()
             b.close()
+
+
+# -- a run equals its frames -----------------------------------------------------
+
+RING = 64  # bytes: a handful of frames fill it, every few frames wrap it
+
+
+def _through(sizes, skew, limit, many, directory):
+    """Move ``len(sizes)`` patterned frames over a ``RING``-byte ring whose
+    counters start ``skew`` bytes in, a reader thread draining — frame by
+    frame, or ``send_many`` against ``recv_many(limit)``; returns what
+    arrived and the writer's queue depth afterwards."""
+    frames = [bytes([k % 251]) * n for k, n in enumerate(sizes)]
+    a, b = shm_pair(capacity=RING, directory=directory)
+    got: list[bytes] = []
+    try:
+        for end in (a, b):
+            end.set_timeout(10.0)
+        if skew >= 4:
+            a.send(b"s" * (skew - 4))
+            b.recv()
+
+        def reader():
+            while len(got) < len(frames):
+                if many:
+                    burst = b.recv_many(limit)
+                    assert len(burst) <= limit or not limit
+                    got.extend(burst)
+                else:
+                    got.append(b.recv())
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        if many:
+            a.send_many(frames)
+        else:
+            for frame in frames:
+                a.send(frame)
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        return frames, got, a.write_queue_depth
+    finally:
+        a.close()
+        b.close()
+
+
+@seed(CHAOS_SEED)
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, RING - 4), max_size=40),
+    skew=st.integers(0, RING - 1),
+    limit=st.integers(0, 5),
+)
+@example(sizes=[8, 8], skew=RING - 2, limit=0)  # the first prefix wraps
+@example(sizes=[20, 8], skew=RING - 10, limit=0)  # the first payload wraps
+@example(sizes=[RING // 2 - 4, RING // 2 - 4], skew=0, limit=0)  # fills the ring exactly
+@example(sizes=[RING - 4] * 6, skew=7, limit=2)  # overflows it six times over
+def test_a_ring_run_equals_its_frames(sizes, skew, limit, tmp_path_factory):
+    """``send_many`` / ``recv_many`` deliver what frame-by-frame ``send`` /
+    ``recv`` deliver — the same frames in the same order, the write queue
+    back to empty — wherever the frames fall on the ring."""
+    directory = str(tmp_path_factory.mktemp("ring"))
+    frames, got, depth = _through(sizes, skew, limit, False, directory)
+    assert (got, depth) == (frames, 0)
+    assert _through(sizes, skew, limit, True, directory) == (frames, frames, 0)
+
+
+def test_a_ring_run_stops_at_a_frame_over_max_frame(tmp_path, monkeypatch):
+    """A run is sent up to the frame over ``MAX_FRAME``, which raises; and
+    a receiver that meets a length prefix over it hands over the frames
+    ahead of it, then raises — both as the frame-by-frame loop does."""
+    a, b = shm_pair(capacity=4096, directory=str(tmp_path))
+    try:
+        monkeypatch.setattr(shm, "MAX_FRAME", 32)
+        with pytest.raises(TransportError, match="frame too large: 33"):
+            a.send_many([b"a" * 8, b"b" * 32, b"c" * 33, b"d"])
+        monkeypatch.undo()
+        a.send(b"e" * 33)
+        monkeypatch.setattr(shm, "MAX_FRAME", 32)
+        assert b.recv_many() == [b"a" * 8, b"b" * 32]
+        for _ in range(2):
+            with pytest.raises(TransportError, match="corrupt shm ring: frame length 33"):
+                b.recv_many()
+    finally:
+        a.close()
+        b.close()
 
 
 class TestLifecycle:
