@@ -18,6 +18,19 @@ frame sizes:
 3. a loopback :class:`SocketTransport`: one joined buffer through
    ``sendmsg`` against ``send_many``'s two iovecs per frame.
 
+A second table (``PR 22``) is the choice ``PbioConnection.send_batch_native``
+makes per *frame* on the socket, at the run lengths the reference
+benchmark's ``stream_hetero`` sends (1, 2, 4, 32): *pack* — ``header +
+record`` in one new buffer, two iovecs a frame — against *gather* — a
+:class:`~repro.net.transport.SegmentedFrame`, three iovecs a frame and
+no copy — the sender draining the far end itself between sends (no
+second thread on the GIL), runs bounded by the benchmark's 128 KB.  It
+is the provenance of ``GATHER_MIN_FRAME``: packing wins by 5-40 % up to
+4 KB frames, the two are within a few per cent of each other from 10 KB
+to 16 KB, and gathering wins from 24 KB on (x 1.23 at 100 KB) — later
+than the whole-run join of the first table loses, since a frame's own
+``header + record`` is a far smaller copy than a run's.
+
 ``PublisherWAL`` joins and ``ShmRingTransport.send_many`` stores per
 frame at every size, selecting nothing.  What that costs and buys is the
 table this prints (``PYTHONPATH=src python3
@@ -31,24 +44,29 @@ frames, the iovec path wins at 100 KB, and the crossover sits between
 import os
 import tempfile
 import threading
+from time import perf_counter
 from zlib import crc32
 
 import pytest
 
 import support
+from repro.core import encoder as enc
 from repro.core.framing import FILE_HEADER, MSG_LEN, V2_TRAILER, FramedLog
 from repro.net import best_of, loopback_pair, shm_pair
 from repro.net.shm import _U32  # the ring's length prefix
 from repro.net.timing import calibrated_inner
-from repro.net.transport import _LEN  # the socket framing's
+from repro.net.transport import _LEN, GATHER_MIN_FRAME, SegmentedFrame  # _LEN: the socket framing's prefix
 
 RUN = 32
 SIZES = {"100b": 100, "1kb": 1024, "10kb": 10 * 1024, "100kb": 100 * 1024}
+#: the pack-or-gather table also looks around ``GATHER_MIN_FRAME``
+FRAME_SIZES = dict(sorted({**SIZES, "4kb": 4096, "16kb": 16384, "24kb": 24576}.items(), key=lambda item: item[1]))
+SHORT_RUNS = (1, 2, 4, RUN)  # the burst lengths ``stream_hetero`` sends
 SINKS = ("framed log", "shm ring", "socket")
 
 
-def _frames(size: str) -> list[bytes]:
-    return [bytes([k + 1]) * SIZES[size] for k in range(RUN)]
+def _frames(size: str, run: int = RUN) -> list[bytes]:
+    return [bytes([k + 1]) * FRAME_SIZES[size] for k in range(run)]
 
 
 def _joined(frames, prefix) -> bytes:
@@ -175,6 +193,92 @@ def table() -> dict[str, dict[str, tuple[float, float]]]:
     return {sink: {size: _measure(sink, size) for size in SIZES} for sink in SINKS}
 
 
+class OwnDrain:
+    """A loopback pair whose sender drains the far end itself between
+    sends — a run is at most ``MAX_RUN_BYTES``, so a send never blocks.
+    With no second thread on the GIL a 2-frame send reads its 3-4 us, not
+    a thread wake-up; what is timed is ``send()`` alone, which puts
+    ``wire`` bytes (prefixes and all) on the socket."""
+
+    def __init__(self, wire: int):
+        self.tx, self.rx = loopback_pair()
+        self.scratch = bytearray(1 << 18)
+        self.wire = wire
+
+    def timed(self, send) -> float:
+        t0 = perf_counter()
+        send()
+        elapsed = perf_counter() - t0
+        left, sock, scratch = self.wire, self.rx._sock, self.scratch
+        while left:
+            left -= sock.recv_into(scratch)
+        return elapsed
+
+    def alternating_best(self, sends, inner: int) -> list[float]:
+        """Per send, the best round mean of each of ``sends``, taking
+        turns send by send so a host phase falls on all of them."""
+        best = [float("inf")] * len(sends)
+        for _ in range(max(support.default_repeats(), 5)):
+            totals = [0.0] * len(sends)
+            for _ in range(inner):
+                for k, send in enumerate(sends):
+                    totals[k] += self.timed(send)
+            best = [min(b, t / inner) for b, t in zip(best, totals)]
+        return best
+
+    def close(self):
+        self.tx.close()
+        self.rx.close()
+
+
+def _pack(natives) -> list[bytes]:
+    head = enc.HEADER_STRUCT.pack
+    return [head(enc.MAGIC, enc.VERSION, enc.MSG_DATA, 7, 1, len(n)) + n for n in natives]
+
+
+def _gather(natives) -> list[SegmentedFrame]:
+    head, extra = enc.HEADER_STRUCT.pack, enc.HEADER_SIZE
+    return [
+        SegmentedFrame((head(enc.MAGIC, enc.VERSION, enc.MSG_DATA, 7, 1, len(n)), n), extra + len(n))
+        for n in natives
+    ]
+
+
+MAX_RUN_BYTES = 128 * 1024  # the reference benchmark's burst bound: 100 KB records travel one a burst
+
+
+def send_inner() -> int:
+    override = os.environ.get("PBIO_BENCH_INNER")
+    return max(1, int(override)) if override else 200
+
+
+def pack_vs_gather() -> dict[int, dict[str, tuple[float, float]]]:
+    """``{run length: {size: (pack s, gather s)}}`` on the loopback socket,
+    building the frames included."""
+    results: dict[int, dict[str, tuple[float, float]]] = {}
+    for run in SHORT_RUNS:
+        for size, nbytes in FRAME_SIZES.items():
+            if run * nbytes > MAX_RUN_BYTES:
+                continue
+            natives = _frames(size, run)
+            rig = OwnDrain(run * (4 + enc.HEADER_SIZE + nbytes))
+            try:
+                sends = [lambda: rig.tx.send_many(_pack(natives)), lambda: rig.tx.send_many(_gather(natives))]
+                results.setdefault(run, {})[size] = tuple(rig.alternating_best(sends, send_inner()))
+            finally:
+                rig.close()
+    return results
+
+
+def report_pack_vs_gather(results) -> str:
+    lines = [f"{'run':>4} {'frame':>6} {'pack us':>9} {'gather us':>10} {'pack/gather':>12}"]
+    for run, by_size in results.items():
+        for size, (t_pack, t_gather) in by_size.items():
+            lines.append(f"{run:>4} {size:>6} {t_pack * 1e6:>9.1f} {t_gather * 1e6:>10.1f} {t_pack / t_gather:>12.2f}")
+    lines.append(f"send_batch_native gathers from {GATHER_MIN_FRAME} B frames")
+    return "\n".join(lines)
+
+
 def report(results) -> str:
     lines = [f"{'sink':<11} {'frame':>6} {'join us':>9} {'iovec us':>9} {'join/iovec':>11}"]
     for sink, by_size in results.items():
@@ -233,5 +337,21 @@ def test_shape_join_wins_small_and_iovec_wins_large():
         assert large_iovec <= 1.15 * large_join, f"{sink}: the iovec path no longer wins at 100 KB"
 
 
+def test_shape_pack_wins_small_frames_and_gather_wins_large():
+    """The per-frame choice behind ``GATHER_MIN_FRAME``, at the run
+    lengths ``stream_hetero`` sends: ``header + record`` in one buffer is
+    the cheaper frame at 100 B and 1 KB, the record's own buffer as a
+    third iovec at 100 KB.  The middle is printed, not pinned."""
+    results = pack_vs_gather()
+    print("\n" + report_pack_vs_gather(results))
+    for run, by_size in results.items():
+        for size in ("100b", "1kb"):
+            t_pack, t_gather = by_size[size]
+            assert t_pack <= 1.1 * t_gather, f"run of {run}: packing no longer wins at {size}"
+    t_pack, t_gather = results[1]["100kb"]
+    assert t_gather <= 1.1 * t_pack, "gathering no longer wins at 100 KB"
+
+
 if __name__ == "__main__":
     print(report(table()))
+    print(report_pack_vs_gather(pack_vs_gather()))

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.net.transport import Transport
+from repro.net.transport import GATHER_MIN_FRAME, SegmentedFrame, Transport
 
 from . import encoder as enc
 from .context import FormatHandle, IOContext
+from .errors import PbioError
 from .negotiation import Announcer, InboundNegotiator
 
 
@@ -65,28 +66,24 @@ class PbioConnection:
         """Send many native-form records as one vectored transport burst.
 
         The announcement (when still owed to this link) travels in the
-        same burst, ahead of the data frames; on a socket transport the
-        whole batch is a handful of ``sendmsg`` calls instead of N
-        ``sendall`` round trips through the kernel.
+        same burst, ahead of the data frames.  A frame under
+        :data:`~repro.net.transport.GATHER_MIN_FRAME` is header + record
+        packed (a copy cheaper than an iovec); a larger one is gathered:
+        the caller's buffer goes to the transport untouched.
         """
         self._negotiator.pump(self.transport)
         frames = self._announcer.pending_announcements(self.transport, handle)
-        cid, fid = self.ctx.context_id, handle.format_id
-        frames.extend(enc.encode_data_message(cid, fid, n) for n in natives)
+        pack, magic, version, data = enc.HEADER_STRUCT.pack, enc.MAGIC, enc.VERSION, enc.MSG_DATA
+        cid, fid, gather = self.ctx.context_id, handle.format_id, GATHER_MIN_FRAME - enc.HEADER_SIZE
+        for native in natives:
+            if not isinstance(native, enc.FLAT_BUFFERS):
+                native = bytes(native)
+            n = len(native)
+            head = pack(magic, version, data, cid, fid, n)
+            frames.append(head + native if n < gather else SegmentedFrame((head, native), len(head) + n))
         self.transport.send_many(frames)
 
     # -- receiving ------------------------------------------------------------
-
-    def recv_message(self) -> bytes:
-        """Receive the next *data* message, absorbing announcements.
-
-        Token announcements that cannot be resolved locally trigger the
-        inline-recovery protocol transparently; messages of a format
-        whose meta is still in flight are held and returned (in order)
-        once it arrives.
-        """
-        message, _ = self._recv_parsed()
-        return message
 
     def _recv_parsed(self) -> tuple[bytes, tuple | None]:
         """Next data message plus its already-parsed header (when the
@@ -109,66 +106,57 @@ class PbioConnection:
         message, header = self._recv_parsed()
         return self.ctx.pipeline.decode_view(message, header=header)
 
-    def recv_batch(
-        self, max_frames: int = 0, *, on_error: str = "raise", lend: bool = False
-    ) -> list:
+    def recv_batch(self, max_frames: int = 0, *, on_error: str = "raise", lend: bool = False) -> list:
         """Receive a burst of records in one pass.
 
-        Blocks for the first frame, then drains everything the transport
-        already has buffered (``recv_many``), runs announcements through
-        the negotiator, and decodes the resulting data messages with the
-        batch pipeline — consecutive same-format frames share one
-        columnar conversion.  Returns the decoded dicts in arrival order
-        (``on_error="skip"`` leaves a ``None`` per rejected frame).
+        Blocks for the first frame, then takes everything the transport
+        already has buffered (``recv_many_leased``) and decodes it with
+        the batch pipeline where it lies — consecutive same-format
+        frames share one columnar conversion.  Returns the decoded dicts
+        in arrival order (``on_error="skip"`` leaves a ``None`` per
+        rejected frame; ``"raise"`` raises at the first, like the
+        sequential loop: the frames behind it come with the next call).
 
-        ``lend=True`` returns leased :class:`~repro.abi.views.RecordView`
-        objects instead of dicts: homogeneous data frames are decoded as
-        views *directly into the transport's receive buffer*
-        (``recv_many_leased``) — zero payload copies end to end.  The
-        views hold the buffer lease; call ``view.detach()`` before
-        storing one past the processing loop.  Control frames and
-        sequenced/held frames are copied out as usual — correctness never
-        depends on the fast path.
+        ``lend=True`` returns :class:`~repro.abi.views.RecordView`
+        objects instead: homogeneous data frames are viewed *directly in
+        the transport's receive buffer* — zero payload copies end to end
+        — and hold its lease; call ``view.detach()`` before storing one
+        past the processing loop.  Converted views own their bytes, and
+        the buffer never leaves the transport for them.  A burst holding
+        a control, sequenced or foreign frame, or met with a format
+        unresolved, goes through the negotiator in order on owned copies.
         """
-        messages: list = []
-        headers: list = []  # what this loop sniffed; None for a frame the negotiator held
-
-        def drain_ready() -> None:
-            while max_frames <= 0 or len(messages) < max_frames:
-                m = self._negotiator.next_ready()
-                if m is None:
-                    return
-                messages.append(m)
-                headers.append(None)
-
-        drain_ready()
-        lease = None
-        while not messages:
-            if lend:
-                frames, lease = self.transport.recv_many_leased(max_frames)
-                for frame in frames:
-                    header = enc.try_unpack_header(frame)
-                    if (
-                        header is not None
-                        and header[0] == enc.MSG_DATA
-                        and not self._negotiator.unresolved
-                    ):
-                        # Steady state: a data frame with nothing pending
-                        # bypasses the negotiator and stays a borrowed
-                        # view.  Everything else (announcements, seq
-                        # frames, held-format data) is copied and takes
-                        # the ordinary path.
-                        messages.append(frame)
-                        headers.append(header)
-                    else:
-                        self._negotiator.offer(bytes(frame), header=header)
-            else:
-                for frame in self.transport.recv_many(max_frames):
-                    self._negotiator.offer(frame)
-            drain_ready()
-        return self.ctx.pipeline.decode_batch(
-            messages, on_error=on_error, lend=lend, lease=lease, headers=headers
-        )
+        negotiator, ready, data = self._negotiator, self._negotiator.ready, enc.MSG_DATA
+        headers = loan = None
+        try:
+            while not ready:
+                messages, loan = self.transport.recv_many_leased(max_frames)
+                headers = list(map(enc.try_unpack_header, messages))
+                if not negotiator.unresolved:
+                    for header in headers:
+                        if header is None or header[0] != data:
+                            break
+                    else:  # the steady state: plain data, nothing pending
+                        break
+                for frame, header in zip(messages, headers):
+                    negotiator.offer(bytes(frame), header=header)
+                if loan is not None:
+                    loan.close()
+                headers = loan = None
+            else:  # the negotiator has frames ready: owned bytes, no parsed headers, no loan
+                take = min(max_frames, len(ready)) if max_frames > 0 else len(ready)
+                messages = [ready.popleft() for _ in range(take)]
+            try:
+                return self.ctx.pipeline.decode_batch(
+                    messages, on_error=on_error, lend=lend, lease=loan, headers=headers
+                )
+            except PbioError as exc:
+                # off the transport already: what lies behind the rejected frame is still owed
+                ready.extendleft(bytes(frame) for frame in reversed(messages[exc.partial.index(None) + 1 :]))
+                raise
+        finally:
+            if loan is not None:
+                loan.close()
 
     def poll(self) -> None:
         """Drain frames available right now without blocking.

@@ -69,10 +69,12 @@ _MSG_TYPES = (
 _HEADER = struct.Struct(">BBBxIII")
 HEADER_SIZE = _HEADER.size
 
-#: Public handles for callers that inline the header scan on hot paths
-#: (batch decode: this and :data:`HEADER_SEQ_STRUCT`); semantics stay
-#: defined by :func:`unpack_header`.
+#: Public handles for callers that inline the header scan or pack on hot
+#: paths (batch decode: the types and :data:`HEADER_SEQ_STRUCT`; batch
+#: send: the struct); semantics stay defined by :func:`unpack_header`.
 MESSAGE_TYPES = frozenset(_MSG_TYPES)
+HEADER_STRUCT = _HEADER
+FLAT_BUFFERS = (bytes, bytearray, memoryview)  # framed as they are; any other buffer (an ndarray) is coerced
 
 FINGERPRINT_SIZE = 20  # sha1 digest length (matches IOFormat.fingerprint)
 _TOKEN_PAYLOAD = struct.Struct(f">{FINGERPRINT_SIZE}sQ")  # fingerprint, token
@@ -306,10 +308,9 @@ def encode_data_seq_run(context_id: int, format_id: int, base: int, natives) -> 
     if base < 1:
         raise MessageError(f"sequence numbers start at 1, got {base}")
     pack = HEADER_SEQ_STRUCT.pack
-    flat = (bytes, bytearray, memoryview)  # concatenate as they are; any other buffer (an ndarray) is coerced
     return [
         pack(MAGIC, VERSION, MSG_DATA_SEQ, context_id, format_id, SEQ_PREFIX_SIZE + len(native), seq)
-        + (native if isinstance(native, flat) else bytes(native))
+        + (native if isinstance(native, FLAT_BUFFERS) else bytes(native))
         for seq, native in enumerate(natives, base)
     ]
 

@@ -123,13 +123,13 @@ class InboundNegotiator:
         self.max_held = max_held
         self._pending: dict[tuple[int, int], bytes] = {}  # (cid, fid) -> fingerprint
         self._held: dict[tuple[int, int], list[bytes]] = {}
-        self._ready: deque[bytes] = deque()
+        self.ready: deque[bytes] = deque()  # oldest first; a burst caller (recv_batch) takes from it directly
         #: Set when the peer sent a goodbye ping (it is draining).
         self.peer_goodbye = False
 
     def next_ready(self) -> bytes | None:
         """The next frame ready for the caller, if any."""
-        return self._ready.popleft() if self._ready else None
+        return self.ready.popleft() if self.ready else None
 
     def filter(self, frame) -> bytes | None:
         """:meth:`offer` + :meth:`next_ready` fused for pull-style loops.
@@ -154,7 +154,7 @@ class InboundNegotiator:
         ``(frame, None)``; everything else takes the :meth:`offer` path
         and returns ``(next_ready(), None)``.
         """
-        if not self._ready and not self._pending:
+        if not self.ready and not self._pending:
             header = enc.try_unpack_header(frame)
             if header is None or header[0] == enc.MSG_DATA:
                 return (frame if isinstance(frame, bytes) else bytes(frame), header)
@@ -180,7 +180,7 @@ class InboundNegotiator:
         if header is None:
             # A foreign frame (RPC call header, fault text): the caller's
             # business.
-            self._ready.append(frame if isinstance(frame, bytes) else bytes(frame))
+            self.ready.append(frame if isinstance(frame, bytes) else bytes(frame))
             return
         kind = header[0]
         if kind == enc.MSG_DATA:
@@ -189,7 +189,7 @@ class InboundNegotiator:
                 if key in self._pending:
                     self._hold(key, frame)
                     return
-            self._ready.append(frame if isinstance(frame, bytes) else bytes(frame))
+            self.ready.append(frame if isinstance(frame, bytes) else bytes(frame))
             return
         if kind == enc.MSG_FORMAT:
             self.ctx.pipeline.absorb(frame, header[1], header[2])
@@ -248,7 +248,7 @@ class InboundNegotiator:
         held = self._held.pop(key, None)
         if held:
             self.ctx.metrics.inc("fmtserv.messages_released", len(held))
-            self._ready.extend(held)
+            self.ready.extend(held)
 
     def _request_meta(self, exc: TokenResolutionError) -> None:
         key = (exc.context_id, exc.format_id)

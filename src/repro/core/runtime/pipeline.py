@@ -517,7 +517,8 @@ class DecodePipeline:
         itself* with ``lease`` attached — no payload byte is copied; the
         caller's buffer must stay untouched until every returned view
         dies (views keep ``lease`` — and through it the buffer — alive).
-        Converted frames view private converted bytes and carry no lease.
+        Converted frames view private converted bytes and carry no lease
+        (``lease.take()`` is called only for a group that borrows).
         Call :meth:`~repro.abi.views.RecordView.detach` on a lent view
         before storing it beyond the receive loop.
         """
@@ -629,6 +630,8 @@ class DecodePipeline:
                         else:
                             rec_size, has_strings = wire_fmt.record_size, wire_fmt.has_strings
                             as_views = lend and entry.zero_copy and codec is not None
+                            if lend and entry.zero_copy and lease is not None:
+                                lease = lease.take()  # results will alias the frames
                     payload = memoryview(message)[start:]
                     if len(payload) != payload_len:
                         exc = MessageError(

@@ -80,6 +80,9 @@ class Lease:
         self._state = _LeaseState()
         self._finalizer = weakref.finalize(self, _fire, on_return, self._state, metrics)
 
+    def take(self) -> "Lease":  # the face shared with a transport's Loan, a lease not made yet
+        return self
+
     def retain(self) -> "Lease":
         self._state.holds += 1
         return self

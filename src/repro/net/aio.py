@@ -62,6 +62,7 @@ from .transport import (
     MAX_FRAME,
     FrameBuffer,
     PeerClosedError,
+    SegmentedFrame,
     TransportError,
     TransportTimeout,
     WriteQueueFull,
@@ -262,7 +263,10 @@ class AsyncSocketTransport:
             if n > MAX_FRAME:
                 raise TransportError(f"frame too large: {n}")
             bufs.append(_LEN.pack(n))
-            bufs.append(_pin(payload))
+            if type(payload) is SegmentedFrame:
+                bufs.extend(map(_pin, payload.segments))
+            else:
+                bufs.append(_pin(payload))
             total += 4 + n
         if bufs:
             self._enqueue(bufs, total)

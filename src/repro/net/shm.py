@@ -83,6 +83,7 @@ from collections import deque
 from .transport import (
     MAX_FRAME,
     PeerClosedError,
+    SegmentedFrame,
     Transport,
     TransportError,
     TransportTimeout,
@@ -481,6 +482,8 @@ class ShmRingTransport(Transport):
             marks = []
             while i < count:
                 payload = frames[i]
+                if type(payload) is SegmentedFrame:
+                    payload = bytes(payload)  # the ring stores one buffer a frame
                 n = len(payload)
                 end = tail + 4 + n
                 if end > limit or n > MAX_FRAME:

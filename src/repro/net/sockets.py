@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import socket
 
+from repro.core.runtime.pool import BufferPool
+
 from .transport import (
     MAX_FRAME,
     FrameBuffer,
+    Loan,
+    SegmentedFrame,
     Transport,
     TransportError,
     TransportTimeout,
@@ -31,18 +35,8 @@ from .transport import (
 #: ever tripping EMSGSIZE on smaller platforms.
 _IOV_MAX = 512
 
-#: Shared pool of lent receive buffers (lazy: importing the conversion
-#: runtime here at module scope would be a circular import).
-_recv_pool = None
-
-
-def _lease_pool():
-    global _recv_pool
-    if _recv_pool is None:
-        from repro.core.runtime.pool import BufferPool
-
-        _recv_pool = BufferPool(max_per_size=16)
-    return _recv_pool
+#: Shared pool of lent receive buffers.
+_recv_pool = BufferPool(max_per_size=16)
 
 
 class SocketTransport(Transport):
@@ -111,7 +105,10 @@ class SocketTransport(Transport):
             if n > MAX_FRAME:
                 raise TransportError(f"frame too large: {n}")
             bufs.append(_LEN.pack(n))
-            bufs.append(payload)
+            if type(payload) is SegmentedFrame:
+                bufs.extend(payload.segments)
+            else:
+                bufs.append(payload)
         if bufs:
             self._sendv(bufs)
 
@@ -157,25 +154,25 @@ class SocketTransport(Transport):
     def recv_many_leased(self, max_frames: int = 0):
         """:meth:`recv_many` with zero payload copies.
 
-        Frames are memoryview slices of the receive buffer; the buffer
-        itself is detached to the caller under a pool lease and the
-        framer continues on a fresh pooled buffer (any partial-frame tail
-        is carried over — that copy is at most one incomplete frame).
+        Frames are memoryview slices of the receive buffer, valid until
+        the returned :class:`~repro.net.transport.Loan` is closed; the
+        buffer leaves the framer (a pool lease; a partial-frame tail is
+        carried over to the next buffer) only if the loan is taken.
         """
-        framer = self._framer
-        first = framer.next_frame_view()
-        while first is None:
-            # No views have been sliced yet, so the fill below is free to
-            # compact or grow the buffer.
-            self._fill()
-            first = framer.next_frame_view()
-        out = [first]
-        while max_frames <= 0 or len(out) < max_frames:
+        framer, out = self._framer, []
+        if framer.lent is not None:  # the last loan is still open: its frames stay as they are
+            framer.move()
+        while True:
             data = framer.next_frame_view()
-            if data is None:
+            if data is not None:
+                out.append(data)
+                if len(out) == max_frames:
+                    break
+            elif out:
                 break
-            out.append(data)
-        return out, framer.detach(_lease_pool())
+            else:  # no view sliced yet: the fill is free to compact or grow the buffer
+                self._fill()
+        return out, Loan(framer, _recv_pool)
 
     def poll_recv(self) -> bytes | None:
         """A complete frame if one is buffered or readable *now*, else None.

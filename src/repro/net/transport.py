@@ -124,15 +124,15 @@ class Transport(ABC):
     # application's own buffer, avoiding the copy a contiguous wire format
     # would force (the zero-copy claim of Section 1).
     def send_segments(self, segments: list[bytes | bytearray | memoryview]) -> None:
-        self.send(b"".join(bytes(s) for s in segments))
+        self.send(b"".join(segments))
 
     # Batch framing: one call per *burst* instead of one per message.
     # The base implementations preserve per-message semantics exactly;
     # vectored transports (sockets) override them to coalesce syscalls.
     def send_many(self, frames: list) -> None:
         """Send many messages; equivalent to ``for f in frames: send(f)``."""
-        for payload in frames:
-            self.send(payload)
+        for payload in frames:  # send() takes one buffer: a SegmentedFrame is joined
+            self.send(bytes(payload) if type(payload) is SegmentedFrame else payload)
 
     def recv_many(self, max_frames: int = 0) -> list[bytes]:
         """Receive at least one message, plus any more already available.
@@ -158,16 +158,36 @@ class Transport(ABC):
 
     def recv_many_leased(self, max_frames: int = 0):
         """:meth:`recv_many` without copying frames out of the receive
-        buffer, for lend-mode decodes.
-
-        Returns ``(frames, lease)``.  Buffered transports override this
-        to return memoryview slices of their receive buffer plus a
-        :class:`~repro.core.runtime.pool.Lease` that recycles the buffer
-        when the last consumer drops it; the base implementation returns
-        immutable copied frames and ``lease=None`` (always safe — a
-        ``None`` lease simply means the frames own their bytes).
+        buffer: ``(frames, loan)``.  Buffered transports override this to
+        return memoryview slices of their receive buffer and its
+        :class:`Loan`; the base implementation returns immutable copied
+        frames and ``None`` (always safe: the frames own their bytes).
         """
         return self.recv_many(max_frames), None
+
+
+#: Frame size from which a burst sender hands a sink the frame's segments
+#: instead of packing them.  ``bench_ablation_iovec_crossover.py``, loopback
+#: socket, pack / gather per send at 100 B / 1 KB / 4 KB / 10 KB / 16 KB / 24 KB
+#: / 100 KB frames: 0.87 / 0.92 / 0.91 / 0.94 / 0.98 / 1.05 / 1.23 in runs of 1,
+#: 0.78 / 0.85 / 0.90 / 0.94 / 1.01 / 1.11 in runs of 4 (EXPERIMENTS.md "PR 22").
+GATHER_MIN_FRAME = 16 * 1024
+
+
+class SegmentedFrame:
+    """One message as its buffers (a header, the caller's record untouched), ``len()`` its byte length:
+    vectored transports hand ``segments`` to the kernel as iovecs, other sinks take ``bytes()``."""
+
+    __slots__ = ("segments", "_size")
+
+    def __init__(self, segments: tuple, size: int):
+        self.segments, self._size = segments, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.segments)
 
 
 #: Initial receive-buffer capacity.  Grows (doubling) when a single frame
@@ -187,13 +207,14 @@ class FrameBuffer:
     (:mod:`repro.net.aio`) reuse the exact same framing discipline.
     """
 
-    __slots__ = ("_buf", "_view", "_start", "_end")
+    __slots__ = ("_buf", "_view", "_start", "_end", "lent")
 
     def __init__(self, capacity: int = RECV_BUF):
         self._buf = bytearray(capacity)
         self._view = memoryview(self._buf)
         self._start = 0  # first unconsumed byte
         self._end = 0  # one past the last filled byte
+        self.lent = None  # the pool behind an open Loan of _buf, else None
 
     @property
     def pending(self) -> int:
@@ -202,19 +223,11 @@ class FrameBuffer:
 
     def next_frame(self) -> bytes | None:
         """Slice one complete frame out of the buffer, or None."""
-        avail = self._end - self._start
-        if avail < 4:
-            return None
-        (n,) = _LEN.unpack_from(self._buf, self._start)
-        if n > MAX_FRAME:
-            raise TransportError(f"frame too large: {n}")
-        if avail < 4 + n:
-            return None
-        start = self._start + 4
-        data = bytes(self._view[start : start + n])
-        self._start = start + n
-        if self._start == self._end:
-            self._start = self._end = 0  # drained: make compaction rare
+        data = self.next_frame_view()
+        if data is not None:
+            data = bytes(data)
+            if self._start == self._end:
+                self._start = self._end = 0  # drained: make compaction rare
         return data
 
     def next_frame_view(self) -> memoryview | None:
@@ -222,8 +235,8 @@ class FrameBuffer:
 
         The slice aliases this framer's buffer, so the caller must either
         consume it before the next :meth:`writable`/:meth:`advance` cycle
-        (a fill may compact or recycle the storage) or call
-        :meth:`detach` to take ownership of the buffer under a lease.
+        (a fill may compact or recycle the storage) or hold a
+        :class:`Loan` of the buffer.
         """
         avail = self._end - self._start
         if avail < 4:
@@ -238,25 +251,15 @@ class FrameBuffer:
         self._start = start + n
         return data
 
-    def detach(self, pool):
-        """Hand the current buffer to the caller under a pool lease.
-
-        Every slice produced by :meth:`next_frame_view` stays valid (the
-        slices reference the bytearray directly); the framer continues on
-        a fresh pool buffer of the same capacity, carrying over any
-        partial frame tail.  Returns the
-        :class:`~repro.core.runtime.pool.Lease` that will return the old
-        buffer to ``pool`` when its last holder dies.
-        """
-        old, view, start, end = self._buf, self._view, self._start, self._end
-        fresh = pool.acquire(len(old), zero=False)
-        pending = end - start
-        if pending:
-            fresh[:pending] = view[start:end]
-        self._buf = fresh
-        self._view = memoryview(fresh)
-        self._start, self._end = 0, pending
-        return pool.lease(old)
+    def move(self) -> None:
+        """Leave a lent buffer to its :class:`Loan`: continue on a fresh
+        pool buffer of the same capacity, carrying over any partial frame
+        tail (slices of the old one reference its bytearray directly)."""
+        pending = self._end - self._start
+        fresh = self.lent.acquire(len(self._buf), zero=False)
+        fresh[:pending] = self._view[self._start : self._end]
+        self._buf, self._view = fresh, memoryview(fresh)
+        self._start, self._end, self.lent = 0, pending, None
 
     def needed(self) -> int:
         """Bytes still missing before the current frame is complete.
@@ -274,6 +277,8 @@ class FrameBuffer:
         """Grow/compact so ``needed`` more bytes fit; return the tail to
         fill.  The view covers *all* free space, not just ``needed``
         bytes, so one kernel read can deliver many frames."""
+        if self.lent is not None:  # a loan is still open on these bytes
+            self.move()
         cap = len(self._buf)
         if self._end + needed > cap:
             pending = bytes(self._view[self._start : self._end])
@@ -291,6 +296,42 @@ class FrameBuffer:
     def advance(self, count: int) -> None:
         """Record ``count`` bytes written into the :meth:`writable` view."""
         self._end += count
+
+
+class Loan:
+    """A framer's buffer, lent with the frame views sliced from it.
+
+    The first :meth:`take` — by whoever builds something aliasing the frames
+    — makes the pool lease: the framer moves on, and the buffer is the
+    pool's when the lease's last holder dies.  Closed (or dropped) untaken,
+    the framer refills the same buffer; still open at its next fill or loan,
+    the framer moves on without it: frames never change under a live loan.
+    """
+
+    __slots__ = ("_framer", "_buf", "_pool", "_lease")
+
+    def __init__(self, framer: FrameBuffer, pool):
+        self._framer, self._buf, self._pool, self._lease = framer, framer._buf, pool, None
+        framer.lent = pool
+
+    def take(self):
+        """The buffer's :class:`~repro.core.runtime.pool.Lease`."""
+        if self._lease is None:
+            if self._framer._buf is self._buf:  # (a closed loan has no framer: AttributeError)
+                self._framer.move()
+            self._lease = self._pool.lease(self._buf)
+        return self._lease
+
+    def close(self) -> None:
+        """The frames are done with: untaken, the framer has its buffer back."""
+        framer, self._framer = self._framer, None
+        if framer is not None and self._lease is None and framer._buf is self._buf:
+            framer.lent = None
+            if framer._start == framer._end:
+                framer._start = framer._end = 0  # drained: refill from the top
+        self._lease = None
+
+    __del__ = close
 
 
 class InMemoryPipe:

@@ -14,8 +14,20 @@ import numpy as np
 import pytest
 
 from repro.abi import SPARC_V8, X86, codec_for, layout_record
-from repro.core import IOContext
-from repro.net import DurablePublisher, DurableSubscription, EventChannel, Relay, ShmRingTransport, shm, shm_pair
+from repro.core import IOContext, PbioConnection
+from repro.core import encoder as enc
+from repro.core.runtime.pool import BufferPool
+from repro.net import (
+    DurablePublisher,
+    DurableSubscription,
+    EventChannel,
+    Relay,
+    ShmRingTransport,
+    SocketTransport,
+    loopback_pair,
+    shm,
+    shm_pair,
+)
 from repro.workloads import mechanical, random_record
 
 
@@ -134,6 +146,104 @@ class DurableBurst:
         self.ring_in.close()
 
 
+class CountingHeaderScan:
+    """``enc.HEADER_SEQ_STRUCT`` with each ``unpack_from`` — the batch
+    decode's own header parse — counted."""
+
+    def __init__(self, counts):
+        self.counts, self.real = counts, enc.HEADER_SEQ_STRUCT
+        self.size, self.pack = self.real.size, self.real.pack
+
+    def unpack_from(self, buffer, offset=0):
+        self.counts["header_unpacks"] += 1
+        return self.real.unpack_from(buffer, offset)
+
+
+class Stream:
+    """``stream_hetero``: two ``PbioConnection`` s over a loopback socket,
+    ``src`` -> x86, one ``send_batch_native`` a burst and ``recv_batch(lend=True)``
+    until it is in.  sparc converts every record; x86 lends views."""
+
+    src = SPARC_V8
+
+    def __init__(self, root, monkeypatch):
+        self.counts = counts = Counter()
+        self.a, self.b = loopback_pair()
+        tx, rx = IOContext(self.src), IOContext(X86)
+        rng = np.random.default_rng(22)
+        self.formats = {}
+        for size in ("100b", "100kb"):
+            schema = mechanical.schema_for_size(size)
+            rx.expect(schema)
+            codec = codec_for(layout_record(schema, self.src))
+            self.formats[size] = (tx.register_format(schema), codec, random_record(schema, rng))
+        self.sender, self.receiver = PbioConnection(tx, self.a), PbioConnection(rx, self.b)
+        self.natives = []
+        monkeypatch.setattr(
+            SocketTransport, "send_many", counted(counts, "send_many", SocketTransport.__dict__["send_many"])
+        )
+        sendv = SocketTransport.__dict__["_sendv"]
+
+        def counting_sendv(transport, bufs):
+            counts["sendv"] += 1
+            counts["iovecs"] += len(bufs)
+            # a record reaches the kernel as the caller's own buffer, or it was copied on the way
+            counts["payload_copies"] += sum(not any(buf is native for buf in bufs) for native in self.natives)
+            return sendv(transport, bufs)
+
+        monkeypatch.setattr(SocketTransport, "_sendv", counting_sendv)
+        for name in ("try_unpack_header", "unpack_header"):
+            monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
+        monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
+        monkeypatch.setattr(BufferPool, "lease", counted(counts, "leases", BufferPool.__dict__["lease"]))
+        monkeypatch.setattr(BufferPool, "acquire", counted(counts, "pool_acquisitions", BufferPool.__dict__["acquire"]))
+
+    def burst(self, shape):
+        n, size = shape
+        handle, codec, record = self.formats[size]
+        self.natives = [codec.encode(dict(record, node_id=k)) for k in range(n)]
+        buffer, views = self.b._framer._buf, []
+        self.sender.send_batch_native(handle, self.natives)
+        while len(views) < n:
+            views += self.receiver.recv_batch(lend=True)
+            self.counts["recv_batch"] += 1
+        assert [view["node_id"] for view in views] == list(range(n))
+        self.counts["receive_buffer_moves"] += self.b._framer._buf is not buffer
+        return sum(map(len, self.natives))
+
+    def close(self):
+        self.a.close()
+        self.b.close()
+
+
+class StreamHomo(Stream):
+    src = X86
+
+
+def stream_row(lent):
+    """What a burst of ``n`` records of a size class costs on the socket
+    path; ``lent`` is 1 where the receiver's views borrow the receive
+    buffer (x86 -> x86: one lease a burst) and 0 where every record is
+    converted into bytes of its own (the buffer never leaves the framer)."""
+
+    def row(shape, payload):
+        n, size = shape
+        gathered = size == "100kb"  # which side of GATHER_MIN_FRAME the frames are
+        return {
+            "send_many": 1,
+            "sendv": 1,
+            "iovecs": (3 if gathered else 2) * n,
+            "payload_copies": 0 if gathered else n,
+            "recv_batch": 1,
+            "header_unpacks": n,
+            "leases": lent,
+            "pool_acquisitions": lent,
+            "receive_buffer_moves": lent,
+        }
+
+    return row
+
+
 #: topology -> (builder, what one burst of n records carrying `payload`
 #: native bytes costs).  A WAL frame is 12 bytes around the burst's
 #: messages (16-byte header + 8-byte sequence each); the two cursor
@@ -162,11 +272,21 @@ TABLE = {
             "ack_ring.head_publishes": 1,
         },
     ),
+    "stream_hetero": (Stream, stream_row(lent=0)),
+    "stream_homo": (StreamHomo, stream_row(lent=1)),
 }
 
+STREAM_BURSTS = [(1, "100kb"), (32, "100b")]
+CASES = [("durable_burst", 8), ("durable_burst", 32)] + [
+    (topology, shape) for topology in ("stream_hetero", "stream_homo") for shape in STREAM_BURSTS
+]
 
-@pytest.mark.parametrize("n", [8, 32])
-@pytest.mark.parametrize("topology", sorted(TABLE))
+
+def case_id(value):
+    return value if isinstance(value, (str, int)) else "%dx%s" % value
+
+
+@pytest.mark.parametrize(("topology", "n"), CASES, ids=case_id)
 def test_a_burst_costs_what_the_table_says(topology, n, tmp_path, monkeypatch):
     build, row = TABLE[topology]
     rig = build(str(tmp_path), monkeypatch)

@@ -258,6 +258,31 @@ class TestAsyncTransportQueue:
         assert peer.recv() == b"head-tail"
         peer.close()
 
+    def test_segmented_frame_is_queued_as_its_segments(self):
+        """A gathered burst frame costs the queue no join: its immutable
+        segments are the iovecs, a mutable one is pinned (the send is
+        asynchronous; the caller may reuse its buffer at once)."""
+        from repro.net.transport import SegmentedFrame
+
+        async def scenario():
+            client, srv = tcp_pair()
+            transport = AsyncSocketTransport(srv)
+            queued, enqueue = [], transport._enqueue
+            transport._enqueue = lambda bufs, nbytes: (queued.append((list(bufs), nbytes)), enqueue(bufs, nbytes))
+            head, body = b"h" * 16, bytearray(b"b" * 5000)
+            transport.send_many([b"a", SegmentedFrame((head, body), 5016)])
+            body[:] = b"x" * 5000
+            await transport.drain()
+            transport.close()
+            return client, head, queued
+
+        client, head, ((bufs, nbytes),) = asyncio.run(scenario())
+        assert nbytes == 4 + 1 + 4 + 5016 and len(bufs) == 5 and bufs[3] is head and type(bufs[4]) is bytes
+        peer = SocketTransport(client)
+        peer.set_timeout(10.0)
+        assert peer.recv() == b"a" and peer.recv() == b"h" * 16 + b"b" * 5000
+        peer.close()
+
     def test_recv_timeout(self):
         async def scenario():
             client, srv = tcp_pair()

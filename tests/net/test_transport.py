@@ -4,15 +4,23 @@ import struct
 
 import pytest
 
+from repro.abi import X86, RecordSchema, codec_for, layout_record
+from repro.core import IOContext, PbioConnection
+from repro.core import encoder as enc
 from repro.net import (
+    FaultInjectingTransport,
+    FaultPlan,
     FrameBuffer,
     InMemoryPipe,
     NetworkModel,
+    ReconnectingTransport,
     SimulatedLink,
     TransportError,
     loopback_pair,
     paper_network_times_ms,
+    shm_pair,
 )
+from repro.net.transport import GATHER_MIN_FRAME, SegmentedFrame
 
 
 class TestFraming:
@@ -82,8 +90,8 @@ class TestInMemoryPipe:
 
     def test_send_segments_concatenates(self):
         a, b = InMemoryPipe().endpoints()
-        a.send_segments([b"head", memoryview(b"body")])
-        assert b.recv() == b"headbody"
+        a.send_segments([b"head", memoryview(b"body"), bytearray(b"tail")])
+        assert b.recv() == b"headbodytail"  # joined as they are: no per-segment bytes() first
 
 
 class TestNetworkModel:
@@ -162,6 +170,81 @@ class TestSockets:
         finally:
             c.close()
             s.close()
+
+
+class TestSegmentedFrames:
+    """A burst frame handed over as its segments is, on every sink, the
+    bytes of the same frame packed."""
+
+    HEAD, BODY = b"h" * 16, bytes(range(256)) * 20
+
+    def link(self, kind, root):
+        if kind in ("socket", "faulted", "reconnecting"):
+            a, b = loopback_pair(timeout_s=5.0)
+            if kind == "faulted":  # an active plan: the wrapper's own send path, nothing dropped
+                return FaultInjectingTransport(a, FaultPlan(drop_heartbeats=1.0)), b
+            return (ReconnectingTransport(lambda: a), b) if kind == "reconnecting" else (a, b)
+        if kind == "shm":
+            return shm_pair(capacity=1 << 16, directory=root)
+        return InMemoryPipe().endpoints() if kind == "pipe" else SimulatedLink().endpoints()
+
+    @pytest.mark.parametrize("kind", ["pipe", "simulated", "socket", "shm", "faulted", "reconnecting"])
+    def test_every_sink_delivers_the_packed_bytes(self, kind, tmp_path):
+        tx, rx = self.link(kind, str(tmp_path))
+        frame = SegmentedFrame((self.HEAD, memoryview(self.BODY)), len(self.HEAD) + len(self.BODY))
+        assert len(frame) == 16 + 5120 and bytes(frame) == self.HEAD + self.BODY
+        try:
+            tx.send_many([b"before", frame, b"after"])
+            got = []
+            while len(got) < 3:
+                got += rx.recv_many()
+            assert got == [b"before", self.HEAD + self.BODY, b"after"]
+        finally:
+            tx.close()
+            rx.close()
+
+    def test_wire_bytes_of_a_native_burst_are_the_packed_encoding(self):
+        """A recorded ``sendmsg`` transcript, both sides of the size
+        constant: what ``send_batch_native`` puts on the wire is
+        ``u32 length | encode_data_message`` per record, as before it
+        selected pack or gather — and a gathered record is the caller's
+        own buffer, a packed one a copy."""
+        a, b = loopback_pair()
+
+        class Recording:
+            def __init__(self, sock):
+                self.sock, self.calls = sock, []
+
+            def sendmsg(self, bufs):
+                self.calls.append(list(bufs))
+                return self.sock.sendmsg(bufs)
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        a._sock = wire = Recording(a._sock)
+        try:
+            edge = GATHER_MIN_FRAME - enc.HEADER_SIZE  # the record size whose frame sits on the constant
+            sizes = [100, edge - 4, edge, edge + 4, 100 * 1024]
+            tx = IOContext(X86)
+            schemas = [RecordSchema.from_pairs(f"r{n}", [("blob", f"char[{n}]")]) for n in sizes]
+            connection = PbioConnection(tx, a)
+            for n, schema in zip(sizes, schemas):
+                handle = tx.register_format(schema)
+                natives = [codec_for(layout_record(schema, X86)).encode({"blob": bytes([k + 1]) * n}) for k in range(3)]
+                assert len(natives[0]) == n
+                connection.send_batch_native(handle, natives)  # the first burst carries the announcement
+                del wire.calls[:]
+                connection.send_batch_native(handle, natives)
+                (bufs,) = wire.calls
+                expected = [enc.encode_data_message(tx.context_id, handle.format_id, native) for native in natives]
+                assert b"".join(bufs) == b"".join(struct.pack(">I", len(m)) + m for m in expected)
+                gathered = n >= edge
+                assert len(bufs) == (3 if gathered else 2) * len(natives)
+                assert [any(buf is native for buf in bufs) for native in natives] == [gathered] * 3
+        finally:
+            a.close()
+            b.close()
 
 
 class TestTiming:
