@@ -29,7 +29,9 @@ is the provenance of ``GATHER_MIN_FRAME``: packing wins by 5-40 % up to
 4 KB frames, the two are within a few per cent of each other from 10 KB
 to 16 KB, and gathering wins from 24 KB on (x 1.23 at 100 KB) — later
 than the whole-run join of the first table loses, since a frame's own
-``header + record`` is a far smaller copy than a run's.
+``header + record`` is a far smaller copy than a run's.  The runs-of-one
+column has a consumer of its own since PR 23: ``SocketTransport.send_segments``
+(the scalar ``PbioConnection.send_native``) selects by the same constant.
 
 ``PublisherWAL`` joins and ``ShmRingTransport.send_many`` stores per
 frame at every size, selecting nothing.  What that costs and buys is the
@@ -154,7 +156,8 @@ class _Socket:
             pass
 
     def join(self):
-        self.tx._sendv([_joined(self.frames, _LEN)])
+        run = _joined(self.frames, _LEN)
+        self.tx._sendv([run], len(run))
 
     def iovec(self):
         self.tx.send_many(self.frames)

@@ -10,11 +10,34 @@ CPU segments are measured; the network term comes from the calibrated
 below time the full local round trip (encode + decode both directions,
 no network) so pytest-benchmark tracks the CPU totals; the shape test
 checks the composed (network-inclusive) ratio.
+
+Two self-consistency guidelines ("MPI Derived Datatypes: Performance
+Expectations and Status Quo", PAPERS.md: the specialised call must not
+lose to the general one composed) sit beside the figure, over a real
+loopback pair, best-of figures from alternating rounds:
+
+* the scalar one-way ``send_native`` + ``recv_view`` costs at most 0.9 x
+  ``send_batch_native([r])`` + ``recv_batch(lend=True)`` at 100 B and 1 KB
+  (0.77 before the scalar lane was flattened, ~0.66 since): "scalar = a
+  burst of one" would lose that, so the scalar body stays;
+* ``SocketTransport.send_segments`` — joined below ``GATHER_MIN_FRAME``,
+  gathered from it on — costs at most 1.1 x the cheaper of always joining
+  and always gathering (the same method with the constant forced), timed
+  in the same rounds at 100 B, 1 KB and 100 KB: it never picks the wrong
+  side by more than noise.
 """
 
 import pytest
 
 import support
+from bench_ablation_iovec_crossover import SIZES as SIZE_BYTES, OwnDrain, send_inner
+from bench_batch_throughput import _alternating_best, _guideline_inner
+from repro.abi import codec_for, layout_record
+from repro.core import IOContext, PbioConnection
+from repro.core import encoder as enc
+from repro.net import loopback_pair, sockets
+from repro.workloads import mechanical
+from repro.workloads.generators import record_stream
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +82,68 @@ def test_shape_pbio_wins_and_gap_grows(exchanges):
     # The relative gap widens with size (conversion cost scales, PBIO's
     # does much less).
     assert ratios["100kb"] < ratios["100b"]
+
+
+@pytest.mark.parametrize("size", ("100b", "1kb"))
+def test_guideline_scalar_lane_beats_a_burst_of_one(size):
+    """One record sparc -> x86 over a loopback socket: the scalar pair
+    against the burst pair carrying the same one record."""
+    schema = mechanical.schema_for_size(size)
+    tx, rx = IOContext(support.SPARC), IOContext(support.I86)
+    rx.expect(schema)
+    handle = tx.register_format(schema)
+    (record,) = record_stream(schema, count=1, seed=5)
+    native = codec_for(layout_record(schema, support.SPARC)).encode(record)
+    a, b = loopback_pair()
+    sender, receiver = PbioConnection(tx, a), PbioConnection(rx, b)
+
+    def scalar():
+        sender.send_native(handle, native)
+        receiver.recv_view()
+
+    def burst_of_one():
+        sender.send_batch_native(handle, [native])
+        receiver.recv_batch(lend=True)
+
+    try:
+        t_scalar, t_burst = _alternating_best([scalar, burst_of_one], _guideline_inner())
+    finally:
+        a.close()
+        b.close()
+    ratio = t_scalar / t_burst
+    print(f"{size}: scalar {t_scalar * 1e6:.1f} us, burst of one {t_burst * 1e6:.1f} us: {ratio:.2f}")
+    assert ratio <= 0.9, (
+        f"scalar one-way at {size} {t_scalar * 1e6:.1f} us vs a burst of one {t_burst * 1e6:.1f} us "
+        f"(ratio {ratio:.2f}, guideline 0.9)"
+    )
+
+
+@pytest.mark.parametrize("size", ("100b", "1kb", "100kb"))
+def test_guideline_send_segments_picks_the_cheaper_side(size):
+    """``send_segments`` of a header and a record with its constant as it
+    is, and forced to either side: the same code three times over, so what
+    differs is the side taken."""
+    head = enc.pack_header(enc.MSG_DATA, 7, 1, SIZE_BYTES[size])
+    body = bytes(SIZE_BYTES[size])
+    rig = OwnDrain(4 + len(head) + len(body))
+    constant = sockets.GATHER_MIN_FRAME
+
+    def sending(threshold):
+        def send():
+            sockets.GATHER_MIN_FRAME = threshold
+            rig.tx.send_segments((head, body))
+
+        return send
+
+    try:
+        t_select, t_pack, t_gather = rig.alternating_best(
+            [sending(constant), sending(1 << 31), sending(0)], send_inner()
+        )
+    finally:
+        sockets.GATHER_MIN_FRAME = constant
+        rig.close()
+    print(f"{size}: send_segments {t_select * 1e6:.2f} us, pack {t_pack * 1e6:.2f} us, gather {t_gather * 1e6:.2f} us")
+    assert t_select <= 1.1 * min(t_pack, t_gather), (
+        f"send_segments at {size} {t_select * 1e6:.2f} us: always packing costs {t_pack * 1e6:.2f} us, "
+        f"always gathering {t_gather * 1e6:.2f} us (noise margin 1.1)"
+    )

@@ -3,7 +3,8 @@
 Handles the meta-information protocol transparently: the first time a
 format travels over the connection its announcement precedes the data
 message; the receiving side absorbs announcements and returns only data.
-This is the convenience layer examples and integration tests use — the
+This is the layer examples, integration tests and the reference benchmark
+(``benchmarks/e2e``: the socket workloads drive it) use; the figure
 benchmarks call the context primitives directly so the one-time costs can
 be measured separately.
 
@@ -26,6 +27,7 @@ to rather than silently assumed to remember formats the dead link heard
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.net.transport import GATHER_MIN_FRAME, SegmentedFrame, Transport
@@ -46,17 +48,36 @@ class PbioConnection:
         # Late-bound send: `self.transport` may be swapped for a
         # re-dialled replacement, and back-channel traffic must follow.
         self._negotiator = InboundNegotiator(ctx, lambda data: self.transport.send(data))
+        # header(format id, record length): the one spelling of "frame a native record"
+        self._header = partial(enc.HEADER_STRUCT.pack, enc.MAGIC, enc.VERSION, enc.MSG_DATA, ctx.context_id)
+        # (transport, format id) pairs a send owes nothing more: see _owed
+        self._settled: set[tuple] = set()
 
     # -- sending ------------------------------------------------------------
 
+    def _owed(self, handle: FormatHandle) -> list[bytes]:
+        """Announcement frames this link is still owed for ``handle``, after
+        answering what a transport with a zero-syscall ``pending()`` probe has
+        queued (the recovery dance converges though this side never calls
+        recv; on any other transport that takes :meth:`poll`)."""
+        transport = self.transport
+        pending = getattr(transport, "pending", None)
+        while pending is not None and pending():
+            self._negotiator.offer(transport.recv())
+        frames = self._announcer.pending_announcements(transport, handle)
+        if not frames and pending is None and not hasattr(transport, "generation"):
+            if any(link is not transport for link, _ in self._settled):
+                self._settled.clear()  # a replaced transport is not kept alive here
+            self._settled.add((transport, handle.format_id))
+        return frames
+
     def send_native(self, handle: FormatHandle, native) -> None:
         """Send a record already in native binary form (NDR fast path)."""
-        # Answer any meta requests the peer has queued before pushing
-        # more data at it (keeps the recovery dance converging even when
-        # this side never calls recv).
-        self._negotiator.pump(self.transport)
-        self._announcer.ensure_announced(self.transport, handle)
-        self.transport.send_segments(self.ctx.encode_segments(handle, native))
+        transport = self.transport
+        if (transport, handle.format_id) not in self._settled:
+            for frame in self._owed(handle):
+                transport.send(frame)
+        transport.send_segments((self._header(handle.format_id, len(native)), native))
 
     def send(self, handle: FormatHandle, record: dict[str, Any]) -> None:
         """Send a value dict (encodes to native form first)."""
@@ -71,40 +92,40 @@ class PbioConnection:
         packed (a copy cheaper than an iovec); a larger one is gathered:
         the caller's buffer goes to the transport untouched.
         """
-        self._negotiator.pump(self.transport)
-        frames = self._announcer.pending_announcements(self.transport, handle)
-        pack, magic, version, data = enc.HEADER_STRUCT.pack, enc.MAGIC, enc.VERSION, enc.MSG_DATA
-        cid, fid, gather = self.ctx.context_id, handle.format_id, GATHER_MIN_FRAME - enc.HEADER_SIZE
+        frames = [] if (self.transport, handle.format_id) in self._settled else self._owed(handle)
+        header, fid, gather = self._header, handle.format_id, GATHER_MIN_FRAME - enc.HEADER_SIZE
         for native in natives:
             if not isinstance(native, enc.FLAT_BUFFERS):
                 native = bytes(native)
             n = len(native)
-            head = pack(magic, version, data, cid, fid, n)
+            head = header(fid, n)
             frames.append(head + native if n < gather else SegmentedFrame((head, native), len(head) + n))
         self.transport.send_many(frames)
 
     # -- receiving ------------------------------------------------------------
 
-    def _recv_parsed(self) -> tuple[bytes, tuple | None]:
-        """Next data message plus its already-parsed header (when the
-        steady-state fast path produced one — threading it into the
-        pipeline makes each frame's header validate exactly once)."""
-        message = self._negotiator.next_ready()
-        header = None
-        while message is None:
-            message, header = self._negotiator.filter_parsed(self.transport.recv())
-        return message, header
+    def _recv(self, decode):
+        """The next data message through ``decode``: straight off the transport,
+        its header parsed once, when nothing is ready and no format pending;
+        anything else passes through the negotiator in order."""
+        negotiator = self._negotiator
+        ready = negotiator.ready
+        while not ready:
+            frame = self.transport.recv()
+            header = enc.try_unpack_header(frame)
+            if header is not None and header[0] == enc.MSG_DATA and not negotiator.unresolved:
+                return decode(frame, header=header)
+            negotiator.offer(frame, header=header)
+        return decode(ready.popleft())
 
     def recv(self) -> dict[str, Any]:
         """Receive and decode the next record to a dict."""
-        message, header = self._recv_parsed()
-        return self.ctx.pipeline.decode(message, header=header)
+        return self._recv(self.ctx.pipeline.decode)
 
     def recv_view(self):
         """Receive and decode the next record to a (possibly zero-copy)
         :class:`~repro.abi.views.RecordView`."""
-        message, header = self._recv_parsed()
-        return self.ctx.pipeline.decode_view(message, header=header)
+        return self._recv(self.ctx.pipeline.decode_view)
 
     def recv_batch(self, max_frames: int = 0, *, on_error: str = "raise", lend: bool = False) -> list:
         """Receive a burst of records in one pass.
@@ -162,10 +183,11 @@ class PbioConnection:
         """Drain frames available right now without blocking.
 
         Absorbs announcements, answers the peer's meta requests, and
-        queues any data messages for the next :meth:`recv`.  Useful for
-        send-mostly endpoints on non-blocking transports.
+        queues any data messages for the next :meth:`recv`, for send-mostly
+        endpoints: ``transport.poll_recv()`` is what every transport has.
         """
-        self._negotiator.pump(self.transport)
+        while (frame := self.transport.poll_recv()) is not None:
+            self._negotiator.offer(frame)
 
     def close(self) -> None:
         self.transport.close()

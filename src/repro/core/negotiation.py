@@ -140,28 +140,13 @@ class InboundNegotiator:
         path and whatever is ready next comes back (``None`` if the
         frame was absorbed by the negotiation).
         """
-        return self.filter_parsed(frame)[0]
-
-    def filter_parsed(self, frame) -> tuple[bytes | None, tuple | None]:
-        """:meth:`filter`, also returning the parsed header tuple.
-
-        Steady-state data frames come back as ``(frame, header)`` where
-        ``header`` is the validated ``(msg_type, context_id, format_id,
-        payload_len)`` — callers hand it to
-        ``DecodePipeline.decode(message, header=...)`` so those 16 bytes
-        are parsed exactly once per message, not once in the negotiation
-        sniff and again in the pipeline.  Foreign frames return
-        ``(frame, None)``; everything else takes the :meth:`offer` path
-        and returns ``(next_ready(), None)``.
-        """
+        header = None
         if not self.ready and not self._pending:
             header = enc.try_unpack_header(frame)
             if header is None or header[0] == enc.MSG_DATA:
-                return (frame if isinstance(frame, bytes) else bytes(frame), header)
-            self.offer(frame, header=header)
-            return (self.next_ready(), None)
-        self.offer(frame)
-        return (self.next_ready(), None)
+                return frame if isinstance(frame, bytes) else bytes(frame)
+        self.offer(frame, header=header)
+        return self.next_ready()
 
     @property
     def unresolved(self) -> int:
@@ -228,18 +213,6 @@ class InboundNegotiator:
             )
         held.append(bytes(frame))
         self.ctx.metrics.inc("fmtserv.messages_held")
-
-    def pump(self, transport) -> None:
-        """Drain frames available *right now* (non-blocking transports).
-
-        Lets a sender opportunistically answer meta requests between its
-        own sends; transports without a ``pending()`` probe are skipped.
-        """
-        pending = getattr(transport, "pending", None)
-        if pending is None:
-            return
-        while pending():
-            self.offer(transport.recv())
 
     # -- internals -----------------------------------------------------------
 

@@ -91,7 +91,7 @@ class DecodePipeline:
         "limits",
         "resolver",
         "_max_msg",
-        "_memo",
+        "_plans",
         "_staging",
     )
 
@@ -124,10 +124,9 @@ class DecodePipeline:
         #: a :meth:`repro.fmtserv.FormatService.resolve` bound method.
         #: ``None`` means this pipeline cannot absorb tokens by itself.
         self.resolver: Any = None
-        # Lock-free per-pipeline front for the (possibly shared, locked)
-        # cache: this pipeline's machine and conversion mode are fixed,
-        # so (wire, native) fingerprints alone identify an entry.
-        self._memo: dict[tuple[bytes, bytes], CacheEntry] = {}
+        # Format plans (_resolve): the lock-free front of the registry, the
+        # expected table and the (possibly shared, locked) cache.
+        self._plans: dict[tuple[int, int], list] = {}
         # Grow-only source staging for multi-record kernel calls.
         self._staging = bytearray()
 
@@ -155,6 +154,12 @@ class DecodePipeline:
         wanted, live in ``DurableSubscription``, above this layer — here
         the sequence is just framing.
         """
+        plan, payload = self._open(message, header)
+        return plan[0], payload
+
+    def _open(self, message, header) -> tuple[list, memoryview]:
+        """:meth:`open_data` for the decode bodies: the frame's plan (the
+        wire half at least, see :meth:`_resolve`) and its payload."""
         try:
             if self._max_msg is not None and len(message) > self._max_msg:
                 raise LimitError(
@@ -178,18 +183,49 @@ class DecodePipeline:
             else:
                 raise MessageError("expected a data message")
             payload = memoryview(message)[start:]
-            wire_fmt = self.registry.remote_format(context_id, format_id)
-            if payload_len != wire_fmt.record_size and (
-                payload_len < wire_fmt.record_size or not wire_fmt.has_strings
-            ):
+            key = (context_id, format_id)
+            plan = self._plans.get(key)
+            if plan is None:
+                plan = self._resolve(key, native=False)
+            rec_size = plan[1]
+            if payload_len != rec_size and (payload_len < rec_size or not plan[2]):
                 raise MessageError(
                     f"payload of {payload_len} bytes does not cover a "
-                    f"{wire_fmt.record_size}-byte {wire_fmt.name!r} record"
+                    f"{rec_size}-byte {plan[0].name!r} record"
                 )
-            return wire_fmt, payload
+            return plan, payload
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
+
+    def _resolve(self, key=None, plan: list | None = None, native: bool = True, codec: bool = True) -> list:
+        """The format plan of one ``(context id, format id)``: ``[wire
+        format, record size, has_strings, expected native format, cache
+        entry, native codec]`` — what a data frame needs once its header is
+        parsed, resolved once per format and remembered (``plan``: the
+        caller's own lookup, in place of ``key``).  The native half (only
+        with ``native``: :meth:`open_data` names none; a ``codec`` only where
+        records are read) counts as :meth:`entry_for` counts and is checked
+        against the live ``expected`` table: a replacing ``expect()`` holds at once."""
+        if plan is None:
+            plan = self._plans.get(key)
+            if plan is None:
+                wire_fmt = self.registry.remote_format(*key)
+                if self.limits is not None and len(self._plans) >= self.limits.max_cache_entries:
+                    self._plans.clear()  # keep the lock-free front bounded too
+                plan = self._plans[key] = [wire_fmt, wire_fmt.record_size, wire_fmt.has_strings, None, None, None]
+        if native:
+            wire_fmt = plan[0]
+            expected = self.expected.get(wire_fmt.name)
+            if expected is not None and expected is plan[3]:
+                self.metrics.inc("converter_cache_hits")
+                self.cache.metrics.inc("converter_cache_hits")
+            else:
+                expected = self.native_for(wire_fmt)
+                plan[3:] = expected, self.entry_for(wire_fmt, expected), None
+            if codec and plan[5] is None:
+                plan[5] = codec_for(self._layout_of(expected))
+        return plan
 
     def native_for(self, wire_fmt: IOFormat) -> IOFormat:
         """The expected native format matching ``wire_fmt`` by name."""
@@ -287,12 +323,6 @@ class DecodePipeline:
         Mirrors the cache outcome into this pipeline's own metrics so
         per-context counters stay meaningful under a shared cache.
         """
-        memo_key = (wire_fmt.fingerprint, native.fingerprint)
-        entry = self._memo.get(memo_key)
-        if entry is not None:
-            self.metrics.inc("converter_cache_hits")
-            self.cache.metrics.inc("converter_cache_hits")
-            return entry
         try:
             entry, outcome = self.cache.resolve(
                 wire_fmt, native, self.conversion, self.machine, self._build_entry
@@ -307,21 +337,19 @@ class DecodePipeline:
             ) from exc
         if outcome == "hit":
             self.metrics.inc("converter_cache_hits")
-        elif outcome == "built":
+            return entry
+        if outcome == "built":
             self.metrics.inc("converters_generated")
             self.metrics.add("generation_time_s", entry.generation_time_s)
-        if (
-            self.limits is not None
-            and len(self._memo) >= self.limits.max_cache_entries
-        ):
-            self._memo.clear()  # keep the lock-free front bounded too
-        self._memo[memo_key] = entry
+        full = self.cache.max_entries
+        if full is not None and len(self.cache) >= full:
+            self._plans.clear()  # the insert may have evicted an entry a plan still names
         return entry
 
     def set_cache(self, cache: ConverterCache) -> None:
-        """Re-point at another (shared) cache, dropping the local front."""
+        """Re-point at another (shared) cache, dropping the format plans."""
         self.cache = cache
-        self._memo.clear()
+        self._plans.clear()
 
     def _build_entry(self, wire_fmt: IOFormat, native: IOFormat) -> CacheEntry:
         match = match_formats(wire_fmt, native)
@@ -378,10 +406,10 @@ class DecodePipeline:
         """Decode to record bytes in the pipeline's native layout."""
         timed = self.metrics.timing_enabled
         t0 = perf_counter() if timed else 0.0
-        wire_fmt, payload = self.open_data(message, header=header)
+        plan, payload = self._open(message, header)
         try:
             t1 = perf_counter() if timed else 0.0
-            entry = self.entry_for(wire_fmt, self.native_for(wire_fmt))
+            wire_fmt, _, _, _, entry, _ = self._resolve(plan=plan, codec=False)
             t2 = perf_counter() if timed else 0.0
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
@@ -410,21 +438,19 @@ class DecodePipeline:
         """
         timed = self.metrics.timing_enabled
         t0 = perf_counter() if timed else 0.0
-        wire_fmt, payload = self.open_data(message, header=header)
+        plan, payload = self._open(message, header)
         try:
             t1 = perf_counter() if timed else 0.0
-            native = self.native_for(wire_fmt)
-            entry = self.entry_for(wire_fmt, native)
-            layout = self._layout_of(native)
+            wire_fmt, _, has_strings, _, entry, codec = self._resolve(plan=plan)
             t2 = perf_counter() if timed else 0.0
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
-                view = RecordView(layout, payload, lease=lease)
+                view = RecordView(codec, payload, lease=lease)
             else:
                 self.metrics.inc("converted_decodes")
                 # a string plan's output is variable-size: it builds its own
-                dst = None if wire_fmt.has_strings else bytearray(entry.native_size)
-                view = RecordView(layout, self._run_converter(entry, wire_fmt, payload, dst))
+                dst = None if has_strings else bytearray(entry.native_size)
+                view = RecordView(codec, self._run_converter(entry, wire_fmt, payload, dst))
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
@@ -620,15 +646,13 @@ class DecodePipeline:
                         gkey = (context_id, format_id)
                         metrics.inc("decode.batch.groups")
                         try:
-                            wire_fmt = self.registry.remote_format(context_id, format_id)
-                            native = self.native_for(wire_fmt)
-                            entry = self.entry_for(wire_fmt, native)
-                            codec = None if native_out else codec_for(self._layout_of(native))
+                            wire_fmt, rec_size, has_strings, _, entry, codec = self._resolve(gkey, codec=not native_out)
                             unresolved = None
                         except PbioError as exc:
                             unresolved = exc
                         else:
-                            rec_size, has_strings = wire_fmt.record_size, wire_fmt.has_strings
+                            if native_out:
+                                codec = None  # (another shape may have resolved one)
                             as_views = lend and entry.zero_copy and codec is not None
                             if lend and entry.zero_copy and lease is not None:
                                 lease = lease.take()  # results will alias the frames

@@ -93,6 +93,9 @@ class SimulatedEndpoint(Transport):
     def pending(self) -> int:
         return self._pipe.pending()
 
+    def poll_recv(self) -> bytes | None:
+        return self.recv() if self._pipe.pending() else None
+
     @property
     def bytes_sent(self) -> int:
         return self._pipe.bytes_sent

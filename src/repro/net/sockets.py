@@ -5,9 +5,11 @@ kernel socket (framing, partial reads, large messages), not just the
 in-memory pipe.
 
 The send side is vectored: ``sendmsg`` takes the length prefix, the
-header segment and the application payload as separate iovecs, so neither
-:meth:`SocketTransport.send_segments` nor :meth:`send_many` ever builds a
-contiguous copy of the burst.  The receive side runs a buffered framer —
+header segment and the application payload as separate iovecs — from
+:data:`~repro.net.transport.GATHER_MIN_FRAME` on.  A smaller frame's own
+copy is cheaper than its iovecs: :meth:`SocketTransport.send_segments`
+joins it behind its prefix (and ``PbioConnection`` packs a burst's small
+frames before :meth:`send_many`).  The receive side runs a buffered framer —
 one ``recv_into`` per syscall into a reusable buffer, from which every
 *complete* frame already received is sliced without further kernel
 crossings (:meth:`recv_many`).
@@ -15,11 +17,13 @@ crossings (:meth:`recv_many`).
 
 from __future__ import annotations
 
+import select
 import socket
 
 from repro.core.runtime.pool import BufferPool
 
 from .transport import (
+    GATHER_MIN_FRAME,
     MAX_FRAME,
     FrameBuffer,
     Loan,
@@ -53,13 +57,13 @@ class SocketTransport(Transport):
 
     # -- vectored send ------------------------------------------------------
 
-    def _sendv(self, bufs: list) -> None:
-        """sendall for an iovec list: one ``sendmsg`` when the kernel
-        takes the whole burst, else one per <=512 buffers, resuming
-        mid-buffer on partial sends."""
+    def _sendv(self, bufs: list, total: int) -> None:
+        """sendall for an iovec list of ``total`` bytes: one ``sendmsg``
+        when the kernel takes the whole burst, else one per <=512 buffers,
+        resuming mid-buffer on partial sends."""
         try:
-            sent = self._sock.sendmsg(bufs[:_IOV_MAX])
-            if sent == sum(map(len, bufs)):
+            sent = self._sock.sendmsg(bufs if len(bufs) <= _IOV_MAX else bufs[:_IOV_MAX])
+            if sent == total:
                 return
             # Zero-length buffers (empty frames/segments) never advance
             # the resume cursor — sendmsg reports 0 bytes for them — so
@@ -87,30 +91,42 @@ class SocketTransport(Transport):
         n = len(payload)
         if n > MAX_FRAME:
             raise TransportError(f"frame too large: {n}")
-        self._sendv([_LEN.pack(n), payload])
+        self._sendv([_LEN.pack(n), payload], 4 + n)
 
     def send_segments(self, segments) -> None:
-        """One logical message from many buffers, zero-copy: the length
-        prefix and each segment go to the kernel as separate iovecs."""
-        total = sum(len(s) for s in segments)
+        """One logical message from many buffers: from ``GATHER_MIN_FRAME``
+        on, the length prefix and each segment as separate iovecs, zero-copy;
+        below it joined behind the prefix into one buffer — a copy cheaper
+        than the iovecs (``bench_ablation_iovec_crossover.py``, runs of one)."""
+        total = 0
+        for segment in segments:
+            total += len(segment)
         if total > MAX_FRAME:
             raise TransportError(f"frame too large: {total}")
-        self._sendv([_LEN.pack(total), *segments])
+        if total >= GATHER_MIN_FRAME:
+            return self._sendv([_LEN.pack(total), *segments], 4 + total)
+        try:
+            self._sock.sendall(b"".join((_LEN.pack(total), *segments)))
+        except TimeoutError as exc:
+            raise TransportTimeout(f"send timed out: {exc}") from exc
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}") from exc
 
     def send_many(self, frames) -> None:
         """Many length-prefixed messages in one vectored burst."""
-        bufs = []
+        bufs, total = [], 0
         for payload in frames:
             n = len(payload)
             if n > MAX_FRAME:
                 raise TransportError(f"frame too large: {n}")
+            total += 4 + n
             bufs.append(_LEN.pack(n))
             if type(payload) is SegmentedFrame:
                 bufs.extend(payload.segments)
             else:
                 bufs.append(payload)
         if bufs:
-            self._sendv(bufs)
+            self._sendv(bufs, total)
 
     # -- buffered receive framer --------------------------------------------
     #
@@ -130,20 +146,18 @@ class SocketTransport(Transport):
             raise TransportError("connection closed mid-frame")
         self._framer.advance(got)
 
-    def _next_frame(self) -> bytes:
+    def recv(self) -> bytes:
+        next_frame = self._framer.next_frame
         while True:
-            data = self._framer.next_frame()
+            data = next_frame()
             if data is not None:
                 return data
             self._fill()
 
-    def recv(self) -> bytes:
-        return self._next_frame()
-
     def recv_many(self, max_frames: int = 0) -> list[bytes]:
         """One blocking frame plus every further complete frame already
         sitting in the receive buffer — no extra syscalls."""
-        out = [self._next_frame()]
+        out = [self.recv()]
         while max_frames <= 0 or len(out) < max_frames:
             data = self._framer.next_frame()
             if data is None:
@@ -177,24 +191,18 @@ class SocketTransport(Transport):
     def poll_recv(self) -> bytes | None:
         """A complete frame if one is buffered or readable *now*, else None.
 
-        Drains the kernel buffer with ``MSG_DONTWAIT`` reads until either
+        Reads while the kernel says there is something to read, until either
         a frame completes or the socket has nothing more to give — never
-        blocks, regardless of the configured timeout.
+        blocks, regardless of the configured timeout (with one set, Python
+        waits for readability ahead of any read, ``MSG_DONTWAIT`` or not).
         """
         while True:
             data = self._framer.next_frame()
             if data is not None:
                 return data
-            view = self._framer.writable(self._framer.needed())
-            try:
-                got = self._sock.recv_into(view, 0, socket.MSG_DONTWAIT)
-            except (BlockingIOError, InterruptedError):
+            if not select.select((self._sock,), (), (), 0)[0]:
                 return None
-            except OSError as exc:
-                raise TransportError(f"recv failed: {exc}") from exc
-            if not got:
-                raise TransportError("connection closed mid-frame")
-            self._framer.advance(got)
+            self._fill()
 
     def close(self) -> None:
         try:

@@ -222,16 +222,26 @@ class FrameBuffer:
         return self._end - self._start
 
     def next_frame(self) -> bytes | None:
-        """Slice one complete frame out of the buffer, or None."""
-        data = self.next_frame_view()
-        if data is not None:
-            data = bytes(data)
-            if self._start == self._end:
-                self._start = self._end = 0  # drained: make compaction rare
+        """Copy one complete frame out of the buffer, or None."""
+        start, end = self._start, self._end
+        if end - start < 4:
+            return None
+        (n,) = _LEN.unpack_from(self._buf, start)
+        if n > MAX_FRAME:
+            raise TransportError(f"frame too large: {n}")
+        stop = start + 4 + n
+        if stop > end:
+            return None
+        data = bytes(self._view[start + 4 : stop])
+        if stop == end:
+            self._start = self._end = 0  # drained: make compaction rare
+        else:
+            self._start = stop
         return data
 
     def next_frame_view(self) -> memoryview | None:
-        """Like :meth:`next_frame`, but a zero-copy slice of the buffer.
+        """Like :meth:`next_frame`, but a zero-copy slice of the buffer (the
+        leased path: nothing is reset under the slices handed out).
 
         The slice aliases this framer's buffer, so the caller must either
         consume it before the next :meth:`writable`/:meth:`advance` cycle

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.core import encoder as enc
 from repro.core.negotiation import Announcer, InboundNegotiator
 from repro.fmtserv import FormatCache, FormatServer, FormatService
-from repro.net import EventChannel, InMemoryPipe, Relay, TransportError
+from repro.net import EventChannel, InMemoryPipe, Relay, TransportError, loopback_pair
 
 from .helpers import FakeClock, SyncServerLink, no_sleep
 
@@ -60,21 +60,21 @@ class CountingPipeEnd:
     def recv(self):
         return self.inner.recv()
 
-    def pending(self):
-        return self.inner.pending()
+    def poll_recv(self):
+        return self.inner.poll_recv()
 
     def close(self):
         self.inner.close()
 
 
-def make_link(sender_svc=None, receiver_svc=None):
-    pipe = InMemoryPipe()
-    outbound = CountingPipeEnd(pipe.a)
+def make_link(sender_svc=None, receiver_svc=None, ends=None):
+    a, b = ends or InMemoryPipe().endpoints()
+    outbound = CountingPipeEnd(a)
     sctx = IOContext(X86_64, format_service=sender_svc)
     rctx = IOContext(SPARC_V8, format_service=receiver_svc)
     rctx.expect(TELEMETRY)
     sender = PbioConnection(sctx, outbound)
-    receiver = PbioConnection(rctx, pipe.b)
+    receiver = PbioConnection(rctx, b)
     handle = sctx.register_format(TELEMETRY)
     return sender, receiver, handle, outbound
 
@@ -132,16 +132,18 @@ class TestConnectionTokens:
         # and the receiver resolved from its own cache: zero round-trips
         assert server.metrics.value("fmtserv.lookups") == lookups_before
 
-    def test_cold_receiver_recovers_via_meta_request(self):
+    def test_cold_receiver_recovers_via_meta_request(self, ends=None):
         # Sender has a server; receiver is fully offline with a cold
         # cache — the worst case.  The link itself must recover.
         server = FormatServer()
         sender, receiver, handle, wire = make_link(
-            make_service(server), make_service()  # offline receiver
+            make_service(server), make_service(), ends  # offline receiver
         )
         for record in RECORDS:
             sender.send(handle, record)  # token + 3 held-to-be data frames
         got = [pumped_recv(receiver, sender) for _ in RECORDS]
+        sender.close()
+        receiver.close()
         assert got == [pytest.approx(r) for r in RECORDS]  # in order, no loss
         rmetrics = receiver.ctx.metrics
         assert rmetrics.value("fmtserv.meta_requests_sent") == 1
@@ -150,6 +152,11 @@ class TestConnectionTokens:
         assert sender.ctx.metrics.value("fmtserv.meta_requests_served") == 1
         # the recovery meta went over the wire exactly once
         assert wire.kinds.count(enc.MSG_FORMAT) == 1
+
+    def test_cold_receiver_recovers_via_meta_request_over_a_socket(self):
+        # The same case where a receive with nothing to read times out and
+        # the sender's poll() has no pending() probe to lean on.
+        self.test_cold_receiver_recovers_via_meta_request(loopback_pair(timeout_s=0.2))
 
     def test_restarted_receiver_decodes_from_disk_cache(self, tmp_path):
         # Acceptance: a receiver restarted with a primed cache file

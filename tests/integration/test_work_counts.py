@@ -16,6 +16,8 @@ import pytest
 from repro.abi import SPARC_V8, X86, codec_for, layout_record
 from repro.core import IOContext, PbioConnection
 from repro.core import encoder as enc
+from repro.core.registry import FormatRegistry
+from repro.core.runtime import ConverterCache, DecodePipeline
 from repro.core.runtime.pool import BufferPool
 from repro.net import (
     DurablePublisher,
@@ -28,6 +30,7 @@ from repro.net import (
     shm,
     shm_pair,
 )
+from repro.net import sockets, transport
 from repro.workloads import mechanical, random_record
 
 
@@ -184,12 +187,12 @@ class Stream:
         )
         sendv = SocketTransport.__dict__["_sendv"]
 
-        def counting_sendv(transport, bufs):
+        def counting_sendv(transport, bufs, total):
             counts["sendv"] += 1
             counts["iovecs"] += len(bufs)
             # a record reaches the kernel as the caller's own buffer, or it was copied on the way
             counts["payload_copies"] += sum(not any(buf is native for buf in bufs) for native in self.natives)
-            return sendv(transport, bufs)
+            return sendv(transport, bufs, total)
 
         monkeypatch.setattr(SocketTransport, "_sendv", counting_sendv)
         for name in ("try_unpack_header", "unpack_header"):
@@ -218,6 +221,126 @@ class Stream:
 
 class StreamHomo(Stream):
     src = X86
+
+
+class CountingSocket:
+    """A transport's socket with its send and receive syscalls counted, and
+    whether ``native`` reached the kernel as the caller's own buffer."""
+
+    def __init__(self, sock, counts):
+        self.sock, self.counts, self.native = sock, counts, None
+
+    def sendall(self, data):
+        self.counts["sendall"] += 1
+        self.counts["payload_copies"] += data is not self.native
+        return self.sock.sendall(data)
+
+    def sendmsg(self, bufs):
+        self.counts["sendmsg"] += 1
+        self.counts["iovecs"] += len(bufs)
+        self.counts["payload_copies"] += not any(buf is self.native for buf in bufs)
+        return self.sock.sendmsg(bufs)
+
+    def recv_into(self, *args):
+        self.counts["recv_into"] += 1
+        return self.sock.recv_into(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+class CountingPrefix:
+    """``transport._LEN`` with each ``unpack_from`` — a framer reading a
+    length prefix — counted."""
+
+    def __init__(self, counts):
+        self.counts, self.real = counts, transport._LEN
+
+    def unpack_from(self, buffer, offset=0):
+        self.counts["prefix_unpacks"] += 1
+        return self.real.unpack_from(buffer, offset)
+
+
+class RttScalar:
+    """``rtt_scalar``: two ``PbioConnection`` s over a loopback socket,
+    sparc <-> x86, one record there (``send_native`` + ``recv_view``) and
+    its reply back — every count is of the two records of one round trip."""
+
+    def __init__(self, root, monkeypatch):
+        self.counts = counts = Counter()
+        self.a, self.b = loopback_pair()
+        self.a._sock, self.b._sock = CountingSocket(self.a._sock, counts), CountingSocket(self.b._sock, counts)
+        sparc, x86 = IOContext(SPARC_V8), IOContext(X86)
+        rng = np.random.default_rng(23)
+        self.formats = {}
+        for size in ("1kb", "100kb"):
+            schema = mechanical.schema_for_size(size)
+            record = random_record(schema, rng)
+            legs = []
+            for ctx, peer, machine in ((sparc, x86, SPARC_V8), (x86, sparc, X86)):
+                peer.expect(schema)
+                legs.append((ctx.register_format(schema), codec_for(layout_record(schema, machine)).encode(record)))
+            self.formats[size] = legs
+        self.client, self.server = PbioConnection(sparc, self.a), PbioConnection(x86, self.b)
+        monkeypatch.setattr(transport, "_LEN", CountingPrefix(counts))
+        for name in ("try_unpack_header", "unpack_header"):
+            monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
+        monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
+        recv = SocketTransport.__dict__["recv"]
+
+        def counting_recv(transport):
+            self.frame = recv(transport)  # bytes: the one copy off the framer
+            counts["frame_copies"] += 1
+            return self.frame
+
+        decode_view = DecodePipeline.__dict__["decode_view"]
+
+        def counting_decode_view(pipeline, message, **kwargs):
+            counts["frame_copies"] += message is not self.frame  # decoded where the transport left it
+            return decode_view(pipeline, message, **kwargs)
+
+        monkeypatch.setattr(SocketTransport, "recv", counting_recv)
+        monkeypatch.setattr(DecodePipeline, "decode_view", counting_decode_view)
+        for owner, name, key in (
+            (DecodePipeline, "_run_converter", "converter_calls"),
+            (FormatRegistry, "remote_format", "resolves"),
+            (DecodePipeline, "native_for", "resolves"),
+            (DecodePipeline, "entry_for", "resolves"),
+            (ConverterCache, "resolve", "resolves"),
+            (BufferPool, "acquire", "pool_acquisitions"),
+            (BufferPool, "lease", "leases"),
+        ):
+            monkeypatch.setattr(owner, name, counted(counts, key, owner.__dict__[name]))
+        monkeypatch.setattr(sockets, "Loan", counted(counts, "loans", transport.Loan))
+
+    def burst(self, size):
+        (there, request), (back, reply) = self.formats[size]
+        self.a._sock.native, self.b._sock.native = request, reply
+        self.client.send_native(there, request)
+        got = self.server.recv_view()
+        self.server.send_native(back, reply)
+        assert got["node_id"] == self.client.recv_view()["node_id"]
+        return len(request) + len(reply)
+
+    def close(self):
+        self.a.close()
+        self.b.close()
+
+
+def rtt_row(size, payload):
+    """What the two records of one warm round trip cost: each one send
+    syscall — joined behind its prefix below ``GATHER_MIN_FRAME``, three
+    iovecs and the caller's own buffer from it on —, one header parse, one
+    copy off the framer, one converter run, and nothing resolved again."""
+    row = {
+        "sendall": 2, "sendmsg": 0, "iovecs": 0, "payload_copies": 2, "recv_into": 2, "prefix_unpacks": 2,
+        "header_unpacks": 2, "frame_copies": 2, "converter_calls": 2, "resolves": 0,
+        "pool_acquisitions": 0, "leases": 0, "loans": 0,
+    }  # fmt: skip
+    if size == "100kb":  # gathered, and too large for one read: how many it takes is the kernel's business
+        row.update(sendall=0, sendmsg=2, iovecs=6, payload_copies=0)
+        del row["recv_into"], row["prefix_unpacks"]
+    return row
 
 
 def stream_row(lent):
@@ -274,12 +397,13 @@ TABLE = {
     ),
     "stream_hetero": (Stream, stream_row(lent=0)),
     "stream_homo": (StreamHomo, stream_row(lent=1)),
+    "rtt_scalar": (RttScalar, rtt_row),
 }
 
 STREAM_BURSTS = [(1, "100kb"), (32, "100b")]
 CASES = [("durable_burst", 8), ("durable_burst", 32)] + [
     (topology, shape) for topology in ("stream_hetero", "stream_homo") for shape in STREAM_BURSTS
-]
+] + [("rtt_scalar", "1kb"), ("rtt_scalar", "100kb")]
 
 
 def case_id(value):

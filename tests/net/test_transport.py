@@ -161,6 +161,26 @@ class TestSockets:
             c.close()
             s.close()
 
+    def test_poll_recv_never_waits_out_the_timeout(self):
+        # Regression: on a socket with a timeout set Python waits for
+        # readability ahead of any read, MSG_DONTWAIT included, so a poll
+        # of an idle link blocked for the whole timeout and then raised.
+        import time
+
+        c, s = loopback_pair(timeout_s=5.0)
+        try:
+            start = time.monotonic()
+            assert s.poll_recv() is None
+            assert time.monotonic() - start < 1.0
+            c.send(b"now")
+            frame = None
+            while frame is None and time.monotonic() - start < 5.0:
+                frame = s.poll_recv()
+            assert frame == b"now" and s.poll_recv() is None
+        finally:
+            c.close()
+            s.close()
+
     def test_large_message_survives_partial_reads(self):
         c, s = loopback_pair()
         try:
@@ -204,11 +224,13 @@ class TestSegmentedFrames:
             rx.close()
 
     def test_wire_bytes_of_a_native_burst_are_the_packed_encoding(self):
-        """A recorded ``sendmsg`` transcript, both sides of the size
-        constant: what ``send_batch_native`` puts on the wire is
-        ``u32 length | encode_data_message`` per record, as before it
-        selected pack or gather — and a gathered record is the caller's
-        own buffer, a packed one a copy."""
+        """A recorded socket transcript, both sides of the size constant:
+        what ``send_batch_native`` — and ``send_native``, a record at a
+        time — puts on the wire is ``u32 length | encode_data_message``
+        per record, as before either selected pack or gather — and a
+        gathered record is the caller's own buffer, a packed one a copy
+        (the scalar frame below the constant is one buffer to the kernel,
+        its prefix included)."""
         a, b = loopback_pair()
 
         class Recording:
@@ -218,6 +240,10 @@ class TestSegmentedFrames:
             def sendmsg(self, bufs):
                 self.calls.append(list(bufs))
                 return self.sock.sendmsg(bufs)
+
+            def sendall(self, data):
+                self.calls.append([data])
+                return self.sock.sendall(data)
 
             def __getattr__(self, name):
                 return getattr(self.sock, name)
@@ -242,6 +268,11 @@ class TestSegmentedFrames:
                 gathered = n >= edge
                 assert len(bufs) == (3 if gathered else 2) * len(natives)
                 assert [any(buf is native for buf in bufs) for native in natives] == [gathered] * 3
+                del wire.calls[:]
+                connection.send_native(handle, natives[0])
+                (bufs,) = wire.calls
+                assert b"".join(bufs) == struct.pack(">I", len(expected[0])) + expected[0]
+                assert len(bufs) == (3 if gathered else 1) and (bufs[-1] is natives[0]) == gathered
         finally:
             a.close()
             b.close()
