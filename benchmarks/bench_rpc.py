@@ -20,7 +20,7 @@ import pytest
 import support
 from repro.abi import RecordSchema
 from repro.core import RpcClient, RpcInterface, RpcOperation, RpcServer
-from repro.net import InMemoryPipe, best_of
+from repro.net import InMemoryPipe, Transport, best_of
 from repro.wire.iiop import Interface, ObjectAdapter, Operation, OrbClient
 
 REQ = RecordSchema.from_pairs("solve_req", [("rhs", "double[64]"), ("tol", "double")])
@@ -59,7 +59,7 @@ def pbio_stack(client_machine, server_machine):
     server = RpcServer(server_machine, interface)
     server.register(b"solver", {"solve": solve})
 
-    class Loop:
+    class Loop(Transport):
         def send(self, data):
             pipe.a.send(data)
 
@@ -67,6 +67,9 @@ def pbio_stack(client_machine, server_machine):
             while pipe.b.pending() and not pipe.a.pending():
                 server.serve_one(pipe.b)
             return pipe.a.recv()
+
+        def close(self):
+            pass
 
     transport = Loop()
     call = lambda: client.invoke(transport, b"solver", "solve", REQUEST)  # noqa: E731

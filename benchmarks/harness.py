@@ -273,9 +273,9 @@ def extensions() -> None:
 
 
 def metrics() -> None:
-    """Decode-runtime metrics: shared converter cache + per-stage timings."""
+    """Decode-runtime metrics: shared converter cache + per-context counters."""
     print("=" * 78)
-    print("Decode runtime metrics: shared cache, buffer pool, stage timings")
+    print("Decode runtime metrics: shared cache, per-subscriber counters")
     print("=" * 78)
     from repro.core import ConverterCache
     from repro.net import EventChannel
@@ -287,7 +287,6 @@ def metrics() -> None:
     for _ in range(8):
         ctx = IOContext(support.SPARC)
         ctx.expect(schema)
-        ctx.metrics.timing_enabled = True
         subscribers.append(channel.subscribe(ctx, lambda r: None))
     sender = IOContext(support.I86)
     handle = sender.register_format(schema)
@@ -297,10 +296,7 @@ def metrics() -> None:
         pub.publish(handle, record)
     print(f"subscribers: {len(subscribers)}, records published: 50")
     print(f"shared cache: {cache.metrics.snapshot()['counters']}")
-    snap = subscribers[0].ctx.metrics.snapshot()
-    print(f"subscriber[0] counters: {snap['counters']}")
-    for stage, timing in sorted(snap["timings"].items()):
-        print(f"  {stage}: n={timing['count']} mean={timing['mean_s'] * 1e6:.2f} us")
+    print(f"subscriber[0] counters: {subscribers[0].ctx.metrics.snapshot()['counters']}")
     print("all 8 same-machine subscribers share one generated converter")
     print()
 

@@ -47,7 +47,7 @@ from .runtime import (
 )
 from .context import FormatHandle, IOContext
 from .connection import PbioConnection
-from .negotiation import Announcer, InboundNegotiator, link_key
+from .negotiation import Announcer, InboundNegotiator, LinkTable
 from .pbio_wire import BoundPbio, PbioWire
 from .reflection import MessageInfo, generic_decode, incoming_format, peek_message
 from .versioning import CompatibilityReport, check_evolution
@@ -104,7 +104,7 @@ __all__ = [
     "TokenResolutionError",
     "Announcer",
     "InboundNegotiator",
-    "link_key",
+    "LinkTable",
     "PbioWire",
     "BoundPbio",
     "MessageInfo",

@@ -19,10 +19,10 @@ dropped), and the sender answers with classic inline meta.  Everything
 degrades to the pre-service wire protocol; nothing ever depends on the
 format server being up.
 
-Announcement state is keyed by *live link identity* — transport token
-plus reconnect generation — so a re-dialled transport is re-announced
-to rather than silently assumed to remember formats the dead link heard
-(see :func:`~repro.core.negotiation.link_key`).
+Announcement state is kept per *live link incarnation* — the transport
+object and its reconnect generation — so a re-dialled transport is
+re-announced to rather than silently assumed to remember formats the dead
+link heard (see :class:`~repro.core.negotiation.LinkTable`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.net.transport import GATHER_MIN_FRAME, SegmentedFrame, Transport
 from . import encoder as enc
 from .context import FormatHandle, IOContext
 from .errors import PbioError
-from .negotiation import Announcer, InboundNegotiator
+from .negotiation import Announcer, InboundNegotiator, LinkTable
 
 
 class PbioConnection:
@@ -44,14 +44,15 @@ class PbioConnection:
     def __init__(self, ctx: IOContext, transport: Transport):
         self.ctx = ctx
         self.transport = transport
-        self._announcer = Announcer(ctx)
+        links = LinkTable(ctx)
+        self._announcer = Announcer(ctx, links)
         # Late-bound send: `self.transport` may be swapped for a
         # re-dialled replacement, and back-channel traffic must follow.
         self._negotiator = InboundNegotiator(ctx, lambda data: self.transport.send(data))
         # header(format id, record length): the one spelling of "frame a native record"
         self._header = partial(enc.HEADER_STRUCT.pack, enc.MAGIC, enc.VERSION, enc.MSG_DATA, ctx.context_id)
-        # (transport, format id) pairs a send owes nothing more: see _owed
-        self._settled: set[tuple] = set()
+        # (transport, generation, format id) triples a send owes nothing more: see _owed
+        self._settled = links.settled
 
     # -- sending ------------------------------------------------------------
 
@@ -61,20 +62,18 @@ class PbioConnection:
         queued (the recovery dance converges though this side never calls
         recv; on any other transport that takes :meth:`poll`)."""
         transport = self.transport
-        pending = getattr(transport, "pending", None)
+        pending = transport.pending
         while pending is not None and pending():
             self._negotiator.offer(transport.recv())
         frames = self._announcer.pending_announcements(transport, handle)
-        if not frames and pending is None and not hasattr(transport, "generation"):
-            if any(link is not transport for link, _ in self._settled):
-                self._settled.clear()  # a replaced transport is not kept alive here
-            self._settled.add((transport, handle.format_id))
+        if not frames and pending is None:  # (the table empties the set when the link changes)
+            self._settled.add((transport, transport.generation, handle.format_id))
         return frames
 
     def send_native(self, handle: FormatHandle, native) -> None:
         """Send a record already in native binary form (NDR fast path)."""
         transport = self.transport
-        if (transport, handle.format_id) not in self._settled:
+        if (transport, transport.generation, handle.format_id) not in self._settled:
             for frame in self._owed(handle):
                 transport.send(frame)
         transport.send_segments((self._header(handle.format_id, len(native)), native))
@@ -92,7 +91,8 @@ class PbioConnection:
         packed (a copy cheaper than an iovec); a larger one is gathered:
         the caller's buffer goes to the transport untouched.
         """
-        frames = [] if (self.transport, handle.format_id) in self._settled else self._owed(handle)
+        transport = self.transport
+        frames = [] if (transport, transport.generation, handle.format_id) in self._settled else self._owed(handle)
         header, fid, gather = self._header, handle.format_id, GATHER_MIN_FRAME - enc.HEADER_SIZE
         for native in natives:
             if not isinstance(native, enc.FLAT_BUFFERS):
@@ -100,7 +100,7 @@ class PbioConnection:
             n = len(native)
             head = header(fid, n)
             frames.append(head + native if n < gather else SegmentedFrame((head, native), len(head) + n))
-        self.transport.send_many(frames)
+        transport.send_many(frames)
 
     # -- receiving ------------------------------------------------------------
 
@@ -113,7 +113,7 @@ class PbioConnection:
         while not ready:
             frame = self.transport.recv()
             header = enc.try_unpack_header(frame)
-            if header is not None and header[0] == enc.MSG_DATA and not negotiator.unresolved:
+            if header is not None and header[0] in enc.DATA_KINDS and not negotiator.unresolved:
                 return decode(frame, header=header)
             negotiator.offer(frame, header=header)
         return decode(ready.popleft())
@@ -144,10 +144,11 @@ class PbioConnection:
         — and hold its lease; call ``view.detach()`` before storing one
         past the processing loop.  Converted views own their bytes, and
         the buffer never leaves the transport for them.  A burst holding
-        a control, sequenced or foreign frame, or met with a format
-        unresolved, goes through the negotiator in order on owned copies.
+        a control or foreign frame, or met with a format unresolved, goes
+        through the negotiator in order on owned copies (a sequenced frame
+        is data: decoded where it lies, its prefix checked, not deduplicated).
         """
-        negotiator, ready, data = self._negotiator, self._negotiator.ready, enc.MSG_DATA
+        negotiator, ready, data = self._negotiator, self._negotiator.ready, enc.DATA_KINDS
         headers = loan = None
         try:
             while not ready:
@@ -155,7 +156,7 @@ class PbioConnection:
                 headers = list(map(enc.try_unpack_header, messages))
                 if not negotiator.unresolved:
                     for header in headers:
-                        if header is None or header[0] != data:
+                        if header is None or header[0] not in data:
                             break
                     else:  # the steady state: plain data, nothing pending
                         break

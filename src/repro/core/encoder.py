@@ -54,16 +54,15 @@ MSG_PONG = 6
 MSG_DATA_SEQ = 7
 MSG_ACK = 8
 
-_MSG_TYPES = (
-    MSG_FORMAT,
-    MSG_DATA,
-    MSG_FORMAT_TOKEN,
-    MSG_FORMAT_REQUEST,
-    MSG_PING,
-    MSG_PONG,
-    MSG_DATA_SEQ,
-    MSG_ACK,
-)
+#: The frame taxonomy, stated once: every role's "what do I do with kind
+#: k" (docs/wire-format.md §12) reads these.  Data is decoded or routed,
+#: announcements are absorbed and replayed, and the rest is *link*
+#: control — point-to-point between the two ends of one link, never
+#: fanned out (heartbeats are the part of it a liveness pump consumes).
+DATA_KINDS = frozenset((MSG_DATA, MSG_DATA_SEQ))
+ANNOUNCEMENT_KINDS = frozenset((MSG_FORMAT, MSG_FORMAT_TOKEN))
+HEARTBEAT_KINDS = frozenset((MSG_PING, MSG_PONG))
+LINK_KINDS = HEARTBEAT_KINDS | {MSG_FORMAT_REQUEST, MSG_ACK}
 
 # magic, version, msg type, pad, context id, format id, payload length
 _HEADER = struct.Struct(">BBBxIII")
@@ -72,12 +71,30 @@ HEADER_SIZE = _HEADER.size
 #: Public handles for callers that inline the header scan or pack on hot
 #: paths (batch decode: the types and :data:`HEADER_SEQ_STRUCT`; batch
 #: send: the struct); semantics stay defined by :func:`unpack_header`.
-MESSAGE_TYPES = frozenset(_MSG_TYPES)
+MESSAGE_TYPES = DATA_KINDS | ANNOUNCEMENT_KINDS | LINK_KINDS
 HEADER_STRUCT = _HEADER
 FLAT_BUFFERS = (bytes, bytearray, memoryview)  # framed as they are; any other buffer (an ndarray) is coerced
 
 FINGERPRINT_SIZE = 20  # sha1 digest length (matches IOFormat.fingerprint)
+GOODBYE_NONCE = 0  # reserved ping nonce: "I am draining, reconnect elsewhere"
+
 _TOKEN_PAYLOAD = struct.Struct(f">{FINGERPRINT_SIZE}sQ")  # fingerprint, token
+_HEARTBEAT_PAYLOAD = struct.Struct(">QQ")  # nonce, sender write-queue depth
+_ACK_PAYLOAD = struct.Struct(">QQQ")  # cursor, nack base, nack bitmap
+HEARTBEAT_PAYLOAD_SIZE = _HEARTBEAT_PAYLOAD.size
+ACK_PAYLOAD_SIZE = _ACK_PAYLOAD.size
+
+#: The strict-size control payloads: kind -> (layout, name).  A control
+#: header glued onto anything but exactly its payload is protocol damage,
+#: not a tolerable variant — which is what keeps random corruption of
+#: other message types from parsing as control.
+CONTROL_PAYLOADS = {
+    MSG_FORMAT_TOKEN: (_TOKEN_PAYLOAD, "token announcement"),
+    MSG_FORMAT_REQUEST: (struct.Struct(f">{FINGERPRINT_SIZE}s"), "format request"),
+    MSG_PING: (_HEARTBEAT_PAYLOAD, "ping"),
+    MSG_PONG: (_HEARTBEAT_PAYLOAD, "pong"),
+    MSG_ACK: (_ACK_PAYLOAD, "ack"),
+}
 
 
 def pack_header(msg_type: int, context_id: int, format_id: int, payload_len: int) -> bytes:
@@ -93,7 +110,7 @@ def unpack_header(message) -> tuple[int, int, int, int]:
         raise MessageError(f"bad PBIO magic {magic:#x}")
     if version != VERSION:
         raise MessageError(f"unsupported PBIO version {version}")
-    if msg_type not in _MSG_TYPES:
+    if msg_type not in MESSAGE_TYPES:
         raise MessageError(f"unknown message type {msg_type}")
     return msg_type, context_id, format_id, payload_len
 
@@ -119,7 +136,7 @@ def try_message_type(message) -> int | None:
     if message[0] != MAGIC or message[1] != VERSION:
         return None
     msg_type = message[2]
-    if msg_type not in _MSG_TYPES:
+    if msg_type not in MESSAGE_TYPES:
         return None
     return msg_type
 
@@ -143,6 +160,23 @@ def try_unpack_header(message) -> tuple[int, int, int, int] | None:
     if magic != MAGIC or version != VERSION or msg_type not in MESSAGE_TYPES:
         return None
     return msg_type, context_id, format_id, payload_len
+
+
+def parse_control(message, header: tuple | None = None, kind: int | None = None) -> tuple:
+    """The payload fields of one strict-size control frame — the one size
+    check of :data:`CONTROL_PAYLOADS`, against the header its caller
+    already parsed (``header``; unpacked here only when there is none).
+    ``kind`` names the one control type the caller will accept."""
+    msg_type, _context_id, _format_id, payload_len = unpack_header(message) if header is None else header
+    layout, name = CONTROL_PAYLOADS.get(msg_type if kind is None else kind, (None, "control"))
+    if layout is None or (kind is not None and msg_type != kind):
+        raise MessageError(f"expected a {name} message, got type {msg_type}")
+    if payload_len != layout.size or len(message) - HEADER_SIZE != layout.size:
+        raise MessageError(
+            f"{name} payload must be {layout.size} bytes, "
+            f"header says {payload_len}, got {len(message) - HEADER_SIZE}"
+        )
+    return layout.unpack_from(message, HEADER_SIZE)
 
 
 def encode_format_message(context_id: int, format_id: int, fmt: IOFormat) -> bytes:
@@ -185,27 +219,6 @@ def encode_token_message(
     return pack_header(MSG_FORMAT_TOKEN, context_id, format_id, len(payload)) + payload
 
 
-def parse_token_message(message) -> tuple[int, int, bytes, int]:
-    """Returns ``(context_id, format_id, fingerprint, token)``.
-
-    Strict: the payload must be exactly fingerprint + token — a type-3
-    header glued onto anything else is protocol damage, not a tolerable
-    variant (this is what keeps random corruption of other message types
-    from parsing as a token announcement).
-    """
-    msg_type, context_id, format_id, payload_len = unpack_header(message)
-    if msg_type != MSG_FORMAT_TOKEN:
-        raise MessageError(f"expected a token announcement, got type {msg_type}")
-    payload = bytes(message[HEADER_SIZE:])
-    if payload_len != _TOKEN_PAYLOAD.size or len(payload) != _TOKEN_PAYLOAD.size:
-        raise MessageError(
-            f"token announcement payload must be {_TOKEN_PAYLOAD.size} bytes, "
-            f"header says {payload_len}, got {len(payload)}"
-        )
-    fingerprint, token = _TOKEN_PAYLOAD.unpack(payload)
-    return context_id, format_id, fingerprint, token
-
-
 def encode_format_request(context_id: int, fingerprint: bytes) -> bytes:
     """A receiver's request that the peer re-announce a format inline."""
     if len(fingerprint) != FINGERPRINT_SIZE:
@@ -215,25 +228,6 @@ def encode_format_request(context_id: int, fingerprint: bytes) -> bytes:
     return pack_header(
         MSG_FORMAT_REQUEST, context_id, 0, FINGERPRINT_SIZE
     ) + bytes(fingerprint)
-
-
-def parse_format_request(message) -> bytes:
-    """The fingerprint a :data:`MSG_FORMAT_REQUEST` message asks for."""
-    msg_type, _context_id, _format_id, payload_len = unpack_header(message)
-    if msg_type != MSG_FORMAT_REQUEST:
-        raise MessageError(f"expected a format request, got type {msg_type}")
-    payload = bytes(message[HEADER_SIZE:])
-    if payload_len != FINGERPRINT_SIZE or len(payload) != FINGERPRINT_SIZE:
-        raise MessageError(
-            f"format request payload must be {FINGERPRINT_SIZE} bytes, "
-            f"header says {payload_len}, got {len(payload)}"
-        )
-    return payload
-
-
-_HEARTBEAT_PAYLOAD = struct.Struct(">QQ")  # nonce, sender write-queue depth
-HEARTBEAT_PAYLOAD_SIZE = _HEARTBEAT_PAYLOAD.size
-GOODBYE_NONCE = 0  # reserved: "I am draining, reconnect elsewhere"
 
 
 def encode_ping(nonce: int, queue_depth: int = 0) -> bytes:
@@ -255,27 +249,14 @@ def encode_pong(nonce: int, queue_depth: int = 0) -> bytes:
     return pack_header(MSG_PONG, 0, 0, len(payload)) + payload
 
 
-def _parse_heartbeat(message, expected_type: int, what: str) -> tuple[int, int]:
-    msg_type, _context_id, _format_id, payload_len = unpack_header(message)
-    if msg_type != expected_type:
-        raise MessageError(f"expected a {what}, got type {msg_type}")
-    payload = bytes(message[HEADER_SIZE:])
-    if payload_len != HEARTBEAT_PAYLOAD_SIZE or len(payload) != HEARTBEAT_PAYLOAD_SIZE:
-        raise MessageError(
-            f"{what} payload must be {HEARTBEAT_PAYLOAD_SIZE} bytes, "
-            f"header says {payload_len}, got {len(payload)}"
-        )
-    return _HEARTBEAT_PAYLOAD.unpack(payload)
-
-
 def parse_ping(message) -> tuple[int, int]:
-    """Returns ``(nonce, queue_depth)``; strict-size like the other control frames."""
-    return _parse_heartbeat(message, MSG_PING, "ping")
+    """Returns ``(nonce, queue_depth)``; strict-size like every control frame."""
+    return parse_control(message, kind=MSG_PING)
 
 
 def parse_pong(message) -> tuple[int, int]:
     """Returns ``(nonce, queue_depth)`` from a pong."""
-    return _parse_heartbeat(message, MSG_PONG, "pong")
+    return parse_control(message, kind=MSG_PONG)
 
 
 # -- durable delivery frames (docs/robustness.md §11) ------------------------
@@ -353,10 +334,6 @@ def parse_data_seq(message) -> tuple[int, int, int, memoryview]:
     return context_id, format_id, seq, memoryview(message)[SEQ_RECORD_OFFSET:]
 
 
-_ACK_PAYLOAD = struct.Struct(">QQQ")  # cursor, nack base, nack bitmap
-ACK_PAYLOAD_SIZE = _ACK_PAYLOAD.size
-
-
 def encode_ack(
     context_id: int,
     format_id: int,
@@ -380,19 +357,6 @@ def encode_ack(
 
 
 def parse_ack(message) -> tuple[int, int, int, int, int]:
-    """Returns ``(context_id, format_id, cursor, nack_base, nack_bits)``.
-
-    Strict-size like the other control frames: a type-8 header glued
-    onto anything but exactly 24 payload bytes is protocol damage.
-    """
-    msg_type, context_id, format_id, payload_len = unpack_header(message)
-    if msg_type != MSG_ACK:
-        raise MessageError(f"expected an ack, got type {msg_type}")
-    payload = bytes(message[HEADER_SIZE:])
-    if payload_len != ACK_PAYLOAD_SIZE or len(payload) != ACK_PAYLOAD_SIZE:
-        raise MessageError(
-            f"ack payload must be {ACK_PAYLOAD_SIZE} bytes, "
-            f"header says {payload_len}, got {len(payload)}"
-        )
-    cursor, nack_base, nack_bits = _ACK_PAYLOAD.unpack(payload)
-    return context_id, format_id, cursor, nack_base, nack_bits
+    """Returns ``(context_id, format_id, cursor, nack_base, nack_bits)``."""
+    header = unpack_header(message)
+    return header[1], header[2], *parse_control(message, header, MSG_ACK)

@@ -10,26 +10,31 @@ once the announcer replies with a classic inline ``MSG_FORMAT``.  No
 message is lost, no decode is attempted against an unknown format, and
 the slow path ends in exactly the pre-service protocol.
 
-Two pieces, shared by :class:`~repro.core.connection.PbioConnection`
-and the RPC endpoints so the recovery dance exists once:
+Everything here is *link* state — what one endpoint keeps about one
+live incarnation of one point-to-point link (docs/wire-format.md §13) —
+shared by :class:`~repro.core.connection.PbioConnection` and the RPC
+endpoints so it exists once:
 
+* :class:`LinkControl` — the one responder to a ping or a pong;
 * :class:`InboundNegotiator` — the receive-side state machine;
-* :class:`Announcer` — the send-side dedup, keyed by *live link
-  identity* ``(transport_token, reconnect generation)`` rather than by
-  format id alone, so a re-dialled transport is never mistaken for one
-  that already heard the announcements.
+* :class:`Link` / :class:`LinkTable` — the per-link state and its one
+  owner, keyed weakly by the *live* transport object and checked against
+  its reconnect ``generation``: a re-dialled link never inherits what the
+  dead one heard, and the state is released with the transport;
+* :class:`Announcer` — the send-side announcement dedup over that table.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import weakref
+from collections import OrderedDict, deque
 from typing import Callable
 
-from repro.net.transport import transport_token
+from repro.net.transport import TransportError
 
 from . import encoder as enc
 from .context import FormatHandle, IOContext
-from .errors import LimitError, TokenResolutionError
+from .errors import LimitError, MessageError, TokenResolutionError
 
 #: Hold-queue ceiling per unresolved format: a peer that streams data
 #: forever without ever answering the meta request is either broken or
@@ -37,65 +42,49 @@ from .errors import LimitError, TokenResolutionError
 DEFAULT_MAX_HELD = 1024
 
 
-def link_key(transport) -> tuple[int, int]:
-    """Identity of the *current incarnation* of a link.
+class LinkControl:
+    """What the peer's heartbeats told this end of a link, and the one body
+    that handles them (negotiator, heartbeat monitor, relay downstream,
+    fabric peer: each is or keeps one)."""
 
-    ``transport_token`` distinguishes transport objects (a re-dialled
-    replacement is a new object, hence a new token); ``generation``
-    distinguishes incarnations of a self-reconnecting transport (same
-    object, fresh link after each re-dial).  Announcement state keyed by
-    anything less survives a reconnect it should not.
-    """
-    return (transport_token(transport), getattr(transport, "generation", 0))
+    peer_goodbye = False  # the peer sent a goodbye ping: it is draining
+    peer_queue_depth = 0  # the write-queue depth its last heartbeat carried
+    pongs_received = 0
+    control_malformed = 0  # wrong-size pings / pongs seen (and ignored)
 
-
-class Announcer:
-    """Send-side announcement dedup for one context over any links."""
-
-    def __init__(self, ctx: IOContext):
-        self.ctx = ctx
-        self._sent: set[tuple[int, int, int]] = set()
-        self._link_memo: tuple | None = None  # (transport, gen, key prefix)
-
-    def ensure_announced(
-        self,
-        transport,
-        handle: FormatHandle,
-        *,
-        send: Callable[[bytes], None] | None = None,
-    ) -> None:
-        """Announce ``handle`` if this link incarnation has not heard it.
-
-        The announcement is compact (token) when the context has a
-        format service that can vouch for the format, inline otherwise —
-        :meth:`IOContext.announce_compact` decides.
-        """
-        for frame in self.pending_announcements(transport, handle):
-            (send or transport.send)(frame)
-
-    def pending_announcements(self, transport, handle: FormatHandle) -> list[bytes]:
-        """Announcement frames still owed to this link for ``handle``.
-
-        Empty once the link incarnation has heard the format.  The frames
-        are marked sent on return — the caller *must* put them on the
-        wire (batch senders splice them ahead of the data frames so the
-        whole burst is one vectored send).
-        """
-        gen = getattr(transport, "generation", 0)
-        memo = self._link_memo
-        if memo is not None and memo[0] is transport and memo[1] == gen:
-            prefix = memo[2]
-        else:
-            prefix = link_key(transport)
-            self._link_memo = (transport, gen, prefix)
-        key = (prefix[0], prefix[1], handle.format_id)
-        if key in self._sent:
-            return []
-        self._sent.add(key)
-        return [self.ctx.announce_compact(handle)]
+    def control(self, frame, header, send=None, depth: int = 0, metrics=None) -> bool:
+        """Handle one ``MSG_PING`` / ``MSG_PONG`` whose ``header`` the
+        caller parsed: a ping is answered through ``send`` with a pong
+        carrying ``depth`` (a goodbye is noted, not answered), a pong is
+        counted, either one's queue depth recorded.  False for a malformed
+        one — counted (``link.control_malformed`` on every role with a
+        ``metrics``), never raised: it proves nothing about the peer."""
+        try:
+            nonce, self.peer_queue_depth = enc.parse_control(frame, header)
+        except MessageError:
+            self.control_malformed += 1
+            if metrics is not None:
+                metrics.inc("link.control_malformed")
+            return False
+        if header[0] == enc.MSG_PONG:
+            self.pongs_received += 1
+        elif nonce == enc.GOODBYE_NONCE:
+            self.peer_goodbye = True
+        elif send is not None:
+            send(enc.encode_pong(nonce, depth))
+        return True
 
 
-class InboundNegotiator:
+def send_goodbye(transport) -> bool:
+    """Best-effort goodbye ping on a bare transport; True if it went out."""
+    try:
+        transport.send(enc.encode_ping(enc.GOODBYE_NONCE, transport.write_queue_depth))
+        return True
+    except TransportError:
+        return False
+
+
+class InboundNegotiator(LinkControl):
     """Receive-side handling of announcements, tokens and meta requests.
 
     Feed every inbound frame to :meth:`offer`; consume decodable frames
@@ -103,8 +92,8 @@ class InboundNegotiator:
     :meth:`next_ready`.  Announcements are absorbed, token announcements
     resolved (or converted into a ``MSG_FORMAT_REQUEST`` on the
     back-channel), meta requests answered from the context's local
-    registry, and data messages for still-unresolved formats held until
-    their inline meta arrives.
+    registry, pings answered, and data messages — plain or sequenced —
+    for still-unresolved formats held until their inline meta arrives.
 
     Within one format, held messages release in arrival order; frames of
     *other* formats are not delayed behind an unresolved one (per-format
@@ -124,8 +113,6 @@ class InboundNegotiator:
         self._pending: dict[tuple[int, int], bytes] = {}  # (cid, fid) -> fingerprint
         self._held: dict[tuple[int, int], list[bytes]] = {}
         self.ready: deque[bytes] = deque()  # oldest first; a burst caller (recv_batch) takes from it directly
-        #: Set when the peer sent a goodbye ping (it is draining).
-        self.peer_goodbye = False
 
     def next_ready(self) -> bytes | None:
         """The next frame ready for the caller, if any."""
@@ -143,7 +130,7 @@ class InboundNegotiator:
         header = None
         if not self.ready and not self._pending:
             header = enc.try_unpack_header(frame)
-            if header is None or header[0] == enc.MSG_DATA:
+            if header is None or header[0] in enc.DATA_KINDS:
                 return frame if isinstance(frame, bytes) else bytes(frame)
         self.offer(frame, header=header)
         return self.next_ready()
@@ -154,7 +141,8 @@ class InboundNegotiator:
         return len(self._pending)
 
     def offer(self, frame, *, header: tuple | None = None) -> None:
-        """Process one inbound frame (absorb, hold, request, or enqueue).
+        """Process one inbound frame (absorb, hold, request, answer, or
+        enqueue): one row of :attr:`_rows` per message kind, no default.
 
         ``header`` may carry the already-parsed tuple from
         :func:`~repro.core.encoder.try_unpack_header`; the frame is then
@@ -166,73 +154,52 @@ class InboundNegotiator:
             # A foreign frame (RPC call header, fault text): the caller's
             # business.
             self.ready.append(frame if isinstance(frame, bytes) else bytes(frame))
-            return
-        kind = header[0]
-        if kind == enc.MSG_DATA:
-            if self._pending:
-                key = (header[1], header[2])
-                if key in self._pending:
-                    self._hold(key, frame)
-                    return
+        else:
+            self._rows[header[0]](self, frame, header)
+
+    # -- one row per kind ----------------------------------------------------
+
+    def _data(self, frame, header) -> None:
+        """Plain or sequenced: held behind its unresolved format, else ready."""
+        if self._pending and (key := (header[1], header[2])) in self._pending:
+            held = self._held.setdefault(key, [])
+            if len(held) >= self.max_held:
+                raise LimitError(
+                    f"{len(held)} messages held for unresolved format id "
+                    f"{key[1]} from context {key[0]:#010x}; peer never "
+                    f"answered the meta request"
+                )
+            held.append(bytes(frame))
+            self.ctx.metrics.inc("fmtserv.messages_held")
+        else:
             self.ready.append(frame if isinstance(frame, bytes) else bytes(frame))
-            return
-        if kind == enc.MSG_FORMAT:
-            self.ctx.pipeline.absorb(frame, header[1], header[2])
+
+    def _format(self, frame, header) -> None:
+        self.ctx.pipeline.absorb(frame, header)
+        self._release((header[1], header[2]))
+
+    def _token(self, frame, header) -> None:
+        try:
+            self.ctx.pipeline.absorb_token(frame, header)
+        except TokenResolutionError as exc:
+            key = (exc.context_id, exc.format_id)
+            if key not in self._pending:  # else the request is on the wire: keep holding
+                self._pending[key] = exc.fingerprint
+                self._held.setdefault(key, [])
+                self._send(enc.encode_format_request(self.ctx.context_id, exc.fingerprint))
+                self.ctx.metrics.inc("fmtserv.meta_requests_sent")
+        else:
+            # A re-announcement that resolves now (service recovered):
+            # anything held from the earlier failure is decodable.
             self._release((header[1], header[2]))
-            return
-        if kind == enc.MSG_FORMAT_TOKEN:
-            try:
-                self.ctx.pipeline.absorb_token(frame)
-            except TokenResolutionError as exc:
-                self._request_meta(exc)
-            else:
-                # A re-announcement that resolves now (service recovered):
-                # anything held from the earlier failure is decodable.
-                self._release((header[1], header[2]))
-            return
-        if kind == enc.MSG_PING:
-            nonce, _depth = enc.parse_ping(frame)
-            if nonce == enc.GOODBYE_NONCE:
-                self.peer_goodbye = True  # peer is draining; no pong expected
-            else:
-                self._send(enc.encode_pong(nonce))
-            return
-        if kind == enc.MSG_PONG:
-            # A pong reaching the negotiator means no HeartbeatMonitor
-            # polled it first; it carries no format state — drop it.
-            return
-        self._serve_meta(enc.parse_format_request(frame))
 
-    def _hold(self, key: tuple[int, int], frame) -> None:
-        held = self._held.setdefault(key, [])
-        if len(held) >= self.max_held:
-            raise LimitError(
-                f"{len(held)} messages held for unresolved format id "
-                f"{key[1]} from context {key[0]:#010x}; peer never "
-                f"answered the meta request"
-            )
-        held.append(bytes(frame))
-        self.ctx.metrics.inc("fmtserv.messages_held")
-
-    # -- internals -----------------------------------------------------------
-
-    def _release(self, key: tuple[int, int]) -> None:
-        self._pending.pop(key, None)
-        held = self._held.pop(key, None)
-        if held:
-            self.ctx.metrics.inc("fmtserv.messages_released", len(held))
-            self.ready.extend(held)
-
-    def _request_meta(self, exc: TokenResolutionError) -> None:
-        key = (exc.context_id, exc.format_id)
-        if key in self._pending:
-            return  # request already on the wire; keep holding
-        self._pending[key] = exc.fingerprint
-        self._held.setdefault(key, [])
-        self._send(enc.encode_format_request(self.ctx.context_id, exc.fingerprint))
-        self.ctx.metrics.inc("fmtserv.meta_requests_sent")
-
-    def _serve_meta(self, fingerprint: bytes) -> None:
+    def _request(self, frame, header) -> None:
+        """Answer a peer's meta request from the local registry."""
+        try:
+            (fingerprint,) = enc.parse_control(frame, header)
+        except MessageError:
+            self.ctx.metrics.inc("decode.rejected")
+            raise
         fmt_id = self.ctx.registry.local_id_for_fingerprint(fingerprint)
         if fmt_id is None:
             # Not ours (mis-routed or stale): ignoring is safe — the
@@ -242,3 +209,124 @@ class InboundNegotiator:
         fmt = self.ctx.registry.local_format(fmt_id)
         self._send(enc.encode_format_message(self.ctx.context_id, fmt_id, fmt))
         self.ctx.metrics.inc("fmtserv.meta_requests_served")
+
+    def _heartbeat(self, frame, header) -> None:
+        # (a pong reaching here means no HeartbeatMonitor polled it first)
+        self.control(frame, header, self._send, metrics=self.ctx.metrics)
+
+    def _ack(self, frame, header) -> None:
+        """No durable publisher listens at a bare endpoint: dropped, as a
+        one-way hub drops an ack on its forward path."""
+        self.ctx.metrics.inc("link.acks_dropped")
+
+    _rows = {
+        enc.MSG_DATA: _data,
+        enc.MSG_DATA_SEQ: _data,
+        enc.MSG_FORMAT: _format,
+        enc.MSG_FORMAT_TOKEN: _token,
+        enc.MSG_FORMAT_REQUEST: _request,
+        enc.MSG_PING: _heartbeat,
+        enc.MSG_PONG: _heartbeat,
+        enc.MSG_ACK: _ack,
+    }
+
+    def _release(self, key: tuple[int, int]) -> None:
+        self._pending.pop(key, None)
+        held = self._held.pop(key, None)
+        if held:
+            self.ctx.metrics.inc("fmtserv.messages_released", len(held))
+            self.ready.extend(held)
+
+
+class Link:
+    """Everything an endpoint keeps for one live incarnation of one link:
+    the format ids announced on it, its inbound negotiator (built when
+    first asked for, :meth:`LinkTable.negotiator`) and a server's reply
+    window.  It refers to its transport weakly — through :meth:`send` too
+    — so it never keeps a dropped link alive."""
+
+    __slots__ = ("transport", "generation", "announced", "negotiator", "replies")
+
+    def __init__(self, ctx: IOContext, transport):
+        self.transport = weakref.ref(transport)
+        self.generation = transport.generation
+        self.announced: set[int] = set()
+        self.negotiator: InboundNegotiator | None = None
+        self.replies: OrderedDict[int, list[bytes]] = OrderedDict()  # request id -> reply frames
+
+    def send(self, data) -> None:
+        self.transport().send(data)
+
+
+class LinkTable:
+    """The one home of an endpoint's per-link state.
+
+    :meth:`of` returns the :class:`Link` of a transport's *current*
+    incarnation, memoised on the last link asked for.  Links are keyed
+    weakly by the transport object, so a dropped link's state goes with
+    it (no count bound, hence no live link is ever evicted, and a
+    recycled ``id()`` cannot alias a dead transport); a re-dial — the same
+    object at a new ``generation`` — starts from a fresh :class:`Link`.
+    """
+
+    def __init__(self, ctx: IOContext):
+        self.ctx = ctx
+        self._links: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._last: Link | None = None
+        #: ``(transport, generation, format id)`` triples on the last link
+        #: that a send owes nothing more (``PbioConnection._owed``); emptied
+        #: whenever the last link changes, so it pins no other transport.
+        self.settled: set[tuple] = set()
+
+    def of(self, transport) -> Link:
+        link = self._last
+        if link is None or link.transport() is not transport or link.generation != transport.generation:
+            link = self._links.get(transport)
+            if link is None or link.generation != transport.generation:
+                link = self._links[transport] = Link(self.ctx, transport)
+            self._last = link
+            self.settled.clear()
+        return link
+
+    def negotiator(self, transport) -> InboundNegotiator:
+        """The inbound negotiator of ``transport``'s current incarnation."""
+        link = self.of(transport)
+        if link.negotiator is None:
+            link.negotiator = InboundNegotiator(self.ctx, link.send)
+        return link.negotiator
+
+    def live(self) -> list:
+        """The transports with state here that are still referenced."""
+        return list(self._links)
+
+
+class Announcer:
+    """Send-side announcement dedup for one context over any links."""
+
+    def __init__(self, ctx: IOContext, links: LinkTable | None = None):
+        self.ctx = ctx
+        self.links = links if links is not None else LinkTable(ctx)
+
+    def ensure_announced(self, transport, handle: FormatHandle) -> None:
+        """Announce ``handle`` if this link incarnation has not heard it.
+
+        The announcement is compact (token) when the context has a
+        format service that can vouch for the format, inline otherwise —
+        :meth:`IOContext.announce_compact` decides.
+        """
+        for frame in self.pending_announcements(transport, handle):
+            transport.send(frame)
+
+    def pending_announcements(self, transport, handle: FormatHandle) -> list[bytes]:
+        """Announcement frames still owed to this link for ``handle``.
+
+        Empty once the link incarnation has heard the format.  The frames
+        are marked sent on return — the caller *must* put them on the
+        wire (batch senders splice them ahead of the data frames so the
+        whole burst is one vectored send).
+        """
+        announced = self.links.of(transport).announced
+        if handle.format_id in announced:
+            return []
+        announced.add(handle.format_id)
+        return [self.ctx.announce_compact(handle)]

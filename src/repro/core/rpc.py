@@ -38,21 +38,16 @@ from __future__ import annotations
 import struct
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.abi import MachineDescription, RecordSchema
-from repro.net.transport import (
-    Transport,
-    TransportError,
-    transport_token,
-)
+from repro.net.transport import Transport, TransportError
 
 from . import encoder as enc
 from .context import FormatHandle, IOContext
 from .errors import MessageError, PbioError
-from .negotiation import Announcer, InboundNegotiator, link_key
+from .negotiation import Announcer, LinkTable, send_goodbye
 from .runtime import ConverterCache, Metrics
 from .safety import DEFAULT_LIMITS, DecodeLimits
 
@@ -163,9 +158,8 @@ class RpcClient:
         self.interface = interface
         self.metrics = Metrics()
         self._handles: dict[str, FormatHandle] = {}
-        self._announcer = Announcer(self.ctx)
-        self._negotiators: dict[tuple[int, int], InboundNegotiator] = {}
-        self._neg_memo: tuple | None = None
+        self._links = LinkTable(self.ctx)  # per link: formats announced, inbound negotiator
+        self._announcer = Announcer(self.ctx, self._links)
         self._next_id = 1
 
     def _handle_for(self, schema: RecordSchema) -> FormatHandle:
@@ -240,28 +234,12 @@ class RpcClient:
 
     # -- wire helpers --------------------------------------------------------
 
-    def _neg(self, transport: Transport) -> InboundNegotiator:
-        """The inbound negotiator for the current incarnation of a link."""
-        gen = getattr(transport, "generation", 0)
-        memo = self._neg_memo
-        if memo is not None and memo[0] is transport and memo[1] == gen:
-            return memo[2]
-        key = link_key(transport)
-        neg = self._negotiators.get(key)
-        if neg is None:
-            neg = InboundNegotiator(self.ctx, transport.send)
-            self._negotiators[key] = neg
-            while len(self._negotiators) > 16:  # dead incarnations, oldest first
-                del self._negotiators[next(iter(self._negotiators))]
-        self._neg_memo = (transport, gen, neg)
-        return neg
-
     def _recv_frame(self, transport: Transport) -> bytes:
         """The next caller-visible frame: announcements (inline and
         token), meta requests and held messages are handled in the
         negotiator; what comes out is a call header, fault text, or a
         decodable data message."""
-        neg = self._neg(transport)
+        neg = self._links.negotiator(transport)
         frame = neg.next_ready()
         while frame is None:
             frame = neg.filter(transport.recv())
@@ -283,7 +261,7 @@ class RpcClient:
         transport.send(self.ctx.encode(handle, request))
 
     def _await_reply(self, transport: Transport, request_id: int) -> dict:
-        neg = self._neg(transport)
+        neg = self._links.negotiator(transport)
         recv, filt, ready = transport.recv, neg.filter, neg.next_ready
         while True:
             header = ready()
@@ -319,7 +297,7 @@ class RpcServer:
     """Server side: servant registry + request dispatch over a transport.
 
     ``dedup_window`` caches the reply frames of the last N request ids
-    *per transport*, so a retransmitted request (client-side retry after
+    *per link*, so a retransmitted request (client-side retry after
     a lost reply) is answered from the cache — the servant observes each
     request id exactly once ("at-most-once execution, at-least-once
     delivery").
@@ -344,11 +322,10 @@ class RpcServer:
         self.metrics = Metrics()
         self._servants: dict[bytes, dict[str, Callable[[dict], dict]]] = {}
         self._handles: dict[str, FormatHandle] = {}
-        self._announcer = Announcer(self.ctx)
-        self._negotiators: dict[tuple[int, int], InboundNegotiator] = {}
-        self._neg_memo: tuple | None = None
+        # per link: formats announced, inbound negotiator, reply window
+        self._links = LinkTable(self.ctx)
+        self._announcer = Announcer(self.ctx, self._links)
         self._dedup_window = dedup_window
-        self._replies: dict[int, OrderedDict[int, list[bytes]]] = {}
         self._stop = threading.Event()
         for op in interface.operations.values():
             self.ctx.expect(op.request_schema)
@@ -381,12 +358,9 @@ class RpcServer:
         flush); links that fail the goodbye are skipped — they were
         already gone.
         """
-        for neg in list(self._negotiators.values()):
-            try:
-                neg._send(enc.encode_ping(enc.GOODBYE_NONCE))
-            except TransportError:
-                continue
-            self.metrics.inc("rpc.goodbyes_sent")
+        for transport in self._links.live():
+            if send_goodbye(transport):
+                self.metrics.inc("rpc.goodbyes_sent")
         self.stop()
         self.metrics.inc("rpc.drained")
 
@@ -394,21 +368,6 @@ class RpcServer:
         for name in operations:
             self.interface[name]  # validate
         self._servants[object_key] = dict(operations)
-
-    def _neg(self, transport: Transport) -> InboundNegotiator:
-        gen = getattr(transport, "generation", 0)
-        memo = self._neg_memo
-        if memo is not None and memo[0] is transport and memo[1] == gen:
-            return memo[2]
-        key = link_key(transport)
-        neg = self._negotiators.get(key)
-        if neg is None:
-            neg = InboundNegotiator(self.ctx, transport.send)
-            self._negotiators[key] = neg
-            while len(self._negotiators) > 16:
-                del self._negotiators[next(iter(self._negotiators))]
-        self._neg_memo = (transport, gen, neg)
-        return neg
 
     def serve_one(self, transport: Transport) -> None:
         """Handle exactly one call (absorbing any format announcements).
@@ -439,7 +398,7 @@ class RpcServer:
         implementation serves both the blocking driver (:meth:`serve_one`)
         and the async driver (:func:`repro.net.aio.serve_rpc_call`).
         """
-        neg = self._neg(transport)
+        neg = self._links.negotiator(transport)
         filt = neg.filter
         message = neg.next_ready()
         while message is None:
@@ -453,8 +412,7 @@ class RpcServer:
         if not enc.is_pbio_message(body):
             raise PbioError("protocol error: expected a PBIO data message")
         request = self.ctx.receive(body)
-        token = transport_token(transport)
-        window = self._replies.setdefault(token, OrderedDict())
+        window = self._links.of(transport).replies
         cached = window.get(request_id)
         if cached is not None:
             # Retransmission of a request already executed: replay the
@@ -489,7 +447,8 @@ class RpcServer:
                 handle = self.ctx.register_format(op.reply_schema)
                 self._handles[op.reply_schema.name] = handle
             send(_call_header(request_id, reply=True, fault=False, operation=operation, key=b""))
-            self._announcer.ensure_announced(transport, handle, send=send)
+            for frame in self._announcer.pending_announcements(transport, handle):
+                send(frame)
             send(self.ctx.encode(handle, result))
             self.metrics.inc("requests_served")
         except RpcFault as exc:

@@ -9,7 +9,7 @@ Three pieces (see docs/wire-format.md section 6 and DESIGN.md):
 * :class:`DecodePipeline` — the single header-parse -> format-lookup ->
   zero-copy-or-convert implementation every endpoint (context, channel,
   filter, file reader, RPC server, relay) consumes.
-* :class:`Metrics` — the unified counter/timing registry subsuming the
+* :class:`Metrics` — the unified counter registry subsuming the
   old per-component stats objects (which survive as views).
 """
 
@@ -19,7 +19,6 @@ from .metrics import (
     DownstreamStats,
     DurableStats,
     Metrics,
-    StageTiming,
     SubscriberStats,
 )
 from .pipeline import DecodePipeline
@@ -35,7 +34,6 @@ __all__ = [
     "DownstreamStats",
     "DurableStats",
     "Metrics",
-    "StageTiming",
     "SubscriberStats",
     "machine_key",
     "reset_shared_cache",

@@ -2,8 +2,7 @@
 
 One :class:`Metrics` registry holds every counter the decode path
 maintains — converter generation, cache hits, zero-copy vs converted
-decodes, delivery/filter outcomes — plus optional per-stage wall-clock
-timings.  The former ad-hoc ``ContextStats`` / ``SubscriberStats``
+decodes, delivery/filter outcomes.  The former ad-hoc ``ContextStats`` / ``SubscriberStats``
 dataclasses survive as read-only *views* over a registry, so existing
 code (``receiver.stats.converters_generated``) keeps working while the
 benchmark harness and new subsystems observe one coherent namespace.
@@ -80,38 +79,21 @@ Counter names used by the runtime:
 ``durable.wal_torn`` / ``durable.wal_corrupt``  damage healed on WAL open
 ``durable.replayed``      frames replayed from a relay's in-memory window
                           on downstream reactivation
+``link.control_malformed``  pings / pongs whose payload is not exactly 16
+                          bytes, on whichever role met one (endpoint, relay,
+                          fabric front): dropped, never answered, never proof
+                          of life
+``link.acks_dropped``     MSG_ACK frames reaching an endpoint with no durable
+                          publisher behind it (``relay.acks_dropped`` is the
+                          one-way hub's)
 ========================  =====================================================
-
-Stage timings (``decode.parse``, ``decode.resolve``, ``decode.convert``)
-are recorded only while ``timing_enabled`` is set: the hot path must not
-pay two ``perf_counter`` calls per stage when nobody is looking.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from time import perf_counter
-
-
-class StageTiming:
-    """Accumulated wall time for one named pipeline stage."""
-
-    __slots__ = ("count", "total_s")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_s = 0.0
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StageTiming(count={self.count}, total_s={self.total_s:.6f})"
-
 
 class Metrics:
-    """A registry of named counters and per-stage timings.
+    """A registry of named counters.
 
     Counters are created on first increment and read as 0 when absent;
     a registry can therefore be shared between components that count
@@ -119,14 +101,10 @@ class Metrics:
     schema declaration.
     """
 
-    __slots__ = ("_counters", "_timings", "timing_enabled")
+    __slots__ = ("_counters",)
 
-    def __init__(self, *, timing_enabled: bool = False) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, int | float] = {}
-        self._timings: dict[str, StageTiming] = {}
-        #: when False (the default) ``observe``/``time`` are no-ops so the
-        #: decode hot path never pays for clock reads nobody consumes
-        self.timing_enabled = timing_enabled
 
     # -- counters -----------------------------------------------------------
 
@@ -141,65 +119,19 @@ class Metrics:
     def counters(self) -> dict[str, int | float]:
         return dict(self._counters)
 
-    # -- stage timings ------------------------------------------------------
-
-    def observe(self, stage: str, seconds: float) -> None:
-        """Record one timed execution of ``stage`` (respects the flag)."""
-        if not self.timing_enabled:
-            return
-        timing = self._timings.get(stage)
-        if timing is None:
-            timing = self._timings[stage] = StageTiming()
-        timing.count += 1
-        timing.total_s += seconds
-
-    @contextmanager
-    def time(self, stage: str):
-        """Context manager form of :meth:`observe` for coarse stages."""
-        if not self.timing_enabled:
-            yield
-            return
-        t0 = perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(stage, perf_counter() - t0)
-
-    def timing(self, stage: str) -> StageTiming:
-        timing = self._timings.get(stage)
-        if timing is None:
-            timing = self._timings[stage] = StageTiming()
-        return timing
-
-    def timings(self) -> dict[str, StageTiming]:
-        return dict(self._timings)
-
     # -- aggregation --------------------------------------------------------
 
     def snapshot(self) -> dict:
         """A JSON-serializable dump (the benchmark harness exports this)."""
-        return {
-            "counters": dict(self._counters),
-            "timings": {
-                name: {"count": t.count, "total_s": t.total_s, "mean_s": t.mean_s}
-                for name, t in self._timings.items()
-            },
-        }
+        return {"counters": dict(self._counters)}
 
     def merge(self, other: "Metrics") -> None:
         """Fold another registry's counts into this one (harness rollups)."""
         for name, amount in other._counters.items():
             self.inc(name, amount)
-        for stage, timing in other._timings.items():
-            mine = self._timings.get(stage)
-            if mine is None:
-                mine = self._timings[stage] = StageTiming()
-            mine.count += timing.count
-            mine.total_s += timing.total_s
 
     def reset(self) -> None:
         self._counters.clear()
-        self._timings.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Metrics({self._counters!r})"

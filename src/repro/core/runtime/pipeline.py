@@ -19,15 +19,10 @@ Stages
    the payload (or a view over it) untouched; mismatched pairs run the
    cached converter, writing into a fresh destination the view then
    owns when the caller asked for a view.
-
-Per-stage wall-clock timings are recorded when the pipeline's metrics
-registry has ``timing_enabled`` set (off by default: the hot path pays
-one flag test per stage for observability nobody reads).
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any
 
 from repro.abi import MachineDescription, RecordView, StructLayout, codec_for
@@ -237,39 +232,43 @@ class DecodePipeline:
             )
         return native
 
-    def absorb(self, message, context_id: int, format_id: int) -> None:
-        """Register the format carried by an announcement message.
+    def absorb(self, message, header) -> None:
+        """Register the format carried by an announcement message whose
+        ``header`` the caller parsed.
 
         Validation order matters: the meta block is parsed and
         structurally validated (``from_meta_bytes`` under this
         pipeline's limits) *before* the per-peer format quota is
-        consulted, and the quota only applies to genuinely new
-        (context, id) pairs — benign re-announcements never trip it.
+        consulted (:meth:`_register`).
         """
         try:
             meta = memoryview(message)[enc.HEADER_SIZE :]
-            declared = enc.unpack_header(message)[3]
-            if len(meta) != declared:
+            if len(meta) != header[3]:
                 raise MessageError(
-                    f"meta payload length mismatch: header says {declared}, "
+                    f"meta payload length mismatch: header says {header[3]}, "
                     f"got {len(meta)}"
                 )
-            fmt = IOFormat.from_meta_bytes(meta, limits=self.limits)
-            if (
-                self.limits is not None
-                and not self.registry.knows_remote(context_id, format_id)
-                and self.registry.remote_count(context_id) >= self.limits.max_formats_per_peer
-            ):
-                raise LimitError(
-                    f"peer {context_id:#010x} exceeded max_formats_per_peer "
-                    f"({self.limits.max_formats_per_peer})"
-                )
-            self.registry.register_remote(context_id, format_id, fmt)
+            self._register(header[1], header[2], IOFormat.from_meta_bytes(meta, limits=self.limits))
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
 
-    def absorb_token(self, message) -> None:
+    def _register(self, context_id: int, format_id: int, fmt: IOFormat) -> None:
+        """Register a peer's format under the per-peer quota, which only
+        genuinely new (context, id) pairs count against — benign
+        re-announcements never trip it."""
+        if (
+            self.limits is not None
+            and not self.registry.knows_remote(context_id, format_id)
+            and self.registry.remote_count(context_id) >= self.limits.max_formats_per_peer
+        ):
+            raise LimitError(
+                f"peer {context_id:#010x} exceeded max_formats_per_peer "
+                f"({self.limits.max_formats_per_peer})"
+            )
+        self.registry.register_remote(context_id, format_id, fmt)
+
+    def absorb_token(self, message, header) -> None:
         """Register a token-only announcement, resolving the fingerprint.
 
         Resolution goes through :attr:`resolver` (a format service's
@@ -281,39 +280,43 @@ class DecodePipeline:
         the announcer for inline meta.  Malformed token frames and quota
         violations are protocol damage as usual.
         """
+        _, context_id, format_id, _ = header
         try:
-            context_id, format_id, fingerprint, _token = enc.parse_token_message(message)
+            fingerprint, _token = enc.parse_control(message, header)
+            if self.registry.knows_remote(context_id, format_id):
+                if self.registry.remote_format(context_id, format_id).fingerprint == fingerprint:
+                    return  # benign re-announcement (replays, reconnects)
+                raise FormatError(
+                    f"context {context_id:#010x} re-announced id {format_id} "
+                    f"with a different fingerprint"
+                )
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
-        if self.registry.knows_remote(context_id, format_id):
-            known = self.registry.remote_format(context_id, format_id)
-            if known.fingerprint == fingerprint:
-                return  # benign re-announcement (replays, reconnects)
-            self.metrics.inc("decode.rejected")
-            raise FormatError(
-                f"context {context_id:#010x} re-announced id {format_id} "
-                f"with a different fingerprint"
-            )
         fmt = self.resolver(fingerprint) if self.resolver is not None else None
         if fmt is None or fmt.fingerprint != fingerprint:
             self.metrics.inc("fmtserv.unresolved")
             raise TokenResolutionError(context_id, format_id, fingerprint)
         try:
-            if (
-                self.limits is not None
-                and self.registry.remote_count(context_id)
-                >= self.limits.max_formats_per_peer
-            ):
-                raise LimitError(
-                    f"peer {context_id:#010x} exceeded max_formats_per_peer "
-                    f"({self.limits.max_formats_per_peer})"
-                )
-            self.registry.register_remote(context_id, format_id, fmt)
+            self._register(context_id, format_id, fmt)
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
         self.metrics.inc("fmtserv.tokens_absorbed")
+
+    def _control(self, message, header) -> None:
+        """What a bare decode path does with a frame that is not data: an
+        announcement is absorbed; link control — addressed to a *peer
+        endpoint* and handled by the negotiation, health or durable layer
+        — is mis-delivery here."""
+        kind = header[0]
+        if kind == enc.MSG_FORMAT:
+            self.absorb(message, header)
+        elif kind == enc.MSG_FORMAT_TOKEN:
+            self.absorb_token(message, header)
+        else:
+            self.metrics.inc("decode.rejected")
+            raise MessageError(f"link control message (type {kind}) outside a negotiated stream")
 
     # -- stage 3: converter resolution --------------------------------------
 
@@ -404,25 +407,17 @@ class DecodePipeline:
 
     def decode_native(self, message, *, header=None) -> bytes:
         """Decode to record bytes in the pipeline's native layout."""
-        timed = self.metrics.timing_enabled
-        t0 = perf_counter() if timed else 0.0
         plan, payload = self._open(message, header)
         try:
-            t1 = perf_counter() if timed else 0.0
             wire_fmt, _, _, _, entry, _ = self._resolve(plan=plan, codec=False)
-            t2 = perf_counter() if timed else 0.0
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
-                out = bytes(payload)
-            else:
-                self.metrics.inc("converted_decodes")
-                out = self._run_converter(entry, wire_fmt, payload)
+                return bytes(payload)
+            self.metrics.inc("converted_decodes")
+            return self._run_converter(entry, wire_fmt, payload)
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
-        if timed:
-            self._observe_stages(t0, t1, t2)
-        return out
 
     def decode_view(self, message, *, header=None, lease=None) -> RecordView:
         """Decode to a :class:`RecordView`.
@@ -436,27 +431,19 @@ class DecodePipeline:
         lent receive buffer, an mmap'd file): the storage outlives every
         view because each view holds the lease alive.
         """
-        timed = self.metrics.timing_enabled
-        t0 = perf_counter() if timed else 0.0
         plan, payload = self._open(message, header)
         try:
-            t1 = perf_counter() if timed else 0.0
             wire_fmt, _, has_strings, _, entry, codec = self._resolve(plan=plan)
-            t2 = perf_counter() if timed else 0.0
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
-                view = RecordView(codec, payload, lease=lease)
-            else:
-                self.metrics.inc("converted_decodes")
-                # a string plan's output is variable-size: it builds its own
-                dst = None if has_strings else bytearray(entry.native_size)
-                view = RecordView(codec, self._run_converter(entry, wire_fmt, payload, dst))
+                return RecordView(codec, payload, lease=lease)
+            self.metrics.inc("converted_decodes")
+            # a string plan's output is variable-size: it builds its own
+            dst = None if has_strings else bytearray(entry.native_size)
+            return RecordView(codec, self._run_converter(entry, wire_fmt, payload, dst))
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
-        if timed:
-            self._observe_stages(t0, t1, t2)
-        return view
 
     def decode(self, message, *, header=None) -> dict[str, Any]:
         """Decode to a fully materialized value dict."""
@@ -485,25 +472,12 @@ class DecodePipeline:
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
-        msg_type, context_id, format_id, _ = header
-        if msg_type == enc.MSG_DATA or msg_type == enc.MSG_DATA_SEQ:
+        if header[0] in enc.DATA_KINDS:
             # Thread the parsed header through: steady-state data frames
             # validate the 16 bytes exactly once end to end.
             return self.decode(message, header=header)
-        if msg_type == enc.MSG_FORMAT:
-            self.absorb(message, context_id, format_id)
-            return None
-        if msg_type == enc.MSG_FORMAT_TOKEN:
-            self.absorb_token(message)
-            return None
-        # MSG_FORMAT_REQUEST / MSG_PING / MSG_PONG / MSG_ACK: link-level
-        # control addressed to a *peer endpoint* and handled by the
-        # negotiation, health or durable layer; one reaching a bare decode
-        # path is mis-delivery.
-        self.metrics.inc("decode.rejected")
-        raise MessageError(
-            f"link control message (type {msg_type}) outside a negotiated stream"
-        )
+        self._control(message, header)
+        return None
 
     # -- batch decode ---------------------------------------------------------
 
@@ -687,26 +661,15 @@ class DecodePipeline:
                 # a format (re-)announcement takes effect before the data
                 # frames behind it — same semantics as the sequential loop.
                 flush()
-                if msg_type == enc.MSG_FORMAT:
-                    try:
-                        self.absorb(message, context_id, format_id)
-                    except PbioError:  # absorb counted decode.rejected already
-                        metrics.inc("decode.batch.rejected")
-                        if strict:
-                            raise
-                elif msg_type == enc.MSG_FORMAT_TOKEN:
-                    try:
-                        self.absorb_token(message)
-                    except TokenResolutionError:
-                        if strict:
-                            raise
-                    except PbioError:
-                        metrics.inc("decode.batch.rejected")
-                        if strict:
-                            raise
-                else:  # request/ping/pong/ack: mis-delivery, as in ingest()
-                    exc = MessageError(f"link control message (type {msg_type}) outside a negotiated stream")
-                    self._reject(exc, strict)
+                try:
+                    self._control(message, (msg_type, context_id, format_id, payload_len))
+                except TokenResolutionError:  # an availability condition, not a rejection
+                    if strict:
+                        raise
+                except PbioError:  # counted decode.rejected where it was raised
+                    metrics.inc("decode.batch.rejected")
+                    if strict:
+                        raise
             flush()
         except PbioError as exc:  # strict only
             exc.partial = out
@@ -836,13 +799,6 @@ class DecodePipeline:
             ) from exc
 
     # -- internals ----------------------------------------------------------
-
-    def _observe_stages(self, t0: float, t1: float, t2: float) -> None:
-        """Record one decode's stage timings (``metrics.timing_enabled``)."""
-        t3 = perf_counter()
-        self.metrics.observe("decode.parse", t1 - t0)
-        self.metrics.observe("decode.resolve", t2 - t1)
-        self.metrics.observe("decode.convert", t3 - t2)
 
     @staticmethod
     def _layout_of(native: IOFormat) -> StructLayout:

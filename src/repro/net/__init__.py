@@ -11,14 +11,13 @@ from .transport import (
     TransportError,
     TransportTimeout,
     WriteQueueFull,
-    transport_token,
 )
 from .health import (
     CircuitBreaker,
     HeartbeatMonitor,
     ProbePolicy,
-    send_goodbye,
 )
+from ..core.negotiation import send_goodbye
 from .aio import (
     AsyncServer,
     AsyncSocketTransport,
@@ -82,7 +81,6 @@ __all__ = [
     "send_goodbye",
     "FrameBuffer",
     "InMemoryPipe",
-    "transport_token",
     "AsyncServer",
     "AsyncSocketTransport",
     "serve_rpc_call",

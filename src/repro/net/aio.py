@@ -54,15 +54,16 @@ from collections import deque
 from typing import Awaitable, Callable
 
 from repro.core.errors import PbioError
+from repro.core.negotiation import send_goodbye
 from repro.core.runtime import Metrics
 
-from .health import send_goodbye
 from .sockets import _IOV_MAX
 from .transport import (
     MAX_FRAME,
     FrameBuffer,
     PeerClosedError,
     SegmentedFrame,
+    Transport,
     TransportError,
     TransportTimeout,
     WriteQueueFull,
@@ -96,7 +97,7 @@ def _pin(payload) -> bytes:
     return payload if type(payload) is bytes else bytes(payload)
 
 
-class AsyncSocketTransport:
+class AsyncSocketTransport(Transport):
     """Length-prefix framed messages over a non-blocking TCP socket.
 
     The async counterpart of :class:`~repro.net.sockets.SocketTransport`:
@@ -472,6 +473,10 @@ class AsyncSocketTransport:
             self._resume_reading()
         return out
 
+    async def recv_many_leased(self, max_frames: int = 0):
+        """Owned frames and no loan: the pump has copied them already."""
+        return await self.recv_many(max_frames), None
+
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -491,13 +496,6 @@ class AsyncSocketTransport:
             pass
         self._sock.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 def _writable(loop: asyncio.AbstractEventLoop, sock: socket.socket):
     """A future resolving when ``sock`` is writable again."""
     fut = loop.create_future()
@@ -516,13 +514,11 @@ def _writable(loop: asyncio.AbstractEventLoop, sock: socket.socket):
 async def drain(transport) -> None:
     """``transport.drain()`` for any transport, awaited when it is a
     coroutine (:class:`AsyncSocketTransport`) and simply called when it
-    is synchronous (the shm ring, whose drain blocks as its sends do);
-    a no-op on transports without a write queue (sync sockets, pipes)."""
-    drain_fn = getattr(transport, "drain", None)
-    if drain_fn is not None:
-        pending = drain_fn()
-        if inspect.isawaitable(pending):
-            await pending
+    is synchronous (the shm ring, whose drain blocks as its sends do; the
+    base class's no-op on transports without a write queue)."""
+    pending = transport.drain()
+    if inspect.isawaitable(pending):
+        await pending
 
 
 class AsyncServer:

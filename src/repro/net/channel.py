@@ -41,7 +41,6 @@ from repro.core.runtime import ConverterCache, Metrics, SubscriberStats
 from repro.core import encoder as enc
 
 from .health import AnnouncementBacklog
-from .relay import ANNOUNCEMENT_KINDS, DATA_KINDS
 from .transport import TransportError
 
 #: Per-subscriber error policies: propagate (pre-existing behaviour),
@@ -91,7 +90,7 @@ class Subscription:
         except PbioError:  # short frame / bad magic: damage, not delivery
             self.metrics.inc("decode_errors")
             raise
-        if header[0] in ANNOUNCEMENT_KINDS:
+        if header[0] in enc.ANNOUNCEMENT_KINDS:
             try:
                 self.ctx.receive(message)
             except TokenResolutionError:
@@ -100,7 +99,7 @@ class Subscription:
                 self.metrics.inc("unresolved_tokens")
                 raise
             return
-        if header[0] not in DATA_KINDS:
+        if header[0] not in enc.DATA_KINDS:
             return  # point-to-point recovery/liveness/ack traffic; not record delivery
         # MSG_DATA, or MSG_DATA_SEQ on a plain subscriber: the sequence
         # prefix is transport bookkeeping it never asked for, and the
@@ -157,7 +156,7 @@ class Subscription:
             headers = [enc.try_unpack_header(message) for message in messages]
         start = 0
         for i, header in enumerate(headers):
-            if header is not None and header[0] in DATA_KINDS:
+            if header is not None and header[0] in enc.DATA_KINDS:
                 continue
             if start < i:
                 self._flush_run(messages[start:i], suppress, lease, headers[start:i])
@@ -444,12 +443,11 @@ class EventChannel:
         if header is None:
             self.metrics.inc("channel.frames_rejected")
             return
-        if header[0] == enc.MSG_ACK:
-            # Point-to-point control flowing *against* the record stream:
-            # route to durable publishers listening here, never fan out.
-            self.route_ack(bytes(message))
-            return
-        if header[0] in (enc.MSG_FORMAT_REQUEST, enc.MSG_PING, enc.MSG_PONG):
+        if header[0] in enc.LINK_KINDS:
+            # Point-to-point control never fans out; an ack flows *against*
+            # the record stream, to the durable publishers listening here.
+            if header[0] == enc.MSG_ACK:
+                self.route_ack(bytes(message))
             return
         self._publish_message(bytes(message), exclude=exclude)
 
@@ -479,11 +477,11 @@ class EventChannel:
                 self.metrics.inc("channel.frames_rejected")
                 continue
             kind = header[0]
-            if kind in DATA_KINDS:
+            if kind in enc.DATA_KINDS:
                 run.append(message)
                 headers.append(header)
                 continue
-            if kind in (enc.MSG_FORMAT_REQUEST, enc.MSG_PING, enc.MSG_PONG):
+            if kind in enc.LINK_KINDS and kind != enc.MSG_ACK:
                 continue
             # An ack or an announcement: flush the run first so ordering
             # holds, then take the scalar path (the replay list wants
@@ -531,7 +529,7 @@ class EventChannel:
         return ChannelPublisher(self, ctx)
 
     def _publish_message(self, message: bytes, *, exclude: WireTap | None = None) -> None:
-        if enc.message_kind(message) in ANNOUNCEMENT_KINDS:
+        if enc.message_kind(message) in enc.ANNOUNCEMENT_KINDS:
             # Remembered once; a repeat (a durable resend re-announces)
             # still reaches everyone attached, who may have lost it.
             self._announcements.add(message)

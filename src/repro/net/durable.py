@@ -214,8 +214,7 @@ def wal_entries(payloads: Iterable[bytes]) -> Iterator[tuple[tuple[int, int], in
         for message in messages:
             try:
                 kind, cid, fid, _plen = enc.unpack_header(message)
-                announcement = kind in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN)
-                seq = 0 if announcement else enc.parse_data_seq(message)[2]
+                seq = 0 if kind in enc.ANNOUNCEMENT_KINDS else enc.parse_data_seq(message)[2]
             except PbioError:
                 yield None
                 continue

@@ -62,6 +62,7 @@ from typing import Callable, Iterable
 
 from repro.core import encoder as enc
 from repro.core.errors import PbioError
+from repro.core.negotiation import LinkControl
 from repro.core.runtime import ConverterCache, Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
 from repro.net.health import (
@@ -71,7 +72,7 @@ from repro.net.health import (
     ProbePolicy,
     QuarantineRecord,
 )
-from repro.net.relay import ANNOUNCEMENT_KINDS, DATA_KINDS, DROPPED, Downstream, Relay
+from repro.net.relay import DROPPED, Downstream, Relay
 from repro.net.transport import PeerUnresponsive, Transport, TransportError
 
 #: Virtual nodes per worker.  512 keeps every worker's owned share of
@@ -295,11 +296,11 @@ class RelayWorker:
                 header = enc.try_unpack_header(message)
             if header is None or (limit is not None and len(message) > limit):
                 self.metrics.inc("worker.rejected")
-            elif header[0] in DATA_KINDS:
+            elif header[0] in enc.DATA_KINDS:
                 messages, headers = by_key.setdefault((header[1], header[2]), ([], []))
                 messages.append(message)
                 headers.append(header)
-            elif header[0] in ANNOUNCEMENT_KINDS:
+            elif header[0] in enc.ANNOUNCEMENT_KINDS:
                 self._absorb_announcement(message)
             else:
                 # Pings, pongs, requests and forward-path acks have no business
@@ -618,7 +619,7 @@ class FabricDispatcher:
                 self.metrics.inc("fabric.rejected")
                 continue
             kind = header[0]
-            if kind in DATA_KINDS:
+            if kind in enc.DATA_KINDS:
                 if kind == enc.MSG_DATA and header[3] != len(message) - enc.HEADER_SIZE:
                     self.metrics.inc("fabric.rejected")
                     continue
@@ -635,7 +636,7 @@ class FabricDispatcher:
                 self._deliver_run(name, run)
             runs.clear()
             last_key = None
-            if kind in ANNOUNCEMENT_KINDS:
+            if kind in enc.ANNOUNCEMENT_KINDS:
                 self._broadcast_announcement(message, header)
             else:
                 self.metrics.inc("fabric." + DROPPED[kind])
@@ -877,13 +878,13 @@ def fabric_handler(dispatcher: FabricDispatcher, *, max_frames: int = 0):
     """An :class:`~repro.net.aio.AsyncServer` connection handler serving
     a fabric: every peer is an ingress publisher *and* a fabric-wide
     subscriber tap (the ``channel_handler`` contract).  Pings are
-    answered with the fabric's aggregate queue depth (``pbio-fabric
-    status``); everything else routes through the dispatcher with its
+    answered by the one responder with the fabric's aggregate queue depth
+    (``pbio-fabric status``); everything else routes through the dispatcher with its
     header parsed exactly once.  Each burst also drives :meth:`heal`.
     """
 
     async def handle(transport) -> None:
-        tap = dispatcher.tap(transport)
+        tap, peer = dispatcher.tap(transport), LinkControl()
         try:
             while True:
                 frames = await transport.recv_many(max_frames)
@@ -892,13 +893,8 @@ def fabric_handler(dispatcher: FabricDispatcher, *, max_frames: int = 0):
                 for frame in frames:
                     header = enc.try_unpack_header(frame)
                     if header is not None and header[0] == enc.MSG_PING:
-                        try:
-                            nonce, _depth = enc.parse_ping(frame)
-                        except PbioError:
-                            continue
-                        if nonce != enc.GOODBYE_NONCE:
-                            depth = min(dispatcher.queue_depth, 0xFFFFFFFF)
-                            transport.send(enc.encode_pong(nonce, depth))
+                        depth = min(dispatcher.queue_depth, 0xFFFFFFFF)
+                        peer.control(frame, header, transport.send, depth, dispatcher.metrics)
                         continue
                     batch.append(frame)
                     headers.append(header)

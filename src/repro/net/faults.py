@@ -41,6 +41,7 @@ from repro.core import encoder as enc
 from repro.core.runtime import Metrics
 
 from .aio import drain
+from .health import AnnouncementBacklog
 from .transport import PeerClosedError, Transport, TransportError, TransportTimeout
 
 #: Fixed draw order; index into the per-message uniform vector.
@@ -50,10 +51,7 @@ _FAULTS = ("disconnect", "drop", "truncate", "corrupt", "duplicate", "delay")
 _HEADER_SIZE = enc.HEADER_SIZE
 _MAGIC = enc.MAGIC
 _VERSION = enc.VERSION
-_MSG_FORMAT = enc.MSG_FORMAT
-_MSG_FORMAT_TOKEN = enc.MSG_FORMAT_TOKEN
-_MSG_PING = enc.MSG_PING
-_MSG_PONG = enc.MSG_PONG
+_ANNOUNCEMENTS = enc.ANNOUNCEMENT_KINDS
 
 #: Frame-class-targeted drops (drawn after the main vector, and only
 #: when their probability is non-zero, so plans that don't use them
@@ -211,12 +209,7 @@ class FaultInjectingTransport(Transport):
         crash_draw = float(self._rng.random()) if self.plan.crash > 0.0 else 1.0
         if crash_draw < self.plan.crash:
             self.crash()
-        is_heartbeat = (
-            len(data) >= _HEADER_SIZE
-            and (data[2] == _MSG_PING or data[2] == _MSG_PONG)
-            and data[0] == _MAGIC
-            and data[1] == _VERSION
-        )
+        is_heartbeat = enc.try_message_type(data) in enc.HEARTBEAT_KINDS
         if is_heartbeat and hb_draw < self.plan.drop_heartbeats:
             self.metrics.inc("faults.heartbeats_dropped")
             return
@@ -326,7 +319,7 @@ class FaultInjectingTransport(Transport):
 
     async def drain(self) -> None:
         """Drain the inner transport's write queue (:func:`repro.net.aio.drain`:
-        a no-op for inners without one)."""
+        awaited or called, whichever the inner's is)."""
         await drain(self._inner)
 
     def close(self) -> None:
@@ -435,12 +428,12 @@ class ReconnectingTransport(Transport):
         self.on_reconnect = on_reconnect
         self._sleep = sleep
         self.metrics = metrics or Metrics()
-        self._announced: list[bytes] = []
-        self._announced_set: set[bytes] = set()
+        self._announced = AnnouncementBacklog()  # replayed, in order, into every re-dialled link
         #: Incarnation counter: bumped on every successful re-dial.
-        #: Protocol layers key per-link state (announcement dedup, RPC
-        #: negotiators) by ``(transport_token, generation)`` so a fresh
-        #: link is never mistaken for the one that died.
+        #: Protocol layers keep per-link state (announcement dedup, RPC
+        #: negotiators: :class:`repro.core.negotiation.LinkTable`) per
+        #: generation of this object, so a fresh link is never mistaken
+        #: for the one that died.
         self.generation = 0
         self._timeout_s: float | None = None
         self._transport = self._checked_dial()
@@ -491,17 +484,14 @@ class ReconnectingTransport(Transport):
 
     def send(self, payload) -> None:
         # Ordered so the common case (a data message) falls through after
-        # two checks: byte 2 is MSG_DATA for everything but announcements.
+        # two checks: byte 2 is an announcement kind for nothing else.
         if (
             len(payload) >= _HEADER_SIZE
-            and (payload[2] == _MSG_FORMAT or payload[2] == _MSG_FORMAT_TOKEN)
+            and payload[2] in _ANNOUNCEMENTS
             and payload[0] == _MAGIC
             and payload[1] == _VERSION
         ):
-            data = bytes(payload)
-            if data not in self._announced_set:
-                self._announced.append(data)
-                self._announced_set.add(data)
+            self._announced.add(bytes(payload))
         try:
             self._inner_send(payload)
             return

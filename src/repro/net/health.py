@@ -21,7 +21,8 @@ operator in the loop (docs/robustness.md §9):
   and is counted like any other failed send.
 * :class:`AnnouncementBacklog` — "remember each announcement once, replay
   it in order to late joiners", the one copy behind the relay, the fabric
-  worker and dispatcher, and :class:`~repro.net.channel.EventChannel`.
+  worker and dispatcher, :class:`~repro.net.channel.EventChannel` and a
+  re-dialling :class:`~repro.net.faults.ReconnectingTransport`.
 * :class:`CircuitBreaker` — the open/half-open/closed generalisation of
   :class:`~repro.fmtserv.client.FormatService`'s flat server-down holdoff,
   one per replica so the client can fail over down an ordered server list.
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core import encoder as enc
+from ..core.negotiation import LinkControl
 from .transport import PeerUnresponsive, Transport, TransportError
 
 #: Peer lifecycle states (the quarantine state machine).
@@ -48,7 +50,7 @@ PROBING = "probing"
 EVICTED = "evicted"
 
 
-class HeartbeatMonitor:
+class HeartbeatMonitor(LinkControl):
     """Liveness verdicts for one transport, driven by explicit ticks.
 
     The monitor never owns a thread: callers pump it by calling
@@ -62,14 +64,17 @@ class HeartbeatMonitor:
        previous ping as *missed* if nothing proved the peer alive since;
     3. raises :class:`PeerUnresponsive` while ``misses >= miss_threshold``.
 
-    *Any* inbound frame counts as proof of life (a peer streaming data at
-    full rate may reasonably starve its pong writes), so heartbeats add
-    zero false positives on busy links and only arbitrate silent ones.
+    *Any* inbound frame but a malformed heartbeat counts as proof of life
+    (a peer streaming data at full rate may reasonably starve its pong
+    writes), so heartbeats add zero false positives on busy links and only
+    arbitrate silent ones.
 
     Pings carry a monotonic nonce (starting at 1; 0 is the goodbye nonce)
-    and the local send-queue depth; inbound pings are answered with a pong
-    automatically.  A goodbye ping from the peer sets :attr:`peer_goodbye`
-    so callers can re-dial proactively instead of waiting out a timeout.
+    and the local send-queue depth; inbound heartbeats go through the one
+    responder (:class:`~repro.core.negotiation.LinkControl`: pings are
+    answered, a goodbye sets :attr:`peer_goodbye` so callers can re-dial
+    proactively instead of waiting out a timeout, a malformed one only
+    bumps :attr:`control_malformed`).
     """
 
     def __init__(
@@ -94,10 +99,7 @@ class HeartbeatMonitor:
         self._last_ping_at: float | None = None
         self._alive_since_ping = True  # no probe outstanding yet
         self.misses = 0
-        self.peer_goodbye = False
-        self.peer_queue_depth = 0
         self.pings_sent = 0
-        self.pongs_received = 0
         #: Non-heartbeat frames harvested while polling, oldest first.
         self.inbox: deque[bytes] = deque()
 
@@ -113,35 +115,23 @@ class HeartbeatMonitor:
         consumed, everything else returns ``False`` untouched and counts
         as proof of life.
         """
+        header = enc.try_unpack_header(frame)
+        heartbeat = header is not None and header[0] in enc.HEARTBEAT_KINDS
+        if heartbeat and not self.control(frame, header, self._answer, self.transport.write_queue_depth):
+            return True  # malformed: consumed, and no proof of an answered ping
         was_responsive = self.responsive
         self._alive_since_ping = True
         if self.misses:
             self.misses = 0
             if not was_responsive and self._on_state_change is not None:
                 self._on_state_change(True)
-        header = enc.try_unpack_header(frame)
-        if header is None:
-            return False
-        msg_type = header[0]
-        if msg_type == enc.MSG_PONG:
-            nonce, depth = enc.parse_pong(frame)
-            self.pongs_received += 1
-            self.peer_queue_depth = depth
-            return True
-        if msg_type == enc.MSG_PING:
-            nonce, depth = enc.parse_ping(frame)
-            self.peer_queue_depth = depth
-            if nonce == enc.GOODBYE_NONCE:
-                self.peer_goodbye = True
-            else:
-                try:
-                    self.transport.send(
-                        enc.encode_pong(nonce, self.transport.write_queue_depth)
-                    )
-                except TransportError:
-                    pass  # the tick's own ping will discover a dead link
-            return True
-        return False
+        return heartbeat
+
+    def _answer(self, pong: bytes) -> None:
+        try:
+            self.transport.send(pong)
+        except TransportError:
+            pass  # the tick's own ping will discover a dead link
 
     def _poll(self) -> None:
         while True:
@@ -188,18 +178,21 @@ class HeartbeatMonitor:
         except TransportError:
             pass  # an unsendable ping is an unanswerable ping: counts as a miss
 
-    def goodbye(self) -> None:
-        """Emit the drain goodbye (nonce 0); best-effort, never raises."""
-        send_goodbye(self.transport)
 
-
-def send_goodbye(transport) -> bool:
-    """Best-effort goodbye ping on a bare transport; True if it went out."""
-    try:
-        transport.send(enc.encode_ping(enc.GOODBYE_NONCE, transport.write_queue_depth))
-        return True
-    except TransportError:
-        return False
+def ping_once(transport, timeout_s: float | None = None, nonce: int = 1) -> int:
+    """One liveness round trip on a blocking transport: ping, wait for the
+    pong that echoes ``nonce`` (skipping anything else a serving peer
+    replays first), return the queue depth it reports.  A dead or
+    non-PBIO peer raises ``TransportError`` / ``PbioError``."""
+    transport.set_timeout(timeout_s)
+    transport.send(enc.encode_ping(nonce))
+    while True:
+        frame = transport.recv()
+        header = enc.unpack_header(frame)
+        if header[0] == enc.MSG_PONG:
+            got, depth = enc.parse_control(frame, header)
+            if got == nonce:
+                return depth
 
 
 @dataclass(frozen=True)

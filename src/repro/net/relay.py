@@ -66,6 +66,7 @@ from repro.core import encoder as enc
 from repro.core.context import IOContext
 from repro.core.errors import PbioError, TokenResolutionError
 from repro.core.filters import RecordFilter
+from repro.core.negotiation import LinkControl, send_goodbye
 from repro.core.runtime import ConverterCache, DownstreamStats, Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
 from repro.net.health import (
@@ -74,12 +75,8 @@ from repro.net.health import (
     AnnouncementBacklog,
     ProbePolicy,
     QuarantineRecord,
-    send_goodbye,
 )
 from repro.net.transport import Transport, TransportError
-
-DATA_KINDS = (enc.MSG_DATA, enc.MSG_DATA_SEQ)
-ANNOUNCEMENT_KINDS = (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN)
 
 #: Control a one-way fan-out hub (relay, fabric front) drops, by counter
 #: suffix.  Pings and pongs are link-level liveness, point-to-point: the
@@ -97,7 +94,7 @@ DROPPED = {
 }
 
 
-class Downstream(QuarantineRecord):
+class Downstream(QuarantineRecord, LinkControl):
     """The opaque handle :meth:`Relay.attach` returns.
 
     Callers read :attr:`stats` / :attr:`state` / :attr:`quarantined` and
@@ -325,7 +322,7 @@ class Relay:
             return
         if header is None:
             header = enc.try_unpack_header(message)
-        if header is None or header[0] not in DATA_KINDS:
+        if header is None or header[0] not in enc.DATA_KINDS:
             self._control(message, header)
             return
         message = self._admit_data(message, header)
@@ -341,7 +338,7 @@ class Relay:
         ):
             self.metrics.inc("relay.rejected")
             return
-        if header[0] not in ANNOUNCEMENT_KINDS:
+        if header[0] not in enc.ANNOUNCEMENT_KINDS:
             self.metrics.inc("relay." + DROPPED[header[0]])
             return
         # Absorb for filter compilation.  The relay's key property:
@@ -426,7 +423,7 @@ class Relay:
         for message, header in pairs:
             if header is None:
                 header = enc.try_unpack_header(message)
-            if header is not None and header[0] in DATA_KINDS:
+            if header is not None and header[0] in enc.DATA_KINDS:
                 message = self._admit_data(message, header)
                 if message is not None:  # rejects do not break a run
                     run.append(message)
@@ -514,10 +511,12 @@ class Relay:
     def _harvest_pong(self, downstream: Downstream) -> bool:
         """Drain the downstream's back-channel; True on proof of life.
 
-        Pongs answer probes; ``MSG_ACK`` frames both prove life *and*
-        advance the downstream's per-stream ack cursors (a peer that
-        acks is necessarily receiving).  Anything else a peer sends
-        (stray requests, garbage) is not proof it can receive.
+        Pongs answer probes (through the one responder, which the relay
+        gives no way to answer a peer's own ping: a hub's probing is its
+        own); ``MSG_ACK`` frames both prove life *and* advance the
+        downstream's per-stream ack cursors (a peer that acks is
+        necessarily receiving).  Anything else a peer sends (stray
+        requests, garbage, a malformed heartbeat) is not proof it can receive.
         """
         alive = False
         while True:
@@ -530,15 +529,16 @@ class Relay:
             header = enc.try_unpack_header(frame)
             if header is None:
                 continue
-            if header[0] == enc.MSG_PONG:
-                alive = True
+            if header[0] in enc.HEARTBEAT_KINDS:
+                if downstream.control(frame, header, metrics=self.metrics) and header[0] == enc.MSG_PONG:
+                    alive = True
             elif header[0] == enc.MSG_ACK:
                 try:
-                    cid, fid, cursor, _nb, _bits = enc.parse_ack(frame)
+                    cursor, _nb, _bits = enc.parse_control(frame, header)
                 except PbioError:
                     continue
                 alive = True
-                key = (cid, fid)
+                key = (header[1], header[2])
                 if cursor > downstream.ack_cursors.get(key, 0):
                     downstream.ack_cursors[key] = cursor
                 self.metrics.inc("durable.acks_received")

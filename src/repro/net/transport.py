@@ -20,7 +20,6 @@ keys retry decisions off it):
 
 from __future__ import annotations
 
-import itertools
 import struct
 from abc import ABC, abstractmethod
 from collections import deque
@@ -66,28 +65,6 @@ class PeerUnresponsive(TransportError):
     """
 
 
-#: Monotonic ids for :func:`transport_token` (never recycled, unlike ``id()``).
-_token_counter = itertools.count(1)
-
-
-def transport_token(transport) -> int:
-    """A process-unique, monotonic identity token for a transport.
-
-    ``id()`` values recycle after garbage collection, so keying
-    per-transport protocol state (e.g. "announcements already sent") by
-    ``id(transport)`` lets a new transport silently inherit a dead one's
-    state.  This token is assigned once per object and never reused.
-    """
-    token = getattr(transport, "_transport_token", None)
-    if token is None:
-        token = next(_token_counter)
-        try:
-            transport._transport_token = token
-        except AttributeError:  # __slots__ without the attribute: fall back
-            return id(transport)
-    return token
-
-
 class Transport(ABC):
     """One endpoint of a duplex, message-oriented link."""
 
@@ -119,6 +96,17 @@ class Transport(ABC):
     #: Queueing transports (aio, shm) override this with a live gauge;
     #: one that sends synchronously never holds anything.
     write_queue_depth = 0
+    #: Incarnation of the link behind this object: a self-reconnecting
+    #: transport bumps it per re-dial, and per-link protocol state
+    #: (:class:`repro.core.negotiation.LinkTable`) starts afresh.
+    generation = 0
+    #: ``pending()``: a zero-syscall count of frames waiting to be received,
+    #: where a transport has one (in-process pipes); ``None``: use ``poll_recv``.
+    pending = None
+
+    def drain(self):
+        """Wait out the write queue: a no-op where sends are synchronous, a
+        coroutine on an async transport (:func:`repro.net.aio.drain` takes either)."""
 
     # Scatter-gather send: NDR senders hand the transport a header and the
     # application's own buffer, avoiding the copy a contiguous wire format

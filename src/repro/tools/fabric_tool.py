@@ -37,11 +37,10 @@ import argparse
 import socket
 import sys
 
-from repro.core import encoder as enc
 from repro.core.errors import PbioError
 from repro.net.aio import AsyncServer
 from repro.net.fabric import DEFAULT_VNODES, FabricDispatcher, HashRing
-from repro.net.health import ProbePolicy
+from repro.net.health import ProbePolicy, ping_once
 from repro.net.sockets import SocketTransport
 from repro.net.transport import TransportError
 
@@ -116,25 +115,16 @@ def _status(args) -> int:
     except OSError as exc:
         print(f"{args.server}: DOWN ({exc})", file=sys.stderr)
         return 1
-    sock.settimeout(args.timeout)
     transport = SocketTransport(sock)
-    nonce = 1  # any non-zero value; 0 is the goodbye sentinel
     try:
-        transport.send(enc.encode_ping(nonce))
-        while True:
-            message = transport.recv()
-            kind, _cid, _fid, _plen = enc.unpack_header(message)
-            if kind != enc.MSG_PONG:
-                continue  # a tap replay frame; keep waiting for our pong
-            got, depth = enc.parse_pong(message)
-            if got == nonce:
-                print(f"{args.server}: alive (queue depth {depth})")
-                return 0
+        depth = ping_once(transport, args.timeout)
     except (TransportError, PbioError, OSError) as exc:
         print(f"{args.server}: DOWN ({exc})", file=sys.stderr)
         return 1
     finally:
         transport.close()
+    print(f"{args.server}: alive (queue depth {depth})")
+    return 0
 
 
 # -- ring ----------------------------------------------------------------------

@@ -42,10 +42,10 @@ import argparse
 import socket
 import sys
 
-from repro.core import encoder as enc
 from repro.core.errors import PbioError
 from repro.fmtserv import FormatCache, FormatServer, FormatService
 from repro.net.aio import AsyncServer, fmtserv_handler
+from repro.net.health import ping_once
 from repro.net.sockets import SocketTransport
 from repro.net.transport import TransportError
 
@@ -200,17 +200,8 @@ def _ping_one(endpoint: str, timeout_s: float) -> tuple[bool, str]:
         transport = _dial(endpoint, timeout_s=timeout_s)
     except TransportError as exc:
         return False, str(exc)
-    nonce = 1  # any non-zero value; 0 is the goodbye sentinel
     try:
-        transport.send(enc.encode_ping(nonce))
-        while True:
-            message = transport.recv()
-            kind, _cid, _fid, _plen = enc.unpack_header(message)
-            if kind != enc.MSG_PONG:
-                continue  # an announcement or stray frame; keep waiting
-            got, depth = enc.parse_pong(message)
-            if got == nonce:
-                return True, f"queue depth {depth}"
+        return True, f"queue depth {ping_once(transport, timeout_s)}"
     except (TransportError, PbioError) as exc:
         return False, str(exc)
     finally:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net.transport import Transport
 from repro.abi import SPARC_V8, X86, RecordSchema
 from repro.core import IOContext, PbioError
 from repro.core.files import PbioFileReader
@@ -295,7 +296,7 @@ def test_chaos_rpc_retry_executes_servant_exactly_once(seed):
     pipe = InMemoryPipe()
     rng = np.random.default_rng(seed)
 
-    class FlakyLoop:
+    class FlakyLoop(Transport):
         def set_timeout(self, timeout_s):
             pass
 

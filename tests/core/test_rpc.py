@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.net.transport import Transport
 from repro.abi import ALPHA, SPARC_V8, X86, CType, FieldDecl, RecordSchema
+from repro.core import encoder as enc
 from repro.core import RpcClient, RpcFault, RpcInterface, RpcOperation, RpcServer
 from repro.net import InMemoryPipe
 
@@ -34,7 +36,7 @@ def make_pair(client_machine=X86, server_machine=SPARC_V8, interface=CALC):
 
     server.register(b"calc", {"add": add, "norm": norm})
 
-    class SyncTransport:
+    class SyncTransport(Transport):
         """Client-side transport that runs the server synchronously."""
 
         def send(self, data):
@@ -66,10 +68,13 @@ class TestRpc:
 
     def test_repeated_calls_announce_once(self):
         client, transport = make_pair()
+        sent = []
+        send = transport.send
+        transport.send = lambda data: (sent.append(bytes(data)), send(data))[1]
         for i in range(4):
             client.invoke(transport, b"calc", "add", {"a": float(i), "b": 1.0})
         # one request-format announcement total (per transport)
-        assert len(client._announcer._sent) == 1
+        assert [enc.try_message_type(m) for m in sent].count(enc.MSG_FORMAT) == 1
         # and the server generated exactly one converter for add_req
         # (cached across calls)
 
@@ -85,7 +90,7 @@ class TestRpc:
         server = RpcServer(SPARC_V8, CALC)
         server.register(b"calc", {"add": lambda r: {"total": r["a"] + r["b"]}})
 
-        class SyncTransport:
+        class SyncTransport(Transport):
             def send(self, data):
                 pipe.a.send(data)
 
@@ -93,6 +98,9 @@ class TestRpc:
                 while pipe.b.pending() and not pipe.a.pending():
                     server.serve_one(pipe.b)
                 return pipe.a.recv()
+
+            def close(self):
+                pass
 
         with pytest.raises(RpcFault, match="no operation"):
             client.invoke(SyncTransport(), b"calc", "norm", {"v": (0.0,) * 8, "n": 1})
@@ -119,7 +127,7 @@ class TestRpcEvolution:
         server = RpcServer(SPARC_V8, CALC)
         server.register(b"calc", {"add": lambda r: {"total": r["a"] + r["b"]}})
 
-        class SyncTransport:
+        class SyncTransport(Transport):
             def send(self, data):
                 pipe.a.send(data)
 
@@ -127,6 +135,9 @@ class TestRpcEvolution:
                 while pipe.b.pending() and not pipe.a.pending():
                     server.serve_one(pipe.b)
                 return pipe.a.recv()
+
+            def close(self):
+                pass
 
         result = client.invoke(
             SyncTransport(), b"calc", "add", {"a": 1.0, "b": 2.0, "precision": 9}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.transport import Transport
 from repro.abi import SPARC_V8, X86, X86_64, RecordSchema
 from repro.core import (
     IOContext,
@@ -38,7 +39,7 @@ def make_service(server=None, **kw):
     return FormatService(connect, **kw)
 
 
-class CountingPipeEnd:
+class CountingPipeEnd(Transport):
     """Transport wrapper that tallies wire frames by message type."""
 
     def __init__(self, inner):
@@ -338,7 +339,7 @@ class TestRpcTokens:
         rpc_server = RpcServer(SPARC_V8, CALC, format_service=make_service(server))
         rpc_server.register(b"calc", {"add": lambda r: {"total": r["a"] + r["b"]}})
 
-        class SyncTransport:
+        class SyncTransport(Transport):
             def send(self, data):
                 pipe.a.send(data)
 

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.net.transport import Transport
 from repro.abi import SPARC_V8, X86_64, RecordSchema, layout_record
 from repro.core import DecodeLimits, IOContext, IOFormat
 from repro.fmtserv import (
@@ -164,7 +165,7 @@ class TestService:
         clock = FakeClock()
         from repro.net import TransportError
 
-        class DeadTransport:
+        class DeadTransport(Transport):
             def send(self, data):
                 raise TransportError("link down")
 

@@ -23,13 +23,17 @@ from repro.net import (
     DurablePublisher,
     DurableSubscription,
     EventChannel,
+    FabricDispatcher,
+    InMemoryPipe,
     Relay,
+    RelayWorker,
     ShmRingTransport,
     SocketTransport,
     loopback_pair,
     shm,
     shm_pair,
 )
+from repro.core.filters import RecordFilter
 from repro.net import sockets, transport
 from repro.workloads import mechanical, random_record
 
@@ -327,6 +331,116 @@ class RttScalar:
         self.b.close()
 
 
+class CountingKinds(frozenset):
+    """A frame-kind class (``enc.DATA_KINDS``) with each membership test —
+    one "what kind of frame is this" classification — counted."""
+
+    counts = None
+
+    def __contains__(self, kind):
+        self.counts["kind_classifications"] += 1
+        return frozenset.__contains__(self, kind)
+
+
+class FanoutHomo:
+    """``fanout_homo``: 8 channels x 4 subscribers (the last behind a
+    push-down filter a quarter of the records pass) of 100 B x86 -> x86
+    records through a 4-worker ``FabricDispatcher``; each leaf is a pipe
+    into an ``EventChannel`` with one view subscriber.  A burst is ``n``
+    records of one channel, so every count is per burst of one channel."""
+
+    CHANNELS, SUBSCRIBERS = 8, 4
+
+    def __init__(self, root, monkeypatch):
+        self.counts = counts = Counter()
+        schema = mechanical.schema_for_size("100b")
+        self.codec = codec_for(layout_record(schema, X86))
+        self.record = random_record(schema, np.random.default_rng(24))
+        self.dispatcher = FabricDispatcher(4)
+        self.publishers, self.leaves, self.got = [], [], []
+        for c in range(self.CHANNELS):
+            ctx = IOContext(X86, context_id=0x5000 + c)
+            handle = ctx.register_format(schema)
+            leaves = []
+            for s in range(self.SUBSCRIBERS):
+                filtered = s == self.SUBSCRIBERS - 1
+                pipe = InMemoryPipe()
+                self.dispatcher.subscribe(
+                    (ctx.context_id, handle.format_id),
+                    pipe.a,
+                    format_name=schema.name if filtered else None,
+                    filter_expr="timestep < 10" if filtered else None,
+                )
+                rx = IOContext(X86)
+                rx.expect(schema)
+                channel = EventChannel()
+                channel.subscribe(rx, self.got.append, deliver="view")
+                leaves.append((pipe.b, channel))
+            self.publishers.append((ctx, handle))
+            self.leaves.append(leaves)
+            self.dispatcher.forward(ctx.announce(handle))
+        kinds = CountingKinds(enc.DATA_KINDS)
+        kinds.counts = counts
+        monkeypatch.setattr(enc, "DATA_KINDS", kinds)
+        for name in ("try_unpack_header", "unpack_header"):
+            monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
+        monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
+        pipe_end = type(pipe.a)
+        for owner, name, key in (
+            (FabricDispatcher, "forward_batch", "fabric.forward_batch"),
+            (RelayWorker, "ingest_batch", "worker.ingest_batch"),
+            (Relay, "forward_batch", "relay.forward_batch"),
+            (Relay, "forward", "relay.forward"),
+            (Relay, "_admit_data", "admissions"),
+            (RecordFilter, "matches", "filter_evaluations"),
+            (pipe_end, "send_many", "send_many"),
+            (pipe_end, "send", "send"),
+            (pipe_end, "recv_many", "recv_many"),
+            (EventChannel, "ingest_many", "channel.ingest_many"),
+            (DecodePipeline, "decode_batch", "decode_batch"),
+        ):
+            monkeypatch.setattr(owner, name, counted(counts, key, owner.__dict__[name]))
+
+    def burst(self, n):
+        """``n`` records on one channel, every fourth passing the filter."""
+        channel = self.counts["bursts"] % self.CHANNELS
+        self.counts["bursts"] += 1
+        ctx, handle = self.publishers[channel]
+        natives = [self.codec.encode(dict(self.record, node_id=k, timestep=5 if k % 4 == 0 else 50)) for k in range(n)]
+        frames = [ctx.encode_native(handle, native) for native in natives]
+        del self.got[:]
+        self.dispatcher.forward_batch(frames)
+        for end, leaf in self.leaves[channel]:
+            delivered = end.recv_many()
+            # a frame reaches a leaf as the object that was published, or it was copied on the way
+            self.counts["payload_copies"] += sum(not any(d is f for f in frames) for d in delivered)
+            leaf.ingest_many(delivered)
+        self.dispatcher.heal()
+        assert len(self.got) == 3 * n + n // 4
+        return sum(map(len, natives))
+
+    def close(self):
+        self.dispatcher.drain_and_stop()
+
+
+def fanout_row(n, payload):
+    """What a burst of ``n`` records of one channel costs end to end: the
+    fabric front, the owning worker and the channel's relay each see it
+    as one run (one call, one classification and — at the relay — one
+    admission a record, the front's header parse the only one in the
+    fabric); the filter reads ``n`` records for its one subscriber; each
+    of the four leaves gets one ``send_many`` of the published frames
+    themselves, and pays one header parse and two classifications
+    (channel, subscription) a frame it is delivered."""
+    delivered = 3 * n + n // 4
+    return {
+        "fabric.forward_batch": 1, "worker.ingest_batch": 1, "relay.forward_batch": 1, "relay.forward": 0,
+        "admissions": n, "filter_evaluations": n, "send_many": 4, "send": 0, "recv_many": 4,
+        "payload_copies": 0, "channel.ingest_many": 4, "decode_batch": 4,
+        "header_unpacks": n + delivered, "kind_classifications": 3 * n + 2 * delivered,
+    }  # fmt: skip
+
+
 def rtt_row(size, payload):
     """What the two records of one warm round trip cost: each one send
     syscall — joined behind its prefix below ``GATHER_MIN_FRAME``, three
@@ -398,12 +512,13 @@ TABLE = {
     "stream_hetero": (Stream, stream_row(lent=0)),
     "stream_homo": (StreamHomo, stream_row(lent=1)),
     "rtt_scalar": (RttScalar, rtt_row),
+    "fanout_homo": (FanoutHomo, fanout_row),
 }
 
 STREAM_BURSTS = [(1, "100kb"), (32, "100b")]
 CASES = [("durable_burst", 8), ("durable_burst", 32)] + [
     (topology, shape) for topology in ("stream_hetero", "stream_homo") for shape in STREAM_BURSTS
-] + [("rtt_scalar", "1kb"), ("rtt_scalar", "100kb")]
+] + [("rtt_scalar", "1kb"), ("rtt_scalar", "100kb"), ("fanout_homo", 8), ("fanout_homo", 32)]
 
 
 def case_id(value):

@@ -347,6 +347,52 @@ class TestAsyncRpc:
             # task returns to its accounting, so poll rather than assert.
             wait_until(lambda: rpc.metrics.value("requests_served") == 5)
 
+    def test_32_live_links_each_keep_their_negotiator(self):
+        """An endpoint with many links alive at once (what an ``AsyncServer``
+        gives an ``RpcServer``) keeps each one's negotiator: a frame parked
+        behind an unresolvable token on the first link is still there once
+        the other 31 have been touched (a table bounded at 16 lost it)."""
+        sender = IOContext(SPARC_V8, context_id=0x32)
+        handle = sender.register_format(ADD_REP)
+        token = enc.encode_token_message(0x32, handle.format_id, handle.iofmt.fingerprint, 9)
+        body = sender.encode(handle, {"total": 3.0})
+        client = RpcClient(X86, CALC)  # no format service: the token cannot resolve
+        pipes = [InMemoryPipe() for _ in range(32)]
+        first = pipes[0]
+        first.a.send_many([token, b"a call header", body])
+        assert client._recv_frame(first.b) == b"a call header"
+        with pytest.raises(TransportError):  # the body is held, the link dry
+            client._recv_frame(first.b)
+        assert enc.message_kind(first.a.recv()) == enc.MSG_FORMAT_REQUEST
+        for k, pipe in enumerate(pipes[1:]):
+            pipe.a.send(b"frame %d" % k)
+            assert client._recv_frame(pipe.b) == b"frame %d" % k
+        first.a.send(sender.announce(handle))  # the inline answer, at last
+        assert client._recv_frame(first.b) == body
+        assert client.ctx.metrics.value("fmtserv.messages_released") == 1
+
+    def test_link_state_lives_and_dies_with_the_connection(self):
+        rpc = RpcServer(SPARC_V8, CALC)
+        rpc.register(b"calc", {"add": lambda req: {"total": req["a"] + req["b"]}})
+        server = AsyncServer(rpc_handler(rpc))
+        with serving(server) as (host, port):
+            client = RpcClient(X86, CALC)
+            links = [connect(host, port) for _ in range(32)]
+            for k, t in enumerate(links):
+                assert client.invoke(t, b"calc", "add", {"a": float(k), "b": 1.0}) == {"total": k + 1.0}
+            assert len(rpc._links.live()) == len(client._links.live()) == 32
+            for t in links:  # every one is still the link it was: no re-announcement
+                assert client.invoke(t, b"calc", "add", {"a": 1.0, "b": 1.0}) == {"total": 2.0}
+            assert client.ctx.metrics.value("fmtserv.meta_requests_served") == 0
+            for t in links:
+                t.close()
+            del links, t
+            wait_until(lambda: server.active_connections == 0)
+        import gc
+
+        gc.collect()
+        assert rpc._links.live() == [] and client._links.live() == []
+
     def test_two_clients_interleaved(self):
         rpc = RpcServer(SPARC_V8, CALC)
         rpc.register(b"calc", {"add": lambda req: {"total": req["a"] + req["b"]}})

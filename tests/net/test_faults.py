@@ -6,6 +6,7 @@ shifts the seeds so the same suite explores different fault schedules
 run to run while any single run stays exactly reproducible.
 """
 
+import gc
 import os
 
 import numpy as np
@@ -34,8 +35,10 @@ from repro.net import (
     RetryPolicy,
     TransportError,
     TransportTimeout,
-    transport_token,
 )
+from repro.core import encoder as enc
+from repro.core.negotiation import Announcer, LinkTable
+from repro.net.transport import Transport
 
 CHAOS_SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 
@@ -425,7 +428,7 @@ class TestRelayGracefulDegradation:
         assert bad not in relay.active_downstreams
 
     def test_success_resets_consecutive_error_count(self):
-        class FlickeringTransport:
+        class FlickeringTransport(Transport):
             """Fails every other send: never quarantined at threshold 2."""
 
             def __init__(self):
@@ -541,7 +544,7 @@ class TestEventChannelErrorPolicies:
             channel.subscribe(ctx, lambda r: None, on_error="explode")
 
 
-class _FlakyLoop:
+class _FlakyLoop(Transport):
     """Synchronous client↔server transport that loses replies.
 
     ``serve_one`` runs inline (like the test loops in test_rpc.py); with
@@ -660,7 +663,7 @@ class TestRpcRetryAndDedup:
         """A frame that is not a call header (e.g. a stray record body
         after mid-reply frame loss) raises PbioError, not struct.error."""
 
-        class Garbage:
+        class Garbage(Transport):
             def set_timeout(self, timeout_s):
                 pass
 
@@ -669,6 +672,9 @@ class TestRpcRetryAndDedup:
 
             def recv(self):
                 return b"\x00\x01"  # far too short for a call header
+
+            def close(self):
+                pass
 
         client = RpcClient(X86, CALC)
         with pytest.raises(PbioError, match="malformed call header"):
@@ -681,7 +687,7 @@ class TestRpcRetryAndDedup:
         assert executed == []
 
     def test_deadline_bounds_retry_budget(self):
-        class BlackHole:
+        class BlackHole(Transport):
             def set_timeout(self, timeout_s):
                 pass
 
@@ -713,24 +719,41 @@ class TestRpcRetryAndDedup:
         """A brand-new transport must always be re-announced, even if it
         happens to reuse a dead transport's memory address."""
         client, server, loop, _ = self._stack(seed=CHAOS_SEED, loss_rate=0.0)
-        client.invoke(loop, b"calc", "add", {"a": 1.0, "b": 1.0})
-        loop2 = _FlakyLoop(server, seed=CHAOS_SEED, loss_rate=0.0)
-        client.invoke(loop2, b"calc", "add", {"a": 2.0, "b": 1.0})
-        assert len(client._announcer._sent) == 2  # one announcement per transport
-        tokens = {transport_token(loop), transport_token(loop2)}
-        assert len(tokens) == 2
+        wire = []  # every announcement the client puts on any link
+        for link in (loop, _FlakyLoop(server, seed=CHAOS_SEED, loss_rate=0.0)):
+            send = link.pipe.a.send
+            link.pipe.a.send = lambda data, send=send: (wire.append(bytes(data)), send(data))[1]
+            client.invoke(link, b"calc", "add", {"a": 1.0, "b": 1.0})
+            client.invoke(link, b"calc", "add", {"a": 2.0, "b": 1.0})
+        announcements = [m for m in wire if enc.try_message_type(m) in enc.ANNOUNCEMENT_KINDS]
+        assert len(announcements) == 2  # one per transport, none per call
+        assert len(client._links.live()) == 2
 
 
 class TestTransportToken:
+    """What ``transport_token`` was for, as the property that replaced it:
+    per-link state is keyed by the live transport object and dies with it,
+    so neither a re-dialled nor a recycled transport inherits any."""
+
     def test_stable_and_unique(self):
+        ctx = IOContext(X86)
+        links = LinkTable(ctx)
         a, b = InMemoryPipe().endpoints()
-        assert transport_token(a) == transport_token(a)
-        assert transport_token(a) != transport_token(b)
+        assert links.of(a) is links.of(a)
+        assert links.of(a) is not links.of(b)
+        a.generation = 1  # the same object, re-dialled
+        fresh = links.of(a)
+        assert fresh.generation == 1 and not fresh.announced and fresh is links.of(a)
 
     def test_monotonic_across_generations(self):
-        seen = set()
+        ctx = IOContext(X86)
+        handle = ctx.register_format(TELEMETRY)
+        announcer = Announcer(ctx)
         for _ in range(50):
             t = InMemoryPipe().a  # old pipes are garbage, ids may recycle
-            token = transport_token(t)
-            assert token not in seen
-            seen.add(token)
+            announcer.ensure_announced(t, handle)
+            announcer.ensure_announced(t, handle)
+            assert t.messages_sent == 1  # never mistaken for a dead link that had heard it
+            del t
+            gc.collect()
+            assert len(announcer.links.live()) == 0  # released with the link

@@ -420,6 +420,117 @@ class TestRelayDrain:
         assert down.stats.goodbyes_sent == 1
 
 
+# -- damaged heartbeats ----------------------------------------------------------
+
+
+def damaged_heartbeats():
+    """Every heartbeat damage shape: a type-5 / type-6 header on 0, 3, 15
+    or 17 payload bytes, and on 16 with the header's length lying both ways."""
+    shapes = {}
+    for name, kind in (("ping", enc.MSG_PING), ("pong", enc.MSG_PONG)):
+        for n in (0, 3, 15, 17):
+            shapes[f"{name}-{n}"] = enc.pack_header(kind, 0, 0, n) + b"\x01" * n
+        for lie in (15, 17):
+            shapes[f"{name}-16-says-{lie}"] = enc.pack_header(kind, 0, 0, lie) + b"\x01" * 16
+    return shapes
+
+
+DAMAGED = damaged_heartbeats()
+
+
+class _AsyncFeed:
+    """What ``fabric_handler`` needs of an async transport: bursts in,
+    frames out, the peer gone when the bursts are."""
+
+    write_queue_depth = 0
+
+    def __init__(self, bursts):
+        self.bursts, self.sent = list(bursts), []
+
+    async def recv_many(self, max_frames=0):
+        if not self.bursts:
+            raise TransportError("peer closed (test)")
+        return self.bursts.pop(0)
+
+    def send(self, data):
+        self.sent.append(bytes(data))
+
+    def send_many(self, frames):
+        self.sent.extend(bytes(f) for f in frames)
+
+
+@pytest.mark.parametrize("shape", sorted(DAMAGED))
+class TestDamagedHeartbeats:
+    """Defect (2): a malformed ping or pong is counted — under one name on
+    every role with a ``Metrics`` — never answered, never raised past the
+    pump, and never proof that a ping was answered."""
+
+    def test_monitor_observe(self, shape):
+        pipe = InMemoryPipe()
+        monitor = HeartbeatMonitor(pipe.a, clock=VirtualClock())
+        assert monitor.observe(DAMAGED[shape]) is True  # consumed: not application traffic
+        assert monitor.control_malformed == 1 and monitor.pongs_received == 0
+        assert not pipe.b.pending()  # and not answered
+
+    def test_monitor_tick_raises_only_peer_unresponsive(self, shape):
+        clock, pipe = VirtualClock(), InMemoryPipe()
+        monitor = HeartbeatMonitor(pipe.a, interval_s=1.0, miss_threshold=3, clock=clock)
+        verdicts = []
+        for _ in range(6):  # an otherwise silent link: damage is all that ever arrives
+            pipe.b.send(DAMAGED[shape])
+            try:
+                verdicts.append(monitor.tick())
+            except PeerUnresponsive:
+                verdicts.append(False)
+            clock.advance(1.0)
+        assert verdicts == [True, True, True, False, False, False]  # misses accrued regardless
+        assert monitor.misses >= 3 and not monitor.inbox
+
+    def test_negotiator_offer(self, shape):
+        from repro.core.negotiation import InboundNegotiator
+
+        ctx, sent = IOContext(X86), []
+        negotiator = InboundNegotiator(ctx, sent.append)
+        negotiator.offer(DAMAGED[shape])
+        assert sent == [] and not negotiator.ready and not negotiator.peer_goodbye
+        assert ctx.metrics.value("link.control_malformed") == 1
+
+    def test_fabric_handler(self, shape):
+        import asyncio
+
+        from repro.net import fabric_handler
+
+        dispatcher = FabricDispatcher(2)
+        feed = _AsyncFeed([[DAMAGED[shape], enc.encode_ping(7)]])
+        with pytest.raises(TransportError, match="peer closed"):
+            asyncio.run(fabric_handler(dispatcher)(feed))
+        assert [enc.parse_pong(f)[0] for f in feed.sent] == [7]  # the good ping only
+        counters = dispatcher.metrics.counters()
+        # a ping is the handler's to answer; a pong is the dispatcher's to drop
+        name = "link.control_malformed" if shape.startswith("ping") else "fabric.heartbeats_dropped"
+        assert counters.get(name) == 1
+
+    def test_relay_harvest(self, shape):
+        clock = VirtualClock()
+        relay = healing_relay(clock)
+        pipe = InMemoryPipe()
+        link = FlakyLink(pipe.a)
+        down = relay.attach(link)
+        link.broken = True
+        relay.forward(telemetry_stream([])[0])  # the send fails: quarantined
+        link.broken = False
+        clock.advance(1.0)
+        relay.heal()
+        assert down.state == PROBING
+        pipe.b.send(DAMAGED[shape])
+        relay.heal()
+        assert down.state == PROBING  # damage is not an answer
+        assert relay.metrics.value("link.control_malformed") == 1
+        pipe.b.send(enc.encode_pong(1))
+        relay.heal()
+        assert down.state == ACTIVE
+
+
 # -- heartbeat-aware fault plans ----------------------------------------------
 
 

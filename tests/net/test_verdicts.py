@@ -1,0 +1,586 @@
+"""One verdict table: what every receiving role does with every kind of frame.
+
+``VERDICTS`` is the role x kind matrix of docs/wire-format.md §12 (the doc
+is checked against it below).  Every frame — the eight kinds, a foreign
+frame, one wrong-size frame per control kind — is offered to every front
+door, scalar and burst, and what is *observed* (a record delivered, a
+frame answered or routed, a format absorbed, a counter, an exception) must
+be the documented verdict, the same from both entries of a role, with
+nothing but ``PbioError`` / ``TransportError`` ever escaping.
+
+``PBIO_CHAOS_SEED`` draws the record, the nonce, the filler of the foreign
+frame and how far off each wrong-size payload is.  No clock anywhere.
+
+The second half is the seed of a transport contract suite: the attributes
+per-link protocol code reads plainly — no ``getattr`` probe — on every
+transport.
+"""
+
+import asyncio
+import os
+import re
+import socket
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.abi import SPARC_V8, X86_64, RecordSchema
+from repro.core import IOContext, PbioConnection, PbioError
+from repro.core import encoder as enc
+from repro.net import drain as drain_any
+from repro.net import (
+    AsyncSocketTransport,
+    DurableSubscription,
+    EventChannel,
+    FabricDispatcher,
+    FaultInjectingTransport,
+    FaultPlan,
+    HeartbeatMonitor,
+    InMemoryPipe,
+    NetworkModel,
+    ReconnectingTransport,
+    Relay,
+    RelayWorker,
+    SimulatedLink,
+    Transport,
+    TransportError,
+    VirtualClock,
+    loopback_pair,
+    shm_pair,
+)
+
+SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
+TELEMETRY = RecordSchema.from_pairs("telemetry", [("unit", "int"), ("temperature", "double")])
+CID = 0xC1D0
+
+KINDS = ("format", "data", "token", "request", "ping", "pong", "data_seq", "ack")
+CONTROL = ("token", "request", "ping", "pong", "ack")  # the strict-size payloads
+CASES = KINDS + ("foreign",) + tuple(kind + "!" for kind in CONTROL)
+
+
+class Frames:
+    """The frames of one seed, and the record / nonce they carry."""
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        self.tx = IOContext(X86_64, context_id=CID)
+        self.handle = self.tx.register_format(TELEMETRY)
+        self.fid = self.handle.format_id
+        self.record = {"unit": int(rng.integers(1, 1000)), "temperature": float(rng.integers(0, 500))}
+        self.nonce = int(rng.integers(1, 1 << 32))
+        native = self.handle.codec.encode(self.record)
+        # what a receiving endpoint can answer a request for: its own format
+        self.local = IOContext(SPARC_V8).register_format(TELEMETRY).iofmt
+        self.frames = {
+            "format": self.tx.announce(self.handle),
+            "data": enc.encode_data_message(CID, self.fid, native),
+            "token": enc.encode_token_message(CID, self.fid, self.handle.iofmt.fingerprint, 7),
+            "request": enc.encode_format_request(0x99, self.local.fingerprint),
+            "ping": enc.encode_ping(self.nonce, 3),
+            "pong": enc.encode_pong(self.nonce, 3),
+            "data_seq": enc.encode_data_seq(CID, self.fid, 1, native),
+            "ack": enc.encode_ack(CID, self.fid, 1),
+            "foreign": b"\x00" + bytes(rng.integers(0, 256, int(rng.integers(1, 40)), dtype=np.uint8)),
+        }
+        for kind in CONTROL:  # a self-consistent frame around a payload of the wrong size
+            good = self.frames[kind]
+            size = len(good) - enc.HEADER_SIZE + int(rng.choice([-3, -1, 1, 5]))
+            payload = (good[enc.HEADER_SIZE :] + bytes(8))[:size]
+            header = enc.pack_header(*enc.unpack_header(good)[:3], len(payload))
+            self.frames[kind + "!"] = header + payload
+
+    def receiver(self):
+        """A receiving context that expects (and itself registers) the format."""
+        rx = IOContext(SPARC_V8)
+        rx.expect(TELEMETRY)
+        rx.register_format(TELEMETRY)
+        rx.pipeline.resolver = lambda fp: self.handle.iofmt if fp == self.handle.iofmt.fingerprint else None
+        return rx
+
+
+F = Frames(SEED)
+
+
+class Observed:
+    """What offering one frame did, as far as anyone outside can tell."""
+
+    REJECT_COUNTERS = (
+        "decode.rejected", "relay.rejected", "fabric.rejected", "worker.rejected",
+        "channel.frames_rejected", "decode_errors",
+    )  # fmt: skip
+
+    def __init__(self):
+        self.escaped = None
+        self.delivered, self.answered, self.routed = [], [], []
+        self.absorbed = False
+        self.counters = Counter()
+
+    def verdict(self):
+        if self.escaped is not None or any(self.counters[name] for name in self.REJECT_COUNTERS):
+            return "reject"
+        for name in ("deliver", "answer", "route", "absorb"):
+            if getattr(self, name + ("ed" if name != "route" else "d")):
+                return name
+        return "drop"
+
+
+class Role:
+    """One receiving role, built fresh per offered frame.  ``announced``:
+    the data frames' format has been heard already (not wanted where the
+    case *is* the announcement)."""
+
+    entries = ("scalar", "burst")
+
+    def __init__(self, announced):
+        self.rx = F.receiver()
+        self.metrics = [self.rx.metrics]
+        self.got = []
+        self.build()
+        if announced:
+            self.offer("scalar", F.frames["format"])
+            self.settle()
+
+    def settle(self):
+        """Forget what the set-up did."""
+        del self.got[:]
+        self.before = self.snapshot()
+        self.known = self.rx.registry.knows_remote(CID, F.fid)
+
+    def snapshot(self):
+        total = Counter()
+        for metrics in self.metrics:
+            total.update(metrics.counters())
+        return total
+
+    def answered(self):
+        return []
+
+    def routed(self):
+        return []
+
+    def observe(self, entry, frame):
+        self.settle()
+        seen = Observed()
+        try:
+            self.offer(entry, frame)
+        except (PbioError, TransportError) as exc:  # anything else fails the test
+            seen.escaped = exc
+        seen.delivered = list(self.got)
+        seen.answered, seen.routed = self.answered(), self.routed()
+        seen.absorbed = not self.known and self.rx.registry.knows_remote(CID, F.fid)
+        seen.counters = self.snapshot() - self.before
+        return seen
+
+
+def drain(end):
+    frames = []
+    while end.pending():
+        frames.append(end.recv())
+    return frames
+
+
+class Endpoint(Role):
+    """``PbioConnection.recv`` / ``recv_batch`` over a pipe."""
+
+    def build(self):
+        self.pipe = InMemoryPipe()
+        self.conn = PbioConnection(self.rx, self.pipe.b)
+
+    def offer(self, entry, frame):
+        self.pipe.a.send(frame)
+        try:
+            self.got += [self.conn.recv()] if entry == "scalar" else self.conn.recv_batch()
+        except TransportError as exc:
+            if "empty pipe" not in str(exc):  # the frame was consumed and the link ran dry
+                raise
+
+    def answered(self):
+        return drain(self.pipe.a)
+
+
+class BareDecode(Role):
+    """``DecodePipeline.ingest`` / ``decode_batch(on_error="raise")``."""
+
+    entries = ("scalar", "burst", "burst-skip")
+
+    def build(self):
+        pass
+
+    def offer(self, entry, frame):
+        if entry == "scalar":
+            out = [self.rx.pipeline.ingest(frame)]
+        else:
+            out = self.rx.pipeline.decode_batch([frame], on_error="skip" if entry == "burst-skip" else "raise")
+        self.got += [r for r in out if r is not None]
+
+
+class Channel(Role):
+    """``EventChannel.ingest`` / ``ingest_many``: one subscriber, one wire
+    tap, one ack listener."""
+
+    def build(self):
+        self.channel = EventChannel()
+        self.channel.subscribe(self.rx, self.got.append)
+        self.tapped, self.acks = [], []
+        self.channel.attach_wire(self.tapped.append)
+        self.channel.add_ack_listener(self.acks.append)
+        self.metrics.append(self.channel.metrics)
+
+    def offer(self, entry, frame):
+        if entry == "scalar":
+            self.channel.ingest(frame)
+        else:
+            self.channel.ingest_many([frame])
+
+    def settle(self):
+        super().settle()
+        del self.tapped[:], self.acks[:]
+
+    def routed(self):
+        return self.tapped + self.acks
+
+
+class PlainSubscription(Role):
+    """``Subscription._offer`` / ``_offer_batch`` (what a channel calls)."""
+
+    def build(self):
+        self.acks = []
+        self.sub = self.subscribe(EventChannel())
+        self.metrics.append(self.sub.metrics)
+
+    def subscribe(self, channel):
+        return channel.subscribe(self.rx, self.got.append)
+
+    def offer(self, entry, frame):
+        if entry == "scalar":
+            self.sub._offer(frame)
+        else:
+            self.sub._offer_batch([frame], False)
+
+    def settle(self):
+        super().settle()
+        del self.acks[:]
+
+    def answered(self):
+        return list(self.acks)
+
+
+class DurableSub(PlainSubscription):
+    """``DurableSubscription``: the same, with a sequence window and acks."""
+
+    def subscribe(self, channel):
+        return DurableSubscription(channel, self.rx, self.got.append, ack_sink=self.acks.append)
+
+
+class RelayRole(Role):
+    """``Relay.forward`` / ``forward_batch`` with one downstream."""
+
+    def build(self):
+        self.relay, self.pipe = Relay(), InMemoryPipe()
+        self.relay.attach(self.pipe.a)
+        self.rx = self.relay.ctx  # what a hub absorbs, it absorbs for its own filters
+        self.metrics = [self.rx.metrics, self.relay.metrics]
+
+    def offer(self, entry, frame):
+        if entry == "scalar":
+            self.relay.forward(frame)
+        else:
+            self.relay.forward_batch([frame])
+
+    def settle(self):
+        drain(self.pipe.b)
+        super().settle()
+
+    def routed(self):
+        return drain(self.pipe.b)
+
+
+class FabricFront(RelayRole):
+    """``FabricDispatcher.forward`` / ``forward_batch``: one subscriber on
+    the channel of the data frames."""
+
+    def build(self):
+        self.fabric, self.pipe = FabricDispatcher(2), InMemoryPipe()
+        self.fabric.subscribe((CID, F.fid), self.pipe.a)
+        workers = self.fabric.workers
+        relays = [relay for worker in workers for relay in worker._relays.values()]
+        self.metrics = [self.fabric.metrics] + [part.metrics for part in workers + relays]
+
+    def offer(self, entry, frame):
+        if entry == "scalar":
+            self.fabric.forward(frame)
+        else:
+            self.fabric.forward_batch([frame])
+
+
+class Worker(RelayRole):
+    """``RelayWorker.ingest`` / ``ingest_batch``."""
+
+    def build(self):
+        self.worker, self.pipe = RelayWorker("w"), InMemoryPipe()
+        self.worker.subscribe((CID, F.fid), self.pipe.a)
+        self.metrics = [self.worker.metrics] + [relay.metrics for relay in self.worker._relays.values()]
+
+    def offer(self, entry, frame):
+        if entry == "scalar":
+            self.worker.ingest(frame)
+        else:
+            self.worker.ingest_batch([(frame, None)])
+
+
+class Monitor(Role):
+    """``HeartbeatMonitor.observe``, called (scalar) or through ``tick()``'s
+    poll of the link (burst).  What is not a heartbeat is the caller's:
+    returned untouched / queued on ``inbox``."""
+
+    def build(self):
+        self.pipe = InMemoryPipe()
+        self.monitor = HeartbeatMonitor(self.pipe.a, interval_s=1e9, clock=VirtualClock())
+        self.monitor.tick()  # the first ping: out of the way
+        self.metrics = []
+
+    def snapshot(self):
+        return Counter({"link.control_malformed": self.monitor.control_malformed})
+
+    def offer(self, entry, frame):
+        if entry == "scalar":
+            if not self.monitor.observe(frame):
+                self.got.append(frame)
+        else:
+            self.pipe.b.send(frame)
+            self.monitor.tick()
+            self.got += self.monitor.inbox
+            self.monitor.inbox.clear()
+
+    def settle(self):
+        drain(self.pipe.b)
+        self.pongs = self.monitor.pongs_received
+        super().settle()
+
+    def observe(self, entry, frame):
+        seen = super().observe(entry, frame)
+        seen.absorbed = self.monitor.pongs_received > self.pongs  # proof of an answered ping
+        return seen
+
+    def answered(self):
+        return drain(self.pipe.b)
+
+
+ROLES = {
+    "endpoint": Endpoint,
+    "bare decode": BareDecode,
+    "channel": Channel,
+    "subscription": PlainSubscription,
+    "durable subscription": DurableSub,
+    "relay": RelayRole,
+    "fabric front": FabricFront,
+    "fabric worker": Worker,
+    "heartbeat monitor": Monitor,
+}
+
+#: Shorthand for a row: ``verdict`` or ``verdict counter``.
+DROP_HUB = {  # the one-way hubs: relay, fabric front (the role's prefix goes in front)
+    "request": "drop {}.requests_dropped", "ping": "drop {}.heartbeats_dropped", "pong": "drop {}.heartbeats_dropped",
+    "ack": "drop {}.acks_dropped",
+}  # fmt: skip
+
+
+def hub(prefix, **rows):
+    table = {kind: row.format(prefix) for kind, row in DROP_HUB.items()}
+    table.update({kind + "!": table[kind] for kind in DROP_HUB})  # a hub does not look inside what it drops
+    table.update(format="route", data="route", token="route", data_seq="route")
+    table.update({"foreign": f"reject {prefix}.rejected", "token!": f"reject {prefix}.rejected"})
+    table.update(rows)
+    return table
+
+
+LINK_MISDELIVERY = {kind + bang: "reject decode.rejected" for kind in ("request", "ping", "pong", "ack") for bang in ("", "!")}
+NOT_RECORDS = {kind + bang: "drop" for kind in ("request", "ping", "pong", "ack") for bang in ("", "!")}
+
+VERDICTS = {
+    "endpoint": {
+        "format": "absorb", "data": "deliver", "token": "absorb fmtserv.tokens_absorbed", "data_seq": "deliver",
+        "request": "answer fmtserv.meta_requests_served", "ping": "answer", "pong": "drop",
+        "ack": "drop link.acks_dropped", "foreign": "reject decode.rejected",
+        "token!": "reject decode.rejected", "request!": "reject decode.rejected",
+        "ping!": "drop link.control_malformed", "pong!": "drop link.control_malformed",
+        "ack!": "drop link.acks_dropped",
+    },
+    "bare decode": {
+        "format": "absorb", "data": "deliver", "token": "absorb fmtserv.tokens_absorbed", "data_seq": "deliver",
+        "foreign": "reject decode.rejected", "token!": "reject decode.rejected", **LINK_MISDELIVERY,
+    },
+    "channel": {
+        "format": "route", "data": "deliver", "token": "route", "data_seq": "deliver", **NOT_RECORDS,
+        "ack": "route", "ack!": "route",  # to the listeners: whoever owns the stream size-checks it
+        "foreign": "reject channel.frames_rejected", "token!": "reject decode.rejected",
+    },
+    "subscription": {
+        "format": "absorb", "data": "deliver delivered", "token": "absorb fmtserv.tokens_absorbed",
+        "data_seq": "deliver delivered", **NOT_RECORDS,
+        "foreign": "reject decode_errors", "token!": "reject decode.rejected",
+    },
+    "durable subscription": {
+        "format": "absorb", "data": "deliver delivered", "token": "absorb fmtserv.tokens_absorbed",
+        "data_seq": "deliver durable.acks_sent", **NOT_RECORDS,
+        "foreign": "reject decode_errors", "token!": "reject decode.rejected",
+    },
+    "relay": hub("relay"),
+    # an announcement is opaque at the front and the worker: the channel's relay is what rejects a bad one
+    "fabric front": hub("fabric", **{"token!": "reject relay.rejected"}),
+    "fabric worker": {
+        **{kind + bang: "drop worker.dropped" for kind in ("request", "ping", "pong", "ack") for bang in ("", "!")},
+        "format": "route worker.announcements", "token": "route worker.announcements",
+        "token!": "reject relay.rejected",
+        "data": "route worker.routed", "data_seq": "route worker.routed", "foreign": "reject worker.rejected",
+    },
+    "heartbeat monitor": {
+        **{kind: "deliver" for kind in CASES},  # not a heartbeat: the caller's, untouched
+        "ping": "answer", "pong": "absorb",
+        "ping!": "drop link.control_malformed", "pong!": "drop link.control_malformed",
+    },
+}
+
+
+def documented(role, case):
+    verdict, _, counter = VERDICTS[role][case].partition(" ")
+    return verdict, counter or None
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("role", sorted(ROLES))
+def test_every_front_door_gives_the_documented_verdict(role, case):
+    verdict, counter = documented(role, case)
+    seen = {}
+    for entry in ROLES[role].entries:
+        observed = ROLES[role](announced=case not in ("format", "token")).observe(entry, F.frames[case])
+        seen[entry] = (observed.verdict(), observed.counters[counter] if counter else None)
+        if entry == "burst-skip":
+            assert observed.escaped is None  # confined to its slot
+    assert seen == dict.fromkeys(seen, (verdict, 1 if counter else None))  # scalar == burst == the table
+
+
+def test_what_is_delivered_answered_and_routed():
+    """The verdict's payload: the record itself, the pong / the meta that
+    answers, the frame verbatim."""
+    for entry in Endpoint.entries:
+        assert Endpoint(True).observe(entry, F.frames["data_seq"]).delivered == [pytest.approx(F.record)]
+        (pong,) = Endpoint(True).observe(entry, F.frames["ping"]).answered
+        assert enc.parse_pong(pong)[0] == F.nonce
+        (meta,) = Endpoint(True).observe(entry, F.frames["request"]).answered
+        assert enc.message_kind(meta) == enc.MSG_FORMAT and F.local.to_meta_bytes() in meta
+    for role in (RelayRole, FabricFront, Worker):
+        for entry in role.entries:
+            for case in ("data", "data_seq"):
+                assert role(True).observe(entry, F.frames[case]).routed == [F.frames[case]]
+    for entry in Channel.entries:
+        seen = Channel(True).observe(entry, F.frames["data"])
+        assert seen.delivered == [pytest.approx(F.record)] and seen.routed == [F.frames["data"]]
+        assert Channel(True).observe(entry, F.frames["ack"]).routed == [F.frames["ack"]]
+
+
+def test_the_doc_matrix_is_this_table():
+    """docs/wire-format.md §12: one row per frame, one column per role."""
+    text = (Path(__file__).parents[2] / "docs" / "wire-format.md").read_text()
+    table = text[text.index("<!-- verdicts -->") : text.index("<!-- /verdicts -->")]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines() if line.startswith("|")]
+    roles = rows[0][1:]
+    assert sorted(roles) == sorted(ROLES)
+    doc = {(role, row[0].strip("`")): re.sub(r"[`*]", "", cell) for row in rows[2:] for role, cell in zip(roles, row[1:])}
+    assert doc == {(role, case): VERDICTS[role][case] for role in ROLES for case in CASES}
+
+
+# -- transport contract: what per-link code reads without probing -----------------
+
+
+def _pipe():
+    a, _b = InMemoryPipe().endpoints()
+    return a, lambda: None
+
+
+def _socket():
+    a, b = loopback_pair()
+    return a, b.close
+
+
+def _shm(tmp_path):
+    a, b = shm_pair(capacity=1 << 14, directory=str(tmp_path))
+    return a, b.close
+
+
+def _simulated():
+    link = SimulatedLink(NetworkModel.ideal())
+    return link.endpoints()[0], lambda: None
+
+
+def _fault_wrapped():
+    inner, close = _pipe()
+    return FaultInjectingTransport(inner, FaultPlan()), close
+
+
+def _reconnecting():
+    return ReconnectingTransport(lambda: InMemoryPipe().a), lambda: None
+
+
+SYNC_TRANSPORTS = {
+    "pipe": _pipe,
+    "socket": _socket,
+    "simulated": _simulated,
+    "fault-injecting (zero plan)": _fault_wrapped,
+    "reconnecting": _reconnecting,
+}
+
+
+def check_contract(transport, pending):
+    assert isinstance(transport, Transport)
+    assert transport.generation == 0
+    assert transport.write_queue_depth == 0
+    assert (transport.pending is not None) == pending  # a zero-syscall probe, or poll_recv
+    if pending:
+        assert transport.pending() == 0
+    for name in ("drain", "poll_recv", "recv_many_leased", "send_many", "send_segments", "set_timeout"):
+        assert callable(getattr(type(transport), name))
+
+
+@pytest.mark.parametrize("name", sorted(SYNC_TRANSPORTS))
+def test_transport_contract(name):
+    transport, close_peer = SYNC_TRANSPORTS[name]()
+    try:
+        check_contract(transport, pending=name in ("pipe", "simulated"))
+        asyncio.run(drain_any(transport))  # nothing queued: returns at once, awaited or not
+        assert transport.poll_recv() is None  # nothing to read: never blocks
+        with pytest.raises(TransportError):
+            transport.set_timeout(0.05)
+            transport.recv_many_leased()  # nothing to read: times out or says so
+    finally:
+        transport.close()
+        close_peer()
+
+
+def test_transport_contract_shm(tmp_path):
+    transport, close_peer = _shm(tmp_path)
+    try:
+        check_contract(transport, pending=False)
+        assert transport.drain() is None and transport.poll_recv() is None
+    finally:
+        transport.close()
+        close_peer()
+
+
+def test_transport_contract_async():
+    async def run():
+        left, right = socket.socketpair()
+        transport, peer = AsyncSocketTransport(left), AsyncSocketTransport(right)
+        try:
+            check_contract(transport, pending=False)
+            assert await transport.drain() is None
+            assert transport.poll_recv() is None
+            peer.send(b"one frame")
+            assert await transport.recv_many_leased() == ([b"one frame"], None)
+        finally:
+            transport.close()
+            peer.close()
+
+    asyncio.run(run())
