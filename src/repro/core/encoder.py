@@ -39,6 +39,7 @@ Message types:
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 
 from .errors import MessageError
 from .formats import IOFormat
@@ -115,35 +116,12 @@ def unpack_header(message) -> tuple[int, int, int, int]:
     return msg_type, context_id, format_id, payload_len
 
 
-def message_kind(message) -> int:
-    """The validated message type (one of the ``MSG_*`` constants).
-
-    The single place endpoints peek at a message's type — the header
-    layout is defined here and nowhere else.
-    """
-    return unpack_header(message)[0]
-
-
 def try_message_type(message) -> int | None:
-    """Message type if ``message`` starts with a well-formed PBIO header.
-
-    Returns ``None`` for anything else — for streams that interleave
-    PBIO messages with foreign frames (RPC call headers, transports that
-    deliver partial garbage), where raising would be wrong.
-    """
-    if len(message) < HEADER_SIZE:
-        return None
-    if message[0] != MAGIC or message[1] != VERSION:
-        return None
-    msg_type = message[2]
-    if msg_type not in MESSAGE_TYPES:
-        return None
-    return msg_type
-
-
-def is_pbio_message(message) -> bool:
-    """True when ``message`` carries a PBIO header (vs a foreign frame)."""
-    return try_message_type(message) is not None
+    """Message type if ``message`` starts with a well-formed PBIO header,
+    ``None`` for anything else — for streams that interleave PBIO messages
+    with foreign frames (RPC call headers, partial garbage)."""
+    header = try_unpack_header(message)
+    return None if header is None else header[0]
 
 
 def try_unpack_header(message) -> tuple[int, int, int, int] | None:
@@ -177,6 +155,96 @@ def parse_control(message, header: tuple | None = None, kind: int | None = None)
             f"header says {payload_len}, got {len(message) - HEADER_SIZE}"
         )
     return layout.unpack_from(message, HEADER_SIZE)
+
+
+# -- one walk over a burst: each role's column of docs/wire-format.md §12 ------
+
+#: One cell of a role's column: the method for a frame the role handles
+#: (``checked``: an announcement it will remember), or the counter a drop or
+#: a reject moves, if any.  :data:`RUN` joins the data run.
+Row = namedtuple("Row", "handler checked counter", defaults=(None, False, None))
+RUN = Row()
+_FRAMES = {
+    "foreign": None, "format": MSG_FORMAT, "data": MSG_DATA, "token": MSG_FORMAT_TOKEN,
+    "request": MSG_FORMAT_REQUEST, "ping": MSG_PING, "pong": MSG_PONG, "data_seq": MSG_DATA_SEQ,
+    "ack": MSG_ACK,
+}  # fmt: skip
+
+
+def rows(default: str | None = None, **cells: str) -> dict:
+    """A role's column as :func:`walk` reads it, one cell per frame name of
+    the table (``foreign``: no PBIO header, or over the role's size limit),
+    ``default`` for every name not given: ``run``, ``handle <method>``,
+    ``check <method>`` (an announcement whose damage is rejected under the
+    ``foreign`` cell's counter), ``drop [counter]`` or ``reject <counter>``."""
+    cells = {**dict.fromkeys(_FRAMES, default), **cells}
+    if cells.keys() != _FRAMES.keys() or None in cells.values():
+        raise ValueError(f"a column has one cell per frame of {sorted(_FRAMES)}, not {cells}")
+    rejected = cells["foreign"].partition(" ")[2]
+    column = {}
+    for name, kind in _FRAMES.items():
+        verdict, _, arg = cells[name].partition(" ")
+        if verdict in ("drop", "reject"):
+            column[kind] = Row(counter=arg or None)
+        else:
+            column[kind] = {"run": RUN, "handle": Row(arg), "check": Row(arg, True, rejected)}[verdict]
+    return column
+
+
+def walk(pairs, column: dict, role, run=None, *args, limit: int | None = None) -> None:
+    """The one burst walk behind every hub: ``(message, header)`` pairs (a
+    ``None`` header is parsed here; a frame over ``limit`` is foreign)
+    through ``column``.  Each run of data frames goes to ``run(frames,
+    headers, *args)``; drops and rejects do not break it, a frame the role
+    handles flushes it first (announcement-before-data order holds)."""
+    frames: list = []
+    headers: list = []
+    for message, header in pairs:
+        if header is None:
+            header = try_unpack_header(message)
+        if header is None or (limit is not None and len(message) > limit):
+            header, row = None, column[None]
+        else:
+            row = column[header[0]]
+        if row is RUN:
+            frames.append(message)
+            headers.append(header)
+            continue
+        if frames and row.handler is not None:
+            run(frames, headers, *args)
+            frames, headers = [], []
+        settle(row, message, header, role, *args)
+    if frames:
+        run(frames, headers, *args)
+
+
+def settle(row: Row, message, header, role, *args) -> None:
+    """What ``role`` does with one frame its ``row`` keeps out of the data
+    run, for :func:`walk` and a role's scalar entry alike.  A checked
+    announcement is handled only when whole: a token's strict-size payload,
+    inline meta exactly as long as its header says."""
+    whole = row.handler is not None
+    if whole and row.checked:
+        try:
+            whole = header[3] == len(message) - HEADER_SIZE and (
+                header[0] != MSG_FORMAT_TOKEN or parse_control(message, header)
+            )
+        except MessageError:
+            whole = False
+    if whole:
+        getattr(role, row.handler)(message, header, *args)
+    elif row.counter is not None:
+        role.metrics.inc(row.counter)
+
+
+def data_sequence(message, header) -> int:
+    """0 for a whole ``MSG_DATA`` frame, the validated sequence number of a
+    ``MSG_DATA_SEQ`` one (:func:`read_seq`): a hub's one admission check."""
+    if header[0] == MSG_DATA_SEQ:
+        return read_seq(message, header[3])
+    if header[3] != len(message) - HEADER_SIZE:
+        raise MessageError(f"data payload is {len(message) - HEADER_SIZE} bytes, its header says {header[3]}")
+    return 0
 
 
 def encode_format_message(context_id: int, format_id: int, fmt: IOFormat) -> bytes:

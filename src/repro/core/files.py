@@ -74,6 +74,9 @@ _DAMAGE_COUNTER = {"torn": "file.torn_tails", "corrupt": "file.corrupt_records"}
 
 #: Reader damage policies (see module docstring).
 RECOVER_POLICIES = ("raise", "skip", "stop")
+#: What a record file may hold: format meta (absorbed) and data; anything
+#: else is damage, for ``recover`` to judge.
+FILE_ROWS = enc.rows(default="handle _reject", format="handle _absorb", data="run")
 
 
 class PbioFileWriter:
@@ -347,31 +350,20 @@ class PbioFileReader:
         """Yield every *data* message, absorbing format messages.
 
         Mapped readers yield ``memoryview`` slices of the map; copy
-        (``bytes(m)``) anything kept past the reader's lifetime.
+        (``bytes(m)``) anything kept past the reader's lifetime.  Each
+        frame is a one-frame walk over :data:`FILE_ROWS`.
         """
-        while True:
-            message = self._next_frame()
-            if message is None:
-                return
+        data: list = []
+
+        def keep(run, headers):
+            data.extend(run)
+
+        for message in iter(self._next_frame, None):
             try:
-                kind = enc.message_kind(message)
-                if kind == enc.MSG_FORMAT:
-                    # The context retains format meta; never hand it a
-                    # borrowed slice of the map.
-                    self.ctx.receive(
-                        message if type(message) is bytes else bytes(message)
-                    )
-                    continue
-                if kind != enc.MSG_DATA:
-                    # Token announcements / format requests are link-level
-                    # control messages; a self-contained file must carry
-                    # full meta, so their presence here is damage.
-                    raise MessageError(
-                        f"unexpected message type {kind} in PBIO file"
-                    )
+                enc.walk(((message, None),), FILE_ROWS, self, keep)
             except PbioError:
-                # A CRC-valid frame that is not a well-formed PBIO
-                # message (v1 corruption, or a writer bug): damage.
+                # A CRC-valid frame that is not a well-formed PBIO data or
+                # format message (v1 corruption, or a writer bug): damage.
                 if self._recover == "raise":
                     raise
                 self._damaged = True
@@ -379,9 +371,20 @@ class PbioFileReader:
                 if self._recover == "stop":
                     return
                 continue
-            if self._damaged:
-                self.ctx.metrics.inc("file.recovered_records")
-            yield message
+            if data:
+                if self._damaged:
+                    self.ctx.metrics.inc("file.recovered_records")
+                yield data.pop()
+
+    def _absorb(self, message, header) -> None:
+        # The context retains format meta; never hand it a borrowed slice of the map.
+        self.ctx.receive(message if type(message) is bytes else bytes(message))
+
+    def _reject(self, message, header) -> None:
+        if header is None:
+            enc.unpack_header(message)  # raises what is wrong with it
+        # a self-contained file carries full meta and no link control
+        raise MessageError(f"unexpected message type {header[0]} in PBIO file")
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         """Yield every record decoded to a value dict."""

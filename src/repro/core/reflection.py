@@ -37,11 +37,6 @@ class MessageInfo:
     def is_format(self) -> bool:
         return self.msg_type == enc.MSG_FORMAT
 
-    @property
-    def is_token(self) -> bool:
-        """A token-only announcement (format-service protocol)."""
-        return self.msg_type == enc.MSG_FORMAT_TOKEN
-
 
 def peek_message(message) -> MessageInfo:
     """Inspect a message's envelope without touching the payload."""

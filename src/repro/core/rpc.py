@@ -289,7 +289,7 @@ class RpcClient:
         body = self._recv_frame(transport)
         if fault:
             return  # fault bodies are raw text, one frame
-        if enc.is_pbio_message(body):
+        if enc.try_message_type(body) is not None:
             self.ctx.receive(body)
 
 
@@ -409,7 +409,7 @@ class RpcServer:
         body = neg.next_ready()
         while body is None:
             body = filt((yield))
-        if not enc.is_pbio_message(body):
+        if enc.try_message_type(body) is None:
             raise PbioError("protocol error: expected a PBIO data message")
         request = self.ctx.receive(body)
         window = self._links.of(transport).replies

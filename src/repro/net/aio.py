@@ -783,8 +783,8 @@ def fmtserv_handler(server) -> ConnectionHandler:
 
 def relay_handler(relay, *, max_frames: int = 0) -> ConnectionHandler:
     """Feed a :class:`~repro.net.relay.Relay` from each connection: every
-    burst a peer sends is forwarded (announcements absorbed and
-    replayed, data fanned out) exactly as ``relay.pump_batch`` would.
+    burst a peer sends is one ``forward_batch`` (announcements absorbed
+    and replayed, data fanned out).
 
     Downstreams attached as :class:`AsyncSocketTransport` get bounded
     send queues for free: a slow downstream's queue fills,

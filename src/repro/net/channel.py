@@ -32,6 +32,7 @@ DataExchange/ECho played in the original system's ecosystem):
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable
 
 from repro.core.context import FormatHandle, IOContext
@@ -46,6 +47,22 @@ from .transport import TransportError
 #: Per-subscriber error policies: propagate (pre-existing behaviour),
 #: count-and-continue, or count-and-unsubscribe.
 ERROR_POLICIES = ("raise", "suppress", "detach")
+
+#: Wire ingress is hostile input: a frame that is not PBIO or an announcement
+#: that is not whole is counted, never remembered for late joiners.  Link
+#: control never fans out: an ack flows *against* the record stream, to the
+#: durable publishers listening here; the rest is meaningless in-channel.
+CHANNEL_ROWS = enc.rows(
+    default="drop", foreign="reject channel.frames_rejected", data="run", data_seq="run",
+    format="check _announce", token="check _announce", ack="handle _route_ack",
+)
+#: A subscriber absorbs announcements and screens and decodes data (a plain
+#: one decodes a sequenced record where it lies); link control is not record
+#: delivery, and a frame with no PBIO header is damage.
+SUBSCRIPTION_ROWS = enc.rows(
+    default="drop", foreign="handle _damaged", data="run", data_seq="run",
+    format="handle _absorb", token="handle _absorb",
+)
 
 #: Delivery shapes: materialized dicts (pre-existing behaviour) or
 #: :class:`~repro.abi.views.RecordView` objects — zero-copy for
@@ -85,26 +102,11 @@ class Subscription:
         )
 
     def _offer(self, message: bytes) -> None:
-        try:
-            header = enc.unpack_header(message)
-        except PbioError:  # short frame / bad magic: damage, not delivery
-            self.metrics.inc("decode_errors")
-            raise
-        if header[0] in enc.ANNOUNCEMENT_KINDS:
-            try:
-                self.ctx.receive(message)
-            except TokenResolutionError:
-                # No service (or a cold one) on this subscriber: the
-                # publisher's fallback re-announces inline channel-wide.
-                self.metrics.inc("unresolved_tokens")
-                raise
+        header = enc.try_unpack_header(message)
+        row = SUBSCRIPTION_ROWS[None if header is None else header[0]]
+        if row is not enc.RUN:
+            enc.settle(row, message, header, self, False, None)
             return
-        if header[0] not in enc.DATA_KINDS:
-            return  # point-to-point recovery/liveness/ack traffic; not record delivery
-        # MSG_DATA, or MSG_DATA_SEQ on a plain subscriber: the sequence
-        # prefix is transport bookkeeping it never asked for, and the
-        # pipeline decodes the record where it lies (durable subscribers
-        # dedup upstream of this method instead).
         pipeline = self.ctx.pipeline
         try:
             outcome = self._screen(message, header)
@@ -122,6 +124,22 @@ class Subscription:
             self.metrics.inc("handler_errors")
             raise
 
+    def _absorb(self, message, header, suppress: bool, lease) -> None:
+        try:
+            self.ctx.receive(message)
+        except PbioError as exc:
+            if isinstance(exc, TokenResolutionError):
+                # No service (or a cold one) on this subscriber: the
+                # publisher's fallback re-announces inline channel-wide.
+                self.metrics.inc("unresolved_tokens")
+            if not suppress:
+                raise
+
+    def _damaged(self, message, header, suppress: bool, lease) -> None:
+        self.metrics.inc("decode_errors")
+        if not suppress:
+            enc.unpack_header(message)  # raises what is wrong with the frame
+
     def _screen(self, message, header) -> str:
         """The counter one data frame lands in: ``delivered`` when this
         subscriber wants it, else ``wrong_type`` or ``filtered_out``.
@@ -137,39 +155,17 @@ class Subscription:
         return "delivered"
 
     def _offer_batch(self, messages, suppress: bool, lease=None, headers=None) -> None:
-        """Offer a burst of messages, batching consecutive data frames.
+        """Offer a burst (``headers``: parsed by the channel's scan, or
+        here) through :data:`SUBSCRIPTION_ROWS`, each run of data frames
+        one :meth:`_flush_run`.  Mirrors a sequential :meth:`_offer` loop
+        message for message: with ``suppress`` each failure is counted and
+        the rest of the burst still delivers; otherwise the first failure
+        propagates (the caller applies the raise/detach policy), leaving
+        later messages unoffered exactly like the scalar loop."""
+        pairs = zip(messages, repeat(None) if headers is None else headers)
+        enc.walk(pairs, SUBSCRIPTION_ROWS, self, self._flush_run, suppress, lease)
 
-        ``headers`` is the burst's parsed headers, parallel to
-        ``messages`` — :meth:`EventChannel.ingest_many` is the one
-        scanner; a burst that comes without is parsed here.  Each run of
-        data frames is one :meth:`_flush_run`; a control frame, or a
-        frame with no header, takes :meth:`_offer`.
-
-        Mirrors a sequential :meth:`_offer` loop message for message —
-        same screening order, same counters.  With ``suppress`` each
-        failure is counted and the rest of the burst still delivers;
-        otherwise the first failure propagates (the caller applies the
-        raise/detach policy), leaving later messages unoffered exactly
-        like the scalar loop.
-        """
-        if headers is None:
-            headers = [enc.try_unpack_header(message) for message in messages]
-        start = 0
-        for i, header in enumerate(headers):
-            if header is not None and header[0] in enc.DATA_KINDS:
-                continue
-            if start < i:
-                self._flush_run(messages[start:i], suppress, lease, headers[start:i])
-            start = i + 1
-            try:
-                self._offer(messages[i])  # control / malformed: scalar path
-            except Exception:
-                if not suppress:
-                    raise
-        if start < len(headers):
-            self._flush_run(messages[start:], suppress, lease, headers[start:])
-
-    def _flush_run(self, run, suppress: bool, lease=None, headers=None) -> None:
+    def _flush_run(self, run, headers, suppress: bool, lease=None) -> None:
         """Screen one run of data frames, decode it in one batch, deliver.
 
         What the scalar loop would do, in its order: under ``suppress``
@@ -230,6 +226,9 @@ class Subscription:
                     self.metrics.inc(outcome)
         if failure is not None:
             raise failure
+
+    #: A run the channel's walk already found to be data: nothing to walk again.
+    _offer_run = _flush_run
 
 
 class WireTap:
@@ -430,71 +429,37 @@ class EventChannel:
         return len(self._taps)
 
     def ingest(self, message: bytes, *, exclude: WireTap | None = None) -> None:
-        """Feed one frame arriving from the wire into the channel.
-
-        Wire ingress is hostile-input territory: frames that are not
-        PBIO messages are counted (``channel.frames_rejected``) and
-        dropped rather than crashing delivery, and point-to-point
-        recovery traffic (``MSG_FORMAT_REQUEST``) is meaningless
-        in-channel so it is dropped silently.  ``exclude`` names the
+        """Feed one frame arriving from the wire into the channel, as its
+        row in :data:`CHANNEL_ROWS` says.  ``exclude`` names the
         originating tap, which must not be echoed its own frame.
         """
         header = enc.try_unpack_header(message)
-        if header is None:
-            self.metrics.inc("channel.frames_rejected")
-            return
-        if header[0] in enc.LINK_KINDS:
-            # Point-to-point control never fans out; an ack flows *against*
-            # the record stream, to the durable publishers listening here.
-            if header[0] == enc.MSG_ACK:
-                self.route_ack(bytes(message))
-            return
-        self._publish_message(bytes(message), exclude=exclude)
+        row = CHANNEL_ROWS[None if header is None else header[0]]
+        if row is enc.RUN:
+            self._publish_message(bytes(message), exclude=exclude)
+        else:
+            enc.settle(row, message, header, self, exclude, None)
 
     def ingest_many(
         self, messages, *, lease=None, exclude: WireTap | None = None
     ) -> None:
-        """Feed a burst of wire frames into the channel in one pass.
+        """Feed a burst of wire frames into the channel: :meth:`ingest`'s
+        rows under the walk, each run of data frames one
+        :meth:`_publish_batch` (one columnar decode per subscriber).  This
+        is the burst's one header scan: each run travels with its headers
+        down into ``decode_batch(headers=...)``.  ``lease`` is the
+        receive-buffer lease of borrowed views from ``recv_many_leased``,
+        threaded through to ``deliver="view"`` subscribers, whose views
+        then keep the buffer alive; everything else retained is copied, so
+        the caller may drop the lease as soon as this returns."""
+        enc.walk(zip(messages, repeat(None)), CHANNEL_ROWS, self, self._publish_batch, exclude, lease)
 
-        The batch analogue of :meth:`ingest`: same screening, but
-        consecutive data frames fan out through :meth:`_publish_batch`
-        (one columnar decode per subscriber per run).  This is the
-        burst's one header scan: each run travels with its parsed
-        headers, through every subscriber's screens down into
-        ``decode_batch(headers=...)``.  ``lease`` is the
-        receive-buffer lease when the frames are borrowed views from
-        ``recv_many_leased`` — it is threaded through to ``deliver="view"``
-        subscribers, whose views then keep the buffer alive; everything
-        any other path retains (announcement replay, wire taps, dict
-        decodes) is copied, so the caller may drop the lease as soon as
-        this returns.
-        """
-        run: list = []
-        headers: list[tuple] = []
-        for message in messages:
-            header = enc.try_unpack_header(message)
-            if header is None:
-                self.metrics.inc("channel.frames_rejected")
-                continue
-            kind = header[0]
-            if kind in enc.DATA_KINDS:
-                run.append(message)
-                headers.append(header)
-                continue
-            if kind in enc.LINK_KINDS and kind != enc.MSG_ACK:
-                continue
-            # An ack or an announcement: flush the run first so ordering
-            # holds, then take the scalar path (the replay list wants
-            # private bytes).
-            if run:
-                self._publish_batch(run, exclude=exclude, lease=lease, headers=headers)
-                run, headers = [], []
-            if kind == enc.MSG_ACK:
-                self.route_ack(bytes(message))
-            else:
-                self._publish_message(bytes(message), exclude=exclude)
-        if run:
-            self._publish_batch(run, exclude=exclude, lease=lease, headers=headers)
+    def _announce(self, message, header, exclude: WireTap | None, lease) -> None:
+        # the replay list wants private bytes
+        self._publish_message(bytes(message), exclude=exclude, announcement=True)
+
+    def _route_ack(self, message, header, exclude: WireTap | None, lease) -> None:
+        self.route_ack(bytes(message))
 
     def _fan_to_wire(self, run, exclude: WireTap | None) -> None:
         """Offer every tap but ``exclude`` one run of frames: one call
@@ -528,8 +493,8 @@ class EventChannel:
     def publisher(self, ctx: IOContext) -> "ChannelPublisher":
         return ChannelPublisher(self, ctx)
 
-    def _publish_message(self, message: bytes, *, exclude: WireTap | None = None) -> None:
-        if enc.message_kind(message) in enc.ANNOUNCEMENT_KINDS:
+    def _publish_message(self, message: bytes, *, exclude=None, announcement: bool = False) -> None:
+        if announcement:
             # Remembered once; a repeat (a durable resend re-announces)
             # still reaches everyone attached, who may have lost it.
             self._announcements.add(message)
@@ -551,16 +516,14 @@ class EventChannel:
                 if sub in self._subscribers:
                     self._subscribers.remove(sub)
 
-    def _publish_batch(
-        self, batch: list[bytes], *, exclude: WireTap | None = None, lease=None, headers=None
-    ) -> None:
+    def _publish_batch(self, batch: list[bytes], headers=None, exclude=None, lease=None) -> None:
         """Fan a burst of data messages (and, when the caller parsed
         them, their headers) to every subscriber, one batch decode per
         subscriber per run instead of one per message."""
         self.messages_published += len(batch)
         for sub in list(self._subscribers):
             # detach: same first-failure semantics as the scalar loop
-            self._deliver(sub, sub._offer_batch, batch, sub.error_policy == "suppress", lease, headers)
+            self._deliver(sub, sub._offer_run, batch, headers, sub.error_policy == "suppress", lease)
         self._fan_to_wire(batch, exclude)
 
     @property
@@ -602,16 +565,17 @@ class ChannelPublisher:
     def _announce(self, handle: FormatHandle) -> None:
         # Token announcements only on a channel-coordinated service:
         # subscribers share its cache, so resolution is local and cheap.
+        publish = self.channel._publish_message
         if self.channel._format_service is None or self.ctx.format_service is None:
-            self.channel._publish_message(self.ctx.announce(handle))
+            publish(self.ctx.announce(handle), announcement=True)
             return
         message = self.ctx.announce_compact(handle)
         try:
-            self.channel._publish_message(message)
+            publish(message, announcement=True)
         except TokenResolutionError:
             self.channel._announcements.remove(message)
             self.ctx.format_service.note_inline_fallback()
-            self.channel._publish_message(self.ctx.announce(handle))
+            publish(self.ctx.announce(handle), announcement=True)
 
     def publish(self, handle: FormatHandle, record: dict[str, Any]) -> None:
         self.publish_native(handle, handle.codec.encode(record))

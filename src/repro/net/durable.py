@@ -34,12 +34,9 @@ module closes that gap with three cooperating pieces (docs/robustness.md
   sequenced frame is a data frame whose record starts 8 bytes later.
 
   The frame-at-a-time path (``_offer``/``_drain``: window, deliver,
-  commit after the handler) is the reference.  Bursts under
-  ``on_error="suppress"`` take the run-granular path instead
-  (:meth:`DurableSubscription._offer_batch`): each frame is parsed
-  once, and frames arriving as ``cursor+1, cursor+2, …`` with nothing
-  pending are never copied or buffered — the cursor moves once and the
-  run is decoded where it lies; anything else falls back to the window.
+  commit after the handler) is the reference; bursts under
+  ``on_error="suppress"`` take the run-granular path
+  (:meth:`DurableSubscription._offer_batch`).
 
 A relay forwards sequenced frames verbatim, aggregates its downstreams'
 ack cursors (min-cursor) upstream, and replays from a bounded in-memory
@@ -57,6 +54,7 @@ from __future__ import annotations
 import os
 import struct
 from collections import OrderedDict
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core import encoder as enc
@@ -71,6 +69,12 @@ WAL_MAGIC = b"PBIOWALS"
 CURSOR_MAGIC = b"PBIOCURS"
 WAL_VERSION = 1
 _CURSOR_ENTRY = struct.Struct(">IIQ")  # context id, format id, cursor
+#: What a WAL segment may hold, by kind: the sequence it carries, given
+#: the frame and its header's payload length (0: an announcement).
+_WAL_SEQ = {**dict.fromkeys(enc.ANNOUNCEMENT_KINDS, lambda *_: 0), enc.MSG_DATA_SEQ: enc.read_seq}
+#: A durable subscription's burst, split: sequenced frames run through the
+#: window, everything else is offered as a plain subscription would be.
+SEQUENCED_ROWS = enc.rows(default="handle _offer_plain", data_seq="run")
 
 
 def _open_log(path: str, magic: bytes, metrics: Metrics) -> tuple[FramedLog, list[bytes]]:
@@ -213,9 +217,9 @@ def wal_entries(payloads: Iterable[bytes]) -> Iterator[tuple[tuple[int, int], in
             continue
         for message in messages:
             try:
-                kind, cid, fid, _plen = enc.unpack_header(message)
-                seq = 0 if kind in enc.ANNOUNCEMENT_KINDS else enc.parse_data_seq(message)[2]
-            except PbioError:
+                kind, cid, fid, payload_len = enc.unpack_header(message)
+                seq = _WAL_SEQ[kind](message, payload_len)
+            except (PbioError, KeyError):
                 yield None
                 continue
             yield (cid, fid), seq, message
@@ -716,14 +720,12 @@ class DurablePublisher:
                     self.metrics.inc("durable.retransmitted")
 
     def resend_unacked(self) -> int:
-        """Republish the surviving backlog (announcements first); the
-        receivers' dedup windows absorb anything that did arrive."""
-        backlog = self.wal.unacked()
+        """Republish the surviving backlog (announcements first), each
+        frame as the channel's row for it says; the receivers' dedup
+        windows absorb anything that did arrive."""
+        backlog, retransmitted = self.wal.unacked(), self.wal.unacked_count
         for message in backlog:
-            self.channel._publish_message(message)
-        retransmitted = sum(
-            1 for m in backlog if enc.message_kind(m) == enc.MSG_DATA_SEQ
-        )
+            self.channel.ingest(message)
         if retransmitted:
             self.metrics.inc("durable.retransmitted", retransmitted)
         return retransmitted
@@ -795,7 +797,7 @@ class DurableSubscription(Subscription):
 
     def _offer(self, message: bytes) -> None:
         header = enc.try_unpack_header(message)
-        if header is None or header[0] != enc.MSG_DATA_SEQ:
+        if header is None or SEQUENCED_ROWS[header[0]] is not enc.RUN:
             super()._offer(message)
             return
         try:
@@ -848,38 +850,42 @@ class DurableSubscription(Subscription):
 
     def _offer_batch(self, messages, suppress: bool, lease=None, headers=None) -> None:
         """Burst delivery (``"suppress"``): each frame is parsed once —
-        by whoever scanned the burst, when ``headers`` comes with it —
-        and a stream's in-order run is decoded where it lies.
-
-        ``"raise"`` and ``"detach"`` run the scalar reference loop
-        instead: both stop at the first failure, and only
-        commit-after-handler accounting knows which prefix was delivered
-        — committing a whole run up front would ack the records behind a
-        failure that are then never offered.
-
-        Under ``"suppress"`` frames are taken in arrival order.  While a
-        stream has nothing pending and its frames arrive as ``cursor+1,
-        cursor+2, …`` they form an *in-order run*: borrowed, not copied,
-        never inserted into the window — the cursor moves once to the
-        run's last sequence (commit-before-deliver: this policy consumes
-        a failed record anyway) and the run goes through the ordinary
-        screening and one batch decode.  A duplicate, gap or beyond-window
-        frame ends the run and takes the window path (:meth:`_drain_ready`),
-        copied because it may outlive this call; so does non-sequenced
-        traffic, via the base batch path.  Each touched stream gets one
-        cursor persist and one ack, after delivery.
-        """
+        by whoever scanned the burst, when ``headers`` comes with it — and
+        split by :data:`SEQUENCED_ROWS`; each touched stream gets one
+        cursor persist and one ack, after delivery.  ``"raise"`` and
+        ``"detach"`` run the scalar reference loop instead: both stop at the
+        first failure, and only commit-after-handler accounting knows which
+        prefix was delivered — committing a whole run up front would ack
+        the records behind a failure that are then never offered."""
         if not suppress:
             for message in messages:
                 self._offer(message)
             return
-        if headers is None:
-            headers = [enc.try_unpack_header(message) for message in messages]
-        window = self.window
         touched: dict[tuple[int, int], None] = {}
-        plain: list[bytes] = []  # non-sequenced frames since the last flush
+        try:
+            pairs = zip(messages, repeat(None) if headers is None else headers)
+            enc.walk(pairs, SEQUENCED_ROWS, self, self._offer_sequenced, touched, lease)
+        finally:
+            for stream in touched:
+                self.cursors.advance(stream, self.window.cursor(stream))
+                self._send_ack(stream)
+
+    def _offer_run(self, run, headers, suppress: bool, lease=None) -> None:
+        self._offer_batch(run, suppress, lease, headers)
+
+    def _offer_plain(self, message, header, touched, lease) -> None:
+        super()._offer_batch((message,), True, lease, (header,))
+
+    def _offer_sequenced(self, messages, headers, touched, lease) -> None:
+        """While a stream has nothing pending and its frames arrive as
+        ``cursor+1, cursor+2, …`` they form an *in-order run*: borrowed,
+        never inserted into the window — the cursor moves once to the run's
+        last sequence (commit-before-deliver: this policy consumes a failed
+        record anyway) and the run is screened and decoded in one batch.  A
+        duplicate, gap or beyond-window frame ends the run and takes the
+        window path (:meth:`_drain_ready`), copied: it may outlive the call."""
+        window = self.window
         run: list[bytes] = []  # the in-order run of `key`
-        plain_headers: list = []  # parallel to `plain` and `run`
         run_headers: list[tuple] = []
         key = None
         last = 0  # `key`'s cursor once `run` is committed
@@ -888,47 +894,32 @@ class DurableSubscription(Subscription):
         def end_run() -> None:
             if run:
                 window.seed(key, last)  # commit, then deliver
-                self._flush_run(run, True, lease, run_headers)
+                self._flush_run(run, run_headers, True, lease)
                 del run[:], run_headers[:]
 
-        try:
-            for message, header in zip(messages, headers):
-                if header is None or header[0] != enc.MSG_DATA_SEQ:
-                    end_run()
-                    plain.append(message)
-                    plain_headers.append(header)
-                    continue
-                if plain:
-                    super()._offer_batch(plain, True, lease, plain_headers)
-                    plain, plain_headers = [], []
-                try:
-                    seq = enc.read_seq(message, header[3])
-                except PbioError:
-                    self.metrics.inc("decode_errors")
-                    continue
-                if key is None or header[1] != key[0] or header[2] != key[1]:
-                    end_run()
-                    key = (header[1], header[2])
-                    touched[key] = None
-                    last = window.cursor(key)
-                    clean = not window.pending_count(key)
-                if clean and seq == last + 1:
-                    run.append(message)
-                    run_headers.append(header)
-                    last = seq
-                    continue
+        for message, header in zip(messages, headers):
+            try:
+                seq = enc.read_seq(message, header[3])
+            except PbioError:
+                self.metrics.inc("decode_errors")
+                continue
+            if key is None or header[1] != key[0] or header[2] != key[1]:
                 end_run()
-                if window.offer(key, seq, bytes(message)) != "refused":
-                    self._drain_ready(key)
-                    last = window.cursor(key)
-                    clean = not window.pending_count(key)
+                key = (header[1], header[2])
+                touched[key] = None
+                last = window.cursor(key)
+                clean = not window.pending_count(key)
+            if clean and seq == last + 1:
+                run.append(message)
+                run_headers.append(header)
+                last = seq
+                continue
             end_run()
-            if plain:
-                super()._offer_batch(plain, True, lease, plain_headers)
-        finally:
-            for stream in touched:
-                self.cursors.advance(stream, window.cursor(stream))
-                self._send_ack(stream)
+            if window.offer(key, seq, bytes(message)) != "refused":
+                self._drain_ready(key)
+                last = window.cursor(key)
+                clean = not window.pending_count(key)
+        end_run()
 
     def _drain_ready(self, key: tuple[int, int]) -> None:
         """Deliver the window's whole ready run as one batch.
@@ -947,7 +938,7 @@ class DurableSubscription(Subscription):
             run.append(message)
             window.commit(key, seq)
         if run:
-            self._flush_run(run, True)
+            self._flush_run(run, None, True)
 
     def _send_ack(self, key: tuple[int, int]) -> None:
         cid, fid = key

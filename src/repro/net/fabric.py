@@ -23,9 +23,9 @@ touching nothing but the 16-byte header:
 * the :class:`FabricDispatcher` front routes every inbound frame by
   sniffing only the channel key from its header — data, sequenced and
   token frames are forwarded *verbatim*, never decoded (announcements
-  are remembered as opaque bytes for replay, validation happens at the
-  owning worker's relay; the size limit is checked before a frame is
-  classified, at the front and at each worker);
+  are checked whole and remembered as opaque bytes for replay, their
+  meta is decoded at the owning worker's relay; the size limit is
+  checked before a frame is classified, at the front and at each worker);
 * filters push down to the edge: ``subscribe(..., filter_expr=...)``
   places a :class:`~repro.core.filters.RecordFilter` on the subscriber's
   attachment, compiled per arriving wire format against the packed
@@ -58,6 +58,7 @@ import bisect
 import hashlib
 import struct
 import time
+from itertools import repeat
 from typing import Callable, Iterable
 
 from repro.core import encoder as enc
@@ -72,8 +73,20 @@ from repro.net.health import (
     ProbePolicy,
     QuarantineRecord,
 )
-from repro.net.relay import DROPPED, Downstream, Relay
+from repro.net.relay import Downstream, Relay, hub_rows
 from repro.net.transport import PeerUnresponsive, Transport, TransportError
+
+FRONT_ROWS = hub_rows("fabric", "_broadcast_announcement")
+#: A worker trusts its front: an announcement is remembered as it comes
+#: (the channel's relay rejects a bad one); link control has no business
+#: inside a shard.
+WORKER_ROWS = enc.rows(
+    default="drop worker.dropped", foreign="reject worker.rejected", data="run", data_seq="run",
+    format="handle _absorb_announcement", token="handle _absorb_announcement",
+)  # fmt: skip
+#: A ``fabric_handler`` connection's: its pings are answered there, the
+#: rest goes to the front.
+PEER_ROWS = enc.rows(default="run", ping="handle answer")
 
 #: Virtual nodes per worker.  512 keeps every worker's owned share of
 #: the hash space within ~14% of fair across 2..8 workers (measured over
@@ -272,45 +285,31 @@ class RelayWorker:
     # -- the dispatcher-facing ingest path -----------------------------------
 
     def ingest(self, message: bytes, header=None) -> None:
-        """Route one frame into the owning channel's relay: a one-frame
-        :meth:`ingest_batch`.
-
-        ``header`` is the dispatcher's already-parsed header (single
-        parse per frame across the whole fabric).
-        """
+        """Route one frame (``header``: the dispatcher's, already parsed):
+        a one-frame :meth:`ingest_batch`."""
         self.ingest_batch(((message, header),))
 
     def ingest_batch(self, frames) -> None:
-        """Route one dispatcher run — ``(message, header)`` pairs already
-        sniffed upstream (a ``None`` header is parsed here) — grouping
-        per channel so each relay gets one vectored ``forward_batch``.
-        Cross-channel order inside a run is not meaningful; per-channel
-        arrival order is preserved.  Non-PBIO and oversize frames are
-        dropped before classification (``worker.rejected``), as a relay
-        drops them: nothing oversize is ever remembered for replay."""
+        """Route one dispatcher run — ``(message, header)`` pairs, a
+        ``None`` header parsed here — through :data:`WORKER_ROWS`: nothing
+        oversize is ever remembered for replay (``worker.rejected``)."""
         self._check_alive()
         limit = self.limits.max_message_size if self.limits is not None else None
-        by_key: dict[tuple[int, int], tuple[list[bytes], list[tuple]]] = {}
-        for message, header in frames:
-            if header is None:
-                header = enc.try_unpack_header(message)
-            if header is None or (limit is not None and len(message) > limit):
-                self.metrics.inc("worker.rejected")
-            elif header[0] in enc.DATA_KINDS:
-                messages, headers = by_key.setdefault((header[1], header[2]), ([], []))
-                messages.append(message)
-                headers.append(header)
-            elif header[0] in enc.ANNOUNCEMENT_KINDS:
-                self._absorb_announcement(message)
-            else:
-                # Pings, pongs, requests and forward-path acks have no business
-                # inside a shard; the dispatcher normally drops them first.
-                self.metrics.inc("worker.dropped")
-        for key, (messages, headers) in by_key.items():
-            self._relay(key).forward_batch(messages, headers=headers)
-            self.metrics.inc("worker.routed", len(messages))
+        enc.walk(frames, WORKER_ROWS, self, self._route_run, limit=limit)
 
-    def _absorb_announcement(self, message: bytes) -> None:
+    def _route_run(self, messages, headers) -> None:
+        """One run of data frames, one ``forward_batch`` per channel's relay
+        (cross-channel order inside a run is not meaningful)."""
+        by_key: dict[tuple[int, int], tuple[list[bytes], list[tuple]]] = {}
+        for message, header in zip(messages, headers):
+            run, run_headers = by_key.setdefault((header[1], header[2]), ([], []))
+            run.append(message)
+            run_headers.append(header)
+        for key, (run, run_headers) in by_key.items():
+            self._relay(key).forward_batch(run, headers=run_headers)
+            self.metrics.inc("worker.routed", len(run))
+
+    def _absorb_announcement(self, message: bytes, header) -> None:
         data = bytes(message)
         if self._announcements.add(data):
             self.metrics.inc("worker.announcements")
@@ -335,8 +334,7 @@ class RelayWorker:
                 ack_upstream=self._emit_ack,
                 replay_window=self.replay_window,
             )
-            for frame in self._announcements:
-                relay.forward(frame)
+            relay.forward_batch(list(self._announcements))
             for tap in self.taps:
                 tap.tap_downstreams[key] = relay.attach(tap.transport)
         return relay
@@ -436,10 +434,6 @@ class RelayWorker:
     def queue_depth(self) -> int:
         return sum(_queue_depth(relay) for relay in self._relays.values())
 
-    @property
-    def channel_keys(self) -> list[tuple[int, int]]:
-        return sorted(self._relays)
-
     def channels(self) -> dict[tuple[int, int], dict]:
         """Per-channel ``{"subscribers", "queue_depth"}`` (taps and
         quarantined subscribers count; evicted ones are gone)."""
@@ -467,34 +461,19 @@ class FabricDispatcher:
     ``workers`` is either an int (that many local :class:`RelayWorker`\\ s
     named ``w0..wN-1`` are built, sharing the dispatcher's converter
     cache) or an iterable of prebuilt workers.  Inbound frames go
-    through :meth:`forward` / :meth:`forward_batch`:
+    through :meth:`forward` / :meth:`forward_batch` and
+    :data:`FRONT_ROWS`: data routes verbatim to ``ring.owner((cid,
+    fid))``, its header parsed once for the whole fabric; announcements
+    are remembered and broadcast to every active worker (and replayed
+    into workers that join or return), so any worker can own any channel
+    after a rebalance.
 
-    * data and sequenced frames route to ``ring.owner((cid, fid))``
-      verbatim — the dispatcher parses the header once and threads it
-      through the worker into the channel's relay (no re-sniffing
-      anywhere);
-    * format and token announcements are remembered as opaque bytes and
-      broadcast to every active worker (and replayed into workers that
-      join or return later), so any worker can own any channel after a
-      rebalance;
-    * pings/pongs/requests/forward-path acks are dropped with counters,
-      as a relay drops them.
-
-    Worker failure follows the health plane's shape: consecutive ingest
-    errors quarantine the worker, quarantine removes it from the ring
-    and triggers :meth:`_rebalance` (channels re-owned, subscribers
-    re-placed with announcement replay), a
-    :class:`~repro.net.health.ProbePolicy` schedules liveness probes
-    with exponential backoff, a worker alive again is reactivated (ring
-    re-add, backlog replay, rebalance back) and one silent past the
-    eviction deadline is evicted for good.  Call :meth:`heal`
-    periodically — once per pump burst is enough.
-
-    Durable delivery aggregates per shard: each worker forwards its
-    channel relays' min-cursor acks into the dispatcher, which never
-    regresses a channel's cursor (a freshly-placed worker starts at 0;
-    the publisher must not see time run backward) and emits the result
-    to ``ack_upstream`` — the same sink contract a relay takes.
+    Worker failure and durable acks go as the module says: a quarantined
+    worker leaves the ring (:meth:`_rebalance`), one alive again is
+    reactivated (ring re-add, backlog replay, rebalance back), and each
+    shard's min-cursor ack reaches ``ack_upstream`` — the sink contract a
+    relay takes — never regressing (a freshly-placed worker starts at 0).
+    Call :meth:`heal` periodically — once per pump burst is enough.
     """
 
     def __init__(
@@ -602,44 +581,29 @@ class FabricDispatcher:
         self.forward_batch((message,), (header,))
 
     def forward_batch(self, messages, headers=None) -> None:
-        """Route a burst, grouping data runs per owning worker so each
-        worker sees one vectored batch per run (control frames flush
-        pending runs first: announcement-before-data order holds).
-        Non-PBIO and oversize frames are dropped before classification
-        (``fabric.rejected``), as is a data frame whose header
-        contradicts its length."""
-        pairs = zip(messages, headers) if headers is not None else ((m, None) for m in messages)
+        """Route a burst through :data:`FRONT_ROWS`, each data run grouped
+        per owning worker so each worker sees one vectored batch per run.
+        Non-PBIO, oversize and torn frames and damaged announcements are
+        dropped (``fabric.rejected``)."""
         limit = self.limits.max_message_size if self.limits is not None else None
+        pairs = zip(messages, repeat(None) if headers is None else headers)
+        enc.walk(pairs, FRONT_ROWS, self, self._route_run, limit=limit)
+
+    def _route_run(self, messages, headers) -> None:
         runs: dict[str, list[tuple[bytes, tuple]]] = {}
         last_key = last_run = None  # a frame of the previous frame's channel joins its run
-        for message, header in pairs:
-            if header is None:
-                header = enc.try_unpack_header(message)
-            if header is None or (limit is not None and len(message) > limit):
+        for message, header in zip(messages, headers):
+            if header[3] != len(message) - enc.HEADER_SIZE:  # torn or padded
                 self.metrics.inc("fabric.rejected")
                 continue
-            kind = header[0]
-            if kind in enc.DATA_KINDS:
-                if kind == enc.MSG_DATA and header[3] != len(message) - enc.HEADER_SIZE:
-                    self.metrics.inc("fabric.rejected")
+            key = (header[1], header[2])
+            if key != last_key:
+                name = self._owner_for(key)
+                if name is None:
+                    self.metrics.inc("fabric.dropped_no_worker")
                     continue
-                key = (header[1], header[2])
-                if key != last_key:
-                    name = self._owner_for(key)
-                    if name is None:
-                        self.metrics.inc("fabric.dropped_no_worker")
-                        continue
-                    last_key, last_run = key, runs.setdefault(name, [])
-                last_run.append((message, header))
-                continue
-            for name, run in runs.items():
-                self._deliver_run(name, run)
-            runs.clear()
-            last_key = None
-            if kind in enc.ANNOUNCEMENT_KINDS:
-                self._broadcast_announcement(message, header)
-            else:
-                self.metrics.inc("fabric." + DROPPED[kind])
+                last_key, last_run = key, runs.setdefault(name, [])
+            last_run.append((message, header))
         for name, run in runs.items():
             self._deliver_run(name, run)
 
@@ -668,8 +632,9 @@ class FabricDispatcher:
             self.metrics.inc("fabric.routed", len(run))
 
     def _broadcast_announcement(self, message: bytes, header) -> None:
-        """Remember (verbatim bytes, never decoded) and fan to every
-        active worker; each worker's relays validate and dedup."""
+        """Remember (verbatim bytes, checked whole by the walk, never
+        decoded) and fan to every active worker; each worker's relays
+        decode and dedup."""
         data = bytes(message)
         if self._announcements.add(data):
             self.metrics.inc("fabric.announcements")
@@ -682,11 +647,10 @@ class FabricDispatcher:
                 self._count_worker_failure(slot)
 
     def _replay_announcements(self, worker: RelayWorker) -> None:
-        for frame in self._announcements:
-            try:
-                worker.ingest(frame)
-            except TransportError:
-                return
+        try:
+            worker.ingest_batch([(frame, None) for frame in self._announcements])
+        except TransportError:
+            pass
 
     # -- subscriptions --------------------------------------------------------
 
@@ -874,6 +838,17 @@ class FabricDispatcher:
         self.metrics.inc("fabric.drained")
 
 
+class _Peer(LinkControl):
+    """One :func:`fabric_handler` connection, answering its pings."""
+
+    def __init__(self, dispatcher: FabricDispatcher, transport):
+        self.dispatcher, self.send = dispatcher, transport.send
+
+    def answer(self, frame, header) -> None:
+        depth = min(self.dispatcher.queue_depth, 0xFFFFFFFF)
+        self.control(frame, header, self.send, depth, self.dispatcher.metrics)
+
+
 def fabric_handler(dispatcher: FabricDispatcher, *, max_frames: int = 0):
     """An :class:`~repro.net.aio.AsyncServer` connection handler serving
     a fabric: every peer is an ingress publisher *and* a fabric-wide
@@ -884,22 +859,11 @@ def fabric_handler(dispatcher: FabricDispatcher, *, max_frames: int = 0):
     """
 
     async def handle(transport) -> None:
-        tap, peer = dispatcher.tap(transport), LinkControl()
+        tap, peer = dispatcher.tap(transport), _Peer(dispatcher, transport)
         try:
             while True:
                 frames = await transport.recv_many(max_frames)
-                batch: list[bytes] = []
-                headers: list[tuple] = []
-                for frame in frames:
-                    header = enc.try_unpack_header(frame)
-                    if header is not None and header[0] == enc.MSG_PING:
-                        depth = min(dispatcher.queue_depth, 0xFFFFFFFF)
-                        peer.control(frame, header, transport.send, depth, dispatcher.metrics)
-                        continue
-                    batch.append(frame)
-                    headers.append(header)
-                if batch:
-                    dispatcher.forward_batch(batch, headers=headers)
+                enc.walk(zip(frames, repeat(None)), PEER_ROWS, peer, dispatcher.forward_batch)
                 dispatcher.heal()
         finally:
             dispatcher.untap(tap)

@@ -16,29 +16,24 @@ differently-filtered substreams — the derived-event-channel pattern.
 
 Fan-out is failure-isolated: a downstream whose transport raises
 :class:`~repro.net.transport.TransportError` never stalls the stream for
-its siblings.  Errors are counted per downstream (``send_errors``) and
-after ``quarantine_after`` *consecutive* failures the downstream is
-quarantined.  With a :class:`~repro.net.health.ProbePolicy` the
-quarantine is a *self-healing* state machine —
+its siblings; it is quarantined, and with a
+:class:`~repro.net.health.ProbePolicy` the quarantine heals itself —
 
     attached → active ⇄ quarantined → probing → active | evicted
 
-— driven by :meth:`Relay.heal`: quarantined downstreams are probed with
-exponential-backoff ``MSG_PING`` frames; a pong reactivates them (with
-the full announcement replay, so no format state is ever lost) and a
-peer silent past the eviction deadline is removed for good
-(``relay.reactivated`` / ``relay.evicted`` in :attr:`Relay.metrics`).
-Without a policy, recovery stays manual via :meth:`Relay.reactivate`,
-which also still works as an operator override.  The per-peer record
+(:meth:`Relay.heal`; a pong reactivates with the full announcement
+replay, so no format state is ever lost).  The per-peer record
 (:class:`~repro.net.health.QuarantineRecord`) and the announcement
 backlog (:class:`~repro.net.health.AnnouncementBacklog`) are the health
 plane's; the fabric dispatcher keeps the same record per worker.
 
-:meth:`Relay.forward` and :meth:`Relay.forward_batch` are two short
-drivers over one set of parts — ``_admit_data``, ``_control``,
-``_flush_data_run`` (the one filter screen) and ``_send_many`` (the one
-place a transport is written and a failure accounted) — so a burst
-behaves exactly like its frames forwarded one by one.
+:meth:`Relay.forward` is a one-frame :meth:`Relay.forward_batch`, which
+is the relay's column of the verdict table (:data:`RELAY_ROWS`) under
+the one burst walk (:func:`repro.core.encoder.walk`): runs of data go
+to ``_flush_data_run`` (admission, then the one filter screen),
+announcements to ``_announce``, and ``_send_many`` is the one place a
+transport is written and a failure accounted — so a burst behaves
+exactly like its frames forwarded one by one.
 
 A slow consumer meets the same machine a broken link does — the relay
 keeps no queue of its own.  Async downstreams compose directly: an
@@ -78,20 +73,25 @@ from repro.net.health import (
 )
 from repro.net.transport import Transport, TransportError
 
-#: Control a one-way fan-out hub (relay, fabric front) drops, by counter
-#: suffix.  Pings and pongs are link-level liveness, point-to-point: the
-#: hub neither answers nor propagates them (its own probing runs in
-#: heal(), on the back-channel).  Meta requests flow toward a *sender*;
-#: with no route back the requester recovers by other means or times out
-#: holding.  Acks flow *against* the stream: they are harvested off
-#: downstream back-channels in heal(), where they can be attributed to a
-#: peer; one arriving on the forward path has no owner.
-DROPPED = {
-    enc.MSG_PING: "heartbeats_dropped",
-    enc.MSG_PONG: "heartbeats_dropped",
-    enc.MSG_FORMAT_REQUEST: "requests_dropped",
-    enc.MSG_ACK: "acks_dropped",
-}
+
+def hub_rows(prefix: str, announce: str) -> dict:
+    """The column of a one-way fan-out hub (relay, fabric front), counters
+    under ``prefix``.  Link control is dropped: pings and pongs are
+    point-to-point liveness (a hub probes on its back-channels, in heal());
+    a meta request with no route back to its sender times out holding; an
+    ack belongs to the back-channel it can be attributed on."""
+    return enc.rows(
+        foreign=f"reject {prefix}.rejected", data="run", data_seq="run",
+        format=f"check {announce}", token=f"check {announce}",
+        request=f"drop {prefix}.requests_dropped", ack=f"drop {prefix}.acks_dropped",
+        ping=f"drop {prefix}.heartbeats_dropped", pong=f"drop {prefix}.heartbeats_dropped",
+    )  # fmt: skip
+
+
+RELAY_ROWS = hub_rows("relay", "_announce")
+#: What a downstream sends back: heartbeats (a pong answers a probe) and
+#: acks; anything else is not proof it can receive.
+BACK_CHANNEL_ROWS = enc.rows(default="drop", ping="handle _heard", pong="handle _heard", ack="handle _ack")
 
 
 class Downstream(QuarantineRecord, LinkControl):
@@ -305,43 +305,12 @@ class Relay:
             downstream.metrics.inc(counter, count)
 
     def forward(self, message: bytes, *, header=None) -> None:
-        """Process one upstream message.
+        """Process one upstream message (``header``: already parsed, when
+        it was): a one-frame :meth:`forward_batch`."""
+        self.forward_batch((message,), (header,))
 
-        Frames that are not PBIO messages, that exceed the relay's
-        :class:`~repro.core.safety.DecodeLimits`, or whose header
-        contradicts their actual length are *dropped* (counted as
-        ``relay.rejected`` in :attr:`metrics`) rather than fanned out:
-        an intermediary must not amplify damage to every downstream.
-
-        ``header`` accepts the already-parsed header tuple when an
-        upstream stage (a batch grouper, the fabric dispatcher) has
-        sniffed this frame before — the PR 5 single-parse discipline.
-        """
-        if self._stopped:
-            self.metrics.inc("relay.dropped_after_stop")
-            return
-        if header is None:
-            header = enc.try_unpack_header(message)
-        if header is None or header[0] not in enc.DATA_KINDS:
-            self._control(message, header)
-            return
-        message = self._admit_data(message, header)
-        if message is not None:
-            self._flush_data_run((message,), (header,))
-
-    def _control(self, message, header) -> None:
-        """Everything that is not a data frame: rejects (not PBIO, over
-        the size limit, malformed meta), announcements, and the
-        point-to-point control a fan-out hub drops."""
-        if header is None or (
-            self.limits is not None and len(message) > self.limits.max_message_size
-        ):
-            self.metrics.inc("relay.rejected")
-            return
-        if header[0] not in enc.ANNOUNCEMENT_KINDS:
-            self.metrics.inc("relay." + DROPPED[header[0]])
-            return
-        # Absorb for filter compilation.  The relay's key property:
+    def _announce(self, message, header) -> None:
+        # Absorbed for filter compilation.  The relay's key property:
         # tokens forward *verbatim* — meta is never re-expanded in the
         # middle of the network — and an unresolvable one only degrades
         # filtering on that format, never forwarding.
@@ -361,88 +330,55 @@ class Relay:
         for downstream in self._downstreams:
             self._send_many(downstream, (data,), "announcements")
 
-    def _admit_data(self, message, header) -> bytes | None:
-        """Is this ``MSG_DATA`` / ``MSG_DATA_SEQ`` frame (header already
-        sniffed) fit to fan out?  Returns the frame to send, or ``None``
-        (``relay.rejected``) for an oversize, torn or padded frame or
-        sequence 0.
-
-        A sequenced frame is durable passthrough: its prefix is checked
-        and a private copy remembered in the bounded replay window (for
-        downstream reactivation); that copy goes out *verbatim* — the
-        subscriber's dedup window needs the publisher's numbering, not
-        ours, and filters read the record where it lies.
-        """
-        limits = self.limits
-        if limits is not None and len(message) > limits.max_message_size:
-            self.metrics.inc("relay.rejected")
-            return None
-        if header[0] == enc.MSG_DATA:
-            if header[3] != len(message) - enc.HEADER_SIZE:
-                self.metrics.inc("relay.rejected")  # torn/padded data frame
-                return None
-        else:
-            try:
-                seq = enc.read_seq(message, header[3])
-            except PbioError:
-                self.metrics.inc("relay.rejected")
-                return None
-            key = (header[1], header[2])
-            window = self._replay.get(key)
-            if window is None:
-                window = self._replay[key] = deque(maxlen=self.replay_window)
-            message = bytes(message)
-            window.append((seq, message))
-        self.messages_seen += 1
-        return message
-
     def forward_batch(self, messages, headers=None) -> None:
-        """Forward a burst of upstream messages, vectoring where possible.
+        """Forward a burst of upstream messages through :data:`RELAY_ROWS`.
 
-        Runs of valid data frames — plain or sequenced, the latter
-        remembered in the replay window frame by frame — are fanned out
-        with one ``send_many`` per downstream (one vectored syscall on a
-        socket link) instead of one ``send`` per message.  Control frames
-        are handled in arrival order between the runs, so
-        announcement-before-data ordering is preserved exactly.
+        Frames that are not PBIO, exceed the relay's
+        :class:`~repro.core.safety.DecodeLimits` or whose header
+        contradicts their length are *dropped* (``relay.rejected``), not
+        fanned out: an intermediary must not amplify damage.  Each run of
+        valid data frames goes out as one ``send_many`` per downstream.
 
-        ``headers`` optionally carries the parsed header tuple for each
-        message (parallel to ``messages``, ``None`` entries allowed).
-        Batches that were already grouped by an upstream sniffer — the
-        fabric dispatcher routes on ``(cid, fid)`` — thus flow through
-        without a second header parse, and the headers travel on into
-        each downstream's filter evaluation.
+        ``headers`` optionally carries the parsed header of each message
+        (``None`` entries allowed): a burst an upstream sniffer grouped —
+        the fabric routes on ``(cid, fid)`` — is not parsed again, and the
+        headers travel on into each downstream's filter evaluation.
         """
         if self._stopped:
             self.metrics.inc("relay.dropped_after_stop", len(list(messages)))
             return
-        # messages may be any iterable; pair lazily when unsniffed
-        pairs = zip(messages, headers) if headers is not None else ((m, None) for m in messages)
-        run: list[bytes] = []  # admitted data frames since the last control frame
-        run_headers: list[tuple] = []
-        for message, header in pairs:
-            if header is None:
-                header = enc.try_unpack_header(message)
-            if header is not None and header[0] in enc.DATA_KINDS:
-                message = self._admit_data(message, header)
-                if message is not None:  # rejects do not break a run
-                    run.append(message)
-                    run_headers.append(header)
-                continue
-            if run:
-                self._flush_data_run(run, run_headers)
-                run, run_headers = [], []
-            self._control(message, header)
-        if run:
-            self._flush_data_run(run, run_headers)
+        limit = self.limits.max_message_size if self.limits is not None else None
+        pairs = zip(messages, repeat(None) if headers is None else headers)
+        enc.walk(pairs, RELAY_ROWS, self, self._flush_data_run, limit=limit)
 
-    def _flush_data_run(self, run, headers) -> None:
-        """Fan one run of admitted data frames (and their parsed headers)
-        to every live downstream, verbatim: zero re-encoding."""
+    def _flush_data_run(self, frames, headers) -> None:
+        """Admit one run of data frames and fan what passes to every live
+        downstream, verbatim: zero re-encoding.  A torn or padded frame or
+        sequence 0 is rejected (``relay.rejected``); a sequenced frame is
+        durable passthrough: a private copy is remembered in the bounded
+        replay window (for downstream reactivation) and goes out *verbatim*
+        — the subscriber's dedup window needs the publisher's numbering."""
+        run, run_headers = [], []
+        for message, header in zip(frames, headers):
+            try:
+                seq = enc.data_sequence(message, header)
+            except PbioError:
+                self.metrics.inc("relay.rejected")
+                continue  # rejects do not break a run
+            if seq:
+                key = (header[1], header[2])
+                window = self._replay.get(key)
+                if window is None:
+                    window = self._replay[key] = deque(maxlen=self.replay_window)
+                message = bytes(message)
+                window.append((seq, message))
+            run.append(message)
+            run_headers.append(header)
+        self.messages_seen += len(run)
         for downstream in self._downstreams:
             if downstream.state == ACTIVE:
                 # unfiltered downstreams share the run itself: nobody mutates it
-                batch = run if downstream.filter is None else self._screen(downstream, run, headers)
+                batch = run if downstream.filter is None else self._screen(downstream, run, run_headers)
                 if batch:
                     self._send_many(downstream, batch, "forwarded")
 
@@ -463,18 +399,6 @@ class Relay:
             else:
                 downstream.metrics.inc("filtered_out")
         return batch
-
-    def pump(self, upstream: Transport, count: int) -> None:
-        """Forward ``count`` messages from an upstream transport."""
-        for _ in range(count):
-            self.forward(upstream.recv())
-
-    def pump_batch(self, upstream: Transport, max_frames: int = 0) -> int:
-        """Drain one burst from ``upstream`` (``recv_many``) and forward
-        it as a batch; returns the number of frames moved."""
-        frames = upstream.recv_many(max_frames)
-        self.forward_batch(frames)
-        return len(frames)
 
     # -- self-healing ---------------------------------------------------------
 
@@ -509,39 +433,31 @@ class Relay:
         self._aggregate_acks()
 
     def _harvest_pong(self, downstream: Downstream) -> bool:
-        """Drain the downstream's back-channel; True on proof of life.
-
-        Pongs answer probes (through the one responder, which the relay
-        gives no way to answer a peer's own ping: a hub's probing is its
-        own); ``MSG_ACK`` frames both prove life *and* advance the
-        downstream's per-stream ack cursors (a peer that acks is
-        necessarily receiving).  Anything else a peer sends (stray
-        requests, garbage, a malformed heartbeat) is not proof it can receive.
-        """
-        alive = False
+        """Drain the downstream's back-channel through
+        :data:`BACK_CHANNEL_ROWS`; True on proof of life: a pong (its
+        probe answered) or an ack (a peer that acks is receiving)."""
+        heard = downstream.pongs_received + self.metrics.value("durable.acks_received")
         while True:
             try:
                 frame = downstream.transport.poll_recv()
             except TransportError:
-                return alive  # a torn back-channel is just more silence
+                frame = None  # a torn back-channel is just more silence
             if frame is None:
-                return alive
-            header = enc.try_unpack_header(frame)
-            if header is None:
-                continue
-            if header[0] in enc.HEARTBEAT_KINDS:
-                if downstream.control(frame, header, metrics=self.metrics) and header[0] == enc.MSG_PONG:
-                    alive = True
-            elif header[0] == enc.MSG_ACK:
-                try:
-                    cursor, _nb, _bits = enc.parse_control(frame, header)
-                except PbioError:
-                    continue
-                alive = True
-                key = (header[1], header[2])
-                if cursor > downstream.ack_cursors.get(key, 0):
-                    downstream.ack_cursors[key] = cursor
-                self.metrics.inc("durable.acks_received")
+                return downstream.pongs_received + self.metrics.value("durable.acks_received") > heard
+            enc.walk(((frame, None),), BACK_CHANNEL_ROWS, self, None, downstream)
+
+    def _heard(self, frame, header, downstream: Downstream) -> None:
+        downstream.control(frame, header, metrics=self.metrics)  # never answered: a hub probes on its own
+
+    def _ack(self, frame, header, downstream: Downstream) -> None:
+        try:
+            cursor, _nb, _bits = enc.parse_control(frame, header)
+        except PbioError:
+            return
+        key = (header[1], header[2])
+        if cursor > downstream.ack_cursors.get(key, 0):
+            downstream.ack_cursors[key] = cursor
+        self.metrics.inc("durable.acks_received")
 
     def _aggregate_acks(self) -> None:
         """Push the min-cursor over active downstreams toward upstream.

@@ -207,7 +207,6 @@ class TestEncoderHelpers:
     def test_try_message_type_accepts_real_messages(self):
         sender, _, message = make_pair(X86, SPARC_V8)
         assert enc.try_message_type(message) == enc.MSG_DATA
-        assert enc.is_pbio_message(message)
         handle = sender.register_format(
             RecordSchema.from_pairs("other", [("x", "int")])
         )

@@ -128,7 +128,7 @@ class TestSequencedFramesAreData:
         client = RpcClient(SPARC_V8, CALC)
         frames = peer.interleaved()
         peer.a.send_many(frames)
-        data = [f for f in frames if enc.message_kind(f) in (enc.MSG_DATA, enc.MSG_DATA_SEQ)]
+        data = [f for f in frames if enc.try_message_type(f) in (enc.MSG_DATA, enc.MSG_DATA_SEQ)]
         assert [client._recv_frame(peer.b) for _ in data] == data
         assert client.ctx.metrics.value("link.acks_dropped") == len(RECORDS) - 1  # the last is still queued
 
@@ -139,7 +139,7 @@ class TestSequencedFramesAreData:
         with pytest.raises(TransportError):  # nothing decodable yet: the link runs dry
             peer.receiver.recv()
         assert peer.rx.metrics.value("fmtserv.messages_held") == len(held)
-        assert enc.message_kind(peer.a.recv()) == enc.MSG_FORMAT_REQUEST
+        assert enc.try_message_type(peer.a.recv()) == enc.MSG_FORMAT_REQUEST
         peer.a.send(peer.ctx.announce(peer.handle))  # the inline answer
         assert [peer.receiver.recv() for _ in held] == twice(RECORDS[:3])
         assert peer.rx.metrics.value("fmtserv.messages_released") == len(held)

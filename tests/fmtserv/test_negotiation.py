@@ -275,7 +275,7 @@ class TestChannelTokens:
         assert got == [pytest.approx(RECORDS[0])]
         # the replayed announcement is the token, and late joiners resolve
         # it from the shared channel service
-        assert [enc.message_kind(a) for a in channel._announcements] == [enc.MSG_FORMAT_TOKEN]
+        assert [enc.try_message_type(a) for a in channel._announcements] == [enc.MSG_FORMAT_TOKEN]
         late = []
         late_ctx = IOContext(X86)
         late_ctx.expect(TELEMETRY)
@@ -297,7 +297,7 @@ class TestChannelTokens:
         publisher.publish(handle, RECORDS[0])
         assert got == [pytest.approx(RECORDS[0])]
         # the token was withdrawn; replay now carries inline meta only
-        kinds = [enc.message_kind(a) for a in channel._announcements]
+        kinds = [enc.try_message_type(a) for a in channel._announcements]
         assert kinds == [enc.MSG_FORMAT]
         assert channel.format_service.metrics.value("fmtserv.inline_fallbacks") == 1
 

@@ -34,6 +34,7 @@ from repro.net import (
     shm_pair,
 )
 from repro.core.filters import RecordFilter
+from repro.net import channel as channel_module, fabric as fabric_module, relay as relay_module
 from repro.net import sockets, transport
 from repro.workloads import mechanical, random_record
 
@@ -331,15 +332,15 @@ class RttScalar:
         self.b.close()
 
 
-class CountingKinds(frozenset):
-    """A frame-kind class (``enc.DATA_KINDS``) with each membership test —
-    one "what kind of frame is this" classification — counted."""
+class CountingRows(dict):
+    """A role's column of the verdict table with each row lookup — one
+    "what kind of frame is this" classification — counted."""
 
     counts = None
 
-    def __contains__(self, kind):
+    def __getitem__(self, kind):
         self.counts["kind_classifications"] += 1
-        return frozenset.__contains__(self, kind)
+        return dict.__getitem__(self, kind)
 
 
 class FanoutHomo:
@@ -379,9 +380,16 @@ class FanoutHomo:
             self.publishers.append((ctx, handle))
             self.leaves.append(leaves)
             self.dispatcher.forward(ctx.announce(handle))
-        kinds = CountingKinds(enc.DATA_KINDS)
-        kinds.counts = counts
-        monkeypatch.setattr(enc, "DATA_KINDS", kinds)
+        for module, name in (
+            (fabric_module, "FRONT_ROWS"),
+            (fabric_module, "WORKER_ROWS"),
+            (relay_module, "RELAY_ROWS"),
+            (channel_module, "CHANNEL_ROWS"),
+            (channel_module, "SUBSCRIPTION_ROWS"),
+        ):
+            rows = CountingRows(getattr(module, name))
+            rows.counts = counts
+            monkeypatch.setattr(module, name, rows)
         for name in ("try_unpack_header", "unpack_header"):
             monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
         monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
@@ -391,7 +399,7 @@ class FanoutHomo:
             (RelayWorker, "ingest_batch", "worker.ingest_batch"),
             (Relay, "forward_batch", "relay.forward_batch"),
             (Relay, "forward", "relay.forward"),
-            (Relay, "_admit_data", "admissions"),
+            (enc, "data_sequence", "admissions"),
             (RecordFilter, "matches", "filter_evaluations"),
             (pipe_end, "send_many", "send_many"),
             (pipe_end, "send", "send"),
@@ -430,14 +438,15 @@ def fanout_row(n, payload):
     admission a record, the front's header parse the only one in the
     fabric); the filter reads ``n`` records for its one subscriber; each
     of the four leaves gets one ``send_many`` of the published frames
-    themselves, and pays one header parse and two classifications
-    (channel, subscription) a frame it is delivered."""
+    themselves, and pays one header parse and one classification (the
+    channel's: its subscriber takes the run as it is) a frame it is
+    delivered."""
     delivered = 3 * n + n // 4
     return {
         "fabric.forward_batch": 1, "worker.ingest_batch": 1, "relay.forward_batch": 1, "relay.forward": 0,
         "admissions": n, "filter_evaluations": n, "send_many": 4, "send": 0, "recv_many": 4,
         "payload_copies": 0, "channel.ingest_many": 4, "decode_batch": 4,
-        "header_unpacks": n + delivered, "kind_classifications": 3 * n + 2 * delivered,
+        "header_unpacks": n + delivered, "kind_classifications": 3 * n + delivered,
     }  # fmt: skip
 
 

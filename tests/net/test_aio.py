@@ -363,7 +363,7 @@ class TestAsyncRpc:
         assert client._recv_frame(first.b) == b"a call header"
         with pytest.raises(TransportError):  # the body is held, the link dry
             client._recv_frame(first.b)
-        assert enc.message_kind(first.a.recv()) == enc.MSG_FORMAT_REQUEST
+        assert enc.try_message_type(first.a.recv()) == enc.MSG_FORMAT_REQUEST
         for k, pipe in enumerate(pipes[1:]):
             pipe.a.send(b"frame %d" % k)
             assert client._recv_frame(pipe.b) == b"frame %d" % k

@@ -361,11 +361,11 @@ class TestDurableRoundTrip:
             pub.resend_unacked()  # each one republishes the WAL's announcement first
         wired = []
         channel.attach_wire(wired.append)
-        assert [enc.message_kind(m) for m in wired] == [enc.MSG_FORMAT]
+        assert [enc.try_message_type(m) for m in wired] == [enc.MSG_FORMAT]
         late = sub_context()
         seen = []
         receive = late.receive
-        late.receive = lambda m: (seen.append(enc.message_kind(m)), receive(m))[1]
+        late.receive = lambda m: (seen.append(enc.try_message_type(m)), receive(m))[1]
         got = []
         channel.subscribe(late, lambda r: got.append(r["x"]))
         assert seen == [enc.MSG_FORMAT]  # one replayed announcement per late joiner
@@ -388,7 +388,7 @@ class TestDurableRoundTrip:
         pub.publish(handle, {"x": 1, "y": 0.0})
         pub.resend_unacked()
         assert got == [1, 1]  # a plain subscriber has no dedup window
-        assert [enc.message_kind(a) for a in channel._announcements] == [enc.MSG_FORMAT]
+        assert [enc.try_message_type(a) for a in channel._announcements] == [enc.MSG_FORMAT]
         pub.close()
 
     def test_plain_subscriber_sees_sequenced_stream(self, tmp_path):

@@ -125,7 +125,7 @@ class TestLateAttach:
         relay = Relay()
         down = InMemoryPipe()
         relay.attach(down.a)
-        relay.pump(up.b, count=2)
+        relay.forward_batch(up.b.recv_many())
         assert relay.messages_seen == 1
         assert down.b.pending() == 2
 

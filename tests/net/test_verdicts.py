@@ -29,6 +29,7 @@ import pytest
 from repro.abi import SPARC_V8, X86_64, RecordSchema
 from repro.core import IOContext, PbioConnection, PbioError
 from repro.core import encoder as enc
+from repro.net import channel as channel_module, fabric as fabric_module, relay as relay_module
 from repro.net import drain as drain_any
 from repro.net import (
     AsyncSocketTransport,
@@ -415,7 +416,7 @@ VERDICTS = {
     "channel": {
         "format": "route", "data": "deliver", "token": "route", "data_seq": "deliver", **NOT_RECORDS,
         "ack": "route", "ack!": "route",  # to the listeners: whoever owns the stream size-checks it
-        "foreign": "reject channel.frames_rejected", "token!": "reject decode.rejected",
+        "foreign": "reject channel.frames_rejected", "token!": "reject channel.frames_rejected",
     },
     "subscription": {
         "format": "absorb", "data": "deliver delivered", "token": "absorb fmtserv.tokens_absorbed",
@@ -428,8 +429,8 @@ VERDICTS = {
         "foreign": "reject decode_errors", "token!": "reject decode.rejected",
     },
     "relay": hub("relay"),
-    # an announcement is opaque at the front and the worker: the channel's relay is what rejects a bad one
-    "fabric front": hub("fabric", **{"token!": "reject relay.rejected"}),
+    "fabric front": hub("fabric"),
+    # the worker trusts its front to have checked an announcement: the channel's relay rejects a bad one
     "fabric worker": {
         **{kind + bang: "drop worker.dropped" for kind in ("request", "ping", "pong", "ack") for bang in ("", "!")},
         "format": "route worker.announcements", "token": "route worker.announcements",
@@ -470,7 +471,7 @@ def test_what_is_delivered_answered_and_routed():
         (pong,) = Endpoint(True).observe(entry, F.frames["ping"]).answered
         assert enc.parse_pong(pong)[0] == F.nonce
         (meta,) = Endpoint(True).observe(entry, F.frames["request"]).answered
-        assert enc.message_kind(meta) == enc.MSG_FORMAT and F.local.to_meta_bytes() in meta
+        assert enc.try_message_type(meta) == enc.MSG_FORMAT and F.local.to_meta_bytes() in meta
     for role in (RelayRole, FabricFront, Worker):
         for entry in role.entries:
             for case in ("data", "data_seq"):
@@ -490,6 +491,45 @@ def test_the_doc_matrix_is_this_table():
     assert sorted(roles) == sorted(ROLES)
     doc = {(role, row[0].strip("`")): re.sub(r"[`*]", "", cell) for row in rows[2:] for role, cell in zip(roles, row[1:])}
     assert doc == {(role, case): VERDICTS[role][case] for role in ROLES for case in CASES}
+
+
+def test_the_source_rows_count_what_the_table_counts():
+    """Each hub's column in source (what ``enc.walk`` reads): where it names
+    a drop or a reject, that is the table's cell, counter and all."""
+    columns = {
+        "relay": relay_module.RELAY_ROWS, "fabric front": fabric_module.FRONT_ROWS,
+        "fabric worker": fabric_module.WORKER_ROWS, "channel": channel_module.CHANNEL_ROWS,
+        "subscription": channel_module.SUBSCRIPTION_ROWS,
+    }  # fmt: skip
+    for role, column in columns.items():
+        for case in KINDS + ("foreign",):
+            header = enc.try_unpack_header(F.frames[case])
+            row = column[None if header is None else header[0]]
+            if row is not enc.RUN and row.handler is None:
+                verdict, counter = documented(role, case)
+                assert verdict in ("drop", "reject") and counter == row.counter, (role, case)
+
+
+@pytest.mark.parametrize("damaged", ["token!", "token+4"])
+def test_a_damaged_announcement_is_never_remembered(damaged):
+    """A token announcement that is not whole — its header disagrees with
+    its payload, or the payload is the wrong size — ingested while nobody
+    listens is rejected at the door: a late ``subscribe(on_error="raise")``
+    and ``attach_wire`` join, and nothing is replayed to them.  The fabric
+    front does not remember one either."""
+    frame = F.frames["token!"] if damaged == "token!" else F.frames["token"] + bytes(4)
+    for ingest in (EventChannel.ingest, lambda channel, frame: channel.ingest_many([frame])):
+        channel, got, tapped = EventChannel(), [], []
+        ingest(channel, frame)
+        assert channel.metrics.value("channel.frames_rejected") == 1
+        channel.subscribe(F.receiver(), got.append, on_error="raise")
+        channel.attach_wire(tapped.append)
+        assert list(channel._announcements) == tapped == got == []
+    for forward in (FabricDispatcher.forward, lambda fabric, frame: fabric.forward_batch([frame])):
+        fabric = FabricDispatcher(2)
+        forward(fabric, frame)
+        assert fabric.metrics.value("fabric.rejected") == 1
+        assert [list(part._announcements) for part in (fabric, *fabric.workers)] == [[], [], []]
 
 
 # -- transport contract: what per-link code reads without probing -----------------
