@@ -93,7 +93,7 @@ def _announced_stream(size: str, count: int, seed: int, src=support.SPARC):
 @pytest.fixture(scope="module")
 def batch_setup():
     setup = _announced_stream(SIZE, N_RECORDS, seed=3)
-    setup[3].pipeline.decode_batch_native(setup[2])  # warm converters + batch plan
+    setup[3].pipeline.decode_batch(setup[2], native=True)  # warm converters + batch plan
     return setup
 
 
@@ -110,7 +110,7 @@ def _batch_pump(frames, receiver):
     """The fast path: one vectored send, one drain, one batch decode."""
     pipe = InMemoryPipe()
     pipe.a.send_many(frames)
-    receiver.pipeline.decode_batch_native(pipe.b.recv_many())
+    receiver.pipeline.decode_batch(pipe.b.recv_many(), native=True)
 
 
 def test_per_message_stream(benchmark, batch_setup):
@@ -169,7 +169,7 @@ def test_shape_batch_is_byte_identical(batch_setup):
     """The gate only counts if the fast path returns the same bytes."""
     _, _, frames, receiver = batch_setup
     sequential = [receiver.pipeline.decode_native(frame) for frame in frames]
-    assert receiver.pipeline.decode_batch_native(frames) == sequential
+    assert receiver.pipeline.decode_batch(frames, native=True) == sequential
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 8))

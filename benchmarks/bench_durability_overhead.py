@@ -235,7 +235,7 @@ def test_guideline_sequenced_burst_decodes_like_plain_burst():
         for seq in range(1, BURST + 1)
     ]
     pipeline = ctx_rx.pipeline
-    assert pipeline.decode_batch_native(sequenced) == pipeline.decode_batch_native(plain)
+    assert pipeline.decode_batch(sequenced, native=True) == pipeline.decode_batch(plain, native=True)
     pipeline.decode_batch(sequenced)  # warm the record reader too
     inner = 50  # not PBIO_BENCH_INNER: the whole gate is ~50 ms, and one call per round is noise
     t_plain = t_seq = float("inf")

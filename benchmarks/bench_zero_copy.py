@@ -52,7 +52,7 @@ def homogeneous_batch(size, n):
     receiver.receive(sender.announce(h))
     native = mechanical.native_bytes(size, support.SPARC)
     messages = [sender.encode_native(h, native) for _ in range(n)]
-    receiver.pipeline.decode_batch_native(messages)  # warm caches
+    receiver.pipeline.decode_batch(messages, native=True)  # warm caches
     return receiver, messages
 
 
@@ -161,7 +161,7 @@ def test_gate_lend_batch_100kb_within_2x_memcpy():
     views = [memoryview(m) for m in messages]
     repeats = support.default_repeats()
     t_lend = best_of(
-        lambda: receiver.pipeline.decode_batch_native(messages, lend=True),
+        lambda: receiver.pipeline.decode_batch(messages, native=True, lend=True),
         repeats=repeats,
         inner=5,
     )
@@ -230,7 +230,7 @@ def var_length_exchange(n=1000):
         )
         for k in range(n)
     ]
-    receiver.pipeline.decode_batch_native(messages)  # warm converter caches
+    receiver.pipeline.decode_batch(messages, native=True)  # warm converter caches
     return receiver, messages
 
 
@@ -241,12 +241,12 @@ def test_gate_var_batch_2x_scalar_1k_records():
 
     receiver, messages = var_length_exchange(1000)
     engaged0 = receiver.metrics.value("decode.batch.converted")
-    vec = [bytes(b) for b in receiver.pipeline.decode_batch_native(messages, lend=True)]
+    vec = [bytes(b) for b in receiver.pipeline.decode_batch(messages, native=True, lend=True)]
     assert receiver.metrics.value("decode.batch.converted") - engaged0 == 1000
 
     repeats = support.default_repeats()
     t_vec = best_of(
-        lambda: receiver.pipeline.decode_batch_native(messages, lend=True),
+        lambda: receiver.pipeline.decode_batch(messages, native=True, lend=True),
         repeats=repeats,
         inner=3,
     )
@@ -256,10 +256,10 @@ def test_gate_var_batch_2x_scalar_1k_records():
     try:
         pipeline_mod.NUMPY_THRESHOLD = 1 << 30
         scalar = [
-            bytes(b) for b in receiver.pipeline.decode_batch_native(messages, lend=True)
+            bytes(b) for b in receiver.pipeline.decode_batch(messages, native=True, lend=True)
         ]
         t_scalar = best_of(
-            lambda: receiver.pipeline.decode_batch_native(messages, lend=True),
+            lambda: receiver.pipeline.decode_batch(messages, native=True, lend=True),
             repeats=repeats,
             inner=3,
         )

@@ -364,7 +364,7 @@ def batch() -> None:
     receiver.expect(schema)
     receiver.receive(sender.announce(handle))
     frames = [sender.encode_native(handle, native) for native in natives]
-    receiver.pipeline.decode_batch_native(frames)  # warm converters + batch plan
+    receiver.pipeline.decode_batch(frames, native=True)  # warm converters + batch plan
 
     def loop_pump():
         pipe = InMemoryPipe()
@@ -376,7 +376,7 @@ def batch() -> None:
     def batch_pump():
         pipe = InMemoryPipe()
         pipe.a.send_many(frames)
-        receiver.pipeline.decode_batch_native(pipe.b.recv_many())
+        receiver.pipeline.decode_batch(pipe.b.recv_many(), native=True)
 
     t_loop = best_of(loop_pump, repeats=7)
     t_batch = best_of(batch_pump, repeats=7)
@@ -450,11 +450,11 @@ def zerocopy() -> None:
             )
         frames = [message] * n
         pipeline = receiver.pipeline
-        pipeline.decode_batch_native(frames)  # warm converters
-        pipeline.decode_batch_native(frames, lend=True)
-        t_copy = best_of(lambda: pipeline.decode_batch_native(frames), repeats=5) / n
+        pipeline.decode_batch(frames, native=True)  # warm converters
+        pipeline.decode_batch(frames, native=True, lend=True)
+        t_copy = best_of(lambda: pipeline.decode_batch(frames, native=True), repeats=5) / n
         t_lend = (
-            best_of(lambda: pipeline.decode_batch_native(frames, lend=True), repeats=5)
+            best_of(lambda: pipeline.decode_batch(frames, native=True, lend=True), repeats=5)
             / n
         )
         # Same-host delivery *through the ring* plus the lend decode:
@@ -465,7 +465,7 @@ def zerocopy() -> None:
 
             def ring_pump():
                 a.send_many(frames)
-                pipeline.decode_batch_native(b.recv_many(), lend=True)
+                pipeline.decode_batch(b.recv_many(), native=True, lend=True)
 
             ring_pump()  # warm the ring pages
             t_ring = best_of(ring_pump, repeats=5) / n

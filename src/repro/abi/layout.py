@@ -45,10 +45,6 @@ class LaidOutField:
         return self.offset + self.total_size
 
     @property
-    def is_array(self) -> bool:
-        return self.count > 1 and self.kind is not PrimKind.CHAR
-
-    @property
     def is_char_array(self) -> bool:
         return self.count > 1 and self.kind is PrimKind.CHAR
 

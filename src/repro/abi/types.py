@@ -35,14 +35,6 @@ class PrimKind(enum.Enum):
     BOOLEAN = "boolean"
     STRING = "string"
 
-    @classmethod
-    def from_wire_name(cls, name: str) -> "PrimKind":
-        """Parse the wire-format type name used in PBIO meta-information."""
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown wire type name: {name!r}")
-
 
 class CType(enum.Enum):
     """Declared C types available to record schemas."""
@@ -94,10 +86,6 @@ class CType(enum.Enum):
     def kind(self) -> PrimKind:
         """Semantic kind of this C type (what goes in wire meta-info)."""
         return _CTYPE_KINDS[self]
-
-    @property
-    def is_integer(self) -> bool:
-        return self.kind in (PrimKind.INTEGER, PrimKind.UNSIGNED)
 
     @property
     def is_float(self) -> bool:

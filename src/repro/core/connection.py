@@ -35,7 +35,7 @@ from repro.net.transport import GATHER_MIN_FRAME, SegmentedFrame, Transport
 from . import encoder as enc
 from .context import FormatHandle, IOContext
 from .errors import PbioError
-from .negotiation import Announcer, InboundNegotiator, LinkTable
+from .negotiation import ENDPOINT_ROWS, Announcer, InboundNegotiator, LinkTable
 
 
 class PbioConnection:
@@ -105,18 +105,13 @@ class PbioConnection:
     # -- receiving ------------------------------------------------------------
 
     def _recv(self, decode):
-        """The next data message through ``decode``: straight off the transport,
-        its header parsed once, when nothing is ready and no format pending;
-        anything else passes through the negotiator in order."""
+        """The next frame the negotiator admits, through ``decode`` with the
+        header it parsed: in the steady state straight off the transport."""
         negotiator = self._negotiator
-        ready = negotiator.ready
-        while not ready:
-            frame = self.transport.recv()
-            header = enc.try_unpack_header(frame)
-            if header is not None and header[0] in enc.DATA_KINDS and not negotiator.unresolved:
-                return decode(frame, header=header)
-            negotiator.offer(frame, header=header)
-        return decode(ready.popleft())
+        taken = negotiator.admit() if negotiator.ready else None
+        while taken is None:
+            taken = negotiator.admit(self.transport.recv())
+        return decode(taken[0], header=taken[1])
 
     def recv(self) -> dict[str, Any]:
         """Receive and decode the next record to a dict."""
@@ -148,7 +143,7 @@ class PbioConnection:
         through the negotiator in order on owned copies (a sequenced frame
         is data: decoded where it lies, its prefix checked, not deduplicated).
         """
-        negotiator, ready, data = self._negotiator, self._negotiator.ready, enc.DATA_KINDS
+        negotiator, ready, rows, run = self._negotiator, self._negotiator.ready, ENDPOINT_ROWS, enc.RUN
         headers = loan = None
         try:
             while not ready:
@@ -156,7 +151,7 @@ class PbioConnection:
                 headers = list(map(enc.try_unpack_header, messages))
                 if not negotiator.unresolved:
                     for header in headers:
-                        if header is None or header[0] not in data:
+                        if header is None or rows[header[0]] is not run:
                             break
                     else:  # the steady state: plain data, nothing pending
                         break

@@ -240,17 +240,6 @@ class IOContext:
         """Decode to a value dict (fully materialized)."""
         return self.pipeline.decode(message)
 
-    def read_batch(self, messages, *, on_error: str = "raise") -> list:
-        """Process many incoming messages in one pass.
-
-        Announcements are absorbed in order (their result slots are
-        ``None``); consecutive same-format data messages share one
-        columnar conversion.  Results are identical to looping
-        :meth:`receive`.  ``on_error="skip"`` confines a rejection to its
-        own frame (slot stays ``None``) instead of raising.
-        """
-        return self.pipeline.decode_batch(messages, on_error=on_error)
-
     def converter_sources(self, format_name: str | None = None) -> dict[str, str]:
         """Inspect the conversion code available to this context.
 

@@ -44,10 +44,6 @@ class FieldMatch:
     source: WireField | None  # matching wire field (None -> default)
     identical: bool  # byte-identical in place: same offset/size/kind
 
-    @property
-    def is_missing(self) -> bool:
-        return self.source is None
-
 
 @dataclass(frozen=True)
 class MatchResult:

@@ -84,16 +84,28 @@ def send_goodbye(transport) -> bool:
         return False
 
 
+#: The endpoint's column of the verdict table (docs/wire-format.md §12): data —
+#: plain or sequenced — and foreign frames (an RPC call header, fault text)
+#: are the caller's; announcements are absorbed, a meta request and a ping
+#: answered, a pong counted; an ack with no durable publisher behind the
+#: endpoint is dropped, as a one-way hub drops one on its forward path.
+ENDPOINT_ROWS = enc.rows(
+    foreign="run", data="run", data_seq="run", format="handle _format", token="handle _token",
+    request="handle _request", ping="handle _heartbeat", pong="handle _heartbeat",
+    ack="drop link.acks_dropped",
+)  # fmt: skip
+
+
 class InboundNegotiator(LinkControl):
     """Receive-side handling of announcements, tokens and meta requests.
 
-    Feed every inbound frame to :meth:`offer`; consume decodable frames
-    (data messages, or foreign frames such as RPC call headers) from
-    :meth:`next_ready`.  Announcements are absorbed, token announcements
-    resolved (or converted into a ``MSG_FORMAT_REQUEST`` on the
-    back-channel), meta requests answered from the context's local
-    registry, pings answered, and data messages — plain or sequenced —
-    for still-unresolved formats held until their inline meta arrives.
+    Pull the caller's frames with :meth:`admit` (or feed frames to
+    :meth:`offer` and take them from :attr:`ready`).  Announcements are
+    absorbed, token announcements resolved (or converted into a
+    ``MSG_FORMAT_REQUEST`` on the back-channel), meta requests answered
+    from the context's local registry, pings answered, and data messages
+    — plain or sequenced — for still-unresolved formats held until their
+    inline meta arrives.
 
     Within one format, held messages release in arrival order; frames of
     *other* formats are not delayed behind an unresolved one (per-format
@@ -108,32 +120,34 @@ class InboundNegotiator(LinkControl):
         max_held: int = DEFAULT_MAX_HELD,
     ):
         self.ctx = ctx
+        self.metrics = ctx.metrics
         self._send = send
         self.max_held = max_held
         self._pending: dict[tuple[int, int], bytes] = {}  # (cid, fid) -> fingerprint
         self._held: dict[tuple[int, int], list[bytes]] = {}
         self.ready: deque[bytes] = deque()  # oldest first; a burst caller (recv_batch) takes from it directly
 
-    def next_ready(self) -> bytes | None:
-        """The next frame ready for the caller, if any."""
-        return self.ready.popleft() if self.ready else None
+    def admit(self, frame=None) -> tuple | None:
+        """Is ``frame`` the caller's right now?  The one question of every
+        pull loop: ``(frame, header)`` — the next frame that is, a frame
+        ready from earlier first — or ``None`` when nothing is (``frame``
+        was absorbed, answered or held, or there was none).
 
-    def filter(self, frame) -> bytes | None:
-        """:meth:`offer` + :meth:`next_ready` fused for pull-style loops.
-
-        In the steady state (nothing held, nothing pending) a data
-        message or foreign frame is returned directly, skipping the
-        ready queue; otherwise the frame takes the full :meth:`offer`
-        path and whatever is ready next comes back (``None`` if the
-        frame was absorbed by the negotiation).
+        In the steady state (nothing ready, no format pending) a frame
+        whose :data:`ENDPOINT_ROWS` row is ``run`` comes back as it is,
+        with the header parsed here so the decode does not parse it again
+        (``None``: a foreign frame); anything else takes :meth:`offer`, and
+        a ready frame comes back with no parsed header.
         """
-        header = None
-        if not self.ready and not self._pending:
-            header = enc.try_unpack_header(frame)
-            if header is None or header[0] in enc.DATA_KINDS:
-                return frame if isinstance(frame, bytes) else bytes(frame)
-        self.offer(frame, header=header)
-        return self.next_ready()
+        ready = self.ready
+        if frame is not None:
+            header = None
+            if not ready and not self._pending:
+                header = enc.try_unpack_header(frame)
+                if ENDPOINT_ROWS[None if header is None else header[0]] is enc.RUN:
+                    return frame, header
+            self.offer(frame, header=header)
+        return (ready.popleft(), None) if ready else None
 
     @property
     def unresolved(self) -> int:
@@ -142,7 +156,7 @@ class InboundNegotiator(LinkControl):
 
     def offer(self, frame, *, header: tuple | None = None) -> None:
         """Process one inbound frame (absorb, hold, request, answer, or
-        enqueue): one row of :attr:`_rows` per message kind, no default.
+        enqueue) by its row of :data:`ENDPOINT_ROWS`.
 
         ``header`` may carry the already-parsed tuple from
         :func:`~repro.core.encoder.try_unpack_header`; the frame is then
@@ -150,18 +164,18 @@ class InboundNegotiator(LinkControl):
         """
         if header is None:
             header = enc.try_unpack_header(frame)
-        if header is None:
-            # A foreign frame (RPC call header, fault text): the caller's
-            # business.
-            self.ready.append(frame if isinstance(frame, bytes) else bytes(frame))
+        row = ENDPOINT_ROWS[None if header is None else header[0]]
+        if row is enc.RUN:
+            self._data(frame, header)
         else:
-            self._rows[header[0]](self, frame, header)
+            enc.settle(row, frame, header, self)
 
-    # -- one row per kind ----------------------------------------------------
+    # -- the handled rows ------------------------------------------------------
 
     def _data(self, frame, header) -> None:
-        """Plain or sequenced: held behind its unresolved format, else ready."""
-        if self._pending and (key := (header[1], header[2])) in self._pending:
+        """Plain or sequenced: held behind its unresolved format, else ready
+        (a foreign frame too: its decode, if any, rejects it)."""
+        if self._pending and header is not None and (key := (header[1], header[2])) in self._pending:
             held = self._held.setdefault(key, [])
             if len(held) >= self.max_held:
                 raise LimitError(
@@ -213,22 +227,6 @@ class InboundNegotiator(LinkControl):
     def _heartbeat(self, frame, header) -> None:
         # (a pong reaching here means no HeartbeatMonitor polled it first)
         self.control(frame, header, self._send, metrics=self.ctx.metrics)
-
-    def _ack(self, frame, header) -> None:
-        """No durable publisher listens at a bare endpoint: dropped, as a
-        one-way hub drops an ack on its forward path."""
-        self.ctx.metrics.inc("link.acks_dropped")
-
-    _rows = {
-        enc.MSG_DATA: _data,
-        enc.MSG_DATA_SEQ: _data,
-        enc.MSG_FORMAT: _format,
-        enc.MSG_FORMAT_TOKEN: _token,
-        enc.MSG_FORMAT_REQUEST: _request,
-        enc.MSG_PING: _heartbeat,
-        enc.MSG_PONG: _heartbeat,
-        enc.MSG_ACK: _ack,
-    }
 
     def _release(self, key: tuple[int, int]) -> None:
         self._pending.pop(key, None)

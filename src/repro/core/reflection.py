@@ -9,14 +9,17 @@ it, with no a priori knowledge of the format.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Any
 
 from repro.abi import PrimKind
+from repro.abi.floats import vax_d_to_ieee, vax_f_to_ieee
+from repro.abi.types import struct_code
 
 from . import encoder as enc
 from .context import IOContext
-from .errors import MessageError
+from .errors import ConversionError
 from .formats import IOFormat
 
 
@@ -28,10 +31,6 @@ class MessageInfo:
     context_id: int
     format_id: int
     payload_len: int
-
-    @property
-    def is_data(self) -> bool:
-        return self.msg_type == enc.MSG_DATA
 
     @property
     def is_format(self) -> bool:
@@ -60,41 +59,39 @@ def generic_decode(ctx: IOContext, message) -> dict[str, Any]:
     description is used as the target, so every field is surfaced.  Scalar
     values are returned with wire semantics; the record need not match
     anything the receiver knows.
-    """
-    import struct as _struct
 
-    info = peek_message(message)
-    if not info.is_data:
-        raise MessageError("generic_decode needs a data message")
-    wire_fmt = ctx.registry.remote_format(info.context_id, info.format_id)
-    payload = memoryview(message)[enc.HEADER_SIZE :]
+    The frame is admitted by the context's pipeline like any decode
+    (:meth:`~repro.core.runtime.DecodePipeline.open_data`: the size limit,
+    a data frame — plain or sequenced — whose payload is exactly what its
+    header declares and covers its record); what the record's content
+    breaks (a string pointer past the record, a missing NUL) is a
+    :class:`ConversionError`, counted ``decode.rejected``.
+    """
+    wire_fmt, payload = ctx.pipeline.open_data(message)
     endian = ">" if wire_fmt.byte_order == "big" else "<"
     out: dict[str, Any] = {}
-    from repro.abi.types import struct_code
-
-    for f in wire_fmt.fields:
-        if f.kind is PrimKind.STRING:
-            ptr_code = "Q" if f.size == 8 else "I"
-            ptr = _struct.unpack_from(endian + ptr_code, payload, f.offset)[0]
-            if ptr == 0:
-                out[f.name] = None
+    try:
+        for f in wire_fmt.fields:
+            if f.kind is PrimKind.STRING:
+                ptr = struct.unpack_from(endian + ("Q" if f.size == 8 else "I"), payload, f.offset)[0]
+                if ptr == 0:
+                    out[f.name] = None
+                else:
+                    raw = bytes(payload[ptr:])
+                    out[f.name] = raw[: raw.index(b"\x00")].decode("utf-8")
+            elif f.kind is PrimKind.CHAR:
+                out[f.name] = bytes(payload[f.offset : f.offset + f.count])
+            elif f.kind is PrimKind.FLOAT and wire_fmt.float_format == "vax":
+                raw = bytes(payload[f.offset : f.offset + f.size * f.count])
+                arr = vax_f_to_ieee(raw) if f.size == 4 else vax_d_to_ieee(raw)
+                out[f.name] = float(arr[0]) if f.count == 1 else tuple(float(v) for v in arr)
             else:
-                raw = bytes(payload[ptr:])
-                out[f.name] = raw[: raw.index(b"\x00")].decode("utf-8")
-            continue
-        if f.kind is PrimKind.CHAR:
-            out[f.name] = bytes(payload[f.offset : f.offset + f.count])
-            continue
-        if f.kind is PrimKind.FLOAT and wire_fmt.float_format == "vax":
-            from repro.abi.floats import vax_d_to_ieee, vax_f_to_ieee
-
-            raw = bytes(payload[f.offset : f.offset + f.size * f.count])
-            arr = vax_f_to_ieee(raw) if f.size == 4 else vax_d_to_ieee(raw)
-            out[f.name] = float(arr[0]) if f.count == 1 else tuple(float(v) for v in arr)
-            continue
-        code = struct_code(f.kind, f.size)
-        values = _struct.unpack_from(f"{endian}{f.count}{code}", payload, f.offset)
-        if f.kind is PrimKind.BOOLEAN:
-            values = tuple(bool(v) for v in values)
-        out[f.name] = values[0] if f.count == 1 else values
+                code = struct_code(f.kind, f.size)
+                values = struct.unpack_from(f"{endian}{f.count}{code}", payload, f.offset)
+                if f.kind is PrimKind.BOOLEAN:
+                    values = tuple(bool(v) for v in values)
+                out[f.name] = values[0] if f.count == 1 else values
+    except (struct.error, ValueError) as exc:  # (UnicodeDecodeError is a ValueError)
+        ctx.metrics.inc("decode.rejected")
+        raise ConversionError(f"malformed {wire_fmt.name!r} record content: {exc}") from exc
     return out

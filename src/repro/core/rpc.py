@@ -234,16 +234,16 @@ class RpcClient:
 
     # -- wire helpers --------------------------------------------------------
 
-    def _recv_frame(self, transport: Transport) -> bytes:
-        """The next caller-visible frame: announcements (inline and
-        token), meta requests and held messages are handled in the
-        negotiator; what comes out is a call header, fault text, or a
-        decodable data message."""
-        neg = self._links.negotiator(transport)
-        frame = neg.next_ready()
-        while frame is None:
-            frame = neg.filter(transport.recv())
-        return frame
+    def _recv_frame(self, transport: Transport) -> tuple:
+        """The next caller-visible frame and its parsed header, if any:
+        announcements (inline and token), meta requests and held messages
+        are handled in the negotiator; what comes out is a call header,
+        fault text, or a decodable data message."""
+        admit = self._links.negotiator(transport).admit
+        taken = admit()
+        while taken is None:
+            taken = admit(transport.recv())
+        return taken
 
     def _transmit(
         self,
@@ -261,13 +261,8 @@ class RpcClient:
         transport.send(self.ctx.encode(handle, request))
 
     def _await_reply(self, transport: Transport, request_id: int) -> dict:
-        neg = self._links.negotiator(transport)
-        recv, filt, ready = transport.recv, neg.filter, neg.next_ready
         while True:
-            header = ready()
-            while header is None:
-                header = filt(recv())
-            reply_id, is_reply, is_fault, _op, _key = _parse_call_header(header)
+            reply_id, is_reply, is_fault, _op, _key = _parse_call_header(self._recv_frame(transport)[0])
             if not is_reply:
                 raise PbioError("protocol error: expected a reply header")
             if reply_id != request_id:
@@ -278,15 +273,13 @@ class RpcClient:
                     self._absorb_reply_body(transport, fault=is_fault)
                     continue
                 raise PbioError(f"reply id {reply_id} for unknown request")
-            body = ready()
-            while body is None:
-                body = filt(recv())
+            body, header = self._recv_frame(transport)
             if is_fault:
                 raise RpcFault(bytes(body).decode("utf-8", "replace"))
-            return self.ctx.receive(body)
+            return self.ctx.pipeline.decode(body, header=header)
 
     def _absorb_reply_body(self, transport: Transport, *, fault: bool) -> None:
-        body = self._recv_frame(transport)
+        body, _ = self._recv_frame(transport)
         if fault:
             return  # fault bodies are raw text, one frame
         if enc.try_message_type(body) is not None:
@@ -398,20 +391,19 @@ class RpcServer:
         implementation serves both the blocking driver (:meth:`serve_one`)
         and the async driver (:func:`repro.net.aio.serve_rpc_call`).
         """
-        neg = self._links.negotiator(transport)
-        filt = neg.filter
-        message = neg.next_ready()
-        while message is None:
-            message = filt((yield))
-        request_id, is_reply, _fault, operation, key = _parse_call_header(message)
+        admit = self._links.negotiator(transport).admit
+        taken = admit()
+        while taken is None:
+            taken = admit((yield))
+        request_id, is_reply, _fault, operation, key = _parse_call_header(taken[0])
         if is_reply:
             raise PbioError("protocol error: server received a reply header")
-        body = neg.next_ready()
-        while body is None:
-            body = filt((yield))
-        if enc.try_message_type(body) is None:
+        taken = admit()
+        while taken is None:
+            taken = admit((yield))
+        if taken[1] is None and enc.try_message_type(taken[0]) is None:
             raise PbioError("protocol error: expected a PBIO data message")
-        request = self.ctx.receive(body)
+        request = self.ctx.pipeline.decode(taken[0], header=taken[1])
         window = self._links.of(transport).replies
         cached = window.get(request_id)
         if cached is not None:

@@ -65,6 +65,16 @@ KERNEL_MAX_RECORD = 32 * 1024
 #: them into the PbioError taxonomy so callers see exactly one family.
 _LEAKY_ERRORS = (struct.error, ValueError, IndexError, KeyError, OverflowError, UnicodeDecodeError)
 
+#: The bare decode's column of the verdict table (docs/wire-format.md §12):
+#: data is decoded — a frame with no PBIO header too, whose admission check
+#: (:meth:`DecodePipeline._open`) names the damage —, an announcement is
+#: absorbed, and link control, addressed to a *peer endpoint* and handled by
+#: the negotiation, health or durable layer, is mis-delivery here.
+DECODE_ROWS = enc.rows(
+    default="handle _misdelivered", foreign="run", data="run", data_seq="run",
+    format="handle absorb", token="handle absorb_token",
+)  # fmt: skip
+
 
 class DecodePipeline:
     """Receive-side decode machinery shared by every PBIO endpoint.
@@ -304,19 +314,10 @@ class DecodePipeline:
             raise
         self.metrics.inc("fmtserv.tokens_absorbed")
 
-    def _control(self, message, header) -> None:
-        """What a bare decode path does with a frame that is not data: an
-        announcement is absorbed; link control — addressed to a *peer
-        endpoint* and handled by the negotiation, health or durable layer
-        — is mis-delivery here."""
-        kind = header[0]
-        if kind == enc.MSG_FORMAT:
-            self.absorb(message, header)
-        elif kind == enc.MSG_FORMAT_TOKEN:
-            self.absorb_token(message, header)
-        else:
-            self.metrics.inc("decode.rejected")
-            raise MessageError(f"link control message (type {kind}) outside a negotiated stream")
+    def _misdelivered(self, message, header) -> None:
+        """The link-control rows of :data:`DECODE_ROWS`."""
+        self.metrics.inc("decode.rejected")
+        raise MessageError(f"link control message (type {header[0]}) outside a negotiated stream")
 
     # -- stage 3: converter resolution --------------------------------------
 
@@ -405,51 +406,54 @@ class DecodePipeline:
 
     # -- public decode entry points -----------------------------------------
 
-    def decode_native(self, message, *, header=None) -> bytes:
-        """Decode to record bytes in the pipeline's native layout."""
-        plan, payload = self._open(message, header)
-        try:
-            wire_fmt, _, _, _, entry, _ = self._resolve(plan=plan, codec=False)
-            if entry.zero_copy:
-                self.metrics.inc("zero_copy_decodes")
-                return bytes(payload)
-            self.metrics.inc("converted_decodes")
-            return self._run_converter(entry, wire_fmt, payload)
-        except PbioError:
-            self.metrics.inc("decode.rejected")
-            raise
+    def decode(self, message, *, header=None) -> dict[str, Any]:
+        """Decode to a fully materialized value dict."""
+        return self._decode(message, header, False, False)
 
     def decode_view(self, message, *, header=None, lease=None) -> RecordView:
-        """Decode to a :class:`RecordView`.
+        """Decode to a :class:`RecordView` (``lease``: see :meth:`_decode`)."""
+        return self._decode(message, header, False, True, lease)
 
-        Zero-copy pairs view the *message buffer itself*; converted pairs
-        view a fresh destination the converter filled in place, which the
-        view alone owns — the source frame may be overwritten at once.
+    def decode_native(self, message, *, header=None) -> bytes:
+        """Decode to record bytes in the pipeline's native layout."""
+        return self._decode(message, header, True, False)
 
-        ``lease`` (a :class:`~repro.core.runtime.pool.Lease`) is attached
-        to zero-copy views when the message aliases borrowed storage (a
-        lent receive buffer, an mmap'd file): the storage outlives every
-        view because each view holds the lease alive.
+    def _decode(self, message, header, native: bool, lend: bool, lease=None):
+        """The one scalar decode body: admit (:meth:`_open`), resolve, then
+        zero-copy or convert, into the output shape — native record bytes
+        (``native``), a :class:`RecordView` (``lend``) or a value dict.
+
+        Zero-copy views view the *message buffer itself*, with ``lease`` (a
+        :class:`~repro.core.runtime.pool.Lease`) attached when the message
+        aliases borrowed storage (a lent receive buffer, an mmap'd file):
+        the storage outlives every view because each view holds the lease
+        alive.  Converted views view a fresh destination the converter
+        filled in place, which the view alone owns — the source frame may
+        be overwritten at once.
         """
         plan, payload = self._open(message, header)
         try:
-            wire_fmt, _, has_strings, _, entry, codec = self._resolve(plan=plan)
+            wire_fmt, _, has_strings, _, entry, codec = self._resolve(plan=plan, codec=not native)
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
-                return RecordView(codec, payload, lease=lease)
-            self.metrics.inc("converted_decodes")
-            # a string plan's output is variable-size: it builds its own
-            dst = None if has_strings else bytearray(entry.native_size)
-            return RecordView(codec, self._run_converter(entry, wire_fmt, payload, dst))
+                if native:
+                    return bytes(payload)
+                record = payload
+            else:
+                self.metrics.inc("converted_decodes")
+                # a string plan's output is variable-size: it builds its own
+                dst = None if has_strings or native else bytearray(entry.native_size)
+                record = self._run_converter(entry, wire_fmt, payload, dst)
+                if native:
+                    return record
+                lease = None
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
-
-    def decode(self, message, *, header=None) -> dict[str, Any]:
-        """Decode to a fully materialized value dict."""
-        view = self.decode_view(message, header=header)
+        if lend:  # positionally where it can be: the keyword costs a fifth of the call
+            return RecordView(codec, record) if lease is None else RecordView(codec, record, lease=lease)
         try:
-            return view.to_dict()
+            return codec.decode(record)
         except _LEAKY_ERRORS as exc:
             # Zero-copy string records materialize straight from the
             # message buffer; a bogus pointer or missing NUL lands here.
@@ -457,32 +461,24 @@ class DecodePipeline:
             raise ConversionError(f"malformed record content: {exc}") from exc
 
     def ingest(self, message) -> dict[str, Any] | None:
-        """Process one message of either type.
-
-        Announcements are absorbed into the registry (returns ``None``);
-        data messages decode to a value dict.
-        """
-        try:
-            if self._max_msg is not None and len(message) > self._max_msg:
-                raise LimitError(
-                    f"message of {len(message)} bytes exceeds max_message_size "
-                    f"({self._max_msg})"
-                )
-            header = enc.unpack_header(message)
-        except PbioError:
-            self.metrics.inc("decode.rejected")
-            raise
-        if header[0] in enc.DATA_KINDS:
-            # Thread the parsed header through: steady-state data frames
-            # validate the 16 bytes exactly once end to end.
-            return self.decode(message, header=header)
-        self._control(message, header)
+        """Process one message by its row of :data:`DECODE_ROWS`: data
+        decodes to a value dict, an announcement is absorbed (``None``).
+        The header is parsed once; a frame over the size limit or with no
+        PBIO header goes to the decode, which rejects it."""
+        header = None
+        if self._max_msg is None or len(message) <= self._max_msg:
+            header = enc.try_unpack_header(message)
+        row = DECODE_ROWS[None if header is None else header[0]]
+        if row is enc.RUN:
+            return self._decode(message, header, False, False)
+        enc.settle(row, message, header, self)
         return None
 
     # -- batch decode ---------------------------------------------------------
 
     def decode_batch(
-        self, messages, *, on_error: str = "raise", lend: bool = False, lease=None, headers=None
+        self, messages, *, on_error: str = "raise", lend: bool = False, lease=None, headers=None,
+        native: bool = False,
     ) -> list:
         """Decode a list of frames in one pass; one result slot per frame.
 
@@ -512,34 +508,20 @@ class DecodePipeline:
         ``decode.rejected``/``decode.batch.rejected``, and every other
         frame still decodes.
 
-        ``lend=True`` returns :class:`RecordView` objects instead of
-        dicts.  Zero-copy (homogeneous) frames view the *message buffer
-        itself* with ``lease`` attached — no payload byte is copied; the
-        caller's buffer must stay untouched until every returned view
-        dies (views keep ``lease`` — and through it the buffer — alive).
-        Converted frames view private converted bytes and carry no lease
-        (``lease.take()`` is called only for a group that borrows).
+        The output shape is the scalar entries': value dicts, or with
+        ``lend=True`` :class:`RecordView` objects; ``native=True`` returns
+        native record bytes per frame (:meth:`decode_native`'s shape), and
+        with ``lend=True`` memoryviews instead of copied ``bytes``.
+        Zero-copy (homogeneous) lent results alias the *message buffer
+        itself*, views with ``lease`` attached — no payload byte is
+        copied; the caller's buffer must stay untouched until every
+        returned view dies (views keep ``lease`` — and through it the
+        buffer — alive; a memoryview is valid only while ``lease`` is
+        held).  Converted frames are private converted bytes and carry no
+        lease (``lease.take()`` is called only for a group that borrows).
         Call :meth:`~repro.abi.views.RecordView.detach` on a lent view
         before storing it beyond the receive loop.
         """
-        return self._decode_batch(messages, on_error, False, lend, lease, headers)
-
-    def decode_batch_native(
-        self, messages, *, on_error: str = "raise", lend: bool = False, lease=None, headers=None
-    ) -> list:
-        """:meth:`decode_batch` returning native record bytes per frame
-        (the batch analogue of :meth:`decode_native`).
-
-        ``lend=True`` returns memoryviews instead of copied ``bytes``:
-        zero-copy frames alias the message buffers (valid only while
-        ``lease`` is held), converted frames are views of a private
-        conversion blob (no lease needed, but mutating them is on you).
-        """
-        return self._decode_batch(messages, on_error, True, lend, lease, headers)
-
-    def _decode_batch(
-        self, messages, on_error: str, native_out: bool, lend: bool, lease, headers
-    ) -> list:
         if on_error not in ("raise", "skip"):
             raise ValueError(f'on_error must be "raise" or "skip", not {on_error!r}')
         out: list = [None] * len(messages)
@@ -620,12 +602,14 @@ class DecodePipeline:
                         gkey = (context_id, format_id)
                         metrics.inc("decode.batch.groups")
                         try:
-                            wire_fmt, rec_size, has_strings, _, entry, codec = self._resolve(gkey, codec=not native_out)
+                            wire_fmt, rec_size, has_strings, _, entry, codec = self._resolve(
+                                gkey, codec=not native
+                            )
                             unresolved = None
                         except PbioError as exc:
                             unresolved = exc
                         else:
-                            if native_out:
+                            if native:
                                 codec = None  # (another shape may have resolved one)
                             as_views = lend and entry.zero_copy and codec is not None
                             if lend and entry.zero_copy and lease is not None:
@@ -662,7 +646,8 @@ class DecodePipeline:
                 # frames behind it — same semantics as the sequential loop.
                 flush()
                 try:
-                    self._control(message, (msg_type, context_id, format_id, payload_len))
+                    header = (msg_type, context_id, format_id, payload_len)
+                    enc.settle(DECODE_ROWS[msg_type], message, header, self)
                 except TokenResolutionError:  # an availability condition, not a rejection
                     if strict:
                         raise

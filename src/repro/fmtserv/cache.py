@@ -218,9 +218,6 @@ class FormatCache:
             return False
         return True
 
-    def clear_negative(self) -> None:
-        self._negative.clear()
-
     # -- maintenance ---------------------------------------------------------
 
     def purge(self, fingerprint: bytes | None = None) -> int:

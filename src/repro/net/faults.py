@@ -41,7 +41,7 @@ from repro.core import encoder as enc
 from repro.core.runtime import Metrics
 
 from .aio import drain
-from .health import AnnouncementBacklog
+from .health import MONITOR_ROWS, AnnouncementBacklog
 from .transport import PeerClosedError, Transport, TransportError, TransportTimeout
 
 #: Fixed draw order; index into the per-message uniform vector.
@@ -209,7 +209,7 @@ class FaultInjectingTransport(Transport):
         crash_draw = float(self._rng.random()) if self.plan.crash > 0.0 else 1.0
         if crash_draw < self.plan.crash:
             self.crash()
-        is_heartbeat = enc.try_message_type(data) in enc.HEARTBEAT_KINDS
+        is_heartbeat = MONITOR_ROWS[enc.try_message_type(data)] is not enc.RUN  # what a monitor consumes
         if is_heartbeat and hb_draw < self.plan.drop_heartbeats:
             self.metrics.inc("faults.heartbeats_dropped")
             return

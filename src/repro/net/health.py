@@ -49,6 +49,11 @@ QUARANTINED = "quarantined"
 PROBING = "probing"
 EVICTED = "evicted"
 
+#: The heartbeat monitor's column of the verdict table (docs/wire-format.md
+#: §12): a heartbeat is handled by the one responder; anything else is the
+#: caller's, untouched, and proof of life.
+MONITOR_ROWS = enc.rows(default="run", ping="handle control", pong="handle control")
+
 
 class HeartbeatMonitor(LinkControl):
     """Liveness verdicts for one transport, driven by explicit ticks.
@@ -116,7 +121,7 @@ class HeartbeatMonitor(LinkControl):
         as proof of life.
         """
         header = enc.try_unpack_header(frame)
-        heartbeat = header is not None and header[0] in enc.HEARTBEAT_KINDS
+        heartbeat = MONITOR_ROWS[None if header is None else header[0]] is not enc.RUN
         if heartbeat and not self.control(frame, header, self._answer, self.transport.write_queue_depth):
             return True  # malformed: consumed, and no proof of an answered ping
         was_responsive = self.responsive

@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from repro.abi import X86_64
-from repro.core import IOContext, MessageError, generic_decode, incoming_format
+from repro.core import IOContext, PbioError, generic_decode, incoming_format
 from repro.core.files import PbioFileReader
 
 
@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"no such file: {args.path}", file=sys.stderr)
         return 2
-    except MessageError as exc:
+    except PbioError as exc:
         print(f"corrupt PBIO file: {exc}", file=sys.stderr)
         return 1
     if not args.formats:

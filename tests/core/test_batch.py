@@ -121,7 +121,7 @@ def test_decode_batch_native_is_byte_identical(seed, src, dst):
     # byte for byte (ingest above decoded them once already, so replace
     # the double-decoded announcements with None explicitly).
     reference[0] = reference[1] = None
-    batched = fresh_receiver(dst, schemas).pipeline.decode_batch_native(frames)
+    batched = fresh_receiver(dst, schemas).pipeline.decode_batch(frames, native=True)
     assert batched == reference
 
 
@@ -281,8 +281,8 @@ def test_kernel_matches_interpreted_converter(src, dst, pairs, seed):
     pipeline.ingest(announce)
     for n in (1, 2, 3, 32):
         group, expect = frames[:n], want[:n]
-        assert pipeline.decode_batch_native(group, on_error="skip") == expect
-        lent = pipeline.decode_batch_native(group, on_error="skip", lend=True)
+        assert pipeline.decode_batch(group, native=True, on_error="skip") == expect
+        lent = pipeline.decode_batch(group, native=True, on_error="skip", lend=True)
         assert [m and bytes(m) for m in lent] == expect
         views = pipeline.decode_batch(group, on_error="skip", lend=True)
         assert [v and bytes(v.buffer) for v in views] == expect
@@ -302,7 +302,7 @@ def test_zero_only_plan_is_a_kernel_with_no_fields():
     frames = [sender.announce(handle)] + [
         sender.encode(handle, {"gone": k, "also_gone": 0.5}) for k in range(3)
     ]
-    out = receiver.pipeline.decode_batch_native(frames)
+    out = receiver.pipeline.decode_batch(frames, native=True)
     assert out[1:] == [bytes(plan.native.record_size)] * 3
     assert receiver.metrics.value("decode.batch.converted") == 3
 
@@ -347,10 +347,7 @@ class TestBatchRejectionIsolation:
         sender, receiver, handle = linked(self.SCHEMA)
         frames = self.frames(sender, handle)
         frames[5] = frames[5] + b"\x00" * 8
-        decode = (
-            receiver.pipeline.decode_batch_native if native_out else receiver.pipeline.decode_batch
-        )
-        out = decode(frames, on_error="skip", lend=lend)
+        out = receiver.pipeline.decode_batch(frames, on_error="skip", lend=lend, native=native_out)
         assert [o is None for o in out] == [True] + [False] * 4 + [True] + [False] * 3
         _, looped, _ = linked(self.SCHEMA)
         looped.pipeline.ingest(sender.announce(handle))

@@ -27,14 +27,14 @@ class TestReflection:
         ctx = IOContext(X86)
         h = ctx.register_format(schema(("i", "int")))
         info = peek_message(ctx.announce(h))
-        assert info.is_format and not info.is_data
+        assert info.is_format and info.msg_type == enc.MSG_FORMAT
         assert info.context_id == ctx.context_id
 
     def test_peek_data_message(self):
         ctx = IOContext(X86)
         h = ctx.register_format(schema(("i", "int")))
         info = peek_message(ctx.encode(h, {"i": 1}))
-        assert info.is_data
+        assert info.msg_type == enc.MSG_DATA and not info.is_format
         assert info.format_id == h.format_id
 
     def test_incoming_format_from_announcement(self):
@@ -85,6 +85,29 @@ class TestReflection:
         h = sender.register_format(schema(("i", "int")))
         with pytest.raises(MessageError):
             generic_decode(receiver, sender.announce(h))
+
+    def test_generic_decode_admits_like_every_decode(self):
+        """A frame reaches the record only through the pipeline's admission
+        check: a short frame, one longer than its header says and a wild
+        string pointer are PbioErrors, and a sequenced frame is data."""
+        from repro.core import ConversionError, PbioError
+
+        sender, receiver = IOContext(SPARC_V8), IOContext(X86)
+        h = sender.register_format(schema(("n", "int"), ("tag", "string")))
+        receiver.receive(sender.announce(h))
+        record = {"n": 7, "tag": "seven"}
+        message = sender.encode(h, record)
+        native = bytearray(message[enc.HEADER_SIZE :])
+        tag = h.iofmt.fields[1]
+        native[tag.offset : tag.offset + tag.size] = (len(native) + 64).to_bytes(tag.size, "big")
+        for damaged in (message[:-6], message + bytes(4)):
+            with pytest.raises(PbioError):
+                generic_decode(receiver, damaged)
+        with pytest.raises(ConversionError):
+            generic_decode(receiver, sender.encode_native(h, native))
+        assert receiver.metrics.value("decode.rejected") == 3
+        sequenced = enc.encode_data_seq(sender.context_id, h.format_id, 1, message[enc.HEADER_SIZE :])
+        assert generic_decode(receiver, sequenced) == generic_decode(receiver, message) == record
 
 
 class TestEvolution:

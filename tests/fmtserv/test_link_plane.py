@@ -2,7 +2,7 @@
 may interleave on one link, and what it keeps per link.
 
 * a sequenced frame is data and an ack is link control at every receive
-  entry point (``InboundNegotiator.offer`` has a row per kind, no
+  entry point (``ENDPOINT_ROWS`` has a cell per kind, no default, no
   fall-through that parses "everything else" as a format request);
 * the state kept per link — formats announced, negotiator, reply window —
   is the same size after ten times more links have come and gone.
@@ -16,7 +16,7 @@ import pytest
 from repro.abi import SPARC_V8, X86, X86_64, RecordSchema
 from repro.core import IOContext, PbioConnection, RpcClient, RpcInterface, RpcOperation, RpcServer
 from repro.core import encoder as enc
-from repro.core.negotiation import Announcer, InboundNegotiator
+from repro.core.negotiation import ENDPOINT_ROWS, Announcer
 from repro.net import InMemoryPipe, TransportError, loopback_pair
 from repro.net.transport import Transport
 
@@ -129,7 +129,7 @@ class TestSequencedFramesAreData:
         frames = peer.interleaved()
         peer.a.send_many(frames)
         data = [f for f in frames if enc.try_message_type(f) in (enc.MSG_DATA, enc.MSG_DATA_SEQ)]
-        assert [client._recv_frame(peer.b) for _ in data] == data
+        assert [client._recv_frame(peer.b)[0] for _ in data] == data
         assert client.ctx.metrics.value("link.acks_dropped") == len(RECORDS) - 1  # the last is still queued
 
     def test_unresolved_token_holds_sequenced_frames_like_plain_ones(self, peer):
@@ -146,7 +146,7 @@ class TestSequencedFramesAreData:
         assert peer.rx.metrics.value("link.acks_dropped") == 1
 
     def test_offer_has_a_row_per_kind_and_no_default(self):
-        assert set(InboundNegotiator._rows) == enc.MESSAGE_TYPES == set(range(1, 9))
+        assert set(ENDPOINT_ROWS) == enc.MESSAGE_TYPES | {None} and enc.MESSAGE_TYPES == set(range(1, 9))
 
 
 # -- defect (3): per-link state is released with the link ------------------------

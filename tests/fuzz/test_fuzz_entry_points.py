@@ -21,7 +21,9 @@ from repro.core import (
     RpcInterface,
     RpcOperation,
     RpcServer,
+    generic_decode,
 )
+from repro.core import encoder as enc
 from repro.core.files import PbioFileReader, file_to_buffer
 from repro.abi import SPARC_V8, X86, RecordSchema
 from repro.net import InMemoryPipe, Relay, TransportError
@@ -89,6 +91,27 @@ class TestContextReceive:
                 decoders[i % 3](blob)
             except PbioError:
                 pass
+
+
+class TestGenericDecode:
+    def test_mutated_frames_never_leak_stdlib_errors(self):
+        """Reflection's decode admits a frame like every other decode: a
+        mutated data message — fixed or string-bearing, plain or sequenced
+        — decodes or raises from the PBIO taxonomy."""
+        sender = IOContext(X86)
+        stringy = sender.register_format(RecordSchema.from_pairs("tagged", [("n", "int"), ("tag", "string")]))
+        receiver = IOContext(SPARC_V8)  # expects nothing: the wire format is the target
+        announce, message = sender_messages()
+        receiver.receive(announce)
+        receiver.receive(sender.announce(stringy))
+        tagged = sender.encode(stringy, {"n": 3, "tag": "a tag"})
+        sequenced = enc.encode_data_seq(sender.context_id, stringy.format_id, 1, tagged[enc.HEADER_SIZE :])
+        for stream, frame in (("generic", message), ("generic-string", tagged), ("generic-seq", sequenced)):
+            for blob in mutations(stream, bytes(frame), N):
+                try:
+                    generic_decode(receiver, blob)
+                except PbioError:
+                    pass
 
 
 class TestFileReader:

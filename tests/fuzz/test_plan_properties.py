@@ -28,7 +28,7 @@ from repro.workloads.generators import random_record, random_schema
 from .common import CORPUS_DIR
 
 SHAPES = ("decode", "decode_view", "decode_native", "ingest")
-BATCH_SHAPES = ("batch", "batch_native", "batch_lend")
+BATCH_SHAPES = ("batch", "batch_lend", "batch_native", "batch_native_lend")  # decode_batch(lend=, native=)
 
 
 def new_cache(limits):
@@ -93,9 +93,8 @@ def outcome(world, shape, messages):
         if shape in SHAPES:
             return "ok", canon(getattr(pipeline, shape)(messages[0]))
         on_error = "skip" if shape.endswith("skip") else "raise"
-        if shape.startswith("batch_native"):
-            return "ok", canon(pipeline.decode_batch_native(messages, on_error=on_error))
-        return "ok", canon(pipeline.decode_batch(messages, on_error=on_error, lend=shape == "batch_lend"))
+        lend, native = "lend" in shape, "native" in shape
+        return "ok", canon(pipeline.decode_batch(messages, on_error=on_error, lend=lend, native=native))
     except PbioError as exc:
         return type(exc), str(exc), canon(getattr(exc, "partial", None))
 

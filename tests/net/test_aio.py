@@ -360,15 +360,15 @@ class TestAsyncRpc:
         pipes = [InMemoryPipe() for _ in range(32)]
         first = pipes[0]
         first.a.send_many([token, b"a call header", body])
-        assert client._recv_frame(first.b) == b"a call header"
+        assert client._recv_frame(first.b) == (b"a call header", None)
         with pytest.raises(TransportError):  # the body is held, the link dry
             client._recv_frame(first.b)
         assert enc.try_message_type(first.a.recv()) == enc.MSG_FORMAT_REQUEST
         for k, pipe in enumerate(pipes[1:]):
             pipe.a.send(b"frame %d" % k)
-            assert client._recv_frame(pipe.b) == b"frame %d" % k
+            assert client._recv_frame(pipe.b) == (b"frame %d" % k, None)
         first.a.send(sender.announce(handle))  # the inline answer, at last
-        assert client._recv_frame(first.b) == body
+        assert client._recv_frame(first.b)[0] == body
         assert client.ctx.metrics.value("fmtserv.messages_released") == 1
 
     def test_link_state_lives_and_dies_with_the_connection(self):

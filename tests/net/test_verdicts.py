@@ -29,7 +29,9 @@ import pytest
 from repro.abi import SPARC_V8, X86_64, RecordSchema
 from repro.core import IOContext, PbioConnection, PbioError
 from repro.core import encoder as enc
-from repro.net import channel as channel_module, fabric as fabric_module, relay as relay_module
+from repro.core import negotiation
+from repro.core.runtime import pipeline
+from repro.net import channel as channel_module, fabric as fabric_module, health, relay as relay_module
 from repro.net import drain as drain_any
 from repro.net import (
     AsyncSocketTransport,
@@ -494,12 +496,14 @@ def test_the_doc_matrix_is_this_table():
 
 
 def test_the_source_rows_count_what_the_table_counts():
-    """Each hub's column in source (what ``enc.walk`` reads): where it names
-    a drop or a reject, that is the table's cell, counter and all."""
+    """Each role's column in source (what ``enc.walk`` / ``enc.settle``
+    read): where it names a drop or a reject, that is the table's cell,
+    counter and all."""
     columns = {
         "relay": relay_module.RELAY_ROWS, "fabric front": fabric_module.FRONT_ROWS,
         "fabric worker": fabric_module.WORKER_ROWS, "channel": channel_module.CHANNEL_ROWS,
-        "subscription": channel_module.SUBSCRIPTION_ROWS,
+        "subscription": channel_module.SUBSCRIPTION_ROWS, "endpoint": negotiation.ENDPOINT_ROWS,
+        "bare decode": pipeline.DECODE_ROWS, "heartbeat monitor": health.MONITOR_ROWS,
     }  # fmt: skip
     for role, column in columns.items():
         for case in KINDS + ("foreign",):

@@ -112,6 +112,26 @@ class TestDumpTool:
         assert rc == 1
         assert "corrupt" in capsys.readouterr().err
 
+    def test_damaged_record_content_exits_1(self, tmp_path, capsys):
+        """A CRC-valid file whose second record's string pointer runs past
+        the record: the first record prints, then exit 1 with a message."""
+        from repro.core.files import PbioFileWriter
+
+        path = str(tmp_path / "wild.pbio")
+        ctx = IOContext(X86)
+        handle = ctx.register_format(RecordSchema.from_pairs("note", [("n", "int"), ("text", "string")]))
+        native = bytearray(handle.codec.encode({"n": 2, "text": "two"}))
+        text = handle.iofmt.fields[1]
+        native[text.offset : text.offset + text.size] = (len(native) + 64).to_bytes(text.size, "little")
+        with PbioFileWriter.open(ctx, path) as writer:
+            writer.write(handle, {"n": 1, "text": "one"})
+            writer.write_native(handle, bytes(native))
+        rc = dump_main([path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "record #1" in captured.out and "record #2" not in captured.out
+        assert "corrupt PBIO file" in captured.err and "'note'" in captured.err
+
     def test_multi_format_file(self, tmp_path, capsys):
         path = str(tmp_path / "multi.pbio")
         ctx = IOContext(X86)
