@@ -341,6 +341,7 @@ SEQ_RECORD_OFFSET = HEADER_SIZE + SEQ_PREFIX_SIZE
 #: out to be ``MSG_DATA_SEQ``.  :func:`unpack_header` and
 #: :func:`read_seq` stay the definition of the checks.
 HEADER_SEQ_STRUCT = struct.Struct(_HEADER.format + "Q")
+_ACK_FRAME = struct.Struct(_HEADER.format + "QQQ")  # a whole ack in one pack
 
 
 def encode_data_seq_run(context_id: int, format_id: int, base: int, natives) -> list[bytes]:
@@ -420,8 +421,8 @@ def encode_ack(
     """
     if cursor < 0 or nack_base < 0:
         raise MessageError("ack cursor and nack base must be non-negative")
-    payload = _ACK_PAYLOAD.pack(cursor, nack_base, nack_bits & ((1 << 64) - 1))
-    return pack_header(MSG_ACK, context_id, format_id, len(payload)) + payload
+    size, bits = ACK_PAYLOAD_SIZE, nack_bits & 0xFFFF_FFFF_FFFF_FFFF
+    return _ACK_FRAME.pack(MAGIC, VERSION, MSG_ACK, context_id, format_id, size, cursor, nack_base, bits)
 
 
 def parse_ack(message) -> tuple[int, int, int, int, int]:

@@ -71,6 +71,8 @@ Counter names used by the runtime:
 ``durable.sent``          sequenced frames handed to the wire (first send)
 ``durable.acked``         sequences confirmed by a cumulative ack cursor
 ``durable.acks_sent`` / ``durable.acks_received``  MSG_ACK traffic per side
+``durable.acks_rejected``  acks refused: a cursor past the publisher's journal
+                          or past what a relay forwarded on the stream
 ``durable.retransmitted``  unacked frames re-sent (reconnect or nack)
 ``durable.duplicates_dropped``  redelivered frames the dedup window absorbed
 ``durable.reordered``     frames buffered out of order, later delivered
@@ -210,6 +212,7 @@ class DurableStats(_MetricsView):
         "acked",
         "acks_sent",
         "acks_received",
+        "acks_rejected",
         "retransmitted",
         "duplicates_dropped",
         "reordered",

@@ -242,20 +242,24 @@ class WireTap:
     transport, or the ``forward_batch`` of the relay or fabric
     dispatcher, whose bound ``send`` / ``forward`` it is — ``None`` for
     an opaque callable, which can only be called frame by frame.
+    ``headed``: the run entry is a ``forward_batch``, which also takes the
+    run's headers, so a run whose publisher built them is not parsed again.
     Per-tap counters: ``forwarded``, ``send_errors``, ``detached``.
     """
 
-    __slots__ = ("send", "send_run", "metrics")
+    __slots__ = ("send", "send_run", "headed", "metrics")
 
     def __init__(self, send: Callable[[bytes], None]):
         self.send = send
         self.send_run = None
+        self.headed = False
         owner = getattr(send, "__self__", None)
         for name, run_name in (("send", "send_many"), ("forward", "forward_batch")):
             # by equality with the owner's bound method, not by __name__:
             # a class-patched method (a tracer's wrapper) is still the one
             if getattr(owner, name, None) == send:
                 self.send_run = getattr(owner, run_name, None)
+                self.headed = name == "forward"
         self.metrics = Metrics()
 
 
@@ -461,9 +465,9 @@ class EventChannel:
     def _route_ack(self, message, header, exclude: WireTap | None, lease) -> None:
         self.route_ack(bytes(message))
 
-    def _fan_to_wire(self, run, exclude: WireTap | None) -> None:
-        """Offer every tap but ``exclude`` one run of frames: one call
-        of its run entry when it has one, else frame by frame."""
+    def _fan_to_wire(self, run, exclude: WireTap | None, headers=None) -> None:
+        """Offer every tap but ``exclude`` one run of frames: one call of its
+        run entry (with ``headers`` where it takes them) if any, else frame by frame."""
         if not self._taps:
             return
         # Taps may enqueue (async transports): never hand them a
@@ -475,7 +479,7 @@ class EventChannel:
             sent = 0
             try:
                 if tap.send_run is not None and len(run) > 1:
-                    tap.send_run(run)
+                    tap.send_run(run, headers) if tap.headed else tap.send_run(run)
                     sent = len(run)
                 else:
                     for message in run:
@@ -524,7 +528,7 @@ class EventChannel:
         for sub in list(self._subscribers):
             # detach: same first-failure semantics as the scalar loop
             self._deliver(sub, sub._offer_run, batch, headers, sub.error_policy == "suppress", lease)
-        self._fan_to_wire(batch, exclude)
+        self._fan_to_wire(batch, exclude, headers)
 
     @property
     def subscriber_count(self) -> int:

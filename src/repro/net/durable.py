@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import os
 import struct
-from collections import OrderedDict
+from collections import deque
 from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator
 
@@ -269,8 +269,9 @@ class PublisherWAL:
         self.directory = directory
         self.segment_bytes = segment_bytes
         self.metrics = metrics if metrics is not None else Metrics()
-        #: per-stream unacked backlog, seq-ordered (appends are monotonic)
-        self._unacked: dict[tuple[int, int], OrderedDict[int, bytes]] = {}
+        #: per-stream unacked backlog: runs ``(first_seq, frames)``, oldest first
+        self._unacked: dict[tuple[int, int], deque[tuple[int, list[bytes]]]] = {}
+        self._unacked_count = 0
         self._next_seq: dict[tuple[int, int], int] = {}
         #: latest announcement per stream key, re-journaled on rotation
         self._announcements: dict[tuple[int, int], bytes] = {}
@@ -319,7 +320,12 @@ class PublisherWAL:
             if seq >= self._next_seq.get(key, 1):
                 self._next_seq[key] = seq + 1
             if seq > self.acked.cursor(key):
-                self._unacked.setdefault(key, OrderedDict())[seq] = message
+                runs = self._unacked.setdefault(key, deque())
+                if runs and runs[-1][0] + len(runs[-1][1]) == seq:
+                    runs[-1][1].append(message)
+                else:
+                    runs.append((seq, [message]))
+                self._unacked_count += 1
         self._segments.append((path, digest))
 
     def _open_segment(self) -> None:
@@ -372,9 +378,7 @@ class PublisherWAL:
         ``writev``, which is what makes burst durability cheap.
         Returns the sequences in message order.
         """
-        if not messages:
-            return []
-        parsed: list[tuple[tuple[int, int], int, bytes]] = []
+        runs: list[tuple[tuple[int, int], int, list[bytes]]] = []
         expected: dict[tuple[int, int], int] = {}
         for message in messages:
             cid, fid, seq, _record = enc.parse_data_seq(message)
@@ -387,15 +391,15 @@ class PublisherWAL:
                     f"stream {key} must journal sequence {want} next, got {seq}"
                 )
             expected[key] = seq + 1
-            parsed.append((key, seq, bytes(message)))
-        return self._append_parsed(parsed)
+            runs.append((key, seq, [bytes(message)]))
+        if runs:
+            self._append_runs(runs)
+        return [seq for _key, seq, _frames in runs]
 
-    def _append_parsed(
-        self, parsed: list[tuple[tuple[int, int], int, bytes]]
-    ) -> list[int]:
-        """Trusted append: the caller vouches the ``(key, seq, message)``
-        triples are contiguous (:class:`DurablePublisher` builds them
-        straight off :meth:`next_seq`, so re-parsing would be waste)."""
+    def _append_runs(self, runs) -> None:
+        """Trusted append of ``(key, first_seq, frames)`` runs, each
+        continuing its stream's :meth:`next_seq` (:class:`DurablePublisher`
+        numbers its burst straight off it: re-parsing would be waste)."""
         if self._log is not None:
             if self._log.size >= self.segment_bytes:
                 self._log.close()
@@ -403,19 +407,21 @@ class PublisherWAL:
                 self.metrics.inc("durable.segments_rotated")
             # One frame for the whole burst (see split_wal_frame): one
             # CRC, one length check, one writev.
-            self._log.append(b"".join(m for _, _, m in parsed))
+            frames = runs[0][2] if len(runs) == 1 else [m for *_, run in runs for m in run]
+            self._log.append(b"".join(frames))
             digest = self._segments[-1][1]
         else:
             digest = None
-        seqs: list[int] = []
-        for key, seq, message in parsed:
+        journaled = 0
+        for key, first, frames in runs:
+            end = first + len(frames)
             if digest is not None:
-                digest[key] = seq
-            self._unacked.setdefault(key, OrderedDict())[seq] = message
-            self._next_seq[key] = seq + 1
-            seqs.append(seq)
-        self.metrics.inc("durable.journaled", len(parsed))
-        return seqs
+                digest[key] = end - 1
+            self._unacked.setdefault(key, deque()).append((first, frames))
+            self._next_seq[key] = end
+            journaled += len(frames)
+        self._unacked_count += journaled
+        self.metrics.inc("durable.journaled", journaled)
 
     # -- ack path ------------------------------------------------------------
 
@@ -423,25 +429,35 @@ class PublisherWAL:
         """Confirm every sequence on ``key`` up to ``cursor`` inclusive.
 
         Returns how many backlog entries that released; persists the
-        cursor and compacts any segment now fully confirmed.
+        cursor and compacts any segment now fully confirmed.  A cursor never
+        journaled is refused (``durable.acks_rejected``), not persisted.
         """
+        if cursor >= self._next_seq.get(key, 1) and cursor > self.acked.cursor(key):  # >= next_seq()
+            self.metrics.inc("durable.acks_rejected")
+            return 0
         if not self.acked.advance(key, cursor):
             return 0
-        backlog = self._unacked.get(key)
+        runs = self._unacked.get(key)
         released = 0
-        if backlog is not None:
-            while backlog and next(iter(backlog)) <= cursor:
-                backlog.popitem(last=False)
-                released += 1
-            if not backlog:
+        if runs is not None:
+            while runs and runs[0][0] <= cursor:  # whole runs go; at most one is sliced
+                first, frames = runs.popleft()
+                kept = frames[cursor + 1 - first :]
+                if kept:
+                    runs.appendleft((cursor + 1, kept))
+                released += len(frames) - len(kept)
+            if not runs:
                 del self._unacked[key]
+            self._unacked_count -= released
         self.compact()
         return released
 
     def get(self, key: tuple[int, int], seq: int) -> bytes | None:
         """The journaled message for one unacked sequence, if still held."""
-        backlog = self._unacked.get(key)
-        return backlog.get(seq) if backlog is not None else None
+        for first, frames in self._unacked.get(key, ()):
+            if first <= seq < first + len(frames):
+                return frames[seq - first]
+        return None
 
     def announcements(self) -> list[bytes]:
         """The live announcement messages, one per journaled stream."""
@@ -465,16 +481,16 @@ class PublisherWAL:
             announcement = self._announcements.get(key)
             if announcement is not None:
                 out.append(announcement)
-            out.extend(backlog.values())
+            out.extend(m for _first, frames in backlog for m in frames)
             return out
         out = list(self._announcements.values())
         for k in sorted(self._unacked):
-            out.extend(self._unacked[k].values())
+            out.extend(m for _first, frames in self._unacked[k] for m in frames)
         return out
 
     @property
     def unacked_count(self) -> int:
-        return sum(len(b) for b in self._unacked.values())
+        return self._unacked_count
 
     def compact(self) -> int:
         """Delete segments whose every entry is past its acked cursor.
@@ -692,9 +708,10 @@ class DurablePublisher:
         self._ensure_announced(handle)
         base = self.wal.next_seq(key)
         messages = enc.encode_data_seq_run(key[0], key[1], base, natives)
-        # journal-before-send; trusted path — seqs contiguous by construction
-        self.wal._append_parsed([(key, seq, m) for seq, m in enumerate(messages, base)])
-        self.channel._publish_batch(messages)
+        self.wal._append_runs(((key, base, messages),))  # journal-before-send
+        # the headers were built here: no hop downstream parses them again
+        kind, cid, fid, size = enc.MSG_DATA_SEQ, key[0], key[1], enc.HEADER_SIZE
+        self.channel._publish_batch(messages, [(kind, cid, fid, len(m) - size) for m in messages])
         self.metrics.inc("durable.sent", len(messages))
         return list(range(base, base + len(messages)))
 

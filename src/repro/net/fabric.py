@@ -754,7 +754,7 @@ class FabricDispatcher:
         if now is None:
             now = self._clock()
         policy = self.probe_policy
-        for slot in list(self._slots.values()):
+        for slot in self._slots.values():  # heal never adds or removes a worker
             if slot.state == ACTIVE:
                 if not slot.worker.alive:
                     self._quarantine(slot)

@@ -91,7 +91,7 @@ def hub_rows(prefix: str, announce: str) -> dict:
 RELAY_ROWS = hub_rows("relay", "_announce")
 #: What a downstream sends back: heartbeats (a pong answers a probe) and
 #: acks; anything else is not proof it can receive.
-BACK_CHANNEL_ROWS = enc.rows(default="drop", ping="handle _heard", pong="handle _heard", ack="handle _ack")
+BACK_CHANNEL_ROWS = enc.rows(default="drop", ping="handle _heard", pong="handle _pong", ack="handle _ack")
 
 
 class Downstream(QuarantineRecord, LinkControl):
@@ -186,6 +186,7 @@ class Relay:
         self._clock = clock
         self.metrics = Metrics()
         self._downstreams: list[Downstream] = []
+        self._links: tuple = ()  # (downstream, its transport's pending probe): what heal() walks
         self._announcements = AnnouncementBacklog()
         self.messages_seen = 0
         self._ping_nonce = 0
@@ -196,6 +197,8 @@ class Relay:
         self.replay_window = replay_window
         self._replay: dict[tuple[int, int], deque[tuple[int, bytes]]] = {}
         self._upstream_acked: dict[tuple[int, int], int] = {}
+        self._touched: set[tuple[int, int]] = set()  # streams whose min-cursor may have moved
+        self._proof = False  # the back-channel being harvested proved its peer alive
 
     def attach(
         self,
@@ -216,13 +219,19 @@ class Relay:
             flt = RecordFilter(self.ctx, format_name, filter_expr)
         downstream = Downstream(transport, flt)
         self._downstreams.append(downstream)
+        self._relink()
         self._replay_announcements(downstream)
         return downstream
 
     def detach(self, downstream: Downstream) -> None:
         """Remove a downstream entirely (it will not be forwarded again)."""
         self._downstreams.remove(downstream)
+        self._relink()
         downstream.state = EVICTED
+        self._touched.update(downstream.ack_cursors)
+
+    def _relink(self) -> None:
+        self._links = tuple((d, d.transport.pending) for d in self._downstreams)
 
     def reactivate(self, downstream: Downstream) -> None:
         """Clear a quarantine (e.g. after the link reconnected) and replay
@@ -232,6 +241,7 @@ class Relay:
         :meth:`heal` makes the same transition automatically on a pong.
         """
         downstream.reset()
+        self._touched.update(downstream.ack_cursors)
         downstream.metrics.inc("reactivated")
         self.metrics.inc("relay.reactivated")
         self._replay_announcements(downstream)
@@ -276,6 +286,7 @@ class Relay:
             self.on_error(downstream, exc)
         if errors >= self.quarantine_after:
             downstream.quarantine(self._clock(), self.probe_policy)
+            self._touched.update(downstream.ack_cursors)
             downstream.metrics.inc("detached")
             self.metrics.inc("relay.quarantined")
 
@@ -371,7 +382,8 @@ class Relay:
                 if window is None:
                     window = self._replay[key] = deque(maxlen=self.replay_window)
                 message = bytes(message)
-                window.append((seq, message))
+                if not window or seq > window[-1][0]:  # a retransmit is held already, or the WAL's
+                    window.append((seq, message))
             run.append(message)
             run_headers.append(header)
         self.messages_seen += len(run)
@@ -405,62 +417,82 @@ class Relay:
     def heal(self, now: float | None = None) -> None:
         """Drive the quarantine-recovery state machine one step.
 
-        Cheap enough to call once per pump iteration: harvests acks off
-        active downstreams' back-channels, then — when a ``probe_policy``
-        is armed — harvests probe answers from quarantined downstreams
-        (a ``MSG_PONG`` reactivates, with the full announcement replay),
-        sends the next backoff-scheduled probe where due, and evicts
-        peers silent past the policy's deadline.
+        Cheap enough to call once per pump iteration: reads only back-channels
+        whose ``pending()`` says frames wait (or that have no probe) — acks
+        off active downstreams, then, with a ``probe_policy``, probe answers
+        from quarantined ones (a ``MSG_PONG`` reactivates, with the full
+        announcement replay) — sends the next backoff-scheduled probe where
+        due, evicts peers silent past the policy's deadline, and moves the
+        upstream min-cursor of the streams an ack or a state change touched.
         """
-        if now is None:
-            now = self._clock()
         policy = self.probe_policy
-        for downstream in list(self._downstreams):
+        for downstream, pending in self._links:
             if downstream.state == ACTIVE:
                 # Ack frames ride the same back-channel the probe pump
                 # uses: harvesting here is what keeps downstream cursors
                 # (and the upstream min-cursor aggregate) current.
-                self._harvest_pong(downstream)
+                if pending is None or pending():
+                    self._harvest_pong(downstream, pending)
                 continue
             if policy is None or downstream.state == EVICTED:
                 continue
-            if self._harvest_pong(downstream):
+            if now is None:
+                now = self._clock()
+            if (pending is None or pending()) and self._harvest_pong(downstream, pending):
                 self.reactivate(downstream)
             elif downstream.expired(now, policy):
                 self._evict(downstream)
             elif downstream.probe_due(now):
                 self._probe(downstream, now)
-        self._aggregate_acks()
+        if self._touched:
+            self._aggregate_acks()
 
-    def _harvest_pong(self, downstream: Downstream) -> bool:
-        """Drain the downstream's back-channel through
-        :data:`BACK_CHANNEL_ROWS`; True on proof of life: a pong (its
-        probe answered) or an ack (a peer that acks is receiving)."""
-        heard = downstream.pongs_received + self.metrics.value("durable.acks_received")
+    def _harvest_pong(self, downstream: Downstream, pending) -> bool:
+        """Drain the downstream's back-channel through :data:`BACK_CHANNEL_ROWS`
+        until ``pending()`` reads 0 (or, with no probe, ``poll_recv`` comes
+        back empty); True on proof of life: a pong (its probe answered) or
+        an ack (a peer that acks is receiving)."""
+        self._proof = False
+        poll = downstream.transport.poll_recv
         while True:
             try:
-                frame = downstream.transport.poll_recv()
+                frame = poll()
             except TransportError:
-                frame = None  # a torn back-channel is just more silence
+                break  # a torn back-channel is just more silence
             if frame is None:
-                return downstream.pongs_received + self.metrics.value("durable.acks_received") > heard
-            enc.walk(((frame, None),), BACK_CHANNEL_ROWS, self, None, downstream)
+                break
+            header = enc.try_unpack_header(frame)
+            row = BACK_CHANNEL_ROWS[None if header is None else header[0]]
+            enc.settle(row, frame, header, self, downstream)
+            if pending is not None and not pending():
+                break
+        return self._proof
 
-    def _heard(self, frame, header, downstream: Downstream) -> None:
-        downstream.control(frame, header, metrics=self.metrics)  # never answered: a hub probes on its own
+    def _heard(self, frame, header, downstream: Downstream) -> bool:
+        return downstream.control(frame, header, metrics=self.metrics)  # unanswered: a hub probes on its own
+
+    def _pong(self, frame, header, downstream: Downstream) -> None:
+        self._proof |= self._heard(frame, header, downstream)  # its probe answered
 
     def _ack(self, frame, header, downstream: Downstream) -> None:
+        """Admit one ack: a cursor past the tail of the stream's replay
+        window — the highest sequence forwarded on it — cannot be true."""
         try:
             cursor, _nb, _bits = enc.parse_control(frame, header)
         except PbioError:
             return
-        key = (header[1], header[2])
-        if cursor > downstream.ack_cursors.get(key, 0):
-            downstream.ack_cursors[key] = cursor
+        self._proof = True
         self.metrics.inc("durable.acks_received")
+        key = (header[1], header[2])
+        window = self._replay.get(key)
+        if window is None or cursor > window[-1][0]:
+            self.metrics.inc("durable.acks_rejected")
+        elif cursor > downstream.ack_cursors.get(key, 0):
+            downstream.ack_cursors[key] = cursor
+            self._touched.add(key)
 
     def _aggregate_acks(self) -> None:
-        """Push the min-cursor over active downstreams toward upstream.
+        """Push each touched stream's min-cursor over active downstreams upstream.
 
         For each stream, the relay may only ack what *every* acking
         downstream has confirmed — the minimum cursor — because an
@@ -469,19 +501,16 @@ class Relay:
         not participate; a relay fanning out only to such peers simply
         never acks upstream, which is the conservative truth.
         """
+        touched = self._touched
         if self.ack_upstream is None:
-            return
-        active = [d for d in self._downstreams if d.state == ACTIVE]
-        if not active:
-            return
-        keys: set[tuple[int, int]] = set()
-        for downstream in active:
-            keys.update(downstream.ack_cursors)
-        for key in keys:
-            cursors = [
-                d.ack_cursors[key] for d in active if key in d.ack_cursors
-            ]
-            agg = min(cursors)
+            touched.clear()
+        while touched:  # (an upstream call that quarantines a downstream adds keys)
+            key = touched.pop()
+            agg = 0
+            for d in self._downstreams:
+                cursor = d.ack_cursors.get(key) if d.state == ACTIVE else None
+                if cursor is not None and (not agg or cursor < agg):
+                    agg = cursor
             if agg <= self._upstream_acked.get(key, 0):
                 continue
             self._upstream_acked[key] = agg

@@ -92,6 +92,7 @@ from .transport import (
 _MAGIC = b"PBIOSHM1"
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_COUNTERS = struct.Struct("<Q56xQI")  # tail, head, rclosed: one read
 
 _OFF_CAPACITY = 8
 _OFF_NONCE = 16
@@ -401,10 +402,10 @@ class ShmRingTransport(Transport):
         while True:
             if self._closed:
                 raise TransportError("transport is closed")
-            if ring.rclosed:
+            tail, head, rclosed = _COUNTERS.unpack_from(ring.view, _OFF_TAIL)
+            if rclosed:
                 raise PeerClosedError("send failed: peer closed its ring")
-            tail = ring.tail
-            if ring.capacity - (tail - ring.head) >= total:
+            if ring.capacity - (tail - head) >= total:
                 return tail
             spins += 1
             if spins <= SPIN_LIMIT:
@@ -505,9 +506,13 @@ class ShmRingTransport(Transport):
 
     # -- receive -------------------------------------------------------------
 
-    def _pending(self) -> int:
-        ring = self._recv_ring
-        return ring.tail - ring.head
+    def pending(self) -> int:
+        """Unread bytes in the receive ring (0 once closed): the writer
+        publishes ``tail`` past whole frames only, so non-zero is a frame."""
+        if self._closed:
+            return 0
+        tail, head, _rclosed = _COUNTERS.unpack_from(self._recv_ring.view, _OFF_TAIL)
+        return tail - head
 
     def _take_frames(self, limit: int = 0) -> list[bytes]:
         """Pop every complete frame in the ring now (at most ``limit``
@@ -515,8 +520,7 @@ class ShmRingTransport(Transport):
         ring = self._recv_ring
         view = ring.view
         cap = ring.capacity
-        (head,) = _U64.unpack_from(view, _OFF_HEAD)
-        (tail,) = _U64.unpack_from(view, _OFF_TAIL)
+        tail, head, _rclosed = _COUNTERS.unpack_from(view, _OFF_TAIL)
         out: list[bytes] = []
         while tail - head >= 4:
             pos = head % cap
@@ -560,7 +564,7 @@ class ShmRingTransport(Transport):
             frames = self._take_frames(max_frames)
             if frames:
                 return frames
-            if ring.wclosed and self._pending() == 0:
+            if ring.wclosed and self.pending() == 0:
                 raise PeerClosedError("recv failed: peer closed, ring drained")
             spins += 1
             if spins <= SPIN_LIMIT:
@@ -569,7 +573,7 @@ class ShmRingTransport(Transport):
             # Park: publish intent, re-check, then block on the bell.
             ring.set_rwait(1)
             try:
-                if self._pending() or ring.wclosed:
+                if self.pending() or ring.wclosed:
                     continue
                 self._block_on(ring.data_bell, deadline, "shm recv")
             finally:
@@ -582,7 +586,7 @@ class ShmRingTransport(Transport):
         frames = self._take_frames(1)
         if frames:
             return frames[0]
-        if self._recv_ring.wclosed and self._pending() == 0:
+        if self._recv_ring.wclosed and self.pending() == 0:
             raise PeerClosedError("recv failed: peer closed, ring drained")
         return None
 

@@ -100,8 +100,8 @@ class Transport(ABC):
     #: transport bumps it per re-dial, and per-link protocol state
     #: (:class:`repro.core.negotiation.LinkTable`) starts afresh.
     generation = 0
-    #: ``pending()``: a zero-syscall count of frames waiting to be received,
-    #: where a transport has one (in-process pipes); ``None``: use ``poll_recv``.
+    #: ``pending()``: a zero-syscall count, non-zero exactly when a frame waits (pipes,
+    #: the shm ring); ``None``: use ``poll_recv`` (a socket's kernel bytes need a syscall).
     pending = None
 
     def drain(self):

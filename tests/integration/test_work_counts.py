@@ -63,6 +63,16 @@ class CountingU64:
         self._pack_into(view, offset, value)
 
 
+def counted_within(counts, name, fn, inside):
+    """``fn`` with each call counted as ``name`` only while ``inside[0]``."""
+
+    def counting(*args, **kwargs):
+        counts[name] += inside[0]
+        return fn(*args, **kwargs)
+
+    return counting
+
+
 class DurableBurst:
     """``durable_burst``: publisher + WAL -> wire tap -> relay -> shm ring
     -> durable subscription, acks back over the ring and up to the WAL."""
@@ -78,9 +88,22 @@ class DurableBurst:
         rx = IOContext(X86)
         rx.expect(schema)
         source, self.sink = EventChannel(), EventChannel()
-        for name in ("forward", "forward_batch"):
-            monkeypatch.setattr(Relay, name, counted(counts, "relay." + name, Relay.__dict__[name]))
-        for name in ("send", "send_many"):
+        monkeypatch.setattr(Relay, "forward", counted(counts, "relay.forward", Relay.__dict__["forward"]))
+        in_relay = [False]
+        forward_batch = Relay.__dict__["forward_batch"]
+
+        def counting_forward_batch(relay, *args, **kwargs):
+            counts["relay.forward_batch"] += 1
+            in_relay[0] = True
+            try:
+                return forward_batch(relay, *args, **kwargs)
+            finally:
+                in_relay[0] = False
+
+        monkeypatch.setattr(Relay, "forward_batch", counting_forward_batch)
+        for name in ("try_unpack_header", "unpack_header"):  # the 16-byte parse, at the relay
+            monkeypatch.setattr(enc, name, counted_within(counts, "relay_header_parses", getattr(enc, name), in_relay))
+        for name in ("send", "send_many", "poll_recv"):
             monkeypatch.setattr(
                 ShmRingTransport, name, self._per_ring("." + name, ShmRingTransport.__dict__[name])
             )
@@ -145,6 +168,7 @@ class DurableBurst:
         assert self.publisher.unacked_count == 0
         self.counts["acks"] += self.subscription.metrics.value("durable.acks_sent") - sent
         self.counts["acks_received"] += self.publisher.stats.acks_received - acked
+        self.counts["back_channel_polls"] = self.counts["ring.poll_recv"]  # the relay's, on its downstream
         return sum(map(len, natives))
 
     def close(self):
@@ -404,6 +428,7 @@ class FanoutHomo:
             (pipe_end, "send_many", "send_many"),
             (pipe_end, "send", "send"),
             (pipe_end, "recv_many", "recv_many"),
+            (pipe_end, "poll_recv", "back_channel_polls"),
             (EventChannel, "ingest_many", "channel.ingest_many"),
             (DecodePipeline, "decode_batch", "decode_batch"),
         ):
@@ -440,13 +465,14 @@ def fanout_row(n, payload):
     of the four leaves gets one ``send_many`` of the published frames
     themselves, and pays one header parse and one classification (the
     channel's: its subscriber takes the run as it is) a frame it is
-    delivered."""
+    delivered.  The heal after the burst reads no back-channel: nothing
+    came back on any of the fabric's 32."""
     delivered = 3 * n + n // 4
     return {
         "fabric.forward_batch": 1, "worker.ingest_batch": 1, "relay.forward_batch": 1, "relay.forward": 0,
         "admissions": n, "filter_evaluations": n, "send_many": 4, "send": 0, "recv_many": 4,
         "payload_copies": 0, "channel.ingest_many": 4, "decode_batch": 4,
-        "header_unpacks": n + delivered, "kind_classifications": 3 * n + delivered,
+        "header_unpacks": n + delivered, "kind_classifications": 3 * n + delivered, "back_channel_polls": 0,
     }  # fmt: skip
 
 
@@ -494,7 +520,10 @@ def stream_row(lent):
 #: native bytes costs).  A WAL frame is 12 bytes around the burst's
 #: messages (16-byte header + 8-byte sequence each); the two cursor
 #: stores append one 28-byte frame each per burst — together the
-#: ``durable.wal_bytes_per_payload_byte`` of the benchmark.
+#: ``durable.wal_bytes_per_payload_byte`` of the benchmark.  The relay
+#: reads the headers the publisher built instead of parsing its run, and
+#: takes the one ack off its back-channel with one poll: the ring says
+#: when it is empty.
 TABLE = {
     "durable_burst": (
         DurableBurst,
@@ -503,6 +532,8 @@ TABLE = {
             "tap.frame_calls": 0,
             "relay.forward_batch": 1,
             "relay.forward": 0,
+            "relay_header_parses": 0,
+            "back_channel_polls": 1,
             "ring.send_many": 1,
             "ring.send": 0,
             "ring.tail_publishes": 1,
@@ -532,6 +563,22 @@ CASES = [("durable_burst", 8), ("durable_burst", 32)] + [
 
 def case_id(value):
     return value if isinstance(value, (str, int)) else "%dx%s" % value
+
+
+def test_an_idle_fabric_reads_no_back_channel(monkeypatch):
+    """Heal on a 4-worker fabric with 32 downstreams and no traffic: every
+    link is asked ``pending()``, none is polled."""
+    counts = Counter()
+    pipe_end = type(InMemoryPipe().a)
+    for name in ("poll_recv", "pending"):
+        monkeypatch.setattr(pipe_end, name, counted(counts, name, pipe_end.__dict__[name]))
+    dispatcher = FabricDispatcher(4)
+    for c in range(8):
+        for _ in range(4):
+            dispatcher.subscribe((0x5000 + c, 1), InMemoryPipe().a)
+    for _ in range(3):
+        dispatcher.heal()
+    assert counts == {"pending": 3 * 32}
 
 
 @pytest.mark.parametrize(("topology", "n"), CASES, ids=case_id)

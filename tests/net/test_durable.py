@@ -22,7 +22,9 @@ from repro.net import (
     DurablePublisher,
     DurableSubscription,
     EventChannel,
+    InMemoryPipe,
     PublisherWAL,
+    Relay,
     SequenceWindow,
 )
 
@@ -515,6 +517,65 @@ class TestDurableRoundTrip:
         assert sub.stats_durable.nacks_sent >= 1
         pub.close()
         sub.close()
+
+
+class TestAckAdmission:
+    """An ack for a sequence that was never journaled — or, at a relay,
+    never forwarded — is refused and counted, and never persisted.  One
+    such frame used to move the WAL's next sequence past every receiver's
+    window for good, and through a relay to pin the upstream min-cursor so
+    that every later real ack was swallowed."""
+
+    BOGUS = 10**9
+
+    def test_the_publisher_refuses_an_ack_past_its_journal(self, tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        channel = EventChannel()
+        pub, handle = make_publisher(channel, wal_dir)
+        key = (PUB_CONTEXT_ID, handle.format_id)
+        got = []
+        sub = channel.subscribe_durable(sub_context(), lambda r: got.append(r["x"]), cursor_path=str(tmp_path / "c"))
+        for i in range(3):
+            pub.publish(handle, {"x": i, "y": 0.0})
+        channel.route_ack(enc.encode_ack(*key, self.BOGUS))
+        assert pub.stats.acks_rejected == 1 and pub.wal.next_seq(key) == 4
+        for i in range(3, 6):
+            pub.publish(handle, {"x": i, "y": 0.0})
+        assert got == list(range(6)) and sub.metrics.value("durable.window_refused") == 0
+        assert pub.unacked_count == 0
+        pub.close()
+        sub.close()
+        with PublisherWAL(wal_dir) as wal:  # nothing bogus was persisted
+            assert (wal.next_seq(key), wal.acked.cursor(key)) == (7, 6)
+
+    def test_a_relay_refuses_an_ack_past_what_it_forwarded(self, tmp_path):
+        source, sink = EventChannel(), EventChannel()
+        relay = Relay(ack_upstream=source.route_ack)
+        pipe = InMemoryPipe()
+        relay.attach(pipe.a)
+        source.attach_wire(relay.forward)
+        pub, handle = make_publisher(source, str(tmp_path / "wal"))
+        key = (PUB_CONTEXT_ID, handle.format_id)
+        got = []
+        sink.subscribe_durable(sub_context(), lambda r: got.append(r["x"]), ack_sink=pipe.b.send)
+
+        def publish(xs):
+            pub.publish_batch(handle, [{"x": x, "y": 0.0} for x in xs])
+            sink.ingest_many(pipe.b.recv_many())
+            relay.heal()
+
+        publish(range(3))
+        assert pub.unacked_count == 0
+        pipe.b.send(enc.encode_ack(*key, self.BOGUS))  # past everything forwarded
+        pipe.b.send(enc.encode_ack(key[0], key[1] + 1, 1))  # a stream never forwarded
+        relay.heal()
+        assert relay.metrics.value("durable.acks_rejected") == 2
+        assert pub.stats.acks_rejected == 0  # it never got that far
+        publish(range(3, 6))
+        assert got == list(range(6))
+        assert pub.unacked_count == 0  # the real ack still reaches the WAL
+        assert pub.wal.acked.cursor(key) == 6
+        pub.close()
 
 
 class TestBatchPath:

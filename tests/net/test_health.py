@@ -813,3 +813,97 @@ def test_quarantine_always_resolves(answer_after, step):
         receiver.expect(TELEMETRY)
         decoded = [receiver.receive(f) for f in delivered]
         assert {"unit": 2, "temperature": 2.0} in decoded
+
+
+# -- the probe schedule, pinned ------------------------------------------------
+
+SCHEDULE_POLICY = ProbePolicy(
+    base_delay_s=1.0, multiplier=2.0, max_delay_s=4.0, eviction_deadline_s=12.0
+)
+SCHEDULE = [
+    (0.0, "waiting", "reactivate"),
+    (1.0, "silent", "probe"), (1.0, "late", "probe"),
+    (3.0, "silent", "probe"), (3.0, "late", "probe"),
+    (4.0, "second", "probe"), (4.5, "second", "reactivate"),
+    (7.0, "silent", "probe"), (7.0, "late", "probe"), (7.5, "late", "reactivate"),
+    (11.0, "silent", "probe"), (12.0, "silent", "evict"),
+]  # fmt: skip
+
+
+class _ReadyLink(FlakyLink):
+    """A :class:`FlakyLink` with its pipe's zero-syscall ``pending`` probe."""
+
+    def pending(self):
+        return self.inner.pending()
+
+
+class _Scripted:
+    """A downstream behind a link the script breaks and mends, answering
+    the probes that reach it from its ``answer_from``-th on."""
+
+    def __init__(self, name, answer_from=None):
+        self.name, self.answer_from, self.pings = name, answer_from, 0
+        self.pipe = InMemoryPipe()
+        self.link = _ReadyLink(self.pipe.a)
+
+    def answer(self):
+        for frame in drain_frames(self.pipe.b):
+            if enc.unpack_header(frame)[0] == enc.MSG_PING:
+                self.pings += 1
+                if self.answer_from is not None and self.pings >= self.answer_from:
+                    self.pipe.b.send(enc.encode_pong(enc.parse_ping(frame)[0]))
+
+
+def _probe_schedule(kind, monkeypatch):
+    """Every (time, downstream, event) of one quarantine script under
+    ``kind``: a relay, or the channel's relay inside a fabric worker."""
+    clock, events, names = VirtualClock(), [], {}
+    for method, event in (("_probe", "probe"), ("reactivate", "reactivate"), ("_evict", "evict")):
+
+        def recorded(relay, downstream, *args, body=Relay.__dict__[method], event=event):
+            events.append((clock.now(), names[id(downstream)], event))
+            return body(relay, downstream, *args)
+
+        monkeypatch.setattr(Relay, method, recorded)
+    key = (7, 1)
+    if kind == "relay":
+        hub = Relay(quarantine_after=1, probe_policy=SCHEDULE_POLICY, clock=clock)
+        attach = hub.attach
+    else:
+        hub = FabricDispatcher(
+            2, quarantine_after=1, probe_policy=SCHEDULE_POLICY, worker_probe_policy=SCHEDULE_POLICY, clock=clock
+        )
+        attach = lambda link: hub.subscribe(key, link).downstream
+    silent, late, waiting, second, healthy = peers = [
+        _Scripted("silent"),  # never mended: every probe unsendable, evicted at the deadline
+        _Scripted("late", 2),  # mended at 2.0, answers the second probe that reaches it
+        _Scripted("waiting"),  # its pong is already waiting when it is quarantined
+        _Scripted("second", 1),  # quarantined at 3.0, answers its first probe
+        _Scripted("healthy"),
+    ]
+    for peer in peers:
+        names[id(attach(peer.link))] = peer.name
+    waiting.pipe.b.send(enc.encode_pong(99))
+    silent.link.broken = late.link.broken = waiting.link.broken = True
+    hub.forward(data_frame(*key, b"lost"))
+    waiting.link.broken = False
+    while clock.now() < 16.0:
+        if clock.now() == 2.0:
+            late.link.broken = False
+        if clock.now() == 3.0:
+            second.link.broken = True
+            hub.forward(data_frame(*key, b"lost too"))
+            second.link.broken = False
+        hub.heal()
+        for peer in peers:
+            peer.answer()
+        clock.advance(0.5)
+    return events
+
+
+@pytest.mark.parametrize("kind", ["relay", "fabric"])
+def test_the_probe_schedule_does_not_move(kind, monkeypatch):
+    """Reading only the back-channels with frames waiting changes nothing
+    anyone can observe of a quarantine: the event sequence pinned here is
+    the one heal produced when it polled every back-channel every call."""
+    assert _probe_schedule(kind, monkeypatch) == SCHEDULE

@@ -549,11 +549,6 @@ def _socket():
     return a, b.close
 
 
-def _shm(tmp_path):
-    a, b = shm_pair(capacity=1 << 14, directory=str(tmp_path))
-    return a, b.close
-
-
 def _simulated():
     link = SimulatedLink(NetworkModel.ideal())
     return link.endpoints()[0], lambda: None
@@ -604,13 +599,27 @@ def test_transport_contract(name):
 
 
 def test_transport_contract_shm(tmp_path):
-    transport, close_peer = _shm(tmp_path)
+    transport, peer = shm_pair(capacity=1 << 14, directory=str(tmp_path))
     try:
-        check_contract(transport, pending=False)
+        check_contract(transport, pending=True)
         assert transport.drain() is None and transport.poll_recv() is None
+        pong = enc.encode_pong(1)
+        peer.send(pong)
+        assert transport.pending() >= 1  # a frame in the ring: heal reads it
+        assert transport.poll_recv() == pong
+        assert transport.pending() == 0  # drained: heal leaves the link alone
+        relay = Relay()
+        down = relay.attach(transport)
+        peer.send(enc.encode_pong(2))
+        peer.close()
+        relay.heal()  # what the peer sent before it closed is still read
+        assert down.pongs_received == 1 and transport.pending() == 0
+        relay.heal()  # a closed peer is silence, not an error
+        assert down.state == "active"
     finally:
         transport.close()
-        close_peer()
+        peer.close()
+    assert transport.pending() == 0  # closed: nothing will ever be read
 
 
 def test_transport_contract_async():
