@@ -235,16 +235,11 @@ class OwnDrain:
 
 
 def _pack(natives) -> list[bytes]:
-    head = enc.HEADER_STRUCT.pack
-    return [head(enc.MAGIC, enc.VERSION, enc.MSG_DATA, 7, 1, len(n)) + n for n in natives]
+    return enc.data_frames(7, 1, natives)
 
 
 def _gather(natives) -> list[SegmentedFrame]:
-    head, extra = enc.HEADER_STRUCT.pack, enc.HEADER_SIZE
-    return [
-        SegmentedFrame((head(enc.MAGIC, enc.VERSION, enc.MSG_DATA, 7, 1, len(n)), n), extra + len(n))
-        for n in natives
-    ]
+    return enc.data_frames(7, 1, natives, gather=0)
 
 
 MAX_RUN_BYTES = 128 * 1024  # the reference benchmark's burst bound: 100 KB records travel one a burst

@@ -27,10 +27,9 @@ link heard (see :class:`~repro.core.negotiation.LinkTable`).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any
 
-from repro.net.transport import GATHER_MIN_FRAME, SegmentedFrame, Transport
+from repro.net.transport import Transport
 
 from . import encoder as enc
 from .context import FormatHandle, IOContext
@@ -49,8 +48,7 @@ class PbioConnection:
         # Late-bound send: `self.transport` may be swapped for a
         # re-dialled replacement, and back-channel traffic must follow.
         self._negotiator = InboundNegotiator(ctx, lambda data: self.transport.send(data))
-        # header(format id, record length): the one spelling of "frame a native record"
-        self._header = partial(enc.HEADER_STRUCT.pack, enc.MAGIC, enc.VERSION, enc.MSG_DATA, ctx.context_id)
+        self._context_id = ctx.context_id
         # (transport, generation, format id) triples a send owes nothing more: see _owed
         self._settled = links.settled
 
@@ -71,12 +69,15 @@ class PbioConnection:
         return frames
 
     def send_native(self, handle: FormatHandle, native) -> None:
-        """Send a record already in native binary form (NDR fast path)."""
+        """Send a record already in native binary form (NDR fast path): its
+        segments, header and the caller's buffer, to the transport's scalar
+        lane, which packs or gathers them by size."""
         transport = self.transport
         if (transport, transport.generation, handle.format_id) not in self._settled:
             for frame in self._owed(handle):
                 transport.send(frame)
-        transport.send_segments((self._header(handle.format_id, len(native)), native))
+        frame = enc.data_frames(self._context_id, handle.format_id, (native,), gather=0)[0]
+        transport.send_segments(frame.segments)
 
     def send(self, handle: FormatHandle, record: dict[str, Any]) -> None:
         """Send a value dict (encodes to native form first)."""
@@ -87,19 +88,13 @@ class PbioConnection:
 
         The announcement (when still owed to this link) travels in the
         same burst, ahead of the data frames.  A frame under
-        :data:`~repro.net.transport.GATHER_MIN_FRAME` is header + record
+        :data:`~repro.core.encoder.GATHER_MIN_FRAME` is header + record
         packed (a copy cheaper than an iovec); a larger one is gathered:
         the caller's buffer goes to the transport untouched.
         """
         transport = self.transport
         frames = [] if (transport, transport.generation, handle.format_id) in self._settled else self._owed(handle)
-        header, fid, gather = self._header, handle.format_id, GATHER_MIN_FRAME - enc.HEADER_SIZE
-        for native in natives:
-            if not isinstance(native, enc.FLAT_BUFFERS):
-                native = bytes(native)
-            n = len(native)
-            head = header(fid, n)
-            frames.append(head + native if n < gather else SegmentedFrame((head, native), len(head) + n))
+        frames += enc.data_frames(self._context_id, handle.format_id, natives, gather=enc.GATHER_MIN_FRAME)
         transport.send_many(frames)
 
     # -- receiving ------------------------------------------------------------

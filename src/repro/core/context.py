@@ -189,12 +189,9 @@ class IOContext:
         return self.announce(handle)
 
     def encode_native(self, handle: FormatHandle, native) -> bytes:
-        """Encode a record already in native binary form (contiguous)."""
-        return enc.encode_data_message(self.context_id, handle.format_id, native)
-
-    def encode_segments(self, handle: FormatHandle, native) -> list:
-        """Zero-copy NDR encode: ``[header, native buffer]`` segments."""
-        return enc.encode_data_segments(self.context_id, handle.format_id, native)
+        """Encode a record already in native binary form (any buffer: its
+        bytes are the record) into one contiguous data message."""
+        return enc.data_frames(self.context_id, handle.format_id, (native,))[0]
 
     def encode(self, handle: FormatHandle, record: dict[str, Any]) -> bytes:
         """Convenience: encode a value dict (simulating the application's

@@ -3,10 +3,10 @@
 "No translation is done at the writer's end" (Section 3).  A data message
 is a fixed 16-byte header followed by the application's record bytes *in
 the sender's natural representation* — the same buffer the application
-already holds.  ``encode_segments`` therefore returns ``[header, buffer]``
-without touching the record, which is why PBIO's sender cost is flat
-(~3 µs in the paper's Figure 2) regardless of record size: the work is
-building 16 bytes of header.
+already holds.  :func:`data_frames`, the one place a data frame is built,
+can therefore hand back ``(header, buffer)`` without touching the record,
+which is why PBIO's sender cost is flat (~3 µs in the paper's Figure 2)
+regardless of record size: the work is building 16 bytes of header.
 
 Message types:
 
@@ -69,12 +69,10 @@ LINK_KINDS = HEARTBEAT_KINDS | {MSG_FORMAT_REQUEST, MSG_ACK}
 _HEADER = struct.Struct(">BBBxIII")
 HEADER_SIZE = _HEADER.size
 
-#: Public handles for callers that inline the header scan or pack on hot
-#: paths (batch decode: the types and :data:`HEADER_SEQ_STRUCT`; batch
-#: send: the struct); semantics stay defined by :func:`unpack_header`.
+#: Public handle for callers that inline the header scan on hot paths
+#: (batch decode: the types and :data:`HEADER_SEQ_STRUCT`); semantics stay
+#: defined by :func:`unpack_header`.
 MESSAGE_TYPES = DATA_KINDS | ANNOUNCEMENT_KINDS | LINK_KINDS
-HEADER_STRUCT = _HEADER
-FLAT_BUFFERS = (bytes, bytearray, memoryview)  # framed as they are; any other buffer (an ndarray) is coerced
 
 FINGERPRINT_SIZE = 20  # sha1 digest length (matches IOFormat.fingerprint)
 GOODBYE_NONCE = 0  # reserved ping nonce: "I am draining, reconnect elsewhere"
@@ -253,21 +251,87 @@ def encode_format_message(context_id: int, format_id: int, fmt: IOFormat) -> byt
     return pack_header(MSG_FORMAT, context_id, format_id, len(meta)) + meta
 
 
-def encode_data_segments(
-    context_id: int, format_id: int, native: bytes | bytearray | memoryview
-) -> list[bytes | bytearray | memoryview]:
-    """NDR encode: header + the application's own buffer, zero-copy.
+# -- the send core: every data frame is built by data_frames -----------------
 
-    The returned segments are suitable for scatter-gather transmission
-    (``Transport.send_segments`` / ``writev``).  The record buffer is the
-    caller's object, not a copy.
+#: Frame size from which a burst sender hands a sink the frame's segments
+#: instead of packing them.  ``bench_ablation_iovec_crossover.py``, loopback
+#: socket, pack / gather per send at 100 B / 1 KB / 4 KB / 10 KB / 16 KB / 24 KB
+#: / 100 KB frames: 0.87 / 0.92 / 0.91 / 0.94 / 0.98 / 1.05 / 1.23 in runs of 1,
+#: 0.78 / 0.85 / 0.90 / 0.94 / 1.01 / 1.11 in runs of 4 (its table in EXPERIMENTS.md).
+GATHER_MIN_FRAME = 16 * 1024
+
+
+class SegmentedFrame:
+    """One message as its buffers (a header, the caller's record untouched), ``len()`` its byte length:
+    vectored transports hand ``segments`` to the kernel as iovecs, other sinks take ``bytes()``."""
+
+    __slots__ = ("segments", "_size")
+
+    def __init__(self, segments: tuple, size: int):
+        self.segments, self._size = segments, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.segments)
+
+
+def _record_bytes(native) -> bytes | bytearray | memoryview:
+    """A record as the bytes it is: ``len()`` of the result is its byte
+    count.  ``bytes`` and ``bytearray`` are taken as they are; any other
+    buffer — a typed ``memoryview``, an ``array``, a ctypes struct, an
+    ndarray — is viewed as flat bytes, copied only when not contiguous."""
+    if type(native) is bytes or type(native) is bytearray:
+        return native
+    view = memoryview(native)
+    if not view.c_contiguous:
+        return view.tobytes()
+    return view if view.ndim == 1 and view.itemsize == 1 else view.cast("B")
+
+
+def data_frames(
+    context_id: int, format_id: int, natives, seq: int | None = None, *,
+    gather: int | None = None, headers: list | None = None,
+) -> list:
+    """The one place a data frame is built: one per record of ``natives``
+    (each :func:`_record_bytes`), ``MSG_DATA`` — or, given ``seq``,
+    ``MSG_DATA_SEQ`` numbered ``seq``, ``seq + 1``, … (``u64 seq | record``;
+    the header's payload length covers the prefix, so the frame passes the
+    same length checks as ``MSG_DATA``; 0 never travels, so a cumulative
+    ack cursor can use it as "nothing delivered yet").
+
+    A frame is ``header + record`` packed into one buffer — one pack and
+    one concat — or, from ``gather`` bytes on, a :class:`SegmentedFrame`
+    whose record segment is the caller's buffer, untouched.  ``headers``,
+    a list, gets each frame's header as :func:`try_unpack_header` would
+    parse it: a publisher hands them on, and no hop parses the run again.
     """
-    return [pack_header(MSG_DATA, context_id, format_id, len(native)), native]
+    if seq is not None and seq < 1:
+        raise MessageError(f"sequence numbers start at 1, got {seq}")
+    kind, prefix = (MSG_DATA, 0) if seq is None else (MSG_DATA_SEQ, SEQ_PREFIX_SIZE)
+    frames = []
+    for native in natives:
+        if type(native) is not bytes:
+            native = _record_bytes(native)
+        n = len(native)
+        if seq is None:
+            header = _HEADER.pack(MAGIC, VERSION, kind, context_id, format_id, n)
+        else:
+            header = HEADER_SEQ_STRUCT.pack(MAGIC, VERSION, kind, context_id, format_id, prefix + n, seq)
+            seq += 1
+        if headers is not None:
+            headers.append((kind, context_id, format_id, prefix + n))
+        if gather is None or len(header) + n < gather:
+            frames.append(header + native)
+        else:
+            frames.append(SegmentedFrame((header, native), len(header) + n))
+    return frames
 
 
 def encode_data_message(context_id: int, format_id: int, native) -> bytes:
-    """Contiguous convenience form of :func:`encode_data_segments`."""
-    return pack_header(MSG_DATA, context_id, format_id, len(native)) + bytes(native)
+    """One ``MSG_DATA`` frame: :func:`data_frames` of one record."""
+    return data_frames(context_id, format_id, (native,))[0]
 
 
 def encode_token_message(
@@ -344,30 +408,9 @@ HEADER_SEQ_STRUCT = struct.Struct(_HEADER.format + "Q")
 _ACK_FRAME = struct.Struct(_HEADER.format + "QQQ")  # a whole ack in one pack
 
 
-def encode_data_seq_run(context_id: int, format_id: int, base: int, natives) -> list[bytes]:
-    """Sequenced data messages (``u64 seq | record bytes``) for a run of
-    records numbered ``base``, ``base + 1``, …: one pack and one concat
-    per record.
-
-    The header's payload length covers the sequence prefix, so the frame
-    stays self-consistent under the same length checks as ``MSG_DATA``.
-    The sequence is the per-``(context, format)`` monotonic counter,
-    starting at 1 — 0 never travels, so cumulative ack cursors can use
-    it as the "nothing delivered yet" origin.
-    """
-    if base < 1:
-        raise MessageError(f"sequence numbers start at 1, got {base}")
-    pack = HEADER_SEQ_STRUCT.pack
-    return [
-        pack(MAGIC, VERSION, MSG_DATA_SEQ, context_id, format_id, SEQ_PREFIX_SIZE + len(native), seq)
-        + (native if isinstance(native, FLAT_BUFFERS) else bytes(native))
-        for seq, native in enumerate(natives, base)
-    ]
-
-
 def encode_data_seq(context_id: int, format_id: int, seq: int, native) -> bytes:
-    """One sequenced data message: :func:`encode_data_seq_run` of one."""
-    return encode_data_seq_run(context_id, format_id, seq, (native,))[0]
+    """One ``MSG_DATA_SEQ`` frame: :func:`data_frames` of one record."""
+    return data_frames(context_id, format_id, (native,), seq)[0]
 
 
 def read_seq(message, payload_len: int) -> int:

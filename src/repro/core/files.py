@@ -158,22 +158,15 @@ class PbioFileWriter:
         if handle.format_id not in self._announced:
             frames.append(pack_frame(self.ctx.announce(handle), version=version))
             self._announced.add(handle.format_id)
-        encode = self.ctx.encode_native
-        frames.extend(
-            pack_frame(encode(handle, native), version=version) for native in natives
-        )
+        messages = enc.data_frames(self.ctx.context_id, handle.format_id, natives)
+        frames.extend(pack_frame(message, version=version) for message in messages)
         self._stream.write(b"".join(frames))
-        self._records_written += len(natives)
+        self._records_written += len(messages)
         self._stream.flush()
         try:
             os.fsync(self._stream.fileno())
         except (OSError, AttributeError, io.UnsupportedOperation):
             pass  # in-memory / pipe-backed streams have no durable backing
-
-    def append_batch(self, handle: FormatHandle, records) -> None:
-        """Append many value-dict records as one durable region."""
-        codec = handle.codec
-        self.append_batch_native(handle, [codec.encode(r) for r in records])
 
     def _emit(self, message: bytes) -> None:
         # One write per frame: an interrupted append tears at most the

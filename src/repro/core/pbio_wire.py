@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.abi import StructLayout
 from repro.wire.common import BoundFormat, WireSystem
 
+from . import encoder as enc
 from .context import IOContext
 
 
@@ -40,9 +41,9 @@ class BoundPbio(BoundFormat):
     def encode(self, native) -> bytes:
         return self.sender.encode_native(self.handle, native)
 
-    def encode_segments(self, native) -> list:
+    def encode_segments(self, native) -> tuple:
         """The true NDR sender path: header + caller's buffer, no copy."""
-        return self.sender.encode_segments(self.handle, native)
+        return enc.data_frames(self.sender.context_id, self.handle.format_id, (native,), gather=0)[0].segments
 
     def decode(self, wire) -> bytes:
         return self.receiver.decode_native(wire)

@@ -553,9 +553,30 @@ class ChannelPublisher:
             ctx.use_format_service(channel._format_service)
         self._announced: set[int] = set()
 
-    def publish_native(self, handle: FormatHandle, native) -> None:
+    # Spellings of the one burst body; they return what it returns (a
+    # durable publisher's sequences, one alone for one record).
+
+    def publish(self, handle: FormatHandle, record: dict[str, Any]):
+        return self.publish_native(handle, handle.codec.encode(record))
+
+    def publish_native(self, handle: FormatHandle, native):
+        sent = self.publish_native_batch(handle, (native,))
+        return sent[0] if sent else None
+
+    def publish_batch(self, handle: FormatHandle, records):
+        """Publish many value dicts as one burst."""
+        codec = handle.codec
+        return self.publish_native_batch(handle, [codec.encode(r) for r in records])
+
+    def publish_native_batch(self, handle: FormatHandle, natives) -> None:
+        """The publisher's one burst body: the records (any buffers: their
+        bytes are the records) as data frames, and the headers built with
+        them, to every subscriber — consecutive frames decode through one
+        columnar converter call, and no one parses the headers again."""
         self._ensure_announced(handle)
-        self.channel._publish_message(self.ctx.encode_native(handle, native))
+        headers = []
+        frames = enc.data_frames(self.ctx.context_id, handle.format_id, natives, headers=headers)
+        self.channel._publish_batch(frames, headers)
 
     def _ensure_announced(self, handle: FormatHandle) -> bool:
         """Announce ``handle`` before its first record; True when this
@@ -580,19 +601,3 @@ class ChannelPublisher:
             self.channel._announcements.remove(message)
             self.ctx.format_service.note_inline_fallback()
             publish(self.ctx.announce(handle), announcement=True)
-
-    def publish(self, handle: FormatHandle, record: dict[str, Any]) -> None:
-        self.publish_native(handle, handle.codec.encode(record))
-
-    def publish_native_batch(self, handle: FormatHandle, natives) -> None:
-        """Publish many native-form records as one burst: the channel
-        fans the whole batch to each subscriber, whose consecutive-frame
-        runs decode through one columnar converter call."""
-        self._ensure_announced(handle)
-        encode = self.ctx.encode_native
-        self.channel._publish_batch([encode(handle, n) for n in natives])
-
-    def publish_batch(self, handle: FormatHandle, records) -> None:
-        """Publish many value dicts as one burst."""
-        codec = handle.codec
-        self.publish_native_batch(handle, [codec.encode(r) for r in records])

@@ -629,13 +629,15 @@ class SequenceWindow:
         return sum(len(p) for p in self._pending.values())
 
 
-class DurablePublisher:
+class DurablePublisher(ChannelPublisher):
     """A journal-before-send publishing endpoint on an event channel.
 
-    Wraps :class:`~repro.net.channel.ChannelPublisher`: announcements and
-    their token/inline fallback ladder are unchanged, but every record
-    goes out as a ``MSG_DATA_SEQ`` frame that was appended to the
-    :class:`PublisherWAL` *first*.  Ack frames entering the channel
+    A :class:`~repro.net.channel.ChannelPublisher` whose burst body journals
+    first: announcements and their token/inline fallback ladder are
+    unchanged, and ``publish`` / ``publish_native`` / ``publish_batch``
+    spell the burst body as they do there (returning the sequences), but
+    every record goes out as a ``MSG_DATA_SEQ`` frame that was appended to
+    the :class:`PublisherWAL` *first*.  Ack frames entering the channel
     (:meth:`EventChannel.ingest` routes them) advance the WAL cursor and
     trigger selective retransmission for nacked gaps; :meth:`resend_unacked`
     replays the whole surviving backlog — announcements first — after a
@@ -656,8 +658,7 @@ class DurablePublisher:
         wal: PublisherWAL | None = None,
         segment_bytes: int = 1 << 20,
     ):
-        self.channel = channel
-        self.ctx = ctx
+        super().__init__(channel, ctx)
         self.metrics = Metrics()
         self.stats = DurableStats(self.metrics)
         if wal is not None:
@@ -667,51 +668,30 @@ class DurablePublisher:
             self.wal = PublisherWAL(
                 wal_dir, segment_bytes=segment_bytes, metrics=self.metrics
             )
-        self._inner = ChannelPublisher(channel, ctx)
         channel.add_ack_listener(self._on_ack)
 
-    def publish(self, handle: FormatHandle, record: dict[str, Any]) -> int:
-        """Encode, journal, sequence and publish one record; returns its
-        sequence number."""
-        return self.publish_native(handle, handle.codec.encode(record))
-
-    def _ensure_announced(self, handle: FormatHandle) -> None:
+    def _ensure_announced(self, handle: FormatHandle) -> bool:
         # The channel announcement ladder runs as usual; the WAL
         # additionally journals the *inline* meta form so recovered
         # backlogs are decodable with no format service in sight.
-        if self._inner._ensure_announced(handle):
-            self.wal.announce(self.ctx.announce(handle))
-
-    def publish_native(self, handle: FormatHandle, native) -> int:
-        key = (self.ctx.context_id, handle.format_id)
-        self._ensure_announced(handle)
-        seq = self.wal.next_seq(key)
-        message = enc.encode_data_seq(key[0], key[1], seq, native)
-        self.wal.append(message)  # journal-before-send
-        self.channel._publish_message(message)
-        self.metrics.inc("durable.sent")
-        return seq
-
-    def publish_batch(self, handle: FormatHandle, records) -> list[int]:
-        """Encode, journal and publish a burst; returns its sequences.
-
-        The whole burst is journaled in one WAL write and fanned out via
-        the channel's batch path, so per-record durability cost amortises
-        to near the plain fast path."""
-        codec = handle.codec
-        return self.publish_native_batch(handle, [codec.encode(r) for r in records])
+        if not super()._ensure_announced(handle):
+            return False
+        self.wal.announce(self.ctx.announce(handle))
+        return True
 
     def publish_native_batch(self, handle: FormatHandle, natives) -> list[int]:
+        """The publisher's one burst body; returns the sequences.  The
+        records are numbered off the WAL's :meth:`~PublisherWAL.next_seq`,
+        journaled in one write, then fanned out through the channel's batch
+        path with the headers built with them: no hop parses them again."""
         if not natives:
             return []
         key = (self.ctx.context_id, handle.format_id)
         self._ensure_announced(handle)
-        base = self.wal.next_seq(key)
-        messages = enc.encode_data_seq_run(key[0], key[1], base, natives)
+        base, headers = self.wal.next_seq(key), []
+        messages = enc.data_frames(key[0], key[1], natives, base, headers=headers)
         self.wal._append_runs(((key, base, messages),))  # journal-before-send
-        # the headers were built here: no hop downstream parses them again
-        kind, cid, fid, size = enc.MSG_DATA_SEQ, key[0], key[1], enc.HEADER_SIZE
-        self.channel._publish_batch(messages, [(kind, cid, fid, len(m) - size) for m in messages])
+        self.channel._publish_batch(messages, headers)
         self.metrics.inc("durable.sent", len(messages))
         return list(range(base, base + len(messages)))
 
@@ -728,21 +708,18 @@ class DurablePublisher:
         if released:
             self.metrics.inc("durable.acked", released)
         if nack_base:
-            for i in range(64):
-                if not nack_bits >> i & 1:
-                    continue
-                held = self.wal.get(key, nack_base + i)
-                if held is not None:
-                    self.channel._publish_message(held)
-                    self.metrics.inc("durable.retransmitted")
+            missing = (self.wal.get(key, nack_base + i) for i in range(64) if nack_bits >> i & 1)
+            held = [message for message in missing if message is not None]
+            if held:
+                self.channel._publish_batch(held)
+                self.metrics.inc("durable.retransmitted", len(held))
 
     def resend_unacked(self) -> int:
-        """Republish the surviving backlog (announcements first), each
-        frame as the channel's row for it says; the receivers' dedup
-        windows absorb anything that did arrive."""
+        """Republish the surviving backlog (announcements first) as one
+        burst, each frame as the channel's row for it says; the receivers'
+        dedup windows absorb anything that did arrive."""
         backlog, retransmitted = self.wal.unacked(), self.wal.unacked_count
-        for message in backlog:
-            self.channel.ingest(message)
+        self.channel.ingest_many(backlog)
         if retransmitted:
             self.metrics.inc("durable.retransmitted", retransmitted)
         return retransmitted

@@ -24,6 +24,9 @@ import struct
 from abc import ABC, abstractmethod
 from collections import deque
 
+# The frame shapes the send core (repro.core.encoder.data_frames) builds.
+from repro.core.encoder import GATHER_MIN_FRAME, SegmentedFrame  # noqa: F401
+
 #: 4-byte big-endian length prefix, like most RPC framings.
 _LEN = struct.Struct(">I")
 
@@ -152,30 +155,6 @@ class Transport(ABC):
         frames and ``None`` (always safe: the frames own their bytes).
         """
         return self.recv_many(max_frames), None
-
-
-#: Frame size from which a burst sender hands a sink the frame's segments
-#: instead of packing them.  ``bench_ablation_iovec_crossover.py``, loopback
-#: socket, pack / gather per send at 100 B / 1 KB / 4 KB / 10 KB / 16 KB / 24 KB
-#: / 100 KB frames: 0.87 / 0.92 / 0.91 / 0.94 / 0.98 / 1.05 / 1.23 in runs of 1,
-#: 0.78 / 0.85 / 0.90 / 0.94 / 1.01 / 1.11 in runs of 4 (EXPERIMENTS.md "PR 22").
-GATHER_MIN_FRAME = 16 * 1024
-
-
-class SegmentedFrame:
-    """One message as its buffers (a header, the caller's record untouched), ``len()`` its byte length:
-    vectored transports hand ``segments`` to the kernel as iovecs, other sinks take ``bytes()``."""
-
-    __slots__ = ("segments", "_size")
-
-    def __init__(self, segments: tuple, size: int):
-        self.segments, self._size = segments, size
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bytes__(self) -> bytes:
-        return b"".join(self.segments)
 
 
 #: Initial receive-buffer capacity.  Grows (doubling) when a single frame

@@ -46,7 +46,7 @@ class TestHeaders:
 
     def test_segments_avoid_copying_payload(self):
         native = bytearray(b"\x01\x02\x03\x04")
-        segments = enc.encode_data_segments(1, 2, native)
+        segments = enc.data_frames(1, 2, (native,), gather=0)[0].segments
         assert segments[1] is native  # the caller's buffer, not a copy
 
 

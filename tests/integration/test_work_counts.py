@@ -456,6 +456,70 @@ class FanoutHomo:
         self.dispatcher.drain_and_stop()
 
 
+class Publish:
+    """A publisher on an in-process channel with a dict and a view
+    subscriber (a durable one on a durable stream).  ``n`` records go out
+    as one ``publish_native_batch``, one record through ``publish_native``:
+    the scalar spelling of the same burst body."""
+
+    durable = False
+
+    def __init__(self, root, monkeypatch):
+        self.counts = counts = Counter()
+        schema = mechanical.schema_for_size("100b")
+        self.codec = codec_for(layout_record(schema, X86))
+        self.record = random_record(schema, np.random.default_rng(25))
+        channel, self.got = EventChannel(), []
+        ctx = IOContext(X86, context_id=0x9B)
+        self.publisher = DurablePublisher(channel, ctx) if self.durable else channel.publisher(ctx)
+        self.handle = ctx.register_format(schema)
+        for deliver in ("dict", "view"):
+            rx = IOContext(X86)
+            rx.expect(schema)
+            if self.durable and deliver == "dict":
+                channel.subscribe_durable(rx, self.got.append, on_error="suppress", ack_sink=lambda ack: None)
+            else:
+                channel.subscribe(rx, self.got.append, deliver=deliver)
+        for name in ("try_unpack_header", "unpack_header"):
+            monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
+        monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
+        for owner, name, key in (
+            (EventChannel, "_publish_batch", "channel.publish_batch"),
+            (EventChannel, "_publish_message", "channel.publish_message"),
+            (DecodePipeline, "decode_batch", "decode_batch"),
+            (DecodePipeline, "_decode", "scalar_decodes"),
+        ):
+            monkeypatch.setattr(owner, name, counted(counts, key, owner.__dict__[name]))
+
+    def burst(self, n):
+        natives = [self.codec.encode(dict(self.record, node_id=k)) for k in range(n)]
+        del self.got[:]
+        if n == 1:
+            self.publisher.publish_native(self.handle, natives[0])
+        else:
+            self.publisher.publish_native_batch(self.handle, natives)
+        assert len(self.got) == 2 * n
+        return sum(map(len, natives))
+
+    def close(self):
+        pass
+
+
+class DurablePublish(Publish):
+    durable = True
+
+
+def publish_row(n, payload):
+    """What ``n`` published records cost in-process: one batch fan-out and
+    one batch decode a subscriber, and not one header parse — the
+    publisher built the headers with the frames — whether the records went
+    out as a burst or one alone."""
+    return {
+        "channel.publish_batch": 1, "channel.publish_message": 0, "decode_batch": 2, "scalar_decodes": 0,
+        "header_unpacks": 0,
+    }  # fmt: skip
+
+
 def fanout_row(n, payload):
     """What a burst of ``n`` records of one channel costs end to end: the
     fabric front, the owning worker and the channel's relay each see it
@@ -553,12 +617,16 @@ TABLE = {
     "stream_homo": (StreamHomo, stream_row(lent=1)),
     "rtt_scalar": (RttScalar, rtt_row),
     "fanout_homo": (FanoutHomo, fanout_row),
+    "publish": (Publish, publish_row),
+    "durable_publish": (DurablePublish, publish_row),
 }
 
 STREAM_BURSTS = [(1, "100kb"), (32, "100b")]
 CASES = [("durable_burst", 8), ("durable_burst", 32)] + [
     (topology, shape) for topology in ("stream_hetero", "stream_homo") for shape in STREAM_BURSTS
-] + [("rtt_scalar", "1kb"), ("rtt_scalar", "100kb"), ("fanout_homo", 8), ("fanout_homo", 32)]
+] + [("rtt_scalar", "1kb"), ("rtt_scalar", "100kb"), ("fanout_homo", 8), ("fanout_homo", 32)] + [
+    (topology, n) for topology in ("publish", "durable_publish") for n in (1, 32)
+]
 
 
 def case_id(value):

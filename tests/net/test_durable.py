@@ -56,20 +56,20 @@ class TestWireTypes:
             enc.encode_data_seq(1, 1, 0, b"x")
 
     def test_a_run_takes_any_bytes_like_native_and_is_its_messages(self):
-        """``encode_data_seq_run`` is header + seq + ``bytes(native)`` per
+        """``data_frames`` with a sequence is header + seq + ``bytes(native)`` per
         record, as the parent's per-record encoder built it, whatever buffer
         the native is (an ndarray would take ``+`` for itself)."""
         np = pytest.importorskip("numpy")
         raw = [b"", b"first", b"second record", b"\x00" * 9]
         kinds = (bytes, bytearray, memoryview, lambda b: np.frombuffer(b, dtype=np.uint8))
-        run = enc.encode_data_seq_run(7, 3, 40, [kind(b) for kind, b in zip(kinds, raw)])
+        run = enc.data_frames(7, 3, [kind(b) for kind, b in zip(kinds, raw)], 40)
         for k, (message, native) in enumerate(zip(run, raw)):
             header = enc.pack_header(enc.MSG_DATA_SEQ, 7, 3, enc.SEQ_PREFIX_SIZE + len(native))
             assert type(message) is bytes
             assert message == header + (40 + k).to_bytes(8, "big") + native
             assert message == enc.encode_data_seq(7, 3, 40 + k, native)
         with pytest.raises(PbioError):
-            enc.encode_data_seq_run(1, 1, 0, raw)
+            enc.data_frames(1, 1, raw, 0)
 
     def test_parse_rejects_short_payload(self):
         msg = bytearray(enc.encode_data_seq(1, 1, 5, b"abc"))
