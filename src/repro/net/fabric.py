@@ -222,7 +222,7 @@ class EdgeSubscription:
 
 
 def _queue_depth(relay: Relay) -> int:
-    return sum(d.write_queue_depth for d in relay.active_downstreams)
+    return sum(d.transport.write_queue_depth for d in relay.active_downstreams)
 
 
 class RelayWorker:

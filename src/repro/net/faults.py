@@ -40,7 +40,6 @@ import numpy as np
 from repro.core import encoder as enc
 from repro.core.runtime import Metrics
 
-from .aio import drain
 from .health import MONITOR_ROWS, AnnouncementBacklog
 from .transport import PeerClosedError, Transport, TransportError, TransportTimeout
 
@@ -143,10 +142,11 @@ class FaultInjectingTransport(Transport):
     injected on the send path, and an async transport's sends are
     synchronous bounded-queue enqueues, so every draw lands exactly as
     it would on a blocking socket.  ``recv`` aliasing/delegation returns
-    the inner coroutine for async inners (callers ``await`` it);
-    :meth:`drain`, :attr:`write_queue_depth` and :meth:`poll_recv`
-    delegate so async handlers can apply backpressure — and the health
-    plane its liveness probes — through the wrapper.
+    the inner coroutine for async inners (callers ``await`` it).  The
+    receive path is honest, so ``pending`` is the inner's own probe and
+    :meth:`poll_recv`, :attr:`write_queue_depth` and :meth:`drain` (blocking
+    or a coroutine, as the inner's is) delegate: a relay's heal, a
+    heartbeat and an async handler's backpressure see the link itself.
     """
 
     def __init__(
@@ -166,6 +166,7 @@ class FaultInjectingTransport(Transport):
         self._seq = 0  # virtual clock: one tick per send() call
         self._held: list[tuple[int, bytes]] = []  # (release_seq, message)
         self._broken = False
+        self.pending = inner.pending
         if not self._active:
             # Zero-cost happy path: bypass the wrapper methods entirely.
             self.send = inner.send  # type: ignore[method-assign]
@@ -303,8 +304,6 @@ class FaultInjectingTransport(Transport):
         return self._inner.recv_many(max_frames)
 
     def poll_recv(self) -> bytes | None:
-        """Delegate the health plane's non-blocking probe to the inner
-        link (faults here are send-side; the receive path is honest)."""
         if self._broken:
             raise TransportError("recv on disconnected transport (injected)")
         return self._inner.poll_recv()
@@ -314,13 +313,10 @@ class FaultInjectingTransport(Transport):
 
     @property
     def write_queue_depth(self) -> int:
-        """Bytes queued in the inner transport (0 for unqueued inners)."""
         return self._inner.write_queue_depth
 
-    async def drain(self) -> None:
-        """Drain the inner transport's write queue (:func:`repro.net.aio.drain`:
-        awaited or called, whichever the inner's is)."""
-        await drain(self._inner)
+    def drain(self):
+        return self._inner.drain()
 
     def close(self) -> None:
         if not self._broken:
@@ -530,6 +526,26 @@ class ReconnectingTransport(Transport):
             return self._transport.recv_many(max_frames)
 
         return self.policy.run(redial_and_recv_many, sleep=self._sleep)
+
+    # Readiness and the write queue are the dialled link's; the probe reads
+    # through this object, so the one a relay caches survives a re-dial.
+
+    @property
+    def pending(self):
+        return None if self._transport.pending is None else self._pending
+
+    def _pending(self) -> int:
+        return self._transport.pending()
+
+    def poll_recv(self) -> bytes | None:
+        return self._transport.poll_recv()
+
+    @property
+    def write_queue_depth(self) -> int:
+        return self._transport.write_queue_depth
+
+    def drain(self):
+        return self._transport.drain()
 
     def set_timeout(self, timeout_s: float | None) -> None:
         self._timeout_s = timeout_s

@@ -45,7 +45,7 @@ so the *same* consecutive-failure quarantine that handles broken links
 doubles as slow-consumer eviction (the paper's co-processor must shed,
 not stall); reactivation replays the announcements and the sequenced
 window the peer missed, and the publisher WAL retransmits what aged
-out of it.  :attr:`Downstream.write_queue_depth` exposes the live
+out of it.  A downstream's ``transport.write_queue_depth`` is the live
 queue depth for monitoring.
 """
 
@@ -111,12 +111,6 @@ class Downstream(QuarantineRecord, LinkControl):
         #: Per-stream cumulative ack cursors harvested off this peer's
         #: back-channel (durable delivery, docs/robustness.md §11).
         self.ack_cursors: dict[tuple[int, int], int] = {}
-
-    @property
-    def write_queue_depth(self) -> int:
-        """Bytes queued toward this downstream: the transport's own
-        write queue (async transports; 0 elsewhere)."""
-        return self.transport.write_queue_depth
 
 
 class Relay:

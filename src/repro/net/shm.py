@@ -78,7 +78,6 @@ import struct
 import tempfile
 import time
 import uuid
-from collections import deque
 
 from .transport import (
     MAX_FRAME,
@@ -348,9 +347,6 @@ class ShmRingTransport(Transport):
         self._owner = owner
         self._timeout: float | None = None
         self._closed = False
-        # Cumulative-tail mark per in-flight frame; pruned as the peer's
-        # head passes each mark.  Powers write_queue_depth / drain.
-        self._inflight: deque[int] = deque()
         # This endpoint only ever *writes* its send ring's data bell and
         # its recv ring's space bell; make those writes non-blocking so a
         # doorbell brimming with unconsumed wakes can never stall a send.
@@ -445,7 +441,6 @@ class ShmRingTransport(Transport):
         _U64.pack_into(view, _OFF_TAIL, new_tail)  # publish
         if _U32.unpack_from(view, _OFF_RWAIT)[0]:
             ring.ring_data_bell()
-        self._inflight.append(new_tail)
 
     def send_segments(self, segments) -> None:
         """One logical message from many buffers — written directly into
@@ -463,7 +458,6 @@ class ShmRingTransport(Transport):
         ring.tail = pos  # publish: bytes are in place
         if ring.rwait:
             ring.ring_data_bell()
-        self._inflight.append(pos)
 
     def send_many(self, frames) -> None:
         """Many frames in one burst.  Contiguous runs that fit the free
@@ -480,7 +474,6 @@ class ShmRingTransport(Transport):
                 raise TransportError(f"frame too large: {n}")
             tail = self._reserve(4 + n, deadline)
             limit = ring.head + cap  # where the free space ends
-            marks = []
             while i < count:
                 payload = frames[i]
                 if type(payload) is SegmentedFrame:
@@ -496,13 +489,11 @@ class ShmRingTransport(Transport):
                 else:
                     ring.write_at(tail, _U32.pack(n))
                     ring.write_at(tail + 4, payload)
-                marks.append(end)
                 tail = end
                 i += 1
             _U64.pack_into(view, _OFF_TAIL, tail)  # one publish for the whole run
             if _U32.unpack_from(view, _OFF_RWAIT)[0]:
                 ring.ring_data_bell()
-            self._inflight.extend(marks)
 
     # -- receive -------------------------------------------------------------
 
@@ -594,16 +585,16 @@ class ShmRingTransport(Transport):
 
     @property
     def write_queue_depth(self) -> int:
-        """Frames written but not yet consumed by the peer."""
-        inflight = self._inflight
-        if inflight:
-            head = self._send_ring.head
-            while inflight and inflight[0] <= head:
-                inflight.popleft()
-        return len(inflight)
+        """Bytes written but not yet read by the peer, length prefixes
+        included (as a socket's queue counts them): the send ring's
+        ``tail − head``, 0 once closed."""
+        if self._closed:
+            return 0
+        tail, head, _rclosed = _COUNTERS.unpack_from(self._send_ring.view, _OFF_TAIL)
+        return tail - head
 
     def drain(self) -> None:
-        """Block until the peer has consumed every written frame."""
+        """Block until the peer has read every written frame."""
         deadline = self._deadline()
         ring = self._send_ring
         spins = 0
@@ -621,7 +612,6 @@ class ShmRingTransport(Transport):
                 self._block_on(ring.space_bell, deadline, "shm drain")
             finally:
                 ring.set_wwait(0)
-        self._inflight.clear()
 
     # -- lifecycle -----------------------------------------------------------
 

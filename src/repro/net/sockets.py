@@ -27,6 +27,7 @@ from .transport import (
     MAX_FRAME,
     FrameBuffer,
     Loan,
+    PeerClosedError,
     SegmentedFrame,
     Transport,
     TransportError,
@@ -143,7 +144,9 @@ class SocketTransport(Transport):
         except OSError as exc:
             raise TransportError(f"recv failed: {exc}") from exc
         if not got:
-            raise TransportError("connection closed mid-frame")
+            if self._framer.pending:
+                raise TransportError("connection closed mid-frame")
+            raise PeerClosedError("peer closed the connection")
         self._framer.advance(got)
 
     def recv(self) -> bytes:

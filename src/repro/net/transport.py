@@ -95,9 +95,9 @@ class Transport(ABC):
     def __exit__(self, *exc):
         self.close()
 
-    #: Bytes accepted by :meth:`send` but not yet handed to the peer.
-    #: Queueing transports (aio, shm) override this with a live gauge;
-    #: one that sends synchronously never holds anything.
+    #: Bytes sent, 4-byte length prefixes included, that the peer has not yet
+    #: taken: the async socket's write queue, the shm ring's unread bytes; 0 on
+    #: a transport that hands each frame over inside ``send`` (sockets, pipes).
     write_queue_depth = 0
     #: Incarnation of the link behind this object: a self-reconnecting
     #: transport bumps it per re-dial, and per-link protocol state
@@ -108,8 +108,9 @@ class Transport(ABC):
     pending = None
 
     def drain(self):
-        """Wait out the write queue: a no-op where sends are synchronous, a
-        coroutine on an async transport (:func:`repro.net.aio.drain` takes either)."""
+        """Wait until :attr:`write_queue_depth` is 0: a blocking call (a no-op
+        here; the shm ring waits for its reader), a coroutine on an async
+        transport, a wrapper's link's own (:func:`repro.net.aio.drain` takes either)."""
 
     # Scatter-gather send: NDR senders hand the transport a header and the
     # application's own buffer, avoiding the copy a contiguous wire format
@@ -136,15 +137,9 @@ class Transport(ABC):
         return [self.recv()]
 
     def poll_recv(self) -> bytes | None:
-        """One message if immediately available, else ``None`` — never blocks.
-
-        The health plane (:mod:`repro.net.health`) uses this to harvest
-        pongs without committing a thread to a blocking ``recv``.  The
-        base implementation declines (returns ``None``): transports that
-        cannot check readiness cheaply simply look forever-silent to a
-        poller, which is safe — a :class:`HeartbeatMonitor` should only
-        be worn by transports that override this.
-        """
+        """One message if immediately available, else ``None`` — never blocks:
+        how the health plane harvests pongs without a blocking ``recv``.  This
+        base declines, so a transport that does not override it looks silent."""
         return None
 
     def recv_many_leased(self, max_frames: int = 0):

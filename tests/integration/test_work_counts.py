@@ -25,6 +25,8 @@ from repro.net import (
     DurableSubscription,
     EventChannel,
     FabricDispatcher,
+    FaultInjectingTransport,
+    FaultPlan,
     InMemoryPipe,
     Relay,
     RelayWorker,
@@ -648,6 +650,24 @@ def test_an_idle_fabric_reads_no_back_channel(monkeypatch):
     for _ in range(3):
         dispatcher.heal()
     assert counts == {"pending": 3 * 32}
+
+
+@pytest.mark.parametrize("link", ["pipe", "shm"])
+def test_an_idle_wrapped_downstream_is_not_polled(link, tmp_path, monkeypatch):
+    """Heal on a relay whose one downstream is a zero-plan fault wrapper with
+    nothing waiting: the wrapper answers ``pending()`` as its link does, so
+    its back-channel is never polled."""
+    counts = Counter()
+    end, peer = InMemoryPipe().endpoints() if link == "pipe" else shm_pair(directory=str(tmp_path))
+    kind = type(end)
+    monkeypatch.setattr(kind, "poll_recv", counted(counts, "poll_recv", kind.__dict__["poll_recv"]))
+    relay = Relay()
+    relay.attach(FaultInjectingTransport(end, FaultPlan()))
+    for _ in range(3):
+        relay.heal()
+    assert counts["poll_recv"] == 0
+    end.close()
+    peer.close()
 
 
 def test_a_fabric_join_costs_what_it_carries(tmp_path, monkeypatch):

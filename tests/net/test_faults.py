@@ -28,6 +28,7 @@ from repro.net import (
     EventChannel,
     FaultInjectingTransport,
     FaultPlan,
+    HeartbeatMonitor,
     InMemoryPipe,
     PeerClosedError,
     ReconnectingTransport,
@@ -35,6 +36,7 @@ from repro.net import (
     RetryPolicy,
     TransportError,
     TransportTimeout,
+    VirtualClock,
 )
 from repro.core import encoder as enc
 from repro.core.negotiation import Announcer, LinkTable
@@ -352,6 +354,29 @@ class TestReconnectingTransport:
         assert factory.peers[1].recv() == bytes(announcement)
         assert factory.peers[1].recv() == bytes(data)
         assert link.metrics.value("announcements_replayed") == 1
+
+    def test_a_heartbeat_sees_the_link_it_wears(self):
+        """A monitor on the wrapper stays responsive while the peer's own
+        monitor answers it: the wrapper's ``poll_recv`` is its link's."""
+        clock = VirtualClock()
+        pipe = InMemoryPipe()
+        ours = HeartbeatMonitor(ReconnectingTransport(lambda: pipe.a), miss_threshold=2, clock=clock)
+        theirs = HeartbeatMonitor(pipe.b, miss_threshold=2, clock=clock)
+        for _ in range(6):
+            assert ours.tick() and theirs.tick()
+            clock.advance(1.0)
+        assert ours.pongs_received == 5 and ours.misses == 0
+
+    def test_a_relay_harvests_through_the_wrapper(self):
+        """Heal reads a re-dialling downstream as its link: the pong and the
+        ack waiting on it are taken, in one heal, through its ``pending()``."""
+        pipe = InMemoryPipe()
+        relay = Relay()
+        down = relay.attach(ReconnectingTransport(lambda: pipe.a))
+        pipe.b.send_many([enc.encode_pong(1), enc.encode_ack(0xC1D0, 1, 1)])
+        relay.heal()
+        assert down.pongs_received == 1 and relay.metrics.value("durable.acks_received") == 1
+        assert pipe.a.pending() == 0
 
     def test_dial_failures_counted_and_raised(self):
         def dial():

@@ -3,8 +3,9 @@
 The ring pair is the same-host fast path: length-prefixed frames in a
 mapped SPSC ring, doorbell FIFOs for the park/wake discipline, and a
 nonce handshake proving the attacher mapped the *right* files.  The
-suite covers the transport contract (framing, wrap, bursts, timeouts,
-close semantics), cross-process delivery over ``fork``, the
+transport contract is ``tests/net/test_transport.py``'s, over the ring
+too; this suite covers what is the ring's own (wrap, bursts past its
+capacity, close semantics), cross-process delivery over ``fork``, the
 ``auto_connect`` upgrade-and-fallback negotiation, and substitution into
 the higher planes (chaos wrapper, relay fan-out, event channel ingest).
 """
@@ -43,68 +44,58 @@ TELEMETRY = RecordSchema.from_pairs(
 )
 
 
-def closing_pair(**kw):
-    a, b = shm_pair(**kw)
-    return a, b
+@pytest.fixture
+def ring(tmp_path):
+    """``ring(capacity)``: a connected pair in ``tmp_path``, closed after the test."""
+    pairs = []
+
+    def make(capacity=shm.DEFAULT_CAPACITY):
+        pairs.append(shm_pair(capacity, directory=str(tmp_path)))
+        return pairs[-1]
+
+    yield make
+    for a, b in pairs:
+        a.close()
+        b.close()
 
 
 class TestFraming:
-    def test_round_trip(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            a.send(b"ping")
-            assert b.recv() == b"ping"
-            b.send(b"pong")
-            assert a.recv() == b"pong"
-        finally:
-            a.close()
-            b.close()
+    def test_round_trip(self, ring):
+        a, b = ring()
+        a.send(b"ping")
+        assert b.recv() == b"ping"
+        b.send(b"pong")
+        assert a.recv() == b"pong"
 
-    def test_empty_frame(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            a.send(b"")
-            assert b.recv() == b""
-        finally:
-            a.close()
-            b.close()
+    def test_empty_frame(self, ring):
+        a, b = ring()
+        a.send(b"")
+        assert b.recv() == b""
 
-    def test_send_segments_joins_buffers(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            a.send_segments([b"he", bytearray(b"l"), memoryview(b"lo")])
-            assert b.recv() == b"hello"
-        finally:
-            a.close()
-            b.close()
+    def test_send_segments_joins_buffers(self, ring):
+        a, b = ring()
+        a.send_segments([b"he", bytearray(b"l"), memoryview(b"lo")])
+        assert b.recv() == b"hello"
 
-    def test_fifo_order_and_recv_many(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            a.send_many([bytes([i]) * 8 for i in range(5)])
-            frames = b.recv_many()
-            assert frames == [bytes([i]) * 8 for i in range(5)]
-        finally:
-            a.close()
-            b.close()
+    def test_fifo_order_and_recv_many(self, ring):
+        a, b = ring()
+        a.send_many([bytes([i]) * 8 for i in range(5)])
+        frames = b.recv_many()
+        assert frames == [bytes([i]) * 8 for i in range(5)]
 
-    def test_wrap_around(self, tmp_path):
+    def test_wrap_around(self, ring):
         # A 4 KiB ring carrying 1 KiB frames wraps every few sends; the
         # payload pattern proves split write/read reassembly is exact.
-        a, b = shm_pair(capacity=4096, directory=str(tmp_path))
-        try:
-            for i in range(64):
-                payload = bytes([i % 251]) * (1000 + i)
-                a.send(payload)
-                assert b.recv() == payload
-        finally:
-            a.close()
-            b.close()
+        a, b = ring(4096)
+        for i in range(64):
+            payload = bytes([i % 251]) * (1000 + i)
+            a.send(payload)
+            assert b.recv() == payload
 
-    def test_burst_larger_than_ring(self, tmp_path):
+    def test_burst_larger_than_ring(self, ring):
         # send_many publishes runs and waits for ring space; a reader
         # thread drains, so a burst bigger than the ring still lands.
-        a, b = shm_pair(capacity=4096, directory=str(tmp_path))
+        a, b = ring(4096)
         frames = [bytes([i % 256]) * 512 for i in range(64)]  # 32 KiB total
         got = []
 
@@ -114,34 +105,22 @@ class TestFraming:
 
         t = threading.Thread(target=reader)
         t.start()
-        try:
-            a.send_many(frames)
-            t.join(timeout=10)
-            assert not t.is_alive()
-            assert got == frames
-        finally:
-            a.close()
-            b.close()
+        a.send_many(frames)
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert got == frames
 
-    def test_poll_recv(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            assert b.poll_recv() is None
-            a.send(b"now")
-            assert b.poll_recv() == b"now"
-            assert b.poll_recv() is None
-        finally:
-            a.close()
-            b.close()
+    def test_poll_recv(self, ring):
+        a, b = ring()
+        assert b.poll_recv() is None
+        a.send(b"now")
+        assert b.poll_recv() == b"now"
+        assert b.poll_recv() is None
 
-    def test_frame_too_large_for_ring(self, tmp_path):
-        a, b = shm_pair(capacity=4096, directory=str(tmp_path))
-        try:
-            with pytest.raises(TransportError):
-                a.send(b"x" * 8192)
-        finally:
-            a.close()
-            b.close()
+    def test_frame_too_large_for_ring(self, ring):
+        a, b = ring(4096)
+        with pytest.raises(TransportError):
+            a.send(b"x" * 8192)
 
 
 # -- a run equals its frames -----------------------------------------------------
@@ -209,83 +188,65 @@ def test_a_ring_run_equals_its_frames(sizes, skew, limit, tmp_path_factory):
     assert _through(sizes, skew, limit, True, directory) == (frames, frames, 0)
 
 
-def test_a_ring_run_stops_at_a_frame_over_max_frame(tmp_path, monkeypatch):
+def test_a_ring_run_stops_at_a_frame_over_max_frame(ring, monkeypatch):
     """A run is sent up to the frame over ``MAX_FRAME``, which raises; and
     a receiver that meets a length prefix over it hands over the frames
     ahead of it, then raises — both as the frame-by-frame loop does."""
-    a, b = shm_pair(capacity=4096, directory=str(tmp_path))
-    try:
-        monkeypatch.setattr(shm, "MAX_FRAME", 32)
-        with pytest.raises(TransportError, match="frame too large: 33"):
-            a.send_many([b"a" * 8, b"b" * 32, b"c" * 33, b"d"])
-        monkeypatch.undo()
-        a.send(b"e" * 33)
-        monkeypatch.setattr(shm, "MAX_FRAME", 32)
-        assert b.recv_many() == [b"a" * 8, b"b" * 32]
-        for _ in range(2):
-            with pytest.raises(TransportError, match="corrupt shm ring: frame length 33"):
-                b.recv_many()
-    finally:
-        a.close()
-        b.close()
+    a, b = ring(4096)
+    monkeypatch.setattr(shm, "MAX_FRAME", 32)
+    with pytest.raises(TransportError, match="frame too large: 33"):
+        a.send_many([b"a" * 8, b"b" * 32, b"c" * 33, b"d"])
+    monkeypatch.undo()
+    a.send(b"e" * 33)
+    monkeypatch.setattr(shm, "MAX_FRAME", 32)
+    assert b.recv_many() == [b"a" * 8, b"b" * 32]
+    for _ in range(2):
+        with pytest.raises(TransportError, match="corrupt shm ring: frame length 33"):
+            b.recv_many()
 
 
 class TestLifecycle:
-    def test_recv_timeout(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            b.set_timeout(0.05)
-            with pytest.raises(TransportTimeout):
-                b.recv()
-        finally:
-            a.close()
-            b.close()
+    def test_recv_timeout(self, ring):
+        _, b = ring()
+        b.set_timeout(0.05)
+        with pytest.raises(TransportTimeout):
+            b.recv()
 
-    def test_close_drains_then_raises(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
+    def test_close_drains_then_raises(self, ring):
+        a, b = ring()
         a.send(b"last words")
         a.close()
-        try:
-            # In-flight frames survive the close; after the drain the
-            # reader gets a crisp peer-closed error, not a hang.
-            assert b.recv() == b"last words"
-            with pytest.raises(PeerClosedError):
-                b.recv()
-            with pytest.raises(PeerClosedError):
-                b.send(b"into the void")
-        finally:
-            b.close()
+        # In-flight frames survive the close; after the drain the
+        # reader gets a crisp peer-closed error, not a hang.
+        assert b.recv() == b"last words"
+        with pytest.raises(PeerClosedError):
+            b.recv()
+        with pytest.raises(PeerClosedError):
+            b.send(b"into the void")
 
-    def test_send_after_own_close(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
+    def test_send_after_own_close(self, ring):
+        a, b = ring()
         b.close()
         a.close()
         with pytest.raises(TransportError):
             a.send(b"x")
 
-    def test_write_queue_depth_and_drain(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            a.send(b"one")
-            a.send(b"two")
-            assert a.write_queue_depth == 2
-            assert b.recv() == b"one"
-            assert b.recv() == b"two"
-            a.drain()  # peer already consumed: returns immediately
-            assert a.write_queue_depth == 0
-        finally:
-            a.close()
-            b.close()
+    def test_write_queue_depth_and_drain(self, ring):
+        a, b = ring()
+        a.send(b"one")
+        a.send(b"two")
+        assert a.write_queue_depth == 14  # two frames of 3 bytes, each behind its 4-byte prefix
+        assert b.recv() == b"one"
+        assert b.recv() == b"two"
+        a.drain()  # peer already consumed: returns immediately
+        assert a.write_queue_depth == 0
 
-    def test_drain_raises_when_peer_closes(self, tmp_path):
-        a, b = shm_pair(capacity=4096, directory=str(tmp_path))
+    def test_drain_raises_when_peer_closes(self, ring):
+        a, b = ring(4096)
         a.send(b"x" * 1024)
         b.close()
-        try:
-            with pytest.raises(PeerClosedError):
-                a.drain()
-        finally:
-            a.close()
+        with pytest.raises(PeerClosedError):
+            a.drain()
 
     def test_no_files_left_behind(self, tmp_path):
         a, b = shm_pair(directory=str(tmp_path))
@@ -448,72 +409,53 @@ class TestAutoConnect:
             sock_a.close()
             sock_b.close()
 
-    def test_bad_role_rejected(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            with pytest.raises(ValueError):
-                auto_connect(a, "sideways")
-        finally:
-            a.close()
-            b.close()
+    def test_bad_role_rejected(self, ring):
+        a, b = ring()
+        with pytest.raises(ValueError):
+            auto_connect(a, "sideways")
 
 
 class TestPlaneSubstitution:
     """The higher planes run unchanged over a same-host ring."""
 
-    def test_chaos_wrapper_composes(self, tmp_path):
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            clean = FaultInjectingTransport(a, FaultPlan(), seed=CHAOS_SEED)
-            clean.send(b"through")
-            assert b.recv() == b"through"
-            dropper = FaultInjectingTransport(
-                a, FaultPlan(drop=1.0), seed=CHAOS_SEED
-            )
-            dropper.send(b"lost")
-            assert b.poll_recv() is None
-        finally:
-            a.close()
-            b.close()
+    def test_chaos_wrapper_composes(self, ring):
+        a, b = ring()
+        clean = FaultInjectingTransport(a, FaultPlan(), seed=CHAOS_SEED)
+        clean.send(b"through")
+        assert b.recv() == b"through"
+        dropper = FaultInjectingTransport(
+            a, FaultPlan(drop=1.0), seed=CHAOS_SEED
+        )
+        dropper.send(b"lost")
+        assert b.poll_recv() is None
 
-    def test_relay_fan_out_over_rings(self, tmp_path):
+    def test_relay_fan_out_over_rings(self, ring):
         sender = IOContext(SPARC_V8)
         h = sender.register_format(TELEMETRY)
         messages = [sender.announce(h), sender.encode(h, {"unit": 3, "temperature": 9.5})]
         relay = Relay()
-        pairs = [shm_pair(directory=str(tmp_path)) for _ in range(3)]
-        try:
-            for up, _ in pairs:
-                relay.attach(up)
-            for m in messages:
-                relay.forward(m)
-            for _, down in pairs:
-                rx = PbioConnection(IOContext(X86), down)
-                rx.ctx.expect(TELEMETRY)
-                assert rx.recv() == {"unit": 3, "temperature": 9.5}
-        finally:
-            for up, down in pairs:
-                up.close()
-                down.close()
+        pairs = [ring() for _ in range(3)]
+        for up, _ in pairs:
+            relay.attach(up)
+        for m in messages:
+            relay.forward(m)
+        for _, down in pairs:
+            rx = PbioConnection(IOContext(X86), down)
+            rx.ctx.expect(TELEMETRY)
+            assert rx.recv() == {"unit": 3, "temperature": 9.5}
 
-    def test_channel_ingest_from_ring(self, tmp_path):
+    def test_channel_ingest_from_ring(self, ring):
         # Wire frames produced on one "host side" of the ring feed an
         # event channel on the other — the same-host subscriber path.
         sender = IOContext(SPARC_V8)
         h = sender.register_format(TELEMETRY)
-        a, b = shm_pair(directory=str(tmp_path))
-        try:
-            a.send(sender.announce(h))
-            a.send_many(
-                [sender.encode(h, {"unit": i, "temperature": i * 0.5}) for i in range(8)]
-            )
-            channel = EventChannel()
-            got = []
-            sub_ctx = IOContext(X86)
-            sub_ctx.expect(TELEMETRY)
-            channel.subscribe(sub_ctx, lambda r: got.append(r["unit"]))
-            channel.ingest_many(b.recv_many())
-            assert got == list(range(8))
-        finally:
-            a.close()
-            b.close()
+        a, b = ring()
+        a.send(sender.announce(h))
+        a.send_many([sender.encode(h, {"unit": i, "temperature": i * 0.5}) for i in range(8)])
+        channel = EventChannel()
+        got = []
+        sub_ctx = IOContext(X86)
+        sub_ctx.expect(TELEMETRY)
+        channel.subscribe(sub_ctx, lambda r: got.append(r["unit"]))
+        channel.ingest_many(b.recv_many())
+        assert got == list(range(8))

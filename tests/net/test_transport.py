@@ -1,6 +1,17 @@
-"""Tests for transports, the network model, and loopback sockets."""
+"""Tests for transports, the network model, and loopback sockets.
 
+The end of the file is the transport contract: one suite over every
+transport and both zero-plan wrappers.
+"""
+
+import asyncio
+import gc
+import inspect
+import socket
 import struct
+import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -8,19 +19,31 @@ from repro.abi import X86, RecordSchema, codec_for, layout_record
 from repro.core import IOContext, PbioConnection
 from repro.core import encoder as enc
 from repro.net import (
+    AsyncSocketTransport,
     FaultInjectingTransport,
     FaultPlan,
     FrameBuffer,
     InMemoryPipe,
+    LegCost,
     NetworkModel,
+    PeerClosedError,
     ReconnectingTransport,
+    Relay,
+    RetryPolicy,
+    RoundTripCost,
     SimulatedLink,
+    SocketTransport,
+    TimingTable,
+    Transport,
     TransportError,
+    TransportTimeout,
+    best_of,
+    drain,
     loopback_pair,
     paper_network_times_ms,
     shm_pair,
 )
-from repro.net.transport import GATHER_MIN_FRAME, SegmentedFrame
+from repro.net.transport import GATHER_MIN_FRAME, MAX_FRAME, SegmentedFrame
 
 
 class TestFraming:
@@ -47,8 +70,6 @@ class TestFraming:
         assert framer.next_frame() == b""
 
     def test_oversized_frame_rejected(self):
-        from repro.net.transport import MAX_FRAME
-
         framer = FrameBuffer()
         self.feed(framer, struct.pack(">I", MAX_FRAME + 1))
         with pytest.raises(TransportError, match="too large"):
@@ -165,8 +186,6 @@ class TestSockets:
         # Regression: on a socket with a timeout set Python waits for
         # readability ahead of any read, MSG_DONTWAIT included, so a poll
         # of an idle link blocked for the whole timeout and then raised.
-        import time
-
         c, s = loopback_pair(timeout_s=5.0)
         try:
             start = time.monotonic()
@@ -280,14 +299,10 @@ class TestSegmentedFrames:
 
 class TestTiming:
     def test_best_of_returns_positive(self):
-        from repro.net import best_of
-
         t = best_of(lambda: sum(range(100)), repeats=3, inner=10)
         assert t > 0
 
     def test_roundtrip_cost_accounting(self):
-        from repro.net import LegCost, RoundTripCost
-
         rt = RoundTripCost(
             label="100b",
             payload_bytes=100,
@@ -299,16 +314,12 @@ class TestTiming:
         assert "100b" in rt.row()
 
     def test_timing_table_renders(self):
-        from repro.net import TimingTable
-
         table = TimingTable("t", ["100b", "1kb"])
         table.add("PBIO", [0.1, 0.2])
         text = table.render()
         assert "PBIO" in text and "100b" in text
 
     def test_timing_table_arity_check(self):
-        from repro.net import TimingTable
-
         table = TimingTable("t", ["a"])
         with pytest.raises(ValueError):
             table.add("x", [1.0, 2.0])
@@ -318,16 +329,12 @@ class TestPipeCloseSemantics:
     """Closing one end must be distinguishable from a merely idle pipe."""
 
     def test_recv_after_peer_close_raises_peer_closed(self):
-        from repro.net import PeerClosedError
-
         a, b = InMemoryPipe().endpoints()
         a.close()
         with pytest.raises(PeerClosedError):
             b.recv()
 
     def test_queued_messages_drain_before_peer_closed(self):
-        from repro.net import PeerClosedError
-
         a, b = InMemoryPipe().endpoints()
         a.send(b"last words")
         a.close()
@@ -336,21 +343,15 @@ class TestPipeCloseSemantics:
             b.recv()
 
     def test_send_to_closed_peer_raises_peer_closed(self):
-        from repro.net import PeerClosedError
-
         a, b = InMemoryPipe().endpoints()
         b.close()
         with pytest.raises(PeerClosedError):
             a.send(b"into the void")
 
     def test_peer_closed_is_a_transport_error(self):
-        from repro.net import PeerClosedError
-
         assert issubclass(PeerClosedError, TransportError)
 
     def test_empty_pipe_still_plain_transport_error(self):
-        from repro.net import PeerClosedError
-
         a, _ = InMemoryPipe().endpoints()
         with pytest.raises(TransportError) as excinfo:
             a.recv()
@@ -360,10 +361,6 @@ class TestPipeCloseSemantics:
 def _small_buffer_pair(sndbuf=4096, rcvbuf=4096, timeout_s=10.0):
     """A loopback TCP pair with deliberately tiny kernel buffers, so
     vectored sends go partial and the framer sees fragmented reads."""
-    import socket
-
-    from repro.net import SocketTransport
-
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -385,8 +382,6 @@ class TestSmallKernelBuffers:
     real nonblocking-kernel conditions, not just InMemoryPipe."""
 
     def test_send_segments_partial_send_resume(self):
-        import threading
-
         c, s = _small_buffer_pair()
         try:
             # 64 segments x 8 KiB = 512 KiB, far beyond both kernel
@@ -403,8 +398,6 @@ class TestSmallKernelBuffers:
             s.close()
 
     def test_send_many_burst_survives_fragmentation(self):
-        import threading
-
         c, s = _small_buffer_pair()
         try:
             frames = [bytes([i % 256]) * (1 + 977 * i % 4096) for i in range(128)]
@@ -421,8 +414,6 @@ class TestSmallKernelBuffers:
             s.close()
 
     def test_loopback_pair_timeout_parameter(self):
-        from repro.net import TransportTimeout
-
         c, s = loopback_pair(timeout_s=0.1)
         try:
             with pytest.raises(TransportTimeout):
@@ -430,3 +421,243 @@ class TestSmallKernelBuffers:
         finally:
             c.close()
             s.close()
+
+
+# -- the transport contract: one suite over every transport --------------------
+#
+# Each case is a coroutine over the end under test and its peer (the async
+# socket's ``recv`` and ``drain`` are coroutines: ``value`` awaits what is
+# awaitable).  A wrapper's case is its link's, bar what re-dialling changes.
+
+KINDS = [
+    "pipe", "socket", "simulated", "shm", "async",
+    "faulted-pipe", "faulted-shm", "reconnecting-pipe", "reconnecting-shm",
+]  # fmt: skip
+
+
+def _bare(base, root):
+    if base == "pipe":
+        return InMemoryPipe().endpoints()
+    if base == "simulated":
+        return SimulatedLink(NetworkModel.ideal()).endpoints()
+    if base == "socket":
+        return loopback_pair(timeout_s=5.0)
+    if base == "shm":
+        return shm_pair(capacity=1 << 16, directory=root)
+    left, right = socket.socketpair()
+    return AsyncSocketTransport(left), AsyncSocketTransport(right)
+
+
+def run(kind, root, case):
+    """``await case(end, peer)`` in an event loop over a fresh link of
+    ``kind``; a re-dial gets a fresh link of the same base, and every end
+    opened is closed before the loop ends."""
+    wrapper, _, base = kind.rpartition("-")
+
+    async def main():
+        end, peer = ends = list(_bare(base, str(root)))
+        if wrapper == "faulted":
+            end = FaultInjectingTransport(end, FaultPlan())
+        elif wrapper == "reconnecting":
+            links = iter([end])
+
+            def dial():  # the first link, then a fresh one per re-dial
+                if (link := next(links, None)) is None:
+                    link, far = _bare(base, str(root))
+                    ends.extend((link, far))
+                return link
+
+            end = ReconnectingTransport(dial, policy=RetryPolicy(max_attempts=1))
+        try:
+            await case(end, peer)
+        finally:
+            for transport in (end, *ends):
+                transport.close()
+
+    asyncio.run(main())
+
+
+async def value(result):
+    return await result if inspect.isawaitable(result) else result
+
+
+async def take(end, n):
+    """``n`` frames off ``end``: a socket's may come over several ``recv_many``."""
+    got = []
+    while len(got) < n:
+        got += await value(end.recv_many())
+    return got
+
+
+def has_probe(kind):
+    """``pending()`` on pipes and the ring, and on a wrapper over one; ``None``
+    on sockets, whose kernel bytes need a syscall."""
+    return kind.rpartition("-")[2] in ("pipe", "simulated", "shm")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_idle_link(kind, tmp_path):
+    """What per-link code reads without probing: generation 0, depth 0, a
+    probe reading 0 or none, a poll and a drain that return at once — the
+    drain a coroutine only on the async socket."""
+
+    async def case(end, peer):
+        assert isinstance(end, Transport) and end.generation == 0 and end.write_queue_depth == 0
+        assert (end.pending is not None) == has_probe(kind)
+        assert end.pending is None or end.pending() == 0
+        assert end.poll_recv() is None
+        drained = end.drain()
+        assert inspect.isawaitable(drained) == (kind == "async") and await value(drained) is None
+        for name in ("drain", "poll_recv", "recv_many_leased", "send_many", "send_segments", "set_timeout"):
+            assert callable(getattr(type(end), name))
+
+    run(kind, tmp_path, case)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_frames_arrive_whole_and_in_order(kind, tmp_path):
+    """Both ways, by every send call — a run holding an empty frame and a
+    :class:`SegmentedFrame`, ``send_segments`` — and every receive call."""
+    head, body = b"h" * 16, bytes(range(256)) * 20
+
+    async def case(end, peer):
+        end.send(b"ping")
+        end.send_many([b"", SegmentedFrame((head, memoryview(body)), 16 + len(body)), b"x"])
+        end.send_segments([b"he", bytearray(b"l"), memoryview(b"lo")])
+        assert await take(peer, 5) == [b"ping", b"", head + body, b"x", b"hello"]
+        peer.send_many([b"pong", b"", b"bb"])
+        assert await value(end.recv()) == b"pong"
+        got = []
+        while len(got) < 2:
+            frames, loan = await value(end.recv_many_leased())
+            got += [bytes(frame) for frame in frames]
+            if loan is not None:
+                loan.close()
+        assert got == [b"", b"bb"]
+
+    run(kind, tmp_path, case)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pending_is_non_zero_exactly_while_a_frame_waits(kind, tmp_path):
+    async def case(end, peer):
+        probe = end.pending
+        peer.send_many([b"one", b"two"])
+        got = []
+        deadline = time.monotonic() + 5.0
+        while len(got) < 2 and time.monotonic() < deadline:
+            assert probe is None or probe() > 0
+            if (frame := end.poll_recv()) is not None:
+                got.append(frame)
+            await asyncio.sleep(0)  # a socket's bytes reach it in their own time
+        assert got == [b"one", b"two"] and end.poll_recv() is None
+        assert probe is None or probe() == 0
+
+    run(kind, tmp_path, case)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_depth_counts_bytes_and_drain_empties_it(kind, tmp_path):
+    """Depth is the bytes the peer has not yet taken, 4-byte prefixes
+    included: the ring holds them until the peer reads, a socket or a pipe
+    hands them over inside the send."""
+    frames = [b"abc", b"de", b""]
+
+    async def case(end, peer):
+        end.send(frames[0])
+        end.send_many(frames[1:])
+        assert end.write_queue_depth == (sum(4 + len(f) for f in frames) if kind.endswith("shm") else 0)
+        assert await take(peer, 3) == frames
+        await drain(end)  # awaited or called, whichever this end's is
+        assert end.write_queue_depth == 0
+
+    run(kind, tmp_path, case)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_read_frame_leaves_nothing_behind(kind, tmp_path):
+    """After N frames the peer has read, depth is 0 and the traced footprint
+    is what it was at N = 10³: nothing is kept per frame sent."""
+
+    async def case(end, peer):
+        async def exchange(n):
+            for _ in range(n // 100):
+                end.send(b"f" * 32)
+                end.send_many([b"f" * 32] * 99)
+                await take(peer, 100)
+
+        tracemalloc.start()
+        try:
+            await exchange(1000)
+            gc.collect()
+            footprint = tracemalloc.get_traced_memory()[0]
+            await exchange(9000)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - footprint
+        finally:
+            tracemalloc.stop()
+        assert end.write_queue_depth == 0 and grown < 16 * 1024
+
+    run(kind, tmp_path, case)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_timeout(kind, tmp_path):
+    """Nothing to read: a blocking link times out, a pipe says so at once."""
+
+    async def case(end, peer):
+        end.set_timeout(0.05)
+        blocks = kind.rpartition("-")[2] in ("socket", "shm", "async")
+        with pytest.raises(TransportTimeout if blocks else TransportError):
+            await value(end.recv_many_leased())
+
+    run(kind, tmp_path, case)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_close(kind, tmp_path):
+    """What the peer sent before closing is read, then the close is reported,
+    and a closed end refuses a send — where a re-dialling wrapper dials a
+    new link instead, each time."""
+    redials = kind.startswith("reconnecting")
+
+    async def case(end, peer):
+        peer.send(b"last words")
+        peer.close()
+        end.set_timeout(0.05)
+        assert await value(end.recv()) == b"last words"
+        with pytest.raises(TransportError) as raised:
+            await value(end.recv())
+        assert (end.generation == 1) if redials else isinstance(raised.value, PeerClosedError)
+        end.close()
+        assert end.pending is None or end.pending() == 0  # closed: nothing will ever be read
+        if redials:
+            end.send(b"x")
+            assert end.generation == 2
+        else:
+            with pytest.raises(TransportError):
+                end.send(b"x")
+
+    run(kind, tmp_path, case)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_relay_reads_what_a_closed_peer_sent(kind, tmp_path):
+    """``Relay.heal`` harvests the pong a downstream's peer sent before
+    closing — in one heal where ``pending()`` says it waits — and takes the
+    closed peer for silence, not an error."""
+
+    async def case(end, peer):
+        relay = Relay()
+        down = relay.attach(end)
+        peer.send(enc.encode_pong(1))
+        peer.close()
+        relay.heal()
+        while not (has_probe(kind) or down.pongs_received):
+            await asyncio.sleep(0)
+            relay.heal()
+        assert down.pongs_received == 1 and (end.pending is None or end.pending() == 0)
+        relay.heal()
+        assert down.state == "active" and down.pongs_received == 1
+
+    run(kind, tmp_path, case)

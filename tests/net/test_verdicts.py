@@ -10,16 +10,10 @@ nothing but ``PbioError`` / ``TransportError`` ever escaping.
 
 ``PBIO_CHAOS_SEED`` draws the record, the nonce, the filler of the foreign
 frame and how far off each wrong-size payload is.  No clock anywhere.
-
-The second half is the seed of a transport contract suite: the attributes
-per-link protocol code reads plainly — no ``getattr`` probe — on every
-transport.
 """
 
-import asyncio
 import os
 import re
-import socket
 from collections import Counter
 from pathlib import Path
 
@@ -32,26 +26,16 @@ from repro.core import encoder as enc
 from repro.core import negotiation
 from repro.core.runtime import pipeline
 from repro.net import channel as channel_module, fabric as fabric_module, health, relay as relay_module
-from repro.net import drain as drain_any
 from repro.net import (
-    AsyncSocketTransport,
     DurableSubscription,
     EventChannel,
     FabricDispatcher,
-    FaultInjectingTransport,
-    FaultPlan,
     HeartbeatMonitor,
     InMemoryPipe,
-    NetworkModel,
-    ReconnectingTransport,
     Relay,
     RelayWorker,
-    SimulatedLink,
-    Transport,
     TransportError,
     VirtualClock,
-    loopback_pair,
-    shm_pair,
 )
 
 SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
@@ -534,106 +518,3 @@ def test_a_damaged_announcement_is_never_remembered(damaged):
         forward(fabric, frame)
         assert fabric.metrics.value("fabric.rejected") == 1
         assert [list(part._announcements) for part in (fabric, *fabric.workers)] == [[], [], []]
-
-
-# -- transport contract: what per-link code reads without probing -----------------
-
-
-def _pipe():
-    a, _b = InMemoryPipe().endpoints()
-    return a, lambda: None
-
-
-def _socket():
-    a, b = loopback_pair()
-    return a, b.close
-
-
-def _simulated():
-    link = SimulatedLink(NetworkModel.ideal())
-    return link.endpoints()[0], lambda: None
-
-
-def _fault_wrapped():
-    inner, close = _pipe()
-    return FaultInjectingTransport(inner, FaultPlan()), close
-
-
-def _reconnecting():
-    return ReconnectingTransport(lambda: InMemoryPipe().a), lambda: None
-
-
-SYNC_TRANSPORTS = {
-    "pipe": _pipe,
-    "socket": _socket,
-    "simulated": _simulated,
-    "fault-injecting (zero plan)": _fault_wrapped,
-    "reconnecting": _reconnecting,
-}
-
-
-def check_contract(transport, pending):
-    assert isinstance(transport, Transport)
-    assert transport.generation == 0
-    assert transport.write_queue_depth == 0
-    assert (transport.pending is not None) == pending  # a zero-syscall probe, or poll_recv
-    if pending:
-        assert transport.pending() == 0
-    for name in ("drain", "poll_recv", "recv_many_leased", "send_many", "send_segments", "set_timeout"):
-        assert callable(getattr(type(transport), name))
-
-
-@pytest.mark.parametrize("name", sorted(SYNC_TRANSPORTS))
-def test_transport_contract(name):
-    transport, close_peer = SYNC_TRANSPORTS[name]()
-    try:
-        check_contract(transport, pending=name in ("pipe", "simulated"))
-        asyncio.run(drain_any(transport))  # nothing queued: returns at once, awaited or not
-        assert transport.poll_recv() is None  # nothing to read: never blocks
-        with pytest.raises(TransportError):
-            transport.set_timeout(0.05)
-            transport.recv_many_leased()  # nothing to read: times out or says so
-    finally:
-        transport.close()
-        close_peer()
-
-
-def test_transport_contract_shm(tmp_path):
-    transport, peer = shm_pair(capacity=1 << 14, directory=str(tmp_path))
-    try:
-        check_contract(transport, pending=True)
-        assert transport.drain() is None and transport.poll_recv() is None
-        pong = enc.encode_pong(1)
-        peer.send(pong)
-        assert transport.pending() >= 1  # a frame in the ring: heal reads it
-        assert transport.poll_recv() == pong
-        assert transport.pending() == 0  # drained: heal leaves the link alone
-        relay = Relay()
-        down = relay.attach(transport)
-        peer.send(enc.encode_pong(2))
-        peer.close()
-        relay.heal()  # what the peer sent before it closed is still read
-        assert down.pongs_received == 1 and transport.pending() == 0
-        relay.heal()  # a closed peer is silence, not an error
-        assert down.state == "active"
-    finally:
-        transport.close()
-        peer.close()
-    assert transport.pending() == 0  # closed: nothing will ever be read
-
-
-def test_transport_contract_async():
-    async def run():
-        left, right = socket.socketpair()
-        transport, peer = AsyncSocketTransport(left), AsyncSocketTransport(right)
-        try:
-            check_contract(transport, pending=False)
-            assert await transport.drain() is None
-            assert transport.poll_recv() is None
-            peer.send(b"one frame")
-            assert await transport.recv_many_leased() == ([b"one frame"], None)
-        finally:
-            transport.close()
-            peer.close()
-
-    asyncio.run(run())
