@@ -25,7 +25,7 @@ loc:              ## src/ lines per package, and in total
 	printf '%6d src/ total\n' $$(find src -name '*.py' | xargs cat | wc -l)
 
 # src/ may not outgrow this; a PR that needs more raises it in the open.
-LOC_CEILING = 19882
+LOC_CEILING = 19922
 
 loc-check:        ## fail when src/ is over LOC_CEILING lines
 	@n=$$(find src -name '*.py' | xargs cat | wc -l); \

@@ -33,14 +33,15 @@ def converter_for_count(count, *, force):
         IOFormat.from_layout(layout_record(schema, support.I86)),
         IOFormat.from_layout(layout_record(schema, support.SPARC)),
     )
-    original = (vec.NUMPY_THRESHOLD, cg.NUMPY_THRESHOLD)
+    original = (vec.NUMPY_THRESHOLD, cg.NUMPY_THRESHOLD, cg.GATHER_MAX_BYTES)
     try:
         forced = 1 if force == "numpy" else 10**9
         vec.NUMPY_THRESHOLD = forced
         cg.NUMPY_THRESHOLD = forced
+        cg.GATHER_MAX_BYTES = 0  # a swap is one gather within the bound: compare the other two
         gen = generate_python_converter(plan)
     finally:
-        vec.NUMPY_THRESHOLD, cg.NUMPY_THRESHOLD = original
+        vec.NUMPY_THRESHOLD, cg.NUMPY_THRESHOLD, cg.GATHER_MAX_BYTES = original
     payload = codec_for(layout_record(schema, support.I86)).encode(
         {"v": tuple(float(i) for i in range(count))}
     )

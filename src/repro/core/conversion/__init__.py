@@ -15,7 +15,7 @@ from .codegen import (
     generate_python_converter,
     generate_vcode_converter,
 )
-from .vectorized import NUMPY_THRESHOLD
+from .vectorized import GATHER_MAX_BYTES, NUMPY_THRESHOLD, gather_index
 
 __all__ = [
     "ConversionPlan",
@@ -31,5 +31,7 @@ __all__ = [
     "generate_converter",
     "generate_python_converter",
     "generate_vcode_converter",
+    "GATHER_MAX_BYTES",
     "NUMPY_THRESHOLD",
+    "gather_index",
 ]

@@ -43,6 +43,9 @@ lowering is deliberately conservative:
   kernel equivalence suite in ``tests/core/test_batch.py`` pins this
   down against the interpreted converter.
 
+A plan that only moves bytes carries its byte index too
+(:meth:`BatchConverter.take`): small groups skip the cast's fixed cost.
+
 The kernel returns a buffer over its destination array rather than a
 copy.  Callers may hand out slices of it (lend-mode views alias the
 kernel output): the array is private to one call, so a slice keeps it
@@ -85,9 +88,9 @@ class BatchConverter:
     running the scalar converter N times and joining the outputs.
     """
 
-    __slots__ = ("src_size", "dst_size", "src_dtype", "dst_dtype", "_fp")
+    __slots__ = ("src_size", "dst_size", "src_dtype", "dst_dtype", "_fp", "gather")
 
-    def __init__(self, src_dtype: np.dtype, dst_dtype: np.dtype, fp: bool):
+    def __init__(self, src_dtype: np.dtype, dst_dtype: np.dtype, fp: bool, gather):
         self.src_size = src_dtype.itemsize
         self.dst_size = dst_dtype.itemsize
         self.src_dtype = src_dtype
@@ -95,6 +98,7 @@ class BatchConverter:
         #: the plan casts to a float type: overflow-to-inf and NaN
         #: quieting would warn outside ``np.errstate``
         self._fp = fp
+        self.gather = gather  # the plan's byte index (gather_index), or None
 
     def cast(self, records: np.ndarray) -> np.ndarray:
         """Cast an array of wire records (``src_dtype``) to a fresh flat
@@ -118,6 +122,18 @@ class BatchConverter:
         a byte view of the freshly converted records.
         """
         return self.cast(np.frombuffer(concat, self.src_dtype)).data
+
+    def take(self, payloads) -> memoryview:
+        """:meth:`convert` by the byte index: rows of a zero byte and a record, one
+        ``ndarray.take`` along them (C contiguous, unlike ``a[:, index]``: lendable)."""
+        size, stride, pos = self.src_size, self.src_size + 1, 1
+        rows = bytearray(len(payloads) * stride)  # zeroed: column 0 is the zero byte
+        view = memoryview(rows)
+        for payload in payloads:
+            view[pos : pos + size] = payload
+            pos += stride
+        grid = np.ndarray((len(payloads), stride), _U8, rows)
+        return grid.take(self.gather, axis=1, mode="wrap").data.cast("B")
 
 
 class VarBatchConverter:
@@ -368,7 +384,7 @@ def _record_dtype(fields: list[tuple], size: int) -> np.dtype:
     )
 
 
-def _lower(plan: ConversionPlan) -> tuple[BatchConverter, tuple] | None:
+def _lower(plan: ConversionPlan, gather=None) -> tuple[BatchConverter, tuple] | None:
     """Compile ``plan`` to ``(record kernel, string ops)``, or ``None``
     if some op is not liftable (see the module docstring)."""
     if plan.has_vax_floats:
@@ -399,15 +415,17 @@ def _lower(plan: ConversionPlan) -> tuple[BatchConverter, tuple] | None:
         _record_dtype(src_fields, plan.wire.record_size),
         _record_dtype(dst_fields, plan.native.record_size),
         fp,
+        gather,
     )
     return kernel, tuple(strings)
 
 
-def build_batch_converter(plan: ConversionPlan) -> BatchConverter | None:
+def build_batch_converter(plan: ConversionPlan, gather=None) -> BatchConverter | None:
     """A :class:`BatchConverter` for ``plan``, or ``None`` if the plan is
     not expressible as a fixed-size record cast (strings, VAX floats,
-    float->int casts) — callers then loop the scalar converter."""
-    lowered = None if plan.has_strings else _lower(plan)
+    float->int casts) — callers then loop the scalar converter.  ``gather``:
+    a byte move's index (``GeneratedConverter.gather``), for :meth:`~BatchConverter.take`."""
+    lowered = None if plan.has_strings else _lower(plan, gather)
     return None if lowered is None else lowered[0]
 
 

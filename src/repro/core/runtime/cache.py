@@ -59,19 +59,14 @@ class CacheEntry:
     native_name: str
     native_size: int
     generation_time_s: float = 0.0
-    #: The plan compiled to a structured-dtype cast
-    #: (:class:`~repro.core.conversion.BatchConverter`), cached alongside
-    #: the scalar converter; ``None`` when the plan is not liftable
-    #: (strings, VAX floats, float->int) or the mode is not DCG — batch
-    #: decodes then loop :attr:`converter`.
+    #: The plan compiled to a structured-dtype cast, with a byte move's index
+    #: (:class:`~repro.core.conversion.BatchConverter`); ``None`` when not
+    #: liftable (strings, VAX floats, float->int) or not DCG: loop :attr:`converter`.
     batch: object | None = None
-    #: Columnar converter for *string-bearing* plans
-    #: (:class:`~repro.core.conversion.VarBatchConverter`): offset-table
-    #: passes over the var-length tails.  ``None`` when the plan has no
-    #: strings, is otherwise unliftable, or the mode is not DCG.
+    #: Offset-table passes over a *string-bearing* plan's var-length tails
+    #: (:class:`~repro.core.conversion.VarBatchConverter`), or ``None``.
     var_batch: object | None = None
-    #: The smallest group :attr:`batch` converts, fixed from the plan when
-    #: the entry is built; a smaller one runs :attr:`converter` per record.
+    #: The smallest group :attr:`batch` converts; a smaller one runs :attr:`converter` per record.
     kernel_min_group: int = 0
 
 

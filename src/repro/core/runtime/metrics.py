@@ -12,8 +12,9 @@ Counter names used by the runtime:
 ========================  =====================================================
 ``converters_generated``  converters built (DCG, vcode or interpreter tables)
 ``converter_cache_hits``  decode found its (wire, native) entry already cached
+                          (a cache's lookups; a context's is :data:`DERIVED`)
 ``zero_copy_decodes``     records delivered without conversion
-``converted_decodes``     records that ran a converter
+``converted_decodes``     records that ran a converter (batch ones :data:`DERIVED`)
 ``generation_time_s``     cumulative converter-generation wall time (float)
 ``delivered`` / ``filtered_out`` / ``wrong_type``   subscription outcomes
 ``decode_errors`` / ``handler_errors`` / ``detached``   subscription failures
@@ -60,7 +61,8 @@ Counter names used by the runtime:
 ``decode.batch.messages``  frames handed to ``decode_batch`` (all types)
 ``decode.batch.groups``   consecutive same-format data runs dispatched
 ``decode.batch.converted``  records of a kernel-backed plan converted as a group:
-                          by the record kernel or, below the entry's
+                          by one byte gather (a byte move within ``GATHER_MAX_BYTES``),
+                          the record kernel or, below the entry's
                           ``kernel_min_group``, by the generated converter
 ``decode.batch.fallback``  records that looped the scalar converter instead
                           (strings, VAX floats, float->int, records past
@@ -93,6 +95,13 @@ Counter names used by the runtime:
 
 from __future__ import annotations
 
+#: Counters derived on read: stored amount + the named counters.  A decode
+#: that had to make its cache entry stores -1 (hits = decodes - misses).
+DERIVED = {
+    "converter_cache_hits": ("zero_copy_decodes", "converted_decodes"),
+    "converted_decodes": ("decode.batch.converted", "decode.batch.fallback"),
+}
+
 
 class Metrics:
     """A registry of named counters.
@@ -116,16 +125,18 @@ class Metrics:
     add = inc  # reads better for float accumulators (generation_time_s)
 
     def value(self, name: str) -> int | float:
-        return self._counters.get(name, 0)
+        return self._counters.get(name, 0) + sum(self.value(part) for part in DERIVED.get(name, ()))
 
     def counters(self) -> dict[str, int | float]:
-        return dict(self._counters)
+        out = dict(self._counters)
+        out.update((name, self.value(name)) for name in DERIVED if name in out or self.value(name))
+        return out
 
     # -- aggregation --------------------------------------------------------
 
     def snapshot(self) -> dict:
         """A JSON-serializable dump (the benchmark harness exports this)."""
-        return {"counters": dict(self._counters)}
+        return {"counters": self.counters()}
 
     def merge(self, other: "Metrics") -> None:
         """Fold another registry's counts into this one (harness rollups)."""

@@ -9,16 +9,9 @@ path optimizable (batching, async, sharding) and observable (one
 :class:`~repro.core.runtime.metrics.Metrics` namespace, one
 :class:`~repro.core.runtime.cache.ConverterCache`) at all.
 
-Stages
-------
-
-1. **parse** — validate the 16-byte header (:mod:`repro.core.encoder`);
-2. **resolve** — look up the announced wire format in the registry and
-   the receiver's expected native format by record name;
-3. **dispatch** — consult the converter cache: zero-copy pairs return
-   the payload (or a view over it) untouched; mismatched pairs run the
-   cached converter, writing into a fresh destination the view then
-   owns when the caller asked for a view.
+Stages: **parse** the 16-byte header, **resolve** the wire format and the
+expected native one (the format plan), **dispatch**: zero-copy, or the
+cached converter into a fresh destination (``docs/wire-format.md`` §6).
 """
 
 from __future__ import annotations
@@ -31,6 +24,7 @@ import struct
 
 from .. import encoder as enc
 from ..conversion import (
+    GATHER_MAX_BYTES,
     NUMPY_THRESHOLD,
     InterpretedConverter,
     build_batch_converter,
@@ -129,7 +123,7 @@ class DecodePipeline:
         #: a :meth:`repro.fmtserv.FormatService.resolve` bound method.
         #: ``None`` means this pipeline cannot absorb tokens by itself.
         self.resolver: Any = None
-        # Format plans (_resolve): the lock-free front of the registry, the
+        # Format plans (_plan): the lock-free front of the registry, the
         # expected table and the (possibly shared, locked) cache.
         self._plans: dict[tuple[int, int], list] = {}
         # Grow-only source staging for multi-record kernel calls.
@@ -141,30 +135,21 @@ class DecodePipeline:
         """Validate a data message; return its wire format and payload.
 
         The first stop for untrusted bytes on every decode path: the
-        header must parse, the message must fit the configured
-        :class:`DecodeLimits`, the payload must match the header's
-        declared length *and* the wire format's record size (string
-        formats carry a variable region after the fixed record, so they
-        may be longer — never shorter).  Failures raise the PbioError
-        taxonomy and count as ``decode.rejected``.
-
-        ``header`` may carry the already-parsed
-        ``(msg_type, context_id, format_id, payload_len)`` tuple when an
-        upstream stage (negotiation, :meth:`ingest`) validated the header
-        — steady-state data frames then parse exactly once.
-
-        A ``MSG_DATA_SEQ`` frame is a data message whose record starts 8
-        bytes later: its prefix is validated (:func:`enc.read_seq`) and
-        the record is decoded where it lies.  Dedup and ordering, when
-        wanted, live in ``DurableSubscription``, above this layer — here
-        the sequence is just framing.
+        header must parse, the message must fit the :class:`DecodeLimits`,
+        the payload must match the header's declared length *and* the wire
+        format's record size (a string format's may be longer, never
+        shorter).  Failures raise the PbioError taxonomy and count as
+        ``decode.rejected``.  ``header`` may carry the tuple an upstream
+        stage parsed.  A ``MSG_DATA_SEQ`` frame's record starts 8 bytes
+        later, behind a prefix :func:`enc.read_seq` validates: here the
+        sequence is just framing (dedup lives in ``DurableSubscription``).
         """
         plan, payload = self._open(message, header)
         return plan[0], payload
 
     def _open(self, message, header) -> tuple[list, memoryview]:
         """:meth:`open_data` for the decode bodies: the frame's plan (the
-        wire half at least, see :meth:`_resolve`) and its payload."""
+        wire half at least, see :meth:`_plan`) and its payload."""
         try:
             if self._max_msg is not None and len(message) > self._max_msg:
                 raise LimitError(
@@ -191,7 +176,7 @@ class DecodePipeline:
             key = (context_id, format_id)
             plan = self._plans.get(key)
             if plan is None:
-                plan = self._resolve(key, native=False)
+                plan = self._plan(key)
             rec_size = plan[1]
             if payload_len != rec_size and (payload_len < rec_size or not plan[2]):
                 raise MessageError(
@@ -203,34 +188,29 @@ class DecodePipeline:
             self.metrics.inc("decode.rejected")
             raise
 
-    def _resolve(self, key=None, plan: list | None = None, native: bool = True, codec: bool = True) -> list:
-        """The format plan of one ``(context id, format id)``: ``[wire
-        format, record size, has_strings, expected native format, cache
-        entry, native codec]`` — what a data frame needs once its header is
-        parsed, resolved once per format and remembered (``plan``: the
-        caller's own lookup, in place of ``key``).  The native half (only
-        with ``native``: :meth:`open_data` names none; a ``codec`` only where
-        records are read) counts as :meth:`entry_for` counts and is checked
-        against the live ``expected`` table: a replacing ``expect()`` holds at once."""
-        if plan is None:
-            plan = self._plans.get(key)
-            if plan is None:
-                wire_fmt = self.registry.remote_format(*key)
-                if self.limits is not None and len(self._plans) >= self.limits.max_cache_entries:
-                    self._plans.clear()  # keep the lock-free front bounded too
-                plan = self._plans[key] = [wire_fmt, wire_fmt.record_size, wire_fmt.has_strings, None, None, None]
-        if native:
-            wire_fmt = plan[0]
-            expected = self.expected.get(wire_fmt.name)
-            if expected is not None and expected is plan[3]:
-                self.metrics.inc("converter_cache_hits")
-                self.cache.metrics.inc("converter_cache_hits")
-            else:
-                expected = self.native_for(wire_fmt)
-                plan[3:] = expected, self.entry_for(wire_fmt, expected), None
-            if codec and plan[5] is None:
-                plan[5] = codec_for(self._layout_of(expected))
+    def _plan(self, key) -> list:
+        """The format plan of one ``(context id, format id)``, made once: ``[wire
+        format, record size, has_strings, expected native format, cache entry,
+        native codec]``, its native half empty until :meth:`_refresh` fills it."""
+        wire_fmt = self.registry.remote_format(*key)
+        if self.limits is not None and len(self._plans) >= self.limits.max_cache_entries:
+            self._plans.clear()  # keep the lock-free front bounded too
+        plan = self._plans[key] = [wire_fmt, wire_fmt.record_size, wire_fmt.has_strings, None, None, None]
         return plan
+
+    def _refresh(self, plan: list, codec: bool) -> bool | None:
+        """Fill a plan's native half if missing or not the live ``expected`` entry (a
+        replacing ``expect()`` holds at once), its codec where records are read; ``None``
+        on a steady lookup (the caller counts the cache's hit), else whether it missed."""
+        wire_fmt, missed = plan[0], None
+        expected = self.expected.get(wire_fmt.name)
+        if expected is None or expected is not plan[3]:
+            expected = self.native_for(wire_fmt)
+            entry, missed = self.entry_for(wire_fmt, expected)
+            plan[3:] = expected, entry, None
+        if codec and plan[5] is None:
+            plan[5] = codec_for(self._layout_of(expected))
+        return missed
 
     def native_for(self, wire_fmt: IOFormat) -> IOFormat:
         """The expected native format matching ``wire_fmt`` by name."""
@@ -321,12 +301,10 @@ class DecodePipeline:
 
     # -- stage 3: converter resolution --------------------------------------
 
-    def entry_for(self, wire_fmt: IOFormat, native: IOFormat) -> CacheEntry:
-        """The cached conversion decision for one format pair.
-
-        Mirrors the cache outcome into this pipeline's own metrics so
-        per-context counters stay meaningful under a shared cache.
-        """
+    def entry_for(self, wire_fmt: IOFormat, native: IOFormat) -> tuple[CacheEntry, bool]:
+        """The cached conversion decision for one format pair, and whether the
+        cache had to make it — a build is mirrored into this pipeline's own
+        metrics, so per-context counters stay meaningful under a shared cache."""
         try:
             entry, outcome = self.cache.resolve(
                 wire_fmt, native, self.conversion, self.machine, self._build_entry
@@ -340,15 +318,14 @@ class DecodePipeline:
                 f"cannot build converter {wire_fmt.name!r} -> {native.name!r}: {exc}"
             ) from exc
         if outcome == "hit":
-            self.metrics.inc("converter_cache_hits")
-            return entry
+            return entry, False
         if outcome == "built":
             self.metrics.inc("converters_generated")
             self.metrics.add("generation_time_s", entry.generation_time_s)
         full = self.cache.max_entries
         if full is not None and len(self.cache) >= full:
             self._plans.clear()  # the insert may have evicted an entry a plan still names
-        return entry
+        return entry, True
 
     def set_cache(self, cache: ConverterCache) -> None:
         """Re-point at another (shared) cache, dropping the format plans."""
@@ -358,14 +335,7 @@ class DecodePipeline:
     def _build_entry(self, wire_fmt: IOFormat, native: IOFormat) -> CacheEntry:
         match = match_formats(wire_fmt, native)
         if match.zero_copy:
-            return CacheEntry(
-                zero_copy=True,
-                converter=None,
-                source=None,
-                wire_name=wire_fmt.name,
-                native_name=native.name,
-                native_size=native.record_size,
-            )
+            return CacheEntry(True, None, None, wire_fmt.name, native.name, native.record_size)
         plan = build_plan(wire_fmt, native, match)
         batch = None
         var_batch = None
@@ -388,20 +358,15 @@ class DecodePipeline:
                 # per-record mechanism, so batch decodes loop their
                 # scalar converters instead.
                 if native.record_size <= KERNEL_MAX_RECORD:
-                    batch = build_batch_converter(plan)
+                    batch = build_batch_converter(plan, generated.gather)
                     kernel_min_group = -(-KERNEL_CALL_STATEMENTS // max(generated.statements, 1))
+                    if generated.gather is not None:  # a byte move: two records are one gather
+                        kernel_min_group = 2
                 var_batch = build_var_batch_converter(plan)
         return CacheEntry(
-            zero_copy=False,
-            converter=converter,
-            source=source,
-            wire_name=wire_fmt.name,
-            native_name=native.name,
-            native_size=native.record_size,
-            generation_time_s=generation_time_s,
-            batch=batch,
-            var_batch=var_batch,
-            kernel_min_group=kernel_min_group,
+            zero_copy=False, converter=converter, source=source, wire_name=wire_fmt.name,
+            native_name=native.name, native_size=native.record_size, generation_time_s=generation_time_s,
+            batch=batch, var_batch=var_batch, kernel_min_group=kernel_min_group,
         )
 
     # -- public decode entry points -----------------------------------------
@@ -432,8 +397,17 @@ class DecodePipeline:
         be overwritten at once.
         """
         plan, payload = self._open(message, header)
+        wire_fmt, _, has_strings, expected, entry, codec = plan
         try:
-            wire_fmt, _, has_strings, _, entry, codec = self._resolve(plan=plan, codec=not native)
+            missed = None  # a steady hit: _refresh's check, inlined
+            stale = expected is None or (codec is None and not native)
+            if stale or self.expected.get(wire_fmt.name) is not expected:
+                missed = self._refresh(plan, not native)
+                entry, codec = plan[4:]
+            if missed is None:
+                self.cache.metrics.inc("converter_cache_hits")
+            elif missed:
+                self.metrics.inc("converter_cache_hits", -1)
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
                 if native:
@@ -490,44 +464,31 @@ class DecodePipeline:
         :meth:`ingest`/:meth:`decode` loop would produce, under the same
         :class:`DecodeLimits`.
 
-        ``headers`` may carry, parallel to ``messages``, the header
-        tuples a stage upstream already parsed
-        (:func:`enc.try_unpack_header`; a ``None`` entry is parsed here):
-        such a frame's 16 bytes are not read again.  Everything else is
-        still checked against the frame itself — the size limit, the
-        payload length the header declares, the sequence prefix, the
-        wire format's record size — so a header that lies is rejected
-        like a frame that lies.
+        ``headers`` may carry, parallel to ``messages``, header tuples a
+        stage upstream parsed (:func:`enc.try_unpack_header`; ``None``:
+        parse here).  Everything else is still checked against the frame
+        itself, so a header that lies is rejected like a frame that lies.
 
-        ``on_error`` selects the failure granularity: ``"raise"``
-        (default) propagates the first rejection, exactly like the
-        sequential loop — the frames ahead of it are decoded and counted,
-        and the exception carries the result list so far as
-        ``exc.partial``; ``"skip"`` confines each rejection to its own
-        frame — the bad frame's slot stays ``None``, it is counted in
-        ``decode.rejected``/``decode.batch.rejected``, and every other
-        frame still decodes.
+        ``on_error="raise"`` (default) propagates the first rejection like
+        the sequential loop, the results so far as ``exc.partial``;
+        ``"skip"`` leaves a bad frame's slot ``None`` and decodes the rest.
 
-        The output shape is the scalar entries': value dicts, or with
+        The output shape is the scalar entries': value dicts, with
         ``lend=True`` :class:`RecordView` objects; ``native=True`` returns
-        native record bytes per frame (:meth:`decode_native`'s shape), and
-        with ``lend=True`` memoryviews instead of copied ``bytes``.
-        Zero-copy (homogeneous) lent results alias the *message buffer
-        itself*, views with ``lease`` attached — no payload byte is
-        copied; the caller's buffer must stay untouched until every
-        returned view dies (views keep ``lease`` — and through it the
-        buffer — alive; a memoryview is valid only while ``lease`` is
-        held).  Converted frames are private converted bytes and carry no
-        lease (``lease.take()`` is called only for a group that borrows).
-        Call :meth:`~repro.abi.views.RecordView.detach` on a lent view
-        before storing it beyond the receive loop.
+        native record bytes (with ``lend=True``, memoryviews).  Zero-copy
+        lent results alias the *message buffer itself*, views carrying
+        ``lease`` (a memoryview is valid only while ``lease`` is held);
+        converted frames are private bytes and carry no lease.  Call
+        :meth:`~repro.abi.views.RecordView.detach` on a lent view before
+        storing it beyond the receive loop.
         """
         if on_error not in ("raise", "skip"):
             raise ValueError(f'on_error must be "raise" or "skip", not {on_error!r}')
         out: list = [None] * len(messages)
-        metrics = self.metrics
-        metrics.inc("decode.batch.calls")
-        metrics.inc("decode.batch.messages", len(messages))
+        # Counts bumped once as the call ends: records zero-copy, converted as a group,
+        # by the fallback (_decode_group's answer), groups whose first record missed.
+        counts = [0, 0, 0, 0]
+        groups = cache_hits = 0
         strict = on_error == "raise"
         # The open group — consecutive data frames of one (context id,
         # format id): its format resolved at the first frame (`unresolved`
@@ -536,21 +497,25 @@ class DecodePipeline:
         # group has nothing to convert: its views go straight into `out`
         # and only their number, `lent`, waits for the flush.
         gkey: tuple[int, int] | None = None
+        missed = False
         lent = 0
         slots: list[int] = []
         payloads: list[memoryview] = []
 
         def flush() -> None:
-            nonlocal gkey, lent
+            nonlocal gkey, lent, missed
             gkey = None
+            if missed and (lent or slots):  # the group's first record was the miss
+                counts[3] += 1
+            missed = False
             if lent:
-                metrics.inc("zero_copy_decodes", lent)
-                metrics.inc("decode.batch.lent", lent)
+                counts[0] += lent
                 lent = 0
             if slots:
-                self._decode_group(wire_fmt, entry, codec, slots, payloads, out, strict, lend)
+                counts[self._decode_group(wire_fmt, entry, codec, slots, payloads, out, strict, lend)] += len(slots)
                 del slots[:], payloads[:]
 
+        plans = self._plans
         max_msg = self._max_msg
         # Header scan, inlined: one Struct.unpack_from per message on the
         # fast path — header and, should the frame be sequenced, its
@@ -600,11 +565,17 @@ class DecodePipeline:
                     if (context_id, format_id) != gkey:
                         flush()
                         gkey = (context_id, format_id)
-                        metrics.inc("decode.batch.groups")
+                        groups += 1
                         try:
-                            wire_fmt, rec_size, has_strings, _, entry, codec = self._resolve(
-                                gkey, codec=not native
-                            )
+                            plan = plans.get(gkey) or self._plan(gkey)
+                            wire_fmt, rec_size, has_strings, expected, entry, codec = plan
+                            stale = expected is None or (codec is None and not native)
+                            if stale or self.expected.get(wire_fmt.name) is not expected:
+                                missed = self._refresh(plan, not native)
+                                entry, codec = plan[4:]
+                                cache_hits += missed is None
+                            else:  # a steady hit, as in _decode
+                                cache_hits += 1
                             unresolved = None
                         except PbioError as exc:
                             unresolved = exc
@@ -652,29 +623,43 @@ class DecodePipeline:
                     if strict:
                         raise
                 except PbioError:  # counted decode.rejected where it was raised
-                    metrics.inc("decode.batch.rejected")
+                    self.metrics.inc("decode.batch.rejected")
                     if strict:
                         raise
             flush()
         except PbioError as exc:  # strict only
             exc.partial = out
             raise
+        finally:
+            inc = self.metrics.inc
+            inc("decode.batch.calls")
+            inc("decode.batch.messages", len(messages))
+            if groups:  # (a context's converted_decodes adds .converted and .fallback on read)
+                zero, converted, fallback, misses = counts
+                inc("decode.batch.groups", groups)
+                if zero:
+                    inc("zero_copy_decodes", zero)
+                if converted:
+                    inc("decode.batch.converted", converted)
+                if fallback:
+                    inc("decode.batch.fallback", fallback)
+                if misses:
+                    inc("converter_cache_hits", -misses)
+                if cache_hits:
+                    self.cache.metrics.inc("converter_cache_hits", cache_hits)
         return out
 
-    def _decode_group(self, wire_fmt, entry, codec, slots, payloads, out, strict: bool, lend: bool) -> None:
+    def _decode_group(self, wire_fmt, entry, codec, slots, payloads, out, strict: bool, lend: bool) -> int:
         """Convert one group's validated payloads into their ``out`` slots
-        (a zero-copy lend group's views never get here: the scan built them)."""
-        metrics = self.metrics
+        (not a zero-copy lend group's: the scan built them); returns how they
+        went: 0 zero-copy, 1 converted as a group, 2 by the fallback loop."""
         n = len(slots)
         has_strings = wire_fmt.has_strings
         if entry.zero_copy:
-            metrics.inc("zero_copy_decodes", n)
-            if lend:
-                metrics.inc("decode.batch.lent", n)
             # Lent payloads alias the caller's buffer, which its lease
             # must outlive; owned results copy out of it.
             self._emit(out, slots, payloads, codec, lend, strict)
-            return
+            return 0
 
         converted = None
         try:
@@ -686,39 +671,30 @@ class DecodePipeline:
                     converted = entry.var_batch.convert_var(payloads)
             elif entry.batch is not None:
                 # Fixed-size frames only (the scan enforced payload ==
-                # record size), so the records are exactly n strides
-                # of the kernel's output; a run of one is cast in place.
+                # record size): the records are exactly n strides of the output.
+                d = entry.native_size
                 if n < entry.kernel_min_group:
                     # too few records to repay the kernel's fixed cost per call
-                    convert, d = entry.converter, entry.native_size
+                    convert = entry.converter
                     converted = [convert(payload, bytearray(d)) for payload in payloads]
                     if lend and codec is None:
                         converted = [memoryview(record) for record in converted]
-                elif n == 1:
-                    converted = [entry.batch.convert(payloads[0])]
                 else:
-                    blob = entry.batch.convert(self._gather(payloads, wire_fmt.record_size))
-                    d = entry.native_size
+                    if n * d <= GATHER_MAX_BYTES and entry.batch.gather is not None:
+                        blob = entry.batch.take(payloads)  # a byte move: one 2-D gather
+                    else:
+                        blob = entry.batch.convert(self._gather(payloads, wire_fmt.record_size))
                     converted = [blob[o : o + d] for o in range(0, n * d, d)]
         except _LEAKY_ERRORS:
             pass  # the scalar loop below isolates the culprit
         if converted is not None:
-            metrics.inc("converted_decodes", n)
-            metrics.inc("decode.batch.converted", n)
-            # Private converted bytes (slices of the kernel's output
-            # array or fresh destinations): safe to lend without a copy
-            # or a lease.
+            # private converted bytes: safe to lend without a copy or a lease
             self._emit(out, slots, converted, codec, lend, strict)
-            return
+            return 1
 
-        # Fallback ladder: plans numpy cannot express (string runs below
-        # NUMPY_THRESHOLD or with hostile frames, VAX floats, float->int),
-        # records past KERNEL_MAX_RECORD, non-DCG modes, or a batch call
-        # that blew up — loop the scalar converter, isolating failures
-        # per frame.
-        metrics.inc("decode.batch.fallback", n)
+        # Fallback ladder (docs/wire-format.md §9): the scalar converter, a
+        # failure isolated per frame.
         for i, payload in zip(slots, payloads):
-            metrics.inc("converted_decodes")
             try:
                 dst = None if has_strings else bytearray(entry.native_size)
                 data = self._run_converter(entry, wire_fmt, payload, dst)
@@ -726,17 +702,13 @@ class DecodePipeline:
                 self._reject(exc, strict)
                 continue
             self._emit(out, (i,), (data,), codec, lend, strict)
+        return 2
 
     def _gather(self, payloads, size: int) -> memoryview:
-        """Pack ``size``-byte payloads back to back for the kernel.
-
-        The staging buffer is reused across calls (it never escapes: the
-        kernel reads it once into a private array).  A fresh ``join`` per
-        group would do, but past the allocator's mmap threshold it and
-        the kernel's equally large output are mapped, faulted in and
-        unmapped on every call — 4 x 100 KB decoded 2.4x slower than
-        four scalar decodes that way.
-        """
+        """Pack ``size``-byte payloads back to back for the kernel, in a
+        staging buffer reused across calls (the kernel reads it once): a
+        fresh ``join`` past the allocator's mmap threshold is mapped and
+        unmapped on every call (4 x 100 KB decoded 2.4x slower)."""
         total = len(payloads) * size
         if len(self._staging) < total:
             self._staging = bytearray(total)

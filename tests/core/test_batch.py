@@ -27,7 +27,7 @@ from repro.abi import (
 )
 from repro.core import IOContext, PbioError
 from repro.core import encoder as enc
-from repro.core.conversion import build_batch_converter, build_plan
+from repro.core.conversion import GATHER_MAX_BYTES, build_batch_converter, build_plan, gather_index
 from repro.core.safety import DecodeLimits
 from repro.net.faults import FaultInjectingTransport, FaultPlan
 from repro.net.transport import InMemoryPipe
@@ -255,14 +255,41 @@ def decode_or_none(decode, frame):
         return None
 
 
+def moves_bytes(pair):
+    """Whether a :func:`field_pairs` draw is a byte move on every machine
+    pair (the same type both sides, or a field on one side only)."""
+    if pair[0] == "nested":
+        return all(map(moves_bytes, pair[1]))
+    if pair[0] is None or pair[1] is None:
+        return True
+    wire, native = (spec.split("[")[0] for spec in pair)
+    return wire == native and wire in ("char", "int", "double", "short", "unsigned short", "float", "long long")
+
+
+#: Doubles appended to a drawn schema: none, a record within
+#: ``GATHER_MAX_BYTES`` whose groups of two are past it, a record past it.
+BULK = [0, GATHER_MAX_BYTES // 16, GATHER_MAX_BYTES // 8 + 1]
+
+
 @pytest.mark.parametrize("dst", MACHINE_NAMES)
 @pytest.mark.parametrize("src", MACHINE_NAMES)
 @settings(max_examples=3, deadline=None)
-@given(pairs=st.lists(field_pairs(), min_size=1, max_size=8), seed=seeds)
-def test_kernel_matches_interpreted_converter(src, dst, pairs, seed):
+@given(
+    pairs=st.lists(field_pairs(), min_size=1, max_size=8),
+    moves=st.booleans(),
+    bulk=st.sampled_from(BULK),
+    seed=seeds,
+)
+def test_kernel_matches_interpreted_converter(src, dst, pairs, moves, bulk, seed):
     """Every group size x every output shape is byte-identical to the
     interpreted converter run one frame at a time (a frame it rejects —
-    a value with no VAX representation — is ``None`` on both sides)."""
+    a value with no VAX representation — is ``None`` on both sides).
+    With ``moves`` the plan only moves bytes, so records and groups within
+    the gather's bound are one gather; ``bulk`` puts them on both sides."""
+    if moves:
+        pairs = [pair for pair in pairs if moves_bytes(pair)]
+    if bulk:
+        pairs = [*pairs, (f"double[{bulk}]", f"double[{bulk}]")]
     wire_schema, native_schema = schema_pair(pairs)
     sender = IOContext(MACHINES[src])
     handle = sender.register_format(wire_schema)
@@ -510,15 +537,28 @@ class TestBatchConverterDispatch:
 
 
 @pytest.mark.parametrize(
-    "src, ctype",
+    "src, wire, native, lifted",
     [
-        (SPARC_V8, "string"),  # variable-size output: VarBatchConverter's business
-        (VAX, "float"),  # no numpy dtype reads a VAX F float
+        (SPARC_V8, "string", "string", False),  # variable-size output: VarBatchConverter's business
+        (VAX, "float", "float", False),  # no numpy dtype reads a VAX F float
+        (SPARC_V8, "int", "long long", True),  # CVT_INT
+        (SPARC_V8, "float", "double", True),  # CVT_FLOAT
+        (SPARC_V8, "int", "double", True),  # CVT_INT_FLOAT
+        (SPARC_V8, "double", "int", False),  # CVT_FLOAT_INT
+        (VAX, "double", "double", False),  # VAX D float -> IEEE
     ],
-    ids=["strings", "vax_floats"],
+    ids=["strings", "vax_floats", "cvt_int", "cvt_float", "cvt_int_float", "cvt_float_int", "vax_doubles"],
 )
-def test_string_and_vax_plans_are_not_lifted_either(src, ctype):
-    """With float->int above: the three plan kinds the kernel refuses."""
-    schema = RecordSchema.from_pairs("r", [("x", ctype)])
-    plan = build_plan(IOContext(src).expect(schema), IOContext(X86).expect(schema))
-    assert build_batch_converter(plan) is None
+def test_string_and_vax_plans_are_not_lifted_either(src, wire, native, lifted):
+    """With float->int above: the three plan kinds the kernel refuses.  And
+    a plan with a ``CVT_*``, a ``STRING`` op or a VAX float gets no byte
+    gather, though its other field — an ``int`` — only moves bytes."""
+    wire_schema = RecordSchema.from_pairs("r", [("x", wire), ("y", "int")])
+    native_schema = RecordSchema.from_pairs("r", [("x", native), ("y", "int")])
+    plan = build_plan(IOContext(src).expect(wire_schema), IOContext(X86).expect(native_schema))
+    assert gather_index(plan) is None
+    if not lifted:
+        assert build_batch_converter(plan) is None
+    # the same record less the field that converts is one gather
+    moved = RecordSchema.from_pairs("r", [("y", "int")])
+    assert gather_index(build_plan(IOContext(SPARC_V8).expect(moved), IOContext(X86).expect(moved))) is not None

@@ -385,9 +385,23 @@ class TestFusedRuns:
         assert "pack_into(dst, 0, *" in line and "unpack_from(src, 0)" in line
         assert gen.statements == 1
 
-    def test_mech_1kb_is_four_statements_without_a_copy(self):
+    def test_mech_1kb_is_one_take(self):
+        """sparc -> x86 only moves bytes: within GATHER_MAX_BYTES a record
+        that would fuse to more than one statement is one gather straight
+        into the destination."""
         gen = generate_python_converter(mech_plan("1kb"))
-        assert len(statements(gen.source)) == gen.statements == 4
+        (line,) = statements(gen.source)
+        assert line.strip().startswith("_w.take(") and "out=np.frombuffer(dst" in line
+        assert gen.statements == 1 and gen.gather is not None
+        assert "pack_into" not in gen.source and ".astype(" not in gen.source
+        small = generate_python_converter(mech_plan("100b"))  # one struct pair: the index is for groups
+        assert "pack_into" in small.source and small.gather is not None
+
+    def test_mech_10kb_keeps_its_fused_runs_without_a_copy(self):
+        """Past GATHER_MAX_BYTES: struct pairs and in-place numpy casts."""
+        gen = generate_python_converter(mech_plan("10kb"))
+        assert gen.gather is None and len(statements(gen.source)) == gen.statements == 5
+        assert "pack_into" in gen.source and "np.frombuffer(dst" in gen.source
         assert "tobytes" not in gen.source and ".astype(" not in gen.source
 
     def test_what_pads_and_what_splits_a_run(self):
@@ -426,8 +440,9 @@ class TestFusedRuns:
         assert decoded["fresh"] == 0 and decoded["wide"] == -2 and decoded["tag"] == b"abcd"
 
     def test_reordered_fields_end_the_run(self):
+        # c widens, so the plan does more than move bytes and is not one gather
         _, _, plan = make_pair(
-            SPARC_V8, X86, [("b", "int"), ("a", "int"), ("c", "int")], [("a", "int"), ("b", "int"), ("c", "int")]
+            SPARC_V8, X86, [("b", "int"), ("a", "int"), ("c", "int")], [("a", "int"), ("b", "int"), ("c", "long long")]
         )
         # a reads src 4, b reads src 0: backwards, so b starts a new run, which c joins
         assert len(statements(generate_python_converter(plan).source)) == 2
@@ -441,7 +456,7 @@ class TestFusedRuns:
             pipeline = receiver.pipeline
             pipeline.ingest(sender.announce(handle))
             wire_fmt, payload = pipeline.open_data(sender.encode(handle, {"i": 1, "v": value, "j": 3}))
-            entry = pipeline.entry_for(wire_fmt, pipeline.native_for(wire_fmt))
+            entry, _ = pipeline.entry_for(wire_fmt, pipeline.native_for(wire_fmt))
             with pytest.raises(ConversionError):
                 pipeline._run_converter(entry, wire_fmt, payload[:keep])
             with pytest.raises(ConversionError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.abi import ALPHA, SPARC_V8, VAX, X86, RecordSchema, layout_record, records_equal
+from repro.abi import ALPHA, SPARC_V8, VAX, X86, RecordSchema, codec_for, layout_record, records_equal
 from repro.core import (
     IOContext,
     IOFormat,
@@ -127,17 +127,35 @@ class TestConnectionEdges:
 
 
 class TestContextEdges:
-    def test_re_expecting_same_name_replaces_target(self):
-        sender = IOContext(X86)
+    @pytest.mark.parametrize("sender_machine", [SPARC_V8, X86], ids=["sparc", "x86"])
+    @pytest.mark.parametrize("entry", ["decode", "decode_view", "decode_native", "decode_batch"])
+    def test_re_expecting_same_name_replaces_target(self, entry, sender_machine):
+        """A steady plan (decoded twice) still sees a replacing ``expect()``
+        at once, on every decode entry point, converted (sparc: one gather
+        either way) or not (x86: a copy, then zero-copy)."""
+        sender = IOContext(sender_machine)
         receiver = IOContext(X86)
         h = sender.register_format(schema(("a", "int"), ("b", "int")))
-        receiver.expect(schema(("a", "int")))
         receiver.receive(sender.announce(h))
         msg = sender.encode(h, {"a": 1, "b": 2})
-        assert receiver.receive(msg) == {"a": 1}
+
+        def decoded(expected):
+            pipeline = receiver.pipeline
+            if entry == "decode_native":
+                return codec_for(layout_record(expected, X86)).decode(pipeline.decode_native(msg))
+            if entry == "decode_batch":
+                (record,) = pipeline.decode_batch([msg])
+                return record
+            record = getattr(pipeline, entry)(msg)
+            return record if entry == "decode" else record.to_dict()
+
+        narrow = schema(("a", "int"))
+        receiver.expect(narrow)
+        assert decoded(narrow) == decoded(narrow) == {"a": 1}
         # The application upgrades its expectations at run time.
-        receiver.expect(schema(("a", "int"), ("b", "int")))
-        assert receiver.receive(msg) == {"a": 1, "b": 2}
+        wide = schema(("a", "int"), ("b", "int"))
+        receiver.expect(wide)
+        assert decoded(wide) == decoded(wide) == {"a": 1, "b": 2}
 
     def test_decode_view_converted_path(self):
         sender = IOContext(SPARC_V8)

@@ -19,7 +19,7 @@ from repro.abi import (
     records_equal,
 )
 from repro.core import IOContext, IOFormat, build_plan, match_formats
-from repro.core.conversion import InterpretedConverter, generate_converter
+from repro.core.conversion import GATHER_MAX_BYTES, InterpretedConverter, generate_converter
 from repro.workloads.generators import random_record, random_schema
 
 MACHINE_NAMES = sorted(MACHINES)
@@ -48,10 +48,20 @@ def test_pbio_dcg_round_trips_any_schema(seed, src, dst):
     assert records_equal(record, out, rel_tol=1e-5)
 
 
+#: Doubles appended to a drawn schema: none, a record under
+#: ``GATHER_MAX_BYTES`` (a byte move is one gather), one past it.
+BULK = [0, GATHER_MAX_BYTES // 16, GATHER_MAX_BYTES // 8 + 1]
+
+
 @settings(max_examples=30, deadline=None)
-@given(seed=seeds, src=machines, dst=machines)
-def test_interpreted_and_dcg_agree_bit_for_bit(seed, src, dst):
-    schema, record = build_schema_and_record(seed, allow_strings=True, allow_nested=True)
+@given(seed=seeds, src=machines, dst=machines, strings=st.booleans(), bulk=st.sampled_from(BULK))
+def test_interpreted_and_dcg_agree_bit_for_bit(seed, src, dst, strings, bulk):
+    """Whatever the lowering — one gather, fused runs, numpy casts — on
+    both sides of the gather's bound."""
+    schema, _ = build_schema_and_record(seed, allow_strings=strings, allow_nested=True)
+    if bulk:
+        schema = RecordSchema(schema.name, [*schema.fields, FieldDecl("bulk", CType.DOUBLE, bulk)])
+    record = random_record(schema, np.random.default_rng(seed))
     src_layout = layout_record(schema, MACHINES[src])
     dst_layout = layout_record(schema, MACHINES[dst])
     plan = build_plan(IOFormat.from_layout(src_layout), IOFormat.from_layout(dst_layout))

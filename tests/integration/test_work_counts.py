@@ -18,7 +18,7 @@ from repro.core import IOContext, PbioConnection
 from repro.core import encoder as enc
 from repro.core.formats import IOFormat
 from repro.core.registry import FormatRegistry
-from repro.core.runtime import ConverterCache, DecodePipeline
+from repro.core.runtime import ConverterCache, DecodePipeline, Metrics
 from repro.core.runtime.pool import BufferPool
 from repro.net import (
     DurablePublisher,
@@ -64,6 +64,19 @@ class CountingU64:
         if name is not None:
             self.counts[name] += 1
         self._pack_into(view, offset, value)
+
+
+def count_metric_bumps(monkeypatch, counts, contexts):
+    """``Metrics.inc`` with each call on a receiving context's registry, or
+    on its converter cache's, counted as ``metric_bumps``."""
+    watched = {id(registry) for ctx in contexts for registry in (ctx.metrics, ctx.cache.metrics)}
+    inc = Metrics.__dict__["inc"]
+
+    def counting(registry, *args):
+        counts["metric_bumps"] += id(registry) in watched
+        return inc(registry, *args)
+
+    monkeypatch.setattr(Metrics, "inc", counting)
 
 
 def counted_within(counts, name, fn, inside):
@@ -232,6 +245,7 @@ class Stream:
         monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
         monkeypatch.setattr(BufferPool, "lease", counted(counts, "leases", BufferPool.__dict__["lease"]))
         monkeypatch.setattr(BufferPool, "acquire", counted(counts, "pool_acquisitions", BufferPool.__dict__["acquire"]))
+        count_metric_bumps(monkeypatch, counts, (rx,))
 
     def burst(self, shape):
         n, size = shape
@@ -344,6 +358,7 @@ class RttScalar:
         ):
             monkeypatch.setattr(owner, name, counted(counts, key, owner.__dict__[name]))
         monkeypatch.setattr(sockets, "Loan", counted(counts, "loans", transport.Loan))
+        count_metric_bumps(monkeypatch, counts, (sparc, x86))
 
     def burst(self, size):
         (there, request), (back, reply) = self.formats[size]
@@ -547,11 +562,13 @@ def rtt_row(size, payload):
     """What the two records of one warm round trip cost: each one send
     syscall — joined behind its prefix below ``GATHER_MIN_FRAME``, three
     iovecs and the caller's own buffer from it on —, one header parse, one
-    copy off the framer, one converter run, and nothing resolved again."""
+    copy off the framer, one converter run, nothing resolved again, and two
+    counter bumps: the decode's own and the converter cache's hit (the
+    receiver's ``converter_cache_hits`` is derived on read)."""
     row = {
         "sendall": 2, "sendmsg": 0, "iovecs": 0, "payload_copies": 2, "recv_into": 2, "prefix_unpacks": 2,
         "header_unpacks": 2, "frame_copies": 2, "converter_calls": 2, "resolves": 0,
-        "pool_acquisitions": 0, "leases": 0, "loans": 0,
+        "pool_acquisitions": 0, "leases": 0, "loans": 0, "metric_bumps": 4,
     }  # fmt: skip
     if size == "100kb":  # gathered, and too large for one read: how many it takes is the kernel's business
         row.update(sendall=0, sendmsg=2, iovecs=6, payload_copies=0)
@@ -563,7 +580,11 @@ def stream_row(lent):
     """What a burst of ``n`` records of a size class costs on the socket
     path; ``lent`` is 1 where the receiver's views borrow the receive
     buffer (x86 -> x86: one lease a burst) and 0 where every record is
-    converted into bytes of its own (the buffer never leaves the framer)."""
+    converted into bytes of its own (the buffer never leaves the framer).
+    The one batch decode bumps each of its counters once, whatever ``n``:
+    calls, messages, groups, how the records went (zero-copy, or a
+    converted run's path: ``converted_decodes`` is derived from it) and
+    the converter cache's hit."""
 
     def row(shape, payload):
         n, size = shape
@@ -578,6 +599,7 @@ def stream_row(lent):
             "leases": lent,
             "pool_acquisitions": lent,
             "receive_buffer_moves": lent,
+            "metric_bumps": 5,
         }
 
     return row
