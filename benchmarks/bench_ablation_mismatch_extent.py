@@ -11,8 +11,8 @@ import pytest
 
 import support
 from repro.abi import CType, FieldDecl, RecordSchema, codec_for, layout_record
-from repro.core import PbioWire
 from repro.net import best_of
+from repro.wire import PbioWire
 
 N_FIELDS = 16
 

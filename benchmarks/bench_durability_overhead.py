@@ -55,7 +55,7 @@ from repro.abi import RecordSchema
 from repro.core import IOContext
 from repro.core import encoder as enc
 from repro.core.framing import pack_frame
-from repro.net import DurablePublisher, EventChannel, best_of
+from repro.net import DurablePublisher, DurableSubscription, EventChannel, best_of
 
 #: 32 records of ~1 KiB: the stream burst the acceptance gate names.
 BURST = 32
@@ -123,7 +123,8 @@ def _build_plane_loop(wal_root: str | None):
     ctx_rx = IOContext(support.SPARC)
     ctx_rx.expect(SCHEMA)
     delivered = []
-    channel.subscribe_durable(
+    DurableSubscription(
+        channel,
         ctx_rx,
         delivered.append,
         cursor_path=None if wal_root is None else os.path.join(wal_root, "sub.cursors"),

@@ -12,7 +12,7 @@ import pytest
 
 import support
 from repro.abi import CType, FieldDecl, codec_for, layout_record
-from repro.core import PbioWire
+from repro.wire import PbioWire
 from repro.workloads import mechanical
 
 

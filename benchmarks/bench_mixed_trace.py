@@ -15,9 +15,8 @@ import pytest
 
 import support
 from repro.abi import codec_for, layout_record
-from repro.core import PbioWire
 from repro.net import InMemoryPipe, best_of
-from repro.wire import IiopWire, MpiWire, XmlWire
+from repro.wire import IiopWire, MpiWire, PbioWire, XmlWire
 from repro.workloads import TraceSpec, generate_trace
 
 N_EVENTS = 64

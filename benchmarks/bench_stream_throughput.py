@@ -11,9 +11,9 @@ import pytest
 
 import support
 from repro.abi import codec_for, layout_record
-from repro.core import IOContext, PbioWire
+from repro.core import IOContext
 from repro.net import EventChannel, InMemoryPipe
-from repro.wire import IiopWire, MpiWire, XmlWire
+from repro.wire import IiopWire, MpiWire, PbioWire, XmlWire
 from repro.workloads import mechanical
 from repro.workloads.generators import record_stream
 

@@ -17,8 +17,9 @@ import sys
 
 import support
 from repro.abi import CType, FieldDecl, codec_for, layout_record
-from repro.core import IOContext, PbioWire
+from repro.core import IOContext
 from repro.net import TimingTable, best_of, paper_network_times_ms
+from repro.wire import PbioWire
 from repro.workloads import mechanical
 
 SIZES = list(support.SIZES)

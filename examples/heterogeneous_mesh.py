@@ -16,9 +16,8 @@ import time
 
 from repro import abi
 from repro.abi import codec_for, layout_record, records_equal
-from repro.core import PbioWire
 from repro.net import loopback_pair
-from repro.wire import IiopWire, MpiWire, XmlWire
+from repro.wire import IiopWire, MpiWire, PbioWire, XmlWire
 from repro.workloads import mechanical
 from repro.workloads.generators import record_stream
 

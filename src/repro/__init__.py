@@ -7,6 +7,12 @@ Representation wire format, the baselines the paper compares against
 needed to exercise them: a machine/ABI simulator, a Vcode-like dynamic
 code generation layer, and a network model.
 
+Imports run one way.  The system is ``abi ← core ← net ← fmtserv ←
+tools``: each layer imports only the ones to its left.  The paper's
+apparatus — :mod:`repro.wire` (the baselines), :mod:`repro.vcode` and
+:mod:`repro.workloads` — may import the system; the system never
+imports it.  ``import repro`` loads no subpackage: import the one you use.
+
 Quickstart::
 
     from repro import abi, core
@@ -21,12 +27,3 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
-
-from . import abi  # noqa: F401
-from . import core  # noqa: F401
-from . import net  # noqa: F401
-from . import vcode  # noqa: F401
-from . import wire  # noqa: F401
-from . import workloads  # noqa: F401
-
-__all__ = ["abi", "core", "net", "vcode", "wire", "workloads", "__version__"]

@@ -9,9 +9,13 @@ Public API:
 
 * :class:`IOContext` — register/expect formats, encode/decode messages.
 * :class:`PbioConnection` — an IOContext bound to a transport.
-* :class:`PbioWire` — WireSystem adapter for comparative benchmarks.
 * :mod:`~repro.core.reflection` — inspect formats without decoding.
 * :func:`~repro.core.versioning.check_evolution` — format change analysis.
+
+Core imports only :mod:`repro.abi`: the transports of :mod:`repro.net`
+build on it, and appear here in annotations alone.  The adapter that
+lets the comparative benchmarks bind PBIO like the baselines is
+:class:`repro.wire.PbioWire`.
 """
 
 from .errors import (
@@ -48,7 +52,6 @@ from .runtime import (
 from .context import FormatHandle, IOContext
 from .connection import PbioConnection
 from .negotiation import Announcer, InboundNegotiator, LinkTable
-from .pbio_wire import BoundPbio, PbioWire
 from .reflection import MessageInfo, generic_decode, incoming_format, peek_message
 from .versioning import CompatibilityReport, check_evolution
 from .files import PbioFileReader, PbioFileWriter, read_records, write_records
@@ -105,8 +108,6 @@ __all__ = [
     "Announcer",
     "InboundNegotiator",
     "LinkTable",
-    "PbioWire",
-    "BoundPbio",
     "MessageInfo",
     "peek_message",
     "incoming_format",

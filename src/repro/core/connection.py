@@ -27,14 +27,15 @@ link heard (see :class:`~repro.core.negotiation.LinkTable`).
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.net.transport import Transport
+from typing import TYPE_CHECKING, Any
 
 from . import encoder as enc
 from .context import FormatHandle, IOContext
 from .errors import PbioError
 from .negotiation import ENDPOINT_ROWS, Announcer, InboundNegotiator, LinkTable
+
+if TYPE_CHECKING:  # core sits below repro.net: annotations only
+    from repro.net.transport import Transport
 
 
 class PbioConnection:

@@ -1,4 +1,10 @@
-"""PBIO exception hierarchy."""
+"""PBIO exception hierarchy, and the transport errors.
+
+The transport errors are defined here and re-exported by
+:mod:`repro.net.transport`, so that core's negotiation and RPC catch a
+failed link without importing the layer above them.  They are
+``RuntimeError`` subclasses, not :class:`PbioError` ones: a failed link
+is not a malformed message."""
 
 from __future__ import annotations
 
@@ -56,3 +62,38 @@ class LimitError(MessageError):
 
 class ConversionError(PbioError):
     """A field cannot be converted between wire and native form."""
+
+
+class TransportError(RuntimeError):
+    pass
+
+
+class PeerClosedError(TransportError):
+    """The peer closed its end: distinguishable from a merely idle link."""
+
+
+class TransportTimeout(TransportError):
+    """A blocking send/recv exceeded the configured timeout."""
+
+
+class WriteQueueFull(TransportError):
+    """A bounded send queue rejected a frame: the peer is not draining.
+
+    Raised by queueing transports (:class:`repro.net.aio.AsyncSocketTransport`)
+    whose per-connection write queue is at capacity.  It is a
+    :class:`TransportError` deliberately: fan-out layers (the relay) treat a
+    persistently-full queue exactly like a broken link — count, report,
+    quarantine — which is the slow-consumer eviction policy.
+    """
+
+
+class PeerUnresponsive(TransportError):
+    """The peer missed too many consecutive liveness probes.
+
+    Raised (or reported) by :class:`repro.net.health.HeartbeatMonitor`
+    when ``miss_threshold`` pings go unanswered.  The socket may still be
+    technically open — half-dead links are exactly what heartbeats
+    exist to detect — so this is a verdict about the *peer*, not the
+    local endpoint.  Probing (:class:`repro.net.health.ProbePolicy`)
+    can later clear it.
+    """

@@ -30,11 +30,9 @@ import weakref
 from collections import OrderedDict, deque
 from typing import Callable
 
-from repro.net.transport import TransportError
-
 from . import encoder as enc
 from .context import FormatHandle, IOContext
-from .errors import LimitError, MessageError, TokenResolutionError
+from .errors import LimitError, MessageError, TokenResolutionError, TransportError
 
 #: Hold-queue ceiling per unresolved format: a peer that streams data
 #: forever without ever answering the meta request is either broken or

@@ -42,17 +42,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.abi import MachineDescription, RecordSchema
-from repro.net.transport import Transport, TransportError
 
 from . import encoder as enc
 from .context import FormatHandle, IOContext
-from .errors import MessageError, PbioError
+from .errors import MessageError, PbioError, TransportError
 from .negotiation import Announcer, LinkTable, send_goodbye
 from .runtime import ConverterCache, Metrics
 from .safety import DEFAULT_LIMITS, DecodeLimits
 
-if TYPE_CHECKING:  # import would cycle through repro.net at runtime
+if TYPE_CHECKING:  # core sits below repro.net: annotations only
     from repro.net.faults import RetryPolicy
+    from repro.net.transport import Transport
 
 _CALL = struct.Struct(">IB")  # request id, flags (bit0: is-reply, bit1: fault)
 _FAULT_FLAG = 0x02

@@ -363,37 +363,6 @@ class EventChannel:
     def unsubscribe(self, sub: Subscription) -> None:
         self._subscribers.remove(sub)
 
-    def subscribe_durable(
-        self,
-        ctx: IOContext,
-        handler: Callable[[dict[str, Any]], None],
-        *,
-        cursor_path: str | None = None,
-        format_name: str | None = None,
-        filter_expr: str | None = None,
-        on_error: str = "raise",
-        window: int = 1024,
-        ack_sink: Callable[[bytes], None] | None = None,
-    ):
-        """Attach an exactly-once-observed subscriber (see
-        :mod:`repro.net.durable`): redelivered sequenced frames are
-        absorbed by a dedup window and the ack cursor survives restarts
-        when ``cursor_path`` is given.  ``ack_sink`` overrides where
-        MSG_ACK frames go (default: back into this channel's listeners)."""
-        from .durable import DurableSubscription  # avoid an import cycle
-
-        return DurableSubscription(
-            self,
-            ctx,
-            handler,
-            cursor_path=cursor_path,
-            format_name=format_name,
-            filter_expr=filter_expr,
-            on_error=on_error,
-            window=window,
-            ack_sink=ack_sink,
-        )
-
     # -- ack routing -----------------------------------------------------------
 
     def add_ack_listener(self, listener: Callable[[bytes], None]) -> None:

@@ -5,7 +5,8 @@ byte messages; transports move them.  Frames are length-prefixed so stream
 transports (TCP) preserve message boundaries.
 
 Error taxonomy (the fault-tolerance layer in :mod:`repro.net.faults`
-keys retry decisions off it):
+keys retry decisions off it).  The classes are defined in
+:mod:`repro.core.errors`, where core catches them, and re-exported here:
 
 * :class:`TransportError` — the link failed; the *message stream* is
   suspect but the peer may come back.  Retryable.
@@ -26,46 +27,18 @@ from collections import deque
 
 # The frame shapes the send core (repro.core.encoder.data_frames) builds.
 from repro.core.encoder import GATHER_MIN_FRAME, SegmentedFrame  # noqa: F401
+from repro.core.errors import (  # noqa: F401
+    PeerClosedError,
+    PeerUnresponsive,
+    TransportError,
+    TransportTimeout,
+    WriteQueueFull,
+)
 
 #: 4-byte big-endian length prefix, like most RPC framings.
 _LEN = struct.Struct(">I")
 
 MAX_FRAME = 1 << 30
-
-
-class TransportError(RuntimeError):
-    pass
-
-
-class PeerClosedError(TransportError):
-    """The peer closed its end: distinguishable from a merely idle link."""
-
-
-class TransportTimeout(TransportError):
-    """A blocking send/recv exceeded the configured timeout."""
-
-
-class WriteQueueFull(TransportError):
-    """A bounded send queue rejected a frame: the peer is not draining.
-
-    Raised by queueing transports (:class:`repro.net.aio.AsyncSocketTransport`)
-    whose per-connection write queue is at capacity.  It is a
-    :class:`TransportError` deliberately: fan-out layers (the relay) treat a
-    persistently-full queue exactly like a broken link — count, report,
-    quarantine — which is the slow-consumer eviction policy.
-    """
-
-
-class PeerUnresponsive(TransportError):
-    """The peer missed too many consecutive liveness probes.
-
-    Raised (or reported) by :class:`repro.net.health.HeartbeatMonitor`
-    when ``miss_threshold`` pings go unanswered.  The socket may still be
-    technically open — half-dead links are exactly what heartbeats
-    exist to detect — so this is a verdict about the *peer*, not the
-    local endpoint.  Probing (:class:`repro.net.health.ProbePolicy`)
-    can later clear it.
-    """
 
 
 class Transport(ABC):

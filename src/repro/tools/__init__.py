@@ -12,20 +12,7 @@
   compact durable-publisher WAL directories.
 * ``pbio-fabric`` (:mod:`repro.tools.fabric_tool`) — run a sharded
   relay fabric; probe its status; print ring ownership offline.
+
+Each tool is its own module with a ``main``; this package imports none
+of them, so running one loads only the layers it uses.
 """
-
-from .layout_tool import main as layout_main
-from .dump_tool import main as dump_main
-from .fsck_tool import main as fsck_main
-from .fmtserv_tool import main as fmtserv_main
-from .wal_tool import main as wal_main
-from .fabric_tool import main as fabric_main
-
-__all__ = [
-    "layout_main",
-    "dump_main",
-    "fsck_main",
-    "fmtserv_main",
-    "wal_main",
-    "fabric_main",
-]

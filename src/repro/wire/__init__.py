@@ -10,8 +10,12 @@ All implement the :class:`~repro.wire.common.WireSystem` interface:
   byte order but packed/aligned wire layout.
 * :class:`~repro.wire.xdr.XdrWire` — Sun RPC style XDR streams.
 
-PBIO itself lives in :mod:`repro.core` and exposes the same interface via
-:class:`repro.core.PbioWire`.
+PBIO itself lives in :mod:`repro.core`; :class:`~repro.wire.pbio.PbioWire`
+adapts it to the same interface, so the comparisons bind all five alike.
+
+This package, :mod:`repro.vcode` and :mod:`repro.workloads` are the
+paper's measuring apparatus: they may import the system (abi, core, net,
+fmtserv, tools), and the system never imports them.
 """
 
 from .common import BoundFormat, WireFormatError, WireSystem, check_same_schema
@@ -19,6 +23,7 @@ from .xdr import BoundXdr, XdrDecoder, XdrEncoder, XdrWire, xdr_item_size
 from .mpi import MpiWire
 from .xml import XmlWire
 from .iiop import IiopWire
+from .pbio import BoundPbio, PbioWire
 
 __all__ = [
     "WireSystem",
@@ -33,4 +38,6 @@ __all__ = [
     "MpiWire",
     "XmlWire",
     "IiopWire",
+    "PbioWire",
+    "BoundPbio",
 ]

@@ -10,10 +10,10 @@ as the paper's figures do.
 from __future__ import annotations
 
 from repro.abi import StructLayout
-from repro.wire.common import BoundFormat, WireSystem
+from repro.core import IOContext
+from repro.core import encoder as enc
 
-from . import encoder as enc
-from .context import IOContext
+from .common import BoundFormat, WireSystem
 
 
 class PbioWire(WireSystem):

@@ -13,8 +13,8 @@ from repro.abi import (
     layout_record,
     records_equal,
 )
-from repro.core import IOContext, PbioWire
-from repro.wire import IiopWire, MpiWire, XdrWire, XmlWire
+from repro.core import IOContext
+from repro.wire import IiopWire, MpiWire, PbioWire, XdrWire, XmlWire
 
 VEC3 = RecordSchema.from_pairs("vec3", [("x", "double"), ("y", "double"), ("z", "double")])
 HEADER = RecordSchema.from_pairs("hdr", [("step", "int"), ("flag", "char")])

@@ -21,9 +21,17 @@ import numpy as np
 import pytest
 
 from repro.abi import X86, CType, FieldDecl, RecordSchema, layout_record
-from repro.core import IOContext, PbioConnection, PbioFileWriter, PbioWire
+from repro.core import IOContext, PbioConnection, PbioFileWriter
 from repro.core import encoder as enc
-from repro.net import DurablePublisher, EventChannel, InMemoryPipe, PublisherWAL, loopback_pair
+from repro.net import (
+    DurablePublisher,
+    DurableSubscription,
+    EventChannel,
+    InMemoryPipe,
+    PublisherWAL,
+    loopback_pair,
+)
+from repro.wire import PbioWire
 
 POINT = RecordSchema("point", [FieldDecl("x", CType.INT), FieldDecl("y", CType.INT)])
 CID = 0x5E4D
@@ -184,8 +192,12 @@ class _Downstream:
             self.channel.subscribe(ctx, lambda r, k=deliver: self.got[k].append(dict(r)), deliver=deliver)
         ctx = IOContext(X86)
         ctx.expect(POINT)
-        self.durable = self.channel.subscribe_durable(
-            ctx, lambda r: self.got["durable"].append(dict(r)), on_error="suppress", ack_sink=lambda ack: None
+        self.durable = DurableSubscription(
+            self.channel,
+            ctx,
+            lambda r: self.got["durable"].append(dict(r)),
+            on_error="suppress",
+            ack_sink=lambda ack: None,
         )
         self.channel.attach_wire(lambda frame: self.wire.append(bytes(frame)))
         ctx = IOContext(X86, context_id=CID)

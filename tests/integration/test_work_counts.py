@@ -495,7 +495,7 @@ class Publish:
             rx = IOContext(X86)
             rx.expect(schema)
             if self.durable and deliver == "dict":
-                channel.subscribe_durable(rx, self.got.append, on_error="suppress", ack_sink=lambda ack: None)
+                DurableSubscription(channel, rx, self.got.append, on_error="suppress", ack_sink=lambda ack: None)
             else:
                 channel.subscribe(rx, self.got.append, deliver=deliver)
         for name in ("try_unpack_header", "unpack_header"):

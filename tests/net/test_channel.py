@@ -12,6 +12,7 @@ from repro.core import encoder as enc
 from repro.core.errors import MessageError
 from repro.core.safety import DecodeLimits
 from repro.net import (
+    DurableSubscription,
     EventChannel,
     FabricDispatcher,
     InMemoryPipe,
@@ -241,8 +242,8 @@ class _Burst:
         if kind == "filtered":
             screen["filter_expr"] = "temperature > 350.0"
         if kind == "durable":
-            self.sub = self.channel.subscribe_durable(
-                self.ctx, self._handle, on_error=policy, window=4, ack_sink=self.acks.append
+            self.sub = DurableSubscription(
+                self.channel, self.ctx, self._handle, on_error=policy, window=4, ack_sink=self.acks.append
             )
         else:
             deliver = "view" if kind == "view" else "dict"
@@ -388,7 +389,7 @@ def test_a_burst_is_scanned_once(monkeypatch, durable):
     ctx = IOContext(X86)
     ctx.expect(TELEMETRY)
     if durable:
-        channel.subscribe_durable(ctx, lambda r: got.append(r["unit"]), on_error="suppress")
+        DurableSubscription(channel, ctx, lambda r: got.append(r["unit"]), on_error="suppress")
     else:
         channel.subscribe(ctx, lambda r: got.append(r["unit"]), deliver="view")
     channel.ingest(sender.announce(h))

@@ -341,8 +341,8 @@ class TestDurableRoundTrip:
         pub, handle = make_publisher(channel, str(tmp_path / "wal"))
         got = []
         sub_ctx = sub_context()
-        sub = channel.subscribe_durable(
-            sub_ctx, lambda r: got.append(r["x"]), cursor_path=str(tmp_path / "cursors")
+        sub = DurableSubscription(
+            channel, sub_ctx, lambda r: got.append(r["x"]), cursor_path=str(tmp_path / "cursors")
         )
         for i in range(5):
             pub.publish(handle, {"x": i, "y": i * 0.5})
@@ -433,16 +433,16 @@ class TestDurableRoundTrip:
         pub, handle = make_publisher(channel, str(tmp_path / "wal"))
         cursor_path = str(tmp_path / "cursors")
         got = []
-        sub = channel.subscribe_durable(
-            sub_context(), lambda r: got.append(r["x"]), cursor_path=cursor_path
+        sub = DurableSubscription(
+            channel, sub_context(), lambda r: got.append(r["x"]), cursor_path=cursor_path
         )
         for i in range(3):
             pub.publish(handle, {"x": i, "y": 0.0})
         # Crash: discard without goodbye, rebuild from the cursor file.
         channel.unsubscribe(sub)
         got2 = []
-        sub2 = channel.subscribe_durable(
-            sub_context(), lambda r: got2.append(r["x"]), cursor_path=cursor_path
+        sub2 = DurableSubscription(
+            channel, sub_context(), lambda r: got2.append(r["x"]), cursor_path=cursor_path
         )
         pub.resend_unacked()  # nothing unacked — but belt and braces
         pub.publish(handle, {"x": 3, "y": 0.0})
@@ -462,8 +462,8 @@ class TestDurableRoundTrip:
         channel.remove_ack_listener(pub._on_ack)
         pub2, handle2 = make_publisher(channel, wal_dir)
         got = []
-        sub = channel.subscribe_durable(
-            sub_context(), lambda r: got.append(r["x"]), cursor_path=str(tmp_path / "c")
+        sub = DurableSubscription(
+            channel, sub_context(), lambda r: got.append(r["x"]), cursor_path=str(tmp_path / "c")
         )
         assert pub2.resend_unacked() == 3
         assert got == [0, 1, 2]
@@ -485,8 +485,8 @@ class TestDurableRoundTrip:
                 raise RuntimeError("transient")
             got.append(record["x"])
 
-        sub = channel.subscribe_durable(
-            sub_context(), handler, cursor_path=str(tmp_path / "c")
+        sub = DurableSubscription(
+            channel, sub_context(), handler, cursor_path=str(tmp_path / "c")
         )
         with pytest.raises(RuntimeError):
             pub.publish(handle, {"x": 0, "y": 0.0})
@@ -503,7 +503,7 @@ class TestDurableRoundTrip:
         channel = EventChannel()
         pub, handle = make_publisher(channel, str(tmp_path / "wal"))
         got = []
-        sub = channel.subscribe_durable(sub_context(), lambda r: got.append(r["x"]))
+        sub = DurableSubscription(channel, sub_context(), lambda r: got.append(r["x"]))
         pub.publish(handle, {"x": 0, "y": 0.0})
         # Drop the next frame in flight by detaching the subscriber.
         channel.unsubscribe(sub)
@@ -534,7 +534,7 @@ class TestAckAdmission:
         pub, handle = make_publisher(channel, wal_dir)
         key = (PUB_CONTEXT_ID, handle.format_id)
         got = []
-        sub = channel.subscribe_durable(sub_context(), lambda r: got.append(r["x"]), cursor_path=str(tmp_path / "c"))
+        sub = DurableSubscription(channel, sub_context(), lambda r: got.append(r["x"]), cursor_path=str(tmp_path / "c"))
         for i in range(3):
             pub.publish(handle, {"x": i, "y": 0.0})
         channel.route_ack(enc.encode_ack(*key, self.BOGUS))
@@ -557,7 +557,7 @@ class TestAckAdmission:
         pub, handle = make_publisher(source, str(tmp_path / "wal"))
         key = (PUB_CONTEXT_ID, handle.format_id)
         got = []
-        sink.subscribe_durable(sub_context(), lambda r: got.append(r["x"]), ack_sink=pipe.b.send)
+        DurableSubscription(sink, sub_context(), lambda r: got.append(r["x"]), ack_sink=pipe.b.send)
 
         def publish(xs):
             pub.publish_batch(handle, [{"x": x, "y": 0.0} for x in xs])
@@ -585,7 +585,8 @@ class TestBatchPath:
         channel = EventChannel()
         pub, handle = make_publisher(channel, str(tmp_path / "wal"))
         got = []
-        sub = channel.subscribe_durable(
+        sub = DurableSubscription(
+            channel,
             sub_context(),
             lambda r: got.append(r["x"]),
             cursor_path=str(tmp_path / "cursors"),
@@ -613,8 +614,8 @@ class TestBatchPath:
         pub2, handle2 = make_publisher(channel, wal_dir)
         assert pub2.unacked_count == 6  # recovered from the batch frame
         got = []
-        sub = channel.subscribe_durable(
-            sub_context(), lambda r: got.append(r["x"]), on_error="suppress"
+        sub = DurableSubscription(
+            channel, sub_context(), lambda r: got.append(r["x"]), on_error="suppress"
         )
         assert pub2.resend_unacked() == 6
         assert got == list(range(6))
@@ -637,8 +638,8 @@ class TestBatchPath:
         channel = EventChannel()
         pub, handle = make_publisher(channel, str(tmp_path / "wal"))
         got = []
-        sub = channel.subscribe_durable(
-            sub_context(), lambda r: got.append(r["x"]), on_error="suppress"
+        sub = DurableSubscription(
+            channel, sub_context(), lambda r: got.append(r["x"]), on_error="suppress"
         )
         pub.publish_batch(handle, [{"x": 0, "y": 0.0}])
         channel.unsubscribe(sub)
@@ -666,8 +667,8 @@ class TestBatchPath:
                 raise RuntimeError("poison")
             got.append(record["x"])
 
-        sub = channel.subscribe_durable(
-            sub_context(), handler, cursor_path=cursors, on_error="detach"
+        sub = DurableSubscription(
+            channel, sub_context(), handler, cursor_path=cursors, on_error="detach"
         )
         key = (PUB_CONTEXT_ID, handle.format_id)
         pub.publish_batch(handle, [{"x": i, "y": 0.0} for i in range(6)])
@@ -680,8 +681,8 @@ class TestBatchPath:
         with AckCursorStore(cursors) as store:
             assert store.cursor(key) == 3  # persisted what was acked, no more
         # a replacement subscriber resumes exactly behind the poison record
-        sub2 = channel.subscribe_durable(
-            sub_context(), got.append, cursor_path=cursors, on_error="suppress"
+        sub2 = DurableSubscription(
+            channel, sub_context(), got.append, cursor_path=cursors, on_error="suppress"
         )
         assert pub.resend_unacked() == 3
         assert [r["x"] for r in got[2:]] == [3, 4, 5]
@@ -893,8 +894,8 @@ class TestCrashProperty:
         got = []
 
         def attach_subscriber():
-            return channel.subscribe_durable(
-                sub_context(), lambda r: got.append(r["x"]), cursor_path=cursor_path
+            return DurableSubscription(
+                channel, sub_context(), lambda r: got.append(r["x"]), cursor_path=cursor_path
             )
 
         sub = attach_subscriber()

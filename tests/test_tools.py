@@ -4,7 +4,10 @@ import pytest
 
 from repro.abi import SPARC_V8, X86, RecordSchema
 from repro.core import IOContext, write_records
-from repro.tools import dump_main, layout_main, wal_main
+from repro.tools.dump_tool import main as dump_main
+from repro.tools.fabric_tool import main as fabric_main
+from repro.tools.layout_tool import main as layout_main
+from repro.tools.wal_tool import main as wal_main
 
 
 class TestLayoutTool:
@@ -248,8 +251,6 @@ class TestWalTool:
 
 class TestFabricTool:
     def test_ring_prints_shares_and_sample_channels(self, capsys):
-        from repro.tools import fabric_main
-
         rc = fabric_main(["ring", "--workers", "3", "--channels", "100", "--key", "7:1"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -259,8 +260,6 @@ class TestFabricTool:
         assert "channel (7, 1) -> w" in out
 
     def test_ring_balance_is_visibly_fair(self, capsys):
-        from repro.tools import fabric_main
-
         assert fabric_main(["ring", "--workers", "4"]) == 0
         out = capsys.readouterr().out
         import re
@@ -275,8 +274,6 @@ class TestFabricTool:
             assert abs(share - 0.25) <= 0.05  # within 20% of fair
 
     def test_usage_errors_exit_2(self, capsys):
-        from repro.tools import fabric_main
-
         assert fabric_main(["ring", "--workers", "0"]) == 2
         assert fabric_main(["ring", "--workers", "2", "--key", "junk"]) == 2
         assert fabric_main(["serve", "--workers", "0"]) == 2
@@ -284,8 +281,6 @@ class TestFabricTool:
 
     def test_status_against_dead_port_exits_1(self, capsys):
         import socket
-
-        from repro.tools import fabric_main
 
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -309,8 +304,6 @@ class TestFabricServeOverSockets:
 
         from repro.abi import SPARC_V8
         from repro.net.sockets import SocketTransport
-        from repro.tools import fabric_main
-
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)

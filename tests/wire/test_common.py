@@ -3,8 +3,7 @@
 import pytest
 
 from repro.abi import SPARC_V8, X86, layout_record
-from repro.core import PbioWire
-from repro.wire import IiopWire, MpiWire, WireFormatError, XdrWire, XmlWire
+from repro.wire import IiopWire, MpiWire, PbioWire, WireFormatError, XdrWire, XmlWire
 from repro.wire.common import check_same_schema
 from repro.workloads import mechanical
 
