@@ -29,19 +29,22 @@ Gates (run in CI bench-smoke):
   {1, 2, 3, 4, 8} frames costs at most 1.25 x (``n`` scalar
   ``decode_view`` calls + the batch call's scaffolding) — small groups
   are where a real stream spends its time (mean group size 2.14 on the
-  reference benchmark's ``stream_hetero``).  The scaffolding (output
-  list, header scan, group bookkeeping, counters: ~3 us per call,
-  whatever the conversion costs) is timed, not assumed: it is what one
-  batch call costs over one scalar call on a homogeneous frame of the
-  same size, where neither side converts anything.  Without that term
-  the budget shrinks whenever the scalar decode gets faster.
-  ``PBIO_BENCH_INNER`` / ``PBIO_BENCH_REPEATS`` tune its loop counts;
+  reference benchmark's ``stream_hetero``, most bursts a single record).
+  The scaffolding is timed, not assumed: it is what one batch call costs
+  over one scalar call on a homogeneous frame of the same size, where
+  neither side converts anything.  A burst of one data frame *is* its
+  scalar decode, so the term is the call's own entry (~0.4 us on a 2-core
+  x86 host); a group of two or more pays its header scan, group
+  bookkeeping and one set of counters on top, which the 1.25 margin must
+  then cover.  ``PBIO_BENCH_INNER`` / ``PBIO_BENCH_REPEATS`` tune its
+  loop counts;
 * the same guidelines one layer up, on 100 B homogeneous frames to one
   ``deliver="view"`` channel subscriber: the channel adds no per-frame
   cost over the pipeline — ``ingest_many`` of 32 frames costs at most
   1.4 x (``decode_batch(lend=True)`` + the handler loop over its result)
   — and a burst is no dearer than its frames — ``ingest_many(n)`` <=
-  1.1 x ``n`` x ``ingest`` for n in {2, 8, 32}; n = 1 is printed.
+  1.1 x ``n`` x ``ingest`` for n in {2, 8, 32}, and a burst of one <= 1.3
+  x ``ingest``.
 """
 
 import os
@@ -273,17 +276,20 @@ def test_guideline_channel_adds_no_per_frame_cost():
 @pytest.mark.parametrize("n", (1, 2, 8, 32))
 def test_guideline_a_burst_is_no_dearer_than_its_frames(n):
     """batch <= scalar x n on the channel: ``ingest_many(n frames)`` <=
-    1.1 x ``n`` x ``ingest(frame)``, n in {2, 8, 32}.  n = 1 is printed,
-    not gated: a burst of one still pays the run scaffolding (two lists,
-    the batch decode's per-call part) on top of the one scan — a finding
-    for the layer budget, not a reason for a second path."""
+    1.1 x ``n`` x ``ingest(frame)``, n in {2, 8, 32}; a burst of one <=
+    1.3 x ``ingest(frame)``.  The batch decode takes a burst of one through
+    the scalar decode, so what it still pays over ``ingest`` is the run
+    walk's part — the run lists and the channel's fan-out of a run —, which
+    the wider margin is for (1.62 while the burst of one ran the group
+    path)."""
     frames, channel, _, _ = _channel_with_view_subscriber(n)
     t_burst, t_frame = _alternating_best(
         [lambda: channel.ingest_many(frames), lambda: channel.ingest(frames[0])], _guideline_inner()
     )
     ratio = t_burst / (n * t_frame)
+    gate = 1.3 if n == 1 else 1.1
     print(f"ingest_many({n}) {t_burst * 1e6:.1f} us, ingest {t_frame * 1e6:.1f} us x {n}: {ratio:.2f}")
-    assert n == 1 or ratio <= 1.1, (
+    assert ratio <= gate, (
         f"ingest_many of {n} frames {t_burst * 1e6:.1f} us vs {n} x ingest "
-        f"{t_frame * 1e6:.1f} us (ratio {ratio:.2f}, gate 1.1)"
+        f"{t_frame * 1e6:.1f} us (ratio {ratio:.2f}, gate {gate})"
     )

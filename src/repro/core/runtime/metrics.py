@@ -57,9 +57,9 @@ Counter names used by the runtime:
 ``relay.unresolved_tokens``  token announcements a relay forwarded without
                           being able to resolve for its own filter registry
 ``relay.requests_dropped``  MSG_FORMAT_REQUEST frames dropped by a one-way hub
-``decode.batch.calls``    ``decode_batch`` invocations
-``decode.batch.messages``  frames handed to ``decode_batch`` (all types)
-``decode.batch.groups``   consecutive same-format data runs dispatched
+``decode.batch.groups``   consecutive same-format data runs ``decode_batch``
+                          dispatched (a burst of one data frame: one, decoded
+                          by the scalar body, counted as scalar decodes are)
 ``decode.batch.converted``  records of a kernel-backed plan converted as a group:
                           by one byte gather (a byte move within ``GATHER_MAX_BYTES``),
                           the record kernel or, below the entry's

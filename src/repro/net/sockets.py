@@ -4,6 +4,13 @@ Integration tests use this to prove every wire format survives an actual
 kernel socket (framing, partial reads, large messages), not just the
 in-memory pipe.
 
+A socket call is one syscall: the socket stays non-blocking, and only a
+call the kernel answers with ``EAGAIN`` waits for readiness
+(``select.poll``) under one deadline for the operation — the transport's
+timeout (:meth:`SocketTransport.set_timeout`; a socket handed in with one
+keeps it).  CPython's timeout mode polls ahead of *every* call instead: a
+second syscall per send and per receive on a link that never waits.
+
 The send side is vectored: ``sendmsg`` takes the length prefix, the
 header segment and the application payload as separate iovecs — from
 :data:`~repro.net.transport.GATHER_MIN_FRAME` on.  A smaller frame's own
@@ -17,8 +24,10 @@ crossings (:meth:`recv_many`).
 
 from __future__ import annotations
 
+import math
 import select
 import socket
+import time
 
 from repro.core.runtime.pool import BufferPool
 
@@ -49,21 +58,41 @@ class SocketTransport(Transport):
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._timeout = sock.gettimeout()  # None: a blocking socket blocks on
+        sock.setblocking(False)
         self._framer = FrameBuffer()
 
     def set_timeout(self, timeout_s: float | None) -> None:
-        """Bound blocking send/recv; exceeded → :class:`TransportTimeout`."""
-        self._sock.settimeout(timeout_s)
+        """Bound each blocking send/recv; exceeded → :class:`TransportTimeout`."""
+        self._timeout = timeout_s
+
+    def _wait(self, event: int, deadline: float | None, what: str) -> float:
+        """Wait for ``event`` (``POLLIN`` / ``POLLOUT``) by the operation's ``deadline``
+        (``None``: its first wait sets it), which it returns; past it, :class:`TransportTimeout`."""
+        if deadline is None:
+            deadline = math.inf if self._timeout is None else time.monotonic() + self._timeout
+        poller = select.poll()  # one per wait: a send and a recv may wait in two threads
+        poller.register(self._sock, event)
+        while True:
+            left = None if deadline == math.inf else math.ceil((deadline - time.monotonic()) * 1000)
+            if left is not None and left <= 0:
+                raise TransportTimeout(f"{what} timed out")
+            if poller.poll(left):  # (an error or a hang-up too: the retried call reports it)
+                return deadline
 
     # -- vectored send ------------------------------------------------------
 
     def _sendv(self, bufs: list, total: int) -> None:
-        """sendall for an iovec list of ``total`` bytes: one ``sendmsg``
-        when the kernel takes the whole burst, else one per <=512 buffers,
-        resuming mid-buffer on partial sends."""
+        """Send an iovec list of ``total`` bytes: one ``sendmsg`` when the
+        kernel takes the whole burst, else one per <=512 buffers, resuming
+        mid-buffer on partial sends, each after a wait for room."""
+        sendmsg, deadline = self._sock.sendmsg, None
         try:
-            sent = self._sock.sendmsg(bufs if len(bufs) <= _IOV_MAX else bufs[:_IOV_MAX])
+            try:
+                sent = sendmsg(bufs if len(bufs) <= _IOV_MAX else bufs[:_IOV_MAX])
+            except BlockingIOError:
+                sent = 0
             if sent == total:
                 return
             # Zero-length buffers (empty frames/segments) never advance
@@ -82,9 +111,11 @@ class SocketTransport(Transport):
                         sent = 0
                 if idx >= len(bufs):
                     return
-                sent = self._sock.sendmsg(bufs[idx : idx + _IOV_MAX])
-        except TimeoutError as exc:
-            raise TransportTimeout(f"send timed out: {exc}") from exc
+                deadline = self._wait(select.POLLOUT, deadline, "send")
+                try:
+                    sent = sendmsg(bufs[idx : idx + _IOV_MAX])
+                except BlockingIOError:
+                    sent = 0
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
@@ -106,12 +137,7 @@ class SocketTransport(Transport):
             raise TransportError(f"frame too large: {total}")
         if total >= GATHER_MIN_FRAME:
             return self._sendv([_LEN.pack(total), *segments], 4 + total)
-        try:
-            self._sock.sendall(b"".join((_LEN.pack(total), *segments)))
-        except TimeoutError as exc:
-            raise TransportTimeout(f"send timed out: {exc}") from exc
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}") from exc
+        self._sendv([b"".join((_LEN.pack(total), *segments))], 4 + total)
 
     def send_many(self, frames) -> None:
         """Many length-prefixed messages in one vectored burst."""
@@ -132,22 +158,28 @@ class SocketTransport(Transport):
     # -- buffered receive framer --------------------------------------------
     #
     # The buffer and slicing discipline live in FrameBuffer (shared with
-    # the async transport); this class only supplies the blocking fill.
+    # the async transport); this class only supplies the fill.
 
-    def _fill(self) -> None:
-        """Make writable space, then recv_into once."""
+    def _fill(self, wait: bool = True) -> bool:
+        """Make writable space, then recv_into once — after a wait, or (not ``wait``) False."""
         view = self._framer.writable(self._framer.needed())
-        try:
-            got = self._sock.recv_into(view)
-        except TimeoutError as exc:
-            raise TransportTimeout(f"recv timed out: {exc}") from exc
-        except OSError as exc:
-            raise TransportError(f"recv failed: {exc}") from exc
+        deadline = None
+        while True:
+            try:
+                got = self._sock.recv_into(view)
+                break
+            except BlockingIOError:
+                if not wait:
+                    return False
+                deadline = self._wait(select.POLLIN, deadline, "recv")
+            except OSError as exc:
+                raise TransportError(f"recv failed: {exc}") from exc
         if not got:
             if self._framer.pending:
                 raise TransportError("connection closed mid-frame")
             raise PeerClosedError("peer closed the connection")
         self._framer.advance(got)
+        return True
 
     def recv(self) -> bytes:
         next_frame = self._framer.next_frame
@@ -192,20 +224,15 @@ class SocketTransport(Transport):
         return out, Loan(framer, _recv_pool)
 
     def poll_recv(self) -> bytes | None:
-        """A complete frame if one is buffered or readable *now*, else None.
-
-        Reads while the kernel says there is something to read, until either
-        a frame completes or the socket has nothing more to give — never
-        blocks, regardless of the configured timeout (with one set, Python
-        waits for readability ahead of any read, ``MSG_DONTWAIT`` or not).
-        """
+        """A complete frame if one is buffered or readable *now*, else None:
+        reads until either a frame completes or the socket has nothing more
+        to give — never waits, whatever the timeout."""
         while True:
             data = self._framer.next_frame()
             if data is not None:
                 return data
-            if not select.select((self._sock,), (), (), 0)[0]:
+            if not self._fill(wait=False):
                 return None
-            self._fill()
 
     def close(self) -> None:
         try:
@@ -216,15 +243,11 @@ class SocketTransport(Transport):
 
 
 def loopback_pair(timeout_s: float = 10.0) -> tuple[SocketTransport, SocketTransport]:
-    """Create a connected pair of loopback TCP transports."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
-    client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    client.settimeout(timeout_s)
-    client.connect(("127.0.0.1", port))
-    server, _ = listener.accept()
-    server.settimeout(timeout_s)
-    listener.close()
-    return SocketTransport(client), SocketTransport(server)
+    """Create a connected pair of loopback TCP transports, bounded by ``timeout_s``."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.socket()
+        client.connect(listener.getsockname())
+        pair = SocketTransport(client), SocketTransport(listener.accept()[0])
+    for end in pair:
+        end.set_timeout(timeout_s)
+    return pair

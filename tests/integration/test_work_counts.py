@@ -227,6 +227,7 @@ class Stream:
             self.formats[size] = (tx.register_format(schema), codec, random_record(schema, rng))
         self.sender, self.receiver = PbioConnection(tx, self.a), PbioConnection(rx, self.b)
         self.natives = []
+        count_readiness_waits(monkeypatch, counts)
         monkeypatch.setattr(
             SocketTransport, "send_many", counted(counts, "send_many", SocketTransport.__dict__["send_many"])
         )
@@ -249,6 +250,7 @@ class Stream:
 
     def burst(self, shape):
         n, size = shape
+        self.counts["blocking_sockets"] = blocking_sockets((self.a, self.b))
         handle, codec, record = self.formats[size]
         self.natives = [codec.encode(dict(record, node_id=k)) for k in range(n)]
         buffer, views = self.b._framer._buf, []
@@ -269,6 +271,20 @@ class StreamHomo(Stream):
     src = X86
 
 
+def count_readiness_waits(monkeypatch, counts):
+    """Each wait for readiness — a socket call that met ``EAGAIN`` — counted
+    as ``readiness_waits``."""
+    monkeypatch.setattr(
+        SocketTransport, "_wait", counted(counts, "readiness_waits", SocketTransport.__dict__["_wait"])
+    )
+
+
+def blocking_sockets(ends):
+    """How many of ``ends`` have a socket that is not in non-blocking mode:
+    in CPython's timeout mode every socket call polls first, a second syscall."""
+    return sum(end._sock.gettimeout() != 0.0 for end in ends)
+
+
 class CountingSocket:
     """A transport's socket with its send and receive syscalls counted, and
     whether ``native`` reached the kernel as the caller's own buffer."""
@@ -276,7 +292,7 @@ class CountingSocket:
     def __init__(self, sock, counts):
         self.sock, self.counts, self.native = sock, counts, None
 
-    def sendall(self, data):
+    def sendall(self, data):  # undefined on a non-blocking socket: counted so its use shows
         self.counts["sendall"] += 1
         self.counts["payload_copies"] += data is not self.native
         return self.sock.sendall(data)
@@ -328,6 +344,7 @@ class RttScalar:
                 legs.append((ctx.register_format(schema), codec_for(layout_record(schema, machine)).encode(record)))
             self.formats[size] = legs
         self.client, self.server = PbioConnection(sparc, self.a), PbioConnection(x86, self.b)
+        count_readiness_waits(monkeypatch, counts)
         monkeypatch.setattr(transport, "_LEN", CountingPrefix(counts))
         for name in ("try_unpack_header", "unpack_header"):
             monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
@@ -361,6 +378,7 @@ class RttScalar:
         count_metric_bumps(monkeypatch, counts, (sparc, x86))
 
     def burst(self, size):
+        self.counts["blocking_sockets"] = blocking_sockets((self.a, self.b))
         (there, request), (back, reply) = self.formats[size]
         self.a._sock.native, self.b._sock.native = request, reply
         self.client.send_native(there, request)
@@ -531,10 +549,11 @@ def publish_row(n, payload):
     """What ``n`` published records cost in-process: one batch fan-out and
     one batch decode a subscriber, and not one header parse — the
     publisher built the headers with the frames — whether the records went
-    out as a burst or one alone."""
+    out as a burst or one alone.  A batch decode of one record is that
+    record's scalar decode."""
     return {
-        "channel.publish_batch": 1, "channel.publish_message": 0, "decode_batch": 2, "scalar_decodes": 0,
-        "header_unpacks": 0,
+        "channel.publish_batch": 1, "channel.publish_message": 0, "decode_batch": 2,
+        "scalar_decodes": 2 if n == 1 else 0, "header_unpacks": 0,
     }  # fmt: skip
 
 
@@ -560,18 +579,19 @@ def fanout_row(n, payload):
 
 def rtt_row(size, payload):
     """What the two records of one warm round trip cost: each one send
-    syscall — joined behind its prefix below ``GATHER_MIN_FRAME``, three
-    iovecs and the caller's own buffer from it on —, one header parse, one
-    copy off the framer, one converter run, nothing resolved again, and two
-    counter bumps: the decode's own and the converter cache's hit (the
-    receiver's ``converter_cache_hits`` is derived on read)."""
+    syscall — one iovec joined behind its prefix below ``GATHER_MIN_FRAME``,
+    three and the caller's own buffer from it on —, no wait for readiness
+    on either non-blocking socket, one header parse, one copy off the
+    framer, one converter run, nothing resolved again, and two counter
+    bumps: the decode's own and the converter cache's hit (the receiver's
+    ``converter_cache_hits`` is derived on read)."""
     row = {
-        "sendall": 2, "sendmsg": 0, "iovecs": 0, "payload_copies": 2, "recv_into": 2, "prefix_unpacks": 2,
-        "header_unpacks": 2, "frame_copies": 2, "converter_calls": 2, "resolves": 0,
-        "pool_acquisitions": 0, "leases": 0, "loans": 0, "metric_bumps": 4,
+        "sendall": 0, "sendmsg": 2, "iovecs": 2, "payload_copies": 2, "recv_into": 2, "prefix_unpacks": 2,
+        "readiness_waits": 0, "blocking_sockets": 0, "header_unpacks": 2, "frame_copies": 2,
+        "converter_calls": 2, "resolves": 0, "pool_acquisitions": 0, "leases": 0, "loans": 0, "metric_bumps": 4,
     }  # fmt: skip
     if size == "100kb":  # gathered, and too large for one read: how many it takes is the kernel's business
-        row.update(sendall=0, sendmsg=2, iovecs=6, payload_copies=0)
+        row.update(iovecs=6, payload_copies=0)
         del row["recv_into"], row["prefix_unpacks"]
     return row
 
@@ -581,10 +601,11 @@ def stream_row(lent):
     path; ``lent`` is 1 where the receiver's views borrow the receive
     buffer (x86 -> x86: one lease a burst) and 0 where every record is
     converted into bytes of its own (the buffer never leaves the framer).
-    The one batch decode bumps each of its counters once, whatever ``n``:
-    calls, messages, groups, how the records went (zero-copy, or a
-    converted run's path: ``converted_decodes`` is derived from it) and
-    the converter cache's hit."""
+    Neither non-blocking socket waits for readiness.  The one batch decode
+    bumps each of its counters once, whatever ``n``: its group, how the
+    records went (zero-copy, or a converted run's path:
+    ``converted_decodes`` is derived from it) and the converter cache's
+    hit — a burst of one is its scalar decode's two bumps and the group."""
 
     def row(shape, payload):
         n, size = shape
@@ -599,7 +620,9 @@ def stream_row(lent):
             "leases": lent,
             "pool_acquisitions": lent,
             "receive_buffer_moves": lent,
-            "metric_bumps": 5,
+            "readiness_waits": 0,
+            "blocking_sockets": 0,
+            "metric_bumps": 3,
         }
 
     return row

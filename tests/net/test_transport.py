@@ -661,3 +661,85 @@ def test_a_relay_reads_what_a_closed_peer_sent(kind, tmp_path):
         assert down.state == "active" and down.pongs_received == 1
 
     run(kind, tmp_path, case)
+
+
+# -- a socket's timeout: the transport's, kept without CPython's timeout mode ---
+
+SOCKET_KINDS = ["socket", "faulted-socket"]  # a re-dialling wrapper dials again instead of timing out
+
+
+def _within(t, limit, action):
+    """``action()`` raises :class:`TransportTimeout` no sooner than ``t`` and
+    within ``limit``, in seconds."""
+    start = time.monotonic()
+    with pytest.raises(TransportTimeout):
+        action()
+    assert t * 0.9 <= time.monotonic() - start <= limit
+
+
+@pytest.mark.parametrize("kind", SOCKET_KINDS)
+def test_a_timeout_bounds_each_wait_and_none_blocks(kind, tmp_path):
+    """``set_timeout(t)`` bounds a receive from a silent peer and a send
+    into a full peer window — :class:`TransportTimeout` within 1.5 x t —;
+    a poll of an idle link returns at once whatever the timeout; and
+    ``set_timeout(None)`` blocks until the peer speaks."""
+    t = 0.2
+
+    async def case(end, peer):
+        end.set_timeout(t)
+        start = time.monotonic()
+        assert end.poll_recv() is None and time.monotonic() - start < 0.05
+        _within(t, 1.5 * t, end.recv)
+        _within(t, 1.5 * t, lambda: end.recv_many_leased())
+        end.set_timeout(None)
+        late = threading.Timer(3 * t, peer.send, (b"late",))
+        late.start()
+        start = time.monotonic()
+        assert end.recv() == b"late" and time.monotonic() - start >= 2 * t
+        late.join(timeout=5)
+        assert not late.is_alive()
+        end.set_timeout(t)
+        _within(t, 1.5 * t, lambda: end.send(bytes(32 << 20)))  # the peer never reads: its window fills
+
+    run(kind, tmp_path, case)
+
+
+@pytest.mark.parametrize("kind", SOCKET_KINDS)
+@pytest.mark.parametrize("mid_frame", [False, True], ids=["clean", "mid-frame"])
+def test_a_closing_peer_is_told_from_a_torn_frame(kind, mid_frame, tmp_path):
+    """A peer that closes between frames is :class:`PeerClosedError`; one
+    that closes inside a frame is a plain :class:`TransportError`."""
+
+    async def case(end, peer):
+        end.set_timeout(5.0)
+        if mid_frame:
+            peer._sock.send(struct.pack(">I", 10) + b"abc")  # 3 of the frame's 10 bytes
+        peer.close()
+        with pytest.raises(TransportError) as raised:
+            end.recv()
+        assert isinstance(raised.value, PeerClosedError) != mid_frame
+
+    run(kind, tmp_path, case)
+
+
+def test_a_socket_handed_in_keeps_its_timeout():
+    """A socket in CPython's timeout mode becomes the transport's timeout on
+    a non-blocking socket; a blocking one blocks on."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    left = socket.create_connection(listener.getsockname(), timeout=0.2)
+    right, _ = listener.accept()
+    listener.close()
+    assert (left.gettimeout(), right.gettimeout()) == (0.2, None)
+    timed, blocking = SocketTransport(left), SocketTransport(right)
+    try:
+        assert left.gettimeout() == right.gettimeout() == 0.0  # non-blocking: one syscall a call
+        _within(0.2, 0.3, timed.recv)
+        late = threading.Timer(0.3, timed.send, (b"late",))
+        late.start()
+        start = time.monotonic()
+        assert blocking.recv() == b"late" and time.monotonic() - start >= 0.25
+        late.join(timeout=5)
+        assert not late.is_alive()
+    finally:
+        timed.close()
+        blocking.close()

@@ -518,3 +518,131 @@ def test_a_damaged_announcement_is_never_remembered(damaged):
         forward(fabric, frame)
         assert fabric.metrics.value("fabric.rejected") == 1
         assert [list(part._announcements) for part in (fabric, *fabric.workers)] == [[], [], []]
+
+
+# -- a burst of one is its scalar decode ---------------------------------------
+#
+# ``decode_batch`` of one data frame takes the scalar body itself: every
+# output shape, zero-copy and converted, both error policies, a lone control
+# frame and a lone rejected one must come out as the scalar front door's —
+# and, where a group can tell, as the same frame's slot in a group of two.
+
+SHAPES = {"dict": (False, False), "view": (True, False), "native": (False, True), "native view": (True, True)}
+
+
+def reframed(frame, *, fid=None, payload_len=None, body=None):
+    """``frame`` with its format id, body or declared length replaced (the length follows the body unless given)."""
+    kind, cid, old_fid, _ = enc.unpack_header(frame)
+    body = frame[enc.HEADER_SIZE :] if body is None else body
+    length = len(body) if payload_len is None else payload_len
+    return enc.pack_header(kind, cid, old_fid if fid is None else fid, length) + body
+
+
+LONE = {
+    **{kind: F.frames[kind] for kind in CASES},
+    "data length lies": reframed(F.frames["data"], payload_len=len(F.frames["data"]) - enc.HEADER_SIZE + 4),
+    "data record short": reframed(F.frames["data"], body=F.frames["data"][enc.HEADER_SIZE : -4]),
+    "data unannounced": reframed(F.frames["data"], fid=F.fid + 7),
+    "data_seq zero": F.frames["data_seq"][: enc.HEADER_SIZE] + bytes(8) + F.frames["data_seq"][enc.SEQ_RECORD_OFFSET :],
+}  # fmt: skip
+
+
+class Lent:
+    """A stand-in lease that counts how often it is taken."""
+
+    taken = 0
+
+    def take(self):
+        self.taken += 1
+        return self
+
+
+def canon(value):
+    if isinstance(value, list):
+        return [canon(item) for item in value]
+    if hasattr(value, "to_dict"):  # a RecordView: its bytes and its fields
+        return bytes(value.buffer), value.to_dict()
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    return value
+
+
+def counts(rx):
+    total = Counter(rx.metrics.counters())
+    total.update({"cache " + name: n for name, n in rx.cache.metrics.counters().items()})
+    return total
+
+
+def receiver(machine):
+    rx = IOContext(machine)
+    rx.expect(TELEMETRY)
+    rx.pipeline.resolver = lambda fp: F.handle.iofmt if fp == F.handle.iofmt.fingerprint else None
+    rx.pipeline.ingest(F.frames["format"])
+    return rx
+
+
+def scalar(pipeline, frame, lend, native):
+    if native:
+        record = pipeline.decode_native(frame)
+        return memoryview(record) if lend else record
+    return pipeline.decode_view(frame) if lend else pipeline.decode(frame)
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("machine", [SPARC_V8, X86_64], ids=["converted", "zero-copy"])
+@pytest.mark.parametrize("kind", ["data", "data_seq"])
+def test_a_burst_of_one_is_its_scalar_decode(kind, machine, shape, on_error):
+    """The record, its output type, the lease it takes (zero-copy lent
+    results alias the frame) and what is counted: the scalar decode's
+    counters and the group."""
+    lend, native = SHAPES[shape]
+    frame = F.frames[kind]
+    rx = receiver(machine)
+    decode_batch = rx.pipeline.decode_batch
+    for _ in range(2):  # warm: every plan this test meets has both halves
+        scalar(rx.pipeline, frame, lend, native)
+        decode_batch([frame, frame], on_error=on_error, lend=lend, native=native)
+    before = counts(rx)
+    want = scalar(rx.pipeline, frame, lend, native)
+    scalar_counts, before = counts(rx) - before, counts(rx)
+    one_lease, pair_lease = Lent(), Lent()
+    (got,) = decode_batch([frame], on_error=on_error, lend=lend, native=native, lease=one_lease)
+    burst_counts = counts(rx) - before
+    pair = decode_batch([frame, frame], on_error=on_error, lend=lend, native=native, lease=pair_lease)
+    zero_copy_lent = lend and machine is X86_64
+    assert canon(got) == canon(pair[0]) == canon(want) and type(got) is type(pair[0])
+    assert one_lease.taken == pair_lease.taken == zero_copy_lent
+    if lend and not native:  # a zero-copy view holds the lease; a converted one owns its bytes
+        assert (got.lease is one_lease) == (pair[0].lease is pair_lease) == zero_copy_lent
+    assert burst_counts == scalar_counts + Counter({"decode.batch.groups": 1})
+
+
+def outcome(run):
+    try:
+        return "ok", canon(run())
+    except PbioError as exc:
+        return type(exc), str(exc), getattr(exc, "partial", "none")
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("case", sorted(LONE))
+def test_a_lone_frame_meets_the_scalar_verdict(case, shape, on_error):
+    """Any frame alone — data, control, damaged — gets the verdict of the
+    bare decode's scalar door (``ingest``): its slot is the scalar result
+    (``None`` for control), or the rejection with its type and message,
+    ``exc.partial == [None]`` (``"skip"``: the slot is ``None``), and
+    ``decode.rejected`` counts it once."""
+    lend, native = SHAPES[shape]
+    frame = LONE[case]
+    rx, reference = receiver(SPARC_V8), receiver(SPARC_V8)
+    want = outcome(lambda: reference.pipeline.ingest(frame))
+    got = outcome(lambda: rx.pipeline.decode_batch([frame], on_error=on_error, lend=lend, native=native))
+    if want[0] != "ok":
+        assert got == ((*want[:2], [None]) if on_error == "raise" else ("ok", [None]))
+    elif want[1] is None or not (lend or native):
+        assert got == ("ok", [want[1]])
+    else:  # data in another shape: the scalar decode of that shape
+        assert got == ("ok", [canon(scalar(reference.pipeline, frame, lend, native))])
+    assert rx.metrics.value("decode.rejected") == reference.metrics.value("decode.rejected") == (want[0] != "ok")
