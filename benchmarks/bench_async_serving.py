@@ -208,7 +208,6 @@ def test_shape_async_echo_is_byte_faithful():
         with SocketTransport(
             socket.create_connection((host, port), timeout=10.0)
         ) as transport:
-            transport._sock.settimeout(10.0)
             frames = [bytes([i % 256]) * (1 + i * 37 % 2048) for i in range(64)]
             transport.send_many(frames)
             got = []
