@@ -33,7 +33,7 @@ loc:              ## src/ lines per package, for the system and the apparatus, a
 	printf '%6d src/ total\n' $(call count,src)
 
 # Neither may outgrow its ceiling; a PR that needs more raises it in the open.
-LOC_CEILING = 16786
+LOC_CEILING = 16885
 APPARATUS_LOC_CEILING = 3134
 
 loc-check:        ## fail when the system or the apparatus is over its ceiling

@@ -197,18 +197,24 @@ def test_guideline_batch_costs_at_most_n_scalar_decodes(size, n):
         loop()  # warm converter, kernel, staging
     inner = _guideline_inner()
     best = [float("inf")] * len(loops)
+    attempts = []  # each round's own ratio: how far a flake's rounds spread
     for _ in range(_repeats()):
-        best = [min(t, best_of(loop, repeats=1, inner=inner)) for t, loop in zip(best, loops)]
+        timed = [best_of(loop, repeats=1, inner=inner) for loop in loops]
+        best = [min(t, b) for t, b in zip(timed, best)]
+        batch, scalar, bare_batch, bare_scalar = timed
+        attempts.append(batch / (n * scalar + max(0.0, bare_batch - bare_scalar)))
     t_batch, t_scalar, t_bare_batch, t_bare_scalar = best
     t_scaffold = max(0.0, t_bare_batch - t_bare_scalar)
+    rounds = " ".join(f"{ratio:.2f}" for ratio in attempts)
     print(
         f"{size} x {n}: batch {t_batch * 1e6:.1f} us, scalar {t_scalar * 1e6:.1f} us, "
-        f"scaffolding {t_scaffold * 1e6:.1f} us, legacy ratio {t_batch / (n * t_scalar):.2f}"
+        f"scaffolding {t_scaffold * 1e6:.1f} us, legacy ratio {t_batch / (n * t_scalar):.2f}, "
+        f"{len(attempts)} attempts: {rounds}"
     )
     assert t_batch <= 1.25 * (n * t_scalar + t_scaffold), (
         f"{size} x {n}: batch {t_batch * 1e6:.1f} us vs scalar {t_scalar * 1e6:.1f} us x {n} "
         f"+ scaffolding {t_scaffold * 1e6:.1f} us "
-        f"(ratio {t_batch / (n * t_scalar + t_scaffold):.2f}, gate 1.25)"
+        f"(ratio {t_batch / (n * t_scalar + t_scaffold):.2f}, gate 1.25; {len(attempts)} attempts: {rounds})"
     )
 
 

@@ -123,7 +123,7 @@ def _shard_main(name, shard, subscribers, barrier, out) -> None:
         data = frames[1:]
         for i in range(0, len(data), BURST):
             chunk = data[i : i + BURST]
-            worker.ingest_batch([(m, enc.try_unpack_header(m)) for m in chunk])
+            worker.ingest_batch(chunk, [enc.try_unpack_header(m) for m in chunk])
             routed += len(chunk)
     elapsed = time.perf_counter() - t0
     barrier.wait()
@@ -211,11 +211,11 @@ def _build_edge(frames, key, expression, cutoff=0):
     rx.expect(SCHEMA)
     worker.ingest(frames[0])  # announcement: warm the leaf's registry
     data = frames[1:]
-    pairs = [(m, enc.try_unpack_header(m)) for m in data]
+    headers = [enc.try_unpack_header(m) for m in data]
 
     def run() -> int:
-        for i in range(0, len(pairs), BURST):
-            worker.ingest_batch(pairs[i : i + BURST])
+        for i in range(0, len(data), BURST):
+            worker.ingest_batch(data[i : i + BURST], headers[i : i + BURST])
         matched = 0
         while (frame := pipe.b.poll_recv()) is not None:
             record = rx.receive(frame)

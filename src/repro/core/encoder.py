@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import struct
 from collections import namedtuple
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import MessageError
 from .formats import IOFormat
@@ -69,9 +71,7 @@ LINK_KINDS = HEARTBEAT_KINDS | {MSG_FORMAT_REQUEST, MSG_ACK}
 _HEADER = struct.Struct(">BBBxIII")
 HEADER_SIZE = _HEADER.size
 
-#: Public handle for callers that inline the header scan on hot paths
-#: (batch decode: the types and :data:`HEADER_SEQ_STRUCT`); semantics stay
-#: defined by :func:`unpack_header`.
+#: Every type :func:`unpack_header` accepts (the batch decode's inlined scan reads it).
 MESSAGE_TYPES = DATA_KINDS | ANNOUNCEMENT_KINDS | LINK_KINDS
 
 FINGERPRINT_SIZE = 20  # sha1 digest length (matches IOFormat.fingerprint)
@@ -189,15 +189,44 @@ def rows(default: str | None = None, **cells: str) -> dict:
     return column
 
 
-def walk(pairs, column: dict, role, run=None, *args, limit: int | None = None) -> None:
-    """The one burst walk behind every hub: ``(message, header)`` pairs (a
-    ``None`` header is parsed here; a frame over ``limit`` is foreign)
-    through ``column``.  Each run of data frames goes to ``run(frames,
-    headers, *args)``; drops and rejects do not break it, a frame the role
-    handles flushes it first (announcement-before-data order holds)."""
+_BUFFERS = (bytes, bytearray, memoryview)
+_HEAD = itemgetter(slice(0, HEADER_SIZE))
+
+
+def uniform_header(frames, headers=None) -> tuple | None:
+    """The one header every frame carries, each whole by it (``len == 16 + payload_len``), or ``None``:
+    equal first 16 bytes are equal headers, so a few C-level passes, not a parse a frame.
+    ``headers`` parsed upstream (parallel; all equal or all ``None``) win over the bytes."""
+    n = len(frames)
+    if not n or type(frames[0]) not in _BUFFERS:
+        return None
+    header = None if headers is None else headers[0]
+    if headers is not None and headers.count(header) != n:
+        return None
+    if header is None:  # compared before the one parse: a mixed burst is parsed by its walk alone
+        first = frames[0]
+        if n == 1 or list(map(_HEAD, frames)).count(first[:HEADER_SIZE]) == n:
+            header = try_unpack_header(first)
+        if header is None:
+            return None
+    size = HEADER_SIZE + header[3]
+    return header if (len(frames[0]) == size if n == 1 else list(map(len, frames)).count(size) == n) else None
+
+
+def walk(messages, headers, column: dict, role, run=None, *args, limit: int | None = None) -> None:
+    """The one burst walk behind every hub: ``messages`` (with the parallel ``headers`` parsed
+    upstream; ``None`` ones are parsed here, a frame over ``limit`` is foreign) through ``column``.
+    Each run of data frames goes to ``run(frames, headers, *args)``; drops and rejects do not
+    break it, a frame the role handles flushes it first (announcement-before-data order holds).
+    A :func:`uniform_header` data burst is one admission: one row, one ``run``."""
+    header = uniform_header(messages, headers)
+    if header is not None and column[header[0]] is RUN:
+        if limit is None or HEADER_SIZE + header[3] <= limit:  # a frame over the limit is foreign
+            run(messages if type(messages) is list else list(messages), [header] * len(messages), *args)
+            return
     frames: list = []
-    headers: list = []
-    for message, header in pairs:
+    run_headers: list = []
+    for message, header in zip(messages, repeat(None) if headers is None else headers):
         if header is None:
             header = try_unpack_header(message)
         if header is None or (limit is not None and len(message) > limit):
@@ -206,14 +235,14 @@ def walk(pairs, column: dict, role, run=None, *args, limit: int | None = None) -
             row = column[header[0]]
         if row is RUN:
             frames.append(message)
-            headers.append(header)
+            run_headers.append(header)
             continue
         if frames and row.handler is not None:
-            run(frames, headers, *args)
-            frames, headers = [], []
+            run(frames, run_headers, *args)
+            frames, run_headers = [], []
         settle(row, message, header, role, *args)
     if frames:
-        run(frames, headers, *args)
+        run(frames, run_headers, *args)
 
 
 def settle(row: Row, message, header, role, *args) -> None:
@@ -399,11 +428,7 @@ SEQ_PREFIX_SIZE = _SEQ_PREFIX.size
 #: record starts at :data:`HEADER_SIZE`): the one offset a receiver needs
 #: to decode a sequenced frame where it lies.
 SEQ_RECORD_OFFSET = HEADER_SIZE + SEQ_PREFIX_SIZE
-#: Header and sequence prefix in one unpack, for the batch decode scan:
-#: on any frame of at least its size the first six values are the
-#: header, and the seventh is the sequence number *if* the type turns
-#: out to be ``MSG_DATA_SEQ``.  :func:`unpack_header` and
-#: :func:`read_seq` stay the definition of the checks.
+#: Header and sequence prefix in one pack or unpack (the seventh value: a sequence *if* the type is 7).
 HEADER_SEQ_STRUCT = struct.Struct(_HEADER.format + "Q")
 _ACK_FRAME = struct.Struct(_HEADER.format + "QQQ")  # a whole ack in one pack
 

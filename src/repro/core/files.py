@@ -353,7 +353,7 @@ class PbioFileReader:
 
         for message in iter(self._next_frame, None):
             try:
-                enc.walk(((message, None),), FILE_ROWS, self, keep)
+                enc.walk((message,), None, FILE_ROWS, self, keep)
             except PbioError:
                 # A CRC-valid frame that is not a well-formed PBIO data or
                 # format message (v1 corruption, or a writer bug): damage.

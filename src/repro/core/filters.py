@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import ast
 import struct
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.abi import PrimKind
 from repro.abi.types import struct_code
 
 from .context import IOContext
-from .errors import ConversionError
+from .errors import ConversionError, PbioError
 from .formats import IOFormat
 
 _ALLOWED_NODES = (
@@ -174,8 +175,28 @@ class RecordFilter:
         # point is reading 2 fields out of a possibly 100 KB record
         # without touching the rest.
         fmt, payload = self.ctx.pipeline.open_data(message, header=header)
+        predicate = self._predicate(fmt)
+        return predicate is not None and predicate(payload)
+
+    def matches_run(self, frames, header) -> list[bool]:
+        """:meth:`matches` of each frame of a hub's admitted uniform run (``enc.uniform_header``): one
+        ``open_data``, one predicate lookup, the predicate over the payloads.  A run it cannot
+        evaluate raises, counted as each of its frames would be."""
+        pipeline = self.ctx.pipeline
+        try:
+            fmt, payload = pipeline.open_data(frames[0], header=header)
+        except PbioError:  # counted once by open_data already
+            pipeline.metrics.inc("decode.rejected", len(frames) - 1)
+            raise
+        predicate, start = self._predicate(fmt), len(frames[0]) - len(payload)
+        if predicate is None:
+            return [False] * len(frames)
+        return list(map(predicate, map(itemgetter(slice(start, None)), map(memoryview, frames))))
+
+    def _predicate(self, fmt: IOFormat) -> Callable[[bytes], bool] | None:
+        """The compiled predicate for one wire format (``None``: not ours)."""
         if fmt.name != self.format_name:
-            return False
+            return None
         predicate = self._compiled.get(fmt.fingerprint)
         if predicate is None:
             # Compilation goes through the context's converter cache, so
@@ -188,7 +209,7 @@ class RecordFilter:
             )
             self._compiled[fmt.fingerprint] = predicate
             self.compilations += 1
-        return predicate(payload)
+        return predicate
 
 
 class RecordProjector:

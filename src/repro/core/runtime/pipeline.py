@@ -16,6 +16,7 @@ cached converter into a fresh destination (``docs/wire-format.md`` §6).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from repro.abi import MachineDescription, RecordView, StructLayout, codec_for
@@ -25,7 +26,7 @@ import struct
 from ..encoder import (
     DATA_KINDS, HEADER_SEQ_STRUCT, HEADER_SIZE, MAGIC, MESSAGE_TYPES, MSG_DATA, MSG_DATA_SEQ, RUN,
     SEQ_PREFIX_SIZE, SEQ_RECORD_OFFSET, VERSION, parse_control, read_seq, rows, settle,
-    try_unpack_header, unpack_header,
+    try_unpack_header, uniform_header, unpack_header,
 )  # fmt: skip
 from ..conversion import (
     GATHER_MAX_BYTES,
@@ -62,6 +63,9 @@ KERNEL_MAX_RECORD = 32 * 1024
 #: fed structurally valid but content-hostile input; decode paths wrap
 #: them into the PbioError taxonomy so callers see exactly one family.
 _LEAKY_ERRORS = (struct.error, ValueError, IndexError, KeyError, OverflowError, UnicodeDecodeError)
+
+_SEQ, _NO_SEQ = itemgetter(slice(HEADER_SIZE, SEQ_RECORD_OFFSET)), bytes(SEQ_PREFIX_SIZE)  # read_seq's
+UNIFORM_MIN_RUN = 5  # the shortest burst admitted as one group: below it the scan is cheaper
 
 #: The bare decode's column of the verdict table (docs/wire-format.md §12):
 #: data is decoded — a frame with no PBIO header too, whose admission check
@@ -469,7 +473,9 @@ class DecodePipeline:
         frames of the same (context id, format id) form a *group* that
         dispatches one batch-converter call instead of N scalar ones.  A
         burst of one data frame has nothing to group: it is its scalar
-        decode (:meth:`_decode`).  Results are byte-for-byte what a
+        decode (:meth:`_decode`); a uniform burst is admitted as one group
+        (:meth:`_decode_run`), or by the per-frame scan, the reference, when
+        a check fails.  Results are byte-for-byte what a
         sequential :meth:`ingest`/:meth:`decode` loop would produce, under
         the same :class:`DecodeLimits`.
 
@@ -522,29 +528,26 @@ class DecodePipeline:
         slots: list[int] = []
         payloads: list = []
         lent = 0
-        plans, max_msg = self._plans, self._max_msg
-        scan = HEADER_SEQ_STRUCT.unpack_from
+        plans, max_msg, scan = self._plans, self._max_msg, HEADER_SEQ_STRUCT.unpack_from
         try:
+            if len(messages) >= UNIFORM_MIN_RUN and (header := uniform_header(messages, headers)) is not None:
+                if self._decode_run(out, messages, header, strict, lend, lease, native):
+                    return out
             for i, message in enumerate(messages):
-                # Header scan, inlined: one unpack_from per message on the
-                # fast path — header and, should the frame be sequenced, its
-                # prefix; anything anomalous re-parses through unpack_header
-                # / read_seq so rejects keep their exact error messages.
+                # Header scan, inlined: header and sequence prefix in one unpack_from; anything
+                # anomalous re-parses through unpack_header / read_seq for the exact error messages.
                 try:
                     if max_msg is not None and len(message) > max_msg:
                         raise LimitError(
                             f"message of {len(message)} bytes exceeds max_message_size ({max_msg})"
                         )
                     header = None if headers is None else headers[i]
-                    if header is not None:  # parsed upstream: the sequence prefix is still to check
-                        msg_type, context_id, format_id, payload_len = header
-                        seq = 0
-                    elif len(message) >= SEQ_RECORD_OFFSET:  # room for the scan: header + sequence
+                    if header is None and len(message) >= SEQ_RECORD_OFFSET:  # room for header + sequence
                         magic, version, msg_type, context_id, format_id, payload_len, seq = scan(message, 0)
                         if magic != MAGIC or version != VERSION or msg_type not in MESSAGE_TYPES:
                             msg_type, context_id, format_id, payload_len = unpack_header(message)
-                    else:  # too short to carry a sequence number
-                        msg_type, context_id, format_id, payload_len = unpack_header(message)
+                    else:  # parsed upstream (the prefix still to check), or too short for a sequence
+                        msg_type, context_id, format_id, payload_len = header or unpack_header(message)
                         seq = 0
                     if msg_type == MSG_DATA:
                         start = HEADER_SIZE
@@ -567,25 +570,15 @@ class DecodePipeline:
                         gcid, gfid = key = context_id, format_id
                         try:
                             plan = plans.get(key) or self._plan(key)
-                            wire_fmt, rec_size, has_strings, expected, entry, codec = plan
-                            missed = None  # a steady hit, as in _decode
-                            if expected is None or (codec is None and not native) or (
-                                self.expected.get(wire_fmt.name) is not expected
-                            ):
-                                missed = self._refresh(plan, not native)
-                                entry, codec = plan[4:]
-                            if missed is None:  # the lookup a cold plan would make of the cache
-                                self.cache.metrics.inc("converter_cache_hits")
+                            rec_size, has_strings = plan[1], plan[2]
+                            wire_fmt, entry, codec, missed = group = self._group(plan, native)
                             unresolved = None
                         except PbioError as exc:
                             unresolved = exc
                         else:
-                            if native:
-                                codec = None  # (another shape may have resolved one)
                             as_views = lend and entry.zero_copy and codec is not None
                             if lend and entry.zero_copy and lease is not None:
                                 lease = lease.take()  # results will alias the frames
-                            group = (wire_fmt, entry, codec, missed)
                 if start:
                     payload = memoryview(message)[start:]
                     if len(payload) != payload_len:
@@ -638,6 +631,48 @@ class DecodePipeline:
             exc.partial = out
             raise
         return out
+
+    def _group(self, plan: list, native: bool) -> tuple:
+        """A group's ``(wire format, entry, codec, missed)``, resolved as :meth:`_decode` does."""
+        wire_fmt, _, _, expected, entry, codec = plan
+        missed = None  # a steady hit, as in _decode
+        live = self.expected.get(wire_fmt.name)
+        if expected is None or (codec is None and not native) or expected is not live:
+            missed = self._refresh(plan, not native)
+            entry, codec = plan[4:]
+        if missed is None:  # the lookup a cold plan would make of the cache
+            self.cache.metrics.inc("converter_cache_hits")
+        return wire_fmt, entry, None if native else codec, missed  # (another shape may have resolved a codec)
+
+    def _decode_run(self, out, messages, header, strict: bool, lend: bool, lease, native: bool) -> bool:
+        """:meth:`decode_batch` of a uniform run into ``out``: the scan's checks made once (the sequence
+        prefixes in one pass), a warm plan resolved once; False if a check fails (the scan names it)."""
+        kind, context_id, format_id, length = header
+        start, max_msg = SEQ_RECORD_OFFSET if kind == MSG_DATA_SEQ else HEADER_SIZE, self._max_msg
+        plan, size = self._plans.get((context_id, format_id)), HEADER_SIZE + length - start
+        if kind not in DATA_KINDS or plan is None or (max_msg is not None and HEADER_SIZE + length > max_msg):
+            return False
+        if kind == MSG_DATA_SEQ and (length < SEQ_PREFIX_SIZE or list(map(_SEQ, messages)).count(_NO_SEQ)):
+            return False
+        if size != plan[1] and (size < plan[1] or not plan[2]):
+            return False
+        try:
+            group = self._group(plan, native)
+        except PbioError:
+            return False
+        _, entry, codec, _ = group
+        if lend and entry.zero_copy and lease is not None:
+            lease = lease.take()  # results will alias the frames
+        if lend and entry.zero_copy and codec is not None:  # the views are the group
+            if lease is None:  # positionally: the keyword costs a fifth of the call
+                out[:] = [RecordView(codec, memoryview(message)[start:]) for message in messages]
+            else:
+                out[:] = [RecordView(codec, memoryview(message)[start:], lease=lease) for message in messages]
+            self._decode_group(out, (), (), len(out), group, strict, lend)
+        else:
+            payloads = [memoryview(message)[start:] for message in messages]
+            self._decode_group(out, range(len(out)), payloads, 0, group, strict, lend)
+        return True
 
     def _decode_group(self, out, slots, payloads, lent: int, group, strict: bool, lend: bool) -> None:
         """Convert one group's validated payloads into their ``out`` slots (a

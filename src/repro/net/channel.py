@@ -32,7 +32,6 @@ DataExchange/ECho played in the original system's ecosystem):
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, Callable
 
 from repro.core.context import FormatHandle, IOContext
@@ -162,8 +161,7 @@ class Subscription:
         the rest of the burst still delivers; otherwise the first failure
         propagates (the caller applies the raise/detach policy), leaving
         later messages unoffered exactly like the scalar loop."""
-        pairs = zip(messages, repeat(None) if headers is None else headers)
-        enc.walk(pairs, SUBSCRIPTION_ROWS, self, self._flush_run, suppress, lease)
+        enc.walk(messages, headers, SUBSCRIPTION_ROWS, self, self._flush_run, suppress, lease)
 
     def _flush_run(self, run, headers, suppress: bool, lease=None) -> None:
         """Screen one run of data frames, decode it in one batch, deliver.
@@ -425,7 +423,7 @@ class EventChannel:
         threaded through to ``deliver="view"`` subscribers, whose views
         then keep the buffer alive; everything else retained is copied, so
         the caller may drop the lease as soon as this returns."""
-        enc.walk(zip(messages, repeat(None)), CHANNEL_ROWS, self, self._publish_batch, exclude, lease)
+        enc.walk(messages, None, CHANNEL_ROWS, self, self._publish_batch, exclude, lease)
 
     def _announce(self, message, header, exclude: WireTap | None, lease) -> None:
         # the replay list wants private bytes

@@ -54,7 +54,6 @@ from __future__ import annotations
 import os
 import struct
 from collections import deque
-from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core import encoder as enc
@@ -857,8 +856,7 @@ class DurableSubscription(Subscription):
             return
         touched: dict[tuple[int, int], None] = {}
         try:
-            pairs = zip(messages, repeat(None) if headers is None else headers)
-            enc.walk(pairs, SEQUENCED_ROWS, self, self._offer_sequenced, touched, lease)
+            enc.walk(messages, headers, SEQUENCED_ROWS, self, self._offer_sequenced, touched, lease)
         finally:
             for stream in touched:
                 self.cursors.advance(stream, self.window.cursor(stream))

@@ -58,7 +58,6 @@ import bisect
 import hashlib
 import struct
 import time
-from itertools import repeat
 from typing import Callable, Iterable
 
 from repro.core import encoder as enc
@@ -284,19 +283,24 @@ class RelayWorker:
     def ingest(self, message: bytes, header=None) -> None:
         """Route one frame (``header``: the dispatcher's, already parsed):
         a one-frame :meth:`ingest_batch`."""
-        self.ingest_batch(((message, header),))
+        self.ingest_batch((message,), (header,))
 
-    def ingest_batch(self, frames) -> None:
-        """Route one dispatcher run — ``(message, header)`` pairs, a
-        ``None`` header parsed here — through :data:`WORKER_ROWS`: nothing
+    def ingest_batch(self, messages, headers=None) -> None:
+        """Route one dispatcher run — ``headers`` parallel to ``messages``,
+        a ``None`` one parsed here — through :data:`WORKER_ROWS`: nothing
         oversize is ever remembered for replay (``worker.rejected``)."""
         self._check_alive()
         limit = self.limits.max_message_size if self.limits is not None else None
-        enc.walk(frames, WORKER_ROWS, self, self._route_run, limit=limit)
+        enc.walk(messages, headers, WORKER_ROWS, self, self._route_run, limit=limit)
 
     def _route_run(self, messages, headers) -> None:
-        """One run of data frames, one ``forward_batch`` per channel's relay
-        (cross-channel order inside a run is not meaningful)."""
+        """One run of data frames, one ``forward_batch`` per channel's relay (a
+        uniform run is one channel's; cross-channel order inside a run is not meaningful)."""
+        header = enc.uniform_header(messages, headers)
+        if header is not None:
+            self._relay((header[1], header[2])).forward_batch(messages, headers)
+            self.metrics.inc("worker.routed", len(messages))
+            return
         by_key: dict[tuple[int, int], tuple[list[bytes], list[tuple]]] = {}
         for message, header in zip(messages, headers):
             run, run_headers = by_key.setdefault((header[1], header[2]), ([], []))
@@ -585,10 +589,13 @@ class FabricDispatcher:
         Non-PBIO, oversize and torn frames and damaged announcements are
         dropped (``fabric.rejected``)."""
         limit = self.limits.max_message_size if self.limits is not None else None
-        pairs = zip(messages, repeat(None) if headers is None else headers)
-        enc.walk(pairs, FRONT_ROWS, self, self._route_run, limit=limit)
+        enc.walk(messages, headers, FRONT_ROWS, self, self._route_run, limit=limit)
 
     def _route_run(self, messages, headers) -> None:
+        header = enc.uniform_header(messages, headers)  # whole frames of one channel: one owner, one run
+        if header is not None and (name := self._owner_for((header[1], header[2]))) is not None:
+            self._deliver_run(name, messages, headers)
+            return
         runs: dict[str, list[tuple[bytes, tuple]]] = {}
         last_key = last_run = None  # a frame of the previous frame's channel joins its run
         for message, header in zip(messages, headers):
@@ -604,7 +611,7 @@ class FabricDispatcher:
                 last_key, last_run = key, runs.setdefault(name, [])
             last_run.append((message, header))
         for name, run in runs.items():
-            self._deliver_run(name, run)
+            self._deliver_run(name, *map(list, zip(*run)))
 
     def _owner_for(self, key: tuple[int, int]) -> str | None:
         """The worker that owns ``key``: remembered, and hashed onto the
@@ -616,13 +623,13 @@ class FabricDispatcher:
             name = self._owner_of[key] = self.ring.owner(key)
             return name
 
-    def _deliver_run(self, name: str, run: list[tuple[bytes, tuple]]) -> None:
+    def _deliver_run(self, name: str, run: list, headers: list) -> None:
         slot = self._slots.get(name)
         if slot is None or slot.state != ACTIVE:
             self.metrics.inc("fabric.dropped_worker_error", len(run))
             return
         try:
-            slot.worker.ingest_batch(run)
+            slot.worker.ingest_batch(run, headers)
         except TransportError:
             self._count_worker_failure(slot)
             self.metrics.inc("fabric.dropped_worker_error", len(run))
@@ -647,7 +654,7 @@ class FabricDispatcher:
 
     def _replay_announcements(self, worker: RelayWorker) -> None:
         try:
-            worker.ingest_batch([(frame, None) for frame in self._announcements])
+            worker.ingest_batch(list(self._announcements))
         except TransportError:
             pass
 
@@ -862,7 +869,7 @@ def fabric_handler(dispatcher: FabricDispatcher, *, max_frames: int = 0):
         try:
             while True:
                 frames = await transport.recv_many(max_frames)
-                enc.walk(zip(frames, repeat(None)), PEER_ROWS, peer, dispatcher.forward_batch)
+                enc.walk(frames, None, PEER_ROWS, peer, dispatcher.forward_batch)
                 dispatcher.heal()
         finally:
             dispatcher.untap(tap)

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import repeat
+from itertools import compress
 from typing import Callable
 
 from repro.abi import X86_64
@@ -258,7 +258,7 @@ class Relay:
             cursor = downstream.ack_cursors.get(key, 0)
             batch = [message for seq, message in window if seq > cursor]
             if downstream.filter is not None:
-                batch = self._screen(downstream, batch, repeat(None))
+                batch = self._screen(downstream, batch, [None] * len(batch))
             if batch:
                 self._send_many(downstream, batch, "replayed")
                 self.metrics.inc("durable.replayed", len(batch))
@@ -353,8 +353,7 @@ class Relay:
             self.metrics.inc("relay.dropped_after_stop", len(list(messages)))
             return
         limit = self.limits.max_message_size if self.limits is not None else None
-        pairs = zip(messages, repeat(None) if headers is None else headers)
-        enc.walk(pairs, RELAY_ROWS, self, self._flush_data_run, limit=limit)
+        enc.walk(messages, headers, RELAY_ROWS, self, self._flush_data_run, limit=limit)
 
     def _flush_data_run(self, frames, headers) -> None:
         """Admit one run of data frames and fan what passes to every live
@@ -362,24 +361,29 @@ class Relay:
         sequence 0 is rejected (``relay.rejected``); a sequenced frame is
         durable passthrough: a private copy is remembered in the bounded
         replay window (for downstream reactivation) and goes out *verbatim*
-        — the subscriber's dedup window needs the publisher's numbering."""
-        run, run_headers = [], []
-        for message, header in zip(frames, headers):
-            try:
-                seq = enc.data_sequence(message, header)
-            except PbioError:
-                self.metrics.inc("relay.rejected")
-                continue  # rejects do not break a run
-            if seq:
-                key = (header[1], header[2])
-                window = self._replay.get(key)
-                if window is None:
-                    window = self._replay[key] = deque(maxlen=self.replay_window)
-                message = bytes(message)
-                if not window or seq > window[-1][0]:  # a retransmit is held already, or the WAL's
-                    window.append((seq, message))
-            run.append(message)
-            run_headers.append(header)
+        — the subscriber's dedup window needs the publisher's numbering.
+        A uniform ``MSG_DATA`` run (``enc.uniform_header``) is admitted whole."""
+        header = enc.uniform_header(frames, headers)
+        if header is not None and header[0] == enc.MSG_DATA:
+            run, run_headers = frames, headers
+        else:
+            run, run_headers = [], []
+            for message, header in zip(frames, headers):
+                try:
+                    seq = enc.data_sequence(message, header)
+                except PbioError:
+                    self.metrics.inc("relay.rejected")
+                    continue  # rejects do not break a run
+                if seq:
+                    key = (header[1], header[2])
+                    window = self._replay.get(key)
+                    if window is None:
+                        window = self._replay[key] = deque(maxlen=self.replay_window)
+                    message = bytes(message)
+                    if not window or seq > window[-1][0]:  # a retransmit is held already, or the WAL's
+                        window.append((seq, message))
+                run.append(message)
+                run_headers.append(header)
         self.messages_seen += len(run)
         for downstream in self._downstreams:
             if downstream.state == ACTIVE:
@@ -389,7 +393,18 @@ class Relay:
                     self._send_many(downstream, batch, "forwarded")
 
     def _screen(self, downstream: Downstream, run, headers) -> list[bytes]:
-        """The frames of ``run`` that pass this downstream's filter."""
+        """The frames of ``run`` that pass this downstream's filter (a uniform run's: one ``matches_run``)."""
+        header = enc.uniform_header(run, headers)
+        if header is not None:
+            try:
+                matched = downstream.filter.matches_run(run, header)
+            except PbioError:  # as below, for every frame of the run
+                downstream.metrics.inc("filter_errors", len(run))
+                return []
+            batch = list(compress(run, matched))
+            if len(batch) < len(run):
+                downstream.metrics.inc("filtered_out", len(run) - len(batch))
+            return batch
         batch = []
         for message, header in zip(run, headers):
             try:

@@ -378,10 +378,11 @@ class TestLoanedReceive:
         gc.collect()
         assert _recv_pool.leaked == leaked
 
-    def exchange(self, machine, monkeypatch):
-        """Ten bursts of four POINT records ``machine`` -> x86 through
-        ``send_batch_native`` / ``recv_batch(lend=True)``: ``(bursts that
-        returned views, leases made, pool acquisitions, same buffer?)``."""
+    def exchange(self, machine, monkeypatch, bursts=10):
+        """``bursts`` bursts of four POINT records ``machine`` -> x86 through
+        ``send_batch_native`` / ``recv_batch(lend=True)``, every view kept
+        to the end: ``(bursts that returned views, leases made, pool
+        acquisitions, same buffer?, sizes of the leased buffers)``."""
         made = []
         lease = BufferPool.lease
         monkeypatch.setattr(BufferPool, "lease", lambda pool, buf: made.append(buf) or lease(pool, buf))
@@ -397,28 +398,37 @@ class TestLoanedReceive:
             del made[:]
             metrics, buffer, calls, kept = _recv_pool.metrics, b._framer._buf, 0, []
             acquired = metrics.value("buffers_allocated") + metrics.value("buffers_reused")
-            for burst in range(10):
+            for burst in range(bursts):
                 sender.send_batch_native(handle, [codec.encode({"x": burst * 4 + k, "y": 0.5}) for k in range(4)])
                 while len(kept) < burst * 4 + 4:
                     kept += receiver.recv_batch(lend=True)
                     calls += 1
-            assert [view["x"] for view in kept] == list(range(40))
+            assert [view["x"] for view in kept] == list(range(4 * bursts))
             acquired = metrics.value("buffers_allocated") + metrics.value("buffers_reused") - acquired
-            return calls, len(made), acquired, b._framer._buf is buffer
+            return calls, len(made), acquired, b._framer._buf is buffer, {len(buf) for buf in made}
         finally:
             a.close()
             b.close()
 
     def test_a_converting_link_takes_no_lease(self, monkeypatch):
-        _calls, leases, acquired, same_buffer = self.exchange(SPARC_V8, monkeypatch)
+        _calls, leases, acquired, same_buffer, _sizes = self.exchange(SPARC_V8, monkeypatch)
         assert (leases, acquired, same_buffer) == (0, 0, True)
 
     def test_a_zero_copy_link_takes_one_lease_per_burst_that_lent(self, monkeypatch):
-        leaked = _recv_pool.leaked
-        calls, leases, acquired, same_buffer = self.exchange(X86, monkeypatch)
+        """Each burst that lent took one lease; once the views are gone every
+        leased buffer came back to the pool, which kept at most its bound of
+        their size.  Twenty bursts of views kept to the end hold twenty
+        buffers at once, more than the bound: a pool that kept every
+        returned buffer fails.  What other tests left in the process-wide
+        pool (other sizes, other counts) does not enter."""
+        metrics, leaked = _recv_pool.metrics, _recv_pool.leaked
+        came_back = metrics.value("buffers_returned") + metrics.value("buffers_dropped")
+        calls, leases, acquired, same_buffer, (size,) = self.exchange(X86, monkeypatch, bursts=20)
         assert leases == acquired == calls and not same_buffer
         gc.collect()
-        assert _recv_pool.leaked == leaked and _recv_pool.free_count() <= 16
+        came_back = metrics.value("buffers_returned") + metrics.value("buffers_dropped") - came_back
+        assert _recv_pool.leaked == leaked and came_back == leases
+        assert _recv_pool.free_count(size) <= 16
 
     @pytest.mark.parametrize("bad", [0, 1, 3], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("lend", [False, True], ids=["copy", "lend"])

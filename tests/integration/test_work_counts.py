@@ -194,19 +194,6 @@ class DurableBurst:
         self.ring_in.close()
 
 
-class CountingHeaderScan:
-    """``enc.HEADER_SEQ_STRUCT`` with each ``unpack_from`` — the batch
-    decode's own header parse — counted."""
-
-    def __init__(self, counts):
-        self.counts, self.real = counts, enc.HEADER_SEQ_STRUCT
-        self.size, self.pack = self.real.size, self.real.pack
-
-    def unpack_from(self, buffer, offset=0):
-        self.counts["header_unpacks"] += 1
-        return self.real.unpack_from(buffer, offset)
-
-
 class Stream:
     """``stream_hetero``: two ``PbioConnection`` s over a loopback socket,
     ``src`` -> x86, one ``send_batch_native`` a burst and ``recv_batch(lend=True)``
@@ -243,7 +230,6 @@ class Stream:
         monkeypatch.setattr(SocketTransport, "_sendv", counting_sendv)
         for name in ("try_unpack_header", "unpack_header"):
             monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
-        monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
         monkeypatch.setattr(BufferPool, "lease", counted(counts, "leases", BufferPool.__dict__["lease"]))
         monkeypatch.setattr(BufferPool, "acquire", counted(counts, "pool_acquisitions", BufferPool.__dict__["acquire"]))
         count_metric_bumps(monkeypatch, counts, (rx,))
@@ -348,7 +334,6 @@ class RttScalar:
         monkeypatch.setattr(transport, "_LEN", CountingPrefix(counts))
         for name in ("try_unpack_header", "unpack_header"):
             monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
-        monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
         recv = SocketTransport.__dict__["recv"]
 
         def counting_recv(transport):
@@ -452,7 +437,6 @@ class FanoutHomo:
             monkeypatch.setattr(module, name, rows)
         for name in ("try_unpack_header", "unpack_header"):
             monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
-        monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
         pipe_end = type(pipe.a)
         for owner, name, key in (
             (FabricDispatcher, "forward_batch", "fabric.forward_batch"),
@@ -461,6 +445,7 @@ class FanoutHomo:
             (Relay, "forward", "relay.forward"),
             (enc, "data_sequence", "admissions"),
             (RecordFilter, "matches", "filter_evaluations"),
+            (RecordFilter, "matches_run", "filter_runs"),
             (pipe_end, "send_many", "send_many"),
             (pipe_end, "send", "send"),
             (pipe_end, "recv_many", "recv_many"),
@@ -518,7 +503,6 @@ class Publish:
                 channel.subscribe(rx, self.got.append, deliver=deliver)
         for name in ("try_unpack_header", "unpack_header"):
             monkeypatch.setattr(enc, name, counted(counts, "header_unpacks", getattr(enc, name)))
-        monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingHeaderScan(counts))
         for owner, name, key in (
             (EventChannel, "_publish_batch", "channel.publish_batch"),
             (EventChannel, "_publish_message", "channel.publish_message"),
@@ -558,22 +542,23 @@ def publish_row(n, payload):
 
 
 def fanout_row(n, payload):
-    """What a burst of ``n`` records of one channel costs end to end: the
-    fabric front, the owning worker and the channel's relay each see it
-    as one run (one call, one classification and — at the relay — one
-    admission a record, the front's header parse the only one in the
-    fabric); the filter reads ``n`` records for its one subscriber; each
-    of the four leaves gets one ``send_many`` of the published frames
-    themselves, and pays one header parse and one classification (the
-    channel's: its subscriber takes the run as it is) a frame it is
-    delivered.  The heal after the burst reads no back-channel: nothing
-    came back on any of the fabric's 32."""
-    delivered = 3 * n + n // 4
+    """What a burst of ``n`` records of one channel costs end to end: its
+    frames share one header and one length, so each hop admits it once.
+    The fabric front, the owning worker and the channel's relay each see
+    it as one run: one call, one classification, no per-frame admission,
+    and the front's one header parse the only one in the fabric.  The
+    filter opens the run once for its one subscriber (one
+    ``matches_run``, no per-record ``matches``).  Each of the four leaves
+    gets one ``send_many`` of the published frames themselves, and pays
+    one header parse and one classification for the run it is delivered
+    (the channel's: its subscriber and batch decode take the run as it
+    is).  The heal after the burst reads no back-channel: nothing came
+    back on any of the fabric's 32."""
     return {
         "fabric.forward_batch": 1, "worker.ingest_batch": 1, "relay.forward_batch": 1, "relay.forward": 0,
-        "admissions": n, "filter_evaluations": n, "send_many": 4, "send": 0, "recv_many": 4,
+        "admissions": 0, "filter_evaluations": 0, "filter_runs": 1, "send_many": 4, "send": 0, "recv_many": 4,
         "payload_copies": 0, "channel.ingest_many": 4, "decode_batch": 4,
-        "header_unpacks": n + delivered, "kind_classifications": 3 * n + delivered, "back_channel_polls": 0,
+        "header_unpacks": 1 + 4, "kind_classifications": 3 + 4, "back_channel_polls": 0,
     }  # fmt: skip
 
 

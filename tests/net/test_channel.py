@@ -373,26 +373,35 @@ def test_a_torn_frame_mid_burst_stops_where_the_scalar_loop_stops(policy, delive
     assert (counters.get("detached", 0), attached) == ((1, 0) if policy == "detach" else (0, 1))
 
 
-@pytest.mark.parametrize("durable", [False, True])
-def test_a_burst_is_scanned_once(monkeypatch, durable):
-    """One 32-frame burst through ``ingest_many`` to one subscriber parses
-    32 headers — the channel's scan — not 96 (channel, subscriber and
-    pipeline each)."""
+OTHER = RecordSchema.from_pairs("other", [("unit", "int"), ("temperature", "double")])
+
+
+def ingest_parses(monkeypatch, durable, mixed):
+    """The header parses one 32-frame burst through ``ingest_many`` to one
+    subscriber makes: one format, or two alternating."""
     sender = IOContext(X86, context_id=0xC0DE)
     h = sender.register_format(TELEMETRY)
-    natives = [h.codec.encode({"unit": u, "temperature": 2.0}) for u in range(32)]
-    if durable:
-        frames = [enc.encode_data_seq(0xC0DE, h.format_id, u + 1, n) for u, n in enumerate(natives)]
-    else:
-        frames = [sender.encode_native(h, n) for n in natives]
+    other = sender.register_format(OTHER)
+    handles = [other if mixed and u % 2 else h for u in range(32)]
+    seqs = {h.format_id: 0, other.format_id: 0}
+    frames = []
+    for u, handle in enumerate(handles):
+        native = handle.codec.encode({"unit": u, "temperature": 2.0})
+        seqs[handle.format_id] += 1
+        if durable:
+            frames.append(enc.encode_data_seq(0xC0DE, handle.format_id, seqs[handle.format_id], native))
+        else:
+            frames.append(sender.encode_native(handle, native))
     channel, got = EventChannel(), []
     ctx = IOContext(X86)
     ctx.expect(TELEMETRY)
+    ctx.expect(OTHER)
     if durable:
         DurableSubscription(channel, ctx, lambda r: got.append(r["unit"]), on_error="suppress")
     else:
         channel.subscribe(ctx, lambda r: got.append(r["unit"]), deliver="view")
     channel.ingest(sender.announce(h))
+    channel.ingest(sender.announce(other))
 
     parses = []
 
@@ -403,16 +412,26 @@ def test_a_burst_is_scanned_once(monkeypatch, durable):
 
         return counted
 
-    class CountingStruct:
-        size = enc.HEADER_SEQ_STRUCT.size
-        unpack_from = staticmethod(counting(enc.HEADER_SEQ_STRUCT.unpack_from))
-
     monkeypatch.setattr(enc, "try_unpack_header", counting(enc.try_unpack_header))
     monkeypatch.setattr(enc, "unpack_header", counting(enc.unpack_header))
-    monkeypatch.setattr(enc, "HEADER_SEQ_STRUCT", CountingStruct)
     channel.ingest_many(frames)
     assert got == list(range(32))
-    assert parses == ["try_unpack_header"] * 32
+    return parses
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_a_burst_is_scanned_once(monkeypatch, durable):
+    """A 32-frame burst of one format and one length is one header parse,
+    not 32 (the channel's scan a frame) nor 96 (channel, subscriber and
+    pipeline each): its frames' first 16 bytes are equal."""
+    assert ingest_parses(monkeypatch, durable, mixed=False) == ["try_unpack_header"]
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_a_mixed_burst_parses_each_header_once(monkeypatch, durable):
+    """A 32-frame burst of two formats parses each header once — the
+    channel's scan — and nothing more."""
+    assert ingest_parses(monkeypatch, durable, mixed=True) == ["try_unpack_header"] * 32
 
 
 # -- a tap offered a run equals the tap offered its frames ----------------------

@@ -314,7 +314,7 @@ class Worker(RelayRole):
         if entry == "scalar":
             self.worker.ingest(frame)
         else:
-            self.worker.ingest_batch([(frame, None)])
+            self.worker.ingest_batch([frame])
 
 
 class Monitor(Role):
