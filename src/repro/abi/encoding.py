@@ -69,9 +69,9 @@ class NativeCodec:
         #: access and the :meth:`_decode_ops` loop all call.  The op's
         #: mode is dispatched once, here — not on every access.
         self.getters = {op[1].name: self._compile_getter(op) for op in self._ops}
-        # decode's compiled reader (or the op loop where none applies),
-        # built on first use: most codecs only ever encode
-        self._reader = None
+        # decode's and decode_many's compiled readers (the op loop / False where
+        # none applies), built on first use: most codecs only ever encode
+        self._reader = self._many = None
 
     # -- encoding ---------------------------------------------------------
 
@@ -130,27 +130,41 @@ class NativeCodec:
         routine generated once per codec (:meth:`_compile_reader`);
         everything else — and the tests, as the reference — runs the
         per-field loop :meth:`_decode_ops`.  Both copy what they return:
-        ``data`` may be reused as soon as this returns."""
+        ``data`` may be reused as soon as this returns.  :meth:`decode_many`
+        reads a converted group's records by columns."""
         reader = self._reader
         if reader is None:
             reader = self._reader = self._compile_reader() or self._decode_ops
         return reader(data, offset)
 
-    def _compile_reader(self):
-        """Lower the op list to one ``Struct.unpack_from`` over the fixed part.
+    def decode_many(self, data, count: int) -> list[dict[str, Any]] | None:
+        """:meth:`decode` of ``count`` records back to back in ``data`` — the records' own (a converted
+        group's output) — by columns: all scalars in one ``Struct.iter_unpack``, each numpy-path array
+        field one read-only ``(count, k)`` view of ``data``, a row a record.  ``None`` for a layout
+        :meth:`decode` reads field by field, or a group of at most two records per numpy-path array
+        (a column's fixed cost is about two records' ``frombuffer`` of it)."""
+        reader = self._many
+        if reader is None:
+            reader = self._many = self._compile_reader(many=True) or False
+        return reader(data, count) if reader else None
+
+    def _compile_reader(self, many: bool = False):
+        """Lower the op list to one ``Struct.unpack_from`` over the fixed part
+        (``many``: one ``Struct.iter_unpack`` over records of ``layout.size``).
 
         The conversion counterpart of :func:`repro.core.filters.compile_predicate`:
         the layout is known, so per-field dispatch can be done once, here.
         Pad bytes become ``x``, a numpy-path array an ``s`` run (the same
         private copy of exactly the field's bytes the loop makes, taken
-        inside the one C call) wrapped by ``np.frombuffer``, and the dict
-        is built by a literal.  Returns ``None`` for layouts the loop must
+        inside the one C call) wrapped by ``np.frombuffer`` (``many``: pad
+        bytes too, the field one strided ``ndarray``), and the
+        dict is built by a literal.  Returns ``None`` for layouts the loop must
         keep: strings, VAX floats, nested (dotted) paths, or fields that
         are not laid out in ascending, non-overlapping order.
         """
         fmt = [self.layout.machine.struct_endian]
-        namespace: dict[str, Any] = {"_frombuffer": np.frombuffer}
-        items = []
+        namespace: dict[str, Any] = {"_frombuffer": np.frombuffer, "_ndarray": np.ndarray}
+        items, columns = [], []  # columns: each numpy-path field's rows, read by ``many``
         pos = index = 0
         for op in self._ops:
             mode, f = op[0], op[1]
@@ -159,10 +173,15 @@ class NativeCodec:
             if f.offset > pos:
                 fmt.append(f"{f.offset - pos}x")
             pos = f.end
-            if mode == "nparray":
+            if mode == "nparray" and many:
+                fmt.append(f"{f.total_size}x")
+                namespace[f"_dt{f.offset}"], shape = op[2], f"(count, {f.count}), _dt{f.offset}, data, {f.offset}"
+                columns.append(f"list(_ndarray({shape}, ({self.layout.size}, {op[2].itemsize})))")
+                value = f"c{len(columns) - 1}"
+            elif mode == "nparray":
                 fmt.append(f"{f.total_size}s")
-                namespace[f"_dt{index}"] = op[2]
-                value = f"_frombuffer(t[{index}], _dt{index})"
+                namespace[f"_dt{f.offset}"] = op[2]
+                value = f"_frombuffer(t[{index}], _dt{f.offset})"
                 index += 1
             elif mode == "array":
                 fmt.append(op[2].format[1:])
@@ -173,12 +192,18 @@ class NativeCodec:
                 value = f"bool(t[{index}])" if f.kind is PrimKind.BOOLEAN else f"t[{index}]"
                 index += 1
             items.append(f"{f.name!r}: {value}")
-        namespace["_unpack"] = struct.Struct("".join(fmt)).unpack_from
-        source = (
-            "def read(data, offset=0):\n"
-            "    t = _unpack(data, offset)\n"
-            "    return {" + ", ".join(items) + "}\n"
-        )
+        body = "{" + ", ".join(items) + "}"
+        if many:  # the record's tail padding too: iter_unpack steps a whole record
+            namespace["_iter"] = struct.Struct("".join(fmt) + f"{self.layout.size - pos}x").iter_unpack
+            rows = "".join(f"c{k}, " for k in range(len(columns)))
+            source = (
+                f"def read(data, count):\n    if count <= {2 * len(columns)}:\n        return None\n"
+                f"    data = memoryview(data).toreadonly()\n"
+                f"    return [{body} for (t, {rows}) in zip(_iter(data), {', '.join(columns)})]\n"
+            )
+        else:
+            namespace["_unpack"] = struct.Struct("".join(fmt)).unpack_from
+            source = f"def read(data, offset=0):\n    t = _unpack(data, offset)\n    return {body}\n"
         exec(compile(source, f"<pbio-reader:{self.layout.schema.name}>", "exec"), namespace)
         return namespace["read"]
 

@@ -428,6 +428,7 @@ SEQ_PREFIX_SIZE = _SEQ_PREFIX.size
 #: record starts at :data:`HEADER_SIZE`): the one offset a receiver needs
 #: to decode a sequenced frame where it lies.
 SEQ_RECORD_OFFSET = HEADER_SIZE + SEQ_PREFIX_SIZE
+SEQ_PREFIX = itemgetter(slice(HEADER_SIZE, SEQ_RECORD_OFFSET))  # a sequenced frame's 8-byte prefix
 #: Header and sequence prefix in one pack or unpack (the seventh value: a sequence *if* the type is 7).
 HEADER_SEQ_STRUCT = struct.Struct(_HEADER.format + "Q")
 _ACK_FRAME = struct.Struct(_HEADER.format + "QQQ")  # a whole ack in one pack
@@ -456,6 +457,19 @@ def read_seq(message, payload_len: int) -> int:
     if seq < 1:
         raise MessageError("sequenced data frame carries reserved sequence 0")
     return seq
+
+
+def run_sequence(frames, header) -> int | None:
+    """:func:`data_sequence` of a uniform run (``header``: its :func:`uniform_header`, so each frame is
+    whole): 0 for ``MSG_DATA``, the first sequence ``s`` of ``MSG_DATA_SEQ`` numbered ``s, s+1, …, s+n-1``,
+    or ``None`` (a short payload, sequence 0, a gap, a duplicate, another kind): :func:`read_seq`'s
+    checks for the run in one join of the prefixes and one unpack."""
+    if header[0] != MSG_DATA_SEQ or header[3] < SEQ_PREFIX_SIZE:
+        return 0 if header[0] == MSG_DATA else None
+    n = len(frames)
+    seqs = struct.unpack(f">{n}Q", b"".join(map(SEQ_PREFIX, frames)))
+    first = seqs[0]
+    return first if first and seqs == tuple(range(first, first + n)) else None
 
 
 def parse_data_seq(message) -> tuple[int, int, int, memoryview]:

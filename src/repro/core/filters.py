@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ast
 import struct
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -109,9 +110,11 @@ def compile_predicate(fmt: IOFormat, expression: str) -> Callable[[bytes], bool]
 
     The returned callable takes the record *payload* (native bytes in the
     wire format) and returns a bool, reading only the referenced fields.
+    A record its arithmetic fails on (``/`` or ``%`` by a field reading 0)
+    raises :class:`FilterError` (``strict=False``: is ``None``); a hub withholds it.
     """
     tree, names = _parse_expression(expression)
-    namespace: dict[str, Any] = {}
+    namespace: dict[str, Any] = {"_FilterError": FilterError}
     reads = []
     for name in sorted(names):
         st, offset = _scalar_accessor(fmt, name)
@@ -119,7 +122,11 @@ def compile_predicate(fmt: IOFormat, expression: str) -> Callable[[bytes], bool]
         namespace[acc] = st.unpack_from
         reads.append(f"    {name} = {acc}(src, {offset})[0]")
     body = ast.unparse(tree)
-    source = "def predicate(src):\n" + "\n".join(reads) + f"\n    return bool({body})\n"
+    source = (
+        "def predicate(src, strict=True):\n" + "\n".join(reads) + f"\n    try:\n        return bool({body})\n"
+        "    except ArithmeticError as exc:\n        if strict:\n"
+        f"            raise _FilterError({expression!r} f': {{exc}}') from exc\n"
+    )
     code = compile(source, f"<pbio-filter:{fmt.name}>", "exec")
     exec(code, namespace)
     return namespace["predicate"]
@@ -178,10 +185,11 @@ class RecordFilter:
         predicate = self._predicate(fmt)
         return predicate is not None and predicate(payload)
 
-    def matches_run(self, frames, header) -> list[bool]:
+    def matches_run(self, frames, header) -> list[bool | None]:
         """:meth:`matches` of each frame of a hub's admitted uniform run (``enc.uniform_header``): one
         ``open_data``, one predicate lookup, the predicate over the payloads.  A run it cannot
-        evaluate raises, counted as each of its frames would be."""
+        evaluate raises, counted as each of its frames would be; a frame its predicate's arithmetic
+        fails on is ``None`` (:func:`compile_predicate`), its siblings still screened."""
         pipeline = self.ctx.pipeline
         try:
             fmt, payload = pipeline.open_data(frames[0], header=header)
@@ -191,7 +199,7 @@ class RecordFilter:
         predicate, start = self._predicate(fmt), len(frames[0]) - len(payload)
         if predicate is None:
             return [False] * len(frames)
-        return list(map(predicate, map(itemgetter(slice(start, None)), map(memoryview, frames))))
+        return list(map(predicate, map(itemgetter(slice(start, None)), map(memoryview, frames)), repeat(False)))
 
     def _predicate(self, fmt: IOFormat) -> Callable[[bytes], bool] | None:
         """The compiled predicate for one wire format (``None``: not ours)."""

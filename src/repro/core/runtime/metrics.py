@@ -16,7 +16,7 @@ Counter names used by the runtime:
 ``zero_copy_decodes``     records delivered without conversion
 ``converted_decodes``     records that ran a converter (batch ones :data:`DERIVED`)
 ``generation_time_s``     cumulative converter-generation wall time (float)
-``delivered`` / ``filtered_out`` / ``wrong_type``   subscription outcomes
+``delivered`` / ``filtered_out`` / ``wrong_type`` / ``filter_errors``   subscription outcomes
 ``decode_errors`` / ``handler_errors`` / ``detached``   subscription failures
 ``forwarded`` / ``announcements``                   relay downstream outcomes
 ``send_errors`` / ``detached``                      relay downstream failures
@@ -205,6 +205,7 @@ class SubscriberStats(_MetricsView):
     _fields = (
         "delivered",
         "filtered_out",
+        "filter_errors",
         "wrong_type",
         "decode_errors",
         "handler_errors",
@@ -243,6 +244,7 @@ class DownstreamStats(_MetricsView):
     _fields = (
         "forwarded",
         "filtered_out",
+        "filter_errors",
         "announcements",
         "send_errors",
         "detached",

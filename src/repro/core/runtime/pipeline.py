@@ -16,7 +16,6 @@ cached converter into a fresh destination (``docs/wire-format.md`` §6).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any
 
 from repro.abi import MachineDescription, RecordView, StructLayout, codec_for
@@ -25,7 +24,7 @@ import struct
 
 from ..encoder import (
     DATA_KINDS, HEADER_SEQ_STRUCT, HEADER_SIZE, MAGIC, MESSAGE_TYPES, MSG_DATA, MSG_DATA_SEQ, RUN,
-    SEQ_PREFIX_SIZE, SEQ_RECORD_OFFSET, VERSION, parse_control, read_seq, rows, settle,
+    SEQ_PREFIX, SEQ_PREFIX_SIZE, SEQ_RECORD_OFFSET, VERSION, parse_control, read_seq, rows, settle,
     try_unpack_header, uniform_header, unpack_header,
 )  # fmt: skip
 from ..conversion import (
@@ -64,7 +63,7 @@ KERNEL_MAX_RECORD = 32 * 1024
 #: them into the PbioError taxonomy so callers see exactly one family.
 _LEAKY_ERRORS = (struct.error, ValueError, IndexError, KeyError, OverflowError, UnicodeDecodeError)
 
-_SEQ, _NO_SEQ = itemgetter(slice(HEADER_SIZE, SEQ_RECORD_OFFSET)), bytes(SEQ_PREFIX_SIZE)  # read_seq's
+_NO_SEQ = bytes(SEQ_PREFIX_SIZE)  # read_seq's
 UNIFORM_MIN_RUN = 5  # the shortest burst admitted as one group: below it the scan is cheaper
 
 #: The bare decode's column of the verdict table (docs/wire-format.md §12):
@@ -652,7 +651,7 @@ class DecodePipeline:
         plan, size = self._plans.get((context_id, format_id)), HEADER_SIZE + length - start
         if kind not in DATA_KINDS or plan is None or (max_msg is not None and HEADER_SIZE + length > max_msg):
             return False
-        if kind == MSG_DATA_SEQ and (length < SEQ_PREFIX_SIZE or list(map(_SEQ, messages)).count(_NO_SEQ)):
+        if kind == MSG_DATA_SEQ and (length < SEQ_PREFIX_SIZE or list(map(SEQ_PREFIX, messages)).count(_NO_SEQ)):
             return False
         if size != plan[1] and (size < plan[1] or not plan[2]):
             return False
@@ -719,6 +718,12 @@ class DecodePipeline:
                         blob = entry.batch.take(payloads)  # a byte move: one 2-D gather
                     else:
                         blob = entry.batch.convert(self._gather(payloads, wire_fmt.record_size))
+                    records = None if lend or codec is None else codec.decode_many(blob, n)
+                    if records is not None:  # the blob is the group's own: its dicts read by columns
+                        inc("decode.batch.converted", n)
+                        for i, record in zip(slots, records):
+                            out[i] = record
+                        return
                     converted = [blob[o : o + d] for o in range(0, n * d, d)]
         except _LEAKY_ERRORS:
             pass  # the scalar loop below isolates the culprit

@@ -36,7 +36,7 @@ from typing import Any, Callable
 
 from repro.core.context import FormatHandle, IOContext
 from repro.core.errors import PbioError, TokenResolutionError
-from repro.core.filters import RecordFilter
+from repro.core.filters import FilterError, RecordFilter
 from repro.core.runtime import ConverterCache, Metrics, SubscriberStats
 from repro.core import encoder as enc
 
@@ -141,7 +141,8 @@ class Subscription:
 
     def _screen(self, message, header) -> str:
         """The counter one data frame lands in: ``delivered`` when this
-        subscriber wants it, else ``wrong_type`` or ``filtered_out``.
+        subscriber wants it, else ``wrong_type``, ``filtered_out`` or
+        ``filter_errors`` (its predicate fails on the record: withheld, as by a relay).
         Counts nothing itself, and raises when it cannot tell: the format
         was never announced here (a lossy link), the sequence prefix is
         torn, the record is shorter than its format."""
@@ -149,8 +150,12 @@ class Subscription:
             fmt = self.ctx.registry.remote_format(header[1], header[2])
             if fmt.name != self.format_name:
                 return "wrong_type"
-        if self._filter is not None and not self._filter.matches(message, header=header):
-            return "filtered_out"
+        if self._filter is not None:
+            try:
+                if not self._filter.matches(message, header=header):
+                    return "filtered_out"
+            except FilterError:
+                return "filter_errors"
         return "delivered"
 
     def _offer_batch(self, messages, suppress: bool, lease=None, headers=None) -> None:

@@ -875,8 +875,19 @@ class DurableSubscription(Subscription):
         last sequence (commit-before-deliver: this policy consumes a failed
         record anyway) and the run is screened and decoded in one batch.  A
         duplicate, gap or beyond-window frame ends the run and takes the
-        window path (:meth:`_drain_ready`), copied: it may outlive the call."""
+        window path (:meth:`_drain_ready`), copied: it may outlive the call.
+        A uniform run numbered ``cursor+1, …`` (``enc.run_sequence``) of a stream with nothing pending
+        is that in-order run whole: one seed, one flush, no frame read; any other takes the loop."""
         window = self.window
+        header = enc.uniform_header(messages, headers)
+        first = None if header is None else enc.run_sequence(messages, header)
+        if first:  # (its rows give it sequenced frames only)
+            key = (header[1], header[2])
+            touched[key] = None
+            if first == window.cursor(key) + 1 and not window.pending_count(key):
+                window.seed(key, first + len(messages) - 1)  # commit, then deliver
+                self._flush_run(messages, headers, True, lease)
+                return
         run: list[bytes] = []  # the in-order run of `key`
         run_headers: list[tuple] = []
         key = None

@@ -362,10 +362,18 @@ class Relay:
         durable passthrough: a private copy is remembered in the bounded
         replay window (for downstream reactivation) and goes out *verbatim*
         — the subscriber's dedup window needs the publisher's numbering.
-        A uniform ``MSG_DATA`` run (``enc.uniform_header``) is admitted whole."""
+        A uniform run (``enc.uniform_header``) is admitted whole (``enc.run_sequence``): ``MSG_DATA`` as
+        it is, ``MSG_DATA_SEQ`` numbered ``s, s+1, …`` copied, the suffix above the window's tail added
+        in one ``extend``: what the frame loop, which takes every other run, keeps."""
         header = enc.uniform_header(frames, headers)
-        if header is not None and header[0] == enc.MSG_DATA:
+        first = None if header is None else enc.run_sequence(frames, header)
+        if first == 0:
             run, run_headers = frames, headers
+        elif first is not None:
+            run, run_headers = list(map(bytes, frames)), headers
+            window = self._replay.setdefault((header[1], header[2]), deque(maxlen=self.replay_window))
+            skip = max(window[-1][0] + 1 - first, 0) if window else 0
+            window.extend(zip(range(first + skip, first + len(run)), run[skip:]))
         else:
             run, run_headers = [], []
             for message, header in zip(frames, headers):
@@ -376,9 +384,7 @@ class Relay:
                     continue  # rejects do not break a run
                 if seq:
                     key = (header[1], header[2])
-                    window = self._replay.get(key)
-                    if window is None:
-                        window = self._replay[key] = deque(maxlen=self.replay_window)
+                    window = self._replay.setdefault(key, deque(maxlen=self.replay_window))
                     message = bytes(message)
                     if not window or seq > window[-1][0]:  # a retransmit is held already, or the WAL's
                         window.append((seq, message))
@@ -401,9 +407,11 @@ class Relay:
             except PbioError:  # as below, for every frame of the run
                 downstream.metrics.inc("filter_errors", len(run))
                 return []
-            batch = list(compress(run, matched))
-            if len(batch) < len(run):
-                downstream.metrics.inc("filtered_out", len(run) - len(batch))
+            batch, errors = list(compress(run, matched)), matched.count(None)
+            if errors:  # as below: withheld from this downstream alone
+                downstream.metrics.inc("filter_errors", errors)
+            if len(batch) + errors < len(run):
+                downstream.metrics.inc("filtered_out", len(run) - len(batch) - errors)
             return batch
         batch = []
         for message, header in zip(run, headers):

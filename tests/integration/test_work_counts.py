@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.abi import SPARC_V8, X86, codec_for, layout_record
+from repro.abi import SPARC_V8, X86, NativeCodec, codec_for, layout_record
 from repro.core import IOContext, PbioConnection
 from repro.core import encoder as enc
 from repro.core.formats import IOFormat
@@ -105,20 +105,24 @@ class DurableBurst:
         rx.expect(schema)
         source, self.sink = EventChannel(), EventChannel()
         monkeypatch.setattr(Relay, "forward", counted(counts, "relay.forward", Relay.__dict__["forward"]))
-        in_relay = [False]
+        in_relay, self.outside = [False], [True]
         forward_batch = Relay.__dict__["forward_batch"]
 
         def counting_forward_batch(relay, *args, **kwargs):
             counts["relay.forward_batch"] += 1
-            in_relay[0] = True
+            in_relay[0], self.outside[0] = True, False
             try:
                 return forward_batch(relay, *args, **kwargs)
             finally:
-                in_relay[0] = False
+                in_relay[0], self.outside[0] = False, True
 
         monkeypatch.setattr(Relay, "forward_batch", counting_forward_batch)
         for name in ("try_unpack_header", "unpack_header"):  # the 16-byte parse, at the relay
             monkeypatch.setattr(enc, name, counted_within(counts, "relay_header_parses", getattr(enc, name), in_relay))
+        # a sequence read a frame: the relay's admission, the subscriber's (read_seq outside the relay)
+        monkeypatch.setattr(enc, "data_sequence", counted(counts, "relay_sequence_reads", enc.data_sequence))
+        monkeypatch.setattr(enc, "read_seq", counted_within(counts, "sub_sequence_reads", enc.read_seq, self.outside))
+        monkeypatch.setattr(NativeCodec, "decode", counted(counts, "record_reads", NativeCodec.__dict__["decode"]))
         for name in ("send", "send_many", "poll_recv"):
             monkeypatch.setattr(
                 ShmRingTransport, name, self._per_ring("." + name, ShmRingTransport.__dict__[name])
@@ -620,7 +624,10 @@ def stream_row(lent):
 #: ``durable.wal_bytes_per_payload_byte`` of the benchmark.  The relay
 #: reads the headers the publisher built instead of parsing its run, and
 #: takes the one ack off its back-channel with one poll: the ring says
-#: when it is empty.
+#: when it is empty.  The burst is one in-order run at every hop: no frame's
+#: sequence is read alone, at the relay (its replay window) or at the
+#: subscriber (its cursor), and its converted group's dicts are read by
+#: columns, with no per-record reader call.
 TABLE = {
     "durable_burst": (
         DurableBurst,
@@ -630,6 +637,9 @@ TABLE = {
             "relay.forward_batch": 1,
             "relay.forward": 0,
             "relay_header_parses": 0,
+            "relay_sequence_reads": 0,
+            "sub_sequence_reads": 0,
+            "record_reads": 0,
             "back_channel_polls": 1,
             "ring.send_many": 1,
             "ring.send": 0,

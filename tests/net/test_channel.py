@@ -145,6 +145,31 @@ class TestTypedSubscriptions:
         assert sub.stats.delivered == 2
         assert sub.stats.filtered_out == 2
 
+    @pytest.mark.parametrize("burst", [False, True], ids=["frames", "burst"])
+    def test_a_record_its_filter_cannot_evaluate_is_withheld_from_that_subscriber(self, burst):
+        """A division by a field reading 0 under the ``"raise"`` policy: the
+        record is counted ``filter_errors`` and withheld from the filtered
+        subscriber alone; nothing escapes the channel, the rest of the run
+        is screened, and a sibling gets every record."""
+        channel = EventChannel()
+        (got, handler), (every, sibling) = collector(), collector()
+        ctxs = [IOContext(X86), IOContext(X86)]
+        for ctx in ctxs:
+            ctx.expect(TELEMETRY)
+        sub = channel.subscribe(ctxs[0], handler, format_name="telemetry", filter_expr="temperature / unit > 100.0")
+        channel.subscribe(ctxs[1], sibling)
+        pub = channel.publisher(IOContext(SPARC_V8))
+        h = pub.ctx.register_format(TELEMETRY)
+        records = [{"unit": u, "temperature": 500.0 if u != 4 else 100.0} for u in (2, 0, 4, 1)]
+        if burst:
+            pub.publish_batch(h, records)
+        else:
+            for record in records:
+                pub.publish(h, record)
+        assert [r["unit"] for r in got] == [2, 1]
+        assert [r["unit"] for r in every] == [2, 0, 4, 1]
+        assert (sub.stats.delivered, sub.stats.filtered_out, sub.stats.filter_errors, sub.stats.decode_errors) == (2, 1, 1, 0)
+
     def test_filter_requires_format_name(self):
         channel = EventChannel()
         ctx = IOContext(X86)

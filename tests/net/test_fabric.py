@@ -543,6 +543,23 @@ class TestFilterPushdown:
         assert [r["unit"] for r in receiver(hot.b)()] == [6, 7]
         assert [r["unit"] for r in receiver(every.b)()] == list(range(8))
 
+    def test_a_record_its_filter_cannot_evaluate_stays_in_the_fabric(self):
+        """A pushed-down ``temperature / unit`` over a record whose ``unit``
+        reads 0: the front's burst returns, that leaf misses the one record
+        (counted ``filter_errors``), and its sibling leaf gets every one."""
+        disp = FabricDispatcher(2)
+        sender, handle, frames = upstream(
+            [{"unit": u, "temperature": 500.0 if u != 4 else 100.0} for u in (2, 0, 4, 1)], context_id=9
+        )
+        key = (9, handle.format_id)
+        ratio, every = InMemoryPipe(), InMemoryPipe()
+        leaf = disp.subscribe(key, ratio.a, format_name="telemetry", filter_expr="temperature / unit > 100.0")
+        disp.subscribe(key, every.a, format_name="telemetry")
+        disp.forward_batch(frames)
+        assert [r["unit"] for r in receiver(ratio.b)()] == [2, 1]
+        assert [r["unit"] for r in receiver(every.b)()] == [2, 0, 4, 1]
+        assert leaf.downstream.stats.filter_errors == 1
+
     def test_same_predicate_compiles_once_across_the_fabric(self):
         disp = FabricDispatcher(3)
         sender, handle, frames = upstream(

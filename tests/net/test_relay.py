@@ -31,6 +31,39 @@ def upstream_with(records):
     return messages
 
 
+#: A predicate a record can fail: ``unit`` reads 0 in the second record below.
+RATIO = "temperature / unit > 100.0"
+RATIO_RECORDS = [{"unit": u, "temperature": 500.0 if u != 4 else 100.0} for u in (2, 0, 4, 1)]
+
+
+class TestFilterErrors:
+    @pytest.mark.parametrize("burst", [False, True], ids=["frames", "burst"])
+    def test_a_record_its_filter_cannot_evaluate_is_withheld_from_that_downstream(self, burst):
+        """A division by a field reading 0 is a ``filter_errors``, not an escape:
+        the filtered peer misses that record alone (its run's siblings are
+        still screened) and the plain peer gets every record."""
+        messages = upstream_with(RATIO_RECORDS)
+        relay = Relay()
+        plain, ratio = InMemoryPipe(), InMemoryPipe()
+        relay.attach(plain.a)
+        screened = relay.attach(ratio.a, format_name="telemetry", filter_expr=RATIO)
+        relay.forward(messages[0])
+        if burst:
+            relay.forward_batch(messages[1:])
+        else:
+            for message in messages[1:]:
+                relay.forward(message)
+        units = []
+        for end in (plain.b, ratio.b):
+            rx = PbioConnection(IOContext(X86), end)
+            rx.ctx.expect(TELEMETRY)
+            units.append([rx.recv()["unit"] for _ in range(end.pending() - 1)])
+        assert units == [[2, 0, 4, 1], [2, 1]]
+        counts = screened.metrics.counters()
+        assert (counts["filter_errors"], counts["filtered_out"], counts["forwarded"]) == (1, 1, 2)
+        assert screened.stats.filter_errors == 1
+
+
 class TestForwarding:
     def test_verbatim_forwarding(self):
         messages = upstream_with([{"unit": 1, "temperature": 500.0}])

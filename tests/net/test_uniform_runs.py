@@ -25,7 +25,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.abi import SPARC_V8, X86_64
+from repro.abi import MACHINES, SPARC_V8, X86_64, NativeCodec, codec_for, layout_record
 from repro.abi.views import RecordView
 from repro.core import IOContext, PbioError
 from repro.core import encoder as enc
@@ -33,13 +33,15 @@ from repro.core.runtime import Metrics, pipeline
 from repro.core.safety import DecodeLimits
 from repro.net import DurableSubscription, EventChannel, FabricDispatcher, InMemoryPipe, Relay, RelayWorker
 from repro.net import relay as relay_module
-from repro.workloads import mechanical, random_record
+from repro.workloads import mechanical, random_record, random_schema
 
 SEED = int(os.environ.get("PBIO_CHAOS_SEED", "0"))
 SCHEMA = mechanical.schema_for_size("1kb")  # its frames outgrow its announcement: a limit can cut data alone
 CID = 0xA11
 BURSTS = 40  # per role
 DAMAGE = ("none", "none", "torn", "padded", "lying header", "sequence 0", "oversize", "unannounced")
+#: A subscriber's filter; the second fails on a record whose ``node_id`` reads 0 (one a burst).
+FILTERS = ("timestep < {}", "timestep / node_id < {}")
 
 
 class Burst:
@@ -90,6 +92,7 @@ class Burst:
         self.limits = DecodeLimits(max_message_size=self.limit) if self.limit else DecodeLimits()
         if not self.announced or (self.limit and self.warmup and len(self.warmup) > self.limit):
             self.warmup = None  # a warm-up the receiver rejects would warm nothing
+        self.expression = FILTERS[rng.integers(2)].format(self.threshold)
 
     def draw(self, *choices):
         return choices[self.rng.integers(len(choices))]
@@ -189,7 +192,7 @@ def channel(burst, seen):
     filtered = burst.draw(False, True)
     sub = hub.subscribe(
         rx, got.append, deliver=burst.draw("dict", "view"), on_error=burst.draw("raise", "suppress"),
-        format_name=SCHEMA.name if filtered else None, filter_expr=f"timestep < {burst.threshold}" if filtered else None,
+        format_name=SCHEMA.name if filtered else None, filter_expr=burst.expression if filtered else None,
     )  # fmt: skip
     tapped = []
     hub.attach_wire(tapped.append)
@@ -231,11 +234,11 @@ def hub_state(relays, pipes):
 
 
 def subscribe(attach, burst):
-    """A plain and a filtered downstream (the filter: ``timestep <``
-    the drawn threshold); the far ends of their pipes."""
+    """A plain and a filtered downstream (the burst's drawn filter); the
+    far ends of their pipes."""
     pipes = [InMemoryPipe(), InMemoryPipe()]
     attach(pipes[0].a)
-    attach(pipes[1].a, format_name=SCHEMA.name, filter_expr=f"timestep < {burst.threshold}")
+    attach(pipes[1].a, format_name=SCHEMA.name, filter_expr=burst.expression)
     return [pipe.b for pipe in pipes]
 
 
@@ -322,3 +325,180 @@ def test_a_uniform_run_is_admitted_as_its_frames_are(role, monkeypatch):
             loop = observe(role, Burst(np.random.default_rng(seed)))
         assert fast == loop, (role, k, Burst(np.random.default_rng(seed)).damage)
     assert shared[True] > 0, "no burst took the one admission"
+
+
+# -- a sequenced run is admitted once: relay replay window, durable in-order run --------------------
+#
+# The reference is the same call with ``enc.run_sequence`` patched to answer ``None``: every
+# sequenced run then takes the frame loop.  A receiver is primed with one run first, then given a
+# burst whose numbering is drawn against what it holds.
+
+SHAPES = ("in order", "in order", "gap", "duplicate", "retransmit", "pending", "ahead", "sequence 0", "from 0", "torn")
+
+
+class SequencedBurst:
+    """A priming run and a drawn burst of one sequenced stream, numbered by ``shape``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        tx = IOContext([X86_64, SPARC_V8][rng.integers(2)], context_id=CID)
+        handle = tx.register_format(SCHEMA)
+        self.announcement = tx.announce(handle)
+        self.shape = shape = SHAPES[rng.integers(len(SHAPES))]
+        self.window = int(rng.integers(4, 65))  # the relay's replay window, the subscriber's reorder one
+        primed, n = int(rng.integers(1, 12)), int(rng.integers(1, 41))
+        prime = list(range(1, primed + 1))
+        if shape == "pending":  # the subscriber holds a frame past a gap
+            prime.append(primed + 2 + int(rng.integers(3)))
+        first = primed + 1
+        if shape == "retransmit":
+            first = int(rng.integers(1, primed + 1))
+        elif shape == "ahead":
+            first = primed + 2 + int(rng.integers(3))
+        elif shape == "from 0":  # 0, 1, 2, …: consecutive, but 0 never travels
+            first = 0
+        seqs = list(range(first, first + n))
+        pos = int(rng.integers(n))
+        if shape == "gap" and n > 1:
+            seqs = seqs[:pos] + [s + 1 for s in seqs[pos:]]
+        elif shape == "duplicate" and n > 1:
+            seqs = seqs[:pos] + [seqs[max(pos - 1, 0)]] + seqs[pos:-1]
+        elif shape == "sequence 0":
+            seqs[pos] = 0
+        records = [dict(random_record(SCHEMA, rng), node_id=k, timestep=int(rng.integers(100))) for k in range(4)]
+
+        def frames(numbers):  # sequence 0 never travels: written over a frame's prefix
+            built = [enc.encode_data_seq(CID, handle.format_id, s or 1, handle.codec.encode(records[s % 4])) for s in numbers]
+            return [f if s else f[: enc.HEADER_SIZE] + bytes(8) + f[enc.SEQ_RECORD_OFFSET :] for s, f in zip(numbers, built)]
+
+        self.prime, self.frames = frames(prime), frames(seqs)
+        self.fill = frames(range(1, max(prime + seqs) + 2))
+        if shape == "torn":
+            self.frames[pos] = self.frames[pos][: -int(rng.integers(1, 9))]
+        self.threshold = int(rng.integers(0, 101))
+        self.expression = FILTERS[rng.integers(2)].format(self.threshold)
+        if rng.integers(2):  # receive buffers, overwritten once the call returns
+            self.frames = [memoryview(bytearray(frame)) for frame in self.frames]
+        self.headers = [enc.try_unpack_header(frame) for frame in self.frames] if rng.integers(2) else None
+
+
+def sequenced_relay(burst):
+    hub = Relay(replay_window=burst.window)
+    ends = subscribe(hub.attach, burst)
+    hub.forward(burst.announcement)
+    hub.forward_batch(burst.prime)
+    for end in ends:
+        drain(end)
+    hub.forward_batch(burst.frames, burst.headers)
+    for frame in burst.frames:
+        if isinstance(frame, memoryview):
+            frame[enc.HEADER_SIZE :] = bytes(len(frame) - enc.HEADER_SIZE)
+    for end in ends:  # a reactivated peer gets the window back
+        downstream = next(d for d in hub.downstreams if d.transport is end._peer)
+        hub.reactivate(downstream)
+    return hub_state([hub], ends)
+
+
+def sequenced_subscription(burst):
+    rx = IOContext(X86_64)
+    rx.expect(SCHEMA)
+    got, acks = [], []
+    sub = DurableSubscription(EventChannel(), rx, got.append, on_error="suppress", ack_sink=acks.append, window=burst.window)
+    sub._offer(burst.announcement)
+    sub._offer_batch(burst.prime, True)
+    del got[:], acks[:]
+    sub._offer_batch(burst.frames, True, headers=burst.headers)
+    for frame in burst.frames:
+        if isinstance(frame, memoryview):
+            frame[enc.HEADER_SIZE :] = bytes(len(frame) - enc.HEADER_SIZE)
+    sub._offer_batch(burst.fill, True)  # closes every gap: what the window buffered is delivered
+    key = (CID, enc.unpack_header(burst.announcement)[2])
+    window = (sub.window.cursor(key), sub.window.pending_count(key), sub.window.missing(key), sub.cursors.cursor(key))
+    return [norm(v) for v in got], acks, window, counters(rx.metrics, sub.metrics)
+
+
+SEQUENCED_ROLES = {"relay": sequenced_relay, "durable subscription": sequenced_subscription}
+
+
+@pytest.mark.parametrize("role", sorted(SEQUENCED_ROLES))
+def test_a_sequenced_run_is_admitted_as_its_frames_are(role, monkeypatch):
+    """Each drawn sequenced burst: as it runs == with ``run_sequence`` patched
+    to ``None`` — replay windows, what a reactivated peer is sent, cursors,
+    pending frames, acks, deliveries, every counter.  Undamaged in-order
+    bursts did take the one admission."""
+    index = sorted(SEQUENCED_ROLES).index(role)
+    shared = Counter()
+    helper = enc.run_sequence
+
+    def counting(frames, header):
+        first = helper(frames, header)
+        shared[first is not None] += 1
+        return first
+
+    for k in range(BURSTS):
+        seed = [SEED, 100 + index, k]
+        with monkeypatch.context() as patch:
+            patch.setattr(enc, "run_sequence", counting)
+            fast = SEQUENCED_ROLES[role](SequencedBurst(np.random.default_rng(seed)))
+        with monkeypatch.context() as patch:
+            patch.setattr(enc, "run_sequence", lambda frames, header: None)
+            loop = SEQUENCED_ROLES[role](SequencedBurst(np.random.default_rng(seed)))
+        assert fast == loop, (role, k, SequencedBurst(np.random.default_rng(seed)).shape)
+    assert shared[True] > 0, "no burst took the one admission"
+
+
+# -- a converted group's dicts are read by columns: the same dicts, value for value --------------------
+
+PAIRS = [("sparc", "x86_64"), ("x86_64", "sparc"), ("i86", "x86_64"), ("mips_n64", "alpha"), ("x86_64", "vax")]
+
+
+def same_value(fast, slow):
+    """One field's value, dtype and read-only flag included."""
+    if isinstance(slow, np.ndarray):
+        return (
+            isinstance(fast, np.ndarray) and fast.dtype == slow.dtype and fast.shape == slow.shape
+            and not fast.flags.writeable and not slow.flags.writeable
+            and fast.tobytes() == slow.tobytes()
+        )  # fmt: skip
+    return type(fast) is type(slow) and repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids="->".join)
+def test_columnar_dicts_are_the_per_record_reads(pair, monkeypatch):
+    """Generated schemas (booleans, ``char[n]``, short and numpy-path arrays,
+    nested and string fallbacks) sent ``pair[0]`` -> ``pair[1]`` in groups
+    of 1–40: ``decode_batch`` to dicts == the receiver codec's
+    ``decode`` of each converted record, key order, type, dtype and
+    read-only flag included; to views, views."""
+
+    shared = Counter()
+    decode_many = NativeCodec.decode_many
+
+    def counting(codec, data, count):
+        records = decode_many(codec, data, count)
+        shared[records is not None] += 1
+        return records
+
+    monkeypatch.setattr(NativeCodec, "decode_many", counting)
+    rng = np.random.default_rng([SEED, PAIRS.index(pair)])
+    for k in range(24):
+        schema = random_schema(
+            rng, name=f"s{k}", max_fields=10, max_array=40, allow_strings=k % 6 == 5, allow_nested=k % 6 == 4
+        )
+        tx, rx = IOContext(MACHINES[pair[0]], context_id=CID), IOContext(MACHINES[pair[1]])
+        handle = tx.register_format(schema)
+        rx.expect(schema)
+        rx.receive(tx.announce(handle))
+        n = int(rng.integers(1, 41))
+        frames = [tx.encode(handle, random_record(schema, rng)) for _ in range(n)]
+        natives = rx.pipeline.decode_batch(frames, native=True)
+        codec = codec_for(layout_record(schema, MACHINES[pair[1]]))
+        expected = [codec.decode(native) for native in natives]
+        got = rx.pipeline.decode_batch(frames)
+        views = rx.pipeline.decode_batch(frames, lend=True)  # lent records stay views
+        assert all(type(view) is RecordView for view in views), (pair, k)
+        for fast, slow in zip(got, expected, strict=True):
+            assert list(fast) == list(slow), (pair, k)
+            assert all(same_value(fast[key], slow[key]) for key in slow), (pair, k, fast, slow)
+    if pair[1] != "vax":
+        assert shared[True] > 0, "no group was read by columns"
