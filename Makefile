@@ -33,8 +33,8 @@ loc:              ## src/ lines per package, for the system and the apparatus, a
 	printf '%6d src/ total\n' $(call count,src)
 
 # Neither may outgrow its ceiling; a PR that needs more raises it in the open.
-LOC_CEILING = 16963
-APPARATUS_LOC_CEILING = 3134
+LOC_CEILING = 16508
+APPARATUS_LOC_CEILING = 3397
 
 loc-check:        ## fail when the system or the apparatus is over its ceiling
 	@n=$(call count,$(SYSTEM)); a=$(call count,$(APPARATUS)); \

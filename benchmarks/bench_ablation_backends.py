@@ -15,6 +15,7 @@ import support
 from repro.abi import layout_record
 from repro.core import IOFormat, build_plan
 from repro.core.conversion import InterpretedConverter, generate_converter
+from repro.vcode import generate_vcode_converter
 from repro.workloads import mechanical
 
 SIZES = ["100b", "1kb"]  # the VM is too slow for array-heavy 100 KB records
@@ -40,7 +41,7 @@ def test_backend_interpreted(benchmark, size):
 @pytest.mark.parametrize("size", SIZES)
 def test_backend_generated_python(benchmark, size):
     plan, payload = make(size)
-    conv = generate_converter(plan, backend="python")
+    conv = generate_converter(plan)
     benchmark.group = f"ablation backends {size}"
     benchmark(conv.convert, payload)
 
@@ -48,19 +49,19 @@ def test_backend_generated_python(benchmark, size):
 @pytest.mark.parametrize("size", SIZES)
 def test_backend_vcode_vm(benchmark, size):
     plan, payload = make(size)
-    conv = generate_converter(plan, backend="vcode")
+    conv = generate_vcode_converter(plan)
     benchmark.group = f"ablation backends {size}"
     benchmark(conv.convert, payload)
 
 
 def test_shape_backends_agree_and_rank():
-    from repro.net import best_of
+    from repro.wire.timing import best_of
 
     for size in SIZES:
         plan, payload = make(size)
         interp = InterpretedConverter(plan)
-        python = generate_converter(plan, backend="python")
-        vcode = generate_converter(plan, backend="vcode")
+        python = generate_converter(plan)
+        vcode = generate_vcode_converter(plan)
         out = python.convert(payload)
         assert interp.convert(payload) == out
         assert vcode.convert(payload) == out

@@ -14,7 +14,7 @@ import support
 from repro.abi import layout_record
 from repro.core import IOFormat, build_plan
 from repro.core.conversion import InterpretedConverter, generate_converter
-from repro.net import best_of
+from repro.wire.timing import best_of
 from repro.workloads import mechanical
 
 
@@ -29,7 +29,7 @@ def make_plan(size):
 def test_generation_cost(benchmark, size):
     plan = make_plan(size)
     benchmark.group = "ablation: codegen one-time cost"
-    benchmark(generate_converter, plan, backend="python")
+    benchmark(generate_converter, plan)
 
 
 @pytest.mark.parametrize("size", support.SIZES)
@@ -44,7 +44,7 @@ def test_shape_breakeven_quickly(capsys):
     for size in support.SIZES:
         plan = make_plan(size)
         native = mechanical.native_bytes(size, support.I86)
-        gen = generate_converter(plan, backend="python")
+        gen = generate_converter(plan)
         interp = InterpretedConverter(plan)
         t_gen = gen.generation_time_s
         t_dcg = best_of(lambda: gen.convert(native), repeats=5, inner=5)

@@ -54,10 +54,10 @@ import pytest
 import support
 from repro.core import encoder as enc
 from repro.core.framing import FILE_HEADER, MSG_LEN, V2_TRAILER, FramedLog
-from repro.net import best_of, loopback_pair, shm_pair
+from repro.net import loopback_pair, shm_pair
 from repro.net.shm import _U32  # the ring's length prefix
-from repro.net.timing import calibrated_inner
 from repro.net.transport import _LEN, GATHER_MIN_FRAME, SegmentedFrame  # _LEN: the socket framing's prefix
+from repro.wire.timing import best_of, calibrated_inner
 
 RUN = 32
 SIZES = {"100b": 100, "1kb": 1024, "10kb": 10 * 1024, "100kb": 100 * 1024}

@@ -31,7 +31,7 @@ import pytest
 
 import support
 from repro.core.conversion import GATHER_MAX_BYTES, build_batch_converter, build_plan, gather_index
-from repro.net import best_of
+from repro.wire.timing import best_of
 from bench_batch_throughput import _announced_stream
 
 GROUPS = (1, 2, 3, 4, 8, 16)

@@ -13,7 +13,7 @@ import pytest
 import support
 from repro.abi import codec_for, layout_record
 from repro.core import IOContext
-from repro.net import best_of
+from repro.wire.timing import best_of
 from repro.workloads import mechanical
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import support
 from repro.abi import CType, FieldDecl, RecordSchema, codec_for, layout_record
-from repro.net import best_of
+from repro.wire.timing import best_of
 from repro.wire import PbioWire
 
 N_FIELDS = 16

@@ -16,9 +16,9 @@ import pytest
 import support
 from repro.abi import RecordSchema, codec_for, layout_record
 from repro.core import IOFormat, build_plan
-from repro.core.conversion import generate_python_converter
+from repro.core.conversion import generate_converter
 from repro.core.conversion.vectorized import NUMPY_THRESHOLD
-from repro.net import best_of
+from repro.wire.timing import best_of
 
 COUNTS = [2, 8, NUMPY_THRESHOLD, 64, 1024, 8192]
 
@@ -39,7 +39,7 @@ def converter_for_count(count, *, force):
         vec.NUMPY_THRESHOLD = forced
         cg.NUMPY_THRESHOLD = forced
         cg.GATHER_MAX_BYTES = 0  # a swap is one gather within the bound: compare the other two
-        gen = generate_python_converter(plan)
+        gen = generate_converter(plan)
     finally:
         vec.NUMPY_THRESHOLD, cg.NUMPY_THRESHOLD, cg.GATHER_MAX_BYTES = original
     payload = codec_for(layout_record(schema, support.I86)).encode(

@@ -19,9 +19,8 @@ import pytest
 import support
 from repro.abi import RecordSchema, codec_for, layout_record
 from repro.core import IOFormat, build_plan
-from repro.core.conversion import generate_vcode_converter
-from repro.net import best_of
-from repro.vcode import VM, ConversionEmitter, optimize
+from repro.wire.timing import best_of
+from repro.vcode import VM, ConversionEmitter, generate_vcode_converter, optimize
 from repro.workloads import mechanical
 
 N_FIELDS = 64

@@ -54,7 +54,8 @@ import pytest
 import support
 from repro.abi import codec_for, layout_record
 from repro.core import IOContext
-from repro.net import InMemoryPipe, best_of
+from repro.net import InMemoryPipe
+from repro.wire.timing import best_of
 from repro.wire import MpiWire
 from repro.workloads import mechanical
 from repro.workloads.generators import record_stream

@@ -55,7 +55,8 @@ from repro.abi import RecordSchema
 from repro.core import IOContext
 from repro.core import encoder as enc
 from repro.core.framing import pack_frame
-from repro.net import DurablePublisher, DurableSubscription, EventChannel, best_of
+from repro.net import DurablePublisher, DurableSubscription, EventChannel
+from repro.wire.timing import best_of
 
 #: 32 records of ~1 KiB: the stream burst the acceptance gate names.
 BURST = 32

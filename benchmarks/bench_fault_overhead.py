@@ -50,8 +50,8 @@ from repro.net import (
     ReconnectingTransport,
     RetryPolicy,
     Transport,
-    best_of,
 )
+from repro.wire.timing import best_of
 
 SCHEMA = RecordSchema.from_pairs(
     "sample", [("seq", "int"), ("values", "double[16]"), ("tag", "char[8]")]

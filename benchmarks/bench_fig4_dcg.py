@@ -12,7 +12,7 @@ and DCG within a small multiple of a raw memcpy of the same record.
 import pytest
 
 import support
-from repro.net import best_of
+from repro.wire.timing import best_of
 
 VARIANTS = {
     "MPICH": ("MPICH", None),

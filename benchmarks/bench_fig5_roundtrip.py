@@ -6,7 +6,7 @@ The paper composes the measured segment costs into full round-trips
 time dominates.
 
 CPU segments are measured; the network term comes from the calibrated
-100 Mbps model (see repro.net.simulated).  The per-message benchmarks
+100 Mbps model (see repro.wire.network).  The per-message benchmarks
 below time the full local round trip (encode + decode both directions,
 no network) so pytest-benchmark tracks the CPU totals; the shape test
 checks the composed (network-inclusive) ratio.

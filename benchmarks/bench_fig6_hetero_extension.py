@@ -57,7 +57,7 @@ def test_hetero_receive(benchmark, cases, size, mismatched):
 
 def test_shape_extension_is_free_heterogeneous(cases):
     """The unexpected field must add no significant receive cost."""
-    from repro.net import best_of
+    from repro.wire.timing import best_of
 
     for size in support.SIZES:
         matched_bound, matched_wire = cases[(size, False)]

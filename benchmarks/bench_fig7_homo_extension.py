@@ -13,7 +13,7 @@ import pytest
 
 import support
 from bench_fig6_hetero_extension import build_extension_exchange
-from repro.net import best_of
+from repro.wire.timing import best_of
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ import support
 from repro.abi import codec_for, layout_record
 from repro.core import IOContext, RecordFilter
 from repro.core.files import PbioFileReader, PbioFileWriter
-from repro.net import best_of
+from repro.wire.timing import best_of
 from repro.workloads import mechanical
 
 

@@ -22,7 +22,8 @@ from repro.abi import SPARC_V8, X86_64, RecordSchema
 from repro.core import IOContext, PbioConnection
 from repro.core import encoder as enc
 from repro.fmtserv import FormatCache, FormatServer, FormatService
-from repro.net import InMemoryPipe, best_of
+from repro.net import InMemoryPipe
+from repro.wire.timing import best_of
 from repro.workloads import mechanical
 
 TELEMETRY = RecordSchema.from_pairs(

@@ -15,7 +15,8 @@ import pytest
 
 import support
 from repro.abi import codec_for, layout_record
-from repro.net import InMemoryPipe, best_of
+from repro.net import InMemoryPipe
+from repro.wire.timing import best_of
 from repro.wire import IiopWire, MpiWire, PbioWire, XmlWire
 from repro.workloads import TraceSpec, generate_trace
 

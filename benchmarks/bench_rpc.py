@@ -20,7 +20,8 @@ import pytest
 import support
 from repro.abi import RecordSchema
 from repro.core import RpcClient, RpcInterface, RpcOperation, RpcServer
-from repro.net import InMemoryPipe, Transport, best_of
+from repro.net import InMemoryPipe, Transport
+from repro.wire.timing import best_of
 from repro.wire.iiop import Interface, ObjectAdapter, Operation, OrbClient
 
 REQ = RecordSchema.from_pairs("solve_req", [("rhs", "double[64]"), ("tol", "double")])

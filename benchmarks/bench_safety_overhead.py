@@ -24,7 +24,7 @@ import statistics
 import support
 from repro.abi import RecordSchema, codec_for, layout_record
 from repro.core import DEFAULT_LIMITS, IOContext
-from repro.net import best_of
+from repro.wire.timing import best_of
 
 SCHEMA = RecordSchema.from_pairs(
     "sample", [("seq", "int"), ("values", "double[16]"), ("tag", "char[8]")]

@@ -74,7 +74,7 @@ def test_channel_fanout(benchmark, n_subscribers):
 
 
 def test_shape_throughput_ordering(stream_setup):
-    from repro.net import best_of
+    from repro.wire.timing import best_of
 
     src, dst, natives = stream_setup
     times = {}

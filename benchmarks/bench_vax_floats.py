@@ -65,7 +65,7 @@ def test_shape_vax_decode_cost_bounded():
     byte-order decode, but must stay within the interpreted converter's
     neighbourhood (i.e. conversion remains a per-message cost, not a
     cliff)."""
-    from repro.net import best_of
+    from repro.wire.timing import best_of
 
     receiver_vax, message_vax = vax_exchange("100kb", VAX, support.I86)
     t_vax = best_of(lambda: receiver_vax.decode_native(message_vax), repeats=5, inner=5)

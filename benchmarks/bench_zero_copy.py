@@ -23,7 +23,8 @@ import pytest
 import support
 from repro.abi import RecordSchema, codec_for, layout_record
 from repro.core import IOContext
-from repro.net import InMemoryPipe, best_of, loopback_pair, shm_pair
+from repro.net import InMemoryPipe, loopback_pair, shm_pair
+from repro.wire.timing import best_of
 from repro.net.relay import Relay
 from repro.workloads import mechanical
 

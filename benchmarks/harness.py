@@ -18,7 +18,8 @@ import sys
 import support
 from repro.abi import CType, FieldDecl, codec_for, layout_record
 from repro.core import IOContext
-from repro.net import TimingTable, best_of, paper_network_times_ms
+from repro.wire.network import paper_network_times_ms
+from repro.wire.timing import TimingTable, best_of
 from repro.wire import PbioWire
 from repro.workloads import mechanical
 
@@ -261,7 +262,7 @@ def extensions() -> None:
             IOFormat.from_layout(layout_record(sch, support.SPARC)),
         )
         native = mechanical.native_bytes(size, support.I86)
-        gen = generate_converter(plan, backend="python")
+        gen = generate_converter(plan)
         interp = InterpretedConverter(plan)
         t_dcg = best_of(lambda: gen.convert(native), repeats=5, inner=5)
         t_int = best_of(lambda: interp(native), repeats=5, inner=5)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.abi import SPARC_V8, X86, MachineDescription, StructLayout, layout_record
-from repro.net import NetworkModel, best_of
+from repro.wire.network import NetworkModel
+from repro.wire.timing import best_of
 from repro.wire import IiopWire, MpiWire, PbioWire, XmlWire
 from repro.wire.common import BoundFormat
 from repro.workloads import mechanical

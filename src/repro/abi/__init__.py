@@ -10,11 +10,8 @@ from .machines import (
     ALPHA,
     I960,
     MACHINES,
-    MIPS_N32,
-    MIPS_N64,
     MIPS_O32,
     SPARC_V8,
-    SPARC_V9,
     SPARC_V9_64,
     STRONGARM,
     VAX,
@@ -39,11 +36,8 @@ __all__ = [
     "X86",
     "X86_64",
     "SPARC_V8",
-    "SPARC_V9",
     "SPARC_V9_64",
     "MIPS_O32",
-    "MIPS_N32",
-    "MIPS_N64",
     "ALPHA",
     "I960",
     "STRONGARM",

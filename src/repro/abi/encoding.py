@@ -309,17 +309,11 @@ def _read_cstring(data: bytes | bytearray | memoryview, pos: int) -> str:
     return raw[:end].decode("utf-8")
 
 
-# Codec cache, keyed on layout identity (layouts themselves are cached by
-# repro.abi.layout.layout_record).
-_CODEC_CACHE: dict[int, NativeCodec] = {}
-
-
 def codec_for(layout: StructLayout) -> NativeCodec:
-    """Return the (cached) codec for ``layout``."""
-    codec = _CODEC_CACHE.get(id(layout))
-    if codec is None or codec.layout is not layout:
-        codec = NativeCodec(layout)
-        _CODEC_CACHE[id(layout)] = codec
+    """The codec for ``layout``, built once and kept on the layout."""
+    codec = layout._codec
+    if codec is None:
+        codec = layout._codec = NativeCodec(layout)
     return codec
 
 

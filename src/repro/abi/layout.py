@@ -128,6 +128,7 @@ class StructLayout:
         self.alignment = max_align
         self._by_name = {f.name: f for f in self.fields}
         self.has_strings = any(f.is_string for f in self.fields)
+        self._codec = None  # kept by codec_for
 
     def __iter__(self) -> Iterator[LaidOutField]:
         return iter(self.fields)
@@ -202,17 +203,10 @@ class StructLayout:
         return "\n".join(lines)
 
 
-# Cache keyed on (schema identity, machine name).  The cached layout holds a
-# strong reference to its schema, so the id cannot be reused while the entry
-# is alive.
-_LAYOUT_CACHE: dict[tuple[int, str], StructLayout] = {}
-
-
 def layout_record(schema: RecordSchema, machine: MachineDescription) -> StructLayout:
-    """Compute (and cache) the native layout of ``schema`` on ``machine``."""
-    key = (id(schema), machine.name)
-    layout = _LAYOUT_CACHE.get(key)
-    if layout is None or layout.schema is not schema:
-        layout = StructLayout(schema, machine)
-        _LAYOUT_CACHE[key] = layout
+    """The native layout of ``schema`` on ``machine``, computed once and
+    kept on the schema: it lives exactly as long as the schema does."""
+    layout = schema._layouts.get(machine.name)
+    if layout is None:
+        layout = schema._layouts[machine.name] = StructLayout(schema, machine)
     return layout

@@ -230,6 +230,7 @@ class RecordSchema:
         self.name = name
         self.fields = list(fields)
         self._by_name = {f.name: f for f in fields}
+        self._layouts: dict = {}  # machine name -> StructLayout, kept by layout_record
 
     @classmethod
     def from_pairs(cls, name: str, pairs: list[tuple[str, str]]) -> "RecordSchema":

@@ -24,36 +24,19 @@ from .errors import (
     LimitError,
     MessageError,
     PbioError,
-    TokenResolutionError,
     UnknownFormatError,
 )
 from .safety import DEFAULT_LIMITS, DecodeLimits
-from .fields import WireField, wire_fields_from_layout
+from .fields import WireField
 from .formats import IOFormat
 from .registry import FormatRegistry
-from .matching import FieldMatch, MatchResult, match_formats
-from .conversion import (
-    ConversionPlan,
-    ConvOp,
-    InterpretedConverter,
-    OpKind,
-    build_plan,
-    generate_converter,
-)
-from .runtime import (
-    BufferPool,
-    ContextStats,
-    ConverterCache,
-    DecodePipeline,
-    Metrics,
-    reset_shared_cache,
-    shared_cache,
-)
-from .context import FormatHandle, IOContext
+from .matching import match_formats
+from .conversion import OpKind, build_plan
+from .runtime import ConverterCache, DecodePipeline, Metrics, reset_shared_cache, shared_cache
+from .context import IOContext
 from .connection import PbioConnection
-from .negotiation import Announcer, InboundNegotiator, LinkTable
-from .reflection import MessageInfo, generic_decode, incoming_format, peek_message
-from .versioning import CompatibilityReport, check_evolution
+from .reflection import generic_decode, incoming_format, peek_message
+from .versioning import check_evolution
 from .files import PbioFileReader, PbioFileWriter, read_records, write_records
 from .rpc import (
     RpcClient,
@@ -82,37 +65,21 @@ __all__ = [
     "DecodeLimits",
     "DEFAULT_LIMITS",
     "WireField",
-    "wire_fields_from_layout",
     "IOFormat",
     "FormatRegistry",
-    "FieldMatch",
-    "MatchResult",
     "match_formats",
-    "ConversionPlan",
-    "ConvOp",
     "OpKind",
     "build_plan",
-    "InterpretedConverter",
-    "generate_converter",
     "IOContext",
-    "FormatHandle",
-    "ContextStats",
     "Metrics",
     "ConverterCache",
     "DecodePipeline",
-    "BufferPool",
     "shared_cache",
     "reset_shared_cache",
     "PbioConnection",
-    "TokenResolutionError",
-    "Announcer",
-    "InboundNegotiator",
-    "LinkTable",
-    "MessageInfo",
     "peek_message",
     "incoming_format",
     "generic_decode",
-    "CompatibilityReport",
     "check_evolution",
     "PbioFileWriter",
     "PbioFileReader",

@@ -32,7 +32,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.abi import (
     MachineDescription,
@@ -71,9 +71,12 @@ class IOContext:
     ``conversion`` selects the receiver-side strategy:
 
     * ``"dcg"`` (default) — runtime-generated specialized converters;
-    * ``"interpreted"``   — the table-driven interpreter;
-    * ``"vcode"``         — DCG lowered onto the virtual RISC VM
-      (mechanism-fidelity mode; slow under Python, see DESIGN.md).
+    * ``"interpreted"``   — the table-driven interpreter (the reference);
+    * a converter factory — a callable taking a
+      :class:`~repro.core.conversion.ConversionPlan` to a
+      :class:`~repro.core.conversion.GeneratedConverter`, such as
+      :func:`repro.vcode.generate_vcode_converter` (the paper's virtual
+      RISC VM; slow under Python, see DESIGN.md).
 
     ``cache`` may name a :class:`ConverterCache` shared with other
     contexts; the default is a private cache (seed-compatible).  The
@@ -91,14 +94,14 @@ class IOContext:
         self,
         machine: MachineDescription,
         *,
-        conversion: str = "dcg",
+        conversion: str | Callable = "dcg",
         context_id: int | None = None,
         cache: ConverterCache | None = None,
         metrics: Metrics | None = None,
         limits: DecodeLimits | None = DEFAULT_LIMITS,
         format_service=None,
     ):
-        if conversion not in ("dcg", "interpreted", "vcode"):
+        if conversion not in ("dcg", "interpreted") and not callable(conversion):
             raise ValueError(f"unknown conversion mode {conversion!r}")
         self.machine = machine
         self.conversion = conversion
@@ -242,8 +245,8 @@ class IOContext:
 
         Returns ``{"<wire> -> <native>": source}`` for every converter in
         this context's cache matching its machine and conversion mode
-        (generated Python for DCG, vcode disassembly for the vcode
-        backend, the plan description for the interpreter) — a debugging
+        (generated Python for DCG, the plan description for the
+        interpreter, a factory converter's own ``source``) — a debugging
         window into what DCG actually emitted.  With a shared cache this
         includes converters built by sibling contexts on the same machine.
         """

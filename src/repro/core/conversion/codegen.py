@@ -35,10 +35,10 @@ and one record costs one pass, not one call per field:
   ``GATHER_MAX_BYTES`` of native record and unless it fuses to one struct
   pair, one ``take`` of its byte index straight into the destination.
 
-Two backends: ``python``, the performance backend above (default), and
-``vcode``, faithful to the paper — the plan lowered onto the virtual RISC
-ISA of :mod:`repro.vcode` and run by its VM (slower in Python: it serves
-the mechanism-fidelity ablation; DESIGN.md discusses the inversion).
+The paper's own route — the plan lowered onto a virtual RISC ISA and
+run by a VM — is :func:`repro.vcode.generate_vcode_converter`, which a
+context takes as its converter factory (``conversion=``); it serves the
+mechanism-fidelity ablation (DESIGN.md discusses the inversion).
 
 Generation cost vs. per-record savings is measured by
 ``benchmarks/bench_ablation_codegen_cost.py`` — the paper's claim is that
@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.abi.types import PrimKind, struct_code
 
-from ..errors import ConversionError
 from .plan import ConversionPlan, ConvOp, OpKind
 from .vectorized import GATHER_MAX_BYTES, NUMPY_THRESHOLD, convert_run, gather_index, np_dtype
 
@@ -73,8 +72,6 @@ class GeneratedConverter:
     convert: Callable[[bytes], bytes]
     source: str
     generation_time_s: float
-    backend: str
-    vcode_stats: object | None = None  # OptimizationStats for the vcode backend
     gather: np.ndarray | None = None  # a byte move's index, within GATHER_MAX_BYTES
 
     def __call__(self, src, dst=None) -> bytes:
@@ -82,7 +79,7 @@ class GeneratedConverter:
 
     @property
     def statements(self) -> int:
-        """Conversion statements of a fixed-size python-backend body: its
+        """Conversion statements of a fixed-size generated body: its
         lines less the ``def``, the two destination lines and the ``return``."""
         return self.source.count("\n") - 3
 
@@ -121,7 +118,7 @@ class _SourceBuilder:
         return name
 
 
-def generate_python_converter(plan: ConversionPlan) -> GeneratedConverter:
+def generate_converter(plan: ConversionPlan) -> GeneratedConverter:
     """Generate, compile and return a specialized converter for ``plan``."""
     t0 = time.perf_counter()
     sb = _SourceBuilder()
@@ -170,7 +167,6 @@ def generate_python_converter(plan: ConversionPlan) -> GeneratedConverter:
         convert=fn,
         source=source,
         generation_time_s=time.perf_counter() - t0,
-        backend="python",
         gather=gather,
     )
 
@@ -300,79 +296,3 @@ def _emit_op(sb: _SourceBuilder, op: ConvOp, se: str, de: str, plan: ConversionP
     su = sb.bind_struct(f"{se}{count}{struct_code(src_kind, op.src_size)}")
     st = sb.bind_struct(f"{de}{count}{struct_code(PrimKind.UNSIGNED, op.dst_size)}")
     sb.emit(f"{st}.pack_into(dst, {d0}, *[{value} & {mask} for v in {su}.unpack_from(src, {s0})])")
-
-
-# --------------------------------------------------------------------------
-# vcode backend: lower the plan onto the virtual RISC ISA (mechanism
-# fidelity; see module docstring).
-# --------------------------------------------------------------------------
-
-
-def generate_vcode_converter(plan: ConversionPlan, *, optimize: bool = True) -> GeneratedConverter:
-    """Lower ``plan`` to a vcode program and wrap VM execution.
-
-    ``optimize`` runs the peephole passes of :mod:`repro.vcode.optimizer`
-    (the paper's "runtime binary code optimization" future work) before
-    execution.
-    """
-    from repro.vcode import VM, ConversionEmitter
-
-    if plan.has_strings:
-        raise ConversionError("the vcode backend models fixed-size records")
-    if plan.has_vax_floats:
-        raise ConversionError(
-            "the vcode backend models IEEE hosts; VAX float conversion uses "
-            "the python backend's subroutines"
-        )
-    t0 = time.perf_counter()
-    ce = ConversionEmitter(plan.wire.byte_order, plan.native.byte_order)
-    for op in plan.ops:
-        k = op.kind
-        if k is OpKind.COPY:
-            ce.copy_bytes(op.dst_off, op.src_off, op.dst_size)
-        elif k is OpKind.ZERO:
-            pass  # dst zero-initialized by the wrapper
-        elif k is OpKind.CHARS:
-            ce.copy_bytes(op.dst_off, op.src_off, min(op.src_size, op.dst_size))
-        elif k in (OpKind.SWAP, OpKind.CVT_INT):
-            ce.convert_int(op.dst_off, op.dst_size, op.src_off, op.src_size, signed=op.signed, count=op.count)
-        elif k is OpKind.CVT_FLOAT:
-            ce.convert_float(op.dst_off, op.dst_size, op.src_off, op.src_size, count=op.count)
-        elif k is OpKind.CVT_INT_FLOAT:
-            ce.convert_int_to_float(op.dst_off, op.dst_size, op.src_off, op.src_size, signed=op.signed, count=op.count)
-        elif k is OpKind.CVT_FLOAT_INT:
-            ce.convert_float_to_int(op.dst_off, op.dst_size, op.src_off, op.src_size, count=op.count)
-        else:  # pragma: no cover
-            raise ConversionError(f"vcode backend cannot lower {op}")
-    program = ce.finish()
-    opt_stats = None
-    if optimize:
-        from repro.vcode.optimizer import optimize as run_passes
-
-        program, opt_stats = run_passes(program)
-    vm = VM()
-    size = plan.native.record_size
-
-    def convert(src, dst=None) -> bytes:
-        owned = dst is None
-        if owned:
-            dst = bytearray(size)
-        vm.run(program, {"src": src if isinstance(src, (bytes, bytearray)) else bytes(src), "dst": dst})
-        return bytes(dst) if owned else dst
-
-    return GeneratedConverter(
-        convert=convert,
-        source=program.disassemble(),
-        generation_time_s=time.perf_counter() - t0,
-        backend="vcode",
-        vcode_stats=opt_stats,
-    )
-
-
-def generate_converter(plan: ConversionPlan, backend: str = "python") -> GeneratedConverter:
-    """Generate a converter with the requested backend."""
-    if backend == "python":
-        return generate_python_converter(plan)
-    if backend == "vcode":
-        return generate_vcode_converter(plan)
-    raise ValueError(f"unknown DCG backend {backend!r}")

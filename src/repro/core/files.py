@@ -395,10 +395,8 @@ class PbioFileReader:
     def read_all(self) -> list[dict[str, Any]]:
         return list(self)
 
-    def read_batch(
-        self, max_records: int | None = None, *, lend: bool = False
-    ) -> list:
-        """Read up to ``max_records`` records through the batch pipeline.
+    def read_batch(self, *, lend: bool = False) -> list:
+        """Read every remaining record through the batch pipeline.
 
         Frames are scanned with the usual crash-safe ladder
         (:meth:`iter_raw` absorbs announcements and applies the
@@ -418,11 +416,7 @@ class PbioFileReader:
         ``view.detach()`` before storing a view past the processing
         loop.
         """
-        messages: list = []
-        for message in self.iter_raw():
-            messages.append(message)
-            if max_records is not None and len(messages) >= max_records:
-                break
+        messages = list(self.iter_raw())
         if not messages:
             return []
         decode_batch = self.ctx.pipeline.decode_batch

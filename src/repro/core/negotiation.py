@@ -37,7 +37,7 @@ from .errors import LimitError, MessageError, TokenResolutionError, TransportErr
 #: Hold-queue ceiling per unresolved format: a peer that streams data
 #: forever without ever answering the meta request is either broken or
 #: hostile, and memory must stay bounded either way.
-DEFAULT_MAX_HELD = 1024
+MAX_HELD = 1024
 
 
 class LinkControl:
@@ -110,17 +110,10 @@ class InboundNegotiator(LinkControl):
     ordering, the same guarantee a lossy-link replay gives).
     """
 
-    def __init__(
-        self,
-        ctx: IOContext,
-        send: Callable[[bytes], None],
-        *,
-        max_held: int = DEFAULT_MAX_HELD,
-    ):
+    def __init__(self, ctx: IOContext, send: Callable[[bytes], None]):
         self.ctx = ctx
         self.metrics = ctx.metrics
         self._send = send
-        self.max_held = max_held
         self._pending: dict[tuple[int, int], bytes] = {}  # (cid, fid) -> fingerprint
         self._held: dict[tuple[int, int], list[bytes]] = {}
         self.ready: deque[bytes] = deque()  # oldest first; a burst caller (recv_batch) takes from it directly
@@ -175,7 +168,7 @@ class InboundNegotiator(LinkControl):
         (a foreign frame too: its decode, if any, rejects it)."""
         if self._pending and header is not None and (key := (header[1], header[2])) in self._pending:
             held = self._held.setdefault(key, [])
-            if len(held) >= self.max_held:
+            if len(held) >= MAX_HELD:
                 raise LimitError(
                     f"{len(held)} messages held for unresolved format id "
                     f"{key[1]} from context {key[0]:#010x}; peer never "

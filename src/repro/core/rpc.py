@@ -58,6 +58,9 @@ _CALL = struct.Struct(">IB")  # request id, flags (bit0: is-reply, bit1: fault)
 _FAULT_FLAG = 0x02
 _REPLY_FLAG = 0x01
 
+#: Request ids per link whose reply frames a server keeps for retries.
+DEDUP_WINDOW = 64
+
 
 class RpcError(RuntimeError):
     """Base of RPC-layer failures (deliberately *not* a PbioError:
@@ -289,8 +292,8 @@ class RpcClient:
 class RpcServer:
     """Server side: servant registry + request dispatch over a transport.
 
-    ``dedup_window`` caches the reply frames of the last N request ids
-    *per link*, so a retransmitted request (client-side retry after
+    The reply frames of the last :data:`DEDUP_WINDOW` request ids are
+    cached *per link*, so a retransmitted request (client-side retry after
     a lost reply) is answered from the cache — the servant observes each
     request id exactly once ("at-most-once execution, at-least-once
     delivery").
@@ -302,12 +305,9 @@ class RpcServer:
         interface: RpcInterface,
         *,
         cache: ConverterCache | None = None,
-        dedup_window: int = 64,
         limits: DecodeLimits | None = DEFAULT_LIMITS,
         format_service=None,
     ):
-        if dedup_window < 0:
-            raise ValueError("dedup_window must be >= 0")
         self.ctx = IOContext(
             machine, cache=cache, limits=limits, format_service=format_service
         )
@@ -318,7 +318,6 @@ class RpcServer:
         # per link: formats announced, inbound negotiator, reply window
         self._links = LinkTable(self.ctx)
         self._announcer = Announcer(self.ctx, self._links)
-        self._dedup_window = dedup_window
         self._stop = threading.Event()
         for op in interface.operations.values():
             self.ctx.expect(op.request_schema)
@@ -448,7 +447,6 @@ class RpcServer:
             send(_call_header(request_id, reply=True, fault=True, operation=operation, key=b""))
             send(str(exc).encode("utf-8"))
             self.metrics.inc("faults")
-        if self._dedup_window:
-            window[request_id] = frames
-            while len(window) > self._dedup_window:
-                window.popitem(last=False)
+        window[request_id] = frames
+        while len(window) > DEDUP_WINDOW:
+            window.popitem(last=False)

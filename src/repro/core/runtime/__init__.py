@@ -13,7 +13,7 @@ Three pieces (see docs/wire-format.md section 6 and DESIGN.md):
   old per-component stats objects (which survive as views).
 """
 
-from .cache import CacheEntry, ConverterCache, machine_key, reset_shared_cache, shared_cache
+from .cache import ConverterCache, reset_shared_cache, shared_cache
 from .metrics import (
     ContextStats,
     DownstreamStats,
@@ -22,12 +22,10 @@ from .metrics import (
     SubscriberStats,
 )
 from .pipeline import DecodePipeline
-from .pool import BufferPool, Lease
+from .pool import Lease
 
 __all__ = [
-    "BufferPool",
     "Lease",
-    "CacheEntry",
     "ContextStats",
     "ConverterCache",
     "DecodePipeline",
@@ -35,7 +33,6 @@ __all__ = [
     "DurableStats",
     "Metrics",
     "SubscriberStats",
-    "machine_key",
     "reset_shared_cache",
     "shared_cache",
 ]

@@ -45,7 +45,7 @@ def machine_key(machine: MachineDescription) -> tuple:
     return (machine.name, machine.byte_order, machine.pointer_size, machine.float_format)
 
 
-CacheKey = tuple[bytes, bytes, str, tuple]
+CacheKey = tuple[bytes, bytes, "str | Callable", tuple]
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class ConverterCache:
 
     @staticmethod
     def key_for(
-        wire: IOFormat, native: IOFormat, conversion: str, machine: MachineDescription
+        wire: IOFormat, native: IOFormat, conversion: str | Callable, machine: MachineDescription
     ) -> CacheKey:
         return (wire.fingerprint, native.fingerprint, conversion, machine_key(machine))
 
@@ -108,7 +108,7 @@ class ConverterCache:
         self,
         wire: IOFormat,
         native: IOFormat,
-        conversion: str,
+        conversion: str | Callable,
         machine: MachineDescription,
         build: Callable[[IOFormat, IOFormat], CacheEntry],
     ) -> tuple[CacheEntry, str]:
@@ -172,7 +172,7 @@ class ConverterCache:
         self,
         format_name: str | None = None,
         *,
-        conversion: str | None = None,
+        conversion: str | Callable | None = None,
         machine: MachineDescription | None = None,
     ) -> dict[str, str]:
         """``{"<wire> -> <native>": source}`` for cached converters.

@@ -10,7 +10,7 @@ benchmark harness and new subsystems observe one coherent namespace.
 Counter names used by the runtime:
 
 ========================  =====================================================
-``converters_generated``  converters built (DCG, vcode or interpreter tables)
+``converters_generated``  converters built (DCG, a factory's, or interpreter tables)
 ``converter_cache_hits``  decode found its (wire, native) entry already cached
                           (a cache's lookups; a context's is :data:`DERIVED`)
 ``zero_copy_decodes``     records delivered without conversion

@@ -16,7 +16,7 @@ cached converter into a fresh destination (``docs/wire-format.md`` §6).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.abi import MachineDescription, RecordView, StructLayout, codec_for
 
@@ -107,7 +107,7 @@ class DecodePipeline:
         registry: FormatRegistry,
         expected: dict[str, IOFormat],
         machine: MachineDescription,
-        conversion: str = "dcg",
+        conversion: str | Callable = "dcg",
         cache: ConverterCache | None = None,
         metrics: Metrics | None = None,
         limits: DecodeLimits | None = DEFAULT_LIMITS,
@@ -353,18 +353,17 @@ class DecodePipeline:
             source = plan.describe()
             generation_time_s = 0.0
         else:
-            generated = generate_converter(
-                plan, backend="python" if self.conversion == "dcg" else "vcode"
-            )
+            dcg = self.conversion == "dcg"
+            generated = generate_converter(plan) if dcg else self.conversion(plan)
             converter = generated.convert
             source = generated.source
             generation_time_s = generated.generation_time_s
-            if self.conversion == "dcg":
+            if dcg:
                 # The same plan compiled to a record kernel, cached
                 # alongside the scalar converter.  DCG only: the
-                # interpreter and vcode modes exist to measure *their*
-                # per-record mechanism, so batch decodes loop their
-                # scalar converters instead.
+                # interpreter and a factory's converters exist to measure
+                # *their* per-record mechanism, so batch decodes loop
+                # their scalar converters instead.
                 if native.record_size <= KERNEL_MAX_RECORD:
                     batch = build_batch_converter(plan, generated.gather)
                     kernel_min_group = -(-KERNEL_CALL_STATEMENTS // max(generated.statements, 1))

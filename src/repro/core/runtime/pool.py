@@ -109,14 +109,17 @@ class Lease:
         return f"Lease(alive={self.alive}, holds={self.holds})"
 
 
+#: Free buffers a pool keeps per size; a returned buffer past it is dropped.
+MAX_PER_SIZE = 16
+
+
 class BufferPool:
     """A bounded free-list of receive buffers."""
 
-    def __init__(self, max_per_size: int = 8) -> None:
+    def __init__(self) -> None:
         self._free: dict[int, list[bytearray]] = {}
         self._zeros: dict[int, bytes] = {}  # templates for fast re-zeroing
         self._lock = threading.Lock()
-        self._max_per_size = max_per_size
         self._guard = os.environ.get("PBIO_POOL_GUARD", "") == "1"
         self.metrics = Metrics()
 
@@ -145,7 +148,7 @@ class BufferPool:
             buf[:] = bytes([POISON_BYTE]) * size
         with self._lock:
             stack = self._free.setdefault(size, [])
-            if len(stack) < self._max_per_size:
+            if len(stack) < MAX_PER_SIZE:
                 if size not in self._zeros:
                     self._zeros[size] = bytes(size)
                 stack.append(buf)

@@ -32,27 +32,15 @@ today's inline announcements when the server is down, faulted, or
 simply not configured.  See docs/wire-format.md §7.
 """
 
-from .cache import CachedFormat, FormatCache
+from .cache import FormatCache
 from .client import FormatService
-from .protocol import (
-    FMTSERV_INTERFACE,
-    FMTSERV_OBJECT,
-    STATUS_INVALID,
-    STATUS_MISS,
-    STATUS_OK,
-    STATUS_QUOTA,
-)
+from .protocol import STATUS_INVALID, STATUS_OK
 from .server import FormatServer
 
 __all__ = [
-    "CachedFormat",
     "FormatCache",
     "FormatServer",
     "FormatService",
-    "FMTSERV_INTERFACE",
-    "FMTSERV_OBJECT",
     "STATUS_OK",
-    "STATUS_MISS",
     "STATUS_INVALID",
-    "STATUS_QUOTA",
 ]

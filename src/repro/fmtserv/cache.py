@@ -39,6 +39,13 @@ CACHE_VERSION = 1
 _ENTRY_FIXED = struct.Struct(">B20sQdI")  # kind, fingerprint, token, stored_at, meta_len
 _KIND_ENTRY = 1
 
+#: Seconds a positive entry's *token* is trusted (``None``: forever; the
+#: meta itself is content-addressed and never expires as a description).
+TOKEN_TTL_S: float | None = None
+#: Seconds a looked-up-and-missed fingerprint is answered ``None`` without
+#: consulting the server again.
+NEGATIVE_TTL_S = 30.0
+
 
 @dataclass(frozen=True)
 class CachedFormat:
@@ -68,27 +75,20 @@ class FormatCache:
     at construction — the "resolve without touching the network" half of
     the format service.
 
-    ``ttl_s`` bounds trust in a positive entry's *token* (``None`` =
-    forever; the meta itself is content-addressed and never expires as a
-    format description).  ``negative_ttl_s`` bounds how long a looked-up
-    -and-missed fingerprint is answered ``None`` without consulting the
-    server again.  ``clock`` must return epoch seconds (injectable for
-    deterministic tests).
+    Entries age by :data:`TOKEN_TTL_S` and :data:`NEGATIVE_TTL_S`.
+    ``clock`` must return epoch seconds (injectable for deterministic
+    tests).
     """
 
     def __init__(
         self,
         path: str | None = None,
         *,
-        ttl_s: float | None = None,
-        negative_ttl_s: float = 30.0,
         limits: DecodeLimits | None = DEFAULT_LIMITS,
         metrics: Metrics | None = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.path = path
-        self.ttl_s = ttl_s
-        self.negative_ttl_s = negative_ttl_s
         self.limits = limits
         self.metrics = metrics if metrics is not None else Metrics()
         self._clock = clock
@@ -157,11 +157,11 @@ class FormatCache:
         return entry
 
     def get(self, fingerprint: bytes) -> CachedFormat | None:
-        """The cached entry for ``fingerprint``, honoring ``ttl_s``."""
+        """The cached entry for ``fingerprint``, honoring :data:`TOKEN_TTL_S`."""
         entry = self._entries.get(bytes(fingerprint))
         if entry is None:
             return None
-        if self.ttl_s is not None and self._clock() - entry.stored_at > self.ttl_s:
+        if TOKEN_TTL_S is not None and self._clock() - entry.stored_at > TOKEN_TTL_S:
             self.metrics.inc("fmtserv.cache_expired")
             return None
         return entry
@@ -207,7 +207,7 @@ class FormatCache:
 
     def note_miss(self, fingerprint: bytes) -> None:
         """Record that the server does not know ``fingerprint`` (yet)."""
-        self._negative[bytes(fingerprint)] = self._clock() + self.negative_ttl_s
+        self._negative[bytes(fingerprint)] = self._clock() + NEGATIVE_TTL_S
 
     def is_negative(self, fingerprint: bytes) -> bool:
         expiry = self._negative.get(bytes(fingerprint))

@@ -37,6 +37,9 @@ from repro.net.transport import Transport, TransportError
 from .cache import FormatCache
 from .protocol import FMTSERV_INTERFACE, FMTSERV_OBJECT, STATUS_OK
 
+#: Seconds a replica's circuit breaker first holds off after a failure.
+SERVER_RETRY_S = 5.0
+
 
 class _ReplicaSlot:
     """One server in the ordered failover list: its dialer, its live
@@ -80,7 +83,7 @@ class FormatService:
     Offline mode is what an unconfigured system gets — it makes the
     service safe to thread through constructors unconditionally.
 
-    ``server_retry_s`` seeds each replica's circuit breaker: after a
+    :data:`SERVER_RETRY_S` seeds each replica's circuit breaker: after a
     transport failure or timeout that replica is not contacted again
     until the holdoff passes (doubling per consecutive failure), and
     calls fail over to the next replica in order.  Only when every
@@ -95,7 +98,6 @@ class FormatService:
         cache: FormatCache | None = None,
         retry: RetryPolicy | None = None,
         deadline_s: float = 2.0,
-        server_retry_s: float = 5.0,
         machine: MachineDescription = X86_64,
         limits: DecodeLimits | None = DEFAULT_LIMITS,
         metrics: Metrics | None = None,
@@ -111,7 +113,6 @@ class FormatService:
             else RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.1)
         )
         self.deadline_s = deadline_s
-        self.server_retry_s = server_retry_s
         self.limits = limits
         self.metrics = metrics if metrics is not None else Metrics()
         self._clock = clock
@@ -127,7 +128,7 @@ class FormatService:
         self._slots = [
             _ReplicaSlot(
                 target,
-                CircuitBreaker(server_retry_s, clock=clock),
+                CircuitBreaker(SERVER_RETRY_S, clock=clock),
             )
             for target in targets
         ]

@@ -1,6 +1,6 @@
-"""Network substrate: transports, the paper-calibrated network model, real
-loopback sockets, the async event-loop serving core, and round-trip cost
-accounting."""
+"""Network substrate: transports, real loopback sockets, shared memory, the
+async event-loop serving core, and the health, relay, fabric and durable
+planes built on them."""
 
 from .transport import (
     FrameBuffer,
@@ -16,6 +16,7 @@ from .health import (
     CircuitBreaker,
     HeartbeatMonitor,
     ProbePolicy,
+    VirtualClock,
 )
 from ..core.negotiation import send_goodbye
 from .aio import (
@@ -27,19 +28,12 @@ from .aio import (
     fmtserv_handler,
     relay_handler,
     rpc_handler,
-    serve_rpc_call,
 )
 from .faults import (
     FaultInjectingTransport,
     FaultPlan,
     ReconnectingTransport,
     RetryPolicy,
-)
-from .simulated import (
-    NetworkModel,
-    SimulatedEndpoint,
-    SimulatedLink,
-    paper_network_times_ms,
 )
 from .shm import (
     ShmRingTransport,
@@ -49,17 +43,9 @@ from .shm import (
     shm_pair,
 )
 from .sockets import SocketTransport, loopback_pair
-from .timing import LegCost, RoundTripCost, TimingTable, VirtualClock, best_of, calibrated_inner
-from .channel import ChannelPublisher, EventChannel, SubscriberStats, Subscription, WireTap
-from .relay import Downstream, Relay
-from .fabric import (
-    EdgeSubscription,
-    FabricDispatcher,
-    FabricError,
-    HashRing,
-    RelayWorker,
-    fabric_handler,
-)
+from .channel import EventChannel
+from .relay import Relay
+from .fabric import FabricDispatcher, FabricError, HashRing, RelayWorker, fabric_handler
 from .durable import (
     AckCursorStore,
     DurablePublisher,
@@ -83,7 +69,6 @@ __all__ = [
     "InMemoryPipe",
     "AsyncServer",
     "AsyncSocketTransport",
-    "serve_rpc_call",
     "drain",
     "rpc_handler",
     "fmtserv_handler",
@@ -94,10 +79,6 @@ __all__ = [
     "FaultInjectingTransport",
     "RetryPolicy",
     "ReconnectingTransport",
-    "NetworkModel",
-    "SimulatedLink",
-    "SimulatedEndpoint",
-    "paper_network_times_ms",
     "SocketTransport",
     "loopback_pair",
     "ShmRingTransport",
@@ -105,24 +86,13 @@ __all__ = [
     "auto_connect",
     "create_endpoint",
     "attach_endpoint",
-    "LegCost",
-    "RoundTripCost",
-    "TimingTable",
     "VirtualClock",
-    "best_of",
-    "calibrated_inner",
     "EventChannel",
-    "ChannelPublisher",
-    "Subscription",
-    "SubscriberStats",
-    "WireTap",
     "Relay",
-    "Downstream",
     "HashRing",
     "RelayWorker",
     "FabricDispatcher",
     "FabricError",
-    "EdgeSubscription",
     "fabric_handler",
     "AckCursorStore",
     "DurablePublisher",

@@ -35,7 +35,7 @@ Design rules (docs/async.md):
   persistent reader pump — the fd stays registered with the loop, the
   readiness callback reads and parses inline, and a handler's ``recv``
   wakes only when complete frames are ready.  Read-ahead is bounded
-  (``max_read_buffer``); past the bound the pump unregisters and TCP
+  (:data:`MAX_READ_BUFFER`); past the bound the pump unregisters and TCP
   flow control pushes back on the peer.
 * **The synchronous API is untouched.**  ``SocketTransport``, the
   blocking ``serve_one`` drivers and every existing test and bench keep
@@ -75,12 +75,12 @@ from .transport import (
 #: workload — a slow consumer is visible long before memory is.
 DEFAULT_MAX_WRITE_QUEUE = 1 << 20
 
-#: Default per-connection read-ahead bound, in parsed-frame bytes.  The
+#: The per-connection read-ahead bound, in parsed-frame bytes.  The
 #: reader pump keeps the fd registered and parses frames in the loop
 #: callback even while the handler is busy; past this bound it
 #: unregisters until the handler consumes the backlog (kernel-side TCP
 #: flow control then pushes back on the peer).
-DEFAULT_MAX_READ_BUFFER = 1 << 20
+MAX_READ_BUFFER = 1 << 20
 
 #: Consecutive protocol errors on one connection before a handler stops
 #: humouring it (a peer speaking garbage forever is an attack, not a
@@ -118,7 +118,6 @@ class AsyncSocketTransport(Transport):
         sock: socket.socket,
         *,
         max_write_queue: int = DEFAULT_MAX_WRITE_QUEUE,
-        max_read_buffer: int = DEFAULT_MAX_READ_BUFFER,
         metrics: Metrics | None = None,
     ):
         self._sock = sock
@@ -129,7 +128,6 @@ class AsyncSocketTransport(Transport):
             pass
         self._loop = asyncio.get_running_loop()
         self.max_write_queue = max_write_queue
-        self.max_read_buffer = max_read_buffer
         self.metrics = metrics if metrics is not None else Metrics()
         self._framer = FrameBuffer()
         self._frames: deque[bytes] = deque()  # parsed, not yet delivered
@@ -338,7 +336,7 @@ class AsyncSocketTransport(Transport):
     # an awaiting recv() only when there is something to deliver.  This
     # is the asyncio protocol discipline — one epoll registration per
     # connection instead of add/remove churn and a fresh future per
-    # read.  Read-ahead is bounded by ``max_read_buffer``: past it the
+    # read.  Read-ahead is bounded by ``MAX_READ_BUFFER``: past it the
     # pump unregisters and TCP flow control pushes back on the peer.
 
     def set_timeout(self, timeout_s: float | None) -> None:
@@ -386,7 +384,7 @@ class AsyncSocketTransport(Transport):
         except OSError as exc:
             self._rexc = TransportError(f"recv failed: {exc}")
             self._pause_reading()
-        if self._rbuffered >= self.max_read_buffer:
+        if self._rbuffered >= MAX_READ_BUFFER:
             self._pause_reading()  # handler is behind: stop reading ahead
         if frames or self._reof or self._rexc is not None:
             fut = self._rpending
@@ -402,7 +400,7 @@ class AsyncSocketTransport(Transport):
         while True:
             if self._frames:
                 data = self._pop_frame()
-                if not self._reading and self._rbuffered <= self.max_read_buffer // 2:
+                if not self._reading and self._rbuffered <= MAX_READ_BUFFER // 2:
                     self._resume_reading()
                 return data
             if self._rexc is not None:
@@ -441,7 +439,7 @@ class AsyncSocketTransport(Transport):
         """
         if self._frames:
             data = self._pop_frame()
-            if not self._reading and self._rbuffered <= self.max_read_buffer // 2:
+            if not self._reading and self._rbuffered <= MAX_READ_BUFFER // 2:
                 self._resume_reading()
             return data
         if self._rexc is not None:
@@ -469,7 +467,7 @@ class AsyncSocketTransport(Transport):
             else:
                 for _ in range(take):
                     out.append(self._pop_frame())
-        if not self._reading and self._rbuffered <= self.max_read_buffer // 2:
+        if not self._reading and self._rbuffered <= MAX_READ_BUFFER // 2:
             self._resume_reading()
         return out
 

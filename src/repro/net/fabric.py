@@ -488,7 +488,6 @@ class FabricDispatcher:
         limits: DecodeLimits | None = DEFAULT_LIMITS,
         quarantine_after: int = 3,
         probe_policy: ProbePolicy | None = None,
-        worker_probe_policy: ProbePolicy | None = None,
         clock: Callable[[], float] = time.monotonic,
         replay_window: int = 256,
         ack_upstream: Callable[[bytes], None] | None = None,
@@ -519,7 +518,6 @@ class FabricDispatcher:
                     cache=self.cache,
                     limits=limits,
                     quarantine_after=quarantine_after,
-                    probe_policy=worker_probe_policy,
                     clock=clock,
                     replay_window=replay_window,
                     format_service=format_service,
@@ -549,7 +547,7 @@ class FabricDispatcher:
         self.metrics.inc("fabric.workers_added")
         self._rebalance()
 
-    def remove_worker(self, name: str, *, drain: bool = True) -> None:
+    def remove_worker(self, name: str) -> None:
         """Scale in: take the worker off the ring, move its channels to
         the survivors, then drain it gracefully."""
         slot = self._slots.pop(name, None)
@@ -559,7 +557,7 @@ class FabricDispatcher:
             self.ring.remove(name)
         self.metrics.inc("fabric.workers_removed")
         self._rebalance()
-        if drain and slot.worker.alive:
+        if slot.worker.alive:
             slot.worker.drain_and_stop()
         slot.state = EVICTED
 

@@ -415,13 +415,11 @@ class ReconnectingTransport(Transport):
         dial: Callable[[], Transport],
         *,
         policy: RetryPolicy | None = None,
-        on_reconnect: Callable[[Transport], None] | None = None,
         sleep: Callable[[float], None] = time.sleep,
         metrics: Metrics | None = None,
     ):
         self._dial = dial
         self.policy = policy or RetryPolicy()
-        self.on_reconnect = on_reconnect
         self._sleep = sleep
         self.metrics = metrics or Metrics()
         self._announced = AnnouncementBacklog()  # replayed, in order, into every re-dialled link
@@ -468,8 +466,6 @@ class ReconnectingTransport(Transport):
         for announcement in self._announced:
             self._transport.send(announcement)
             self.metrics.inc("announcements_replayed")
-        if self.on_reconnect is not None:
-            self.on_reconnect(self._transport)
 
     # -- Transport interface -------------------------------------------------
     #

@@ -28,8 +28,8 @@ operator in the loop (docs/robustness.md §9):
   one per replica so the client can fail over down an ordered server list.
 
 Everything takes an injectable ``clock`` (``time.monotonic`` by default);
-:class:`repro.net.timing.VirtualClock` runs the whole plane in virtual
-time for deterministic tests.
+:class:`VirtualClock` runs the whole plane in virtual time for
+deterministic tests.
 """
 
 from __future__ import annotations
@@ -53,6 +53,43 @@ EVICTED = "evicted"
 #: §12): a heartbeat is handled by the one responder; anything else is the
 #: caller's, untouched, and proof of life.
 MONITOR_ROWS = enc.rows(default="run", ping="handle control", pong="handle control")
+
+
+class VirtualClock:
+    """A manually-advanced monotonic clock for deterministic time-based tests.
+
+    Every time-aware component in the net layer (``RetryPolicy``,
+    :class:`HeartbeatMonitor`, the relay's probe state machine) takes an
+    injectable ``clock`` callable defaulting to ``time.monotonic``; handing
+    them a ``VirtualClock`` instance runs the whole timeline in virtual
+    time — a 60 s eviction deadline takes microseconds of wall time and is
+    perfectly reproducible.
+
+    The instance is callable (``clock()`` → current virtual seconds) so it
+    drops into any ``clock=time.monotonic`` parameter unchanged, and
+    :meth:`sleep` advances time instead of blocking, so it also satisfies
+    ``sleep=`` parameters.
+    """
+
+    __slots__ = ("_now",)
+
+    def __init__(self, start: float = 0.0):
+        self._now = float(start)
+
+    def __call__(self) -> float:
+        return self._now
+
+    def now(self) -> float:
+        return self._now
+
+    def advance(self, seconds: float) -> float:
+        if seconds < 0:
+            raise ValueError("time cannot move backwards")
+        self._now += seconds
+        return self._now
+
+    def sleep(self, seconds: float) -> None:
+        self.advance(max(0.0, seconds))
 
 
 class HeartbeatMonitor(LinkControl):
@@ -89,7 +126,6 @@ class HeartbeatMonitor(LinkControl):
         interval_s: float = 1.0,
         miss_threshold: int = 3,
         clock: Callable[[], float] = time.monotonic,
-        on_state_change: Callable[[bool], None] | None = None,
     ):
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
@@ -99,7 +135,6 @@ class HeartbeatMonitor(LinkControl):
         self.interval_s = interval_s
         self.miss_threshold = miss_threshold
         self._clock = clock
-        self._on_state_change = on_state_change
         self._nonce = 0
         self._last_ping_at: float | None = None
         self._alive_since_ping = True  # no probe outstanding yet
@@ -124,12 +159,8 @@ class HeartbeatMonitor(LinkControl):
         heartbeat = MONITOR_ROWS[None if header is None else header[0]] is not enc.RUN
         if heartbeat and not self.control(frame, header, self._answer, self.transport.write_queue_depth):
             return True  # malformed: consumed, and no proof of an answered ping
-        was_responsive = self.responsive
         self._alive_since_ping = True
-        if self.misses:
-            self.misses = 0
-            if not was_responsive and self._on_state_change is not None:
-                self._on_state_change(True)
+        self.misses = 0
         return heartbeat
 
     def _answer(self, pong: bytes) -> None:
@@ -160,11 +191,8 @@ class HeartbeatMonitor(LinkControl):
             now = self._clock()
         self._poll()
         if self._last_ping_at is None or now - self._last_ping_at >= self.interval_s:
-            was_responsive = self.responsive
             if self._last_ping_at is not None and not self._alive_since_ping:
                 self.misses += 1
-                if was_responsive and not self.responsive and self._on_state_change is not None:
-                    self._on_state_change(False)
             self._send_ping(now)
         if not self.responsive:
             raise PeerUnresponsive(
@@ -315,35 +343,29 @@ class AnnouncementBacklog:
         return len(self._frames)
 
 
+#: A circuit breaker's holdoff doubles per consecutive open, up to five minutes.
+HOLDOFF_MULTIPLIER = 2.0
+MAX_HOLDOFF_S = 300.0
+
+
 class CircuitBreaker:
     """Closed / open / half-open failure gate for one remote replica.
 
     Generalises the flat "server down until T" holdoff the format-service
     client shipped with: failures open the breaker for ``holdoff_s``
-    (growing by ``multiplier`` per consecutive open, capped at
-    ``max_holdoff_s``); once the holdoff expires the breaker goes
+    (growing by :data:`HOLDOFF_MULTIPLIER` per consecutive open, capped at
+    :data:`MAX_HOLDOFF_S`); once the holdoff expires the breaker goes
     *half-open* and :meth:`allow` admits a single trial call; the trial's
     outcome either closes the breaker (and resets the holdoff) or
     re-opens it for longer.
     """
 
-    __slots__ = ("holdoff_s", "multiplier", "max_holdoff_s", "_clock", "_state", "_until", "_opens")
+    __slots__ = ("holdoff_s", "_clock", "_state", "_until", "_opens")
 
-    def __init__(
-        self,
-        holdoff_s: float = 30.0,
-        *,
-        multiplier: float = 2.0,
-        max_holdoff_s: float = 300.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, holdoff_s: float = 30.0, *, clock: Callable[[], float] = time.monotonic):
         if holdoff_s <= 0:
             raise ValueError("holdoff_s must be positive")
-        if multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
         self.holdoff_s = holdoff_s
-        self.multiplier = multiplier
-        self.max_holdoff_s = max_holdoff_s
         self._clock = clock
         self._state = "closed"
         self._until = 0.0
@@ -370,8 +392,6 @@ class CircuitBreaker:
 
     def record_failure(self) -> None:
         self._opens += 1
-        holdoff = min(
-            self.holdoff_s * (self.multiplier ** (self._opens - 1)), self.max_holdoff_s
-        )
+        holdoff = min(self.holdoff_s * HOLDOFF_MULTIPLIER ** (self._opens - 1), MAX_HOLDOFF_S)
         self._state = "open"
         self._until = self._clock() + holdoff

@@ -135,7 +135,7 @@ class Relay:
     :meth:`heal` periodically (e.g. once per pump iteration) and
     quarantined downstreams are probed, reactivated on a pong with the
     announcements they missed, or evicted at the policy's deadline.
-    ``clock`` is injectable (:class:`repro.net.timing.VirtualClock`) so
+    ``clock`` is injectable (:class:`repro.net.health.VirtualClock`) so
     the whole state machine can run in virtual time.
 
     Durable streams (docs/robustness.md §11) pass through untouched:

@@ -50,7 +50,7 @@ from .transport import (
 _IOV_MAX = 512
 
 #: Shared pool of lent receive buffers.
-_recv_pool = BufferPool(max_per_size=16)
+_recv_pool = BufferPool()
 
 
 class SocketTransport(Transport):

@@ -2,8 +2,9 @@
 
 A virtual RISC instruction set (after Engler's Vcode, which the paper's
 PBIO uses for receiver-side DCG), an emitter with ``v_*``-style macros, a
-register pool, and a VM executor.  See DESIGN.md for how this maps to the
-paper's native code generation.
+register pool, a VM executor, and the lowering of a conversion plan onto
+them (:func:`generate_vcode_converter`).  See DESIGN.md for how this maps
+to the paper's native code generation.
 """
 
 from .isa import FLOAT_WIDTHS, INT_WIDTHS, NUM_FLOAT_REGS, NUM_INT_REGS, Instr, Op
@@ -12,6 +13,7 @@ from .regalloc import RegisterExhausted, RegisterPool
 from .vm import VM, VMError
 from .macros import UNROLL_LIMIT, ConversionEmitter
 from .optimizer import OptimizationStats, optimize
+from .lowering import generate_vcode_converter
 
 __all__ = [
     "Instr",
@@ -30,4 +32,5 @@ __all__ = [
     "UNROLL_LIMIT",
     "optimize",
     "OptimizationStats",
+    "generate_vcode_converter",
 ]

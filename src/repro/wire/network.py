@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .transport import InMemoryPipe, Transport, TransportError
+from repro.net.transport import InMemoryPipe, Transport
 
 #: Calibration from Figure 1 (see module docstring).
 PAPER_LATENCY_S = 0.212e-3

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.abi import StructLayout
 from repro.core import IOContext
 from repro.core import encoder as enc
+from repro.vcode import generate_vcode_converter
 
 from .common import BoundFormat, WireSystem
 
@@ -31,6 +32,7 @@ class PbioWire(WireSystem):
 class BoundPbio(BoundFormat):
     def __init__(self, src_layout: StructLayout, dst_layout: StructLayout, conversion: str):
         self.system = "PBIO" if conversion == "dcg" else f"PBIO-{conversion}"
+        conversion = generate_vcode_converter if conversion == "vcode" else conversion
         self.sender = IOContext(src_layout.machine, conversion=conversion)
         self.receiver = IOContext(dst_layout.machine, conversion=conversion)
         self.handle = self.sender.register_format(src_layout.schema)

@@ -1,5 +1,8 @@
 """Unit tests for C struct layout computation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.abi import (
@@ -11,6 +14,7 @@ from repro.abi import (
     CType,
     FieldDecl,
     RecordSchema,
+    codec_for,
     layout_record,
 )
 
@@ -63,6 +67,15 @@ class TestAbiDifferences:
     def test_same_schema_same_machine_is_cached(self):
         s = schema(("i", "int"))
         assert layout_record(s, X86) is layout_record(s, X86)
+
+    def test_a_dropped_schema_frees_its_layouts_and_codec(self):
+        s = schema(("i", "int"), ("d", "double[4]"))
+        layouts = [weakref.ref(layout_record(s, m)) for m in (X86, SPARC_V8)]
+        codec = weakref.ref(codec_for(layout_record(s, X86)))
+        assert codec_for(layout_record(s, X86)) is codec()
+        del s
+        gc.collect()
+        assert [ref() for ref in layouts] == [None, None] and codec() is None
 
     def test_x86_64_natural_alignment(self):
         s = schema(("c", "char"), ("d", "double"))

@@ -10,6 +10,7 @@ from repro.core import (
     UnknownFormatError,
 )
 from repro.core import encoder as enc
+from repro.vcode import generate_vcode_converter
 
 
 def schema(*pairs, name="rec"):
@@ -74,7 +75,9 @@ class TestHomogeneousExchange:
 
 
 class TestHeterogeneousExchange:
-    @pytest.mark.parametrize("mode", ["dcg", "interpreted", "vcode"])
+    @pytest.mark.parametrize(
+        "mode", ["dcg", "interpreted", pytest.param(generate_vcode_converter, id="vcode")]
+    )
     def test_x86_to_sparc(self, mode):
         sch = schema(("i", "int"), ("d", "double[10]"), ("name", "char[8]"))
         s, r, h = linked_pair(X86, SPARC_V8, sch, conversion=mode)

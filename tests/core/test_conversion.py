@@ -20,14 +20,10 @@ from repro.abi import (
     records_equal,
 )
 from repro.core import IOFormat, OpKind, build_plan
-from repro.core.conversion import (
-    InterpretedConverter,
-    generate_converter,
-    generate_python_converter,
-    generate_vcode_converter,
-)
+from repro.core.conversion import InterpretedConverter, generate_converter
 from repro.core.conversion.vectorized import NUMPY_THRESHOLD
 from repro.core.errors import ConversionError
+from repro.vcode import generate_vcode_converter
 from repro.workloads import mechanical
 
 from .test_batch import MACHINE_NAMES, field_pairs, hostile_natives, linked, schema_pair, seeds
@@ -48,7 +44,7 @@ BACKENDS = ["interpreted", "python", "vcode"]
 def converter_for(plan, backend):
     if backend == "interpreted":
         return InterpretedConverter(plan)
-    return generate_converter(plan, backend=backend).convert
+    return (generate_converter if backend == "python" else generate_vcode_converter)(plan).convert
 
 
 def round_trip(src_machine, dst_machine, pairs, record, backend, dst_pairs=None):
@@ -213,16 +209,15 @@ class TestStrings:
 class TestGeneratedCode:
     def test_source_is_returned_and_specialized(self):
         _, _, plan = make_pair(X86, SPARC_V8, [("i", "int"), ("d", "double[50]")])
-        gen = generate_python_converter(plan)
+        gen = generate_converter(plan)
         assert "def convert" in gen.source
         assert gen.generation_time_s > 0
-        assert gen.backend == "python"
         # offsets are baked in as literals, no loops over ops
         assert "for op" not in gen.source
 
     def test_identity_plan_single_statement(self):
         _, _, plan = make_pair(X86, X86, [("a", "int"), ("b", "double")])
-        gen = generate_python_converter(plan)
+        gen = generate_converter(plan)
         copies = [l for l in gen.source.splitlines() if "src[" in l]
         # adjacent same-representation fields coalesce into one copy
         assert len(copies) == 1
@@ -232,15 +227,10 @@ class TestGeneratedCode:
         gen = generate_vcode_converter(plan)
         assert "ld" in gen.source
 
-    def test_unknown_backend_rejected(self):
-        _, _, plan = make_pair(X86, X86, [("a", "int")])
-        with pytest.raises(ValueError):
-            generate_converter(plan, backend="llvm")
-
     def test_converter_accepts_memoryview(self):
         src_layout, dst_layout, plan = make_pair(X86, SPARC_V8, [("i", "int")])
         native = codec_for(src_layout).encode({"i": 77})
-        out = generate_python_converter(plan).convert(memoryview(native))
+        out = generate_converter(plan).convert(memoryview(native))
         assert codec_for(dst_layout).decode(out)["i"] == 77
 
 
@@ -350,7 +340,7 @@ def test_generated_converter_matches_interpreted(src, dst, pairs, order, seed):
     except ConversionError:
         return  # an int <-> VAX float pair: no plan, nothing to compare
     reference = InterpretedConverter(plan)
-    generated = generate_python_converter(plan).convert
+    generated = generate_converter(plan).convert
     size = native_layout.size
     for record in planted_records(wire_layout.schema, MACHINES[src], seed, 6):
         want = outcome(reference, record)
@@ -380,7 +370,7 @@ def mech_plan(size):
 
 class TestFusedRuns:
     def test_mech_100b_is_one_pack_into_line(self):
-        gen = generate_python_converter(mech_plan("100b"))
+        gen = generate_converter(mech_plan("100b"))
         (line,) = statements(gen.source)
         assert "pack_into(dst, 0, *" in line and "unpack_from(src, 0)" in line
         assert gen.statements == 1
@@ -389,17 +379,17 @@ class TestFusedRuns:
         """sparc -> x86 only moves bytes: within GATHER_MAX_BYTES a record
         that would fuse to more than one statement is one gather straight
         into the destination."""
-        gen = generate_python_converter(mech_plan("1kb"))
+        gen = generate_converter(mech_plan("1kb"))
         (line,) = statements(gen.source)
         assert line.strip().startswith("_w.take(") and "out=np.frombuffer(dst" in line
         assert gen.statements == 1 and gen.gather is not None
         assert "pack_into" not in gen.source and ".astype(" not in gen.source
-        small = generate_python_converter(mech_plan("100b"))  # one struct pair: the index is for groups
+        small = generate_converter(mech_plan("100b"))  # one struct pair: the index is for groups
         assert "pack_into" in small.source and small.gather is not None
 
     def test_mech_10kb_keeps_its_fused_runs_without_a_copy(self):
         """Past GATHER_MAX_BYTES: struct pairs and in-place numpy casts."""
-        gen = generate_python_converter(mech_plan("10kb"))
+        gen = generate_converter(mech_plan("10kb"))
         assert gen.gather is None and len(statements(gen.source)) == gen.statements == 5
         assert "pack_into" in gen.source and "np.frombuffer(dst" in gen.source
         assert "tobytes" not in gen.source and ".astype(" not in gen.source
@@ -424,7 +414,7 @@ class TestFusedRuns:
             ("f", "double"),
         ]
         _, dst_layout, plan = make_pair(SPARC_V8, X86, wire, native)
-        gen = generate_python_converter(plan)
+        gen = generate_converter(plan)
         kinds = ["pack_into" if "pack_into" in l else "cast" if "np." in l else "slice" for l in statements(gen.source)]
         # a..c | wide | d,e | big | blob | f
         assert kinds == ["pack_into", "pack_into", "pack_into", "cast", "slice", "pack_into"]
@@ -445,7 +435,7 @@ class TestFusedRuns:
             SPARC_V8, X86, [("b", "int"), ("a", "int"), ("c", "int")], [("a", "int"), ("b", "int"), ("c", "long long")]
         )
         # a reads src 4, b reads src 0: backwards, so b starts a new run, which c joins
-        assert len(statements(generate_python_converter(plan).source)) == 2
+        assert len(statements(generate_converter(plan).source)) == 2
 
     def test_short_buffer_surfaces_as_conversion_error(self):
         """struct.error (fused run) and ValueError (in-place cast) still

@@ -198,13 +198,7 @@ class TestContextEdges:
 
 class TestTimingHelpers:
     def test_calibrated_inner_bounds(self):
-        from repro.net import calibrated_inner
+        from repro.wire.timing import calibrated_inner
 
         inner = calibrated_inner(lambda: None, target_s=1e-4)
         assert 1 <= inner <= 10_000
-
-    def test_leg_cost_total(self):
-        from repro.net import LegCost
-
-        leg = LegCost(1.0, 2.0, 3.0)
-        assert leg.total_s == 6.0

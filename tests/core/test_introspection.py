@@ -2,6 +2,7 @@
 
 from repro.abi import SPARC_V8, X86, RecordSchema
 from repro.core import IOContext
+from repro.vcode import generate_vcode_converter
 
 
 def schema(name="t"):
@@ -29,7 +30,7 @@ class TestConverterSources:
         assert "np.frombuffer" in source and "_w.take(" in source  # the record: one numpy gather
 
     def test_vcode_source_is_disassembly(self):
-        receiver = IOContext(SPARC_V8, conversion="vcode")
+        receiver = IOContext(SPARC_V8, conversion=generate_vcode_converter)
         exchange(receiver)
         source = next(iter(receiver.converter_sources().values()))
         assert "ldf" in source or "ld " in source

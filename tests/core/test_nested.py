@@ -14,6 +14,7 @@ from repro.abi import (
     records_equal,
 )
 from repro.core import IOContext
+from repro.vcode import generate_vcode_converter
 from repro.wire import IiopWire, MpiWire, PbioWire, XdrWire, XmlWire
 
 VEC3 = RecordSchema.from_pairs("vec3", [("x", "double"), ("y", "double"), ("z", "double")])
@@ -100,7 +101,9 @@ class TestCodecRoundTrip:
 
 
 class TestExchanges:
-    @pytest.mark.parametrize("mode", ["dcg", "interpreted", "vcode"])
+    @pytest.mark.parametrize(
+        "mode", ["dcg", "interpreted", pytest.param(generate_vcode_converter, id="vcode")]
+    )
     def test_pbio_heterogeneous_nested(self, mode):
         sender = IOContext(SPARC_V8, conversion=mode)
         receiver = IOContext(X86, conversion=mode)

@@ -20,6 +20,7 @@ from repro.abi import (
 )
 from repro.core import IOContext, IOFormat, build_plan, match_formats
 from repro.core.conversion import GATHER_MAX_BYTES, InterpretedConverter, generate_converter
+from repro.vcode import generate_vcode_converter
 from repro.workloads.generators import random_record, random_schema
 
 MACHINE_NAMES = sorted(MACHINES)
@@ -67,7 +68,7 @@ def test_interpreted_and_dcg_agree_bit_for_bit(seed, src, dst, strings, bulk):
     plan = build_plan(IOFormat.from_layout(src_layout), IOFormat.from_layout(dst_layout))
     native = codec_for(src_layout).encode(record)
     interpreted = InterpretedConverter(plan)(native)
-    generated = generate_converter(plan, backend="python").convert(native)
+    generated = generate_converter(plan).convert(native)
     assert interpreted == generated
 
 
@@ -82,8 +83,8 @@ def test_vcode_backend_agrees_with_python(seed, src, dst):
     dst_layout = layout_record(schema, MACHINES[dst])
     plan = build_plan(IOFormat.from_layout(src_layout), IOFormat.from_layout(dst_layout))
     native = codec_for(src_layout).encode(record)
-    py = generate_converter(plan, backend="python").convert(native)
-    vc = generate_converter(plan, backend="vcode").convert(native)
+    py = generate_converter(plan).convert(native)
+    vc = generate_vcode_converter(plan).convert(native)
     assert py == vc
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.abi import X86_64, RecordSchema, layout_record
 from repro.core import IOFormat, FormatError, MessageError
 from repro.fmtserv import FormatCache
+from repro.fmtserv import cache as fmtserv_cache
 
 from .helpers import FakeClock
 
@@ -125,9 +126,10 @@ class TestDiskLayer:
 
 
 class TestTtls:
-    def test_token_ttl_expires_entries(self):
+    def test_token_ttl_expires_entries(self, monkeypatch):
+        monkeypatch.setattr(fmtserv_cache, "TOKEN_TTL_S", 60.0)
         clock = FakeClock()
-        cache = FormatCache(ttl_s=60.0, clock=clock)
+        cache = FormatCache(clock=clock)
         fmt = make_format()
         cache.put(fmt.to_meta_bytes(), token=4)
         clock.advance(59.0)
@@ -138,7 +140,7 @@ class TestTtls:
 
     def test_negative_entries_expire_and_clear_on_put(self):
         clock = FakeClock()
-        cache = FormatCache(negative_ttl_s=30.0, clock=clock)
+        cache = FormatCache(clock=clock)
         fmt = make_format()
         cache.note_miss(fmt.fingerprint)
         assert cache.is_negative(fmt.fingerprint)

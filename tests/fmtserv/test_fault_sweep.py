@@ -152,7 +152,6 @@ def test_server_recovery_mid_stream():
         connect,
         cache=FormatCache(clock=clock),
         retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter_seed=3),
-        server_retry_s=5.0,
         clock=clock,
         sleep=no_sleep,
     )

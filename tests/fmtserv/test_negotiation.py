@@ -14,6 +14,7 @@ from repro.core import (
     RpcServer,
 )
 from repro.core import encoder as enc
+from repro.core import negotiation
 from repro.core.negotiation import Announcer, InboundNegotiator
 from repro.fmtserv import FormatCache, FormatServer, FormatService
 from repro.net import EventChannel, InMemoryPipe, Relay, TransportError, loopback_pair
@@ -206,10 +207,11 @@ class TestConnectionTokens:
 
 
 class TestNegotiatorUnits:
-    def test_hold_queue_is_bounded(self):
+    def test_hold_queue_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(negotiation, "MAX_HELD", 2)
         ctx = IOContext(SPARC_V8)
         sent = []
-        negotiator = InboundNegotiator(ctx, sent.append, max_held=2)
+        negotiator = InboundNegotiator(ctx, sent.append)
         token = enc.encode_token_message(0xABC, 7, b"\x13" * 20, 99)
         negotiator.offer(token)
         assert len(sent) == 1  # a meta request went out

@@ -181,7 +181,6 @@ class TestService:
         svc = FormatService(
             DeadTransport(),
             retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter_seed=1),
-            server_retry_s=5.0,
             clock=clock,
             sleep=no_sleep,
         )
@@ -265,7 +264,6 @@ class TestFailover:
             [self._dead_dialer(), self._dead_dialer()],
             cache=FormatCache(clock=clock),
             retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter_seed=1),
-            server_retry_s=5.0,
             clock=clock,
             sleep=no_sleep,
         )
@@ -293,7 +291,6 @@ class TestFailover:
             [flaky_primary, lambda: SyncServerLink(server)],
             cache=FormatCache(clock=clock),
             retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter_seed=1),
-            server_retry_s=5.0,
             clock=clock,
             sleep=no_sleep,
         )

@@ -6,7 +6,8 @@ import pytest
 
 from repro.abi import ALPHA, SPARC_V8, X86, CType, FieldDecl, RecordSchema, codec_for, layout_record, records_equal
 from repro.core import IOContext, PbioConnection
-from repro.net import InMemoryPipe, SimulatedLink, loopback_pair
+from repro.net import InMemoryPipe, loopback_pair
+from repro.wire.network import SimulatedLink
 from repro.wire import IiopWire, MpiWire, PbioWire, XdrWire, XmlWire
 from repro.workloads import mechanical as m
 from repro.workloads.generators import record_stream

@@ -27,6 +27,7 @@ from repro.abi import SPARC_V8, X86, RecordSchema, layout_record
 from repro.core import IOContext, IOFormat
 from repro.core import encoder as enc
 from repro.fmtserv import FormatCache, FormatServer, FormatService
+from repro.fmtserv import client as fmtserv_client
 from repro.net import InMemoryPipe, ProbePolicy, Relay, Transport, TransportError
 from repro.net.health import ACTIVE
 
@@ -97,7 +98,7 @@ class Subscriber:
                     self.received.append(record["seq"])
 
 
-def test_soak_self_healing_plane():
+def test_soak_self_healing_plane(monkeypatch):
     rng = random.Random(CHAOS_SEED)
     relay = Relay(
         quarantine_after=1,
@@ -120,11 +121,8 @@ def test_soak_self_healing_plane():
             raise TransportError("soak chaos: primary path down")
         return SyncServerLink(fserver)
 
-    service = FormatService(
-        [primary_connect, lambda: SyncServerLink(fserver)],
-        cache=FormatCache(None),
-        server_retry_s=0.05,
-    )
+    monkeypatch.setattr(fmtserv_client, "SERVER_RETRY_S", 0.05)
+    service = FormatService([primary_connect, lambda: SyncServerLink(fserver)], cache=FormatCache(None))
 
     sender = IOContext(SPARC_V8)
     handle = sender.register_format(TELEMETRY)

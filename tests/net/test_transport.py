@@ -7,6 +7,7 @@ transport and both zero-plan wrappers.
 import asyncio
 import gc
 import inspect
+import itertools
 import socket
 import struct
 import threading
@@ -24,25 +25,20 @@ from repro.net import (
     FaultPlan,
     FrameBuffer,
     InMemoryPipe,
-    LegCost,
-    NetworkModel,
     PeerClosedError,
     ReconnectingTransport,
     Relay,
     RetryPolicy,
-    RoundTripCost,
-    SimulatedLink,
     SocketTransport,
-    TimingTable,
     Transport,
     TransportError,
     TransportTimeout,
-    best_of,
     drain,
     loopback_pair,
-    paper_network_times_ms,
     shm_pair,
 )
+from repro.wire.network import NetworkModel, SimulatedLink, paper_network_times_ms
+from repro.wire.timing import TimingTable, best_of
 from repro.net.transport import GATHER_MIN_FRAME, MAX_FRAME, SegmentedFrame
 
 
@@ -302,17 +298,6 @@ class TestTiming:
         t = best_of(lambda: sum(range(100)), repeats=3, inner=10)
         assert t > 0
 
-    def test_roundtrip_cost_accounting(self):
-        rt = RoundTripCost(
-            label="100b",
-            payload_bytes=100,
-            forward=LegCost(0.001, 0.002, 0.003),
-            back=LegCost(0.001, 0.002, 0.003),
-        )
-        assert rt.total_s == pytest.approx(0.012)
-        assert rt.encode_decode_fraction == pytest.approx(8 / 12)
-        assert "100b" in rt.row()
-
     def test_timing_table_renders(self):
         table = TimingTable("t", ["100b", "1kb"])
         table.add("PBIO", [0.1, 0.2])
@@ -358,23 +343,49 @@ class TestPipeCloseSemantics:
         assert not isinstance(excinfo.value, PeerClosedError)
 
 
-def _small_buffer_pair(sndbuf=4096, rcvbuf=4096, timeout_s=10.0):
-    """A loopback TCP pair with deliberately tiny kernel buffers, so
-    vectored sends go partial and the framer sees fragmented reads."""
+def _small_buffer_pair(timeout_s=10.0):
+    """A loopback TCP pair whose sender has a deliberately tiny kernel send
+    buffer, so vectored sends go partial and the framer sees fragmented
+    reads.  The receiver keeps a roomy receive buffer: with a tiny one too
+    the kernel's small-window behaviour stalls each refill for ~0.5 s,
+    which times the kernel, not the resume loop."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
     client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    client.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
-    client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    client.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
     client.settimeout(timeout_s)
     client.connect(listener.getsockname())
     server, _ = listener.accept()
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 256 * 1024)
     server.settimeout(timeout_s)
     listener.close()
-    return SocketTransport(client), SocketTransport(server)
+    c, s = SocketTransport(client), SocketTransport(server)
+    c._sock, s._sock = _Recorded(c._sock), _Recorded(s._sock)
+    return c, s
+
+
+class _Recorded:
+    """A socket that records what each ``sendmsg`` was offered and took,
+    and what each ``recv_into`` got."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends: list[tuple[int, int]] = []
+        self.fills: list[int] = []
+
+    def sendmsg(self, bufs):
+        taken = self._sock.sendmsg(bufs)
+        self.sends.append((sum(len(b) for b in bufs), taken))
+        return taken
+
+    def recv_into(self, view):
+        got = self._sock.recv_into(view)
+        self.fills.append(got)
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
 
 
 class TestSmallKernelBuffers:
@@ -384,8 +395,8 @@ class TestSmallKernelBuffers:
     def test_send_segments_partial_send_resume(self):
         c, s = _small_buffer_pair()
         try:
-            # 64 segments x 8 KiB = 512 KiB, far beyond both kernel
-            # buffers: sendmsg must go partial and resume mid-iovec.
+            # 64 segments x 8 KiB = 512 KiB, far beyond the send buffer:
+            # sendmsg must go partial and resume mid-iovec.
             segments = [bytes([i]) * 8192 for i in range(64)]
             sender = threading.Thread(target=c.send_segments, args=(segments,))
             sender.start()
@@ -393,6 +404,8 @@ class TestSmallKernelBuffers:
             sender.join(timeout=10)
             assert not sender.is_alive()
             assert received == b"".join(segments)
+            sends = c._sock.sends
+            assert any(taken < offered for offered, taken in sends[:-1])  # partial, then resumed
         finally:
             c.close()
             s.close()
@@ -409,6 +422,9 @@ class TestSmallKernelBuffers:
             sender.join(timeout=10)
             assert not sender.is_alive()
             assert received == frames
+            ends = set(itertools.accumulate(4 + len(f) for f in frames))
+            cuts = list(itertools.accumulate(s._sock.fills))
+            assert any(cut not in ends for cut in cuts[:-1])  # a frame completed across two fills
         finally:
             c.close()
             s.close()

@@ -22,10 +22,6 @@ LAYERS = ("abi", "core", "net", "fmtserv", "tools")
 APPARATUS = ("wire", "vcode", "workloads")
 TOOLS = ("layout_tool", "dump_tool", "fsck_tool", "fmtserv_tool", "wal_tool", "fabric_tool")
 
-#: Upward imports allowed inside a function: the vcode conversion backend,
-#: which codegen loads only when a context asks for ``conversion="vcode"``.
-FUNCTION_LEVEL_EXEMPT = {("repro.core.conversion.codegen", "vcode")}
-
 
 def _module_name(path: Path) -> str:
     parts = path.relative_to(SRC).with_suffix("").parts
@@ -33,33 +29,32 @@ def _module_name(path: Path) -> str:
 
 
 def _imports(path: Path):
-    """Yield ``(imported module, lineno, inside a function)`` for every
-    import outside an ``if TYPE_CHECKING:`` block, relative ones resolved."""
+    """Yield ``(imported module, lineno)`` for every import outside an
+    ``if TYPE_CHECKING:`` block, relative ones resolved."""
     module = _module_name(path)
     package = module if path.name == "__init__.py" else module.rpartition(".")[0]
 
-    def walk(node, in_function):
+    def walk(node):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.If) and "TYPE_CHECKING" in ast.unparse(child.test):
-                yield from walk(ast.Module(body=child.orelse, type_ignores=[]), in_function)
+                yield from walk(ast.Module(body=child.orelse, type_ignores=[]))
                 continue
             if isinstance(child, ast.Import):
                 for alias in child.names:
-                    yield alias.name, child.lineno, in_function
+                    yield alias.name, child.lineno
             elif isinstance(child, ast.ImportFrom):
                 if child.level:
                     base = package.split(".")[: len(package.split(".")) - child.level + 1]
                     if child.module:
-                        yield ".".join(base + [child.module]), child.lineno, in_function
+                        yield ".".join(base + [child.module]), child.lineno
                     else:
                         for alias in child.names:
-                            yield ".".join(base + [alias.name]), child.lineno, in_function
+                            yield ".".join(base + [alias.name]), child.lineno
                 else:
-                    yield child.module, child.lineno, in_function
-            nested = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            yield from walk(child, nested)
+                    yield child.module, child.lineno
+            yield from walk(child)
 
-    yield from walk(ast.parse(path.read_text()), False)
+    yield from walk(ast.parse(path.read_text()))
 
 
 def _layer(module: str) -> str | None:
@@ -74,13 +69,11 @@ def test_no_system_import_goes_up_or_into_the_apparatus():
         source = _layer(module)
         if source not in LAYERS:
             continue
-        for target, lineno, in_function in _imports(path):
+        for target, lineno in _imports(path):
             dest = _layer(target)
             if dest is None or dest == source:
                 continue
             if dest in APPARATUS or LAYERS.index(dest) > LAYERS.index(source):
-                if in_function and (module, dest) in FUNCTION_LEVEL_EXEMPT:
-                    continue
                 wrong.append(f"{module}:{lineno} imports {target}")
     assert not wrong, "imports that go up the layer order:\n" + "\n".join(wrong)
 

@@ -191,7 +191,7 @@ class TestIntegrationWithCodegen:
     def test_vcode_converter_optimized_by_default(self):
         from repro.abi import SPARC_V8, MIPS_O32, RecordSchema, layout_record
         from repro.core import IOFormat, build_plan
-        from repro.core.conversion import generate_vcode_converter
+        from repro.vcode import generate_vcode_converter
 
         # same byte order, different layout -> offset moves -> coalescible
         schema_a = RecordSchema.from_pairs("t", [("pad", "int"), ("a", "int"), ("b", "int")])
